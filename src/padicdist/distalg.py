@@ -608,12 +608,17 @@ def lie_generator(model: GroupModel, i: int, T=None) -> Distribution:
         coeffs[alpha] = PadicScalar.from_fraction(
             p, Fraction((-1) ** (k + 1), k), model.elem_prec
         )
-    # |1/k| = p^(v_p(k)) <= p^(t * k * w) for all k > K with t from the first
-    # prime power past the truncation
-    j = 1
-    while ppow(p, j) <= K:
-        j += 1
-    t = Fraction(j, ppow(p, j)) / w
+    # |1/k| = p^(v_p(k)) <= p^(t * k * w) for all k > K: a k > K with
+    # v_p(k) = m is at least k_m, the least multiple of p^m above K, so
+    # t = max_m m / (w * k_m).  Once p^m > K, k_m = p^m and m / p^m only falls.
+    t = Fraction(0)
+    m = 1
+    while True:
+        q = ppow(p, m)
+        t = max(t, Fraction(m, (K // q + 1) * q) / w)
+        if q > K:
+            break
+        m += 1
     return Distribution(model, coeffs, T,
                         tail_certs=(TailCert(NormValue.one(), t),))
 

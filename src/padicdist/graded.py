@@ -220,14 +220,6 @@ class GradedPoly:
         return f"GradedPoly({self.to_text()})"
 
 
-def gp_arith(a: GradedPoly, b: GradedPoly, op: str) -> GradedPoly:
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    raise GradedError(f"unknown op {op!r}")
-
-
 # -- monomial orders --------------------------------------------------------
 
 
@@ -426,50 +418,24 @@ class GradedIdeal:
         return f"GradedIdeal({inner})"
 
 
-def _intersect_with_var(raw, nvars, p, var_index):
-    """Generators of I intersect <x_var> via a tag variable t:
-    eliminate t from t*I + (1-t)*<x_var>."""
-    # tuples extended by one slot for t, placed last for the elimination order
-    ext = []
-    for g in raw:
-        ext.append({m + (1,): c for m, c in g.items()})
-    xv = tuple(1 if i == var_index else 0 for i in range(nvars))
-    ext.append({xv + (0,): 1, xv + (1,): p - 1})
-    gb = _buchberger(ext, p, _elim_last_key)
-    return [
-        {m[:-1]: c for m, c in g.items()}
-        for g in gb
-        if all(m[-1] == 0 for m in g)
-    ]
-
-
-def _quotient_by_var(raw, nvars, p, var_index):
-    """I : x_var, using (I intersect <x_var>) / x_var."""
-    inter = _intersect_with_var(raw, nvars, p, var_index)
-    out = []
-    for g in inter:
-        out.append({
-            tuple(a - (1 if i == var_index else 0) for i, a in enumerate(m)): c
-            for m, c in g.items()
-        })
-    return out
-
-
-def saturate(ideal: GradedIdeal, max_steps: int = 64) -> GradedIdeal:
-    """I : e0^infinity by iterated ideal quotient until stabilization."""
+def saturate(ideal: GradedIdeal) -> GradedIdeal:
+    """I : e0^infinity, computed as one elimination (Rabinowitsch's trick):
+    I : e0^infinity = (I + <1 - t*e0>) intersect F_p[e0, X], with t eliminated
+    by a block order (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms,
+    section 4.4, Theorem 14)."""
     amb = ideal.ambient
     p = amb.p
-    nvars = amb.d + 1
-    e0_index = amb.d  # e0 is the last tuple slot
-    cur = _buchberger(ideal._raw_gens(), p, _deglex_key)
-    for _ in range(max_steps):
-        nxt = _buchberger(_quotient_by_var(cur, nvars, p, e0_index), p, _deglex_key)
-        if nxt == cur:
-            out = GradedIdeal(amb, [GradedPoly(amb, b) for b in cur])
-            out._gb = cur
-            return out
-        cur = nxt
-    raise GradedError("saturation did not stabilize")
+    # t takes a new last slot, the variable _elim_last_key eliminates
+    ext = [{m + (0,): c for m, c in g.items()} for g in ideal._raw_gens()]
+    ext.append({(0,) * (amb.d + 2): 1, (0,) * amb.d + (1, 1): p - 1})
+    gb = _buchberger(ext, p, _elim_last_key)
+    sat = _reduce_basis(
+        [{m[:-1]: c for m, c in g.items()} for g in gb if all(m[-1] == 0 for m in g)],
+        p, _deglex_key,
+    )
+    out = GradedIdeal(amb, [GradedPoly(amb, b) for b in sat])
+    out._gb = sat
+    return out
 
 
 def krull_dim(ideal: GradedIdeal) -> int:

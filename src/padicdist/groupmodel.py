@@ -69,7 +69,6 @@ class GroupModel:
         ok, slack = hyp_slack(p, self.omegas)
         if not ok:
             raise ModelError(f"(HYP) fails: minimal slack {slack}")
-        self._hyp = (ok, slack)
         # guard digits so binomial coefficients up to the working weight cap
         # stay correct mod p**prec
         kmax = int(self.max_weight / min(self.omegas))
@@ -256,9 +255,6 @@ class GroupModel:
             return min(bound_vals), False
         return best, True
 
-    def hyp_check(self) -> tuple[bool, Fraction | None]:
-        return self._hyp
-
     # -- weighted degrees --------------------------------------------------
 
     def tau(self, alpha) -> Fraction:
@@ -337,30 +333,6 @@ class GroupElement:
     def __repr__(self):
         cs = ", ".join(str(c.residue) for c in self.coords)
         return f"GroupElement({self.model.id}; {cs})"
-
-
-class MultiIndex:
-    """A multi-index with cached weighted degree and total size."""
-
-    __slots__ = ("alpha", "weight", "size")
-
-    def __init__(self, model: GroupModel, alpha):
-        self.alpha = tuple(int(a) for a in alpha)
-        if len(self.alpha) != model.d or any(a < 0 for a in self.alpha):
-            raise ModelError(f"bad multi-index {alpha!r} for d={model.d}")
-        self.weight = model.tau(self.alpha)
-        self.size = sum(self.alpha)
-
-    def __eq__(self, other):
-        if isinstance(other, MultiIndex):
-            return self.alpha == other.alpha
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.alpha)
-
-    def __repr__(self):
-        return f"MultiIndex{self.alpha}"
 
 
 # -- alternate ordered bases ------------------------------------------------

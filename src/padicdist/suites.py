@@ -201,13 +201,17 @@ def suite_lemma44(params: SuiteParams) -> SuiteReport:
             rep.add(f"strict-drop-{i+1}{j+1}", "lemma44", ok, "; ".join(detail))
     comm = (Distribution.monomial(model, (1, 0, 0)) * Distribution.monomial(model, (0, 1, 0))
             - Distribution.monomial(model, (0, 1, 0)) * Distribution.monomial(model, (1, 0, 0)))
+    p = model.p
     c = comm.coeff((0, 0, 1))
-    witness_ok = c.same_value(PadicScalar.from_int(model.p, model.p, model.elem_prec))
+    witness_ok = c.same_value(PadicScalar.from_int(p, p, model.elem_prec))
+    # beside p*b3 (norm p^-1 r) the commutator has a unit b3^p term (norm
+    # r^p), which is the larger of the two below s = 1/(p-1)
     for s in S3:
         nd = comm.norm(RadiusParam(s))
-        witness_ok = witness_ok and nd.upper <= NormValue(1 + s)
+        witness_ok = witness_ok and nd.upper <= NormValue(min(1 + s, p * s))
+    bound = "p^-1 r" if min(S3) >= Fraction(1, p - 1) else "max(p^-1 r, r^p)"
     rep.add("witness-p-at-e3", "lemma44", witness_ok,
-            "commutator coefficient p at (0,0,1); norm <= p^-1 r")
+            f"commutator coefficient p at (0,0,1); norm <= {bound}")
     return rep
 
 
@@ -241,6 +245,16 @@ def suite_thm45_mult(params: SuiteParams) -> SuiteReport:
     return rep
 
 
+def _log_lead_power(p, s, w):
+    """The m whose term b^(p^m) / p^m leads log(1 + b) at radius s, for b of
+    weight w: it maximises m - s*w*p^m, so it is the least m with
+    s*w*p^m*(p-1) >= 1 (at equality m + 1 ties with it)."""
+    m = 0
+    while s * w * p ** m * (p - 1) < 1:
+        m += 1
+    return m
+
+
 def suite_thm45_graded(params: SuiteParams) -> SuiteReport:
     rep = SuiteReport("thm45-graded", ("thm45 graded-ring symbols",))
     model = _model(params, f"heisenberg:{params.p}")
@@ -263,17 +277,23 @@ def suite_thm45_graded(params: SuiteParams) -> SuiteReport:
             "symbol of p is e0, degree 1")
 
     lg = lie_generator(model, 0)
-    sym, deg = lg.principal_symbol(r_half)
+    # a high radius lies above the tie radius 1/(p-1), where X1 alone leads
+    s_high = next(s for s in (s_half, Fraction(3, 4)) if s > Fraction(1, p - 1))
+    amb_high = GradedAmbient(p, model.d, model.omegas, s_high)
+    sym, deg = lg.principal_symbol(RadiusParam(s_high))
     rep.add("symbol-log-high-s", "thm45-graded",
-            sym == GradedPoly.variable(amb, 1) and deg == s_half,
-            "log(1+b1) at s=1/2 has symbol X1")
+            sym == GradedPoly.variable(amb_high, 1) and deg == s_high,
+            f"log(1+b1) at s={s_high} has symbol X1")
     s_low = Fraction(1, 8)
     amb_low = GradedAmbient(p, model.d, model.omegas, s_low)
     sym, deg = lg.principal_symbol(RadiusParam(s_low))
-    want = GradedPoly(amb_low, {(p, 0, 0, -1): 1})
+    m = _log_lead_power(p, s_low, model.omegas[0])
+    k = p ** m
+    deg_low = s_low * k * model.omegas[0] - m
+    want = GradedPoly(amb_low, {(k, 0, 0, -m): 1})
     rep.add("symbol-log-low-s", "thm45-graded",
-            sym == want and deg == -1 + s_low * p,
-            f"log(1+b1) at s=1/8 has symbol e0^-1*X1^{p}, degree {-1 + s_low * p}")
+            sym == want and deg == deg_low,
+            f"log(1+b1) at s=1/8 has symbol e0^-{m}*X1^{k}, degree {deg_low}")
     s_tie = Fraction(1, p - 1)
     amb_tie = GradedAmbient(p, model.d, model.omegas, s_tie)
     sym, deg = lg.principal_symbol(RadiusParam(s_tie))
@@ -709,12 +729,15 @@ def suite_thm812_smooth(params: SuiteParams) -> SuiteReport:
                 got == model.d,
                 f"J = symbols of log(1+b_i): grade {got} = d, degrees {degs}")
     lg = lie_generator(model, 0)
-    sym, deg = lg.principal_symbol(RadiusParam(Fraction(1, 8)))
-    amb = GradedAmbient(p, model.d, model.omegas, Fraction(1, 8))
+    s_low = Fraction(1, 8)
+    sym, deg = lg.principal_symbol(RadiusParam(s_low))
+    amb = GradedAmbient(p, model.d, model.omegas, s_low)
+    m = _log_lead_power(p, s_low, model.omegas[0])
+    k = p ** m
     rep.add("low-s-symbol", "thm812-smooth",
-            sym == GradedPoly(amb, {(p, 0, 0, -1): 1})
-            and deg == Fraction(p, 8) - 1,
-            "at s=1/8 the symbol is e0^-1*X1^p")
+            sym == GradedPoly(amb, {(k, 0, 0, -m): 1})
+            and deg == s_low * k * model.omegas[0] - m,
+            f"at s=1/8 the symbol is e0^-{m}*X1^" + ("p" if m == 1 else f"(p^{m})"))
     return rep
 
 

@@ -86,10 +86,12 @@ class TestMulSymbolThreshold:
 
 class TestGrade:
     def test_full_ideal(self):
-        code, out, _ = run_cli(
-            ["grade", "--group", "heisenberg:5", "--r", "1/2", "X1", "X2", "X3"]
-        )
-        assert code == 0 and out.strip() == "grade = 3"
+        for gens in (["X1", "X2", "X3"],
+                     ["X1^2+e0*X2", "X2^2*X3+e0^2*X1", "X3^2*e0+X1*X2"]):
+            code, out, _ = run_cli(
+                ["grade", "--group", "heisenberg:5", "--r", "1/2", *gens]
+            )
+            assert code == 0 and out.strip() == "grade = 3"
 
     def test_negative_e0_rejected_as_input(self):
         code, _, _ = run_cli(
@@ -137,6 +139,13 @@ class TestVerify:
         code, out, _ = run_cli(["verify", "lemma44", "--format", "tsv"])
         assert code == 0
         assert all(line.split("\t")[0] == "lemma44" for line in out.strip().splitlines())
+
+    def test_suites_at_p3(self):
+        # their expectations derive from p: at p = 3, s = 1/2 is the tie
+        # radius and X1^9 leads log(1+b1) at s = 1/8
+        for suite in ("lemma44", "thm45-graded", "thm812-smooth"):
+            code, out, _ = run_cli(["verify", suite, "-p", "3"])
+            assert code == 0, out
 
     def test_unknown_suite(self):
         code, _, err = run_cli(["verify", "lemma99"])

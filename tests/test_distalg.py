@@ -214,6 +214,19 @@ class TestLieGenerator:
         sym, _ = lie_generator(model, 0).principal_symbol(RadiusParam(Fraction(1, P - 1)))
         assert len(sym.terms) == 2
 
+    @pytest.mark.parametrize("p,T", [(5, 6), (7, 12), (5, 30), (3, 30)])
+    def test_tail_certificate_covers_every_k(self, p, T):
+        # the tail claims |1/k| = p^(v_p(k)) <= p^(t*k) for every k > T;
+        # a growth read off the first prime power past T alone fails here
+        model = GroupModel.abelian(1, p, prec=12, max_weight=Fraction(T))
+        (cert,) = lie_generator(model, 0).tail_certs
+        assert cert.bound == NormValue.one()
+        for k in range(T + 1, p ** 2 * T):
+            v, n = 0, k
+            while n % p == 0:
+                v, n = v + 1, n // p
+            assert v <= cert.growth * k, (k, v, cert.growth)
+
 
 class TestSymbolGuards:
     def test_zero_has_no_symbol(self):

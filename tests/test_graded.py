@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 from math import inf
 
 import pytest
@@ -9,6 +10,9 @@ from padicdist.graded import (
     GradedError,
     GradedIdeal,
     GradedPoly,
+    _buchberger,
+    _deglex_key,
+    _elim_last_key,
     grade_cyclic,
     krull_dim,
     saturate,
@@ -152,6 +156,97 @@ class TestSaturation:
         a = amb(2)
         sat = saturate(GradedIdeal(a, [var(a, 0) * var(a, 1), var(a, 2)]))
         assert sat.contains(var(a, 1)) and sat.contains(var(a, 2))
+
+
+def _quotient_by_e0(raw, d, p):
+    """I : e0 as (I intersect <e0>) / e0; the intersection eliminates a tag
+    variable t from t*I + (1 - t)*<e0>."""
+    e0 = (0,) * d + (1,)
+    ext = [{m + (1,): c for m, c in g.items()} for g in raw]
+    ext.append({e0 + (0,): 1, e0 + (1,): p - 1})
+    gb = _buchberger(ext, p, _elim_last_key)
+    return [
+        {m[:-2] + (m[-2] - 1,): c for m, c in g.items()}
+        for g in gb
+        if all(m[-1] == 0 for m in g)
+    ]
+
+
+def saturate_by_quotients(ideal):
+    """Reference for saturate: the reduced basis of I : e0^infinity, taking the
+    ideal quotient by e0 until it stops growing."""
+    p, d = ideal.ambient.p, ideal.ambient.d
+    cur = _buchberger(ideal._raw_gens(), p, _deglex_key)
+    while True:
+        nxt = _buchberger(_quotient_by_e0(cur, d, p), p, _deglex_key)
+        if nxt == cur:
+            return cur
+        cur = nxt
+
+
+@st.composite
+def small_ideals(draw):
+    p = draw(st.sampled_from([3, 5, 7]))
+    d = draw(st.sampled_from([1, 2]))
+    a = GradedAmbient(p, d, [1] * d, Fraction(1, 2))
+    mons = [m for m in product(range(3), repeat=d + 1) if sum(m) <= 2]
+    term = st.dictionaries(st.sampled_from(mons), st.integers(1, p - 1),
+                           min_size=1, max_size=3)
+    gens = draw(st.lists(term, min_size=1, max_size=3))
+    return GradedIdeal(a, [GradedPoly(a, g) for g in gens])
+
+
+def e0_power_certificate(ideal, sat, kmax=8):
+    """Certificate that I : e0^infinity is sat: I lies in sat, and each basis
+    element b of sat has e0^k * b in I; returns the least such k per b."""
+    assert all(sat.contains(g) for g in ideal.gens)
+    ks = []
+    for b in sat.basis_polys():
+        ks.append(next(k for k in range(kmax + 1) if ideal.contains(b.shift_e0(k))))
+    return ks
+
+
+ROADMAP_GENS = ("X1^2+e0*X2", "X2^2*X3+e0^2*X1", "X3^2*e0+X1*X2")
+ROADMAP_SAT = (
+    "1*X1^2+1*X2*e0",
+    "1*X3^2*e0+1*X1*X2",
+    "1*X1*e0^2+1*X2^2*X3",
+    "1*X1*X3^2+4*X2^2",
+    "1*X2*X3^3+1*X2*e0^2",
+    "1*X1*X2^2*X3+4*X2*e0^3",
+    "1*X3^5+4*X1*X2*e0",
+    "1*X2*X3*e0^3+4*X2^4",
+    "1*X2^4*X3^2+1*X2*e0^5",
+    "1*X2*e0^6+4*X1*X2^5",
+)
+
+
+class TestSaturationOracle:
+    @given(small_ideals())
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    def test_matches_iterated_quotients(self, ideal):
+        assert saturate(ideal)._gb == saturate_by_quotients(ideal)
+
+    def test_roadmap_ideal(self):
+        a = amb(3)
+        ideal = GradedIdeal(a, [GradedPoly.parse(a, g) for g in ROADMAP_GENS])
+        sat = saturate(ideal)
+        assert tuple(b.to_text() for b in sat.basis_polys()) == ROADMAP_SAT
+        assert max(e0_power_certificate(ideal, sat)) <= 2
+        assert grade_cyclic(ideal, 3) == 3
+
+    def test_saturated_p3_ideal(self):
+        # already saturated; iterated quotients ran for minutes on it
+        a = GradedAmbient(3, 2, [1, 1], Fraction(1, 2))
+        ideal = GradedIdeal(a, [GradedPoly(a, t) for t in (
+            {(0, 1, 2): 2, (1, 1, 0): 2, (0, 0, 1): 1},
+            {(0, 1, 0): 1, (0, 0, 0): 1, (1, 1, 0): 1},
+            {(2, 0, 1): 2, (0, 1, 0): 2},
+        )])
+        sat = saturate(ideal)
+        assert sat.same_ideal(ideal.groebner())
+        assert set(e0_power_certificate(ideal, sat)) == {0}
+        assert grade_cyclic(ideal, 2) == 3
 
 
 class TestDimensionAndGrade:
