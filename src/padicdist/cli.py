@@ -179,7 +179,7 @@ def cmd_project(args) -> int:
 def cmd_grade(args) -> int:
     model = _model_from_args(args)
     s = _radius(args.r).s
-    ambient = GradedAmbient(model.p, model.d, model.omegas, s)
+    ambient = GradedAmbient(model.p, model.d, [1] * model.d, s)
     try:
         gens = [GradedPoly.parse(ambient, g) for g in args.gens]
         ideal = GradedIdeal(ambient, gens)
@@ -264,7 +264,8 @@ def _add_common(sp, *, group=True, out=True):
     if group:
         sp.add_argument("--group", help="group id, e.g. heisenberg:5 or abelian:2:5")
         sp.add_argument("-N", type=int, help="scalar precision (window) in p-digits")
-        sp.add_argument("-T", help="truncation weight, a non-negative rational")
+        sp.add_argument("-T", help="truncation degree, a non-negative rational "
+                        "(floored: degrees are integers)")
     if out:
         sp.add_argument("--out", help="output file ('-' = stdout)")
 

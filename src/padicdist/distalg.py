@@ -1,7 +1,7 @@
 """The distribution algebra of a builtin group model.
 
 A distribution is held as a finite coefficient table over the monomials
-b^alpha = (h_1-1)^a1 ... (h_d-1)^ad up to a weighted-degree cutoff T,
+b^alpha = (h_1-1)^a1 ... (h_d-1)^ad up to a total-degree cutoff T,
 together with certified bounds on everything that is not stored: a list of
 tail certificates (C, t) asserting |d_alpha| <= C * p^(t * tau(alpha)) for
 every unstored alpha, and a per-entry error bound on the stored head.
@@ -14,7 +14,7 @@ exact inputs.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, inf
+from math import comb, floor, inf
 from typing import NamedTuple
 
 from .padic import (
@@ -23,9 +23,8 @@ from .padic import (
     PadicScalar,
     binom,
     ppow,
-    vp_int,
 )
-from .groupmodel import GroupElement, GroupModel, ModelError, ModelMismatch
+from .groupmodel import GroupElement, GroupModel, ModelMismatch
 
 
 class DistError(PadicError):
@@ -99,7 +98,7 @@ def _as_scalar(model: GroupModel, c) -> PadicScalar:
 
 
 class Distribution:
-    """lambda = sum d_alpha b^alpha, stored up to weighted degree T."""
+    """lambda = sum d_alpha b^alpha, stored up to degree |alpha| <= T."""
 
     __slots__ = ("model", "coeffs", "T", "tail_certs", "exact", "head_error",
                  "dirac_terms")
@@ -107,9 +106,10 @@ class Distribution:
     def __init__(self, model, coeffs, T, tail_certs=(), exact=False,
                  head_error=None, dirac_terms=None):
         self.model = model
-        self.T = Fraction(T)
-        if self.T < 0:
+        if T < 0:
             raise DistError("truncation weight T must be >= 0")
+        # degrees are integers, so a rational T truncates like its floor
+        self.T = floor(T)
         self.coeffs = dict(coeffs)
         for alpha in self.coeffs:
             if model.tau(alpha) > self.T:
@@ -134,7 +134,7 @@ class Distribution:
 
     @classmethod
     def monomial(cls, model, alpha, T=None) -> "Distribution":
-        T = model.max_weight if T is None else Fraction(T)
+        T = model.max_weight if T is None else floor(T)
         alpha = tuple(int(a) for a in alpha)
         if model.tau(alpha) > T:
             raise DistError(f"monomial weight {model.tau(alpha)} exceeds T={T}")
@@ -147,7 +147,7 @@ class Distribution:
     @classmethod
     def dirac_combination(cls, model, terms, T=None) -> "Distribution":
         """sum a_j delta_{g_j}; the term list is retained as an exact witness."""
-        T = model.max_weight if T is None else Fraction(T)
+        T = model.max_weight if T is None else floor(T)
         terms = [(_as_scalar(model, a), g) for a, g in terms]
         for _, g in terms:
             model._require_same(g.model)
@@ -248,9 +248,6 @@ class Distribution:
             return terms
         return None
 
-    def _terms_for_head(self):
-        return _head_to_dirac(self.model, self.coeffs)
-
     # -- linear structure --------------------------------------------------
 
     def scale(self, c) -> "Distribution":
@@ -304,8 +301,6 @@ class Distribution:
         terms = None
         if self.dirac_terms is not None and other.dirac_terms is not None:
             terms = _merge_terms(self.model, list(self.dirac_terms) + list(other.dirac_terms))
-        elif exact:
-            terms = None  # recomputed lazily from the head
         return Distribution(self.model, coeffs, T, tuple(certs), exact, herr, terms)
 
     def __sub__(self, other: "Distribution") -> "Distribution":
@@ -321,16 +316,16 @@ class Distribution:
         """
         self.model._require_same(other.model)
         model = self.model
-        T = min(self.T, other.T) if T is None else Fraction(T)
-        if T < 0:
+        if T is not None and T < 0:
             raise DistError("output truncation weight is negative")
+        T = min(self.T, other.T) if T is None else floor(T)
         t1 = self._exact_terms()
         t2 = other._exact_terms()
         exact_path = t1 is not None and t2 is not None
         if t1 is None:
-            t1 = self._terms_for_head()
+            t1 = _head_to_dirac(model, self.coeffs)
         if t2 is None:
-            t2 = other._terms_for_head()
+            t2 = _head_to_dirac(model, other.coeffs)
         prods = []
         for a, g in t1:
             for b, h in t2:
@@ -348,8 +343,7 @@ class Distribution:
         )
         if finite:
             coeffs = {a: c for a, c in coeffs.items() if c.residue != 0}
-            return Distribution(model, coeffs, T, exact=True,
-                                dirac_terms=merged if exact_path else None)
+            return Distribution(model, coeffs, T, exact=True, dirac_terms=merged)
         certs = []
         if sup1 is not None and sup2 is not None:
             certs.append(TailCert(sup1 * sup2, Fraction(0), all_alpha=True))
@@ -474,7 +468,7 @@ class Distribution:
                 "insufficient truncation/precision for the principal symbol; "
                 "increase T or the scalar window"
             )
-        ambient = GradedAmbient(model.p, model.d, model.omegas, s)
+        ambient = GradedAmbient(model.p, model.d, [1] * model.d, s)
         terms = {}
         for alpha, c, v in arg:
             terms[alpha + (v,)] = c.unit_part_mod_p()
@@ -483,15 +477,15 @@ class Distribution:
     # -- basis change and conjugation -------------------------------------
 
     def change_basis(self, basis, T=None) -> "Distribution":
-        """Re-expand in the monomials of another ordered basis of equal omega."""
+        """Re-expand in the monomials of another ordered basis (omega 1 each)."""
         from .groupmodel import coords_in_basis, validate_basis
 
         model = self.model
         validate_basis(model, basis)
-        T = self.T if T is None else Fraction(T)
+        T = self.T if T is None else floor(T)
         terms = self._exact_terms()
         if terms is None:
-            terms = self._terms_for_head()
+            terms = _head_to_dirac(model, self.coeffs)
             herr = self.tail_bound_at_growth(0)
             herr = NormValue.unbounded() if herr is None else herr
         else:
@@ -516,7 +510,7 @@ class Distribution:
     def conjugate(self, g, T=None) -> "Distribution":
         """Image under delta_h -> delta_{g h g^-1} (g a GroupElement or "sigma")."""
         model = self.model
-        T = self.T if T is None else Fraction(T)
+        T = self.T if T is None else floor(T)
         if g == "sigma":
             act = model.sigma_conj
         elif isinstance(g, GroupElement):
@@ -530,7 +524,7 @@ class Distribution:
             mapped = [(a, act(h)) for a, h in terms]
             out = Distribution.dirac_combination(model, mapped, T)
             return out
-        mapped = [(a, act(h)) for a, h in self._terms_for_head()]
+        mapped = [(a, act(h)) for a, h in _head_to_dirac(model, self.coeffs)]
         merged = _merge_terms(model, mapped)
         coeffs = _expand_terms(model, merged, T)
         bound = _terms_coeff_bound(merged)
@@ -576,7 +570,7 @@ class Distribution:
 def structure_constants(model: GroupModel, beta, gamma, T):
     """Table {alpha: c} of b^beta b^gamma = sum c b^alpha up to weight T,
     with the per-entry verdict of v_p(c) >= max(0, tau(beta)+tau(gamma)-tau(alpha))."""
-    T = Fraction(T)
+    T = floor(T)
     beta = tuple(int(b) for b in beta)
     gamma = tuple(int(g) for g in gamma)
     big = max(T, model.tau(beta), model.tau(gamma))
@@ -589,18 +583,15 @@ def structure_constants(model: GroupModel, beta, gamma, T):
         v = c.valuation
         if v is None:
             continue
-        need = max(Fraction(0), bound_base - model.tau(alpha))
-        verdicts[alpha] = Fraction(v) >= need
+        verdicts[alpha] = v >= max(0, bound_base - model.tau(alpha))
     return prod.coeffs, verdicts
 
 
 def lie_generator(model: GroupModel, i: int, T=None) -> Distribution:
-    """log(1 + b_i) truncated at weight T, with a certified growing tail."""
-    T = model.max_weight if T is None else Fraction(T)
-    w = model.omegas[i]
-    if T < w:
+    """log(1 + b_i) truncated at degree T, with a certified growing tail."""
+    K = model.max_weight if T is None else floor(T)
+    if K < 1:
         raise DistError("truncation weight below the generator's weight")
-    K = int(T / w)
     coeffs = {}
     p = model.p
     for k in range(1, K + 1):
@@ -608,18 +599,18 @@ def lie_generator(model: GroupModel, i: int, T=None) -> Distribution:
         coeffs[alpha] = PadicScalar.from_fraction(
             p, Fraction((-1) ** (k + 1), k), model.elem_prec
         )
-    # |1/k| = p^(v_p(k)) <= p^(t * k * w) for all k > K: a k > K with
+    # |1/k| = p^(v_p(k)) <= p^(t * k) for all k > K: a k > K with
     # v_p(k) = m is at least k_m, the least multiple of p^m above K, so
-    # t = max_m m / (w * k_m).  Once p^m > K, k_m = p^m and m / p^m only falls.
+    # t = max_m m / k_m.  Once p^m > K, k_m = p^m and m / p^m only falls.
     t = Fraction(0)
     m = 1
     while True:
         q = ppow(p, m)
-        t = max(t, Fraction(m, (K // q + 1) * q) / w)
+        t = max(t, Fraction(m, (K // q + 1) * q))
         if q > K:
             break
         m += 1
-    return Distribution(model, coeffs, T,
+    return Distribution(model, coeffs, K,
                         tail_certs=(TailCert(NormValue.one(), t),))
 
 
@@ -675,21 +666,15 @@ def _head_to_dirac(model, coeffs):
     acc = {}
     elems = {}
 
-    def visit(kappa, weight):
-        key = tuple(kappa)
-        if key not in elems:
-            elems[key] = model.element(list(key))
-        return elems[key]
-
     for beta, c in coeffs.items():
-        size_beta = sum(beta)
         # iterate kappa <= beta componentwise
         ranges = [range(b + 1) for b in beta]
 
         def rec(i, kappa, csign):
             if i == model.d:
-                g = visit(kappa, None)
                 key = tuple(kappa)
+                if key not in elems:
+                    elems[key] = model.element(list(key))
                 term = c.mul_int(csign)
                 if key in acc:
                     acc[key] = acc[key] + term
@@ -706,24 +691,23 @@ def _head_to_dirac(model, coeffs):
 
 
 def _expand_terms(model, terms, T, coords_of=None):
-    """Coefficient table of sum a_j delta_{g_j} up to weight T.
+    """Coefficient table of sum a_j delta_{g_j} up to degree T.
 
     ``coords_of`` maps a support element to the chart coordinates used for
     the binomial expansion (defaults to the element's own coordinates)."""
-    T = Fraction(T)
     out = {}
     d = model.d
     for a, g in terms:
         coords = g.coords if coords_of is None else coords_of(g)
         rows = []
         for i in range(d):
-            kmax = int(T / model.omegas[i])
+            kmax = T
             if coords_of is None and g.ints is not None and g.ints[i] >= 0:
                 # binom(x, k) vanishes exactly for integer x < k
                 kmax = min(kmax, g.ints[i])
             rows.append([binom(coords[i], k) for k in range(kmax + 1)])
 
-        def rec(i, alpha, used, prod):
+        def rec(i, alpha, budget, prod):
             if i == d:
                 key = tuple(alpha)
                 if key in out:
@@ -731,13 +715,10 @@ def _expand_terms(model, terms, T, coords_of=None):
                 else:
                     out[key] = prod
                 return
-            w = model.omegas[i]
-            k = 0
-            while used + k * w <= T and k < len(rows[i]):
-                rec(i + 1, alpha + [k], used + k * w, prod * rows[i][k])
-                k += 1
+            for k in range(min(budget, len(rows[i]) - 1) + 1):
+                rec(i + 1, alpha + [k], budget - k, prod * rows[i][k])
 
-        rec(0, [], Fraction(0), a)
+        rec(0, [], T, a)
     return out
 
 

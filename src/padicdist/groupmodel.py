@@ -9,8 +9,7 @@ closed forms on the coordinates.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import inf
+from math import floor, inf
 
 from .padic import (
     PadicError,
@@ -29,66 +28,38 @@ class ModelMismatch(ModelError):
     pass
 
 
-def hyp_slack(p: int, omegas) -> tuple[bool, Fraction | None]:
-    """Check omega(h_i) + omega(h_j) > p/(p-1) for all i != j.
-
-    Returns (verdict, minimal slack); slack is None when d < 2 (the
-    condition is vacuous).
-    """
-    omegas = [Fraction(w) for w in omegas]
-    threshold = Fraction(p, p - 1)
-    slack = None
-    for i in range(len(omegas)):
-        for j in range(len(omegas)):
-            if i == j:
-                continue
-            s = omegas[i] + omegas[j] - threshold
-            if slack is None or s < slack:
-                slack = s
-    if slack is None:
-        return True, None
-    return slack > 0, slack
-
-
 class GroupModel:
     """A concrete group with ordered basis, chart and p-valuation data."""
 
-    def __init__(self, kind: str, p: int, d: int, omegas, prec: int = 12,
-                 max_weight=Fraction(12)):
+    def __init__(self, kind: str, p: int, d: int, prec: int = 12, max_weight=12):
+        # Every generator has omega = 1, so omega > 1/(p-1) and (HYP)
+        # omega_i + omega_j > p/(p-1) both reduce to p > 2.
         _check_prime(p)
         if kind not in ("abelian", "heisenberg", "semidirect"):
             raise ModelError(f"unknown model kind {kind!r}")
         self.kind = kind
         self.p = p
         self.d = d
-        self.omegas = tuple(Fraction(w) for w in omegas)
         self.prec = prec
-        self.max_weight = Fraction(max_weight)
-        if any(w <= Fraction(1, p - 1) for w in self.omegas):
-            raise ModelError("p-valuation values must exceed 1/(p-1)")
-        ok, slack = hyp_slack(p, self.omegas)
-        if not ok:
-            raise ModelError(f"(HYP) fails: minimal slack {slack}")
+        self.max_weight = floor(max_weight)
         # guard digits so binomial coefficients up to the working weight cap
         # stay correct mod p**prec
-        kmax = int(self.max_weight / min(self.omegas))
-        self.elem_prec = prec + vp_factorial(kmax, p) + 2
-        self._weights_cache: dict[Fraction, Fraction] = {}
+        self.elem_prec = prec + vp_factorial(self.max_weight, p) + 2
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def abelian(cls, d: int, p: int, **kw) -> "GroupModel":
-        return cls("abelian", p, d, [1] * d, **kw)
+        return cls("abelian", p, d, **kw)
 
     @classmethod
     def heisenberg(cls, p: int, **kw) -> "GroupModel":
-        return cls("heisenberg", p, 3, [1, 1, 1], **kw)
+        return cls("heisenberg", p, 3, **kw)
 
     @classmethod
     def semidirect(cls, p: int, **kw) -> "GroupModel":
         # the uniform part is Z_p; the sigma coset acts by inversion
-        return cls("semidirect", p, 1, [1], **kw)
+        return cls("semidirect", p, 1, **kw)
 
     @classmethod
     def from_string(cls, spec: str, **kw) -> "GroupModel":
@@ -118,7 +89,6 @@ class GroupModel:
             self.kind == other.kind
             and self.p == other.p
             and self.d == other.d
-            and self.omegas == other.omegas
         )
 
     def _require_same(self, other: "GroupModel") -> None:
@@ -239,69 +209,36 @@ class GroupModel:
         self._require_same(g.model)
         if g.ints is not None and all(a == 0 for a in g.ints):
             return inf, True
-        exact_vals = []
-        bound_vals = []
-        for w, c in zip(self.omegas, g.coords):
-            v = c.valuation
-            if v is None:
-                bound_vals.append(w + c.window)
-            else:
-                exact_vals.append(w + v)
-        if not exact_vals:
-            return min(bound_vals), False
-        best = min(exact_vals)
-        if bound_vals and min(bound_vals) < best:
+        exact = [c.valuation for c in g.coords if c.valuation is not None]
+        window = min((c.window for c in g.coords if c.valuation is None), default=inf)
+        if not exact or window < min(exact):
             # some coordinate might undercut the best exact term
-            return min(bound_vals), False
-        return best, True
+            return 1 + window, False
+        return 1 + min(exact), True
 
-    # -- weighted degrees --------------------------------------------------
+    # -- degrees -----------------------------------------------------------
 
-    def tau(self, alpha) -> Fraction:
-        return sum((Fraction(a) * w for a, w in zip(alpha, self.omegas)), Fraction(0))
+    def tau(self, alpha) -> int:
+        """Degree of b^alpha: |alpha|, since every generator has omega = 1."""
+        return sum(alpha)
 
-    def weight_above(self, T) -> Fraction:
-        """Smallest realizable weighted degree strictly above T."""
-        T = Fraction(T)
-        if T in self._weights_cache:
-            return self._weights_cache[T]
-        limit = T + max(self.omegas)
-        reachable = {Fraction(0)}
-        frontier = [Fraction(0)]
-        best = None
-        while frontier:
-            w0 = frontier.pop()
-            for w in self.omegas:
-                nxt = w0 + w
-                if nxt > limit or nxt in reachable:
-                    continue
-                reachable.add(nxt)
-                if nxt > T:
-                    if best is None or nxt < best:
-                        best = nxt
-                else:
-                    frontier.append(nxt)
-        if best is None:
-            best = limit  # unreachable at desk scale; conservative
-        self._weights_cache[T] = best
-        return best
+    def weight_above(self, T) -> int:
+        """Smallest degree strictly above T."""
+        return floor(T) + 1
 
     def alpha_iter(self, T):
-        """All multi-indices with weighted degree <= T, with their degrees."""
-        T = Fraction(T)
+        """All multi-indices with degree <= T, with their degrees."""
+        T = floor(T)
         d = self.d
 
-        def rec2(i, prefix, used):
+        def rec(i, prefix, used):
             if i == d:
                 yield tuple(prefix), used
                 return
-            w = self.omegas[i]
-            k = 0
-            while used + k * w <= T:
-                yield from rec2(i + 1, prefix + [k], used + k * w)
-                k += 1
+            for k in range(T - used + 1):
+                yield from rec(i + 1, prefix + [k], used + k)
 
-        yield from rec2(0, [], Fraction(0))
+        yield from rec(0, [], 0)
 
 
 class GroupElement:
@@ -339,20 +276,19 @@ class GroupElement:
 
 
 def validate_basis(model: GroupModel, basis) -> None:
-    """Check that basis is an ordered basis matching the model's omega values.
+    """Check that basis is an ordered basis of generators of omega 1.
 
-    Requires omega(b_i) == omega_i exactly and the coordinate matrix of the
-    basis to be invertible mod p.
+    Requires omega(b_i) == 1 exactly and the coordinate matrix of the basis
+    to be invertible mod p.
     """
     if len(basis) != model.d:
         raise ModelError(f"expected {model.d} basis elements, got {len(basis)}")
     for i, b in enumerate(basis):
         model._require_same(b.model)
         val, exact = model.omega(b)
-        if not exact or val != model.omegas[i]:
+        if not exact or val != 1:
             raise ModelError(
-                f"basis element {i} has omega {val} (exact={exact}), "
-                f"expected {model.omegas[i]}"
+                f"basis element {i} has omega {val} (exact={exact}), expected 1"
             )
     a = _basis_matrix(model, basis, 1)
     if _det_mod(a, model.p) == 0:

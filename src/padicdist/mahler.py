@@ -13,8 +13,8 @@ from itertools import product as iproduct
 from math import comb
 
 from .padic import NormValue, PadicError, PadicScalar, ppow
-from .groupmodel import GroupModel, ModelError
-from .distalg import DistError, Distribution
+from .groupmodel import GroupModel
+from .distalg import Distribution
 
 
 class MahlerError(PadicError):
@@ -284,8 +284,6 @@ def pair(lam: Distribution, table: MahlerTable):
     model = lam.model
     if model.d != table.d or model.p != table.p:
         raise MahlerError("dimension/prime mismatch between distribution and table")
-    if any(w != 1 for w in model.omegas):
-        raise MahlerError("pairing requires omega == 1 on all generators")
     if not lam.exact and table.decay is None and not table.complete:
         raise MahlerError("unbounded tail: no decay certificate and the "
                         "distribution is inexact")
@@ -309,7 +307,7 @@ def pair(lam: Distribution, table: MahlerTable):
             errors.append(b * c.abs_val())
         if not table.complete:
             C_t, t_t = table.decay
-            k0 = max(model.weight_above(lam.T), Fraction(table.cap + 1))
+            k0 = max(model.weight_above(lam.T), table.cap + 1)
             best = None
             for cert in lam.tail_certs:
                 if t_t >= cert.growth:

@@ -5,7 +5,6 @@ the canonical forms."""
 from __future__ import annotations
 
 from fractions import Fraction
-from math import inf
 
 from .padic import NormValue, PadicError, PadicScalar, ppow, vp_int
 from .groupmodel import GroupModel
@@ -91,7 +90,6 @@ def parse_normvalue(text: str, line=None) -> NormValue:
 
 def serialize_distribution(d: Distribution) -> str:
     model = d.model
-    T = Fraction(d.T)
     if d.exact:
         tail = "0"
     else:
@@ -99,7 +97,7 @@ def serialize_distribution(d: Distribution) -> str:
         tail = "unbounded" if b is None else format_normvalue(b)
     head = (
         f"group={model.id} p={model.p} N={model.prec} "
-        f"T={T.numerator}/{T.denominator} tail={tail} exact={1 if d.exact else 0}"
+        f"T={d.T}/1 tail={tail} exact={1 if d.exact else 0}"
     )
     if not d.head_error.is_zero:
         head += f" err={format_normvalue(d.head_error)}"

@@ -115,7 +115,7 @@ def random_dirac(model, rng) -> Distribution:
 def random_combo(model, rng, nmax=3, coord_cap=None) -> Distribution:
     """Exact Dirac combination with small non-negative integer coordinates."""
     if coord_cap is None:
-        coord_cap = int(model.max_weight / sum(model.omegas))
+        coord_cap = model.max_weight // model.d
     terms = []
     for _ in range(rng.randint(1, nmax)):
         g = model.element([rng.randint(0, coord_cap) for _ in range(model.d)])
@@ -245,14 +245,18 @@ def suite_thm45_mult(params: SuiteParams) -> SuiteReport:
     return rep
 
 
-def _log_lead_power(p, s, w):
-    """The m whose term b^(p^m) / p^m leads log(1 + b) at radius s, for b of
-    weight w: it maximises m - s*w*p^m, so it is the least m with
-    s*w*p^m*(p-1) >= 1 (at equality m + 1 ties with it)."""
+def _log_lead_power(p, s):
+    """The m whose term b^(p^m) / p^m leads log(1 + b) at radius s: it
+    maximises m - s*p^m, so it is the least m with s*p^m*(p-1) >= 1 (at
+    equality m + 1 ties with it)."""
     m = 0
-    while s * w * p ** m * (p - 1) < 1:
+    while s * p ** m * (p - 1) < 1:
         m += 1
     return m
+
+
+def _ambient(model, s) -> GradedAmbient:
+    return GradedAmbient(model.p, model.d, [1] * model.d, s)
 
 
 def suite_thm45_graded(params: SuiteParams) -> SuiteReport:
@@ -261,7 +265,7 @@ def suite_thm45_graded(params: SuiteParams) -> SuiteReport:
     p = model.p
     s_half = Fraction(1, 2)
     r_half = RadiusParam(s_half)
-    amb = GradedAmbient(p, model.d, model.omegas, s_half)
+    amb = _ambient(model, s_half)
 
     ok = True
     for i in range(model.d):
@@ -279,23 +283,23 @@ def suite_thm45_graded(params: SuiteParams) -> SuiteReport:
     lg = lie_generator(model, 0)
     # a high radius lies above the tie radius 1/(p-1), where X1 alone leads
     s_high = next(s for s in (s_half, Fraction(3, 4)) if s > Fraction(1, p - 1))
-    amb_high = GradedAmbient(p, model.d, model.omegas, s_high)
+    amb_high = _ambient(model, s_high)
     sym, deg = lg.principal_symbol(RadiusParam(s_high))
     rep.add("symbol-log-high-s", "thm45-graded",
             sym == GradedPoly.variable(amb_high, 1) and deg == s_high,
             f"log(1+b1) at s={s_high} has symbol X1")
     s_low = Fraction(1, 8)
-    amb_low = GradedAmbient(p, model.d, model.omegas, s_low)
+    amb_low = _ambient(model, s_low)
     sym, deg = lg.principal_symbol(RadiusParam(s_low))
-    m = _log_lead_power(p, s_low, model.omegas[0])
+    m = _log_lead_power(p, s_low)
     k = p ** m
-    deg_low = s_low * k * model.omegas[0] - m
+    deg_low = s_low * k - m
     want = GradedPoly(amb_low, {(k, 0, 0, -m): 1})
     rep.add("symbol-log-low-s", "thm45-graded",
             sym == want and deg == deg_low,
             f"log(1+b1) at s=1/8 has symbol e0^-{m}*X1^{k}, degree {deg_low}")
     s_tie = Fraction(1, p - 1)
-    amb_tie = GradedAmbient(p, model.d, model.omegas, s_tie)
+    amb_tie = _ambient(model, s_tie)
     sym, deg = lg.principal_symbol(RadiusParam(s_tie))
     want = GradedPoly(amb_tie, {(1, 0, 0, 0): 1, (p, 0, 0, -1): 1})
     rep.add("symbol-log-tie", "thm45-graded", sym == want,
@@ -715,7 +719,7 @@ def suite_thm812_smooth(params: SuiteParams) -> SuiteReport:
     p = model.p
     for s in (Fraction(1, 2), Fraction(1, 8)):
         r = RadiusParam(s)
-        amb = GradedAmbient(p, model.d, model.omegas, s)
+        amb = _ambient(model, s)
         gens = []
         degs = []
         for i in range(model.d):
@@ -731,12 +735,12 @@ def suite_thm812_smooth(params: SuiteParams) -> SuiteReport:
     lg = lie_generator(model, 0)
     s_low = Fraction(1, 8)
     sym, deg = lg.principal_symbol(RadiusParam(s_low))
-    amb = GradedAmbient(p, model.d, model.omegas, s_low)
-    m = _log_lead_power(p, s_low, model.omegas[0])
+    amb = _ambient(model, s_low)
+    m = _log_lead_power(p, s_low)
     k = p ** m
     rep.add("low-s-symbol", "thm812-smooth",
             sym == GradedPoly(amb, {(k, 0, 0, -m): 1})
-            and deg == s_low * k * model.omegas[0] - m,
+            and deg == s_low * k - m,
             f"at s=1/8 the symbol is e0^-{m}*X1^" + ("p" if m == 1 else f"(p^{m})"))
     return rep
 

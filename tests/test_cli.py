@@ -1,8 +1,12 @@
 import io
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import padicdist
 from padicdist.cli import main
 
 
@@ -44,6 +48,13 @@ class TestExpand:
     def test_unknown_group(self):
         code, _, _ = run_cli(["expand", "--group", "frobnitz:5", "--elem", "1"])
         assert code == 2
+
+    def test_rational_T_is_floored(self):
+        args = ["expand", "--group", "heisenberg:5", "--elem", "1,1,0", "-T"]
+        code_a, out_a, _ = run_cli(args + ["13/2"])
+        code_b, out_b, _ = run_cli(args + ["6"])
+        assert code_a == code_b == 0
+        assert out_a == out_b and " T=6/1 " in out_a
 
 
 class TestNorm:
@@ -160,3 +171,24 @@ class TestUsage:
     def test_unknown_command(self):
         code, _, _ = run_cli(["frobnicate"])
         assert code == 2
+
+
+class TestModuleEntryPoint:
+    """`python -m padicdist` runs the CLI and passes its exit code through."""
+
+    def run_module(self, *argv):
+        src = str(Path(padicdist.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [x for x in [env.get("PYTHONPATH")] if x])
+        return subprocess.run([sys.executable, "-m", "padicdist", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    def test_expand(self):
+        res = self.run_module("expand", "--group", "abelian:1:5", "--elem", "2", "-T", "3")
+        assert res.returncode == 0
+        assert res.stdout.startswith("group=abelian:1:5 ")
+
+    def test_usage_error(self):
+        res = self.run_module("frobnicate")
+        assert res.returncode == 2

@@ -196,7 +196,7 @@ class TestLieGenerator:
 
         model = heis()
         sym, deg = lie_generator(model, 0).principal_symbol(R12)
-        a = GradedAmbient(P, 3, model.omegas, Fraction(1, 2))
+        a = GradedAmbient(P, 3, [1] * 3, Fraction(1, 2))
         assert sym == GradedPoly.variable(a, 1) and deg == Fraction(1, 2)
 
     def test_symbol_low_radius(self):
@@ -205,7 +205,7 @@ class TestLieGenerator:
         model = heis()
         r = RadiusParam(Fraction(1, 8))
         sym, deg = lie_generator(model, 0).principal_symbol(r)
-        a = GradedAmbient(P, 3, model.omegas, Fraction(1, 8))
+        a = GradedAmbient(P, 3, [1] * 3, Fraction(1, 8))
         assert sym == GradedPoly(a, {(P, 0, 0, -1): 1})
         assert deg == Fraction(P, 8) - 1
 

@@ -171,10 +171,20 @@ class TestAlphaIter:
         alphas = [a for a, _ in model.alpha_iter(Fraction(3))]
         assert len(alphas) == 10  # C(3+2, 2)
 
+    def test_degrees_are_ints(self):
+        model = GroupModel.from_string("abelian:2:5", max_weight=Fraction(13, 2))
+        assert model.max_weight == 6 and type(model.max_weight) is int
+        assert [a for a, _ in model.alpha_iter(Fraction(7, 2))] == \
+            [a for a, _ in model.alpha_iter(3)]
+        for alpha, tau in model.alpha_iter(3):
+            assert type(tau) is int and tau == model.tau(alpha) == sum(alpha)
+
     def test_weight_above(self):
         model = heis()
         assert model.weight_above(Fraction(6)) == 7
         assert model.weight_above(Fraction(13, 2)) == 7
+        assert type(model.weight_above(Fraction(13, 2))) is int
+        assert type(model.tau((1, 2, 0))) is int
 
 
 class TestBasisChange:

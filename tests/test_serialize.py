@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from padicdist.distalg import Distribution
+from padicdist.distalg import Distribution, RadiusParam
 from padicdist.groupmodel import GroupModel
 from padicdist.mahler import FunctionSpec, mahler_coeffs
 from padicdist.padic import NormValue, PadicScalar
@@ -94,6 +94,20 @@ class TestDistributionFiles:
         d = Distribution.dirac(model.element([P]), T=Fraction(8))
         text = serialize_distribution(d)
         assert serialize_distribution(parse_distribution(text)) == text
+
+    def test_rational_T_header_reads_as_its_floor(self):
+        model = GroupModel.heisenberg(P, prec=12, max_weight=Fraction(6))
+        d = Distribution.dirac(model.element([-1, 2, 0]), T=6)
+        assert not d.exact
+        text = serialize_distribution(d)
+        assert " T=6/1 " in text
+        a = parse_distribution(text)
+        b = parse_distribution(text.replace(" T=6/1 ", " T=13/2 "))
+        assert a.T == b.T == 6 and type(b.T) is int
+        for s in (Fraction(1, 4), Fraction(1, 2), Fraction(1)):
+            r = RadiusParam(s)
+            assert a.norm(r) == b.norm(r)
+        assert serialize_distribution(b) == text
 
     def test_header_fields(self):
         model = GroupModel.heisenberg(P, prec=12, max_weight=Fraction(12))
