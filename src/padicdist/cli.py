@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .padic import PadicError, PrecisionExhausted
 from .groupmodel import GroupModel, ModelError
@@ -54,12 +55,20 @@ def _radius(text: str) -> RadiusParam:
         raise UsageError(str(exc)) from None
 
 
-def _model_from_args(args) -> GroupModel:
-    gid = getattr(args, "group", None) or "heisenberg:5"
-    N = getattr(args, "N", None) or 12
-    T = _fraction(getattr(args, "T", None) or "12")
+def _precision_args(args):
+    """(N, T) from -N and -T, defaulting to 12 each."""
+    N = args.N
+    if N is None:
+        N = 12
+    T = _fraction(args.T or "12")
     if N < 1 or T < 0:
         raise UsageError(f"N must be >= 1 and T >= 0, got N={N} T={T}")
+    return N, T
+
+
+def _model_from_args(args) -> GroupModel:
+    gid = args.group or "heisenberg:5"
+    N, T = _precision_args(args)
     try:
         return GroupModel.from_string(gid, prec=N, max_weight=T)
     except ModelError as exc:
@@ -239,10 +248,11 @@ def cmd_verify(args) -> int:
             raise UsageError(
                 f"unknown suite {name!r}; choose from: {', '.join(SUITES)} or 'all'"
             )
+    N, T = _precision_args(args)
     params = SuiteParams(
         p=args.p,
-        N=args.N or 12,
-        T=_fraction(args.T or "12"),
+        N=N,
+        T=T,
         seed=args.seed,
         group=args.group,
         samples=args.samples,
@@ -270,7 +280,9 @@ def _add_common(sp, *, group=True, out=True):
         sp.add_argument("--out", help="output file ('-' = stdout)")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing never changes it."""
     ap = argparse.ArgumentParser(
         prog="padicdist",
         description="Exact arithmetic in p-adic distribution algebras of "

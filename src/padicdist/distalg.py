@@ -101,7 +101,7 @@ class Distribution:
     """lambda = sum d_alpha b^alpha, stored up to degree |alpha| <= T."""
 
     __slots__ = ("model", "coeffs", "T", "tail_certs", "exact", "head_error",
-                 "dirac_terms")
+                 "dirac_terms", "_profile")
 
     def __init__(self, model, coeffs, T, tail_certs=(), exact=False,
                  head_error=None, dirac_terms=None):
@@ -120,6 +120,7 @@ class Distribution:
             raise DistError("exact distributions carry no tail certificates")
         self.head_error = NormValue.zero() if head_error is None else head_error
         self.dirac_terms = None if dirac_terms is None else tuple(dirac_terms)
+        self._profile = None
 
     # -- constructors ------------------------------------------------------
 
@@ -375,36 +376,78 @@ class Distribution:
     # -- norms -------------------------------------------------------------
 
     def norm(self, r: RadiusParam) -> NormInterval:
-        """The interval certified to contain sup_alpha |d_alpha| r^tau(alpha)."""
+        """The interval certified to contain sup_alpha |d_alpha| r^tau(alpha).
+
+        A head entry is certain when its valuation v is known and beats
+        head_error; it contributes p^-(v + s tau) to both ends.  Any other
+        entry contributes only to the upper end: its magnitude bound (its
+        valuation, else its window; head_error if that is larger) times
+        r^tau, capped by the all-alpha certificates at tau.  Both are read
+        off the valuation profile, one level per degree tau.
+        """
         s = r.s
-        model = self.model
-        lower = NormValue.zero()
-        uppers = []
-        for alpha, c in self.coeffs.items():
-            tau = model.tau(alpha)
-            v = c.valuation
-            if v is not None and self.head_error < NormValue(v):
-                lower = max(lower, NormValue(v + s * tau))
-                uppers.append(NormValue(v + s * tau))
+        lower = inf
+        best = None  # (exponent, position in coeffs, exact) of the upper end
+        for tau, v, records in self._valuation_profile():
+            st = s * tau
+            if v is not None and v + st < lower:
+                lower = v + st
+            if not records:
                 continue
-            mag = NormValue(v) if v is not None else NormValue(c.window, exact=False)
-            up = max(mag, self.head_error) * NormValue(s * tau)
+            e, pos, exact = records[-1]
+            cand = (e + st, pos, exact)
             cb = self._cert_bound_at(tau, s)
-            if cb is not None and cb < up:
-                up = cb
-            uppers.append(up)
-        tail = self._tail_norm_bound(s)
-        if tail is not None:
-            uppers.append(tail)
-        elif not self.exact:
-            uppers.append(NormValue.unbounded())
+            if cb is not None:
+                # the first entry whose bound reaches the cap is capped to it
+                # (an entry exactly at the cap keeps its own bound)
+                for e, pos, exact in records:
+                    if e + st <= cb.exponent:
+                        cand = (cb.exponent, pos, exact if e + st == cb.exponent else cb.exact)
+                        break
+            if best is None or cand[:2] < best[:2]:
+                best = cand
+        lower = NormValue(lower)
         upper = lower
-        for u in uppers:
-            if u > upper:
-                upper = u
-        if upper > lower and not upper.exact:
-            upper = NormValue(upper.exponent, exact=False)
+        if best is not None and best[0] < lower.exponent:
+            upper = NormValue(best[0], best[2])
+        tail = self._tail_norm_bound(s)
+        if tail is None and not self.exact:
+            tail = NormValue.unbounded()
+        if tail is not None and tail > upper:
+            upper = tail
         return NormInterval(lower, upper)
+
+    def _valuation_profile(self):
+        """Per degree tau with a stored entry: (tau, v, records), v the least
+        valuation of a certain entry (None if there is none) and records the
+        uncertain entries that lower the running minimum of their magnitude
+        exponent, in coeffs order, as (exponent, position, exact).  The last
+        record is the first entry of least magnitude exponent; the first record
+        with exponent <= x is the first entry with exponent <= x, for any x.
+        Computed once: a distribution is not changed after construction."""
+        if self._profile is None:
+            herr = self.head_error
+            levels = {}
+            for pos, (alpha, c) in enumerate(self.coeffs.items()):
+                tau = self.model.tau(alpha)
+                level = levels.setdefault(tau, [None, []])
+                v = c.valuation
+                if v is not None and herr.exponent > v:
+                    if level[0] is None or v < level[0]:
+                        level[0] = v
+                    continue
+                if v is None:
+                    e, exact = c.window, False
+                else:
+                    e, exact = v, True
+                if herr.exponent < e:
+                    e, exact = herr.exponent, herr.exact
+                records = level[1]
+                if not records or e < records[-1][0]:
+                    records.append((e, pos, exact))
+            self._profile = tuple((tau, v, tuple(records))
+                                  for tau, (v, records) in sorted(levels.items()))
+        return self._profile
 
     def _tail_norm_bound(self, s: Fraction) -> NormValue | None:
         if self.exact:

@@ -9,7 +9,6 @@ a certified error bound.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product as iproduct
 from math import comb
 
 from .padic import NormValue, PadicError, PadicScalar, ppow
@@ -198,9 +197,8 @@ class MahlerTable:
             return C * NormValue(t * k)
         return NormValue(0, exact=False)
 
-    def evaluate(self, point) -> Fraction:
-        """sum c_alpha C(point, alpha) over the stored head, as an exact check
-        value mod p^prec (returned as a PadicScalar)."""
+    def evaluate(self, point) -> PadicScalar:
+        """sum c_alpha C(point, alpha) over the stored head, mod p^prec."""
         point = tuple(int(x) for x in point)
         total = PadicScalar.zero(self.p, self.prec)
         for alpha, c in self.coeffs.items():
@@ -216,27 +214,32 @@ class MahlerTable:
 
 def mahler_coeffs(f: FunctionSpec, A: int, prec: int = 12) -> MahlerTable:
     """c_alpha = sum_{beta <= alpha} (-1)^{|alpha - beta|} C(alpha, beta) f(beta)
-    for all |alpha| <= A."""
+    for all |alpha| <= A, as iterated forward differences.
+
+    f is evaluated once on the simplex |beta| <= A, where every builtin
+    function is integer-valued.  Along each axis in turn, every row of the
+    simplex (the other coordinates fixed) is replaced in place by its Newton
+    differences, so after the last axis the entry at alpha is the mixed
+    difference Delta^alpha f(0) = c_alpha: O(d A^(d+1)) integer subtractions.
+    """
     if A < 0:
         raise MahlerError("cap must be >= 0")
-    values = {}
-
-    def fval(beta):
-        if beta not in values:
-            values[beta] = f.evaluate(beta)
-        return values[beta]
-
-    coeffs = {}
-    for alpha in _simplex(f.d, A):
-        total = Fraction(0)
-        sa = sum(alpha)
-        for beta in iproduct(*(range(a + 1) for a in alpha)):
-            w = 1
-            for a, b in zip(alpha, beta):
-                w *= comb(a, b)
-            total += (-1) ** (sa - sum(beta)) * w * fval(beta)
-        if total:
-            coeffs[alpha] = PadicScalar.from_fraction(f.p, total, prec)
+    d = f.d
+    points = list(_simplex(d, A))
+    vals = {beta: int(f.evaluate(beta)) for beta in points}
+    for i in range(d):
+        for start in points:
+            if start[i]:
+                continue
+            keys = [start[:i] + (k,) + start[i + 1:]
+                    for k in range(A - sum(start) + 1)]
+            row = [vals[key] for key in keys]
+            for j in range(1, len(row)):
+                for k in range(len(row) - 1, j - 1, -1):
+                    row[k] -= row[k - 1]
+            vals.update(zip(keys, row))
+    coeffs = {alpha: PadicScalar.from_int(f.p, vals[alpha], prec)
+              for alpha in points if vals[alpha]}
     deg = f.poly_degree()
     complete = deg is not None and A >= deg
     return MahlerTable(f.d, f.p, prec, A, coeffs,

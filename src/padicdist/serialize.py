@@ -80,7 +80,7 @@ def parse_normvalue(text: str, line=None) -> NormValue:
         raise ParseError(f"bad norm value {text!r}", line)
     try:
         q = Fraction(text[2:])
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise ParseError(f"bad norm value exponent in {text!r}", line) from None
     return NormValue(-q, exact=False)
 
@@ -133,7 +133,7 @@ def parse_distribution(text: str) -> Distribution:
         num, den = h["T"].split("/")
         T = Fraction(int(num), int(den))
         exact = {"0": False, "1": True}[h["exact"]]
-    except (ValueError, KeyError):
+    except (ValueError, ZeroDivisionError, KeyError):
         raise ParseError("malformed header numbers", 1) from None
     from .groupmodel import ModelError
 
@@ -209,7 +209,11 @@ def parse_mahler(text: str) -> MahlerTable:
     decay = None
     if h.get("decay", "none") != "none":
         c_text, _, g_text = h["decay"].partition("@")
-        decay = (parse_normvalue(c_text, 1), Fraction(g_text))
+        try:
+            growth = Fraction(g_text)
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(f"bad decay growth in {h['decay']!r}", 1) from None
+        decay = (parse_normvalue(c_text, 1), growth)
     coeffs = {}
     for ln_no, ln in enumerate(lines[1:], start=2):
         if not ln.strip():

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import padicdist
+from padicdist import cli
 from padicdist.cli import main
 
 
@@ -77,6 +78,16 @@ class TestNorm:
         path.write_text("this is not a distribution\n")
         code, _, err = run_cli(["norm", "--in", str(path), "--r", "1/2"])
         assert code == 3 and "parse" in err
+
+    def test_zero_denominator_is_a_parse_error(self, tmp_path):
+        code, out, _ = run_cli(
+            ["expand", "--group", "heisenberg:5", "--elem=-1,1,0", "-T", "4"])
+        assert code == 0 and " T=4/1 " in out and " tail=p^0 " in out
+        for old, new in ((" T=4/1 ", " T=1/0 "), (" tail=p^0 ", " tail=p^1/0 ")):
+            path = tmp_path / "bad.dist"
+            path.write_text(out.replace(old, new))
+            code, _, err = run_cli(["norm", "--in", str(path), "--r", "1/2"])
+            assert code == 3 and err.startswith("parse error: "), err
 
 
 class TestMulSymbolThreshold:
@@ -163,6 +174,20 @@ class TestVerify:
         assert code == 2 and "unknown suite" in err
 
 
+class TestPrecisionArguments:
+    @pytest.mark.parametrize("argv", [
+        ["expand", "--group", "abelian:1:5", "--elem", "2"],
+        ["mahler", "--group", "abelian:1:5", "--fn", "coordinate:0"],
+        ["grade", "--group", "heisenberg:5", "--r", "1/2", "X1"],
+        ["verify", "lemma44"],
+    ])
+    def test_N_zero_is_a_usage_error(self, argv):
+        # -N 0 is refused, not run at the default N = 12
+        code, out, err = run_cli(argv + ["-N", "0"])
+        assert code == 2 and out == ""
+        assert "N must be >= 1" in err and "N=0" in err
+
+
 class TestUsage:
     def test_no_command(self):
         code, _, _ = run_cli([])
@@ -171,6 +196,35 @@ class TestUsage:
     def test_unknown_command(self):
         code, _, _ = run_cli(["frobnicate"])
         assert code == 2
+
+
+class TestParserReuse:
+    """main() builds its parser once per process and reuses it."""
+
+    def test_repeated_calls_match_first_calls(self, b1_file):
+        calls = [
+            ["norm", "--r", "1/2"],  # usage error: --in is missing
+            ["norm", "--in", b1_file, "--r", "1/2"],
+            ["--help"],
+            ["rthresh", "--in", b1_file],
+        ]
+        first = []
+        for argv in calls:
+            cli.build_parser.cache_clear()
+            first.append(run_cli(argv))
+        assert [r[0] for r in first] == [2, 0, 0, 0]
+        assert "--in" in first[0][2] and first[1][1] == "p^-1/2 .. p^-1/2\n"
+        assert first[2][1].startswith("usage: padicdist")
+        for _ in range(2):
+            assert [run_cli(argv) for argv in calls] == first
+
+    def test_cache_can_be_cleared(self):
+        # a fresh parser per benchmark pass relies on this, as per process
+        assert callable(cli.build_parser.cache_clear)
+        assert cli.build_parser() is cli.build_parser()
+        old = cli.build_parser()
+        cli.build_parser.cache_clear()
+        assert cli.build_parser() is not old
 
 
 class TestModuleEntryPoint:

@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 from padicdist.distalg import (
     DistError,
     Distribution,
+    NormInterval,
     RadiusParam,
+    TailCert,
     lie_generator,
     q_norm,
     semidirect_mul,
@@ -14,6 +16,7 @@ from padicdist.distalg import (
 )
 from padicdist.groupmodel import GroupModel
 from padicdist.padic import NormValue, PadicScalar
+from padicdist.serialize import parse_distribution, serialize_distribution
 
 P = 5
 T = Fraction(12)
@@ -178,6 +181,143 @@ class TestNorms:
         n = d.norm(R12)
         assert n.lower == NormValue(0)
         assert n.upper == NormValue(0, exact=False)
+
+
+def norm_by_entries(lam, r):
+    """Reference for Distribution.norm: one bound per stored coefficient."""
+    s = r.s
+    model = lam.model
+    lower = NormValue.zero()
+    uppers = []
+    for alpha, c in lam.coeffs.items():
+        tau = model.tau(alpha)
+        v = c.valuation
+        if v is not None and lam.head_error < NormValue(v):
+            lower = max(lower, NormValue(v + s * tau))
+            uppers.append(NormValue(v + s * tau))
+            continue
+        mag = NormValue(v) if v is not None else NormValue(c.window, exact=False)
+        up = max(mag, lam.head_error) * NormValue(s * tau)
+        cb = lam._cert_bound_at(tau, s)
+        if cb is not None and cb < up:
+            up = cb
+        uppers.append(up)
+    tail = lam._tail_norm_bound(s)
+    if tail is not None:
+        uppers.append(tail)
+    elif not lam.exact:
+        uppers.append(NormValue.unbounded())
+    upper = lower
+    for u in uppers:
+        if u > upper:
+            upper = u
+    if upper > lower and not upper.exact:
+        upper = NormValue(upper.exponent, exact=False)
+    return NormInterval(lower, upper)
+
+
+NORM_RADII = [Fraction(1, 8), Fraction(1, 5), Fraction(1, 4), Fraction(1, 3),
+              Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), Fraction(1)]
+SMALL_MODELS = {
+    "abelian:1": lambda: GroupModel.abelian(1, P, prec=6, max_weight=6),
+    "abelian:2": lambda: GroupModel.abelian(2, P, prec=6, max_weight=6),
+    "heisenberg": lambda: GroupModel.heisenberg(P, prec=6, max_weight=4),
+}
+
+
+@st.composite
+def norm_values(draw):
+    if draw(st.integers(0, 7)) == 0:
+        return draw(st.sampled_from([NormValue.zero(), NormValue.unbounded()]))
+    return NormValue(draw(st.integers(-1, 3)), exact=draw(st.booleans()))
+
+
+@st.composite
+def distributions(draw):
+    """Exact, inexact, head_error-carrying, parsed, lie_generator and
+    mul(s_work=...) distributions on small models."""
+    model = SMALL_MODELS[draw(st.sampled_from(sorted(SMALL_MODELS)))]()
+    d, T = model.d, model.max_weight
+    # raw tables twice: they hold the ties between head entries and caps
+    kind = draw(st.sampled_from(["from_coeffs", "dirac", "raw", "raw", "parsed", "lie", "mul"]))
+    coord = st.integers(-3, 5)
+    index = st.tuples(*[st.integers(0, 3)] * d).filter(lambda a: sum(a) <= T)
+    if kind == "from_coeffs":
+        alphas = draw(st.lists(index, max_size=5))
+        table = {a: draw(st.integers(-P ** 3, P ** 3)) for a in alphas}
+        return Distribution.from_coeffs(model, table, T)
+    if kind == "lie":
+        return lie_generator(model, draw(st.integers(0, d - 1)), draw(st.integers(1, T)))
+    if kind == "raw" or (kind == "parsed" and draw(st.booleans())):
+        coeffs = {}
+        for _ in range(draw(st.integers(0, 10))):
+            alpha = draw(index)
+            prec = draw(st.integers(2, 4))
+            residue = draw(st.sampled_from([0, 1, 2, P, 2 * P, P * P]))
+            coeffs[alpha] = PadicScalar(P, prec, residue, draw(st.integers(0, 1)))
+        certs = [TailCert(draw(norm_values()),
+                          draw(st.sampled_from([Fraction(0), Fraction(1, 4),
+                                                Fraction(1, 2), Fraction(1)])),
+                          draw(st.integers(0, 3)) > 0)
+                 for _ in range(draw(st.integers(0, 3)))]
+        lam = Distribution(model, coeffs, T, tail_certs=certs,
+                           head_error=draw(norm_values()))
+    else:
+        g = model.element(draw(st.lists(coord, min_size=d, max_size=d)))
+        lam = Distribution.dirac(g)
+        if kind == "mul":
+            h = model.element(draw(st.lists(coord, min_size=d, max_size=d)))
+            s_work = draw(st.lists(st.sampled_from(NORM_RADII), min_size=1, max_size=2))
+            lam = lam.mul(Distribution.dirac(h), s_work=s_work)
+    if kind == "parsed":
+        lam = parse_distribution(serialize_distribution(lam))
+    return lam
+
+
+def _tie_case(entries, herr, certs):
+    model = GroupModel.abelian(2, P, prec=6, max_weight=6)
+    coeffs = {alpha: PadicScalar(P, prec, residue) for alpha, residue, prec in entries}
+    return Distribution(model, coeffs, 6, tail_certs=certs, head_error=herr)
+
+
+# an all-alpha certificate that caps every entry at p^-(2 + s tau)
+CAP2 = TailCert(NormValue(2, exact=False), Fraction(0), all_alpha=True)
+# a tail that is no upper end at s = 1/2: p^-(1 + 7/2) < p^-4
+TAIL1 = TailCert(NormValue(1), Fraction(0))
+HERR2 = NormValue(2, exact=False)
+HERR4 = NormValue(4, exact=False)
+
+
+class TestNormProfile:
+    @pytest.mark.parametrize("lam,upper", [
+        # an entry exactly at the cap keeps its own (exact) bound
+        (_tie_case([((1, 0), P ** 2, 5)], HERR2, [CAP2]), (Fraction(5, 2), True)),
+        # ... and so does the first such entry, ahead of a capped one
+        (_tie_case([((1, 0), P ** 2, 5), ((0, 1), 0, 1)], HERR2, [CAP2]),
+         (Fraction(5, 2), True)),
+        # below the cap the certificate's bound (inexact) is the end
+        (_tie_case([((0, 1), 0, 1), ((1, 0), P ** 2, 5)], HERR2, [CAP2]),
+         (Fraction(5, 2), False)),
+        # equal ends on two degrees: the first in coefficient order
+        (_tie_case([((2, 0), 0, 3), ((0, 0), P ** 4, 6)], HERR4, [TAIL1]),
+         (Fraction(4), False)),
+        (_tie_case([((0, 0), P ** 4, 6), ((2, 0), 0, 3)], HERR4, [TAIL1]),
+         (Fraction(4), True)),
+    ])
+    def test_ties(self, lam, upper):
+        r = RadiusParam(Fraction(1, 2))
+        got, want = lam.norm(r).upper, norm_by_entries(lam, r).upper
+        assert (got.exponent, got.exact) == (want.exponent, want.exact) == upper
+
+    @given(distributions(), st.lists(st.sampled_from(NORM_RADII), min_size=1, max_size=4))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_matches_per_entry_bounds(self, lam, radii):
+        # both interval ends, with their exponents and exact flags
+        for s in radii:
+            r = RadiusParam(s)
+            got, want = lam.norm(r), norm_by_entries(lam, r)
+            for a, b in zip(got, want):
+                assert (a.exponent, a.exact) == (b.exponent, b.exact), (s, got, want)
 
 
 class TestLieGenerator:

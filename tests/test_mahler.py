@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,7 +38,59 @@ class TestIntBinom:
         assert int_binom(m, k) == want
 
 
+def mahler_coeffs_by_binomial_sums(f, A, prec=12):
+    """Reference for mahler_coeffs: {alpha: c_alpha} with c_alpha =
+    sum_{beta <= alpha} (-1)^{|alpha - beta|} C(alpha, beta) f(beta),
+    summed in Fractions for every |alpha| <= A."""
+    values = {}
+    coeffs = {}
+    for alpha in product(range(A + 1), repeat=f.d):
+        if sum(alpha) > A:
+            continue
+        total = Fraction(0)
+        for beta in product(*(range(a + 1) for a in alpha)):
+            if beta not in values:
+                values[beta] = f.evaluate(beta)
+            w = 1
+            for a, b in zip(alpha, beta):
+                w *= math.comb(a, b)
+            total += (-1) ** (sum(alpha) - sum(beta)) * w * values[beta]
+        if total:
+            coeffs[alpha] = PadicScalar.from_fraction(f.p, total, prec)
+    return coeffs
+
+
+def builtin_functions(d, p):
+    yield FunctionSpec.constant(d, p, 3)
+    yield FunctionSpec.monomial(d, p, [2] + [1] * (d - 1))
+    yield FunctionSpec.indicator(d, p, list(range(1, d + 1)), 1)
+    yield FunctionSpec.indicator(d, p, [p + 1] * d, 2)
+    for i in range(d):
+        yield FunctionSpec.coordinate(d, p, i)
+        yield FunctionSpec.power_series_1p(d, p, i)
+
+
 class TestMahlerCoeffs:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_matches_binomial_sums(self, d, p):
+        # the same table, scalar for scalar, with the same completeness flag;
+        # a reference c_alpha does not depend on the cap, so the cap-12
+        # reference restricted to |alpha| <= cap is the reference at cap
+        for f in builtin_functions(d, p):
+            full = mahler_coeffs_by_binomial_sums(f, 12, prec=N)
+            for cap in range(13):
+                t = mahler_coeffs(f, cap, prec=N)
+                want = {a: c for a, c in full.items() if sum(a) <= cap}
+                complete = f.poly_degree() is not None and cap >= f.poly_degree()
+                assert list(t.coeffs) == sorted(want), (f, cap)
+                for alpha, c in want.items():
+                    got = t.coeffs[alpha]
+                    assert (got.p, got.prec, got.residue, got.shift) == \
+                        (c.p, c.prec, c.residue, c.shift), (f, cap, alpha)
+                assert t.complete == complete and t.cap == cap, (f, cap)
+
+
     def test_constant(self):
         t = mahler_coeffs(FunctionSpec.constant(1, P), 2 * P, prec=N)
         assert set(t.coeffs) == {(0,)}

@@ -133,6 +133,18 @@ class TestDistributionFiles:
         with pytest.raises(ParseError):
             parse_distribution(mutate(text))
 
+    @pytest.mark.parametrize("old,new", [
+        (" T=6/1 ", " T=1/0 "),
+        (" tail=p^0 ", " tail=p^1/0 "),
+        (" exact=0", " exact=0 err=p^1/0"),
+    ])
+    def test_zero_denominator_is_a_parse_error(self, old, new):
+        model = GroupModel.heisenberg(P, prec=12, max_weight=Fraction(6))
+        text = serialize_distribution(Distribution.dirac(model.element([-1, 2, 0]), T=6))
+        assert old in text
+        with pytest.raises(ParseError):
+            parse_distribution(text.replace(old, new))
+
     def test_parse_error_carries_line(self):
         model = GroupModel.heisenberg(P, prec=12, max_weight=Fraction(12))
         text = serialize_distribution(Distribution.one(model)) + "oops\n"
@@ -150,6 +162,13 @@ class TestMahlerFiles:
             t = mahler_coeffs(f, 8, prec=12)
             text = serialize_mahler(t)
             assert serialize_mahler(parse_mahler(text)) == text
+
+    @pytest.mark.parametrize("growth", ["1/0", "x"])
+    def test_rejects_bad_decay_growth(self, growth):
+        text = serialize_mahler(mahler_coeffs(FunctionSpec.power_series_1p(1, P, 0), 4))
+        assert "@1 " in text
+        with pytest.raises(ParseError):
+            parse_mahler(text.replace("@1 ", f"@{growth} "))
 
     def test_rejects_wrong_magic(self):
         with pytest.raises(ParseError):
