@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
-from functools import cache
 
 from .padic import PadicError, PrecisionExhausted
 from .groupmodel import GroupModel, ModelError
@@ -280,9 +279,7 @@ def _add_common(sp, *, group=True, out=True):
         sp.add_argument("--out", help="output file ('-' = stdout)")
 
 
-@cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: parsing never changes it."""
     ap = argparse.ArgumentParser(
         prog="padicdist",
         description="Exact arithmetic in p-adic distribution algebras of "

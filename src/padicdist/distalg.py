@@ -383,33 +383,31 @@ class Distribution:
         entry contributes only to the upper end: its magnitude bound (its
         valuation, else its window; head_error if that is larger) times
         r^tau, capped by the all-alpha certificates at tau.  Both are read
-        off the valuation profile, one level per degree tau.
+        off the valuation profile, one level per degree tau.  Where equal
+        bounds carry different exact flags, the upper end takes the flag of
+        the lowest degree, and a cap's flag only when the cap is strictly
+        tighter than every entry at its degree.
         """
         s = r.s
         lower = inf
-        best = None  # (exponent, position in coeffs, exact) of the upper end
-        for tau, v, records in self._valuation_profile():
+        upper = None  # (exponent, exact) of the largest uncertain bound
+        for tau, v, e, exact in self._valuation_profile():
             st = s * tau
             if v is not None and v + st < lower:
                 lower = v + st
-            if not records:
+            if e is None:
                 continue
-            e, pos, exact = records[-1]
-            cand = (e + st, pos, exact)
+            e += st
             cb = self._cert_bound_at(tau, s)
-            if cb is not None:
-                # the first entry whose bound reaches the cap is capped to it
-                # (an entry exactly at the cap keeps its own bound)
-                for e, pos, exact in records:
-                    if e + st <= cb.exponent:
-                        cand = (cb.exponent, pos, exact if e + st == cb.exponent else cb.exact)
-                        break
-            if best is None or cand[:2] < best[:2]:
-                best = cand
+            if cb is not None and cb.exponent > e:
+                e, exact = cb.exponent, cb.exact
+            if upper is None or e < upper[0]:
+                upper = (e, exact)
         lower = NormValue(lower)
-        upper = lower
-        if best is not None and best[0] < lower.exponent:
-            upper = NormValue(best[0], best[2])
+        if upper is not None and upper[0] < lower.exponent:
+            upper = NormValue(*upper)
+        else:
+            upper = lower
         tail = self._tail_norm_bound(s)
         if tail is None and not self.exact:
             tail = NormValue.unbounded()
@@ -418,35 +416,27 @@ class Distribution:
         return NormInterval(lower, upper)
 
     def _valuation_profile(self):
-        """Per degree tau with a stored entry: (tau, v, records), v the least
-        valuation of a certain entry (None if there is none) and records the
-        uncertain entries that lower the running minimum of their magnitude
-        exponent, in coeffs order, as (exponent, position, exact).  The last
-        record is the first entry of least magnitude exponent; the first record
-        with exponent <= x is the first entry with exponent <= x, for any x.
-        Computed once: a distribution is not changed after construction."""
+        """Per degree tau with a stored entry: (tau, v, e, exact), v the least
+        valuation of a certain entry and e the least magnitude exponent of the
+        others, with the exact flag of the first entry that has it (None
+        where there is no such entry).  Computed once: a distribution is not
+        changed after construction."""
         if self._profile is None:
             herr = self.head_error
             levels = {}
-            for pos, (alpha, c) in enumerate(self.coeffs.items()):
-                tau = self.model.tau(alpha)
-                level = levels.setdefault(tau, [None, []])
+            for alpha, c in self.coeffs.items():
+                level = levels.setdefault(self.model.tau(alpha), [None, None, None])
                 v = c.valuation
                 if v is not None and herr.exponent > v:
                     if level[0] is None or v < level[0]:
                         level[0] = v
                     continue
-                if v is None:
-                    e, exact = c.window, False
-                else:
-                    e, exact = v, True
+                e, exact = (c.window, False) if v is None else (v, True)
                 if herr.exponent < e:
                     e, exact = herr.exponent, herr.exact
-                records = level[1]
-                if not records or e < records[-1][0]:
-                    records.append((e, pos, exact))
-            self._profile = tuple((tau, v, tuple(records))
-                                  for tau, (v, records) in sorted(levels.items()))
+                if level[1] is None or e < level[1]:
+                    level[1:] = e, exact
+            self._profile = tuple((tau, *level) for tau, level in sorted(levels.items()))
         return self._profile
 
     def _tail_norm_bound(self, s: Fraction) -> NormValue | None:

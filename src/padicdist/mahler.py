@@ -226,7 +226,12 @@ def mahler_coeffs(f: FunctionSpec, A: int, prec: int = 12) -> MahlerTable:
         raise MahlerError("cap must be >= 0")
     d = f.d
     points = list(_simplex(d, A))
-    vals = {beta: int(f.evaluate(beta)) for beta in points}
+    vals = {}
+    for beta in points:
+        v = f.evaluate(beta)
+        if v.denominator != 1:
+            raise MahlerError(f"f({beta}) = {v} is not an integer")
+        vals[beta] = v.numerator
     for i in range(d):
         for start in points:
             if start[i]:

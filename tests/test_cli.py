@@ -7,7 +7,6 @@ from pathlib import Path
 import pytest
 
 import padicdist
-from padicdist import cli
 from padicdist.cli import main
 
 
@@ -196,35 +195,6 @@ class TestUsage:
     def test_unknown_command(self):
         code, _, _ = run_cli(["frobnicate"])
         assert code == 2
-
-
-class TestParserReuse:
-    """main() builds its parser once per process and reuses it."""
-
-    def test_repeated_calls_match_first_calls(self, b1_file):
-        calls = [
-            ["norm", "--r", "1/2"],  # usage error: --in is missing
-            ["norm", "--in", b1_file, "--r", "1/2"],
-            ["--help"],
-            ["rthresh", "--in", b1_file],
-        ]
-        first = []
-        for argv in calls:
-            cli.build_parser.cache_clear()
-            first.append(run_cli(argv))
-        assert [r[0] for r in first] == [2, 0, 0, 0]
-        assert "--in" in first[0][2] and first[1][1] == "p^-1/2 .. p^-1/2\n"
-        assert first[2][1].startswith("usage: padicdist")
-        for _ in range(2):
-            assert [run_cli(argv) for argv in calls] == first
-
-    def test_cache_can_be_cleared(self):
-        # a fresh parser per benchmark pass relies on this, as per process
-        assert callable(cli.build_parser.cache_clear)
-        assert cli.build_parser() is cli.build_parser()
-        old = cli.build_parser()
-        cli.build_parser.cache_clear()
-        assert cli.build_parser() is not old
 
 
 class TestModuleEntryPoint:

@@ -184,7 +184,11 @@ class TestNorms:
 
 
 def norm_by_entries(lam, r):
-    """Reference for Distribution.norm: one bound per stored coefficient."""
+    """Reference for Distribution.norm: one bound per stored coefficient.
+
+    Returns the interval and the set of exact flags among the bounds equal
+    to its upper end: the end's flag is the first such bound's in coeffs
+    order, where norm() breaks ties by degree instead."""
     s = r.s
     model = lam.model
     lower = NormValue.zero()
@@ -213,7 +217,9 @@ def norm_by_entries(lam, r):
             upper = u
     if upper > lower and not upper.exact:
         upper = NormValue(upper.exponent, exact=False)
-    return NormInterval(lower, upper)
+    if upper == lower:
+        return NormInterval(lower, upper), {upper.exact}
+    return NormInterval(lower, upper), {u.exact for u in uppers if u == upper}
 
 
 NORM_RADII = [Fraction(1, 8), Fraction(1, 5), Fraction(1, 4), Fraction(1, 3),
@@ -229,7 +235,7 @@ SMALL_MODELS = {
 def norm_values(draw):
     if draw(st.integers(0, 7)) == 0:
         return draw(st.sampled_from([NormValue.zero(), NormValue.unbounded()]))
-    return NormValue(draw(st.integers(-1, 3)), exact=draw(st.booleans()))
+    return NormValue(draw(st.integers(-1, 6)), exact=draw(st.booleans()))
 
 
 @st.composite
@@ -238,8 +244,10 @@ def distributions(draw):
     mul(s_work=...) distributions on small models."""
     model = SMALL_MODELS[draw(st.sampled_from(sorted(SMALL_MODELS)))]()
     d, T = model.d, model.max_weight
-    # raw tables twice: they hold the ties between head entries and caps
-    kind = draw(st.sampled_from(["from_coeffs", "dirac", "raw", "raw", "parsed", "lie", "mul"]))
+    # raw tables thrice: their uncertain entries, head errors and caps are
+    # what the profile has to get right
+    kind = draw(st.sampled_from(["from_coeffs", "dirac", "raw", "raw", "raw", "parsed",
+                                 "lie", "mul"]))
     coord = st.integers(-3, 5)
     index = st.tuples(*[st.integers(0, 3)] * d).filter(lambda a: sum(a) <= T)
     if kind == "from_coeffs":
@@ -252,16 +260,19 @@ def distributions(draw):
         coeffs = {}
         for _ in range(draw(st.integers(0, 10))):
             alpha = draw(index)
-            prec = draw(st.integers(2, 4))
-            residue = draw(st.sampled_from([0, 1, 2, P, 2 * P, P * P]))
+            prec = draw(st.integers(2, 6))
+            residue = draw(st.sampled_from([0, 0, 0, 1, 2, P, 2 * P, P ** 2, P ** 3]))
             coeffs[alpha] = PadicScalar(P, prec, residue, draw(st.integers(0, 1)))
         certs = [TailCert(draw(norm_values()),
                           draw(st.sampled_from([Fraction(0), Fraction(1, 4),
                                                 Fraction(1, 2), Fraction(1)])),
                           draw(st.integers(0, 3)) > 0)
                  for _ in range(draw(st.integers(0, 3)))]
+        if draw(st.integers(0, 3)):
+            # a tail bounded at every s, so that the entries can set the upper end
+            certs.append(TailCert(NormValue(draw(st.integers(0, 3))), Fraction(0)))
         lam = Distribution(model, coeffs, T, tail_certs=certs,
-                           head_error=draw(norm_values()))
+                           head_error=draw(st.one_of(st.just(NormValue.zero()), norm_values())))
     else:
         g = model.element(draw(st.lists(coord, min_size=d, max_size=d)))
         lam = Distribution.dirac(g)
@@ -280,44 +291,53 @@ def _tie_case(entries, herr, certs):
     return Distribution(model, coeffs, 6, tail_certs=certs, head_error=herr)
 
 
-# an all-alpha certificate that caps every entry at p^-(2 + s tau)
-CAP2 = TailCert(NormValue(2, exact=False), Fraction(0), all_alpha=True)
-# a tail that is no upper end at s = 1/2: p^-(1 + 7/2) < p^-4
-TAIL1 = TailCert(NormValue(1), Fraction(0))
-HERR2 = NormValue(2, exact=False)
-HERR4 = NormValue(4, exact=False)
-
-
 class TestNormProfile:
-    @pytest.mark.parametrize("lam,upper", [
-        # an entry exactly at the cap keeps its own (exact) bound
-        (_tie_case([((1, 0), P ** 2, 5)], HERR2, [CAP2]), (Fraction(5, 2), True)),
-        # ... and so does the first such entry, ahead of a capped one
-        (_tie_case([((1, 0), P ** 2, 5), ((0, 1), 0, 1)], HERR2, [CAP2]),
-         (Fraction(5, 2), True)),
-        # below the cap the certificate's bound (inexact) is the end
-        (_tie_case([((0, 1), 0, 1), ((1, 0), P ** 2, 5)], HERR2, [CAP2]),
-         (Fraction(5, 2), False)),
-        # equal ends on two degrees: the first in coefficient order
-        (_tie_case([((2, 0), 0, 3), ((0, 0), P ** 4, 6)], HERR4, [TAIL1]),
-         (Fraction(4), False)),
-        (_tie_case([((0, 0), P ** 4, 6), ((2, 0), 0, 3)], HERR4, [TAIL1]),
-         (Fraction(4), True)),
+    @pytest.mark.parametrize("lam", [
+        # an exact entry exactly at an inexact all-alpha cap p^-(2 + s tau),
+        # after an entry the cap holds down to it
+        _tie_case([((0, 1), 0, 1), ((1, 0), P ** 2, 5)], NormValue(2, exact=False),
+                  [TailCert(NormValue(2, exact=False), Fraction(0), all_alpha=True)]),
+        # an inexact bound at degree 2 and an exact one at degree 0, both p^-4
+        _tie_case([((2, 0), 0, 3), ((0, 0), P ** 4, 6)], NormValue(4, exact=False),
+                  [TailCert(NormValue(1), Fraction(0))]),
     ])
-    def test_ties(self, lam, upper):
+    def test_tied_upper_ends(self, lam):
+        # bounds of different exact flags tie for the upper end: the exponent
+        # is the reference's, the flag one of the tied bounds'
         r = RadiusParam(Fraction(1, 2))
-        got, want = lam.norm(r).upper, norm_by_entries(lam, r).upper
-        assert (got.exponent, got.exact) == (want.exponent, want.exact) == upper
+        got, (want, flags) = lam.norm(r), norm_by_entries(lam, r)
+        assert flags == {True, False}
+        assert got.upper.exponent == want.upper.exponent
+        assert got.lower == want.lower
+
+    def test_largest_bound_at_a_degree(self):
+        # two unknown entries of degree 1: the wider window (p^-2 > p^-4) is
+        # the bound, whichever comes first
+        model = GroupModel.abelian(2, P, prec=6, max_weight=6)
+        tail = [TailCert(NormValue(0), Fraction(0))]
+        r = RadiusParam(Fraction(1, 2))
+        for windows in ((4, 2), (2, 4)):
+            coeffs = {a: PadicScalar(P, w, 0) for a, w in zip([(0, 1), (1, 0)], windows)}
+            lam = Distribution(model, coeffs, 6, tail_certs=tail)
+            assert lam.norm(r) == norm_by_entries(lam, r)[0]
+            assert lam.norm(r).upper == NormValue(Fraction(5, 2), exact=False)
 
     @given(distributions(), st.lists(st.sampled_from(NORM_RADII), min_size=1, max_size=4))
     @settings(max_examples=300, deadline=None, derandomize=True)
     def test_matches_per_entry_bounds(self, lam, radii):
-        # both interval ends, with their exponents and exact flags
+        # both interval ends, with their exponents and exact flags; the one
+        # exception is the upper end's flag when bounds of different flags
+        # tie for it (e.g. a capped entry and an entry exactly at the cap),
+        # which nothing outside norm() reads
         for s in radii:
             r = RadiusParam(s)
-            got, want = lam.norm(r), norm_by_entries(lam, r)
-            for a, b in zip(got, want):
-                assert (a.exponent, a.exact) == (b.exponent, b.exact), (s, got, want)
+            got, (want, flags) = lam.norm(r), norm_by_entries(lam, r)
+            assert (got.lower.exponent, got.lower.exact) == \
+                (want.lower.exponent, want.lower.exact), (s, got, want)
+            assert got.upper.exponent == want.upper.exponent, (s, got, want)
+            assert got.upper.exact in flags, (s, got, want)
+            if len(flags) == 1:
+                assert got.upper.exact == want.upper.exact, (s, got, want)
 
 
 class TestLieGenerator:

@@ -91,6 +91,15 @@ class TestMahlerCoeffs:
                 assert t.complete == complete and t.cap == cap, (f, cap)
 
 
+    def test_non_integer_values_are_refused(self):
+        # the differences run in ints: a value off Z is an error, not truncated
+        class Half(FunctionSpec):
+            def evaluate(self, point):
+                return Fraction(1, 2)
+
+        with pytest.raises(MahlerError, match="not an integer"):
+            mahler_coeffs(Half.constant(1, P), 2, prec=N)
+
     def test_constant(self):
         t = mahler_coeffs(FunctionSpec.constant(1, P), 2 * P, prec=N)
         assert set(t.coeffs) == {(0,)}
