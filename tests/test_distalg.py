@@ -310,17 +310,26 @@ class TestNormProfile:
         assert got.upper.exponent == want.upper.exponent
         assert got.lower == want.lower
 
-    def test_largest_bound_at_a_degree(self):
-        # two unknown entries of degree 1: the wider window (p^-2 > p^-4) is
-        # the bound, whichever comes first
+    @pytest.mark.parametrize("coeffs,herr,upper", [
+        # two unknown entries of degree 1: the wider window (p^-2 > p^-4)
+        # is the bound, whichever comes first
+        ({(0, 1): (4, 0), (1, 0): (2, 0)}, NormValue.zero(), (Fraction(5, 2), False)),
+        ({(0, 1): (2, 0), (1, 0): (4, 0)}, NormValue.zero(), (Fraction(5, 2), False)),
+        # valuation 3 under head error p^-2: the head error is the bound
+        ({(1, 0): (6, P ** 3)}, NormValue(2, exact=False), (Fraction(5, 2), False)),
+        # valuation 3 at head error p^-3: the entry's own (exact) valuation
+        ({(1, 0): (6, P ** 3)}, NormValue(3, exact=False), (Fraction(7, 2), True)),
+    ])
+    def test_entry_bounds(self, coeffs, herr, upper):
         model = GroupModel.abelian(2, P, prec=6, max_weight=6)
-        tail = [TailCert(NormValue(0), Fraction(0))]
+        coeffs = {a: PadicScalar(P, prec, residue) for a, (prec, residue) in coeffs.items()}
+        lam = Distribution(model, coeffs, 6, tail_certs=[TailCert(NormValue(1), Fraction(0))],
+                           head_error=herr)
         r = RadiusParam(Fraction(1, 2))
-        for windows in ((4, 2), (2, 4)):
-            coeffs = {a: PadicScalar(P, w, 0) for a, w in zip([(0, 1), (1, 0)], windows)}
-            lam = Distribution(model, coeffs, 6, tail_certs=tail)
-            assert lam.norm(r) == norm_by_entries(lam, r)[0]
-            assert lam.norm(r).upper == NormValue(Fraction(5, 2), exact=False)
+        got, (want, _) = lam.norm(r), norm_by_entries(lam, r)
+        assert (got.upper.exponent, got.upper.exact) == \
+            (want.upper.exponent, want.upper.exact) == upper
+        assert got.lower == want.lower == NormValue.zero()
 
     @given(distributions(), st.lists(st.sampled_from(NORM_RADII), min_size=1, max_size=4))
     @settings(max_examples=300, deadline=None, derandomize=True)
