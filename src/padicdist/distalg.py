@@ -154,22 +154,10 @@ class Distribution:
             model._require_same(g.model)
         merged = _merge_terms(model, terms)
         coeffs = _expand_terms(model, merged, T)
-        finite = all(
-            g.ints is not None
-            and all(x >= 0 for x in g.ints)
-            and model.tau(g.ints) <= T
-            for _, g in merged
-        )
-        if finite:
+        if _finite(model, merged, T):
             coeffs = {a: c for a, c in coeffs.items() if c.residue != 0}
             return cls(model, coeffs, T, exact=True, dirac_terms=merged)
-        bound = NormValue.zero()
-        for a, _ in merged:
-            up = a.abs_val()
-            if not up.exact:
-                up = NormValue(up.exponent, exact=False)
-            bound = max(bound, up)
-        certs = (TailCert(bound, Fraction(0), all_alpha=True),)
+        certs = (TailCert(_terms_coeff_bound(merged), Fraction(0), all_alpha=True),)
         return cls(model, coeffs, T, tail_certs=certs, dirac_terms=merged)
 
     @classmethod
@@ -336,13 +324,7 @@ class Distribution:
 
         sup1 = self.coeff_sup()
         sup2 = other.coeff_sup()
-        finite = exact_path and all(
-            g.ints is not None
-            and all(x >= 0 for x in g.ints)
-            and model.tau(g.ints) <= T
-            for _, g in merged
-        )
-        if finite:
+        if exact_path and _finite(model, merged, T):
             coeffs = {a: c for a, c in coeffs.items() if c.residue != 0}
             return Distribution(model, coeffs, T, exact=True, dirac_terms=merged)
         certs = []
@@ -675,6 +657,15 @@ def semidirect_mul(pair1, pair2, T=None, s_work=None):
 # -- internals --------------------------------------------------------------
 
 
+def _finite(model, terms, T) -> bool:
+    """Whether every support point is exact in N^d with degree <= T, so that
+    the expansion of the combination ends inside the head."""
+    return all(
+        g.exact and all(x >= 0 for x in g.coords) and model.tau(g.coords) <= T
+        for _, g in terms
+    )
+
+
 def _merge_terms(model, terms):
     """Combine Dirac terms with identical support coordinates."""
     out = {}
@@ -683,7 +674,7 @@ def _merge_terms(model, terms):
         k = g.key()
         if k in out:
             out[k] = out[k] + a
-            if elems[k].ints is None and g.ints is not None:
+            if g.exact and not elems[k].exact:
                 elems[k] = g
         else:
             out[k] = a
@@ -726,8 +717,8 @@ def _head_to_dirac(model, coeffs):
 def _expand_terms(model, terms, T, coords_of=None):
     """Coefficient table of sum a_j delta_{g_j} up to degree T.
 
-    ``coords_of`` maps a support element to the chart coordinates used for
-    the binomial expansion (defaults to the element's own coordinates)."""
+    ``coords_of`` maps a support element to the integer chart coordinates
+    used for the binomial expansion (defaults to the element's own)."""
     out = {}
     d = model.d
     for a, g in terms:
@@ -735,10 +726,11 @@ def _expand_terms(model, terms, T, coords_of=None):
         rows = []
         for i in range(d):
             kmax = T
-            if coords_of is None and g.ints is not None and g.ints[i] >= 0:
+            if coords_of is None and g.exact and coords[i] >= 0:
                 # binom(x, k) vanishes exactly for integer x < k
-                kmax = min(kmax, g.ints[i])
-            rows.append([binom(coords[i], k) for k in range(kmax + 1)])
+                kmax = min(kmax, coords[i])
+            x = PadicScalar.from_int(model.p, coords[i], model.elem_prec)
+            rows.append([binom(x, k) for k in range(kmax + 1)])
 
         def rec(i, alpha, budget, prod):
             if i == d:

@@ -3,21 +3,17 @@
 Three models are provided: abelian(d) = Z_p^d, the Heisenberg group of
 unitriangular 3x3 matrices with off-diagonal entries in pZ_p, and the
 non-uniform compact model Z_p |x {+-1} whose uniform part is Z_p.  Elements
-are identified with their chart coordinates; the group law is evaluated by
-closed forms on the coordinates.
+are identified with their chart coordinates in Z_p^d, held as Python ints:
+the coordinates themselves when the element is exact (built from integer
+coordinates by the group law), else their residues mod p**elem_prec.  The
+group law is one closed form per model kind on those ints.
 """
 
 from __future__ import annotations
 
 from math import floor, inf
 
-from .padic import (
-    PadicError,
-    PadicScalar,
-    _check_prime,
-    ppow,
-    vp_factorial,
-)
+from .padic import PadicError, _check_prime, ppow, vp_factorial, vp_int
 
 
 class ModelError(PadicError):
@@ -35,6 +31,8 @@ class GroupModel:
         # Every generator has omega = 1, so omega > 1/(p-1) and (HYP)
         # omega_i + omega_j > p/(p-1) both reduce to p > 2.
         _check_prime(p)
+        if prec < 1:
+            raise ModelError(f"precision N must be >= 1, got {prec}")
         if kind not in ("abelian", "heisenberg", "semidirect"):
             raise ModelError(f"unknown model kind {kind!r}")
         self.kind = kind
@@ -71,7 +69,7 @@ class GroupModel:
                 return cls.heisenberg(int(parts[1]), **kw)
             if parts[0] == "semidirect" and len(parts) == 2:
                 return cls.semidirect(int(parts[1]), **kw)
-        except (ValueError, ModelError) as exc:
+        except ValueError as exc:
             raise ModelError(f"bad group id {spec!r}: {exc}") from exc
         raise ModelError(f"bad group id {spec!r}")
 
@@ -98,38 +96,26 @@ class GroupModel:
     # -- elements ----------------------------------------------------------
 
     def element(self, coords) -> "GroupElement":
-        """Build an element from chart coordinates (ints, Fractions or scalars)."""
+        """The exact element with the given integer chart coordinates."""
         if len(coords) != self.d:
             raise ModelError(f"expected {self.d} coordinates, got {len(coords)}")
-        out = []
-        ints = []
-        for c in coords:
-            if isinstance(c, PadicScalar):
-                if c.shift != 0 or c.window < self.prec:
-                    raise ModelError("chart coordinates must be integral at full window")
-                out.append(c)
-                ints = None
-            elif isinstance(c, int):
-                out.append(PadicScalar.from_int(self.p, c, self.elem_prec))
-                if ints is not None:
-                    ints.append(c)
-            else:
-                s = PadicScalar.from_fraction(self.p, c, self.elem_prec)
-                if s.shift != 0:
-                    raise ModelError("chart coordinates must lie in Z_p")
-                out.append(s)
-                ints = None
-        return GroupElement(self, tuple(out), None if ints is None else tuple(ints))
+        if not all(isinstance(c, int) for c in coords):
+            raise ModelError("chart coordinates must be integers")
+        return GroupElement(self, tuple(coords), True)
 
     def identity(self) -> "GroupElement":
         return self.element([0] * self.d)
 
     def random_element(self, rng) -> "GroupElement":
-        coords = [
-            PadicScalar.from_int(self.p, rng.randrange(ppow(self.p, self.elem_prec)), self.elem_prec)
-            for _ in range(self.d)
-        ]
-        return GroupElement(self, tuple(coords), None)
+        m = ppow(self.p, self.elem_prec)
+        return GroupElement(self, tuple(rng.randrange(m) for _ in range(self.d)), False)
+
+    def _law_result(self, coords, exact: bool) -> "GroupElement":
+        """The element with these law outputs, reduced unless every input was exact."""
+        if not exact:
+            m = ppow(self.p, self.elem_prec)
+            coords = tuple(c % m for c in coords)
+        return GroupElement(self, coords, exact)
 
     # -- group law ---------------------------------------------------------
 
@@ -139,59 +125,30 @@ class GroupModel:
         if self.kind == "heisenberg":
             x1, y1, z1 = g.coords
             x2, y2, z2 = h.coords
-            z = z1 + z2 - (x2 * y1).mul_int(self.p)
-            coords = (x1 + x2, y1 + y2, z)
-            ints = None
-            if g.ints is not None and h.ints is not None:
-                a1, b1, c1 = g.ints
-                a2, b2, c2 = h.ints
-                ints = (a1 + a2, b1 + b2, c1 + c2 - self.p * a2 * b1)
-            return GroupElement(self, coords, ints)
-        coords = tuple(a + b for a, b in zip(g.coords, h.coords))
-        ints = None
-        if g.ints is not None and h.ints is not None:
-            ints = tuple(a + b for a, b in zip(g.ints, h.ints))
-        return GroupElement(self, coords, ints)
+            coords = (x1 + x2, y1 + y2, z1 + z2 - self.p * x2 * y1)
+        else:
+            coords = tuple(a + b for a, b in zip(g.coords, h.coords))
+        return self._law_result(coords, g.exact and h.exact)
 
     def ginv(self, g: "GroupElement") -> "GroupElement":
         self._require_same(g.model)
         if self.kind == "heisenberg":
             x, y, z = g.coords
-            coords = (-x, -y, -z - (x * y).mul_int(self.p))
-            ints = None
-            if g.ints is not None:
-                a, b, c = g.ints
-                ints = (-a, -b, -c - self.p * a * b)
-            return GroupElement(self, coords, ints)
-        ints = None if g.ints is None else tuple(-a for a in g.ints)
-        return GroupElement(self, tuple(-c for c in g.coords), ints)
-
-    def gpow(self, g: "GroupElement", t) -> "GroupElement":
-        """g**t for t in Z_p (closed form on chart coordinates)."""
-        from .padic import binom
-
-        self._require_same(g.model)
-        if isinstance(t, int):
-            ts = PadicScalar.from_int(self.p, t, self.elem_prec)
+            coords = (-x, -y, -z - self.p * x * y)
         else:
-            ts = t
-            if ts.shift != 0:
-                raise ModelError("exponent must lie in Z_p")
+            coords = tuple(-c for c in g.coords)
+        return self._law_result(coords, g.exact)
+
+    def gpow(self, g: "GroupElement", t: int) -> "GroupElement":
+        """g**t for an integer t (closed form on chart coordinates)."""
+        self._require_same(g.model)
         if self.kind == "heisenberg":
             x, y, z = g.coords
             # psi(a,b,c)^t = psi(ta, tb, tc - p*a*b*C(t,2))
-            corr = (binom(ts, 2) * x * y).mul_int(self.p)
-            coords = (ts * x, ts * y, ts * z - corr)
-            ints = None
-            if g.ints is not None and isinstance(t, int):
-                a, b, c = g.ints
-                ints = (t * a, t * b, t * c - self.p * a * b * (t * (t - 1) // 2))
-            return GroupElement(self, coords, ints)
-        coords = tuple(ts * c for c in g.coords)
-        ints = None
-        if g.ints is not None and isinstance(t, int):
-            ints = tuple(t * a for a in g.ints)
-        return GroupElement(self, coords, ints)
+            coords = (t * x, t * y, t * z - self.p * x * y * (t * (t - 1) // 2))
+        else:
+            coords = tuple(t * c for c in g.coords)
+        return self._law_result(coords, g.exact)
 
     def commutator(self, g: "GroupElement", h: "GroupElement") -> "GroupElement":
         return self.gmul(self.gmul(self.ginv(g), self.ginv(h)), self.gmul(g, h))
@@ -207,14 +164,13 @@ class GroupModel:
     def omega(self, g: "GroupElement"):
         """(value, exact): p-valuation of g; inf for the identity."""
         self._require_same(g.model)
-        if g.ints is not None and all(a == 0 for a in g.ints):
+        if g.exact and not any(g.coords):
             return inf, True
-        exact = [c.valuation for c in g.coords if c.valuation is not None]
-        window = min((c.window for c in g.coords if c.valuation is None), default=inf)
-        if not exact or window < min(exact):
-            # some coordinate might undercut the best exact term
-            return 1 + window, False
-        return 1 + min(exact), True
+        vals = [vp_int(c, self.p) for c in g.key() if c]
+        if not vals:
+            # every coordinate vanishes mod p^elem_prec: only a lower bound
+            return 1 + g.model.elem_prec, False
+        return 1 + min(vals), True
 
     # -- degrees -----------------------------------------------------------
 
@@ -242,33 +198,39 @@ class GroupModel:
 
 
 class GroupElement:
-    """Chart coordinates in Z_p^d; the element is its coordinate tuple."""
+    """Chart coordinates in Z_p^d as ints; the element is its coordinate tuple.
 
-    __slots__ = ("model", "coords", "ints")
+    With ``exact`` set, ``coords`` are the exact integer coordinates;
+    otherwise they are residues mod p**elem_prec of the model.
+    """
 
-    def __init__(self, model: GroupModel, coords, ints=None):
+    __slots__ = ("model", "coords", "exact")
+
+    def __init__(self, model: GroupModel, coords, exact: bool):
         self.model = model
         self.coords = coords
-        self.ints = ints
+        self.exact = exact
 
     def key(self) -> tuple:
-        """Hashable key identifying the coordinate residues."""
-        return tuple((c.residue, c.prec) for c in self.coords)
+        """Hashable key: the coordinate residues mod p**elem_prec."""
+        m = ppow(self.model.p, self.model.elem_prec)
+        return tuple(c % m for c in self.coords)
 
     @property
     def is_identity_in_window(self) -> bool:
-        return all(c.residue == 0 for c in self.coords)
+        return not any(self.key())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GroupElement):
             return NotImplemented
         self.model._require_same(other.model)
-        return all(a.same_value(b) for a, b in zip(self.coords, other.coords))
+        m = ppow(self.model.p, min(self.model.elem_prec, other.model.elem_prec))
+        return all((a - b) % m == 0 for a, b in zip(self.coords, other.coords))
 
     __hash__ = None
 
     def __repr__(self):
-        cs = ", ".join(str(c.residue) for c in self.coords)
+        cs = ", ".join(str(c) for c in self.key())
         return f"GroupElement({self.model.id}; {cs})"
 
 
@@ -296,7 +258,8 @@ def validate_basis(model: GroupModel, basis) -> None:
 
 
 def coords_in_basis(model: GroupModel, basis, g: GroupElement):
-    """Chart coordinates of g in the chart of another ordered basis.
+    """Chart coordinates of g in the chart of another ordered basis, as
+    residues mod p**elem_prec.
 
     Solves g = b_1^{y_1} ... b_d^{y_d} by a Hensel/Newton iteration on the
     coordinate linearization at the identity.
@@ -312,20 +275,20 @@ def coords_in_basis(model: GroupModel, basis, g: GroupElement):
         for j in range(d):
             cur = model.gmul(cur, model.gpow(basis[j], y[j]))
         err = model.gmul(model.ginv(cur), g)
-        c = [e.residue % m for e in err.coords]
-        if all(x == 0 for x in c):
+        c = err.key()
+        if not any(c):
             break
         for j in range(d):
             y[j] = (y[j] + sum(ainv[j][k] * c[k] for k in range(d))) % m
     else:
         raise ModelError("basis coordinate iteration did not converge")
-    return tuple(PadicScalar.from_int(p, yj, model.elem_prec) for yj in y)
+    return tuple(y)
 
 
 def _basis_matrix(model, basis, W):
     m = ppow(model.p, W)
     return [
-        [basis[j].coords[i].residue % m for j in range(model.d)]
+        [basis[j].coords[i] % m for j in range(model.d)]
         for i in range(model.d)
     ]
 

@@ -376,11 +376,10 @@ class GroupAlgebraElement:
         self._check(other)
         out = {}
         for k1, c1 in self.coeffs.items():
-            g1 = self.model.element(list(k1))
+            g1 = self.model.element(k1)
             for k2, c2 in other.coeffs.items():
-                g2 = self.model.element(list(k2))
-                k = self.model.gmul(g1, g2).ints
-                k = tuple(k)
+                g2 = self.model.element(k2)
+                k = self.model.gmul(g1, g2).coords
                 c = c1 * c2
                 out[k] = out[k] + c if k in out else c
         return GroupAlgebraElement(self.model, self.n, out)
@@ -411,10 +410,7 @@ def finite_level_project(lam: Distribution, n: int) -> GroupAlgebraElement:
     m = ppow(lam.model.p, n)
     coeffs = {}
     for a, g in terms:
-        if g.ints is not None:
-            key = tuple(x % m for x in g.ints)
-        else:
-            key = tuple(c.residue % m for c in g.coords)
+        key = tuple(x % m for x in g.coords)
         coeffs[key] = coeffs[key] + a if key in coeffs else a
     return GroupAlgebraElement(lam.model, n, coeffs)
 

@@ -185,10 +185,6 @@ class PadicScalar:
         return self.prec - self.shift
 
     @property
-    def is_zero_in_window(self) -> bool:
-        return self.residue == 0
-
-    @property
     def valuation(self):
         """Exact valuation (int) when determined, else None ("v >= window")."""
         if self.residue == 0:
@@ -196,20 +192,11 @@ class PadicScalar:
         return vp_int(self.residue, self.p) - self.shift
 
     @property
-    def valuation_lower_bound(self) -> int:
-        v = self.valuation
-        return self.window if v is None else v
-
-    @property
     def is_integral(self) -> bool:
         v = self.valuation
         if v is None:
             return self.window >= 0
         return v >= 0
-
-    @property
-    def is_unit(self) -> bool:
-        return self.valuation == 0
 
     def unit_part_mod_p(self) -> int:
         """Residue mod p of the unit cofactor p**-v * self; requires exact valuation."""
@@ -232,13 +219,6 @@ class PadicScalar:
         return PadicScalar(
             self.p, self.prec - k, self.residue // ppow(self.p, k), self.shift - k
         )
-
-    def truncate(self, window: int) -> "PadicScalar":
-        """Restrict to a smaller absolute window p**window."""
-        c = self.canonical()
-        if window > c.window:
-            raise PadicError("cannot extend precision by truncation")
-        return PadicScalar(c.p, window + c.shift, c.residue % ppow(c.p, window + c.shift), c.shift)
 
     # -- arithmetic --------------------------------------------------------
 

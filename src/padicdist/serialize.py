@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .padic import NormValue, PadicError, PadicScalar, ppow, vp_int
+from .padic import NormValue, PadicError, PadicScalar, PrecisionExhausted, ppow, vp_int
 from .groupmodel import GroupModel
 from .distalg import Distribution, TailCert
 from .mahler import MahlerTable
@@ -27,6 +27,8 @@ class ParseError(PadicError):
 
 def format_scalar(c: PadicScalar) -> str:
     """Canonical `v:m:N` with value p^v * m known mod p^N."""
+    if c.window < 1:
+        raise PrecisionExhausted(f"no certified digit to write (window {c.window})")
     c = c.canonical()
     if c.residue == 0:
         return f"{c.window}:0:{c.window}"
@@ -101,11 +103,14 @@ def serialize_distribution(d: Distribution) -> str:
     )
     if not d.head_error.is_zero:
         head += f" err={format_normvalue(d.head_error)}"
+    return _format_terms(head, d.coeffs)
+
+
+def _format_terms(head: str, coeffs) -> str:
+    """The header line, then one `a1,...,ad : v:m:N` line per index in order."""
     lines = [head]
-    for alpha in sorted(d.coeffs):
-        lines.append(
-            ",".join(str(a) for a in alpha) + " : " + format_scalar(d.coeffs[alpha])
-        )
+    for alpha in sorted(coeffs):
+        lines.append(",".join(str(a) for a in alpha) + " : " + format_scalar(coeffs[alpha]))
     return "\n".join(lines) + "\n"
 
 
@@ -115,8 +120,32 @@ def _parse_header(line):
         if "=" not in tok:
             raise ParseError(f"bad header token {tok!r}", 1, i)
         k, v = tok.split("=", 1)
+        if k in fields:
+            raise ParseError(f"repeated header field {k!r}", 1, i)
         fields[k] = v
     return fields
+
+
+def _parse_terms(lines, p: int, d: int) -> dict:
+    """{alpha: scalar} from the term lines that follow the header (line 2 on);
+    a multi-index must have d entries >= 0 and appear once."""
+    coeffs = {}
+    for ln_no, ln in enumerate(lines, start=2):
+        if not ln.strip():
+            continue
+        if ":" not in ln:
+            raise ParseError("term line must read a1,...,ad : v:m:N", ln_no)
+        left, _, right = ln.partition(":")
+        try:
+            alpha = tuple(int(x) for x in left.strip().split(","))
+        except ValueError:
+            raise ParseError(f"bad multi-index {left.strip()!r}", ln_no) from None
+        if len(alpha) != d or any(a < 0 for a in alpha):
+            raise ParseError(f"multi-index {alpha} invalid for d={d}", ln_no)
+        if alpha in coeffs:
+            raise ParseError(f"duplicate index {alpha}", ln_no)
+        coeffs[alpha] = parse_scalar(p, right, ln_no)
+    return coeffs
 
 
 def parse_distribution(text: str) -> Distribution:
@@ -143,22 +172,7 @@ def parse_distribution(text: str) -> Distribution:
         raise ParseError(str(exc), 1) from None
     if model.p != p:
         raise ParseError(f"header p={p} contradicts group id {h['group']}", 1)
-    coeffs = {}
-    for ln_no, ln in enumerate(lines[1:], start=2):
-        if not ln.strip():
-            continue
-        if ":" not in ln:
-            raise ParseError("term line must read a1,...,ad : v:m:N", ln_no)
-        left, _, right = ln.partition(":")
-        try:
-            alpha = tuple(int(x) for x in left.strip().split(","))
-        except ValueError:
-            raise ParseError(f"bad multi-index {left.strip()!r}", ln_no) from None
-        if len(alpha) != model.d or any(a < 0 for a in alpha):
-            raise ParseError(f"multi-index {alpha} invalid for d={model.d}", ln_no)
-        if alpha in coeffs:
-            raise ParseError(f"duplicate index {alpha}", ln_no)
-        coeffs[alpha] = parse_scalar(p, right, ln_no)
+    coeffs = _parse_terms(lines[1:], p, model.d)
     certs = ()
     if not exact:
         tail = parse_normvalue(h["tail"], 1)
@@ -185,12 +199,7 @@ def serialize_mahler(t: MahlerTable) -> str:
         f"mahler p={t.p} d={t.d} N={t.prec} A={t.cap} "
         f"decay={decay} complete={1 if t.complete else 0}"
     )
-    lines = [head]
-    for alpha in sorted(t.coeffs):
-        lines.append(
-            ",".join(str(a) for a in alpha) + " : " + format_scalar(t.coeffs[alpha])
-        )
-    return "\n".join(lines) + "\n"
+    return _format_terms(head, t.coeffs)
 
 
 def parse_mahler(text: str) -> MahlerTable:
@@ -214,16 +223,5 @@ def parse_mahler(text: str) -> MahlerTable:
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"bad decay growth in {h['decay']!r}", 1) from None
         decay = (parse_normvalue(c_text, 1), growth)
-    coeffs = {}
-    for ln_no, ln in enumerate(lines[1:], start=2):
-        if not ln.strip():
-            continue
-        left, _, right = ln.partition(":")
-        try:
-            alpha = tuple(int(x) for x in left.strip().split(","))
-        except ValueError:
-            raise ParseError(f"bad multi-index {left.strip()!r}", ln_no) from None
-        if len(alpha) != d:
-            raise ParseError(f"multi-index {alpha} invalid for d={d}", ln_no)
-        coeffs[alpha] = parse_scalar(p, right, ln_no)
+    coeffs = _parse_terms(lines[1:], p, d)
     return MahlerTable(d, p, prec, cap, coeffs, decay=decay, complete=complete)

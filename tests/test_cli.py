@@ -88,6 +88,15 @@ class TestNorm:
             code, _, err = run_cli(["norm", "--in", str(path), "--r", "1/2"])
             assert code == 3 and err.startswith("parse error: "), err
 
+    def test_bad_header_precision_is_a_parse_error(self, tmp_path, b1_file):
+        text = Path(b1_file).read_text()
+        assert " N=12 " in text
+        for new in (" N=0 ", " N=7 N=12 "):
+            path = tmp_path / "bad.dist"
+            path.write_text(text.replace(" N=12 ", new))
+            code, _, err = run_cli(["norm", "--in", str(path), "--r", "1/2"])
+            assert code == 3 and err.startswith("parse error: "), err
+
 
 class TestMulSymbolThreshold:
     def test_mul(self, b1_file):

@@ -63,6 +63,20 @@ class TestConstructors:
         for k in range(6):
             assert d.coeff((k,)).same_value(sc(model, (-1) ** k))
 
+    def test_merged_support_keeps_the_exact_representative(self):
+        import random
+
+        model = ab(1)
+        r = model.random_element(random.Random(2))
+        # the same point 2, once as a residue and once as an exact integer
+        residue_2 = model.gmul(model.gmul(r, model.ginv(r)), model.element([2]))
+        assert not residue_2.exact and residue_2.key() == (2,)
+        for terms in ([(1, residue_2), (1, model.element([2]))],
+                      [(1, model.element([2])), (1, residue_2)]):
+            d = Distribution.dirac_combination(model, terms)
+            assert d.exact
+            assert {a: c.residue for a, c in d.coeffs.items()} == {(0,): 2, (1,): 4, (2,): 2}
+
     def test_monomial_weight_guard(self):
         model = heis()
         with pytest.raises(DistError):

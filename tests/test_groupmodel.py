@@ -15,7 +15,7 @@ from padicdist.groupmodel import (
     coords_in_basis,
     validate_basis,
 )
-from padicdist.padic import ppow
+from padicdist.padic import ppow, vp_int
 
 P = 5
 
@@ -26,11 +26,11 @@ def heis(prec=12):
 
 def mat_of(model, g):
     m = ppow(P, model.elem_prec + 2)
-    x, y, z = (c.canonical() for c in g.coords)
-    assert all(c.shift == 0 for c in (x, y, z))
+    x, y, z = g.key()
+    assert all(isinstance(c, int) and 0 <= c < ppow(P, model.elem_prec) for c in (x, y, z))
     return (
-        (1, P * x.residue % m, (P * z.residue + P * P * x.residue * y.residue) % m),
-        (0, 1, P * y.residue % m),
+        (1, P * x % m, (P * z + P * P * x * y) % m),
+        (0, 1, P * y % m),
         (0, 0, 1),
     )
 
@@ -93,12 +93,45 @@ class TestHeisenbergLaw:
         g = model.element([1, 0, 0])
         h = model.element([0, 1, 0])
         c = model.commutator(g, h)
-        assert c.coords[0].residue == 0 and c.coords[1].residue == 0
-        z = c.coords[2].canonical()
+        x, y, z = c.key()
+        assert x == 0 and y == 0
         # [h1, h2] = h3^(+-p): omega = 2 = omega(h1) + omega(h2)
-        assert z.valuation == 1
+        assert vp_int(z, P) == 1
         v, exact = model.omega(c)
         assert exact and v == 2
+
+
+class TestCoordinates:
+    def test_exact_elements_keep_their_integers(self):
+        model = heis()
+        g = model.gmul(model.element([-1, 2, 0]), model.element([3, -4, 1]))
+        assert g.exact and g.coords == (2, -2, 1 - P * 3 * 2)
+        assert model.gpow(g, -2).exact and model.ginv(g).exact
+
+    def test_inexact_inputs_give_residues(self):
+        import random
+
+        model = heis()
+        m = ppow(P, model.elem_prec)
+        r = model.random_element(random.Random(3))
+        assert not r.exact and all(0 <= c < m for c in r.coords)
+        for out in (model.gmul(model.element([-1, 0, 0]), r), model.ginv(r),
+                    model.gpow(r, -7)):
+            assert not out.exact and all(0 <= c < m for c in out.coords)
+
+    def test_key_is_the_residue_tuple(self):
+        model = heis()
+        m = ppow(P, model.elem_prec)
+        g = model.element([-1, 0, m + 2])
+        assert g.key() == (m - 1, 0, 2)
+        assert g == model.element([m - 1, 0, 2])
+
+    def test_element_takes_integers_only(self):
+        model = heis()
+        with pytest.raises(ModelError):
+            model.element([Fraction(1, 2), 0, 0])
+        with pytest.raises(ModelError):
+            model.element([1, 0])
 
 
 class TestOmega:
@@ -154,6 +187,13 @@ class TestModelRegistry:
     def test_composite_p_rejected(self):
         with pytest.raises(Exception):
             GroupModel.from_string("abelian:2:6")
+
+    @pytest.mark.parametrize("prec", [0, -1])
+    def test_precision_below_one_rejected(self, prec):
+        with pytest.raises(ModelError):
+            GroupModel.heisenberg(P, prec=prec)
+        with pytest.raises(ModelError):
+            GroupModel.from_string("abelian:2:5", prec=prec)
 
     def test_id_round_trip(self):
         for gid in ("abelian:2:5", "heisenberg:5", "semidirect:5"):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from padicdist.distalg import Distribution, RadiusParam
 from padicdist.groupmodel import GroupModel
 from padicdist.mahler import FunctionSpec, mahler_coeffs
-from padicdist.padic import NormValue, PadicScalar
+from padicdist.padic import NormValue, PadicScalar, PrecisionExhausted
 from padicdist.serialize import (
     ParseError,
     format_normvalue,
@@ -47,6 +47,13 @@ class TestScalarFormat:
         text = format_scalar(c)
         assert text.startswith("-2:")
         assert parse_scalar(P, text).same_value(c)
+
+    @pytest.mark.parametrize("c", [PadicScalar(P, 3, 1, 3), PadicScalar(P, 2, 0, 3)])
+    def test_refuses_a_scalar_without_a_certified_digit(self, c):
+        # window prec - shift < 1: no `v:m:N` line with N >= 1 says this
+        assert c.window < 1
+        with pytest.raises(PrecisionExhausted):
+            format_scalar(c)
 
     @pytest.mark.parametrize(
         "bad",
@@ -145,6 +152,26 @@ class TestDistributionFiles:
         with pytest.raises(ParseError):
             parse_distribution(text.replace(old, new))
 
+    @pytest.mark.parametrize("old,new", [
+        (" N=12 ", " N=7 N=12 "),
+        (" exact=1", " exact=1 exact=1"),
+        ("group=heisenberg:5 ", "group=heisenberg:5 group=abelian:3:5 "),
+    ])
+    def test_rejects_repeated_header_field(self, old, new):
+        model = GroupModel.heisenberg(P, prec=12, max_weight=Fraction(12))
+        text = serialize_distribution(Distribution.one(model))
+        assert old in text
+        with pytest.raises(ParseError) as exc:
+            parse_distribution(text.replace(old, new))
+        assert "repeated" in str(exc.value) and exc.value.line == 1
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_rejects_precision_below_one(self, n):
+        model = GroupModel.heisenberg(P, prec=12, max_weight=Fraction(12))
+        text = serialize_distribution(Distribution.one(model))
+        with pytest.raises(ParseError):
+            parse_distribution(text.replace(" N=12 ", f" N={n} "))
+
     def test_parse_error_carries_line(self):
         model = GroupModel.heisenberg(P, prec=12, max_weight=Fraction(12))
         text = serialize_distribution(Distribution.one(model)) + "oops\n"
@@ -169,6 +196,29 @@ class TestMahlerFiles:
         assert "@1 " in text
         with pytest.raises(ParseError):
             parse_mahler(text.replace("@1 ", f"@{growth} "))
+
+    @staticmethod
+    def _table_text():
+        return serialize_mahler(mahler_coeffs(FunctionSpec.power_series_1p(1, P, 0), 4))
+
+    def test_rejects_repeated_header_field(self):
+        text = self._table_text()
+        assert " A=4 " in text
+        with pytest.raises(ParseError) as exc:
+            parse_mahler(text.replace(" A=4 ", " A=4 A=9 "))
+        assert "repeated" in str(exc.value)
+
+    def test_rejects_duplicate_index(self):
+        text = self._table_text()
+        assert "\n1 : 1:1:12\n" in text
+        with pytest.raises(ParseError) as exc:
+            parse_mahler(text + "1 : 0:3:12\n")
+        assert "duplicate" in str(exc.value)
+
+    def test_rejects_negative_index(self):
+        with pytest.raises(ParseError) as exc:
+            parse_mahler(self._table_text() + "-1 : 0:3:12\n")
+        assert exc.value.line == 7
 
     def test_rejects_wrong_magic(self):
         with pytest.raises(ParseError):
