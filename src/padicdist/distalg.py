@@ -8,21 +8,29 @@ every unstored alpha, and a per-entry error bound on the stored head.
 
 Multiplication decomposes heads into finite Dirac combinations, multiplies
 the supports with the group law, and re-expands; no precision is lost on
-exact inputs.
+exact inputs.  Inside that round trip (``_head_to_dirac``, the product loop
+of ``mul``, ``_merge_terms`` and ``_expand_terms``, also used by
+``dirac_combination``, ``change_basis`` and ``conjugate``) a coefficient is
+a triple of ints (residue, prec, shift) under PadicScalar's rules: a
+product takes the least prec and adds the shifts, a sum takes the larger
+shift and the smaller window.  PadicScalars are built only at the edge, for
+the coefficient table and the Dirac witness (``dirac_terms``) of a result.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, floor, inf
+from itertools import chain
+from math import comb, floor, inf, lcm
 from typing import NamedTuple
 
 from .padic import (
     NormValue,
     PadicError,
     PadicScalar,
-    binom,
+    _binom_residue,
     ppow,
+    vp_int,
 )
 from .groupmodel import GroupElement, GroupModel, ModelMismatch
 
@@ -152,13 +160,14 @@ class Distribution:
         terms = [(_as_scalar(model, a), g) for a, g in terms]
         for _, g in terms:
             model._require_same(g.model)
-        merged = _merge_terms(model, terms)
+        merged = _merge_terms(model, _int_terms(terms))
         coeffs = _expand_terms(model, merged, T)
+        witness = _scalar_terms(model, merged)
         if _finite(model, merged, T):
             coeffs = {a: c for a, c in coeffs.items() if c.residue != 0}
-            return cls(model, coeffs, T, exact=True, dirac_terms=merged)
-        certs = (TailCert(_terms_coeff_bound(merged), Fraction(0), all_alpha=True),)
-        return cls(model, coeffs, T, tail_certs=certs, dirac_terms=merged)
+            return cls(model, coeffs, T, exact=True, dirac_terms=witness)
+        certs = (TailCert(_terms_coeff_bound(model, merged), Fraction(0), all_alpha=True),)
+        return cls(model, coeffs, T, tail_certs=certs, dirac_terms=witness)
 
     @classmethod
     def from_coeffs(cls, model, table, T, exact=True, tail_certs=(),
@@ -195,30 +204,25 @@ class Distribution:
                 best = c.bound
         return best
 
-    def _cert_bound_at(self, tau, s) -> NormValue | None:
-        """Best all-alpha certificate bound on |d_alpha| r^(s tau) at one index."""
-        best = None
-        for c in self.tail_certs:
-            if not c.all_alpha:
-                continue
-            cand = c.bound * NormValue((s - c.growth) * tau)
-            if best is None or cand < best:
-                best = cand
-        return best
-
     def coeff_sup(self) -> NormValue | None:
-        """Certified upper bound on sup_alpha |d_alpha| (head and tail)."""
+        """Certified upper bound on sup_alpha |d_alpha| (head and tail).
+
+        The growth-0 tail bound, or an entry's magnitude bound where larger
+        (as in ``norm``: head_error where that is larger), read off the
+        valuation profile.  Where equal bounds carry different exact flags,
+        the tail's flag wins, then the lowest degree's, and at one degree a
+        certain valuation's before the other entries'.
+        """
         tail = self.tail_bound_at_growth(0)
         if tail is None:
             return None
-        best = tail
-        for c in self.coeffs.values():
-            v = c.valuation
-            up = NormValue(v) if v is not None else NormValue(c.window, exact=False)
-            up = max(up, self.head_error)
-            if up > best:
-                best = up
-        return best
+        best, exact = tail.exponent, tail.exact
+        for _, v, e, e_exact in self._valuation_profile():
+            if v is not None and v < best:
+                best, exact = v, True
+            if e is not None and e < best:
+                best, exact = e, e_exact
+        return tail if best == tail.exponent else NormValue(best, exact)
 
     def is_integral(self) -> bool:
         tail = self.tail_bound_at_growth(0)
@@ -229,13 +233,9 @@ class Distribution:
 
     def _exact_terms(self):
         """An exact Dirac-combination representation, or None."""
-        if self.dirac_terms is not None:
-            return self.dirac_terms
-        if self.exact:
-            terms = _head_to_dirac(self.model, self.coeffs)
-            self.dirac_terms = terms
-            return terms
-        return None
+        if self.dirac_terms is None and self.exact:
+            self.dirac_terms = _scalar_terms(self.model, _head_to_dirac(self.model, self.coeffs))
+        return self.dirac_terms
 
     # -- linear structure --------------------------------------------------
 
@@ -289,7 +289,8 @@ class Distribution:
                 certs.append(TailCert(max(a, b), t))
         terms = None
         if self.dirac_terms is not None and other.dirac_terms is not None:
-            terms = _merge_terms(self.model, list(self.dirac_terms) + list(other.dirac_terms))
+            terms = _scalar_terms(self.model, _merge_terms(
+                self.model, _int_terms(self.dirac_terms) + _int_terms(other.dirac_terms)))
         return Distribution(self.model, coeffs, T, tuple(certs), exact, herr, terms)
 
     def __sub__(self, other: "Distribution") -> "Distribution":
@@ -311,22 +312,21 @@ class Distribution:
         t1 = self._exact_terms()
         t2 = other._exact_terms()
         exact_path = t1 is not None and t2 is not None
-        if t1 is None:
-            t1 = _head_to_dirac(model, self.coeffs)
-        if t2 is None:
-            t2 = _head_to_dirac(model, other.coeffs)
+        t1 = _head_to_dirac(model, self.coeffs) if t1 is None else _int_terms(t1)
+        t2 = _head_to_dirac(model, other.coeffs) if t2 is None else _int_terms(t2)
         prods = []
-        for a, g in t1:
-            for b, h in t2:
-                prods.append((a * b, model.gmul(g, h)))
+        for (ra, pa, sa), g in t1:
+            for (rb, pb, sb), h in t2:
+                prods.append(((ra * rb, min(pa, pb), sa + sb), model.gmul(g, h)))
         merged = _merge_terms(model, prods)
         coeffs = _expand_terms(model, merged, T)
+        if exact_path and _finite(model, merged, T):
+            coeffs = {a: c for a, c in coeffs.items() if c.residue != 0}
+            return Distribution(model, coeffs, T, exact=True,
+                                dirac_terms=_scalar_terms(model, merged))
 
         sup1 = self.coeff_sup()
         sup2 = other.coeff_sup()
-        if exact_path and _finite(model, merged, T):
-            coeffs = {a: c for a, c in coeffs.items() if c.residue != 0}
-            return Distribution(model, coeffs, T, exact=True, dirac_terms=merged)
         certs = []
         if sup1 is not None and sup2 is not None:
             certs.append(TailCert(sup1 * sup2, Fraction(0), all_alpha=True))
@@ -350,7 +350,7 @@ class Distribution:
                 herr = max(c1 * sup2, c2 * sup1)
         return Distribution(model, coeffs, T, tuple(certs),
                             head_error=herr,
-                            dirac_terms=merged if exact_path else None)
+                            dirac_terms=_scalar_terms(model, merged) if exact_path else None)
 
     def __mul__(self, other: "Distribution") -> "Distribution":
         return self.mul(other)
@@ -371,25 +371,48 @@ class Distribution:
         tighter than every entry at its degree.
         """
         s = r.s
+        profile = self._valuation_profile()
+        certs = [c for c in self.tail_certs if c.all_alpha]
+        # exponents times a common denominator D are ints (or +-inf), so
+        # the levels compare without Fraction arithmetic; the infinite
+        # exponents (zero and unbounded bounds) are the only floats
+        D = lcm(s.denominator, *(getattr(x, "denominator", 1) for x in chain(
+            (c.growth for c in certs), (c.bound.exponent for c in certs),
+            (e for _, _, e, _ in profile))))
+
+        def scaled(x):
+            return x if isinstance(x, float) else int(x * D)
+
+        def unscaled(x):
+            return x if isinstance(x, float) else Fraction(x, D)
+
+        S = scaled(s)
+        # the all-alpha cap on |d_alpha| r^tau at degree tau is the least of
+        # C p^(-(s - t) tau) over the certificates (C, t): exponent pairs
+        # (C, s - t), with C's exact flag, in certificate order
+        caps = [(scaled(c.bound.exponent), scaled(s - c.growth), c.bound.exact)
+                for c in certs]
         lower = inf
         upper = None  # (exponent, exact) of the largest uncertain bound
-        for tau, v, e, exact in self._valuation_profile():
-            st = s * tau
-            if v is not None and v + st < lower:
-                lower = v + st
+        for tau, v, e, exact in profile:
+            st = S * tau
+            if v is not None and v * D + st < lower:
+                lower = v * D + st
             if e is None:
                 continue
-            e += st
-            cb = self._cert_bound_at(tau, s)
-            if cb is not None and cb.exponent > e:
-                e, exact = cb.exponent, cb.exact
+            e = scaled(e) + st
+            for C, slope, cexact in caps:
+                # the first of the tightest caps, where it beats the entry
+                ce = C + slope * tau
+                if ce > e:
+                    e, exact = ce, cexact
             if upper is None or e < upper[0]:
                 upper = (e, exact)
-        lower = NormValue(lower)
-        if upper is not None and upper[0] < lower.exponent:
-            upper = NormValue(*upper)
+        if upper is not None and upper[0] < lower:
+            upper = NormValue(unscaled(upper[0]), upper[1])
+            lower = NormValue(unscaled(lower))
         else:
-            upper = lower
+            lower = upper = NormValue(unscaled(lower))
         tail = self._tail_norm_bound(s)
         if tail is None and not self.exact:
             tail = NormValue.unbounded()
@@ -504,6 +527,7 @@ class Distribution:
             herr = self.tail_bound_at_growth(0)
             herr = NormValue.unbounded() if herr is None else herr
         else:
+            terms = _int_terms(terms)
             herr = NormValue.zero()
         coord_cache = {}
 
@@ -514,7 +538,7 @@ class Distribution:
             return coord_cache[k]
 
         coeffs = _expand_terms(model, terms, T, coords_of)
-        bound = _terms_coeff_bound(terms)
+        bound = _terms_coeff_bound(model, terms)
         sup = self.coeff_sup()
         if sup is not None and sup > bound:
             bound = sup
@@ -542,7 +566,7 @@ class Distribution:
         mapped = [(a, act(h)) for a, h in _head_to_dirac(model, self.coeffs)]
         merged = _merge_terms(model, mapped)
         coeffs = _expand_terms(model, merged, T)
-        bound = _terms_coeff_bound(merged)
+        bound = _terms_coeff_bound(model, merged)
         sup = self.coeff_sup()
         herr = self.tail_bound_at_growth(0)
         if sup is None or herr is None:
@@ -666,94 +690,136 @@ def _finite(model, terms, T) -> bool:
     )
 
 
+def _int_terms(terms):
+    """Dirac terms (a, g) with a PadicScalar as kernel terms
+    ((residue, prec, shift), g)."""
+    return tuple(((a.residue, a.prec, a.shift), g) for a, g in terms)
+
+
+def _scalar_terms(model, terms):
+    """Kernel terms as (PadicScalar, g) pairs: the edge of the round trip."""
+    p = model.p
+    return tuple((PadicScalar(p, prec, r, shift), g) for (r, prec, shift), g in terms)
+
+
+def _add(p, x, y):
+    """x + y for kernel coefficients, by PadicScalar's rule: the larger
+    shift and the smaller window.  The prec is at least that of the operand
+    with the smaller window, so it never drops below 1."""
+    r1, prec1, s1 = x
+    r2, prec2, s2 = y
+    if s1 == s2:
+        return r1 + r2, min(prec1, prec2), s1
+    shift = max(s1, s2)
+    prec = min(prec1 - s1, prec2 - s2) + shift
+    return r1 * ppow(p, shift - s1) + r2 * ppow(p, shift - s2), prec, shift
+
+
+def _nonzero_terms(model, acc, element):
+    """Kernel terms (coefficient, element(key)) of the accumulated
+    {key: coefficient}, residues reduced, without the coefficients that
+    vanish with no denominator."""
+    p = model.p
+    out = []
+    for k, (r, prec, shift) in acc.items():
+        r %= ppow(p, prec)
+        if r or shift > 0:
+            out.append(((r, prec, shift), element(k)))
+    return tuple(out)
+
+
 def _merge_terms(model, terms):
-    """Combine Dirac terms with identical support coordinates."""
-    out = {}
+    """Combine kernel Dirac terms with identical support coordinates."""
+    p = model.p
+    acc = {}
     elems = {}
     for a, g in terms:
         k = g.key()
-        if k in out:
-            out[k] = out[k] + a
+        if k in acc:
+            acc[k] = _add(p, acc[k], a)
             if g.exact and not elems[k].exact:
                 elems[k] = g
         else:
-            out[k] = a
+            acc[k] = a
             elems[k] = g
-    return tuple(
-        (a, elems[k]) for k, a in out.items() if a.residue != 0 or a.shift > 0
-    )
+    return _nonzero_terms(model, acc, elems.__getitem__)
 
 
 def _head_to_dirac(model, coeffs):
     """Exact Dirac decomposition of a finite b-polynomial:
-    b^beta = sum_{k <= beta} (-1)^{|beta - k|} C(beta, k) delta_{psi(k)}."""
+    b^beta = sum_{k <= beta} (-1)^{|beta - k|} C(beta, k) delta_{psi(k)}.
+
+    Reads the PadicScalar head and returns kernel terms
+    ((residue, prec, shift), g): every sign and binomial factor is an int
+    product on the residue, and the sums follow ``_add``."""
+    p = model.p
     acc = {}
-    elems = {}
-
     for beta, c in coeffs.items():
-        # iterate kappa <= beta componentwise
-        ranges = [range(b + 1) for b in beta]
-
-        def rec(i, kappa, csign):
-            if i == model.d:
-                key = tuple(kappa)
-                if key not in elems:
-                    elems[key] = model.element(list(key))
-                term = c.mul_int(csign)
-                if key in acc:
-                    acc[key] = acc[key] + term
-                else:
-                    acc[key] = term
-                return
-            for k in ranges[i]:
-                rec(i + 1, kappa + [k], csign * comb(beta[i], k) * (-1) ** (beta[i] - k))
-
-        rec(0, [], 1)
-    return tuple(
-        (a, elems[k]) for k, a in acc.items() if a.residue != 0 or a.shift > 0
-    )
+        prec, shift = c.prec, c.shift
+        level = [((), c.residue)]
+        for b in beta:
+            signed = [(-1) ** (b - k) * comb(b, k) for k in range(b + 1)]
+            level = [(kappa + (k,), r * f) for kappa, r in level
+                     for k, f in enumerate(signed)]
+        for kappa, r in level:
+            e = acc.get(kappa)
+            acc[kappa] = (r, prec, shift) if e is None else _add(p, e, (r, prec, shift))
+    return _nonzero_terms(model, acc, model.element)
 
 
 def _expand_terms(model, terms, T, coords_of=None):
     """Coefficient table of sum a_j delta_{g_j} up to degree T.
 
+    Takes kernel terms ((residue, prec, shift), g) and works on ints: the
+    binomial rows come from ``_binom_residue`` as (prec, residue) pairs, once
+    per coordinate residue and length, a product of a coefficient and row
+    entries keeps the least prec, and sums follow ``_add``, so every entry
+    has the prec and shift the PadicScalar arithmetic gives.  Residues are
+    not reduced on the way: an unreduced residue is congruent to the
+    PadicScalar's mod p^prec, those rules keep that true of every product and
+    sum, and the PadicScalar built for the returned table reduces it.
     ``coords_of`` maps a support element to the integer chart coordinates
-    used for the binomial expansion (defaults to the element's own)."""
-    out = {}
-    d = model.d
-    for a, g in terms:
+    used for the expansion (defaults to the element's own)."""
+    p, d, W = model.p, model.d, model.elem_prec
+    m = ppow(p, W)
+    acc = {}
+    row_of = {}
+    for (ra, pa, sa), g in terms:
         coords = g.coords if coords_of is None else coords_of(g)
-        rows = []
+        level = [((), ra, pa, T)]
         for i in range(d):
             kmax = T
             if coords_of is None and g.exact and coords[i] >= 0:
                 # binom(x, k) vanishes exactly for integer x < k
                 kmax = min(kmax, coords[i])
-            x = PadicScalar.from_int(model.p, coords[i], model.elem_prec)
-            rows.append([binom(x, k) for k in range(kmax + 1)])
+            x = coords[i] % m
+            row = row_of.get((x, kmax))
+            if row is None:
+                row = row_of[x, kmax] = tuple(zip(
+                    (W, 1), *(_binom_residue(p, W, x, k) for k in range(1, kmax + 1))))
+            row_precs, row_res = row
+            level = [(alpha + (k,), r * row_res[k],
+                      prec if prec <= row_precs[k] else row_precs[k], budget - k)
+                     for alpha, r, prec, budget in level
+                     for k in range(budget + 1 if budget < kmax else kmax + 1)]
+        for alpha, r, prec, _ in level:
+            e = acc.get(alpha)
+            if e is None:
+                acc[alpha] = (r, prec, sa)
+            elif e[2] == sa:
+                acc[alpha] = (e[0] + r, prec if prec <= e[1] else e[1], sa)
+            else:
+                acc[alpha] = _add(p, e, (r, prec, sa))
+    return {alpha: PadicScalar(p, prec, r, shift) for alpha, (r, prec, shift) in acc.items()}
 
-        def rec(i, alpha, budget, prod):
-            if i == d:
-                key = tuple(alpha)
-                if key in out:
-                    out[key] = out[key] + prod
-                else:
-                    out[key] = prod
-                return
-            for k in range(min(budget, len(rows[i]) - 1) + 1):
-                rec(i + 1, alpha + [k], budget - k, prod * rows[i][k])
 
-        rec(0, [], T, a)
-    return out
-
-
-def _terms_coeff_bound(terms) -> NormValue:
-    """Uniform bound on expansion coefficients of a Dirac combination."""
+def _terms_coeff_bound(model, terms) -> NormValue:
+    """Uniform bound on expansion coefficients of a kernel Dirac combination:
+    the largest |a_j|, from its valuation, or its window where it vanishes."""
+    p = model.p
     bound = NormValue.zero()
-    for a, _ in terms:
-        up = a.abs_val()
+    for (r, prec, shift), _ in terms:
+        up = NormValue(vp_int(r, p) - shift) if r else NormValue(prec - shift, exact=False)
         if up > bound:
             bound = up
-    if not bound.exact:
-        bound = NormValue(bound.exponent, exact=False)
     return bound

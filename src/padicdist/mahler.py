@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .padic import NormValue, PadicError, PadicScalar, ppow
+from .padic import NormValue, PadicError, PadicScalar, _check_prime, ppow
 from .groupmodel import GroupModel
 from .distalg import Distribution
 
@@ -157,6 +157,16 @@ class MahlerTable:
 
     def __init__(self, d, p, prec, cap, coeffs, decay=None, complete=False,
                  source=None):
+        try:
+            _check_prime(p)
+        except ValueError as exc:
+            raise MahlerError(str(exc)) from None
+        if d < 1:
+            raise MahlerError(f"dimension d must be >= 1, got {d}")
+        if prec < 1:
+            raise MahlerError(f"precision N must be >= 1, got {prec}")
+        if cap < 0:
+            raise MahlerError(f"cap A must be >= 0, got {cap}")
         self.d = d
         self.p = p
         self.prec = prec

@@ -9,7 +9,7 @@ from fractions import Fraction
 from .padic import NormValue, PadicError, PadicScalar, PrecisionExhausted, ppow, vp_int
 from .groupmodel import GroupModel
 from .distalg import Distribution, TailCert
-from .mahler import MahlerTable
+from .mahler import MahlerError, MahlerTable
 
 
 class ParseError(PadicError):
@@ -224,4 +224,7 @@ def parse_mahler(text: str) -> MahlerTable:
             raise ParseError(f"bad decay growth in {h['decay']!r}", 1) from None
         decay = (parse_normvalue(c_text, 1), growth)
     coeffs = _parse_terms(lines[1:], p, d)
-    return MahlerTable(d, p, prec, cap, coeffs, decay=decay, complete=complete)
+    try:
+        return MahlerTable(d, p, prec, cap, coeffs, decay=decay, complete=complete)
+    except MahlerError as exc:
+        raise ParseError(str(exc), 1) from None

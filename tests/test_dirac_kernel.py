@@ -1,0 +1,268 @@
+"""The Dirac round trip's int kernel against the PadicScalar arithmetic.
+
+``distalg`` decomposes heads into Dirac terms, merges them and re-expands
+them with coefficients held as (residue, prec, shift) ints.  The functions
+below are that round trip written with PadicScalar operations throughout,
+as the library computed it before; every entry must agree with them in
+residue, prec, shift and key order, and both must raise PrecisionExhausted
+on the same inputs.
+"""
+
+import random
+from fractions import Fraction
+from math import comb
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from padicdist.distalg import (
+    Distribution,
+    _expand_terms,
+    _head_to_dirac,
+    _int_terms,
+    _merge_terms,
+    lie_generator,
+)
+from padicdist.groupmodel import GroupElement, GroupModel, coords_in_basis
+from padicdist.padic import PadicScalar, PrecisionExhausted, binom, ppow
+from padicdist.suites import _second_basis
+
+
+def merge_terms_by_scalars(model, terms):
+    """Combine Dirac terms with identical support coordinates."""
+    out = {}
+    elems = {}
+    for a, g in terms:
+        k = g.key()
+        if k in out:
+            out[k] = out[k] + a
+            if g.exact and not elems[k].exact:
+                elems[k] = g
+        else:
+            out[k] = a
+            elems[k] = g
+    return tuple(
+        (a, elems[k]) for k, a in out.items() if a.residue != 0 or a.shift > 0
+    )
+
+
+def head_to_dirac_by_scalars(model, coeffs):
+    """b^beta = sum_{k <= beta} (-1)^{|beta - k|} C(beta, k) delta_{psi(k)}."""
+    acc = {}
+    elems = {}
+
+    for beta, c in coeffs.items():
+        ranges = [range(b + 1) for b in beta]
+
+        def rec(i, kappa, csign):
+            if i == model.d:
+                key = tuple(kappa)
+                if key not in elems:
+                    elems[key] = model.element(list(key))
+                term = c.mul_int(csign)
+                if key in acc:
+                    acc[key] = acc[key] + term
+                else:
+                    acc[key] = term
+                return
+            for k in ranges[i]:
+                rec(i + 1, kappa + [k], csign * comb(beta[i], k) * (-1) ** (beta[i] - k))
+
+        rec(0, [], 1)
+    return tuple(
+        (a, elems[k]) for k, a in acc.items() if a.residue != 0 or a.shift > 0
+    )
+
+
+def expand_terms_by_scalars(model, terms, T, coords_of=None):
+    """Coefficient table of sum a_j delta_{g_j} up to degree T."""
+    out = {}
+    d = model.d
+    for a, g in terms:
+        coords = g.coords if coords_of is None else coords_of(g)
+        rows = []
+        for i in range(d):
+            kmax = T
+            if coords_of is None and g.exact and coords[i] >= 0:
+                kmax = min(kmax, coords[i])
+            x = PadicScalar.from_int(model.p, coords[i], model.elem_prec)
+            rows.append([binom(x, k) for k in range(kmax + 1)])
+
+        def rec(i, alpha, budget, prod):
+            if i == d:
+                key = tuple(alpha)
+                if key in out:
+                    out[key] = out[key] + prod
+                else:
+                    out[key] = prod
+                return
+            for k in range(min(budget, len(rows[i]) - 1) + 1):
+                rec(i + 1, alpha + [k], budget - k, prod * rows[i][k])
+
+        rec(0, [], T, a)
+    return out
+
+
+def table_entries(table):
+    return [(alpha, c.residue, c.prec, c.shift) for alpha, c in table.items()]
+
+
+def scalar_term_entries(terms):
+    return [(a.residue, a.prec, a.shift, g.coords, g.exact) for a, g in terms]
+
+
+def kernel_term_entries(terms):
+    return [(*a, g.coords, g.exact) for a, g in terms]
+
+
+def outcome(fn):
+    """fn()'s value, or the marker that it exhausted the precision."""
+    try:
+        return fn()
+    except PrecisionExhausted:
+        return PrecisionExhausted
+
+
+MODEL_IDS = ("abelian:1:{p}", "abelian:2:{p}", "heisenberg:{p}", "semidirect:{p}")
+
+
+@st.composite
+def models(draw):
+    spec = draw(st.sampled_from(MODEL_IDS)).format(p=draw(st.sampled_from([3, 5, 7])))
+    return GroupModel.from_string(spec, prec=draw(st.integers(1, 6)),
+                                  max_weight=draw(st.integers(1, 6)))
+
+
+@st.composite
+def coefficients(draw, model):
+    """Integers, 1/p^k multiples, lie_generator entries and raw scalars whose
+    window may be below 1."""
+    p, W = model.p, model.elem_prec
+    kind = draw(st.sampled_from(["int", "inverse_power", "lie", "raw"]))
+    if kind == "int":
+        return PadicScalar.from_int(p, draw(st.integers(-p ** 3, p ** 3)), W)
+    if kind == "inverse_power":
+        n = draw(st.integers(1, p ** 2))
+        return PadicScalar.from_fraction(p, Fraction(n, p ** draw(st.integers(1, 3))), W)
+    if kind == "lie":
+        k = draw(st.integers(1, 2 * p))
+        return PadicScalar.from_fraction(p, Fraction((-1) ** (k + 1), k), W)
+    prec = draw(st.integers(1, W))
+    return PadicScalar(p, prec, draw(st.integers(0, ppow(p, prec) - 1)),
+                       draw(st.integers(0, 3)))
+
+
+@st.composite
+def elements(draw, model):
+    """Exact elements with small coordinates, or random inexact ones."""
+    if draw(st.booleans()):
+        return model.element(draw(st.lists(st.integers(-3, 5), min_size=model.d,
+                                           max_size=model.d)))
+    return model.random_element(random.Random(draw(st.integers(0, 10 ** 6))))
+
+
+@st.composite
+def combinations(draw):
+    """A model, Dirac terms on it (repeated supports included, some of them
+    given once exactly and once as residues) and a T that may exceed the
+    model's working weight."""
+    model = draw(models())
+    support = draw(st.lists(elements(model), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        # inexact copies of the exact points: merging keeps the exact one
+        support += [GroupElement(model, g.key(), False) for g in support if g.exact]
+    terms = [(draw(coefficients(model)), draw(st.sampled_from(support)))
+             for _ in range(draw(st.integers(1, 6)))]
+    return model, terms, draw(st.integers(0, model.max_weight + 3))
+
+
+@st.composite
+def heads(draw):
+    model = draw(models())
+    index = st.tuples(*[st.integers(0, 3)] * model.d)
+    return model, {alpha: draw(coefficients(model))
+                   for alpha in draw(st.lists(index, min_size=1, max_size=5))}
+
+
+class TestKernelMatchesScalars:
+    @given(combinations())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_merge_and_expand(self, case):
+        model, terms, T = case
+        merged = _merge_terms(model, _int_terms(terms))
+        want_merged = merge_terms_by_scalars(model, terms)
+        assert kernel_term_entries(merged) == scalar_term_entries(want_merged)
+        got = outcome(lambda: table_entries(_expand_terms(model, merged, T)))
+        want = outcome(lambda: table_entries(expand_terms_by_scalars(model, want_merged, T)))
+        assert got == want
+
+    @given(heads())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_head_to_dirac(self, case):
+        model, coeffs = case
+        assert kernel_term_entries(_head_to_dirac(model, coeffs)) == \
+            scalar_term_entries(head_to_dirac_by_scalars(model, coeffs))
+
+    @given(combinations(), st.integers(0, 3))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_products_of_heads(self, case, extra):
+        # mul's round trip: heads to Dirac terms, pairwise products under
+        # the group law, merge, expand
+        model, terms, T = case
+        lam = Distribution.dirac_combination(model, terms, model.max_weight)
+        head = {a: c for a, c in lam.coeffs.items() if sum(a) <= extra}
+        kernel = _head_to_dirac(model, head)
+        scalars = head_to_dirac_by_scalars(model, head)
+        prods = [((ra * rb, min(pa, pb), sa + sb), model.gmul(g, h))
+                 for (ra, pa, sa), g in kernel for (rb, pb, sb), h in kernel]
+        want_prods = [(a * b, model.gmul(g, h)) for a, g in scalars for b, h in scalars]
+        merged = _merge_terms(model, prods)
+        want_merged = merge_terms_by_scalars(model, want_prods)
+        assert kernel_term_entries(merged) == scalar_term_entries(want_merged)
+        assert outcome(lambda: table_entries(_expand_terms(model, merged, T))) == \
+            outcome(lambda: table_entries(expand_terms_by_scalars(model, want_merged, T)))
+
+    @given(st.sampled_from(["abelian:2:{p}", "heisenberg:{p}"]),
+           st.sampled_from([3, 5, 7]), st.data())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_change_basis_coordinates(self, spec, p, data):
+        # the coords_of path: expansion in another basis's chart
+        model = GroupModel.from_string(spec.format(p=p), prec=4, max_weight=5)
+        basis = _second_basis(model)
+        terms = [(data.draw(coefficients(model)), data.draw(elements(model)))
+                 for _ in range(data.draw(st.integers(1, 4)))]
+
+        def coords_of(g):
+            return coords_in_basis(model, basis, g)
+
+        merged = _merge_terms(model, _int_terms(terms))
+        want_merged = merge_terms_by_scalars(model, terms)
+        got = table_entries(_expand_terms(model, merged, 5, coords_of))
+        assert got == table_entries(expand_terms_by_scalars(model, want_merged, 5, coords_of))
+
+    def test_lie_generator_products(self):
+        # coefficients 1/k with shifts, in the inexact path of mul
+        model = GroupModel.heisenberg(3, prec=6, max_weight=8)
+        lg = lie_generator(model, 0, 8)
+        terms = head_to_dirac_by_scalars(model, lg.coeffs)
+        assert any(a.shift > 0 for a, _ in terms)
+        assert kernel_term_entries(_head_to_dirac(model, lg.coeffs)) == \
+            scalar_term_entries(terms)
+        g = model.element([1, 2, 0])
+        prods = [(a, model.gmul(h, g)) for a, h in terms]
+        got = _expand_terms(model, _merge_terms(model, _int_terms(prods)), 8)
+        want = expand_terms_by_scalars(model, merge_terms_by_scalars(model, prods), 8)
+        assert table_entries(got) == table_entries(want)
+
+    def test_small_precision_exhausts_in_both(self):
+        # N = 2 with the working weight at 2: the binomial rows up to T = 12
+        # need more guard digits than the window holds
+        model = GroupModel.heisenberg(3, prec=2, max_weight=2)
+        g = model.random_element(random.Random(1))
+        terms = [(PadicScalar.one(model.p, model.elem_prec), g)]
+        with pytest.raises(PrecisionExhausted):
+            _expand_terms(model, _int_terms(terms), 12)
+        with pytest.raises(PrecisionExhausted):
+            expand_terms_by_scalars(model, terms, 12)
+        with pytest.raises(PrecisionExhausted):
+            Distribution.dirac(g, 12)

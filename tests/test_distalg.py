@@ -197,6 +197,41 @@ class TestNorms:
         assert n.upper == NormValue(0, exact=False)
 
 
+def cert_bound_at(lam, tau, s):
+    """Best all-alpha certificate bound on |d_alpha| r^(s tau) at one index,
+    one NormValue per certificate: the first of the tightest."""
+    best = None
+    for c in lam.tail_certs:
+        if not c.all_alpha:
+            continue
+        cand = c.bound * NormValue((s - c.growth) * tau)
+        if best is None or cand < best:
+            best = cand
+    return best
+
+
+def coeff_sup_by_entries(lam):
+    """Reference for Distribution.coeff_sup: one bound per stored coefficient,
+    the larger of its magnitude and head_error, from the growth-0 tail up.
+
+    Returns the bound and the set of exact flags among the bounds equal to
+    it: its flag is the first such bound's in coeffs order, where
+    coeff_sup() breaks ties by degree instead."""
+    tail = lam.tail_bound_at_growth(0)
+    if tail is None:
+        return None, set()
+    bounds = [tail]
+    for c in lam.coeffs.values():
+        v = c.valuation
+        up = NormValue(v) if v is not None else NormValue(c.window, exact=False)
+        bounds.append(max(up, lam.head_error))
+    best = tail
+    for up in bounds:
+        if up > best:
+            best = up
+    return best, {b.exact for b in bounds if b == best}
+
+
 def norm_by_entries(lam, r):
     """Reference for Distribution.norm: one bound per stored coefficient.
 
@@ -216,7 +251,7 @@ def norm_by_entries(lam, r):
             continue
         mag = NormValue(v) if v is not None else NormValue(c.window, exact=False)
         up = max(mag, lam.head_error) * NormValue(s * tau)
-        cb = lam._cert_bound_at(tau, s)
+        cb = cert_bound_at(lam, tau, s)
         if cb is not None and cb < up:
             up = cb
         uppers.append(up)
@@ -249,6 +284,10 @@ SMALL_MODELS = {
 def norm_values(draw):
     if draw(st.integers(0, 7)) == 0:
         return draw(st.sampled_from([NormValue.zero(), NormValue.unbounded()]))
+    if draw(st.integers(0, 3)) == 0:
+        # a rational exponent, as products of norm bounds at rational radii have
+        return NormValue(Fraction(draw(st.integers(-4, 24)), draw(st.sampled_from([2, 3, 4]))),
+                         exact=draw(st.booleans()))
     return NormValue(draw(st.integers(-1, 6)), exact=draw(st.booleans()))
 
 
@@ -361,6 +400,45 @@ class TestNormProfile:
             assert got.upper.exact in flags, (s, got, want)
             if len(flags) == 1:
                 assert got.upper.exact == want.upper.exact, (s, got, want)
+
+    @given(distributions())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_coeff_sup_matches_per_entry_bounds(self, lam):
+        # the exponent, and the flag where the tied bounds agree on it
+        got, (want, flags) = lam.coeff_sup(), coeff_sup_by_entries(lam)
+        if want is None:
+            assert got is None
+            return
+        assert got.exponent == want.exponent, (got, want)
+        assert got.exact in flags, (got, want)
+        if len(flags) == 1:
+            assert got.exact == want.exact, (got, want)
+
+    @pytest.mark.parametrize("prec,herr,cap", [
+        # an all-alpha cap p^-(19/3) below an unknown entry known to p^-6
+        (6, NormValue.zero(), NormValue(Fraction(19, 3), exact=False)),
+        # a head error p^-(19/3) above an unknown entry known to p^-8
+        (8, NormValue(Fraction(19, 3), exact=False), None),
+    ])
+    def test_exponents_in_thirds_at_radius_one_half(self, prec, herr, cap):
+        # norm() compares exponents over a common denominator, which must
+        # take in the thirds that the radius does not have
+        model = GroupModel.abelian(2, P, prec=6, max_weight=6)
+        certs = [TailCert(NormValue(7), Fraction(0))]
+        if cap is not None:
+            certs.append(TailCert(cap, Fraction(0), all_alpha=True))
+        lam = Distribution(model, {(0, 0): PadicScalar(P, prec, 0)}, 6, tail_certs=certs,
+                           head_error=herr)
+        got, (want, _) = lam.norm(R12), norm_by_entries(lam, R12)
+        assert got.upper.exponent == want.upper.exponent == Fraction(19, 3)
+
+    def test_coeff_sup_tie_keeps_the_tail_flag(self):
+        # an exact valuation 2 beside an inexact growth-0 tail bound p^-2
+        model = GroupModel.abelian(2, P, prec=6, max_weight=6)
+        lam = Distribution(model, {(1, 0): PadicScalar(P, 6, P ** 2)}, 6,
+                           tail_certs=[TailCert(NormValue(2, exact=False), Fraction(0))])
+        got = lam.coeff_sup()
+        assert (got.exponent, got.exact) == (2, False)
 
 
 class TestLieGenerator:

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from padicdist.distalg import Distribution, RadiusParam
 from padicdist.groupmodel import GroupModel
-from padicdist.mahler import FunctionSpec, mahler_coeffs
+from padicdist.mahler import FunctionSpec, MahlerError, MahlerTable, mahler_coeffs
 from padicdist.padic import NormValue, PadicScalar, PrecisionExhausted
 from padicdist.serialize import (
     ParseError,
@@ -223,3 +223,19 @@ class TestMahlerFiles:
     def test_rejects_wrong_magic(self):
         with pytest.raises(ParseError):
             parse_mahler("distribution p=5\n")
+
+    @pytest.mark.parametrize("p,d,N,A,word", [
+        (4, 1, 12, 4, "prime"),
+        (5, 1, 0, 4, "precision"),
+        (5, 0, 12, 4, "dimension"),
+        (5, 1, 12, -2, "cap"),
+    ])
+    def test_rejects_bad_header_numbers(self, p, d, N, A, word):
+        # p an odd prime, d >= 1, N >= 1 and A >= 0, as distribution files
+        # require of their models
+        header = f"mahler p={p} d={d} N={N} A={A} decay=none complete=0\n"
+        with pytest.raises(ParseError) as exc:
+            parse_mahler(header)
+        assert word in str(exc.value) and exc.value.line == 1
+        with pytest.raises(MahlerError):
+            MahlerTable(d, p, N, A, {})
