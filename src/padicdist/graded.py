@@ -1,14 +1,16 @@
 """Graded rings F_p[e0^{+-1}][X_1..X_d] and commutative Groebner machinery.
 
-Monomials are exponent tuples (a_1, ..., a_d, e) with the e0 exponent last;
-the monomial order is total degree, ties broken lexicographically with e0
-least significant.  The Laurent variable is handled by saturating ideals at
-e0 inside the polynomial ring.
+Monomials are exponent tuples (a_1, ..., a_d, e) with the e0 exponent last.
+Every Groebner basis is taken in one monomial order, graded reverse lex with
+e0 the last and least variable.  The Laurent variable is handled by
+saturating ideals at e0 inside the polynomial ring, which that order reduces
+to dividing basis elements by powers of e0 (see ``saturate``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+import heapq
 from math import inf
 import re
 
@@ -205,7 +207,9 @@ class GradedPoly:
         if not self.terms:
             return "0"
         parts = []
-        for mon in sorted(self.terms, key=_deglex_key, reverse=True):
+        # print order, an output format apart from the Groebner order: total
+        # degree, then lex with e0 least significant
+        for mon in sorted(self.terms, key=lambda m: (sum(m), m), reverse=True):
             c = self.terms[mon]
             factors = [str(c)]
             for i, a in enumerate(mon[:-1]):
@@ -220,17 +224,13 @@ class GradedPoly:
         return f"GradedPoly({self.to_text()})"
 
 
-# -- monomial orders --------------------------------------------------------
+# -- the monomial order ------------------------------------------------------
 
 
-def _deglex_key(mon):
-    # total degree first, then lex on (X1..Xd, e0) with e0 least significant
-    return (sum(mon), mon[:-1], mon[-1])
-
-
-def _elim_last_key(mon):
-    # block order eliminating the LAST variable of the tuple
-    return (mon[-1], _deglex_key(mon[:-1]))
+def _key(mon):
+    # graded reverse lex: total degree first, then the smaller exponent of the
+    # last variable wins, so e0 (the last slot) is the least variable
+    return (sum(mon), tuple(-x for x in reversed(mon)))
 
 
 def _mono_mul(a, b):
@@ -252,18 +252,18 @@ def _mono_lcm(a, b):
 # -- raw polynomial engine (dict mon -> coeff in F_p) -----------------------
 
 
-def _lead(poly, key):
-    return max(poly, key=key)
+def _lead(poly):
+    return max(poly, key=_key)
 
 
-def _reduce(poly, basis, p, key, want_cofactors=False):
+def _reduce(poly, basis, p, want_cofactors=False):
     """Multivariate division: poly = sum q_i * basis_i + remainder."""
     work = dict(poly)
     rem = {}
     cof = [dict() for _ in basis] if want_cofactors else None
-    leads = [(_lead(b, key), b) for b in basis]
+    leads = [(_lead(b), b) for b in basis]
     while work:
-        m = _lead(work, key)
+        m = _lead(work)
         c = work.pop(m)
         for i, (lm, b) in enumerate(leads):
             if _mono_divides(lm, m):
@@ -288,8 +288,8 @@ def _reduce(poly, basis, p, key, want_cofactors=False):
     return rem
 
 
-def _spoly(f, g, p, key):
-    lf, lg = _lead(f, key), _lead(g, key)
+def _spoly(f, g, p):
+    lf, lg = _lead(f), _lead(g)
     l = _mono_lcm(lf, lg)
     out = {}
     cf = pow(f[lf], -1, p)
@@ -304,29 +304,35 @@ def _spoly(f, g, p, key):
     return {m: c for m, c in out.items() if c}
 
 
-def _buchberger(gens, p, key):
+def _buchberger(gens, p):
+    """Reduced Groebner basis; pairs are taken smallest lcm first (the normal
+    strategy), which keeps the degrees of intermediate polynomials low."""
     basis = [dict(g) for g in gens if g]
-    if not basis:
-        return []
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i)]
+    leads = [_lead(b) for b in basis]
+    pairs = []
+
+    def add_pairs(k):
+        for t in range(k):
+            l = _mono_lcm(leads[k], leads[t])
+            if l != _mono_mul(leads[k], leads[t]):  # skip coprime leading monomials
+                heapq.heappush(pairs, (_key(l), k, t))
+
+    for k in range(len(basis)):
+        add_pairs(k)
     while pairs:
-        i, j = pairs.pop()
-        li, lj = _lead(basis[i], key), _lead(basis[j], key)
-        if _mono_lcm(li, lj) == _mono_mul(li, lj):
-            continue  # coprime leading monomials
-        s = _spoly(basis[i], basis[j], p, key)
-        r = _reduce(s, basis, p, key)
+        _, i, j = heapq.heappop(pairs)
+        r = _reduce(_spoly(basis[i], basis[j], p), basis, p)
         if r:
             basis.append(r)
-            k = len(basis) - 1
-            pairs.extend((k, t) for t in range(k))
-    return _reduce_basis(basis, p, key)
+            leads.append(_lead(r))
+            add_pairs(len(basis) - 1)
+    return _reduce_basis(basis, p)
 
 
-def _reduce_basis(basis, p, key):
+def _reduce_basis(basis, p):
     """Minimalize, then inter-reduce and make monic (the reduced basis)."""
     basis = [b for b in basis if b]
-    leads = [_lead(b, key) for b in basis]
+    leads = [_lead(b) for b in basis]
     keep = []
     for i, lm in enumerate(leads):
         if any(
@@ -340,13 +346,13 @@ def _reduce_basis(basis, p, key):
     kept = [basis[i] for i in keep]
     for i, b in enumerate(kept):
         others = kept[:i] + kept[i + 1:]
-        r = _reduce(b, others, p, key) if others else dict(b)
+        r = _reduce(b, others, p) if others else dict(b)
         if not r:
             continue
-        lm = _lead(r, key)
+        lm = _lead(r)
         f = pow(r[lm], -1, p)
         out.append({m: (c * f) % p for m, c in r.items()})
-    out.sort(key=lambda b: key(_lead(b, key)))
+    out.sort(key=lambda b: _key(_lead(b)))
     return out
 
 
@@ -376,7 +382,7 @@ class GradedIdeal:
 
     def groebner_raw(self):
         if self._gb is None:
-            self._gb = _buchberger(self._raw_gens(), self.ambient.p, _deglex_key)
+            self._gb = _buchberger(self._raw_gens(), self.ambient.p)
         return self._gb
 
     def groebner(self) -> "GradedIdeal":
@@ -392,7 +398,7 @@ class GradedIdeal:
         gb = self.groebner_raw()
         if not gb:
             return False
-        return not _reduce(dict(poly.terms), gb, self.ambient.p, _deglex_key)
+        return not _reduce(dict(poly.terms), gb, self.ambient.p)
 
     def reduce(self, poly: GradedPoly):
         """Normal form and cofactors w.r.t. the Groebner basis:
@@ -400,8 +406,7 @@ class GradedIdeal:
         gb = self.groebner_raw()
         if not gb:
             return poly, []
-        rem, cof = _reduce(dict(poly.terms), gb, self.ambient.p, _deglex_key,
-                           want_cofactors=True)
+        rem, cof = _reduce(dict(poly.terms), gb, self.ambient.p, want_cofactors=True)
         return (
             GradedPoly(self.ambient, rem),
             [GradedPoly(self.ambient, c) for c in cof],
@@ -419,20 +424,33 @@ class GradedIdeal:
 
 
 def saturate(ideal: GradedIdeal) -> GradedIdeal:
-    """I : e0^infinity, computed as one elimination (Rabinowitsch's trick):
-    I : e0^infinity = (I + <1 - t*e0>) intersect F_p[e0, X], with t eliminated
-    by a block order (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms,
-    section 4.4, Theorem 14)."""
+    """I : e0^infinity by Bayer's criterion: for an ideal J homogeneous in
+    total degree, dividing each element of its Groebner basis in graded
+    reverse lex with e0 last by the largest power of e0 dividing it gives a
+    Groebner basis of J : e0^infinity (Bayer-Stillman, Invent. Math. 87, 1987;
+    Eisenbud, Commutative Algebra, Prop. 15.12).
+
+    I itself need not be homogeneous, so each generator f becomes
+    f^h = h^deg(f) * f(X/h, e0/h) with a new variable h just before e0, and
+    J = <f^h>.  Setting h = 1 commutes with saturating at e0:
+    - if e0^k * F lies in J, setting h = 1 puts e0^k * F(h=1) in I;
+    - if e0^k * f = sum a_i * f_i in I, homogenizing that identity gives
+      h^m * e0^k * f^h = sum h^(m_i) * a_i^h * f_i^h in J for some m, m_i >= 0,
+      so h^m * f^h lies in J : e0^infinity, and setting h = 1 returns f.
+    So setting h = 1 in a basis of J : e0^infinity gives generators of
+    I : e0^infinity, and one more Buchberger run gives its reduced basis."""
     amb = ideal.ambient
     p = amb.p
-    # t takes a new last slot, the variable _elim_last_key eliminates
-    ext = [{m + (0,): c for m, c in g.items()} for g in ideal._raw_gens()]
-    ext.append({(0,) * (amb.d + 2): 1, (0,) * amb.d + (1, 1): p - 1})
-    gb = _buchberger(ext, p, _elim_last_key)
-    sat = _reduce_basis(
-        [{m[:-1]: c for m, c in g.items()} for g in gb if all(m[-1] == 0 for m in g)],
-        p, _deglex_key,
-    )
+    homog = []
+    for g in ideal._raw_gens():
+        top = max(sum(m) for m in g)
+        homog.append({m[:-1] + (top - sum(m), m[-1]): c for m, c in g.items()})
+    gens = []
+    for b in _buchberger(homog, p):
+        # b is homogeneous, so dropping h merges no two terms
+        k = min(m[-1] for m in b)
+        gens.append({m[:-2] + (m[-1] - k,): c for m, c in b.items()})
+    sat = _buchberger(gens, p)
     out = GradedIdeal(amb, [GradedPoly(amb, b) for b in sat])
     out._gb = sat
     return out
@@ -444,8 +462,7 @@ def krull_dim(ideal: GradedIdeal) -> int:
     gb = ideal.groebner_raw()
     if not gb:
         return nvars
-    key = _deglex_key
-    supports = [frozenset(i for i, a in enumerate(_lead(g, key)) if a) for g in gb]
+    supports = [frozenset(i for i, a in enumerate(_lead(g)) if a) for g in gb]
     if frozenset() in supports:
         return -1  # the unit ideal: the zero ring
     best = 0

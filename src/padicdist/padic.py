@@ -230,11 +230,10 @@ class PadicScalar:
 
     def __add__(self, other: "PadicScalar") -> "PadicScalar":
         self._require_compatible(other)
+        # the prec is at least that of the operand with the smaller window,
+        # so it never drops below 1
         shift = max(self.shift, other.shift)
-        window = min(self.window, other.window)
-        prec = window + shift
-        if prec < 1:
-            raise PrecisionExhausted("no overlap of precision windows in addition")
+        prec = min(self.window, other.window) + shift
         p = self.p
         r = (
             self.residue * ppow(p, shift - self.shift)

@@ -1,0 +1,160 @@
+"""Reference saturations for the tests of ``padicdist.graded``.
+
+A Groebner engine parameterised by its monomial order, with the two orders
+the library once used: total degree with lex ties (``_deglex_key``) and a
+block order eliminating the last variable (``_elim_last_key``).  On top of
+it, two independent ways of computing I : e0^infinity, each returning the
+reduced deglex basis as a list of ``{monomial: coefficient}`` dicts:
+
+- ``saturate_rabinowitsch``: one elimination of t from I + <1 - t*e0>;
+- ``saturate_by_quotients``: the ideal quotient by e0, repeated until the
+  ideal stops growing.
+
+Both are slow on some inputs and exist only to check ``graded.saturate``.
+"""
+
+from padicdist.graded import _mono_div, _mono_divides, _mono_lcm, _mono_mul
+
+
+def _deglex_key(mon):
+    # total degree first, then lex on (X1..Xd, e0) with e0 least significant
+    return (sum(mon), mon[:-1], mon[-1])
+
+
+def _elim_last_key(mon):
+    # block order eliminating the LAST variable of the tuple
+    return (mon[-1], _deglex_key(mon[:-1]))
+
+
+def _lead(poly, key):
+    return max(poly, key=key)
+
+
+def _reduce(poly, basis, p, key):
+    """Remainder of multivariate division of poly by basis."""
+    work = dict(poly)
+    rem = {}
+    leads = [(_lead(b, key), b) for b in basis]
+    while work:
+        m = _lead(work, key)
+        c = work.pop(m)
+        for lm, b in leads:
+            if _mono_divides(lm, m):
+                q = _mono_div(m, lm)
+                f = (c * pow(b[lm], -1, p)) % p
+                for bm, bc in b.items():
+                    t = _mono_mul(q, bm)
+                    if t == m:
+                        continue
+                    nv = (work.get(t, 0) - f * bc) % p
+                    if nv:
+                        work[t] = nv
+                    else:
+                        work.pop(t, None)
+                break
+        else:
+            rem[m] = c
+    return rem
+
+
+def _spoly(f, g, p, key):
+    lf, lg = _lead(f, key), _lead(g, key)
+    l = _mono_lcm(lf, lg)
+    out = {}
+    cf = pow(f[lf], -1, p)
+    cg = pow(g[lg], -1, p)
+    qf, qg = _mono_div(l, lf), _mono_div(l, lg)
+    for m, c in f.items():
+        t = _mono_mul(qf, m)
+        out[t] = (out.get(t, 0) + c * cf) % p
+    for m, c in g.items():
+        t = _mono_mul(qg, m)
+        out[t] = (out.get(t, 0) - c * cg) % p
+    return {m: c for m, c in out.items() if c}
+
+
+def _buchberger(gens, p, key):
+    basis = [dict(g) for g in gens if g]
+    if not basis:
+        return []
+    pairs = [(i, j) for i in range(len(basis)) for j in range(i)]
+    while pairs:
+        i, j = pairs.pop()
+        li, lj = _lead(basis[i], key), _lead(basis[j], key)
+        if _mono_lcm(li, lj) == _mono_mul(li, lj):
+            continue  # coprime leading monomials
+        s = _spoly(basis[i], basis[j], p, key)
+        r = _reduce(s, basis, p, key)
+        if r:
+            basis.append(r)
+            k = len(basis) - 1
+            pairs.extend((k, t) for t in range(k))
+    return _reduce_basis(basis, p, key)
+
+
+def _reduce_basis(basis, p, key):
+    """Minimalize, then inter-reduce and make monic (the reduced basis)."""
+    basis = [b for b in basis if b]
+    leads = [_lead(b, key) for b in basis]
+    keep = []
+    for i, lm in enumerate(leads):
+        if any(
+            j != i and _mono_divides(leads[j], lm)
+            and (leads[j] != lm or j < i)
+            for j in range(len(basis))
+        ):
+            continue
+        keep.append(i)
+    out = []
+    kept = [basis[i] for i in keep]
+    for i, b in enumerate(kept):
+        others = kept[:i] + kept[i + 1:]
+        r = _reduce(b, others, p, key) if others else dict(b)
+        if not r:
+            continue
+        lm = _lead(r, key)
+        f = pow(r[lm], -1, p)
+        out.append({m: (c * f) % p for m, c in r.items()})
+    out.sort(key=lambda b: key(_lead(b, key)))
+    return out
+
+
+def saturate_rabinowitsch(ideal):
+    """I : e0^infinity = (I + <1 - t*e0>) intersect F_p[e0, X], with t
+    eliminated by a block order (Cox-Little-O'Shea, Ideals, Varieties, and
+    Algorithms, section 4.4, Theorem 14)."""
+    p, d = ideal.ambient.p, ideal.ambient.d
+    # t takes a new last slot, the variable _elim_last_key eliminates
+    ext = [{m + (0,): c for m, c in g.items()} for g in ideal._raw_gens()]
+    ext.append({(0,) * (d + 2): 1, (0,) * d + (1, 1): p - 1})
+    gb = _buchberger(ext, p, _elim_last_key)
+    return _reduce_basis(
+        [{m[:-1]: c for m, c in g.items()} for g in gb if all(m[-1] == 0 for m in g)],
+        p, _deglex_key,
+    )
+
+
+def _quotient_by_e0(raw, d, p):
+    """I : e0 as (I intersect <e0>) / e0; the intersection eliminates a tag
+    variable t from t*I + (1 - t)*<e0>."""
+    e0 = (0,) * d + (1,)
+    ext = [{m + (1,): c for m, c in g.items()} for g in raw]
+    ext.append({e0 + (0,): 1, e0 + (1,): p - 1})
+    gb = _buchberger(ext, p, _elim_last_key)
+    return [
+        {m[:-2] + (m[-2] - 1,): c for m, c in g.items()}
+        for g in gb
+        if all(m[-1] == 0 for m in g)
+    ]
+
+
+def saturate_by_quotients(ideal):
+    """I : e0^infinity, taking the ideal quotient by e0 until it stops
+    growing."""
+    p, d = ideal.ambient.p, ideal.ambient.d
+    cur = _buchberger(ideal._raw_gens(), p, _deglex_key)
+    while True:
+        nxt = _buchberger(_quotient_by_e0(cur, d, p), p, _deglex_key)
+        if nxt == cur:
+            return cur
+        cur = nxt

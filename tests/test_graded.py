@@ -5,14 +5,13 @@ from math import inf
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from graded_reference import saturate_by_quotients, saturate_rabinowitsch
 from padicdist.graded import (
     GradedAmbient,
     GradedError,
     GradedIdeal,
     GradedPoly,
     _buchberger,
-    _deglex_key,
-    _elim_last_key,
     grade_cyclic,
     krull_dim,
     saturate,
@@ -158,32 +157,6 @@ class TestSaturation:
         assert sat.contains(var(a, 1)) and sat.contains(var(a, 2))
 
 
-def _quotient_by_e0(raw, d, p):
-    """I : e0 as (I intersect <e0>) / e0; the intersection eliminates a tag
-    variable t from t*I + (1 - t)*<e0>."""
-    e0 = (0,) * d + (1,)
-    ext = [{m + (1,): c for m, c in g.items()} for g in raw]
-    ext.append({e0 + (0,): 1, e0 + (1,): p - 1})
-    gb = _buchberger(ext, p, _elim_last_key)
-    return [
-        {m[:-2] + (m[-2] - 1,): c for m, c in g.items()}
-        for g in gb
-        if all(m[-1] == 0 for m in g)
-    ]
-
-
-def saturate_by_quotients(ideal):
-    """Reference for saturate: the reduced basis of I : e0^infinity, taking the
-    ideal quotient by e0 until it stops growing."""
-    p, d = ideal.ambient.p, ideal.ambient.d
-    cur = _buchberger(ideal._raw_gens(), p, _deglex_key)
-    while True:
-        nxt = _buchberger(_quotient_by_e0(cur, d, p), p, _deglex_key)
-        if nxt == cur:
-            return cur
-        cur = nxt
-
-
 @st.composite
 def small_ideals(draw):
     p = draw(st.sampled_from([3, 5, 7]))
@@ -202,7 +175,9 @@ def e0_power_certificate(ideal, sat, kmax=8):
     assert all(sat.contains(g) for g in ideal.gens)
     ks = []
     for b in sat.basis_polys():
-        ks.append(next(k for k in range(kmax + 1) if ideal.contains(b.shift_e0(k))))
+        k = next((k for k in range(kmax + 1) if ideal.contains(b.shift_e0(k))), None)
+        assert k is not None, f"no e0^k * ({b.to_text()}) in I with k <= {kmax}"
+        ks.append(k)
     return ks
 
 
@@ -210,22 +185,38 @@ ROADMAP_GENS = ("X1^2+e0*X2", "X2^2*X3+e0^2*X1", "X3^2*e0+X1*X2")
 ROADMAP_SAT = (
     "1*X1^2+1*X2*e0",
     "1*X3^2*e0+1*X1*X2",
-    "1*X1*e0^2+1*X2^2*X3",
     "1*X1*X3^2+4*X2^2",
+    "1*X1*e0^2+1*X2^2*X3",
     "1*X2*X3^3+1*X2*e0^2",
-    "1*X1*X2^2*X3+4*X2*e0^3",
-    "1*X3^5+4*X1*X2*e0",
     "1*X2*X3*e0^3+4*X2^4",
-    "1*X2^4*X3^2+1*X2*e0^5",
+    "1*X1*X3*e0^3+4*X1*X2^3",
+    "1*X3^5+4*X1*X2*e0",
+    "1*X1*e0^5+1*X2^5",
     "1*X2*e0^6+4*X1*X2^5",
+)
+
+# trinomial quadrics over F_5 at d=3 whose saturation by one elimination took
+# over 3 s each
+HEAVY_GENS = (
+    "4*X1*X2+1*X1*e0+1*e0^2, 4*X1^2+2*X1*X3+3*X1*e0, 1*X1*X2+2*X2^2+2*X3*e0",
+    "1*X1^2+1*X1*X2+3*X2^2, 4*X1*X2+1*X1*e0+3*e0^2, 3*X1^2+2*X2*X3+1*X2*e0",
 )
 
 
 class TestSaturationOracle:
+    # the references return deglex bases; _buchberger re-reduces them in the
+    # library's order, where reduced bases of equal ideals are equal lists
     @given(small_ideals())
     @settings(max_examples=50, deadline=None, derandomize=True)
     def test_matches_iterated_quotients(self, ideal):
-        assert saturate(ideal)._gb == saturate_by_quotients(ideal)
+        ref = saturate_by_quotients(ideal)
+        assert saturate(ideal)._gb == _buchberger(ref, ideal.ambient.p)
+
+    @given(small_ideals())
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    def test_matches_rabinowitsch(self, ideal):
+        ref = saturate_rabinowitsch(ideal)
+        assert saturate(ideal)._gb == _buchberger(ref, ideal.ambient.p)
 
     def test_roadmap_ideal(self):
         a = amb(3)
@@ -247,6 +238,15 @@ class TestSaturationOracle:
         assert sat.same_ideal(ideal.groebner())
         assert set(e0_power_certificate(ideal, sat)) == {0}
         assert grade_cyclic(ideal, 2) == 3
+
+    @pytest.mark.parametrize("gens", HEAVY_GENS)
+    def test_heavy_trinomial_ideal(self, gens):
+        a = amb(3)
+        ideal = GradedIdeal(a, [GradedPoly.parse(a, g) for g in gens.split(",")])
+        sat = saturate(ideal)
+        e0_power_certificate(ideal, sat, kmax=3)
+        assert all(b.min_e0_exponent == 0 for b in sat.basis_polys())
+        assert grade_cyclic(ideal, 3) == 3
 
 
 class TestDimensionAndGrade:
