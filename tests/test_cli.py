@@ -148,6 +148,64 @@ class TestMahlerPair:
         assert code == 0 and out.splitlines()[0] == "value = 0:2:12"
 
 
+def expanded(tmp_path, name, group, *how):
+    """A distribution file written by `expand` at N = 4."""
+    code, out, _ = run_cli(["expand", "--group", group, *how, "-N", "4"])
+    assert code == 0
+    path = tmp_path / name
+    path.write_text(out)
+    return str(path)
+
+
+class TestBasisConjQnorm:
+    def test_basis(self, tmp_path):
+        # delta_{h1 h2} is 1 + b'2 in the basis (h1, h1 h2, h3)
+        h = expanded(tmp_path, "h.dist", "heisenberg:5", "--elem", "1,1,0", "-T", "2")
+        code, out, _ = run_cli(["basis", "--in", h, "--basis", "1,0,0;1,1,0;0,0,1"])
+        assert code == 0
+        assert out == (
+            "group=heisenberg:5 p=5 N=4 T=2/1 tail=p^0 exact=0\n"
+            "0,0,0 : 0:1:6\n0,0,1 : 6:0:6\n0,0,2 : 6:0:6\n0,1,0 : 0:1:6\n"
+            "0,1,1 : 6:0:6\n0,2,0 : 6:0:6\n1,0,0 : 6:0:6\n1,0,1 : 6:0:6\n"
+            "1,1,0 : 6:0:6\n2,0,0 : 6:0:6\n")
+
+    def test_conj_elem(self, tmp_path):
+        h = expanded(tmp_path, "h.dist", "heisenberg:5", "--elem", "1,1,0", "-T", "3")
+        code, out, _ = run_cli(["conj", "--in", h, "--elem", "1,0,1"])
+        assert code == 0
+        assert out == (
+            "group=heisenberg:5 p=5 N=4 T=3/1 tail=p^0 exact=0\n"
+            "0,0,0 : 0:1:6\n0,0,1 : 1:1:6\n0,0,2 : 1:2:6\n0,0,3 : 1:2:6\n"
+            "0,1,0 : 0:1:6\n0,1,1 : 1:1:6\n0,1,2 : 1:2:6\n1,0,0 : 0:1:6\n"
+            "1,0,1 : 1:1:6\n1,0,2 : 1:2:6\n1,1,0 : 0:1:6\n1,1,1 : 1:1:6\n")
+
+    def test_conj_sigma(self, tmp_path):
+        # sigma(delta_2) = delta_{-2}: the binomials C(-2, k) = (-1)^k (k + 1)
+        s = expanded(tmp_path, "s.dist", "semidirect:5", "--elem", "2", "-T", "3")
+        code, out, _ = run_cli(["conj", "--in", s, "--sigma"])
+        assert code == 0
+        assert out == (
+            "group=semidirect:5 p=5 N=4 T=3/1 tail=p^0 exact=0\n"
+            "0 : 0:1:6\n1 : 0:15623:6\n2 : 0:3:6\n3 : 0:15621:6\n")
+
+    def test_qnorm(self, tmp_path):
+        # max(|b^2|, |b|) at s = 1/2
+        b2 = expanded(tmp_path, "b2.dist", "semidirect:5", "--monomial", "2", "-T", "3")
+        b1 = expanded(tmp_path, "b1.dist", "semidirect:5", "--monomial", "1", "-T", "3")
+        code, out, _ = run_cli(["qnorm", b2, b1, "--r", "1/2"])
+        assert code == 0 and out == "p^-1/2 .. p^-1/2\n"
+
+    def test_conj_needs_elem_or_sigma(self, tmp_path):
+        s = expanded(tmp_path, "s.dist", "semidirect:5", "--elem", "2", "-T", "3")
+        code, out, err = run_cli(["conj", "--in", s])
+        assert code == 2 and out == "" and "--elem or --sigma" in err
+
+    def test_basis_needs_d_rows(self, tmp_path):
+        h = expanded(tmp_path, "h.dist", "heisenberg:5", "--elem", "1,1,0", "-T", "2")
+        code, out, err = run_cli(["basis", "--in", h, "--basis", "1,0,0;0,1,0"])
+        assert code == 2 and out == "" and "basis needs 3 elements" in err
+
+
 class TestVerify:
     def test_single_suite_passes(self):
         code, out, _ = run_cli(["verify", "lemma44"])

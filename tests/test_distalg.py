@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import inf
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +18,7 @@ from padicdist.distalg import (
 from padicdist.groupmodel import GroupModel
 from padicdist.padic import NormValue, PadicScalar
 from padicdist.serialize import parse_distribution, serialize_distribution
+from padicdist.suites import _second_basis
 
 P = 5
 T = Fraction(12)
@@ -578,3 +580,149 @@ class TestSemidirect:
         lam0, lam1 = semidirect_mul((zero, one), (zero, one))
         assert not lam1.coeffs
         assert lam0.coeff((0,)).same_value(sc(model, 1))
+
+
+def inexact_head(src, K, growth=Fraction(0)):
+    """The entries of src of degree <= K, with a growth-t tail certificate
+    read off src's entries above K: an inexact distribution that src
+    satisfies."""
+    model = src.model
+    bound = NormValue.zero()
+    head = {}
+    for alpha in src.coeffs:
+        c = src.coeff(alpha)
+        if model.tau(alpha) <= K:
+            head[alpha] = c
+        else:
+            bound = max(bound, c.abs_val() * NormValue(growth * model.tau(alpha)))
+    return Distribution.from_coeffs(model, head, K, exact=False,
+                                    tail_certs=[TailCert(bound, growth)])
+
+
+def heis_source():
+    """An exact head up to degree 3 with a 1/p coefficient, at N = 4."""
+    model = GroupModel.heisenberg(P, prec=4, max_weight=6)
+    return Distribution.dirac_combination(model, [
+        (1, model.element([2, 1, 0])), (Fraction(1, P), model.element([0, 2, 1])),
+        (-1, model.element([1, 0, 2]))], 6)
+
+
+def summary(lam):
+    """What a result certifies: entries as (residue, prec, shift), the tail
+    certificates and head error as exponents with exact flags, and the norm
+    interval at s = 1/2."""
+    entries = {}
+    for alpha in sorted(lam.coeffs):
+        c = lam.coeff(alpha)
+        entries[alpha] = (c.residue, c.prec, c.shift)
+    return {
+        "T": lam.T,
+        "entries": entries,
+        "certs": [(c.bound.exponent, c.bound.exact, c.growth, c.all_alpha)
+                  for c in lam.tail_certs],
+        "head_error": (lam.head_error.exponent, lam.head_error.exact),
+        "norm": [(x.exponent, x.exact) for x in lam.norm(R12)],
+    }
+
+
+def assert_contains_exact_norm(lam, source):
+    """lam's norm interval at s = 1/2 holds the norm of the distribution
+    that its input came from, where that norm is known exactly."""
+    want = source.norm(R12)
+    assert want.collapsed
+    got = lam.norm(R12)
+    assert got.lower <= want.lower <= got.upper
+
+
+class TestInexactHeads:
+    """Operations on heads with a tail: entries, certificates, head error
+    and norm pinned, each interval checked against the exact source."""
+
+    CONJUGATE_ENTRIES = {
+        (0, 0, 0): (1, 7, 1), (0, 0, 1): (1, 7, 1), (0, 0, 2): (100, 7, 1),
+        (0, 1, 0): (7, 7, 1), (0, 1, 1): (78122, 7, 1), (0, 2, 0): (1, 7, 1),
+        (1, 0, 0): (1, 7, 0), (1, 0, 1): (78118, 7, 0), (1, 1, 0): (2, 7, 0),
+        (2, 0, 0): (1, 7, 0)}
+
+    def test_conjugate(self):
+        src = heis_source()
+        g = src.model.element([1, 1, 0])
+        out = inexact_head(src, 2).conjugate(g)
+        assert summary(out) == {
+            "T": 2,
+            "entries": self.CONJUGATE_ENTRIES,
+            "certs": [(-1, True, 0, True)],
+            "head_error": (-1, True),
+            "norm": [(inf, True), (-1, True)],
+        }
+        assert_contains_exact_norm(out, src.conjugate(g))
+
+    def test_conjugate_without_a_growth_zero_tail(self):
+        # no sup bound: the head error is unbounded and nothing is certified
+        src = heis_source()
+        g = src.model.element([1, 1, 0])
+        out = inexact_head(src, 2, Fraction(1, 2)).conjugate(g)
+        assert summary(out) == {
+            "T": 2,
+            "entries": self.CONJUGATE_ENTRIES,
+            "certs": [],
+            "head_error": (-inf, False),
+            "norm": [(inf, True), (-inf, False)],
+        }
+        assert_contains_exact_norm(out, src.conjugate(g))
+
+    def test_change_basis(self):
+        # the r-norm does not depend on the ordered basis
+        src = heis_source()
+        basis = _second_basis(src.model)
+        out = inexact_head(src, 2).change_basis(basis)
+        assert summary(out) == {
+            "T": 2,
+            "entries": {
+                (0, 0, 0): (1, 7, 1), (0, 0, 1): (78111, 7, 1), (0, 0, 2): (15, 7, 1),
+                (0, 1, 0): (7, 7, 1), (0, 1, 1): (78117, 7, 1), (0, 2, 0): (1, 7, 1),
+                (1, 0, 0): (5, 7, 1), (1, 0, 1): (78100, 7, 1), (1, 1, 0): (10, 7, 1),
+                (2, 0, 0): (5, 7, 1)},
+            "certs": [(-1, True, 0, True)],
+            "head_error": (-1, True),
+            "norm": [(inf, True), (-1, True)],
+        }
+        assert_contains_exact_norm(out, src)
+        assert_contains_exact_norm(out, src.change_basis(basis))
+
+    def test_mul_without_a_growth_zero_tail(self):
+        # only a growth-1/2 tail: no head error bound, but s_work certifies
+        # the product at growth 1/2
+        src = heis_source()
+        h = Distribution.dirac(src.model.element([0, 0, 1]))
+        out = inexact_head(src, 2, Fraction(1, 2)).mul(h, s_work=Fraction(1, 2))
+        assert summary(out) == {
+            "T": 2,
+            "entries": {
+                (0, 0, 0): (1, 7, 1), (0, 0, 1): (78117, 7, 1), (0, 0, 2): (78111, 7, 1),
+                (0, 1, 0): (7, 7, 1), (0, 1, 1): (9, 7, 1), (0, 2, 0): (1, 7, 1),
+                (1, 0, 0): (1, 7, 0), (1, 0, 1): (78124, 7, 0), (1, 1, 0): (2, 7, 0),
+                (2, 0, 0): (1, 7, 0)},
+            "certs": [(-1, True, Fraction(1, 2), True)],
+            "head_error": (-inf, False),
+            "norm": [(inf, True), (-1, True)],
+        }
+        assert_contains_exact_norm(out, src.mul(h))
+
+    def test_add_entry_missing_from_inexact_operand(self):
+        # b3^3 lies beyond the inexact head: the head error takes its tail bound
+        src = heis_source()
+        b = Distribution.monomial(src.model, (0, 0, 3))
+        out = inexact_head(src, 2) + b
+        assert summary(out) == {
+            "T": 2,
+            "entries": {
+                (0, 0, 0): (1, 7, 1), (0, 0, 1): (78116, 7, 1), (0, 0, 2): (78124, 7, 0),
+                (0, 1, 0): (7, 7, 1), (0, 1, 1): (2, 7, 1), (0, 2, 0): (1, 7, 1),
+                (1, 0, 0): (1, 7, 0), (1, 0, 1): (78123, 7, 0), (1, 1, 0): (2, 7, 0),
+                (2, 0, 0): (1, 7, 0)},
+            "certs": [(-1, True, 0, False)],
+            "head_error": (-1, True),
+            "norm": [(inf, True), (-1, True)],
+        }
+        assert_contains_exact_norm(out, src + b)

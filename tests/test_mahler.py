@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from padicdist.distalg import Distribution, lie_generator
+from padicdist.distalg import Distribution, TailCert, lie_generator
 from padicdist.groupmodel import GroupModel
 from padicdist.mahler import (
     FunctionSpec,
@@ -209,6 +209,48 @@ class TestPairing:
         t = mahler_coeffs(FunctionSpec.coordinate(1, P, 0), 6, prec=N)
         v, err = pair(lie_generator(model, 0), t)
         assert err.is_zero and v.same_value(sc(1, v.prec))
+
+
+class TestPairingInexactHeads:
+    """pair() on inexact heads, against the exact source lam = p delta_3 -
+    3p delta_1, whose entries are -2p, 3p and p at degrees 0, 2 and 3 (the
+    degree-1 entry vanishes), and the complete table of x^2."""
+
+    def source(self):
+        model = GroupModel.abelian(1, P, prec=4, max_weight=6)
+        return Distribution.dirac_combination(
+            model, [(P, model.element([3])), (-3 * P, model.element([1]))], 6)
+
+    def check(self, lam, want_value, want_err):
+        t = mahler_coeffs(FunctionSpec.monomial(1, P, (2,)), 6, prec=4)
+        assert t.complete
+        value, err = pair(lam, t)
+        assert (value.residue, value.prec, value.shift) == want_value
+        assert (err.exponent, err.exact) == want_err
+        # the exact pairing <lam, x^2> = p * 9 - 3p * 1 lies within the error
+        exact, exact_err = pair(self.source(), t)
+        assert exact_err.is_zero and exact.same_value(sc(6 * P, 4))
+        diff = value - exact
+        assert diff.residue == 0 or diff.abs_val() <= err
+
+    def test_head_error(self):
+        # the whole head, a zero tail and a head error p^-3: the error is
+        # that times the table's sup bound p^0
+        src = self.source()
+        lam = Distribution.from_coeffs(
+            src.model, {a: src.coeff(a) for a in src.coeffs}, 3, exact=False,
+            tail_certs=[TailCert(NormValue.zero(), Fraction(0))],
+            head_error=NormValue(3, exact=False))
+        self.check(lam, (30, 4, 0), (3, False))
+
+    def test_table_entries_beyond_the_head(self):
+        # the head to degree 2 under a tail bound p^-1: c_1 = 1 pairs with
+        # the unstored degree-1 entry, which only the tail bounds
+        src = self.source()
+        lam = Distribution.from_coeffs(
+            src.model, {a: src.coeff(a) for a in src.coeffs if sum(a) <= 2}, 2,
+            exact=False, tail_certs=[TailCert(NormValue(1), Fraction(0))])
+        self.check(lam, (30, 4, 0), (1, True))
 
 
 class TestProjection:
