@@ -6,15 +6,19 @@ together with certified bounds on everything that is not stored: a list of
 tail certificates (C, t) asserting |d_alpha| <= C * p^(t * tau(alpha)) for
 every unstored alpha, and a per-entry error bound on the stored head.
 
+Every head entry (``coeffs``) and every coefficient of the Dirac witness
+(``dirac_terms``) is stored as a triple of ints (residue, prec, shift), the
+value p^-shift * residue known mod p^(prec - shift), with the residue
+reduced mod p^prec as PadicScalar keeps it.  Sums, valuations and
+magnitude bounds follow the triple rules of ``padic``; a product takes the
+least prec and adds the shifts.  PadicScalars appear only at the edge:
+``as_triple`` reads the int, Fraction or PadicScalar coefficients that the
+constructors take, and ``Distribution.coeff`` builds the PadicScalar of an
+entry.
+
 Multiplication decomposes heads into finite Dirac combinations, multiplies
 the supports with the group law, and re-expands; no precision is lost on
-exact inputs.  Inside that round trip (``_head_to_dirac``, the product loop
-of ``mul``, ``_merge_terms`` and ``_expand_terms``, also used by
-``dirac_combination``, ``change_basis`` and ``conjugate``) a coefficient is
-a triple of ints (residue, prec, shift) under PadicScalar's rules: a
-product takes the least prec and adds the shifts, a sum takes the larger
-shift and the smaller window.  PadicScalars are built only at the edge, for
-the coefficient table and the Dirac witness (``dirac_terms``) of a result.
+exact inputs.
 """
 
 from __future__ import annotations
@@ -29,8 +33,11 @@ from .padic import (
     PadicError,
     PadicScalar,
     _binom_residue,
+    add_triples,
+    fraction_triple,
     ppow,
-    vp_int,
+    triple_bound,
+    triple_valuation,
 )
 from .groupmodel import GroupElement, GroupModel, ModelMismatch
 
@@ -91,22 +98,27 @@ class NormInterval(NamedTuple):
         return f"{self.lower} .. {self.upper}"
 
 
-def _zero_scalar(model: GroupModel) -> PadicScalar:
-    return PadicScalar.zero(model.p, model.elem_prec)
-
-
-def _one_scalar(model: GroupModel) -> PadicScalar:
-    return PadicScalar.one(model.p, model.elem_prec)
-
-
-def _as_scalar(model: GroupModel, c) -> PadicScalar:
+def as_triple(model: GroupModel, c):
+    """The stored form of a coefficient given as an int, a Fraction or a
+    PadicScalar (a triple passes through): ints and Fractions at the
+    model's working precision."""
     if isinstance(c, PadicScalar):
+        return c.triple
+    if isinstance(c, tuple):
         return c
-    return PadicScalar.from_fraction(model.p, Fraction(c), model.elem_prec)
+    return fraction_triple(model.p, c, model.elem_prec)
 
 
 class Distribution:
-    """lambda = sum d_alpha b^alpha, stored up to degree |alpha| <= T."""
+    """lambda = sum d_alpha b^alpha, stored up to degree |alpha| <= T.
+
+    ``coeffs`` maps alpha to the triple (residue, prec, shift) of d_alpha
+    and ``dirac_terms``, when known, holds an exact witness as pairs
+    (triple, group element); ``coeff(alpha)`` returns d_alpha as a
+    PadicScalar.  The constructor takes triples; ``from_coeffs``,
+    ``dirac_combination`` and ``scale`` also take ints, Fractions and
+    PadicScalars.
+    """
 
     __slots__ = ("model", "coeffs", "T", "tail_certs", "exact", "head_error",
                  "dirac_terms", "_profile")
@@ -147,7 +159,7 @@ class Distribution:
         alpha = tuple(int(a) for a in alpha)
         if model.tau(alpha) > T:
             raise DistError(f"monomial weight {model.tau(alpha)} exceeds T={T}")
-        return cls(model, {alpha: _one_scalar(model)}, T, exact=True)
+        return cls(model, {alpha: as_triple(model, 1)}, T, exact=True)
 
     @classmethod
     def dirac(cls, g: GroupElement, T=None) -> "Distribution":
@@ -157,17 +169,16 @@ class Distribution:
     def dirac_combination(cls, model, terms, T=None) -> "Distribution":
         """sum a_j delta_{g_j}; the term list is retained as an exact witness."""
         T = model.max_weight if T is None else floor(T)
-        terms = [(_as_scalar(model, a), g) for a, g in terms]
+        terms = [(as_triple(model, a), g) for a, g in terms]
         for _, g in terms:
             model._require_same(g.model)
-        merged = _merge_terms(model, _int_terms(terms))
+        merged = _merge_terms(model, terms)
         coeffs = _expand_terms(model, merged, T)
-        witness = _scalar_terms(model, merged)
         if _finite(model, merged, T):
-            coeffs = {a: c for a, c in coeffs.items() if c.residue != 0}
-            return cls(model, coeffs, T, exact=True, dirac_terms=witness)
+            coeffs = {a: c for a, c in coeffs.items() if c[0]}
+            return cls(model, coeffs, T, exact=True, dirac_terms=merged)
         certs = (TailCert(_terms_coeff_bound(model, merged), Fraction(0), all_alpha=True),)
-        return cls(model, coeffs, T, tail_certs=certs, dirac_terms=witness)
+        return cls(model, coeffs, T, tail_certs=certs, dirac_terms=merged)
 
     @classmethod
     def from_coeffs(cls, model, table, T, exact=True, tail_certs=(),
@@ -175,8 +186,8 @@ class Distribution:
         """Build from an explicit coefficient table (exact by default)."""
         coeffs = {}
         for alpha, c in table.items():
-            c = _as_scalar(model, c)
-            if exact and c.residue == 0:
+            c = as_triple(model, c)
+            if exact and c[0] == 0:
                 continue
             coeffs[tuple(int(a) for a in alpha)] = c
         return cls(model, coeffs, T, tail_certs=tail_certs, exact=exact,
@@ -185,11 +196,12 @@ class Distribution:
     # -- bookkeeping -------------------------------------------------------
 
     def coeff(self, alpha) -> PadicScalar:
-        alpha = tuple(int(a) for a in alpha)
-        c = self.coeffs.get(alpha)
-        if c is None:
-            return _zero_scalar(self.model)
-        return c
+        """d_alpha as a PadicScalar; zero at the working precision where
+        nothing is stored."""
+        model = self.model
+        r, prec, shift = self.coeffs.get(tuple(int(a) for a in alpha),
+                                         (0, model.elem_prec, 0))
+        return PadicScalar(model.p, prec, r, shift)
 
     def tail_bound_at_growth(self, t, all_alpha=False) -> NormValue | None:
         """Best certified uniform bound C with |d_alpha| <= C p^(t tau) off the head."""
@@ -228,28 +240,37 @@ class Distribution:
         tail = self.tail_bound_at_growth(0)
         if tail is None or tail.exponent < 0:
             return False
-        return all(c.is_integral for c in self.coeffs.values()) and \
+        p = self.model.p
+        return all(triple_bound(p, c).exponent >= 0 for c in self.coeffs.values()) and \
             self.head_error.exponent >= 0
 
     def _exact_terms(self):
         """An exact Dirac-combination representation, or None."""
         if self.dirac_terms is None and self.exact:
-            self.dirac_terms = _scalar_terms(self.model, _head_to_dirac(self.model, self.coeffs))
+            self.dirac_terms = _head_to_dirac(self.model, self.coeffs)
         return self.dirac_terms
 
     # -- linear structure --------------------------------------------------
 
     def scale(self, c) -> "Distribution":
-        c = _as_scalar(self.model, c)
-        cup = c.abs_val()
-        coeffs = {a: c * v for a, v in self.coeffs.items()}
+        p = self.model.p
+        c = as_triple(self.model, c)
+        cup = triple_bound(p, c)
+        cr, cprec, cshift = c
+
+        def times(x):
+            r, prec, shift = x
+            prec = min(prec, cprec)
+            return r * cr % ppow(p, prec), prec, shift + cshift
+
+        coeffs = {a: times(v) for a, v in self.coeffs.items()}
         if self.exact:
-            coeffs = {a: v for a, v in coeffs.items() if v.residue != 0}
+            coeffs = {a: v for a, v in coeffs.items() if v[0]}
         certs = tuple(TailCert(tc.bound * cup, tc.growth, tc.all_alpha)
                       for tc in self.tail_certs)
         terms = None
         if self.dirac_terms is not None:
-            terms = tuple((c * a, g) for a, g in self.dirac_terms)
+            terms = tuple((times(a), g) for a, g in self.dirac_terms)
         return Distribution(self.model, coeffs, self.T, certs, self.exact,
                             self.head_error * cup, terms)
 
@@ -261,12 +282,15 @@ class Distribution:
         T = min(self.T, other.T)
         keys = {a for a in self.coeffs if self.model.tau(a) <= T}
         keys |= {a for a in other.coeffs if self.model.tau(a) <= T}
+        p = self.model.p
+        zero = (0, self.model.elem_prec, 0)
         coeffs = {}
         for a in keys:
-            coeffs[a] = self.coeff(a) + other.coeff(a)
+            r, prec, shift = add_triples(p, self.coeffs.get(a, zero), other.coeffs.get(a, zero))
+            coeffs[a] = r % ppow(p, prec), prec, shift
         exact = self.exact and other.exact
         if exact:
-            coeffs = {a: c for a, c in coeffs.items() if c.residue != 0}
+            coeffs = {a: c for a, c in coeffs.items() if c[0]}
         herr = max(self.head_error, other.head_error)
         for left, right in ((self, other), (other, self)):
             if not right.exact and any(a not in right.coeffs for a in left.coeffs):
@@ -289,8 +313,7 @@ class Distribution:
                 certs.append(TailCert(max(a, b), t))
         terms = None
         if self.dirac_terms is not None and other.dirac_terms is not None:
-            terms = _scalar_terms(self.model, _merge_terms(
-                self.model, _int_terms(self.dirac_terms) + _int_terms(other.dirac_terms)))
+            terms = _merge_terms(self.model, self.dirac_terms + other.dirac_terms)
         return Distribution(self.model, coeffs, T, tuple(certs), exact, herr, terms)
 
     def __sub__(self, other: "Distribution") -> "Distribution":
@@ -312,8 +335,8 @@ class Distribution:
         t1 = self._exact_terms()
         t2 = other._exact_terms()
         exact_path = t1 is not None and t2 is not None
-        t1 = _head_to_dirac(model, self.coeffs) if t1 is None else _int_terms(t1)
-        t2 = _head_to_dirac(model, other.coeffs) if t2 is None else _int_terms(t2)
+        t1 = _head_to_dirac(model, self.coeffs) if t1 is None else t1
+        t2 = _head_to_dirac(model, other.coeffs) if t2 is None else t2
         prods = []
         for (ra, pa, sa), g in t1:
             for (rb, pb, sb), h in t2:
@@ -321,9 +344,8 @@ class Distribution:
         merged = _merge_terms(model, prods)
         coeffs = _expand_terms(model, merged, T)
         if exact_path and _finite(model, merged, T):
-            coeffs = {a: c for a, c in coeffs.items() if c.residue != 0}
-            return Distribution(model, coeffs, T, exact=True,
-                                dirac_terms=_scalar_terms(model, merged))
+            coeffs = {a: c for a, c in coeffs.items() if c[0]}
+            return Distribution(model, coeffs, T, exact=True, dirac_terms=merged)
 
         sup1 = self.coeff_sup()
         sup2 = other.coeff_sup()
@@ -331,7 +353,7 @@ class Distribution:
         if sup1 is not None and sup2 is not None:
             certs.append(TailCert(sup1 * sup2, Fraction(0), all_alpha=True))
         if s_work is not None:
-            works = [s_work] if isinstance(s_work, (int, Fraction, str)) else list(s_work)
+            works = [s_work] if isinstance(s_work, (int, Fraction)) else list(s_work)
             for s in works:
                 s = Fraction(s)
                 r = RadiusParam(s)
@@ -348,9 +370,8 @@ class Distribution:
                 herr = NormValue.unbounded()
             else:
                 herr = max(c1 * sup2, c2 * sup1)
-        return Distribution(model, coeffs, T, tuple(certs),
-                            head_error=herr,
-                            dirac_terms=_scalar_terms(model, merged) if exact_path else None)
+        return Distribution(model, coeffs, T, tuple(certs), head_error=herr,
+                            dirac_terms=merged if exact_path else None)
 
     def __mul__(self, other: "Distribution") -> "Distribution":
         return self.mul(other)
@@ -427,16 +448,18 @@ class Distribution:
         where there is no such entry).  Computed once: a distribution is not
         changed after construction."""
         if self._profile is None:
+            p = self.model.p
             herr = self.head_error
             levels = {}
             for alpha, c in self.coeffs.items():
                 level = levels.setdefault(self.model.tau(alpha), [None, None, None])
-                v = c.valuation
+                v = triple_valuation(p, c)
                 if v is not None and herr.exponent > v:
                     if level[0] is None or v < level[0]:
                         level[0] = v
                     continue
-                e, exact = (c.window, False) if v is None else (v, True)
+                bound = triple_bound(p, c)
+                e, exact = bound.exponent, bound.exact
                 if herr.exponent < e:
                     e, exact = herr.exponent, herr.exact
                 if level[1] is None or e < level[1]:
@@ -475,10 +498,11 @@ class Distribution:
         if s >= 1:
             raise ValueError("principal symbols require 1/p < r < 1 (s < 1)")
         model = self.model
+        p = model.p
         best = None
         arg = []
         for alpha, c in self.coeffs.items():
-            v = c.valuation
+            v = triple_valuation(p, c)
             if v is None:
                 continue
             deg = v + s * model.tau(alpha)
@@ -491,9 +515,9 @@ class Distribution:
             raise DistError("zero (or valuation-indeterminate) distribution has no symbol")
         # every unknown must be certified strictly above the head minimum
         floors = []
-        for alpha, c in self.coeffs.items():
-            if c.valuation is None:
-                floors.append(c.window + s * model.tau(alpha))
+        for alpha, (r, prec, shift) in self.coeffs.items():
+            if r == 0:
+                floors.append(prec - shift + s * model.tau(alpha))
         tail = self._tail_norm_bound(s)
         if tail is None:
             floors.append(-inf)
@@ -508,8 +532,9 @@ class Distribution:
             )
         ambient = GradedAmbient(model.p, model.d, [1] * model.d, s)
         terms = {}
-        for alpha, c, v in arg:
-            terms[alpha + (v,)] = c.unit_part_mod_p()
+        for alpha, (r, _, shift), v in arg:
+            # the unit cofactor p^-v * d_alpha mod p
+            terms[alpha + (v,)] = r // ppow(p, v + shift) % p
         return GradedPoly(ambient, terms), best
 
     # -- basis change and conjugation -------------------------------------
@@ -527,7 +552,6 @@ class Distribution:
             herr = self.tail_bound_at_growth(0)
             herr = NormValue.unbounded() if herr is None else herr
         else:
-            terms = _int_terms(terms)
             herr = NormValue.zero()
         coord_cache = {}
 
@@ -560,9 +584,7 @@ class Distribution:
             raise DistError(f"undefined conjugation action {g!r}")
         terms = self._exact_terms()
         if terms is not None:
-            mapped = [(a, act(h)) for a, h in terms]
-            out = Distribution.dirac_combination(model, mapped, T)
-            return out
+            return Distribution.dirac_combination(model, [(a, act(h)) for a, h in terms], T)
         mapped = [(a, act(h)) for a, h in _head_to_dirac(model, self.coeffs)]
         merged = _merge_terms(model, mapped)
         coeffs = _expand_terms(model, merged, T)
@@ -590,7 +612,9 @@ class Distribution:
         if not self.is_integral():
             raise DistError("radius threshold requires an integral distribution")
         model = self.model
-        unit_taus = [model.tau(a) for a, c in self.coeffs.items() if c.valuation == 0]
+        p = model.p
+        unit_taus = [model.tau(a) for a, c in self.coeffs.items()
+                     if triple_valuation(p, c) == 0]
         if not unit_taus:
             raise DistError("no unit coefficient: the reduction mod p vanishes")
         tau_beta = min(unit_taus)
@@ -598,7 +622,7 @@ class Distribution:
         for alpha, c in self.coeffs.items():
             tau = model.tau(alpha)
             if tau < tau_beta:
-                v = c.valuation
+                v = triple_valuation(p, c)
                 s = min(s, Fraction(v) / (tau_beta - tau))
         return RadiusParam(s)
 
@@ -619,11 +643,11 @@ def structure_constants(model: GroupModel, beta, gamma, T):
     bound_base = model.tau(beta) + model.tau(gamma)
     verdicts = {}
     for alpha, c in prod.coeffs.items():
-        v = c.valuation
+        v = triple_valuation(model.p, c)
         if v is None:
             continue
         verdicts[alpha] = v >= max(0, bound_base - model.tau(alpha))
-    return prod.coeffs, verdicts
+    return {alpha: prod.coeff(alpha) for alpha in prod.coeffs}, verdicts
 
 
 def lie_generator(model: GroupModel, i: int, T=None) -> Distribution:
@@ -635,9 +659,7 @@ def lie_generator(model: GroupModel, i: int, T=None) -> Distribution:
     p = model.p
     for k in range(1, K + 1):
         alpha = tuple(k if j == i else 0 for j in range(model.d))
-        coeffs[alpha] = PadicScalar.from_fraction(
-            p, Fraction((-1) ** (k + 1), k), model.elem_prec
-        )
+        coeffs[alpha] = as_triple(model, Fraction((-1) ** (k + 1), k))
     # |1/k| = p^(v_p(k)) <= p^(t * k) for all k > K: a k > K with
     # v_p(k) = m is at least k_m, the least multiple of p^m above K, so
     # t = max_m m / k_m.  Once p^m > K, k_m = p^m and m / p^m only falls.
@@ -690,33 +712,8 @@ def _finite(model, terms, T) -> bool:
     )
 
 
-def _int_terms(terms):
-    """Dirac terms (a, g) with a PadicScalar as kernel terms
-    ((residue, prec, shift), g)."""
-    return tuple(((a.residue, a.prec, a.shift), g) for a, g in terms)
-
-
-def _scalar_terms(model, terms):
-    """Kernel terms as (PadicScalar, g) pairs: the edge of the round trip."""
-    p = model.p
-    return tuple((PadicScalar(p, prec, r, shift), g) for (r, prec, shift), g in terms)
-
-
-def _add(p, x, y):
-    """x + y for kernel coefficients, by PadicScalar's rule: the larger
-    shift and the smaller window.  The prec is at least that of the operand
-    with the smaller window, so it never drops below 1."""
-    r1, prec1, s1 = x
-    r2, prec2, s2 = y
-    if s1 == s2:
-        return r1 + r2, min(prec1, prec2), s1
-    shift = max(s1, s2)
-    prec = min(prec1 - s1, prec2 - s2) + shift
-    return r1 * ppow(p, shift - s1) + r2 * ppow(p, shift - s2), prec, shift
-
-
 def _nonzero_terms(model, acc, element):
-    """Kernel terms (coefficient, element(key)) of the accumulated
+    """Dirac terms (triple, element(key)) of the accumulated
     {key: coefficient}, residues reduced, without the coefficients that
     vanish with no denominator."""
     p = model.p
@@ -729,14 +726,14 @@ def _nonzero_terms(model, acc, element):
 
 
 def _merge_terms(model, terms):
-    """Combine kernel Dirac terms with identical support coordinates."""
+    """Combine Dirac terms with identical support coordinates."""
     p = model.p
     acc = {}
     elems = {}
     for a, g in terms:
         k = g.key()
         if k in acc:
-            acc[k] = _add(p, acc[k], a)
+            acc[k] = add_triples(p, acc[k], a)
             if g.exact and not elems[k].exact:
                 elems[k] = g
         else:
@@ -749,35 +746,30 @@ def _head_to_dirac(model, coeffs):
     """Exact Dirac decomposition of a finite b-polynomial:
     b^beta = sum_{k <= beta} (-1)^{|beta - k|} C(beta, k) delta_{psi(k)}.
 
-    Reads the PadicScalar head and returns kernel terms
-    ((residue, prec, shift), g): every sign and binomial factor is an int
-    product on the residue, and the sums follow ``_add``."""
+    Every sign and binomial factor is an int product on the residue, and
+    the sums are ``add_triples``."""
     p = model.p
     acc = {}
-    for beta, c in coeffs.items():
-        prec, shift = c.prec, c.shift
-        level = [((), c.residue)]
+    for beta, (r0, prec, shift) in coeffs.items():
+        level = [((), r0)]
         for b in beta:
             signed = [(-1) ** (b - k) * comb(b, k) for k in range(b + 1)]
             level = [(kappa + (k,), r * f) for kappa, r in level
                      for k, f in enumerate(signed)]
         for kappa, r in level:
             e = acc.get(kappa)
-            acc[kappa] = (r, prec, shift) if e is None else _add(p, e, (r, prec, shift))
+            acc[kappa] = (r, prec, shift) if e is None else add_triples(p, e, (r, prec, shift))
     return _nonzero_terms(model, acc, model.element)
 
 
 def _expand_terms(model, terms, T, coords_of=None):
     """Coefficient table of sum a_j delta_{g_j} up to degree T.
 
-    Takes kernel terms ((residue, prec, shift), g) and works on ints: the
-    binomial rows come from ``_binom_residue`` as (prec, residue) pairs, once
-    per coordinate residue and length, a product of a coefficient and row
-    entries keeps the least prec, and sums follow ``_add``, so every entry
-    has the prec and shift the PadicScalar arithmetic gives.  Residues are
-    not reduced on the way: an unreduced residue is congruent to the
-    PadicScalar's mod p^prec, those rules keep that true of every product and
-    sum, and the PadicScalar built for the returned table reduces it.
+    The binomial rows come from ``_binom_residue`` as (prec, residue)
+    pairs, once per coordinate residue and length; a product of a
+    coefficient and row entries keeps the least prec, and sums are
+    ``add_triples``.  Residues are reduced once, in the returned table:
+    those rules keep an unreduced residue congruent mod p^prec.
     ``coords_of`` maps a support element to the integer chart coordinates
     used for the expansion (defaults to the element's own)."""
     p, d, W = model.p, model.d, model.elem_prec
@@ -809,17 +801,17 @@ def _expand_terms(model, terms, T, coords_of=None):
             elif e[2] == sa:
                 acc[alpha] = (e[0] + r, prec if prec <= e[1] else e[1], sa)
             else:
-                acc[alpha] = _add(p, e, (r, prec, sa))
-    return {alpha: PadicScalar(p, prec, r, shift) for alpha, (r, prec, shift) in acc.items()}
+                acc[alpha] = add_triples(p, e, (r, prec, sa))
+    return {alpha: (r % ppow(p, prec), prec, shift) for alpha, (r, prec, shift) in acc.items()}
 
 
 def _terms_coeff_bound(model, terms) -> NormValue:
-    """Uniform bound on expansion coefficients of a kernel Dirac combination:
-    the largest |a_j|, from its valuation, or its window where it vanishes."""
+    """Uniform bound on expansion coefficients of a Dirac combination: the
+    largest magnitude bound of an a_j."""
     p = model.p
     bound = NormValue.zero()
-    for (r, prec, shift), _ in terms:
-        up = NormValue(vp_int(r, p) - shift) if r else NormValue(prec - shift, exact=False)
+    for a, _ in terms:
+        up = triple_bound(p, a)
         if up > bound:
             bound = up
     return bound

@@ -307,7 +307,8 @@ def pair(lam: Distribution, table: MahlerTable):
                         "distribution is inexact")
     total = PadicScalar.zero(model.p, min(model.elem_prec, table.prec))
     errors = [NormValue.zero()]
-    for alpha, dcoef in lam.coeffs.items():
+    for alpha in lam.coeffs:
+        dcoef = lam.coeff(alpha)
         c = table.coeffs.get(alpha)
         if c is not None:
             total = total + dcoef * c
@@ -375,13 +376,6 @@ class GroupAlgebraElement:
             return PadicScalar.zero(self.model.p, self.model.elem_prec)
         return c
 
-    def __add__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
-        self._check(other)
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out[k] + c if k in out else c
-        return GroupAlgebraElement(self.model, self.n, out)
-
     def __mul__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
         self._check(other)
         out = {}
@@ -417,9 +411,11 @@ def finite_level_project(lam: Distribution, n: int) -> GroupAlgebraElement:
     terms = lam._exact_terms()
     if terms is None:
         raise MahlerError("finite-level projection needs an exact Dirac witness")
-    m = ppow(lam.model.p, n)
+    p = lam.model.p
+    m = ppow(p, n)
     coeffs = {}
-    for a, g in terms:
+    for (r, prec, shift), g in terms:
+        a = PadicScalar(p, prec, r, shift)
         key = tuple(x % m for x in g.coords)
         coeffs[key] = coeffs[key] + a if key in coeffs else a
     return GroupAlgebraElement(lam.model, n, coeffs)

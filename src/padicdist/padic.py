@@ -6,6 +6,11 @@ window is p**(prec - shift): two scalars with the same value agree on the
 overlap of their windows, and arithmetic never claims more digits than the
 inputs justify.  Norm values live in p**Q and are kept as exact rational
 exponents.
+
+The rules for a sum, a valuation and a magnitude bound are written once, as
+functions on the triple (residue, prec, shift) of ints: the form in which
+distribution heads and Dirac witnesses are stored.  PadicScalar applies the
+same functions to its own triple.
 """
 
 from __future__ import annotations
@@ -136,6 +141,44 @@ class NormValue:
         return f"p^{-e}" if e <= 0 else f"p^-{e}"
 
 
+# -- the scalar rules on (residue, prec, shift) triples -----------------------
+
+
+def add_triples(p: int, x, y):
+    """x + y: the larger shift and the smaller window.  The prec is at least
+    that of the operand with the smaller window, so it never drops below 1.
+    The residue is returned unreduced."""
+    r1, prec1, s1 = x
+    r2, prec2, s2 = y
+    if s1 == s2:
+        return r1 + r2, min(prec1, prec2), s1
+    shift = max(s1, s2)
+    prec = min(prec1 - s1, prec2 - s2) + shift
+    return r1 * ppow(p, shift - s1) + r2 * ppow(p, shift - s2), prec, shift
+
+
+def triple_valuation(p: int, x):
+    """Exact valuation (int) when determined, else None ("v >= window");
+    the residue must be reduced mod p**prec."""
+    r, _, shift = x
+    return vp_int(r, p) - shift if r else None
+
+
+def triple_bound(p: int, x) -> NormValue:
+    """Upper bound on |x|: p**-v from the valuation, else only p**-window,
+    marked inexact."""
+    v = triple_valuation(p, x)
+    return NormValue(x[1] - x[2], exact=False) if v is None else NormValue(v)
+
+
+def fraction_triple(p: int, x, prec: int):
+    """The triple of a rational at prec, its denominator's p-power as the shift."""
+    x = Fraction(x)
+    shift = vp_int(x.denominator, p) if x.denominator != 1 else 0
+    m = ppow(p, prec)
+    return x.numerator * pow(x.denominator // ppow(p, shift), -1, m) % m, prec, shift
+
+
 class PadicScalar:
     """An element of Q_p known modulo p**(prec - shift); value = p**-shift * residue."""
 
@@ -159,14 +202,7 @@ class PadicScalar:
 
     @classmethod
     def from_fraction(cls, p: int, x, prec: int) -> "PadicScalar":
-        x = Fraction(x)
-        den = x.denominator
-        shift = vp_int(den, p) if den != 1 else 0
-        den_unit = den // ppow(p, shift)
-        m = ppow(p, prec)
-        res = x.numerator % m
-        if den_unit != 1:
-            res = (res * pow(den_unit, -1, m)) % m
+        res, prec, shift = fraction_triple(p, x, prec)
         return cls(p, prec, res, shift)
 
     @classmethod
@@ -185,25 +221,14 @@ class PadicScalar:
         return self.prec - self.shift
 
     @property
-    def valuation(self):
-        """Exact valuation (int) when determined, else None ("v >= window")."""
-        if self.residue == 0:
-            return None
-        return vp_int(self.residue, self.p) - self.shift
+    def triple(self):
+        """(residue, prec, shift): the stored form of a distribution entry."""
+        return self.residue, self.prec, self.shift
 
     @property
-    def is_integral(self) -> bool:
-        v = self.valuation
-        if v is None:
-            return self.window >= 0
-        return v >= 0
-
-    def unit_part_mod_p(self) -> int:
-        """Residue mod p of the unit cofactor p**-v * self; requires exact valuation."""
-        if self.residue == 0:
-            raise PadicError("no exact valuation: zero in window")
-        v_int = vp_int(self.residue, self.p)
-        return (self.residue // ppow(self.p, v_int)) % self.p
+    def valuation(self):
+        """Exact valuation (int) when determined, else None ("v >= window")."""
+        return triple_valuation(self.p, self.triple)
 
     def canonical(self) -> "PadicScalar":
         """Fold powers of p in the residue into the denominator exponent."""
@@ -230,16 +255,8 @@ class PadicScalar:
 
     def __add__(self, other: "PadicScalar") -> "PadicScalar":
         self._require_compatible(other)
-        # the prec is at least that of the operand with the smaller window,
-        # so it never drops below 1
-        shift = max(self.shift, other.shift)
-        prec = min(self.window, other.window) + shift
-        p = self.p
-        r = (
-            self.residue * ppow(p, shift - self.shift)
-            + other.residue * ppow(p, shift - other.shift)
-        )
-        return PadicScalar(p, prec, r, shift)
+        r, prec, shift = add_triples(self.p, self.triple, other.triple)
+        return PadicScalar(self.p, prec, r, shift)
 
     def __sub__(self, other: "PadicScalar") -> "PadicScalar":
         return self + (-other)
@@ -255,20 +272,8 @@ class PadicScalar:
     def mul_int(self, n: int) -> "PadicScalar":
         return PadicScalar(self.p, self.prec, self.residue * n, self.shift)
 
-    def div_p(self, k: int) -> "PadicScalar":
-        """Divide by p**k (raises the denominator exponent; narrows the window)."""
-        if k < 0:
-            raise ValueError("k must be >= 0")
-        if self.window - k < 1:
-            raise PrecisionExhausted("division by p**k exhausts the window")
-        return PadicScalar(self.p, self.prec, self.residue, self.shift + k)
-
     def abs_val(self) -> NormValue:
-        v = self.valuation
-        if v is None:
-            # only an upper bound p**-window, marked inexact
-            return NormValue(self.window, exact=False)
-        return NormValue(v)
+        return triple_bound(self.p, self.triple)
 
     # -- comparison --------------------------------------------------------
 

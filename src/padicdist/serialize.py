@@ -1,6 +1,9 @@
 """Text serialization: scalars as `v:m:N`, norm values as `p^q`, distribution
-and Mahler-table files with one term per line.  Round trips are bit-exact on
-the canonical forms."""
+and Mahler-table files with one term per line.
+
+A scalar reads back with its value and window.  A distribution file keeps
+the head, the growth-0 tail bound and the head error; it drops the all-alpha
+and growth > 0 tail certificates and the Dirac witness."""
 
 from __future__ import annotations
 
@@ -8,7 +11,7 @@ from fractions import Fraction
 
 from .padic import NormValue, PadicError, PadicScalar, PrecisionExhausted, ppow, vp_int
 from .groupmodel import GroupModel
-from .distalg import Distribution, TailCert
+from .distalg import Distribution, TailCert, as_triple
 from .mahler import MahlerError, MahlerTable
 
 
@@ -103,14 +106,14 @@ def serialize_distribution(d: Distribution) -> str:
     )
     if not d.head_error.is_zero:
         head += f" err={format_normvalue(d.head_error)}"
-    return _format_terms(head, d.coeffs)
+    return _format_terms(head, d.coeffs, d.coeff)
 
 
-def _format_terms(head: str, coeffs) -> str:
+def _format_terms(head: str, indices, coeff) -> str:
     """The header line, then one `a1,...,ad : v:m:N` line per index in order."""
     lines = [head]
-    for alpha in sorted(coeffs):
-        lines.append(",".join(str(a) for a in alpha) + " : " + format_scalar(coeffs[alpha]))
+    for alpha in sorted(indices):
+        lines.append(",".join(str(a) for a in alpha) + " : " + format_scalar(coeff(alpha)))
     return "\n".join(lines) + "\n"
 
 
@@ -172,7 +175,7 @@ def parse_distribution(text: str) -> Distribution:
         raise ParseError(str(exc), 1) from None
     if model.p != p:
         raise ParseError(f"header p={p} contradicts group id {h['group']}", 1)
-    coeffs = _parse_terms(lines[1:], p, model.d)
+    coeffs = {a: as_triple(model, c) for a, c in _parse_terms(lines[1:], p, model.d).items()}
     certs = ()
     if not exact:
         tail = parse_normvalue(h["tail"], 1)
@@ -199,7 +202,7 @@ def serialize_mahler(t: MahlerTable) -> str:
         f"mahler p={t.p} d={t.d} N={t.prec} A={t.cap} "
         f"decay={decay} complete={1 if t.complete else 0}"
     )
-    return _format_terms(head, t.coeffs)
+    return _format_terms(head, t.coeffs, t.coeff)
 
 
 def parse_mahler(text: str) -> MahlerTable:

@@ -476,8 +476,8 @@ def suite_lemma412(params: SuiteParams) -> SuiteReport:
                                        max_weight=params.T)
         a = random_exact(model, rng, max_tau=4, valmax=3)
         s_star = a.r_threshold().s
-        tau_beta = min(model.tau(al) for al, c in a.coeffs.items()
-                       if c.valuation == 0)
+        tau_beta = min(model.tau(al) for al in a.coeffs
+                       if a.coeff(al).valuation == 0)
         for i in range(1, 6):
             s_r = s_star * Fraction(i, 5)
             checked += 1

@@ -1,11 +1,11 @@
-"""The Dirac round trip's int kernel against the PadicScalar arithmetic.
+"""The Dirac round trip on stored triples against the PadicScalar arithmetic.
 
-``distalg`` decomposes heads into Dirac terms, merges them and re-expands
-them with coefficients held as (residue, prec, shift) ints.  The functions
-below are that round trip written with PadicScalar operations throughout,
-as the library computed it before; every entry must agree with them in
-residue, prec, shift and key order, and both must raise PrecisionExhausted
-on the same inputs.
+``distalg`` stores head entries and Dirac witnesses as (residue, prec,
+shift) ints, and decomposes heads into Dirac terms, merges them and
+re-expands them on those ints.  The functions below are that round trip
+written with PadicScalar operations throughout; every stored triple must
+agree with them in residue, prec, shift and key order, and both must raise
+PrecisionExhausted on the same inputs.
 """
 
 import random
@@ -19,7 +19,6 @@ from padicdist.distalg import (
     Distribution,
     _expand_terms,
     _head_to_dirac,
-    _int_terms,
     _merge_terms,
     lie_generator,
 )
@@ -103,8 +102,17 @@ def expand_terms_by_scalars(model, terms, T, coords_of=None):
     return out
 
 
+def triples(terms):
+    """Dirac terms (PadicScalar, g) in the stored form (triple, g)."""
+    return tuple((a.triple, g) for a, g in terms)
+
+
 def table_entries(table):
     return [(alpha, c.residue, c.prec, c.shift) for alpha, c in table.items()]
+
+
+def triple_entries(table):
+    return [(alpha, *c) for alpha, c in table.items()]
 
 
 def scalar_term_entries(terms):
@@ -189,18 +197,27 @@ class TestKernelMatchesScalars:
     @settings(max_examples=300, deadline=None, derandomize=True)
     def test_merge_and_expand(self, case):
         model, terms, T = case
-        merged = _merge_terms(model, _int_terms(terms))
+        merged = _merge_terms(model, triples(terms))
         want_merged = merge_terms_by_scalars(model, terms)
         assert kernel_term_entries(merged) == scalar_term_entries(want_merged)
-        got = outcome(lambda: table_entries(_expand_terms(model, merged, T)))
+        got = outcome(lambda: triple_entries(_expand_terms(model, merged, T)))
         want = outcome(lambda: table_entries(expand_terms_by_scalars(model, want_merged, T)))
         assert got == want
+        # what dirac_combination stores: the same witness, and the same
+        # table less its zero entries where the expansion is exact
+        lam = outcome(lambda: Distribution.dirac_combination(model, terms, T))
+        if want is PrecisionExhausted:
+            assert lam is PrecisionExhausted
+            return
+        assert kernel_term_entries(lam.dirac_terms) == scalar_term_entries(want_merged)
+        assert triple_entries(lam.coeffs) == [e for e in want if e[1] or not lam.exact]
 
     @given(heads())
     @settings(max_examples=200, deadline=None, derandomize=True)
     def test_head_to_dirac(self, case):
         model, coeffs = case
-        assert kernel_term_entries(_head_to_dirac(model, coeffs)) == \
+        stored = {alpha: c.triple for alpha, c in coeffs.items()}
+        assert kernel_term_entries(_head_to_dirac(model, stored)) == \
             scalar_term_entries(head_to_dirac_by_scalars(model, coeffs))
 
     @given(combinations(), st.integers(0, 3))
@@ -212,14 +229,14 @@ class TestKernelMatchesScalars:
         lam = Distribution.dirac_combination(model, terms, model.max_weight)
         head = {a: c for a, c in lam.coeffs.items() if sum(a) <= extra}
         kernel = _head_to_dirac(model, head)
-        scalars = head_to_dirac_by_scalars(model, head)
+        scalars = head_to_dirac_by_scalars(model, {a: lam.coeff(a) for a in head})
         prods = [((ra * rb, min(pa, pb), sa + sb), model.gmul(g, h))
                  for (ra, pa, sa), g in kernel for (rb, pb, sb), h in kernel]
         want_prods = [(a * b, model.gmul(g, h)) for a, g in scalars for b, h in scalars]
         merged = _merge_terms(model, prods)
         want_merged = merge_terms_by_scalars(model, want_prods)
         assert kernel_term_entries(merged) == scalar_term_entries(want_merged)
-        assert outcome(lambda: table_entries(_expand_terms(model, merged, T))) == \
+        assert outcome(lambda: triple_entries(_expand_terms(model, merged, T))) == \
             outcome(lambda: table_entries(expand_terms_by_scalars(model, want_merged, T)))
 
     @given(st.sampled_from(["abelian:2:{p}", "heisenberg:{p}"]),
@@ -235,24 +252,24 @@ class TestKernelMatchesScalars:
         def coords_of(g):
             return coords_in_basis(model, basis, g)
 
-        merged = _merge_terms(model, _int_terms(terms))
+        merged = _merge_terms(model, triples(terms))
         want_merged = merge_terms_by_scalars(model, terms)
-        got = table_entries(_expand_terms(model, merged, 5, coords_of))
+        got = triple_entries(_expand_terms(model, merged, 5, coords_of))
         assert got == table_entries(expand_terms_by_scalars(model, want_merged, 5, coords_of))
 
     def test_lie_generator_products(self):
         # coefficients 1/k with shifts, in the inexact path of mul
         model = GroupModel.heisenberg(3, prec=6, max_weight=8)
         lg = lie_generator(model, 0, 8)
-        terms = head_to_dirac_by_scalars(model, lg.coeffs)
+        terms = head_to_dirac_by_scalars(model, {a: lg.coeff(a) for a in lg.coeffs})
         assert any(a.shift > 0 for a, _ in terms)
         assert kernel_term_entries(_head_to_dirac(model, lg.coeffs)) == \
             scalar_term_entries(terms)
         g = model.element([1, 2, 0])
         prods = [(a, model.gmul(h, g)) for a, h in terms]
-        got = _expand_terms(model, _merge_terms(model, _int_terms(prods)), 8)
+        got = _expand_terms(model, _merge_terms(model, triples(prods)), 8)
         want = expand_terms_by_scalars(model, merge_terms_by_scalars(model, prods), 8)
-        assert table_entries(got) == table_entries(want)
+        assert triple_entries(got) == table_entries(want)
 
     def test_small_precision_exhausts_in_both(self):
         # N = 2 with the working weight at 2: the binomial rows up to T = 12
@@ -261,7 +278,7 @@ class TestKernelMatchesScalars:
         g = model.random_element(random.Random(1))
         terms = [(PadicScalar.one(model.p, model.elem_prec), g)]
         with pytest.raises(PrecisionExhausted):
-            _expand_terms(model, _int_terms(terms), 12)
+            _expand_terms(model, triples(terms), 12)
         with pytest.raises(PrecisionExhausted):
             expand_terms_by_scalars(model, terms, 12)
         with pytest.raises(PrecisionExhausted):

@@ -77,7 +77,7 @@ class TestConstructors:
                       [(1, model.element([2])), (1, residue_2)]):
             d = Distribution.dirac_combination(model, terms)
             assert d.exact
-            assert {a: c.residue for a, c in d.coeffs.items()} == {(0,): 2, (1,): 4, (2,): 2}
+            assert {a: d.coeff(a).residue for a in d.coeffs} == {(0,): 2, (1,): 4, (2,): 2}
 
     def test_monomial_weight_guard(self):
         model = heis()
@@ -223,7 +223,8 @@ def coeff_sup_by_entries(lam):
     if tail is None:
         return None, set()
     bounds = [tail]
-    for c in lam.coeffs.values():
+    for alpha in lam.coeffs:
+        c = lam.coeff(alpha)
         v = c.valuation
         up = NormValue(v) if v is not None else NormValue(c.window, exact=False)
         bounds.append(max(up, lam.head_error))
@@ -244,7 +245,8 @@ def norm_by_entries(lam, r):
     model = lam.model
     lower = NormValue.zero()
     uppers = []
-    for alpha, c in lam.coeffs.items():
+    for alpha in lam.coeffs:
+        c = lam.coeff(alpha)
         tau = model.tau(alpha)
         v = c.valuation
         if v is not None and lam.head_error < NormValue(v):
@@ -317,7 +319,7 @@ def distributions(draw):
             alpha = draw(index)
             prec = draw(st.integers(2, 6))
             residue = draw(st.sampled_from([0, 0, 0, 1, 2, P, 2 * P, P ** 2, P ** 3]))
-            coeffs[alpha] = PadicScalar(P, prec, residue, draw(st.integers(0, 1)))
+            coeffs[alpha] = PadicScalar(P, prec, residue, draw(st.integers(0, 1))).triple
         certs = [TailCert(draw(norm_values()),
                           draw(st.sampled_from([Fraction(0), Fraction(1, 4),
                                                 Fraction(1, 2), Fraction(1)])),
@@ -342,7 +344,7 @@ def distributions(draw):
 
 def _tie_case(entries, herr, certs):
     model = GroupModel.abelian(2, P, prec=6, max_weight=6)
-    coeffs = {alpha: PadicScalar(P, prec, residue) for alpha, residue, prec in entries}
+    coeffs = {alpha: PadicScalar(P, prec, residue).triple for alpha, residue, prec in entries}
     return Distribution(model, coeffs, 6, tail_certs=certs, head_error=herr)
 
 
@@ -377,7 +379,7 @@ class TestNormProfile:
     ])
     def test_entry_bounds(self, coeffs, herr, upper):
         model = GroupModel.abelian(2, P, prec=6, max_weight=6)
-        coeffs = {a: PadicScalar(P, prec, residue) for a, (prec, residue) in coeffs.items()}
+        coeffs = {a: (residue, prec, 0) for a, (prec, residue) in coeffs.items()}
         lam = Distribution(model, coeffs, 6, tail_certs=[TailCert(NormValue(1), Fraction(0))],
                            head_error=herr)
         r = RadiusParam(Fraction(1, 2))
@@ -429,7 +431,7 @@ class TestNormProfile:
         certs = [TailCert(NormValue(7), Fraction(0))]
         if cap is not None:
             certs.append(TailCert(cap, Fraction(0), all_alpha=True))
-        lam = Distribution(model, {(0, 0): PadicScalar(P, prec, 0)}, 6, tail_certs=certs,
+        lam = Distribution(model, {(0, 0): (0, prec, 0)}, 6, tail_certs=certs,
                            head_error=herr)
         got, (want, _) = lam.norm(R12), norm_by_entries(lam, R12)
         assert got.upper.exponent == want.upper.exponent == Fraction(19, 3)
@@ -437,7 +439,7 @@ class TestNormProfile:
     def test_coeff_sup_tie_keeps_the_tail_flag(self):
         # an exact valuation 2 beside an inexact growth-0 tail bound p^-2
         model = GroupModel.abelian(2, P, prec=6, max_weight=6)
-        lam = Distribution(model, {(1, 0): PadicScalar(P, 6, P ** 2)}, 6,
+        lam = Distribution(model, {(1, 0): (P ** 2, 6, 0)}, 6,
                            tail_certs=[TailCert(NormValue(2, exact=False), Fraction(0))])
         got = lam.coeff_sup()
         assert (got.exponent, got.exact) == (2, False)

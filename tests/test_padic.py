@@ -68,9 +68,6 @@ class TestScalarArithmetic:
         assert c.valuation == -1
         assert (c.mul_int(P)).same_value(s(1))
 
-    def test_div_p(self):
-        assert s(50).div_p(1).same_value(s(10))
-
     def test_canonical_folds_p_powers(self):
         c = PadicScalar.from_fraction(P, Fraction(50, P), N)
         assert c.canonical().shift == 0
