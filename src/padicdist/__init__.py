@@ -1,91 +1,40 @@
-"""Exact arithmetic in distribution algebras of uniform pro-p groups."""
+"""Exact arithmetic in distribution algebras of uniform pro-p groups.
 
-from .padic import NormValue, PadicError, PadicScalar, PrecisionExhausted, binom
-from .groupmodel import GroupElement, GroupModel, ModelError
-from .distalg import (
-    DistError,
-    Distribution,
-    NormInterval,
-    RadiusParam,
-    TailCert,
-    lie_generator,
-    q_norm,
-    semidirect_mul,
-    structure_constants,
-)
-from .graded import (
-    GradedAmbient,
-    GradedError,
-    GradedIdeal,
-    GradedPoly,
-    grade_cyclic,
-    krull_dim,
-    saturate,
-)
-from .mahler import (
-    FunctionSpec,
-    GroupAlgebraElement,
-    MahlerError,
-    MahlerTable,
-    amice_report,
-    finite_level_project,
-    mahler_coeffs,
-    pair,
-    pair_with_indicator_crosscheck,
-)
-from .serialize import (
-    ParseError,
-    parse_distribution,
-    parse_mahler,
-    serialize_distribution,
-    serialize_mahler,
-)
-from .suites import SUITES, SuiteParams, SuiteReport, run_suite
+The names below are imported from their modules on first access, so
+``import padicdist.cli`` does not load ``suites`` or ``graded``.
+"""
+
+from importlib import import_module
+
+_EXPORTS = {
+    "padic": ("NormValue", "PadicError", "PadicScalar", "PrecisionExhausted", "binom"),
+    "groupmodel": ("GroupElement", "GroupModel", "ModelError"),
+    "distalg": ("DistError", "Distribution", "NormInterval", "RadiusParam", "TailCert",
+                "lie_generator", "q_norm", "semidirect_mul", "structure_constants"),
+    "graded": ("GradedAmbient", "GradedError", "GradedIdeal", "GradedPoly",
+               "grade_cyclic", "krull_dim", "saturate"),
+    "mahler": ("FunctionSpec", "GroupAlgebraElement", "MahlerError", "MahlerTable",
+               "amice_report", "finite_level_project", "mahler_coeffs", "pair",
+               "pair_with_indicator_crosscheck"),
+    "serialize": ("ParseError", "parse_distribution", "parse_mahler",
+                  "serialize_distribution", "serialize_mahler"),
+    "suites": ("SUITES", "SuiteParams", "SuiteReport", "run_suite"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DistError",
-    "Distribution",
-    "FunctionSpec",
-    "GradedAmbient",
-    "GradedError",
-    "GradedIdeal",
-    "GradedPoly",
-    "GroupAlgebraElement",
-    "GroupElement",
-    "GroupModel",
-    "MahlerError",
-    "MahlerTable",
-    "ModelError",
-    "NormInterval",
-    "NormValue",
-    "PadicError",
-    "PadicScalar",
-    "ParseError",
-    "PrecisionExhausted",
-    "RadiusParam",
-    "SUITES",
-    "SuiteParams",
-    "SuiteReport",
-    "TailCert",
-    "amice_report",
-    "binom",
-    "finite_level_project",
-    "grade_cyclic",
-    "krull_dim",
-    "lie_generator",
-    "mahler_coeffs",
-    "pair",
-    "pair_with_indicator_crosscheck",
-    "parse_distribution",
-    "parse_mahler",
-    "q_norm",
-    "run_suite",
-    "saturate",
-    "semidirect_mul",
-    "serialize_distribution",
-    "serialize_mahler",
-    "structure_constants",
-    "__version__",
-]
+__all__ = sorted(_MODULE_OF) + ["__version__"]
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -2,6 +2,9 @@
 
 Exit codes: 0 success, 1 verification-check failure, 2 usage error,
 3 parse error in an input file, 4 precision exhausted.
+
+A call builds the parser of its own subcommand only, and ``graded``,
+``mahler`` and ``suites`` are imported by the handlers that use them.
 """
 
 from __future__ import annotations
@@ -13,8 +16,6 @@ from fractions import Fraction
 from .padic import PadicError, PrecisionExhausted
 from .groupmodel import GroupModel, ModelError
 from .distalg import Distribution, RadiusParam, q_norm
-from .graded import GradedAmbient, GradedError, GradedIdeal, GradedPoly, grade_cyclic
-from .mahler import FunctionSpec, finite_level_project, mahler_coeffs, pair
 from .serialize import (
     ParseError,
     format_normvalue,
@@ -23,7 +24,6 @@ from .serialize import (
     serialize_distribution,
     serialize_mahler,
 )
-from .suites import SUITES, SuiteParams, run_suite
 
 EXIT_OK = 0
 EXIT_CHECK = 1
@@ -148,7 +148,9 @@ def cmd_symbol(args) -> int:
     return EXIT_OK
 
 
-def _function_spec(args, model) -> FunctionSpec:
+def _function_spec(args, model):
+    from .mahler import FunctionSpec
+
     try:
         return FunctionSpec.parse(model.d, model.p, args.fn)
     except (PadicError, ValueError) as exc:
@@ -156,6 +158,8 @@ def _function_spec(args, model) -> FunctionSpec:
 
 
 def cmd_pair(args) -> int:
+    from .mahler import mahler_coeffs, pair
+
     dist = _load_distribution(args.infile)
     f = _function_spec(args, dist.model)
     table = mahler_coeffs(f, args.cap, prec=dist.model.prec)
@@ -165,6 +169,8 @@ def cmd_pair(args) -> int:
 
 
 def cmd_mahler(args) -> int:
+    from .mahler import mahler_coeffs
+
     model = _model_from_args(args)
     f = _function_spec(args, model)
     _emit(args, serialize_mahler(mahler_coeffs(f, args.cap, prec=model.prec)))
@@ -172,6 +178,8 @@ def cmd_mahler(args) -> int:
 
 
 def cmd_project(args) -> int:
+    from .mahler import finite_level_project
+
     dist = _load_distribution(args.infile)
     if args.level < 1:
         raise UsageError("projection level must be >= 1")
@@ -185,6 +193,8 @@ def cmd_project(args) -> int:
 
 
 def cmd_grade(args) -> int:
+    from .graded import GradedAmbient, GradedError, GradedIdeal, GradedPoly, grade_cyclic
+
     model = _model_from_args(args)
     s = _radius(args.r).s
     ambient = GradedAmbient(model.p, model.d, [1] * model.d, s)
@@ -241,6 +251,8 @@ def cmd_rthresh(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .suites import SUITES, SuiteParams, run_suite
+
     names = list(SUITES) if args.suite == "all" else [args.suite]
     for name in names:
         if name not in SUITES:
@@ -269,114 +281,113 @@ def cmd_verify(args) -> int:
 # -- parser ------------------------------------------------------------------
 
 
-def _add_common(sp, *, group=True, out=True):
-    if group:
-        sp.add_argument("--group", help="group id, e.g. heisenberg:5 or abelian:2:5")
-        sp.add_argument("-N", type=int, help="scalar precision (window) in p-digits")
-        sp.add_argument("-T", help="truncation degree, a non-negative rational "
-                        "(floored: degrees are integers)")
-    if out:
-        sp.add_argument("--out", help="output file ('-' = stdout)")
+def _arg(*flags, **kwargs):
+    return flags, kwargs
 
 
-def build_parser() -> argparse.ArgumentParser:
+_GROUP = (
+    _arg("--group", help="group id, e.g. heisenberg:5 or abelian:2:5"),
+    _arg("-N", type=int, help="scalar precision (window) in p-digits"),
+    _arg("-T", help="truncation degree, a non-negative rational "
+         "(floored: degrees are integers)"),
+)
+_OUT = _arg("--out", help="output file ('-' = stdout)")
+_IN = _arg("--in", dest="infile", required=True)
+
+# name -> (help, handler, arguments in the order they are added)
+COMMANDS = {
+    "expand": ("expand a Dirac or monomial distribution", cmd_expand, (
+        *_GROUP, _OUT,
+        _arg("--elem", help="chart coordinates a1,...,ad of a group element"),
+        _arg("--monomial", help="exponents a1,...,ad of b^alpha"),
+    )),
+    "mul": ("convolve two distribution files", cmd_mul, (
+        _OUT,
+        _arg("files", nargs=2, help="two distribution files"),
+        _arg("--r", help="radius exponent s for an extra tail certificate"),
+    )),
+    "norm": ("certified r-norm interval", cmd_norm, (
+        _OUT, _IN,
+        _arg("--r", required=True, help="rational s in (0,1]; r = p^-s"),
+    )),
+    "symbol": ("principal symbol in the graded ring", cmd_symbol, (
+        _OUT, _IN, _arg("--r", required=True),
+    )),
+    "pair": ("pair a distribution with a builtin function", cmd_pair, (
+        _OUT, _IN,
+        _arg("--fn", required=True, help="builtin function id"),
+        _arg("--cap", type=int, default=16, help="Mahler table cap A"),
+    )),
+    "mahler": ("Mahler coefficient table of a builtin function", cmd_mahler, (
+        *_GROUP, _OUT,
+        _arg("--fn", required=True),
+        _arg("--cap", type=int, default=16),
+    )),
+    "project": ("finite-level group-algebra projection", cmd_project, (
+        _OUT, _IN, _arg("--level", type=int, required=True),
+    )),
+    "grade": ("grade of a cyclic graded module", cmd_grade, (
+        *_GROUP, _OUT,
+        _arg("--r", required=True),
+        _arg("gens", nargs="+", help="ideal generators, e.g. 'X1^2+4*e0*X2'"),
+    )),
+    "basis": ("re-expand in another ordered basis", cmd_basis, (
+        _OUT, _IN,
+        _arg("--basis", required=True,
+             help="d elements 'a1,..,ad;b1,..,bd;...' in chart coordinates"),
+    )),
+    "conj": ("conjugate a distribution", cmd_conj, (
+        _OUT, _IN,
+        _arg("--elem", help="conjugating element coordinates"),
+        _arg("--sigma", action="store_true",
+             help="use the order-2 coset representative (semidirect model)"),
+    )),
+    "qnorm": ("quotient norm of a semidirect pair", cmd_qnorm, (
+        _OUT, _arg("files", nargs=2), _arg("--r", required=True),
+    )),
+    "rthresh": ("radius threshold of an exact integral distribution", cmd_rthresh, (
+        _OUT, _IN,
+    )),
+    "verify": ("run a named verification suite", cmd_verify, (
+        *_GROUP, _OUT,
+        _arg("suite", help="suite id or 'all'"),
+        _arg("-p", type=int, default=5),
+        _arg("--seed", type=int, default=0),
+        _arg("--samples", type=int),
+        _arg("--format", choices=("text", "tsv"), default="text"),
+    )),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser with every subcommand, or with ``command``'s alone.
+
+    A subcommand's help, usage and errors do not depend on its siblings.
+    The top-level usage does, so a one-subcommand tree still names all of
+    them there, as in "unrecognized arguments" errors.
+    """
     ap = argparse.ArgumentParser(
         prog="padicdist",
         description="Exact arithmetic in p-adic distribution algebras of "
         "uniform pro-p groups.",
     )
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("expand", help="expand a Dirac or monomial distribution")
-    _add_common(sp)
-    sp.add_argument("--elem", help="chart coordinates a1,...,ad of a group element")
-    sp.add_argument("--monomial", help="exponents a1,...,ad of b^alpha")
-    sp.set_defaults(func=cmd_expand)
-
-    sp = sub.add_parser("mul", help="convolve two distribution files")
-    _add_common(sp, group=False)
-    sp.add_argument("files", nargs=2, help="two distribution files")
-    sp.add_argument("--r", help="radius exponent s for an extra tail certificate")
-    sp.set_defaults(func=cmd_mul)
-
-    sp = sub.add_parser("norm", help="certified r-norm interval")
-    _add_common(sp, group=False)
-    sp.add_argument("--in", dest="infile", required=True)
-    sp.add_argument("--r", required=True, help="rational s in (0,1]; r = p^-s")
-    sp.set_defaults(func=cmd_norm)
-
-    sp = sub.add_parser("symbol", help="principal symbol in the graded ring")
-    _add_common(sp, group=False)
-    sp.add_argument("--in", dest="infile", required=True)
-    sp.add_argument("--r", required=True)
-    sp.set_defaults(func=cmd_symbol)
-
-    sp = sub.add_parser("pair", help="pair a distribution with a builtin function")
-    _add_common(sp, group=False)
-    sp.add_argument("--in", dest="infile", required=True)
-    sp.add_argument("--fn", required=True, help="builtin function id")
-    sp.add_argument("--cap", type=int, default=16, help="Mahler table cap A")
-    sp.set_defaults(func=cmd_pair)
-
-    sp = sub.add_parser("mahler", help="Mahler coefficient table of a builtin function")
-    _add_common(sp)
-    sp.add_argument("--fn", required=True)
-    sp.add_argument("--cap", type=int, default=16)
-    sp.set_defaults(func=cmd_mahler)
-
-    sp = sub.add_parser("project", help="finite-level group-algebra projection")
-    _add_common(sp, group=False)
-    sp.add_argument("--in", dest="infile", required=True)
-    sp.add_argument("--level", type=int, required=True)
-    sp.set_defaults(func=cmd_project)
-
-    sp = sub.add_parser("grade", help="grade of a cyclic graded module")
-    _add_common(sp)
-    sp.add_argument("--r", required=True)
-    sp.add_argument("gens", nargs="+", help="ideal generators, e.g. 'X1^2+4*e0*X2'")
-    sp.set_defaults(func=cmd_grade)
-
-    sp = sub.add_parser("basis", help="re-expand in another ordered basis")
-    _add_common(sp, group=False)
-    sp.add_argument("--in", dest="infile", required=True)
-    sp.add_argument("--basis", required=True,
-                    help="d elements 'a1,..,ad;b1,..,bd;...' in chart coordinates")
-    sp.set_defaults(func=cmd_basis)
-
-    sp = sub.add_parser("conj", help="conjugate a distribution")
-    _add_common(sp, group=False)
-    sp.add_argument("--in", dest="infile", required=True)
-    sp.add_argument("--elem", help="conjugating element coordinates")
-    sp.add_argument("--sigma", action="store_true",
-                    help="use the order-2 coset representative (semidirect model)")
-    sp.set_defaults(func=cmd_conj)
-
-    sp = sub.add_parser("qnorm", help="quotient norm of a semidirect pair")
-    _add_common(sp, group=False)
-    sp.add_argument("files", nargs=2)
-    sp.add_argument("--r", required=True)
-    sp.set_defaults(func=cmd_qnorm)
-
-    sp = sub.add_parser("rthresh", help="radius threshold of an exact integral "
-                        "distribution")
-    _add_common(sp, group=False)
-    sp.add_argument("--in", dest="infile", required=True)
-    sp.set_defaults(func=cmd_rthresh)
-
-    sp = sub.add_parser("verify", help="run a named verification suite")
-    _add_common(sp)
-    sp.add_argument("suite", help="suite id or 'all'")
-    sp.add_argument("-p", type=int, default=5)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--samples", type=int)
-    sp.add_argument("--format", choices=("text", "tsv"), default="text")
-    sp.set_defaults(func=cmd_verify)
-
+    if command is None:
+        names, metavar = COMMANDS, None
+    else:
+        names, metavar = [command], "{" + ",".join(COMMANDS) + "}"
+    sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, func, arguments = COMMANDS[name]
+        sp = sub.add_parser(name, help=help_text)
+        for flags, kwargs in arguments:
+            sp.add_argument(*flags, **kwargs)
+        sp.set_defaults(func=func)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    ap = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:
@@ -392,7 +403,7 @@ def main(argv=None) -> int:
     except PrecisionExhausted as exc:
         print(f"precision exhausted: {exc}", file=sys.stderr)
         return EXIT_PRECISION
-    except (PadicError, GradedError, ValueError) as exc:
+    except (PadicError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

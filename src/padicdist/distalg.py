@@ -131,9 +131,13 @@ class Distribution:
         # degrees are integers, so a rational T truncates like its floor
         self.T = floor(T)
         self.coeffs = dict(coeffs)
-        for alpha in self.coeffs:
+        for alpha, c in self.coeffs.items():
             if model.tau(alpha) > self.T:
                 raise DistError(f"stored index {alpha} exceeds truncation weight {self.T}")
+            if type(c) is not tuple or len(c) != 3 or not (
+                    type(c[0]) is type(c[1]) is type(c[2]) is int):
+                raise TypeError(f"coefficient at {alpha} is not a (residue, prec, shift) "
+                                f"triple of ints: {c!r}")
         self.tail_certs = tuple(tail_certs)
         self.exact = bool(exact)
         if self.exact and self.tail_certs:

@@ -31,7 +31,11 @@ class SuiteParams:
     T: Fraction = Fraction(12)
     seed: int = 0
     group: str | None = None
-    samples: int | None = None
+    samples: int | None = None  # None: each suite's own default
+
+    def __post_init__(self):
+        if self.samples is not None and self.samples < 1:
+            raise ValueError(f"samples must be >= 1, got {self.samples}")
 
 
 @dataclass(frozen=True)

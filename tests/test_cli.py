@@ -239,6 +239,14 @@ class TestVerify:
         code, _, err = run_cli(["verify", "lemma99"])
         assert code == 2 and "unknown suite" in err
 
+    @pytest.mark.parametrize("samples", ["0", "-1"])
+    def test_samples_below_one_is_a_usage_error(self, samples):
+        # not the suite defaults (0) and not vacuous zero-sample verdicts (-1)
+        for suite in ("prop42", "all"):
+            code, out, err = run_cli(["verify", suite, "--samples", samples])
+            assert code == 2 and out == ""
+            assert err == f"error: samples must be >= 1, got {samples}\n"
+
 
 class TestPrecisionArguments:
     @pytest.mark.parametrize("argv", [
@@ -262,6 +270,20 @@ class TestUsage:
     def test_unknown_command(self):
         code, _, _ = run_cli(["frobnicate"])
         assert code == 2
+
+
+class TestConsoleScript:
+    """The installed `padicdist` script calls main() with no argv."""
+
+    def test_reads_sys_argv(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["padicdist", "verify", "lemma44"])
+        assert main() == 0
+        assert "suite lemma44: PASS" in capsys.readouterr().out
+
+    def test_help(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["padicdist", "--help"])
+        assert main() == 0
+        assert capsys.readouterr().out.startswith("usage: padicdist [-h]")
 
 
 class TestModuleEntryPoint:

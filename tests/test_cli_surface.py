@@ -12,11 +12,12 @@ so the recorded text is compared only under the version that recorded it.
 import io
 import json
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
-from padicdist.cli import build_parser, main
+from padicdist.cli import COMMANDS, build_parser, main
 
 SURFACE = json.loads((Path(__file__).parent / "cli_surface.json").read_text())
 
@@ -42,6 +43,7 @@ def test_every_subcommand_is_pinned():
                 if case["argv"][1:] == ["-h"]}
     assert commands == {"expand", "mul", "norm", "symbol", "pair", "mahler", "project",
                         "grade", "basis", "conj", "qnorm", "rthresh", "verify"}
+    assert commands == set(COMMANDS)
 
 
 @pytest.mark.parametrize("case", SURFACE["cases"], ids=lambda c: " ".join(c["argv"]) or "(none)")
@@ -97,3 +99,31 @@ NAMESPACES = [
 def test_full_tree_namespace(argv, want):
     got = vars(build_parser().parse_args(argv))
     assert {**got, "func": got["func"].__name__} == want
+
+
+def parse_outcome(parser, argv):
+    """(Namespace or exit code, stdout, stderr) of ``parser.parse_args(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            result = parser.parse_args(argv)
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+SUBCOMMAND_ARGVS = [c["argv"] for c in SURFACE["cases"] if c["argv"] and c["argv"][0] in COMMANDS]
+SUBCOMMAND_ARGVS += [argv for argv, _ in NAMESPACES]
+
+
+@pytest.mark.parametrize("argv", SUBCOMMAND_ARGVS, ids=" ".join)
+def test_own_tree_parses_like_the_full_tree(argv, columns):
+    # under any Python version: the text, exit code and Namespace of a call
+    # parsed by its subcommand's own tree match those of the full tree
+    assert parse_outcome(build_parser(argv[0]), argv) == parse_outcome(build_parser(), argv)
+
+
+def test_own_tree_has_one_subcommand():
+    ap = build_parser("norm")
+    result, _, err = parse_outcome(ap, ["expand", "--elem", "1"])
+    assert result == 2 and "invalid choice: 'expand'" in err

@@ -91,6 +91,16 @@ class TestConstructors:
         assert (one - one).coeffs == z.coeffs
         assert one.norm(R12).lower == NormValue(0)
 
+    def test_constructor_takes_int_triples_only(self):
+        # a table of PadicScalars is refused here, not later inside norm
+        model = ab(2)
+        good = sc(model, 25).triple
+        assert Distribution(model, {(1, 0): good}, 6).coeffs == {(1, 0): good}
+        for bad in (sc(model, 25), list(good), good[:2], (25, 6, 0, 0), (25, 6.0, 0),
+                    (True, 6, 0), 25):
+            with pytest.raises(TypeError, match=r"coefficient at \(1, 0\)"):
+                Distribution(model, {(0, 0): good, (1, 0): bad}, 6)
+
 
 class TestConvolution:
     def test_dirac_multiplicativity(self):

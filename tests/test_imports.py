@@ -1,10 +1,13 @@
-"""Every import in the library is used.
+"""Every import in the library is used, and the CLI loads only what it uses.
 
 A name bound by an import must appear somewhere else in its module as a
 plain name, which includes the base of an attribute access.  Package
 ``__init__`` re-exports and ``__future__`` imports are exempt."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -38,3 +41,33 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def loaded_after(code):
+    """padicdist modules in sys.modules after running ``code`` in a fresh process."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC.parent)] + [x for x in [env.get("PYTHONPATH")] if x])
+    probe = code + ("\nimport sys\n"
+                    "print(*(m for m in sys.modules if m.startswith('padicdist')))")
+    res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=env, timeout=60, check=True)
+    return set(res.stdout.split())
+
+
+def test_cli_import_leaves_suites_and_graded_out():
+    loaded = loaded_after("import padicdist.cli")
+    assert "padicdist.cli" in loaded
+    assert not loaded & {"padicdist.suites", "padicdist.graded"}
+
+
+def test_star_import_binds_every_exported_name():
+    namespace = {}
+    exec("from padicdist import *", namespace)
+    assert set(padicdist.__all__) - set(namespace) == set()
+    assert "padicdist.suites" in loaded_after("from padicdist import *")
+
+
+def test_unknown_package_attribute():
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        padicdist.nope
