@@ -280,11 +280,6 @@ class TestConsoleScript:
         assert main() == 0
         assert "suite lemma44: PASS" in capsys.readouterr().out
 
-    def test_help(self, monkeypatch, capsys):
-        monkeypatch.setattr(sys, "argv", ["padicdist", "--help"])
-        assert main() == 0
-        assert capsys.readouterr().out.startswith("usage: padicdist [-h]")
-
 
 class TestModuleEntryPoint:
     """`python -m padicdist` runs the CLI and passes its exit code through."""

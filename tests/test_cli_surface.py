@@ -41,9 +41,7 @@ def columns(monkeypatch):
 def test_every_subcommand_is_pinned():
     commands = {case["argv"][0] for case in SURFACE["cases"]
                 if case["argv"][1:] == ["-h"]}
-    assert commands == {"expand", "mul", "norm", "symbol", "pair", "mahler", "project",
-                        "grade", "basis", "conj", "qnorm", "rthresh", "verify"}
-    assert commands == set(COMMANDS)
+    assert commands == set(COMMANDS) and len(commands) == 13
 
 
 @pytest.mark.parametrize("case", SURFACE["cases"], ids=lambda c: " ".join(c["argv"]) or "(none)")
