@@ -148,6 +148,29 @@ class TestMahlerPair:
         assert code == 0 and out.splitlines()[0] == "value = 0:2:12"
 
 
+class TestProject:
+    def test_exact_witness(self, tmp_path):
+        # delta_{(3,3,0)} is finite at T = 6: its one point, mod p
+        code, out, _ = run_cli(["expand", "--group", "heisenberg:5", "--elem", "3,3,0",
+                                "-T", "6"])
+        assert code == 0
+        path = tmp_path / "g.dist"
+        path.write_text(out)
+        code, out, err = run_cli(["project", "--in", str(path), "--level", "1"])
+        assert (code, out, err) == (0, "3,3,0 : 0:1:15\n", "")
+
+    def test_needs_an_exact_witness(self, tmp_path):
+        # delta_{(1,2,7)} does not end at T = 6, so its file is inexact
+        code, out, _ = run_cli(["expand", "--group", "heisenberg:5", "--elem", "1,2,7",
+                                "-T", "6"])
+        assert code == 0
+        path = tmp_path / "g.dist"
+        path.write_text(out)
+        code, out, err = run_cli(["project", "--in", str(path), "--level", "1"])
+        assert code == 2 and out == ""
+        assert "finite-level projection needs an exact Dirac witness" in err
+
+
 def expanded(tmp_path, name, group, *how):
     """A distribution file written by `expand` at N = 4."""
     code, out, _ = run_cli(["expand", "--group", group, *how, "-N", "4"])

@@ -701,6 +701,25 @@ class TestInexactHeads:
         }
         assert_contains_exact_norm(out, src)
 
+    def test_mul(self):
+        # a growth-0 tail: the head error is the tail bound times the
+        # other factor's coefficient sup
+        src = heis_source()
+        h = Distribution.dirac(src.model.element([0, 0, 1]))
+        out = inexact_head(src, 2).mul(h)
+        assert summary(out) == {
+            "T": 2,
+            "entries": {
+                (0, 0, 0): (1, 7, 1), (0, 0, 1): (78117, 7, 1), (0, 0, 2): (78111, 7, 1),
+                (0, 1, 0): (7, 7, 1), (0, 1, 1): (9, 7, 1), (0, 2, 0): (1, 7, 1),
+                (1, 0, 0): (1, 7, 0), (1, 0, 1): (78124, 7, 0), (1, 1, 0): (2, 7, 0),
+                (2, 0, 0): (1, 7, 0)},
+            "certs": [(-1, True, 0, True)],
+            "head_error": (-1, True),
+            "norm": [(inf, True), (-1, True)],
+        }
+        assert_contains_exact_norm(out, src.mul(h))
+
     def test_mul_without_a_growth_zero_tail(self):
         # only a growth-1/2 tail: no head error bound, but s_work certifies
         # the product at growth 1/2
