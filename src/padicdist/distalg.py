@@ -118,6 +118,13 @@ class Distribution:
     PadicScalar.  The constructor takes triples; ``from_coeffs``,
     ``dirac_combination`` and ``scale`` also take ints, Fractions and
     PadicScalars.
+
+    The Dirac decomposition of an inexact head leaves out its tail and the
+    errors of its entries.  ``_head_gap`` bounds the coefficients of that
+    part by the larger of the growth-0 tail and ``head_error``, and leaves
+    them unbounded without a growth-0 tail; every operation that works on
+    such a decomposition (``mul``, ``conjugate``, ``change_basis``, ``+``)
+    takes its bound from there.
     """
 
     __slots__ = ("model", "coeffs", "T", "tail_certs", "exact", "head_error",
@@ -254,6 +261,13 @@ class Distribution:
             self.dirac_terms = _head_to_dirac(self.model, self.coeffs)
         return self.dirac_terms
 
+    def _head_gap(self) -> NormValue:
+        """Bound on the coefficients of what the Dirac decomposition of the
+        head leaves out: the growth-0 tail or head_error, whichever is
+        larger; unbounded without a growth-0 tail."""
+        tail = self.tail_bound_at_growth(0)
+        return NormValue.unbounded() if tail is None else max(tail, self.head_error)
+
     # -- linear structure --------------------------------------------------
 
     def scale(self, c) -> "Distribution":
@@ -298,8 +312,7 @@ class Distribution:
         herr = max(self.head_error, other.head_error)
         for left, right in ((self, other), (other, self)):
             if not right.exact and any(a not in right.coeffs for a in left.coeffs):
-                b = right.tail_bound_at_growth(0)
-                herr = max(herr, NormValue.unbounded() if b is None else b)
+                herr = max(herr, right._head_gap())
         certs = []
         if not exact:
             growths = sorted({tc.growth for tc in self.tail_certs + other.tail_certs})
@@ -367,13 +380,10 @@ class Distribution:
                     certs.append(TailCert(u1 * u2, s, all_alpha=True))
         if exact_path:
             herr = NormValue.zero()
+        elif sup1 is None or sup2 is None:
+            herr = NormValue.unbounded()
         else:
-            c1 = self.tail_bound_at_growth(0)
-            c2 = other.tail_bound_at_growth(0)
-            if None in (c1, c2, sup1, sup2):
-                herr = NormValue.unbounded()
-            else:
-                herr = max(c1 * sup2, c2 * sup1)
+            herr = max(self._head_gap() * sup2, other._head_gap() * sup1)
         return Distribution(model, coeffs, T, tuple(certs), head_error=herr,
                             dirac_terms=merged if exact_path else None)
 
@@ -549,35 +559,13 @@ class Distribution:
 
         model = self.model
         validate_basis(model, basis)
-        T = self.T if T is None else floor(T)
-        terms = self._exact_terms()
-        if terms is None:
-            terms = _head_to_dirac(model, self.coeffs)
-            herr = self.tail_bound_at_growth(0)
-            herr = NormValue.unbounded() if herr is None else herr
-        else:
-            herr = NormValue.zero()
-        coord_cache = {}
-
-        def coords_of(g):
-            k = g.key()
-            if k not in coord_cache:
-                coord_cache[k] = coords_in_basis(model, basis, g)
-            return coord_cache[k]
-
-        coeffs = _expand_terms(model, terms, T, coords_of)
-        bound = _terms_coeff_bound(model, terms)
-        sup = self.coeff_sup()
-        if sup is not None and sup > bound:
-            bound = sup
-        return Distribution(model, coeffs, T,
-                            tail_certs=(TailCert(bound, Fraction(0), all_alpha=True),),
-                            head_error=herr)
+        return self._map_support(
+            lambda h: GroupElement(model, coords_in_basis(model, basis, h), False),
+            T, same_chart=False)
 
     def conjugate(self, g, T=None) -> "Distribution":
         """Image under delta_h -> delta_{g h g^-1} (g a GroupElement or "sigma")."""
         model = self.model
-        T = self.T if T is None else floor(T)
         if g == "sigma":
             act = model.sigma_conj
         elif isinstance(g, GroupElement):
@@ -586,22 +574,34 @@ class Distribution:
             act = lambda h: model.gmul(model.gmul(g, h), ginv)
         else:
             raise DistError(f"undefined conjugation action {g!r}")
+        return self._map_support(act, T)
+
+    def _map_support(self, act, T, same_chart=True) -> "Distribution":
+        """sum a_j delta_{act(g_j)} up to degree T (default self.T), over the
+        exact witness, else over the Dirac decomposition of the head with
+        ``_head_gap`` as the head error.  With ``same_chart`` unset, ``act``
+        gives coordinates in another chart as inexact points, so that the
+        kernel prunes no binomial row, and the result keeps no witness."""
+        model = self.model
+        T = self.T if T is None else floor(T)
         terms = self._exact_terms()
-        if terms is not None:
-            return Distribution.dirac_combination(model, [(a, act(h)) for a, h in terms], T)
-        mapped = [(a, act(h)) for a, h in _head_to_dirac(model, self.coeffs)]
-        merged = _merge_terms(model, mapped)
+        exact = terms is not None
+        if not exact:
+            terms = _head_to_dirac(model, self.coeffs)
+        merged = _merge_terms(model, [(a, act(h)) for a, h in terms])
         coeffs = _expand_terms(model, merged, T)
+        if exact and _finite(model, merged, T):
+            coeffs = {a: c for a, c in coeffs.items() if c[0]}
+            return Distribution(model, coeffs, T, exact=True, dirac_terms=merged)
         bound = _terms_coeff_bound(model, merged)
-        sup = self.coeff_sup()
-        herr = self.tail_bound_at_growth(0)
-        if sup is None or herr is None:
-            herr = NormValue.unbounded()
-            certs = ()
-        else:
-            bound = max(bound, sup)
+        herr = NormValue.zero() if exact else self._head_gap()
+        certs = ()
+        if not herr.is_unbounded:
+            if not exact:
+                bound = max(bound, self.coeff_sup())
             certs = (TailCert(bound, Fraction(0), all_alpha=True),)
-        return Distribution(model, coeffs, T, tail_certs=certs, head_error=herr)
+        return Distribution(model, coeffs, T, certs, head_error=herr,
+                            dirac_terms=merged if exact and same_chart else None)
 
     # -- radius threshold --------------------------------------------------
 
@@ -766,29 +766,26 @@ def _head_to_dirac(model, coeffs):
     return _nonzero_terms(model, acc, model.element)
 
 
-def _expand_terms(model, terms, T, coords_of=None):
+def _expand_terms(model, terms, T):
     """Coefficient table of sum a_j delta_{g_j} up to degree T.
 
     The binomial rows come from ``_binom_residue`` as (prec, residue)
     pairs, once per coordinate residue and length; a product of a
     coefficient and row entries keeps the least prec, and sums are
     ``add_triples``.  Residues are reduced once, in the returned table:
-    those rules keep an unreduced residue congruent mod p^prec.
-    ``coords_of`` maps a support element to the integer chart coordinates
-    used for the expansion (defaults to the element's own)."""
+    those rules keep an unreduced residue congruent mod p^prec."""
     p, d, W = model.p, model.d, model.elem_prec
     m = ppow(p, W)
     acc = {}
     row_of = {}
     for (ra, pa, sa), g in terms:
-        coords = g.coords if coords_of is None else coords_of(g)
         level = [((), ra, pa, T)]
         for i in range(d):
             kmax = T
-            if coords_of is None and g.exact and coords[i] >= 0:
+            if g.exact and g.coords[i] >= 0:
                 # binom(x, k) vanishes exactly for integer x < k
-                kmax = min(kmax, coords[i])
-            x = coords[i] % m
+                kmax = min(kmax, g.coords[i])
+            x = g.coords[i] % m
             row = row_of.get((x, kmax))
             if row is None:
                 row = row_of[x, kmax] = tuple(zip(

@@ -756,3 +756,41 @@ class TestInexactHeads:
             "norm": [(inf, True), (-1, True)],
         }
         assert_contains_exact_norm(out, src + b)
+
+
+def standard_basis(model):
+    return [model.element([int(i == j) for j in range(model.d)]) for i in range(model.d)]
+
+
+class TestWhatAnInexactHeadLeavesOut:
+    """conjugate, change_basis and mul bound what an inexact head's Dirac
+    decomposition leaves out by the larger of the growth-0 tail and the
+    head error, and certify nothing without a growth-0 tail."""
+
+    @pytest.mark.parametrize("op", ["mul", "conjugate", "change_basis"])
+    def test_head_error_above_the_tail(self, op):
+        # the head 25 at degree 0 with error p^0 admits the value 1 there,
+        # of norm p^0, though its tail is only p^-5
+        model = GroupModel.heisenberg(P, prec=12, max_weight=3)
+        lam = Distribution.from_coeffs(
+            model, {(0, 0, 0): 25}, 3, exact=False,
+            tail_certs=[TailCert(NormValue(5, exact=False), Fraction(0))],
+            head_error=NormValue(0, exact=False))
+        if op == "mul":
+            out = lam.mul(Distribution.one(model, 3))
+        elif op == "conjugate":
+            out = lam.conjugate(model.element([1, 0, 0]))
+        else:
+            out = lam.change_basis(standard_basis(model))
+        n = out.norm(R12)
+        assert n.lower <= NormValue(0) <= n.upper
+
+    def test_change_basis_without_a_growth_zero_tail(self):
+        # log(1 + b1) has the entry 1/25 at degree 25 > T, of norm
+        # |1/25| r^25 = p^(2 - 25/50) at s = 1/50
+        model = GroupModel.from_string("heisenberg:5")
+        lam = lie_generator(model, 0, T=6)
+        out = lam.change_basis(standard_basis(model))
+        assert out.tail_certs == ()
+        assert out.norm(RadiusParam(Fraction(1, 50))).upper >= NormValue(Fraction(-3, 2))
+
