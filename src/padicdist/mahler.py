@@ -317,13 +317,11 @@ def pair(lam: Distribution, table: MahlerTable):
     if not lam.head_error.is_zero:
         errors.append(lam.head_error * table.sup_bound())
     if not lam.exact:
-        # table entries reachable only through the distribution's tail
+        # table entries reachable only through the distribution's tail,
+        # beyond T as well as unstored in the head
         for alpha, c in table.coeffs.items():
-            k = sum(alpha)
-            if k > lam.T or alpha in lam.coeffs:
-                continue
-            b = _lam_tail_bound_at(lam, k)
-            errors.append(b * c.abs_val())
+            if alpha not in lam.coeffs:
+                errors.append(_lam_tail_bound_at(lam, sum(alpha)) * c.abs_val())
         if not table.complete:
             C_t, t_t = table.decay
             k0 = max(model.weight_above(lam.T), table.cap + 1)

@@ -204,6 +204,18 @@ class TestPairing:
         with pytest.raises(MahlerError):
             pair(lam, t)
 
+    @pytest.mark.parametrize("T", [2, 4, 6, 8])
+    @pytest.mark.parametrize("cap", [2, 4, 8, 12, 16])
+    def test_error_covers_table_entries_beyond_T(self, T, cap):
+        # delta_x truncated at T paired with (1 + p)^x, whose table runs to
+        # the cap: the entries between T and the cap pair with the tail
+        model = GroupModel.abelian(1, P, prec=N, max_weight=T)
+        t = mahler_coeffs(FunctionSpec.power_series_1p(1, P, 0), cap, prec=N)
+        for x in (3, 9, 37, 123, 1000):
+            value, err = pair(Distribution.dirac(model.element([x]), T), t)
+            diff = value - sc((1 + P) ** x, value.window)
+            assert diff.residue == 0 or diff.abs_val() <= err, x
+
     def test_derivative_of_lie_generator(self):
         model = ab(1)
         t = mahler_coeffs(FunctionSpec.coordinate(1, P, 0), 6, prec=N)
