@@ -8,11 +8,14 @@ and growth > 0 tail certificates and the Dirac witness."""
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .padic import NormValue, PadicError, PadicScalar, PrecisionExhausted, ppow, vp_int
 from .groupmodel import GroupModel
 from .distalg import Distribution, TailCert, as_triple
-from .mahler import MahlerError, MahlerTable
+
+if TYPE_CHECKING:
+    from .mahler import MahlerTable
 
 
 class ParseError(PadicError):
@@ -206,6 +209,8 @@ def serialize_mahler(t: MahlerTable) -> str:
 
 
 def parse_mahler(text: str) -> MahlerTable:
+    from .mahler import MahlerError, MahlerTable
+
     lines = text.splitlines()
     if not lines or not lines[0].startswith("mahler "):
         raise ParseError("not a Mahler table file", 1)

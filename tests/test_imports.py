@@ -56,9 +56,10 @@ def loaded_after(code):
 
 
 def test_cli_import_leaves_suites_and_graded_out():
+    # and mahler, which only the pair, mahler and project handlers import
     loaded = loaded_after("import padicdist.cli")
     assert "padicdist.cli" in loaded
-    assert not loaded & {"padicdist.suites", "padicdist.graded"}
+    assert not loaded & {"padicdist.suites", "padicdist.graded", "padicdist.mahler"}
 
 
 def test_star_import_binds_every_exported_name():
