@@ -119,12 +119,11 @@ class Distribution:
     ``dirac_combination`` and ``scale`` also take ints, Fractions and
     PadicScalars.
 
-    The Dirac decomposition of an inexact head leaves out its tail and the
-    errors of its entries.  ``_head_gap`` bounds the coefficients of that
-    part by the larger of the growth-0 tail and ``head_error``, and leaves
-    them unbounded without a growth-0 tail; every operation that works on
-    such a decomposition (``mul``, ``conjugate``, ``change_basis``, ``+``)
-    takes its bound from there.
+    What the Dirac decomposition of an inexact head leaves out (its tail
+    and the errors of its entries) has coefficients bounded by
+    ``_head_gap``: the larger of the growth-0 tail and ``head_error``, and
+    unbounded without a growth-0 tail.  ``mul``, ``conjugate``,
+    ``change_basis`` and ``+`` all take that bound from there.
     """
 
     __slots__ = ("model", "coeffs", "T", "tail_certs", "exact", "head_error",
@@ -585,23 +584,21 @@ class Distribution:
         model = self.model
         T = self.T if T is None else floor(T)
         terms = self._exact_terms()
-        exact = terms is not None
-        if not exact:
+        witness = terms is not None
+        if not witness:
             terms = _head_to_dirac(model, self.coeffs)
         merged = _merge_terms(model, [(a, act(h)) for a, h in terms])
         coeffs = _expand_terms(model, merged, T)
-        if exact and _finite(model, merged, T):
+        if witness and _finite(model, merged, T):
             coeffs = {a: c for a, c in coeffs.items() if c[0]}
             return Distribution(model, coeffs, T, exact=True, dirac_terms=merged)
-        bound = _terms_coeff_bound(model, merged)
-        herr = NormValue.zero() if exact else self._head_gap()
+        herr = NormValue.zero() if witness else self._head_gap()
         certs = ()
         if not herr.is_unbounded:
-            if not exact:
-                bound = max(bound, self.coeff_sup())
+            bound = max(_terms_coeff_bound(model, merged), self.coeff_sup())
             certs = (TailCert(bound, Fraction(0), all_alpha=True),)
         return Distribution(model, coeffs, T, certs, head_error=herr,
-                            dirac_terms=merged if exact and same_chart else None)
+                            dirac_terms=merged if witness and same_chart else None)
 
     # -- radius threshold --------------------------------------------------
 
