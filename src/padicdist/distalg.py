@@ -166,7 +166,7 @@ class Distribution:
     @classmethod
     def monomial(cls, model, alpha, T=None) -> "Distribution":
         T = model.max_weight if T is None else floor(T)
-        alpha = tuple(int(a) for a in alpha)
+        alpha = _multi_index(model, alpha)
         if model.tau(alpha) > T:
             raise DistError(f"monomial weight {model.tau(alpha)} exceeds T={T}")
         return cls(model, {alpha: as_triple(model, 1)}, T, exact=True)
@@ -196,10 +196,11 @@ class Distribution:
         """Build from an explicit coefficient table (exact by default)."""
         coeffs = {}
         for alpha, c in table.items():
+            alpha = _multi_index(model, alpha)
             c = as_triple(model, c)
             if exact and c[0] == 0:
                 continue
-            coeffs[tuple(int(a) for a in alpha)] = c
+            coeffs[alpha] = c
         return cls(model, coeffs, T, tail_certs=tail_certs, exact=exact,
                    head_error=head_error)
 
@@ -633,22 +634,61 @@ class Distribution:
 
 def structure_constants(model: GroupModel, beta, gamma, T):
     """Table {alpha: c} of b^beta b^gamma = sum c b^alpha up to weight T,
-    with the per-entry verdict of v_p(c) >= max(0, tau(beta)+tau(gamma)-tau(alpha))."""
+    with the per-entry verdict of v_p(c) >= max(0, tau(beta)+tau(gamma)-tau(alpha)).
+
+    The table is a shifted core, not a product per pair.  In the Heisenberg
+    model b3 is central, so b^beta b^gamma = b1^beta1 S(beta2, gamma1)
+    b2^gamma2 b3^(beta3+gamma3) with the core S(a, g) = b2^a b1^g, and
+    b1^x b^alpha b2^y b3^z = b^(alpha + (x, y, z)): the table is S(beta2,
+    gamma1) with every index shifted by (beta1, gamma2, beta3+gamma3),
+    dropping entries of degree above T.  In the abelian and semidirect
+    models the core is 1, so the table is b^(beta+gamma).
+
+    Each Heisenberg core is the head of one Dirac product,
+    ``Distribution.monomial(...).mul(...)`` at T, computed once per
+    (a, g, T) and kept on the model for as long as the model lives.  An
+    entry has the value the Dirac product of b^beta and b^gamma gives it,
+    and a window never narrower, since shifting adds no binomial rows.
+    Zeros that product stores where no shifted index lands (alpha1 < beta1
+    and the like) are not in the table.
+    """
     T = floor(T)
-    beta = tuple(int(b) for b in beta)
-    gamma = tuple(int(g) for g in gamma)
-    big = max(T, model.tau(beta), model.tau(gamma))
-    prod = Distribution.monomial(model, beta, big).mul(
-        Distribution.monomial(model, gamma, big), T=T
-    )
+    beta = _multi_index(model, beta)
+    gamma = _multi_index(model, gamma)
+    if model.kind == "heisenberg":
+        core = _commutation_core(model, beta[1], gamma[0], T)
+        offset = (beta[0], gamma[1], beta[2] + gamma[2])
+    else:
+        core = {(0,) * model.d: as_triple(model, 1)}
+        offset = tuple(b + g for b, g in zip(beta, gamma))
+    p = model.p
     bound_base = model.tau(beta) + model.tau(gamma)
+    table = {}
     verdicts = {}
-    for alpha, c in prod.coeffs.items():
-        v = triple_valuation(model.p, c)
-        if v is None:
+    for alpha, c in core.items():
+        alpha = tuple(a + o for a, o in zip(alpha, offset))
+        tau = model.tau(alpha)
+        if tau > T:
             continue
-        verdicts[alpha] = v >= max(0, bound_base - model.tau(alpha))
-    return {alpha: prod.coeff(alpha) for alpha in prod.coeffs}, verdicts
+        r, prec, shift = c
+        table[alpha] = PadicScalar(p, prec, r, shift)
+        v = triple_valuation(p, c)
+        if v is not None:
+            verdicts[alpha] = v >= max(0, bound_base - tau)
+    return table, verdicts
+
+
+def _commutation_core(model: GroupModel, a: int, g: int, T: int) -> dict:
+    """Head triples of b2^a b1^g up to degree T, from the Dirac product;
+    computed once per model and (a, g, T)."""
+    key = (a, g, T)
+    core = model.commutation_cores.get(key)
+    if core is None:
+        big = max(T, a, g)
+        core = Distribution.monomial(model, (0, a, 0), big).mul(
+            Distribution.monomial(model, (g, 0, 0), big), T=T).coeffs
+        model.commutation_cores[key] = core
+    return core
 
 
 def lie_generator(model: GroupModel, i: int, T=None) -> Distribution:
@@ -702,6 +742,14 @@ def semidirect_mul(pair1, pair2, T=None, s_work=None):
 
 
 # -- internals --------------------------------------------------------------
+
+
+def _multi_index(model, alpha) -> tuple:
+    """alpha as a tuple of ints, refused unless it has d nonnegative entries."""
+    alpha = tuple(int(a) for a in alpha)
+    if len(alpha) != model.d or any(a < 0 for a in alpha):
+        raise DistError(f"multi-index {alpha} is not {model.d} nonnegative integers")
+    return alpha
 
 
 def _finite(model, terms, T) -> bool:

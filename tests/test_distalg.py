@@ -174,6 +174,97 @@ class TestStructureConstants:
             want = c.valuation >= max(0, tb - model.tau(alpha))
             assert verdicts[alpha] == want
 
+    @staticmethod
+    def assert_matches_dirac_product(model, beta, gamma, T):
+        """The table against the Dirac product of the two monomials: equal
+        values on common entries, windows never narrower, zeros wherever
+        only one side stores an entry, and identical verdicts."""
+        table, verdicts = structure_constants(model, beta, gamma, T)
+        tb = model.tau(beta) + model.tau(gamma)
+        big = max(T, model.tau(beta), model.tau(gamma))
+        prod = Distribution.monomial(model, beta, big).mul(
+            Distribution.monomial(model, gamma, big), T=T)
+        want = {}
+        for alpha in prod.coeffs:
+            c = prod.coeff(alpha)
+            if alpha in table:
+                assert table[alpha].same_value(c), (beta, gamma, alpha)
+                assert table[alpha].window >= c.window, (beta, gamma, alpha)
+            else:
+                assert c.residue == 0, (beta, gamma, alpha)
+            if c.valuation is not None:
+                want[alpha] = c.valuation >= max(0, tb - model.tau(alpha))
+        for alpha, c in table.items():
+            assert alpha in prod.coeffs or c.residue == 0, (beta, gamma, alpha)
+        assert verdicts == want, (beta, gamma)
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_heisenberg_table_matches_dirac_products(self, p):
+        model = GroupModel.heisenberg(p, prec=12, max_weight=6)
+        indices = [a for a, _ in model.alpha_iter(6)]
+        pairs = [(b, g) for b in indices for g in indices if sum(b) + sum(g) <= 6]
+        assert len(pairs) == 924
+        for beta, gamma in pairs:
+            self.assert_matches_dirac_product(model, beta, gamma, 6)
+
+    def test_abelian_and_semidirect_tables_match_dirac_products(self):
+        a2 = GroupModel.abelian(2, P, prec=12, max_weight=6)
+        for beta, gamma, T in [((0, 0), (0, 0), 6), ((1, 2), (3, 0), 6),
+                               ((2, 2), (1, 1), 4), ((0, 3), (0, 4), 5)]:
+            self.assert_matches_dirac_product(a2, beta, gamma, T)
+        sd = GroupModel.semidirect(P, prec=12, max_weight=6)
+        for beta, gamma, T in [((2,), (3,), 6), ((4,), (4,), 6), ((0,), (1,), 0)]:
+            self.assert_matches_dirac_product(sd, beta, gamma, T)
+
+    def test_factor_above_T(self):
+        model = GroupModel.heisenberg(P, prec=12, max_weight=6)
+        for beta, gamma in [((0, 5, 0), (2, 0, 0)), ((4, 0, 0), (0, 0, 1)),
+                            ((0, 3, 0), (4, 0, 0))]:
+            self.assert_matches_dirac_product(model, beta, gamma, 3)
+        table, verdicts = structure_constants(model, (4, 0, 0), (0, 0, 1), 3)
+        assert table == {} and verdicts == {}
+
+    def test_cores_live_on_the_model(self):
+        model = GroupModel.heisenberg(P, prec=12, max_weight=6)
+        assert model.commutation_cores == {}
+        structure_constants(model, (1, 2, 0), (3, 0, 1), 6)
+        assert set(model.commutation_cores) == {(2, 3, 6)}
+        structure_constants(model, (0, 2, 0), (3, 1, 0), 6)
+        assert set(model.commutation_cores) == {(2, 3, 6)}
+        assert GroupModel.heisenberg(P, prec=12, max_weight=6).commutation_cores == {}
+
+
+class TestInvalidMultiIndices:
+    """A negative exponent or a multi-index of the wrong length has no
+    monomial; it is refused, not stored, dropped or read as a shorter one."""
+
+    @pytest.mark.parametrize("alpha", [(-1, 2, 0), (0, 0, -3), (1, 0), (1, 0, 0, 0)])
+    def test_monomial(self, alpha):
+        with pytest.raises(DistError):
+            Distribution.monomial(GroupModel.heisenberg(P), alpha)
+
+    @pytest.mark.parametrize("alpha", [(-1, 1), (1,), (0, 0, 1)])
+    def test_from_coeffs(self, alpha):
+        model = GroupModel.abelian(2, P)
+        with pytest.raises(DistError):
+            Distribution.from_coeffs(model, {alpha: 1, (0, 0): 1}, 6)
+        with pytest.raises(DistError):
+            Distribution.from_coeffs(model, {alpha: 1}, 6, exact=False)
+
+    @pytest.mark.parametrize("beta, gamma", [((-1, 0, 0), (1, 0, 0)),
+                                             ((0, 1, 0), (0, -1, 2)),
+                                             ((0, 1), (1, 0, 0)),
+                                             ((0, 1, 0), (1, 0, 0, 0))])
+    def test_structure_constants(self, beta, gamma):
+        with pytest.raises(DistError):
+            structure_constants(GroupModel.heisenberg(P), beta, gamma, 6)
+        with pytest.raises(DistError):
+            structure_constants(GroupModel.heisenberg(P), gamma, beta, 6)
+
+    def test_abelian_structure_constants(self):
+        with pytest.raises(DistError):
+            structure_constants(GroupModel.abelian(2, P), (1, -1), (0, 1), 6)
+
 
 class TestNorms:
     def test_monomial_norm(self):
