@@ -745,11 +745,12 @@ def semidirect_mul(pair1, pair2, T=None, s_work=None):
 
 
 def _multi_index(model, alpha) -> tuple:
-    """alpha as a tuple of ints, refused unless it has d nonnegative entries."""
-    alpha = tuple(int(a) for a in alpha)
-    if len(alpha) != model.d or any(a < 0 for a in alpha):
-        raise DistError(f"multi-index {alpha} is not {model.d} nonnegative integers")
-    return alpha
+    """alpha as a tuple of ints, refused unless it has d nonnegative
+    integral entries."""
+    ints = tuple(int(a) for a in alpha)
+    if ints != tuple(alpha) or len(ints) != model.d or any(a < 0 for a in ints):
+        raise DistError(f"multi-index {tuple(alpha)} is not {model.d} nonnegative integers")
+    return ints
 
 
 def _finite(model, terms, T) -> bool:

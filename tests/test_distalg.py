@@ -235,15 +235,17 @@ class TestStructureConstants:
 
 
 class TestInvalidMultiIndices:
-    """A negative exponent or a multi-index of the wrong length has no
-    monomial; it is refused, not stored, dropped or read as a shorter one."""
+    """A negative or fractional exponent or a multi-index of the wrong length
+    has no monomial; it is refused, not stored, dropped, rounded or read as a
+    shorter one."""
 
-    @pytest.mark.parametrize("alpha", [(-1, 2, 0), (0, 0, -3), (1, 0), (1, 0, 0, 0)])
+    @pytest.mark.parametrize("alpha", [(-1, 2, 0), (0, 0, -3), (1, 0), (1, 0, 0, 0),
+                                       (Fraction(3, 2), 0, 0), (0, 0.5, 1)])
     def test_monomial(self, alpha):
         with pytest.raises(DistError):
             Distribution.monomial(GroupModel.heisenberg(P), alpha)
 
-    @pytest.mark.parametrize("alpha", [(-1, 1), (1,), (0, 0, 1)])
+    @pytest.mark.parametrize("alpha", [(-1, 1), (1,), (0, 0, 1), (Fraction(1, 2), 1)])
     def test_from_coeffs(self, alpha):
         model = GroupModel.abelian(2, P)
         with pytest.raises(DistError):
