@@ -208,9 +208,10 @@ class Distribution:
 
     def coeff(self, alpha) -> PadicScalar:
         """d_alpha as a PadicScalar; zero at the working precision where
-        nothing is stored."""
+        nothing is stored.  An alpha that is not d nonnegative integers
+        raises DistError."""
         model = self.model
-        r, prec, shift = self.coeffs.get(tuple(int(a) for a in alpha),
+        r, prec, shift = self.coeffs.get(_multi_index(model, alpha),
                                          (0, model.elem_prec, 0))
         return PadicScalar(model.p, prec, r, shift)
 

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 import heapq
+import itertools
 from math import inf
+from operator import add, ge, sub
 import re
 
 from .padic import PadicError, _check_prime
@@ -229,130 +231,169 @@ class GradedPoly:
 
 def _key(mon):
     # graded reverse lex: total degree first, then the smaller exponent of the
-    # last variable wins, so e0 (the last slot) is the least variable
-    return (sum(mon), tuple(-x for x in reversed(mon)))
+    # last variable wins, so e0 (the last slot) is the least variable.  The
+    # engine below stores every monomial as this key: tuple comparison is then
+    # the order, products and quotients are slot-wise sums and differences,
+    # and b divides a exactly when b[k] >= a[k] in every slot k >= 1.
+    return (sum(mon),) + tuple(-x for x in reversed(mon))
 
 
-def _mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+def _unkey(key):
+    return tuple(-x for x in reversed(key[1:]))
 
 
-def _mono_divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
+def _encode(poly):
+    return {_key(m): c for m, c in poly.items()}
 
 
-def _mono_div(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+def _decode(poly):
+    return {_unkey(k): c for k, c in poly.items()}
 
 
-def _mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+def _divides(a, b):
+    """Whether the key a divides the key b."""
+    return all(map(ge, a[1:], b[1:]))
 
 
-# -- raw polynomial engine (dict mon -> coeff in F_p) -----------------------
+def _lcm(a, b):
+    neg = tuple(map(min, a[1:], b[1:]))
+    return (-sum(neg),) + neg
 
 
-def _lead(poly):
-    return max(poly, key=_key)
+# -- raw polynomial engine (dict key -> coeff in F_p) -----------------------
 
 
-def _reduce(poly, basis, p, want_cofactors=False):
-    """Multivariate division: poly = sum q_i * basis_i + remainder."""
-    work = dict(poly)
+def _divisor(poly, p):
+    """(lead, lead[1:], inverse lead coefficient, tail) of a nonzero poly."""
+    lm = max(poly)
+    return lm, lm[1:], pow(poly[lm], -1, p), [(m, c) for m, c in poly.items() if m != lm]
+
+
+def _reduce(work, divisors, p, cof=None):
+    """Multivariate division, consuming work: work = sum q_i * divisor_i +
+    remainder.  The largest remaining term goes first, to the first divisor
+    whose lead divides it; cof, if given, is one dict per divisor and
+    collects the q_i."""
     rem = {}
-    cof = [dict() for _ in basis] if want_cofactors else None
-    leads = [(_lead(b), b) for b in basis]
     while work:
-        m = _lead(work)
+        m = max(work)
         c = work.pop(m)
-        for i, (lm, b) in enumerate(leads):
-            if _mono_divides(lm, m):
-                q = _mono_div(m, lm)
-                f = (c * pow(b[lm], -1, p)) % p
-                if want_cofactors:
+        mneg = m[1:]
+        for i, (lm, lneg, inv, tail) in enumerate(divisors):
+            if all(map(ge, lneg, mneg)):
+                q = tuple(map(sub, m, lm))
+                f = c * inv % p
+                if cof is not None:
                     cof[i][q] = (cof[i].get(q, 0) + f) % p
-                for bm, bc in b.items():
-                    t = _mono_mul(q, bm)
-                    if t == m:
-                        continue
+                for bm, bc in tail:
+                    t = tuple(map(add, q, bm))
                     nv = (work.get(t, 0) - f * bc) % p
                     if nv:
                         work[t] = nv
                     else:
-                        work.pop(t, None)
+                        del work[t]
                 break
         else:
             rem[m] = c
-    if want_cofactors:
-        return rem, cof
     return rem
 
 
 def _spoly(f, g, p):
-    lf, lg = _lead(f), _lead(g)
-    l = _mono_lcm(lf, lg)
+    """S-polynomial of two divisors; their leads cancel and are never formed."""
+    lf, _, cf, tf = f
+    lg, _, cg, tg = g
+    l = _lcm(lf, lg)
     out = {}
-    cf = pow(f[lf], -1, p)
-    cg = pow(g[lg], -1, p)
-    qf, qg = _mono_div(l, lf), _mono_div(l, lg)
-    for m, c in f.items():
-        t = _mono_mul(qf, m)
+    qf = tuple(map(sub, l, lf))
+    for m, c in tf:
+        t = tuple(map(add, qf, m))
         out[t] = (out.get(t, 0) + c * cf) % p
-    for m, c in g.items():
-        t = _mono_mul(qg, m)
+    qg = tuple(map(sub, l, lg))
+    for m, c in tg:
+        t = tuple(map(add, qg, m))
         out[t] = (out.get(t, 0) - c * cg) % p
     return {m: c for m, c in out.items() if c}
 
 
 def _buchberger(gens, p):
-    """Reduced Groebner basis; pairs are taken smallest lcm first (the normal
-    strategy), which keeps the degrees of intermediate polynomials low."""
-    basis = [dict(g) for g in gens if g]
-    leads = [_lead(b) for b in basis]
+    """Reduced Groebner basis of plain exponent dicts, as plain exponent dicts.
+
+    Pairs are taken smallest lcm first (the normal strategy), which keeps the
+    degrees of intermediate polynomials low, and are pruned by Gebauer and
+    Moeller's update (J. Symb. Comp. 6, 1988): criteria B, M and F and the
+    product criterion.  ``active`` is their G: an element whose lead a later
+    lead divides stops taking new pairs and dividing, though pairs already
+    queued with it stay."""
+    basis = [_encode(g) for g in gens if g]
+    divs = []
+    active = []
     pairs = []
 
-    def add_pairs(k):
-        for t in range(k):
-            l = _mono_lcm(leads[k], leads[t])
-            if l != _mono_mul(leads[k], leads[t]):  # skip coprime leading monomials
-                heapq.heappush(pairs, (_key(l), k, t))
+    def update(k):
+        nonlocal pairs, active
+        h = divs[k][0]
+        cands = []
+        for t in active:
+            l = _lcm(h, divs[t][0])
+            cands.append((l, t, l == tuple(map(add, h, divs[t][0]))))
+        # M and F: drop a new pair whose lcm another new pair's lcm divides,
+        # keeping one of each equal lcm; coprime pairs stay to the end as
+        # witnesses, then go by the product criterion
+        kept = []
+        for n, (l, t, coprime) in enumerate(cands):
+            if coprime or not any(
+                _divides(o[0], l) for o in itertools.chain(cands[n + 1:], kept)
+            ):
+                kept.append((l, t, coprime))
+        # B: an old pair (i, j) goes when h divides its lcm and neither lcm
+        # with h equals it
+        pairs = [
+            pr for pr in pairs
+            if not _divides(h, pr[0])
+            or _lcm(divs[pr[1]][0], h) == pr[0]
+            or _lcm(divs[pr[2]][0], h) == pr[0]
+        ]
+        pairs.extend((l, k, t) for l, t, coprime in kept if not coprime)
+        heapq.heapify(pairs)
+        active = [t for t in active if not _divides(h, divs[t][0])] + [k]
 
-    for k in range(len(basis)):
-        add_pairs(k)
+    for k, b in enumerate(basis):
+        divs.append(_divisor(b, p))
+        update(k)
+    reducers = [divs[t] for t in active]
     while pairs:
         _, i, j = heapq.heappop(pairs)
-        r = _reduce(_spoly(basis[i], basis[j], p), basis, p)
+        r = _reduce(_spoly(divs[i], divs[j], p), reducers, p)
         if r:
             basis.append(r)
-            leads.append(_lead(r))
-            add_pairs(len(basis) - 1)
-    return _reduce_basis(basis, p)
+            divs.append(_divisor(r, p))
+            update(len(basis) - 1)
+            reducers = [divs[t] for t in active]
+    return [_decode(b) for b in _reduce_basis(basis, [d[0] for d in divs], p)]
 
 
-def _reduce_basis(basis, p):
-    """Minimalize, then inter-reduce and make monic (the reduced basis)."""
-    basis = [b for b in basis if b]
-    leads = [_lead(b) for b in basis]
+def _reduce_basis(basis, leads, p):
+    """Minimalize, then inter-reduce and make monic (the reduced basis).
+    Among elements with equal leads the first is kept, so a basis of one
+    generator keeps that generator's term order."""
     keep = []
     for i, lm in enumerate(leads):
         if any(
-            j != i and _mono_divides(leads[j], lm)
+            j != i and _divides(leads[j], lm)
             and (leads[j] != lm or j < i)
             for j in range(len(basis))
         ):
             continue
         keep.append(i)
     out = []
-    kept = [basis[i] for i in keep]
-    for i, b in enumerate(kept):
-        others = kept[:i] + kept[i + 1:]
-        r = _reduce(b, others, p) if others else dict(b)
-        if not r:
-            continue
-        lm = _lead(r)
-        f = pow(r[lm], -1, p)
-        out.append({m: (c * f) % p for m, c in r.items()})
-    out.sort(key=lambda b: _key(_lead(b)))
+    kept = [_divisor(basis[i], p) for i in keep]
+    for i in keep:
+        b = basis[i]
+        others = [d for d in kept if d[0] != leads[i]]
+        r = _reduce(dict(b), others, p) if others else dict(b)
+        f = pow(r[leads[i]], -1, p)
+        out.append({m: c * f % p for m, c in r.items()})
+    out.sort(key=max)
     return out
 
 
@@ -398,7 +439,8 @@ class GradedIdeal:
         gb = self.groebner_raw()
         if not gb:
             return False
-        return not _reduce(dict(poly.terms), gb, self.ambient.p)
+        p = self.ambient.p
+        return not _reduce(_encode(poly.terms), [_divisor(_encode(b), p) for b in gb], p)
 
     def reduce(self, poly: GradedPoly):
         """Normal form and cofactors w.r.t. the Groebner basis:
@@ -406,10 +448,12 @@ class GradedIdeal:
         gb = self.groebner_raw()
         if not gb:
             return poly, []
-        rem, cof = _reduce(dict(poly.terms), gb, self.ambient.p, want_cofactors=True)
+        p = self.ambient.p
+        cof = [{} for _ in gb]
+        rem = _reduce(_encode(poly.terms), [_divisor(_encode(b), p) for b in gb], p, cof)
         return (
-            GradedPoly(self.ambient, rem),
-            [GradedPoly(self.ambient, c) for c in cof],
+            GradedPoly(self.ambient, _decode(rem)),
+            [GradedPoly(self.ambient, _decode(c)) for c in cof],
         )
 
     def basis_polys(self):
@@ -438,15 +482,21 @@ def saturate(ideal: GradedIdeal) -> GradedIdeal:
       h^m * e0^k * f^h = sum h^(m_i) * a_i^h * f_i^h in J for some m, m_i >= 0,
       so h^m * f^h lies in J : e0^infinity, and setting h = 1 returns f.
     So setting h = 1 in a basis of J : e0^infinity gives generators of
-    I : e0^infinity, and one more Buchberger run gives its reduced basis."""
+    I : e0^infinity, and one more Buchberger run gives its reduced basis.
+
+    When every generator is homogeneous, h appears nowhere, so the basis of J
+    with h dropped is I's own reduced basis; it is kept as I's basis."""
     amb = ideal.ambient
     p = amb.p
     homog = []
     for g in ideal._raw_gens():
         top = max(sum(m) for m in g)
         homog.append({m[:-1] + (top - sum(m), m[-1]): c for m, c in g.items()})
+    basis = _buchberger(homog, p)
+    if ideal._gb is None and all(m[-2] == 0 for g in homog for m in g):
+        ideal._gb = [{m[:-2] + m[-1:]: c for m, c in b.items()} for b in basis]
     gens = []
-    for b in _buchberger(homog, p):
+    for b in basis:
         # b is homogeneous, so dropping h merges no two terms
         k = min(m[-1] for m in b)
         gens.append({m[:-2] + (m[-1] - k,): c for m, c in b.items()})
@@ -462,7 +512,7 @@ def krull_dim(ideal: GradedIdeal) -> int:
     gb = ideal.groebner_raw()
     if not gb:
         return nvars
-    supports = [frozenset(i for i, a in enumerate(_lead(g)) if a) for g in gb]
+    supports = [frozenset(i for i, a in enumerate(max(g, key=_key)) if a) for g in gb]
     if frozenset() in supports:
         return -1  # the unit ideal: the zero ring
     best = 0

@@ -1,10 +1,17 @@
-"""Reference saturations for the tests of ``padicdist.graded``.
+"""Reference Groebner computations for the tests of ``padicdist.graded``.
 
-A Groebner engine parameterised by its monomial order, with the two orders
-the library once used: total degree with lex ties (``_deglex_key``) and a
-block order eliminating the last variable (``_elim_last_key``).  On top of
-it, two independent ways of computing I : e0^infinity, each returning the
-reduced deglex basis as a list of ``{monomial: coefficient}`` dicts:
+A plain Groebner engine parameterised by its monomial order: monomials are
+exponent tuples, the lead is ``max(poly, key=key)``, and Buchberger's
+algorithm reduces every pair, with no pair criteria.  It runs in three
+orders: the library's graded reverse lex (``_grevlex_key``), and the two
+orders the library once used, total degree with lex ties (``_deglex_key``)
+and a block order eliminating the last variable (``_elim_last_key``).
+
+In the library's order, ``groebner_grevlex``, ``reduce_grevlex``,
+``saturate_bayer`` and ``grade_grevlex`` redo ``graded``'s bases, division,
+saturation and grade, so that the tests can require identical results.
+Two independent ways of computing I : e0^infinity each return the reduced
+deglex basis as a list of ``{monomial: coefficient}`` dicts:
 
 - ``saturate_rabinowitsch``: one elimination of t from I + <1 - t*e0>;
 - ``saturate_by_quotients``: the ideal quotient by e0, repeated until the
@@ -13,7 +20,30 @@ reduced deglex basis as a list of ``{monomial: coefficient}`` dicts:
 Both are slow on some inputs and exist only to check ``graded.saturate``.
 """
 
-from padicdist.graded import _mono_div, _mono_divides, _mono_lcm, _mono_mul
+import heapq
+import itertools
+
+
+def _mono_mul(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def _mono_divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def _mono_div(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def _mono_lcm(a, b):
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def _grevlex_key(mon):
+    # the library's order: total degree first, then the smaller exponent of
+    # the last variable wins, so e0 (the last slot) is the least variable
+    return (sum(mon), tuple(-x for x in reversed(mon)))
 
 
 def _deglex_key(mon):
@@ -30,18 +60,22 @@ def _lead(poly, key):
     return max(poly, key=key)
 
 
-def _reduce(poly, basis, p, key):
-    """Remainder of multivariate division of poly by basis."""
+def _reduce(poly, basis, p, key, cof=None):
+    """Remainder of multivariate division of poly by basis: the largest
+    remaining term first, to the first element whose lead divides it.  cof,
+    if given, is one dict per basis element and collects the quotients."""
     work = dict(poly)
     rem = {}
     leads = [(_lead(b, key), b) for b in basis]
     while work:
         m = _lead(work, key)
         c = work.pop(m)
-        for lm, b in leads:
+        for i, (lm, b) in enumerate(leads):
             if _mono_divides(lm, m):
                 q = _mono_div(m, lm)
                 f = (c * pow(b[lm], -1, p)) % p
+                if cof is not None:
+                    cof[i][q] = (cof[i].get(q, 0) + f) % p
                 for bm, bc in b.items():
                     t = _mono_mul(q, bm)
                     if t == m:
@@ -74,21 +108,25 @@ def _spoly(f, g, p, key):
 
 
 def _buchberger(gens, p, key):
+    """Reduced basis with no pair criteria: every pair is reduced, smallest
+    lcm first."""
     basis = [dict(g) for g in gens if g]
-    if not basis:
-        return []
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i)]
+    pairs = []
+
+    def add_pairs(k):
+        lk = _lead(basis[k], key)
+        for t in range(k):
+            l = _mono_lcm(lk, _lead(basis[t], key))
+            heapq.heappush(pairs, (key(l), k, t))
+
+    for k in range(len(basis)):
+        add_pairs(k)
     while pairs:
-        i, j = pairs.pop()
-        li, lj = _lead(basis[i], key), _lead(basis[j], key)
-        if _mono_lcm(li, lj) == _mono_mul(li, lj):
-            continue  # coprime leading monomials
-        s = _spoly(basis[i], basis[j], p, key)
-        r = _reduce(s, basis, p, key)
+        _, i, j = heapq.heappop(pairs)
+        r = _reduce(_spoly(basis[i], basis[j], p, key), basis, p, key)
         if r:
             basis.append(r)
-            k = len(basis) - 1
-            pairs.extend((k, t) for t in range(k))
+            add_pairs(len(basis) - 1)
     return _reduce_basis(basis, p, key)
 
 
@@ -158,3 +196,50 @@ def saturate_by_quotients(ideal):
         if nxt == cur:
             return cur
         cur = nxt
+
+
+# -- the library's own algorithms, on this engine ------------------------------
+
+
+def groebner_grevlex(gens, p):
+    """Reduced basis in the library's order, every pair reduced."""
+    return _buchberger(gens, p, _grevlex_key)
+
+
+def reduce_grevlex(poly, basis, p):
+    """(remainder, cofactors) of dividing poly by basis in the library's
+    order."""
+    cof = [{} for _ in basis]
+    return _reduce(poly, basis, p, _grevlex_key, cof), cof
+
+
+def saturate_bayer(ideal):
+    """``graded.saturate``'s algorithm on this engine: homogenize with a new
+    variable h before e0, divide each basis element by its largest power of
+    e0, set h = 1 and take the reduced basis again."""
+    p = ideal.ambient.p
+    homog = []
+    for g in ideal._raw_gens():
+        top = max(sum(m) for m in g)
+        homog.append({m[:-1] + (top - sum(m), m[-1]): c for m, c in g.items()})
+    gens = []
+    for b in groebner_grevlex(homog, p):
+        k = min(m[-1] for m in b)
+        gens.append({m[:-2] + (m[-1] - k,): c for m, c in b.items()})
+    return groebner_grevlex(gens, p)
+
+
+def grade_grevlex(sat, d):
+    """(d+1) - dim F_p[e0, X]/<sat>, the dimension being the largest set of
+    variables containing no lead monomial's support; None for the unit
+    ideal."""
+    supports = [{i for i, a in enumerate(_lead(g, _grevlex_key)) if a} for g in sat]
+    if set() in supports:
+        return None
+    dim = max(
+        len(subset)
+        for n in range(d + 2)
+        for subset in map(set, itertools.combinations(range(d + 1), n))
+        if not any(sup <= subset for sup in supports)
+    )
+    return (d + 1) - dim

@@ -263,6 +263,12 @@ class TestInvalidMultiIndices:
         with pytest.raises(DistError):
             structure_constants(GroupModel.heisenberg(P), gamma, beta, 6)
 
+    @pytest.mark.parametrize("alpha", [(1.5, 2, 0), (-1, 0, 0), (1, 0)])
+    def test_coeff(self, alpha):
+        d = Distribution.dirac(GroupModel.heisenberg(P).element((1, 2, 0)))
+        with pytest.raises(DistError):
+            d.coeff(alpha)
+
     def test_abelian_structure_constants(self):
         with pytest.raises(DistError):
             structure_constants(GroupModel.abelian(2, P), (1, -1), (0, 1), 6)

@@ -1,11 +1,19 @@
 from fractions import Fraction
 from itertools import product
 from math import inf
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graded_reference import saturate_by_quotients, saturate_rabinowitsch
+from graded_reference import (
+    grade_grevlex,
+    groebner_grevlex,
+    reduce_grevlex,
+    saturate_bayer,
+    saturate_by_quotients,
+    saturate_rabinowitsch,
+)
 from padicdist.graded import (
     GradedAmbient,
     GradedError,
@@ -247,6 +255,103 @@ class TestSaturationOracle:
         e0_power_certificate(ideal, sat, kmax=3)
         assert all(b.min_e0_exponent == 0 for b in sat.basis_polys())
         assert grade_cyclic(ideal, 3) == 3
+
+
+def _items(basis):
+    # term order too: the benchmark hashes the reprs of these dicts
+    return [list(b.items()) for b in basis]
+
+
+QUADRICS = [m for m in product(range(3), repeat=3) if sum(m) == 2]
+QUADRICS_E0 = [m for m in product(range(3), repeat=4) if sum(m) == 2]
+
+# (d, terms per generator, monomials, whether a generator must involve e0):
+# trinomial quadrics in X1, X2, e0; binomial quadrics in X1, X2, X3; and at
+# d=3 trinomials and binomials involving e0, whose saturations take the most
+# rounds
+FAMILIES = {
+    "d2-trinomials": (2, 3, QUADRICS, False),
+    "d3-binomials": (3, 2, [m + (0,) for m in QUADRICS], False),
+    "d3-trinomials": (3, 3, QUADRICS_E0, False),
+    "d3-e0-binomials": (3, 2, QUADRICS_E0, True),
+}
+
+
+def seeded_ideals(family, p, count):
+    """count ideals of three generators from the family over F_p, each with a
+    member (a combination of the generators) and a random probe."""
+    d, nterms, mons, need_e0 = FAMILIES[family]
+    rng = random.Random(f"{family}:{p}")
+    a = GradedAmbient(p, d, [1] * d, Fraction(1, 2))
+
+    def rnd(nterms, deg):
+        return GradedPoly(a, {
+            tuple(rng.randint(0, deg) for _ in range(d + 1)): rng.randrange(1, p)
+            for _ in range(nterms)
+        })
+
+    for _ in range(count):
+        gens = []
+        while len(gens) < 3:
+            support = rng.sample(mons, nterms)
+            if not need_e0 or any(m[-1] for m in support):
+                gens.append(GradedPoly(a, {m: rng.randrange(1, p) for m in support}))
+        member = GradedPoly.zero_poly(a)
+        for g in gens:
+            member = member + rnd(3, 1) * g
+        yield d, GradedIdeal(a, gens), member, rnd(3, 2)
+
+
+class TestEngineMatchesReference:
+    """The library's bases, saturations, grades, remainders and cofactors
+    are those of a plain engine that reduces every pair and finds each lead
+    with ``max(..., key=...)``, term order included."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("p, count", [(5, 40), (3, 4), (7, 4)])
+    def test_seeded_ideals(self, family, p, count):
+        for d, ideal, member, probe in seeded_ideals(family, p, count):
+            raw = ideal._raw_gens()
+            ref = groebner_grevlex(raw, p)
+            assert _items(_buchberger(raw, p)) == _items(ref)
+            ref_sat = saturate_bayer(ideal)
+            assert _items(saturate(GradedIdeal(ideal.ambient, ideal.gens))._gb) == _items(ref_sat)
+            ref_grade = grade_grevlex(ref_sat, d)
+            assert grade_cyclic(ideal, d) == (inf if ref_grade is None else ref_grade)
+            for poly in (member, probe):
+                rem, cof = ideal.reduce(poly)
+                ref_rem, ref_cof = reduce_grevlex(poly.terms, ref, p)
+                assert list(rem.terms.items()) == list(ref_rem.items())
+                assert [list(c.terms.items()) for c in cof] == _items(ref_cof)
+            assert not ideal.reduce(member)[0].terms
+
+
+class TestBasisReuse:
+    """saturate keeps the basis of a homogeneous ideal, which it computes on
+    the way, as that ideal's own basis."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_homogeneous_ideal_keeps_its_basis(self, family):
+        for d, ideal, _, _ in seeded_ideals(family, 5, 3):
+            grade_cyclic(ideal, d)
+            assert _items(ideal._gb) == _items(_buchberger(ideal._raw_gens(), 5))
+
+    def test_principal_ideal_keeps_its_term_order(self):
+        # two generators with one lead: the first one's term order is kept
+        a = amb(2)
+        ideal = GradedIdeal(a, [GradedPoly.parse(a, t) for t in (
+            "2*e0*X2 + 1*X1^2 + 3*X1*X2", "2*X1^2 + 1*X1*X2 + 4*e0*X2")])
+        grade_cyclic(ideal, 2)
+        assert _items(ideal._gb) == _items(groebner_grevlex(ideal._raw_gens(), P))
+        assert list(ideal._gb[0]) == [(0, 1, 1), (2, 0, 0), (1, 1, 0)]
+
+    @pytest.mark.parametrize("gens", [("X1+e0^2", "X2*X1"), ROADMAP_GENS])
+    def test_inhomogeneous_ideal_is_left_alone(self, gens):
+        a = amb(3)
+        ideal = GradedIdeal(a, [GradedPoly.parse(a, g) for g in gens])
+        sat = saturate(ideal)
+        assert ideal._gb is None
+        assert sat._gb == _buchberger(saturate_by_quotients(ideal), P)
 
 
 class TestDimensionAndGrade:

@@ -7,6 +7,7 @@ from padicdist.padic import (
     NormValue,
     PadicError,
     PadicScalar,
+    PrecisionExhausted,
     binom,
     ppow,
     vp_factorial,
@@ -51,6 +52,11 @@ class TestScalarArithmetic:
         z = s(0)
         assert z.abs_val() == NormValue(N, exact=False)
         assert not z.abs_val().exact
+
+    @pytest.mark.parametrize("prec", [0, -2])
+    def test_window_below_one_refused(self, prec):
+        with pytest.raises(PrecisionExhausted):
+            PadicScalar(P, prec, 1)
 
     def test_add_window_is_min(self):
         a = PadicScalar.from_int(P, 3, 10)
