@@ -238,16 +238,12 @@ def _key(mon):
     return (sum(mon),) + tuple(-x for x in reversed(mon))
 
 
-def _unkey(key):
-    return tuple(-x for x in reversed(key[1:]))
-
-
 def _encode(poly):
     return {_key(m): c for m, c in poly.items()}
 
 
 def _decode(poly):
-    return {_unkey(k): c for k, c in poly.items()}
+    return {tuple(-x for x in reversed(k[1:])): c for k, c in poly.items()}
 
 
 def _divides(a, b):

@@ -266,9 +266,9 @@ QUADRICS = [m for m in product(range(3), repeat=3) if sum(m) == 2]
 QUADRICS_E0 = [m for m in product(range(3), repeat=4) if sum(m) == 2]
 
 # (d, terms per generator, monomials, whether a generator must involve e0):
-# trinomial quadrics in X1, X2, e0; binomial quadrics in X1, X2, X3; and at
-# d=3 trinomials and binomials involving e0, whose saturations take the most
-# rounds
+# the groebner benchmark's two families (trinomial quadrics in X1, X2, e0 and
+# binomial quadrics in X1, X2, X3) and the two d=3 families it leaves out
+# (trinomials, and binomials involving e0)
 FAMILIES = {
     "d2-trinomials": (2, 3, QUADRICS, False),
     "d3-binomials": (3, 2, [m + (0,) for m in QUADRICS], False),
