@@ -7,7 +7,7 @@ The names below are imported from their modules on first access, so
 from importlib import import_module
 
 _EXPORTS = {
-    "padic": ("NormValue", "PadicError", "PadicScalar", "PrecisionExhausted", "binom"),
+    "padic": ("NormValue", "PadicError", "PadicScalar", "PrecisionExhausted"),
     "groupmodel": ("GroupElement", "GroupModel", "ModelError"),
     "distalg": ("DistError", "Distribution", "NormInterval", "RadiusParam", "TailCert",
                 "lie_generator", "q_norm", "semidirect_mul", "structure_constants"),

@@ -185,8 +185,8 @@ def cmd_project(args) -> int:
         raise UsageError("projection level must be >= 1")
     elem = finite_level_project(dist, args.level)
     lines = [
-        ",".join(str(x) for x in key) + " : " + format_scalar(c)
-        for key, c in sorted(elem.coeffs.items())
+        ",".join(str(x) for x in key) + " : " + format_scalar(elem.coeff(key))
+        for key in sorted(elem.coeffs)
     ]
     _emit(args, "\n".join(lines) + "\n")
     return EXIT_OK

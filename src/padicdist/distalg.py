@@ -36,6 +36,7 @@ from .padic import (
     add_triples,
     fraction_triple,
     ppow,
+    require_triple,
     triple_bound,
     triple_valuation,
 )
@@ -140,10 +141,7 @@ class Distribution:
         for alpha, c in self.coeffs.items():
             if model.tau(alpha) > self.T:
                 raise DistError(f"stored index {alpha} exceeds truncation weight {self.T}")
-            if type(c) is not tuple or len(c) != 3 or not (
-                    type(c[0]) is type(c[1]) is type(c[2]) is int):
-                raise TypeError(f"coefficient at {alpha} is not a (residue, prec, shift) "
-                                f"triple of ints: {c!r}")
+            require_triple(alpha, c)
         self.tail_certs = tuple(tail_certs)
         self.exact = bool(exact)
         if self.exact and self.tail_certs:

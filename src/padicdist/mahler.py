@@ -4,6 +4,12 @@ and finite-level projection to group algebras of the quotients G/G_n.
 Functions enter only as builtin FunctionSpecs with exact integer/rational
 evaluators, so every Mahler table is reproducible and every pairing carries
 a certified error bound.
+
+Table entries and coset coefficients are (residue, prec, shift) int triples,
+as in distribution heads, under the triple rules of ``padic``.  PadicScalars
+are built only for values that leave the module (the two ``coeff`` methods,
+``MahlerTable.evaluate`` and ``pair``) and to compare values in
+``GroupAlgebraElement.__eq__``.
 """
 
 from __future__ import annotations
@@ -11,7 +17,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .padic import NormValue, PadicError, PadicScalar, _check_prime, ppow
+from .padic import (NormValue, PadicError, PadicScalar, _check_prime, add_triples, ppow,
+                    require_triple, triple_bound)
 from .groupmodel import GroupModel
 from .distalg import Distribution
 
@@ -27,6 +34,15 @@ def int_binom(m: int, k: int) -> int:
     if m >= 0:
         return comb(m, k)
     return (-1) ** k * comb(k - m - 1, k)
+
+
+def _int_tuple(x, d, what, nonnegative=False) -> tuple:
+    """x as a tuple of d ints; MahlerError unless its entries are integral
+    (and nonnegative where asked)."""
+    ints = tuple(map(int, x))
+    if ints != tuple(x) or len(ints) != d or (nonnegative and any(a < 0 for a in ints)):
+        raise MahlerError(f"{what} {tuple(x)} is not {d} {'nonnegative ' * nonnegative}integers")
+    return ints
 
 
 class FunctionSpec:
@@ -153,10 +169,9 @@ class FunctionSpec:
 class MahlerTable:
     """Finite differences c_alpha of a builtin function, |alpha| <= cap."""
 
-    __slots__ = ("d", "p", "prec", "cap", "coeffs", "decay", "complete", "source")
+    __slots__ = ("d", "p", "prec", "cap", "coeffs", "decay", "complete")
 
-    def __init__(self, d, p, prec, cap, coeffs, decay=None, complete=False,
-                 source=None):
+    def __init__(self, d, p, prec, cap, coeffs, decay=None, complete=False):
         try:
             _check_prime(p)
         except ValueError as exc:
@@ -172,29 +187,30 @@ class MahlerTable:
         self.prec = prec
         self.cap = cap
         self.coeffs = dict(coeffs)
+        for alpha, c in self.coeffs.items():
+            require_triple(alpha, c)
         self.decay = decay
         self.complete = bool(complete)
-        self.source = source
 
     def coeff(self, alpha) -> PadicScalar:
-        c = self.coeffs.get(tuple(int(a) for a in alpha))
-        if c is None:
-            return PadicScalar.zero(self.p, self.prec)
-        return c
+        """c_alpha as a PadicScalar; zero at the table's precision where
+        nothing is stored.  An alpha that is not d nonnegative integers
+        raises MahlerError."""
+        r, prec, shift = self.coeffs.get(
+            _int_tuple(alpha, self.d, "multi-index", nonnegative=True), (0, self.prec, 0))
+        return PadicScalar(self.p, prec, r, shift)
 
     def sup_bound(self) -> NormValue:
         """Certified bound on sup |c_alpha| over ALL alpha."""
         best = NormValue.zero()
         for c in self.coeffs.values():
-            best = max(best, c.abs_val())
+            best = max(best, triple_bound(self.p, c))
         if not self.complete:
             if self.decay is not None:
                 best = max(best, self.decay[0])
             else:
                 # builtin functions are Z_p-valued, so |c_alpha| <= 1
                 best = max(best, NormValue(0, exact=False))
-        if not best.exact:
-            best = NormValue(best.exponent, exact=False)
         return best
 
     def missing_bound(self, alpha) -> NormValue:
@@ -208,15 +224,17 @@ class MahlerTable:
         return NormValue(0, exact=False)
 
     def evaluate(self, point) -> PadicScalar:
-        """sum c_alpha C(point, alpha) over the stored head, mod p^prec."""
-        point = tuple(int(x) for x in point)
-        total = PadicScalar.zero(self.p, self.prec)
-        for alpha, c in self.coeffs.items():
+        """sum c_alpha C(point, alpha) over the stored head, mod p^prec.  A
+        point that is not d integers raises MahlerError."""
+        point = _int_tuple(point, self.d, "point")
+        total = (0, self.prec, 0)
+        for alpha, (r, prec, shift) in self.coeffs.items():
             w = 1
             for m, k in zip(point, alpha):
                 w *= int_binom(m, k)
-            total = total + c.mul_int(w)
-        return total
+            total = add_triples(self.p, total, (r * w, prec, shift))
+        r, prec, shift = total
+        return PadicScalar(self.p, prec, r, shift)
 
     def __repr__(self):
         return f"MahlerTable(d={self.d}, p={self.p}, cap={self.cap}, terms={len(self.coeffs)})"
@@ -234,6 +252,8 @@ def mahler_coeffs(f: FunctionSpec, A: int, prec: int = 12) -> MahlerTable:
     """
     if A < 0:
         raise MahlerError("cap must be >= 0")
+    if prec < 1:
+        raise MahlerError(f"precision N must be >= 1, got {prec}")
     d = f.d
     points = list(_simplex(d, A))
     vals = {}
@@ -253,12 +273,12 @@ def mahler_coeffs(f: FunctionSpec, A: int, prec: int = 12) -> MahlerTable:
                 for k in range(len(row) - 1, j - 1, -1):
                     row[k] -= row[k - 1]
             vals.update(zip(keys, row))
-    coeffs = {alpha: PadicScalar.from_int(f.p, vals[alpha], prec)
-              for alpha in points if vals[alpha]}
+    m = ppow(f.p, prec)
+    coeffs = {alpha: (vals[alpha] % m, prec, 0) for alpha in points if vals[alpha]}
     deg = f.poly_degree()
     complete = deg is not None and A >= deg
-    return MahlerTable(f.d, f.p, prec, A, coeffs,
-                       decay=f.decay_certificate(), complete=complete, source=f)
+    return MahlerTable(f.d, f.p, prec, A, coeffs, decay=f.decay_certificate(),
+                       complete=complete)
 
 
 def _simplex(d, A):
@@ -278,7 +298,7 @@ def amice_report(table: MahlerTable, rho_exponents):
     rows_v = {}
     for alpha, c in table.coeffs.items():
         k = sum(alpha)
-        a = c.abs_val()
+        a = triple_bound(table.p, c)
         if k not in rows_v or a > rows_v[k]:
             rows_v[k] = a
     out = []
@@ -305,15 +325,15 @@ def pair(lam: Distribution, table: MahlerTable):
     if not lam.exact and table.decay is None and not table.complete:
         raise MahlerError("unbounded tail: no decay certificate and the "
                         "distribution is inexact")
-    total = PadicScalar.zero(model.p, min(model.elem_prec, table.prec))
+    p = model.p
+    total = (0, min(model.elem_prec, table.prec), 0)
     errors = [NormValue.zero()]
-    for alpha in lam.coeffs:
-        dcoef = lam.coeff(alpha)
+    for alpha, (r, prec, shift) in lam.coeffs.items():
         c = table.coeffs.get(alpha)
         if c is not None:
-            total = total + dcoef * c
+            total = add_triples(p, total, (r * c[0], min(prec, c[1]), shift + c[2]))
         else:
-            errors.append(dcoef.abs_val() * table.missing_bound(alpha))
+            errors.append(triple_bound(p, (r, prec, shift)) * table.missing_bound(alpha))
     if not lam.head_error.is_zero:
         errors.append(lam.head_error * table.sup_bound())
     if not lam.exact:
@@ -321,7 +341,7 @@ def pair(lam: Distribution, table: MahlerTable):
         # beyond T as well as unstored in the head
         for alpha, c in table.coeffs.items():
             if alpha not in lam.coeffs:
-                errors.append(_lam_tail_bound_at(lam, sum(alpha)) * c.abs_val())
+                errors.append(_lam_tail_bound_at(lam, sum(alpha)) * triple_bound(p, c))
         if not table.complete:
             C_t, t_t = table.decay
             k0 = max(model.weight_above(lam.T), table.cap + 1)
@@ -332,10 +352,8 @@ def pair(lam: Distribution, table: MahlerTable):
                     if best is None or cand < best:
                         best = cand
             errors.append(NormValue.unbounded() if best is None else best)
-    err = max(errors)
-    if not err.is_zero and not err.exact:
-        err = NormValue(err.exponent, exact=False)
-    return total, err
+    r, prec, shift = total
+    return PadicScalar(p, prec, r, shift), max(errors)
 
 
 def _lam_tail_bound_at(lam, k):
@@ -348,7 +366,9 @@ def _lam_tail_bound_at(lam, k):
 
 
 class GroupAlgebraElement:
-    """Element of K[G/G_n]: coefficients on coordinate residues mod p^n."""
+    """Element of K[G/G_n]: ``coeffs`` maps coordinate residues mod p^n to
+    coefficient triples, residues reduced and nonzero.  The constructor takes
+    triples and sums keys that agree mod p^n."""
 
     __slots__ = ("model", "n", "coeffs")
 
@@ -357,34 +377,39 @@ class GroupAlgebraElement:
             raise MahlerError("level must be >= 1")
         self.model = model
         self.n = n
-        m = ppow(model.p, n)
+        p = model.p
+        m = ppow(p, n)
         clean = {}
         for key, c in coeffs.items():
             key = tuple(int(x) % m for x in key)
-            if key in clean:
-                clean[key] = clean[key] + c
-            else:
-                clean[key] = c
-        self.coeffs = {k: c for k, c in clean.items() if c.residue != 0}
+            clean[key] = add_triples(p, clean[key], c) if key in clean else c
+        reduced = ((k, (r % ppow(p, prec), prec, shift)) for k, (r, prec, shift) in clean.items())
+        self.coeffs = {k: c for k, c in reduced if c[0]}
 
     def coeff(self, key) -> PadicScalar:
+        """The coefficient of the coset of key as a PadicScalar; zero at the
+        working precision where nothing is stored.  A key that is not d
+        integers raises MahlerError; negative entries reduce mod p^n."""
         m = ppow(self.model.p, self.n)
-        c = self.coeffs.get(tuple(int(x) % m for x in key))
-        if c is None:
-            return PadicScalar.zero(self.model.p, self.model.elem_prec)
-        return c
+        return self._scalar(tuple(x % m for x in _int_tuple(key, self.model.d, "coset key")))
+
+    def _scalar(self, key) -> PadicScalar:
+        """coeff at a key already reduced mod p^n, unchecked."""
+        r, prec, shift = self.coeffs.get(key, (0, self.model.elem_prec, 0))
+        return PadicScalar(self.model.p, prec, r, shift)
 
     def __mul__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
         self._check(other)
+        model = self.model
+        right = [(model.element(k2), c2) for k2, c2 in other.coeffs.items()]
         out = {}
-        for k1, c1 in self.coeffs.items():
-            g1 = self.model.element(k1)
-            for k2, c2 in other.coeffs.items():
-                g2 = self.model.element(k2)
-                k = self.model.gmul(g1, g2).coords
-                c = c1 * c2
-                out[k] = out[k] + c if k in out else c
-        return GroupAlgebraElement(self.model, self.n, out)
+        for k1, (r1, prec1, s1) in self.coeffs.items():
+            g1 = model.element(k1)
+            for g2, (r2, prec2, s2) in right:
+                k = model.gmul(g1, g2).coords
+                c = (r1 * r2, min(prec1, prec2), s1 + s2)
+                out[k] = add_triples(model.p, out[k], c) if k in out else c
+        return GroupAlgebraElement(model, self.n, out)
 
     def _check(self, other):
         self.model._require_same(other.model)
@@ -396,7 +421,7 @@ class GroupAlgebraElement:
             return NotImplemented
         self._check(other)
         keys = set(self.coeffs) | set(other.coeffs)
-        return all(self.coeff(k).same_value(other.coeff(k)) for k in keys)
+        return all(self._scalar(k).same_value(other._scalar(k)) for k in keys)
 
     __hash__ = None
 
@@ -412,10 +437,9 @@ def finite_level_project(lam: Distribution, n: int) -> GroupAlgebraElement:
     p = lam.model.p
     m = ppow(p, n)
     coeffs = {}
-    for (r, prec, shift), g in terms:
-        a = PadicScalar(p, prec, r, shift)
+    for a, g in terms:
         key = tuple(x % m for x in g.coords)
-        coeffs[key] = coeffs[key] + a if key in coeffs else a
+        coeffs[key] = add_triples(p, coeffs[key], a) if key in coeffs else a
     return GroupAlgebraElement(lam.model, n, coeffs)
 
 

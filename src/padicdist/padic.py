@@ -9,8 +9,10 @@ exponents.
 
 The rules for a sum, a valuation and a magnitude bound are written once, as
 functions on the triple (residue, prec, shift) of ints: the form in which
-distribution heads and Dirac witnesses are stored.  PadicScalar applies the
-same functions to its own triple.
+distribution heads, Dirac witnesses, Mahler table entries and level-n coset
+coefficients are stored.  A product takes the least prec and adds the
+shifts.  PadicScalar applies the same rules to its own triple; it is the
+form in which a value leaves the library.
 """
 
 from __future__ import annotations
@@ -157,6 +159,14 @@ def add_triples(p: int, x, y):
     return r1 * ppow(p, shift - s1) + r2 * ppow(p, shift - s2), prec, shift
 
 
+def require_triple(where, c) -> None:
+    """Refuse, with TypeError, a stored coefficient that is not a
+    (residue, prec, shift) triple of ints."""
+    if type(c) is not tuple or len(c) != 3 or not (type(c[0]) is type(c[1]) is type(c[2]) is int):
+        raise TypeError(f"coefficient at {where} is not a (residue, prec, shift) "
+                        f"triple of ints: {c!r}")
+
+
 def triple_valuation(p: int, x):
     """Exact valuation (int) when determined, else None ("v >= window");
     the residue must be reduced mod p**prec."""
@@ -269,9 +279,6 @@ class PadicScalar:
         prec = min(self.prec, other.prec)
         return PadicScalar(self.p, prec, self.residue * other.residue, self.shift + other.shift)
 
-    def mul_int(self, n: int) -> "PadicScalar":
-        return PadicScalar(self.p, self.prec, self.residue * n, self.shift)
-
     def abs_val(self) -> NormValue:
         return triple_bound(self.p, self.triple)
 
@@ -305,6 +312,8 @@ class PadicScalar:
 
 @lru_cache(maxsize=1 << 18)
 def _binom_residue(p: int, prec: int, rep: int, k: int):
+    """(prec', C(rep, k) mod p**prec') for an integer rep known mod p**prec,
+    where prec' = prec - v_p(k!)."""
     num = 1
     for j in range(k):
         num *= rep - j
@@ -316,18 +325,3 @@ def _binom_residue(p: int, prec: int, rep: int, k: int):
             f"binomial coefficient needs {vkf} guard digits, window has {prec}"
         )
     return prec_out, c % ppow(p, prec_out)
-
-
-def binom(x: PadicScalar, k: int) -> PadicScalar:
-    """Binomial coefficient x(x-1)...(x-k+1)/k! for integral x, natural k.
-
-    Correct modulo p**(prec - v_p(k!)).
-    """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if x.shift != 0:
-        raise PadicError("binomial coefficient requires an integral argument")
-    if k == 0:
-        return PadicScalar.one(x.p, x.prec)
-    prec_out, res = _binom_residue(x.p, x.prec, x.residue, k)
-    return PadicScalar(x.p, prec_out, res, 0)

@@ -231,7 +231,7 @@ def parse_mahler(text: str) -> MahlerTable:
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"bad decay growth in {h['decay']!r}", 1) from None
         decay = (parse_normvalue(c_text, 1), growth)
-    coeffs = _parse_terms(lines[1:], p, d)
+    coeffs = {a: c.triple for a, c in _parse_terms(lines[1:], p, d).items()}
     try:
         return MahlerTable(d, p, prec, cap, coeffs, decay=decay, complete=complete)
     except MahlerError as exc:

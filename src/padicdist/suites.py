@@ -579,11 +579,11 @@ def suite_mahler_dirac(params: SuiteParams) -> SuiteReport:
             if diff.residue != 0 and diff.abs_val() > err:
                 failures += 1
         ok_mono = True
-        for alpha, c in list(t.coeffs.items())[:10]:
+        for alpha in list(t.coeffs)[:10]:
             if model2.tau(alpha) > params.T:
                 continue
             v, e = mh.pair(Distribution.monomial(model2, alpha), t)
-            ok_mono = ok_mono and e.is_zero and v.same_value(c)
+            ok_mono = ok_mono and e.is_zero and v.same_value(t.coeff(alpha))
         rep.add(f"monomial-pairing-{spec.kind}", "mahler-dirac", ok_mono,
                 "pair(b^alpha, t) = c_alpha exactly")
     rep.add("poly-eval", "mahler-dirac", failures == 0,

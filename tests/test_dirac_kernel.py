@@ -23,8 +23,10 @@ from padicdist.distalg import (
     lie_generator,
 )
 from padicdist.groupmodel import GroupElement, GroupModel, coords_in_basis
-from padicdist.padic import PadicScalar, PrecisionExhausted, binom, ppow
+from padicdist.padic import PadicScalar, PrecisionExhausted, ppow
 from padicdist.suites import _second_basis
+
+from mahler_reference import binom
 
 
 def merge_terms_by_scalars(model, terms):
@@ -58,7 +60,7 @@ def head_to_dirac_by_scalars(model, coeffs):
                 key = tuple(kappa)
                 if key not in elems:
                     elems[key] = model.element(list(key))
-                term = c.mul_int(csign)
+                term = c * PadicScalar.from_int(model.p, csign, c.prec)
                 if key in acc:
                     acc[key] = acc[key] + term
                 else:

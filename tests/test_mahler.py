@@ -1,15 +1,18 @@
 import math
+import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mahler_reference import evaluate_scalars, mul_scalars, pair_scalars, project_scalars
 from padicdist.distalg import Distribution, TailCert, lie_generator
 from padicdist.groupmodel import GroupModel
 from padicdist.mahler import (
     FunctionSpec,
     MahlerError,
+    MahlerTable,
     amice_report,
     finite_level_project,
     int_binom,
@@ -18,6 +21,7 @@ from padicdist.mahler import (
     pair_with_indicator_crosscheck,
 )
 from padicdist.padic import NormValue, PadicScalar, ppow
+from padicdist.serialize import format_scalar, parse_mahler
 
 P = 5
 N = 12
@@ -85,7 +89,7 @@ class TestMahlerCoeffs:
                 complete = f.poly_degree() is not None and cap >= f.poly_degree()
                 assert list(t.coeffs) == sorted(want), (f, cap)
                 for alpha, c in want.items():
-                    got = t.coeffs[alpha]
+                    got = t.coeff(alpha)
                     assert (got.p, got.prec, got.residue, got.shift) == \
                         (c.p, c.prec, c.residue, c.shift), (f, cap, alpha)
                 assert t.complete == complete and t.cap == cap, (f, cap)
@@ -195,7 +199,7 @@ class TestPairing:
         v1, _ = pair(lam, t)
         v2, _ = pair(mu, t)
         v3, _ = pair(lam.scale(3) + mu, t)
-        assert v3.same_value(v1.mul_int(3) + v2)
+        assert v3.same_value(v1 * sc(3, v1.prec) + v2)
 
     def test_refuses_uncertified_inexact(self):
         model = ab(1)
@@ -321,3 +325,170 @@ class TestCrosscheck:
         v = pair_with_indicator_crosscheck(lam, [1, 0], 1, A=3 * P)
         assert v in ("true", "inconclusive")
         assert v != "false"
+
+
+class TestIndexValidation:
+    """Indices and points are refused unless they are d integers (and, for a
+    table index, nonnegative), as Distribution.coeff refuses them."""
+
+    def table(self):
+        return mahler_coeffs(FunctionSpec.monomial(1, P, (2,)), 6, prec=N)
+
+    @pytest.mark.parametrize("alpha", [(1.5,), (1, 0), (-1,), ()])
+    def test_table_coeff(self, alpha):
+        with pytest.raises(MahlerError, match="multi-index"):
+            self.table().coeff(alpha)
+
+    def test_table_coeff_accepts_integral_entries(self):
+        t = self.table()
+        assert t.coeff((1,)).same_value(sc(1)) and t.coeff((2.0,)).same_value(sc(2))
+        assert t.coeff((7,)).same_value(sc(0))
+
+    @pytest.mark.parametrize("point", [(2, 5), (2.5,), ()])
+    def test_table_evaluate(self, point):
+        with pytest.raises(MahlerError, match="point"):
+            self.table().evaluate(point)
+
+    def test_table_evaluate_at_negative_points(self):
+        got = self.table().evaluate((-3,))
+        assert got.same_value(sc(9, got.window))
+
+    def projection(self):
+        g = GroupModel.from_string("abelian:2:5", prec=N, max_weight=12).element([2, 3])
+        return finite_level_project(Distribution.dirac(g), 1)
+
+    @pytest.mark.parametrize("key", [(2.7, 3), (2,), (2, 3, 0)])
+    def test_coset_coeff(self, key):
+        with pytest.raises(MahlerError, match="coset key"):
+            self.projection().coeff(key)
+
+    def test_negative_coset_keys_reduce(self):
+        e = self.projection()
+        assert e.coeff((-3, 3)).same_value(sc(1, e.coeff((2, 3)).prec))
+        assert e.coeff((2, -2)).same_value(e.coeff((2, 3)))
+
+    @pytest.mark.parametrize("c", [sc(3), (3, N), (3.0, N, 0), [3, N, 0], (3, N, 0, 0)])
+    def test_table_refuses_non_triples(self, c):
+        with pytest.raises(TypeError, match=r"coefficient at \(1,\) is not a \(residue"):
+            MahlerTable(1, P, N, 4, {(1,): c})
+
+
+def same_scalar(got, want):
+    return (got.p, got.prec, got.residue, got.shift) == \
+        (want.p, want.prec, want.residue, want.shift)
+
+
+def same_cosets(elem, want):
+    """A GroupAlgebraElement against {key: PadicScalar}, key order included."""
+    return list(elem.coeffs) == list(want) and all(
+        same_scalar(elem.coeff(k), c) for k, c in want.items())
+
+
+class TestStoredForm:
+    def test_tables_and_cosets_hold_reduced_int_triples(self):
+        model = GroupModel.heisenberg(P, prec=N, max_weight=Fraction(12))
+        lam = Distribution.dirac_combination(model, [
+            (1, model.element([1, 0, 2])), (-1, model.element([26, 0, 2])),
+            (Fraction(3, P), model.element([0, 1, 0]))])
+        e = finite_level_project(lam, 1)
+        for x in (e, e * e, mahler_coeffs(FunctionSpec.power_series_1p(3, P, 0), 6, prec=N)):
+            assert x.coeffs
+            for c in x.coeffs.values():
+                assert type(c) is tuple and [type(v) for v in c] == [int, int, int]
+                assert 0 <= c[0] < P ** c[1] and c[2] >= 0
+        assert all(c[0] for c in e.coeffs.values())
+        assert (1, 0, 2) not in e.coeffs  # 1 - 1 in the coset of (1, 0, 2)
+
+
+class TestAgainstScalarReference:
+    """pair, MahlerTable.evaluate, finite_level_project and the product in
+    K[G/G_n], computed on triples, against their PadicScalar versions in
+    mahler_reference: identical (p, prec, residue, shift) for every value
+    and coefficient, and the same error bound and exact flag."""
+
+    @staticmethod
+    def distributions(model, rng):
+        p, d, T = model.p, model.d, model.max_weight
+
+        def coord():
+            return [rng.randint(-20, 40) for _ in range(d)]
+
+        for _ in range(3):
+            yield Distribution.dirac(model.element(coord()))
+            yield Distribution.dirac(model.element([rng.randint(0, 2) for _ in range(d)]))
+        for _ in range(2):
+            yield Distribution.dirac_combination(model, [
+                (Fraction(rng.randint(-30, 30), p ** rng.randint(0, 2)), model.element(coord()))
+                for _ in range(3)])
+        for i in range(d):
+            yield lie_generator(model, i)
+        src = Distribution.dirac(model.element(coord()))
+        for k in (1, 3):
+            yield Distribution.from_coeffs(
+                model, {a: src.coeff(a) for a in src.coeffs if sum(a) <= T - 1}, T - 1,
+                exact=False, tail_certs=[TailCert(NormValue(k - 1), Fraction(0))],
+                head_error=NormValue(k, exact=False))
+
+    @staticmethod
+    def tables(d, p, prec, rng):
+        for f in builtin_functions(d, p):
+            for cap in (2, 7):
+                yield mahler_coeffs(f, cap, prec=prec)
+        # entries with p in the denominator and mixed windows, read from a
+        # table file, with and without decay
+        for decay in ("none", "p^1@1/2"):
+            lines = [f"mahler p={p} d={d} N={prec} A=3 decay={decay} complete=0"]
+            for alpha in product(range(4), repeat=d):
+                if sum(alpha) <= 3 and rng.random() < 0.7:
+                    x = Fraction(rng.randint(-60, 60), p ** rng.randint(0, 2))
+                    c = PadicScalar.from_fraction(p, x, rng.randint(prec - 3, prec))
+                    lines.append(",".join(map(str, alpha)) + " : " + format_scalar(c))
+            yield parse_mahler("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_pair_and_evaluate(self, p, d):
+        rng = random.Random(f"pair-{p}-{d}")
+        model = GroupModel.from_string(f"abelian:{d}:{p}", prec=8, max_weight=6)
+        lams = list(self.distributions(model, rng))
+        checked = refused = 0
+        for t in self.tables(d, p, rng.choice((6, 8, 10)), rng):
+            for point in [[rng.randint(-30, 60) for _ in range(d)] for _ in range(4)]:
+                assert same_scalar(t.evaluate(point), evaluate_scalars(t, point))
+            for lam in lams:
+                try:
+                    want, want_err = pair_scalars(lam, t)
+                except MahlerError:
+                    with pytest.raises(MahlerError):
+                        pair(lam, t)
+                    refused += 1
+                    continue
+                value, err = pair(lam, t)
+                assert same_scalar(value, want), (lam, t)
+                assert (err.exponent, err.exact) == (want_err.exponent, want_err.exact)
+                checked += 1
+        assert checked > 100 and refused > 0
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    @pytest.mark.parametrize("mid", ["abelian:2:{p}", "heisenberg:{p}"])
+    def test_projection_and_product(self, p, mid):
+        rng = random.Random(f"project-{p}-{mid}")
+        model = GroupModel.from_string(mid.format(p=p), prec=6, max_weight=3)
+        lams = []
+        for _ in range(4):
+            terms = []
+            for _ in range(rng.randint(1, 4)):
+                g = [rng.randint(-p * p, 2 * p * p) for _ in range(model.d)]
+                a = Fraction(rng.randint(-40, 40), p ** rng.randint(0, 1))
+                # a cancelling partner in the same level-1 and level-2 coset
+                terms += [(a, model.element(g)),
+                          (-a, model.element([x + p * p for x in g]))]
+            lams.append(Distribution.dirac_combination(model, terms[:-1] + [
+                (rng.randint(1, 9), model.element([rng.randint(0, 5) for _ in range(model.d)]))]))
+            lams.append(Distribution.dirac_combination(model, terms))
+        for n in (1, 2, 3):
+            projs = [(finite_level_project(lam, n), project_scalars(lam, n)) for lam in lams]
+            for e, want in projs:
+                assert same_cosets(e, want)
+            for (e1, w1), (e2, w2) in zip(projs, projs[1:]):
+                assert same_cosets(e1 * e2, mul_scalars(model, n, w1, w2))

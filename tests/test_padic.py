@@ -8,7 +8,7 @@ from padicdist.padic import (
     PadicError,
     PadicScalar,
     PrecisionExhausted,
-    binom,
+    _binom_residue,
     ppow,
     vp_factorial,
     vp_int,
@@ -72,7 +72,7 @@ class TestScalarArithmetic:
     def test_p_in_denominator(self):
         c = PadicScalar.from_fraction(P, Fraction(1, P), N)
         assert c.valuation == -1
-        assert (c.mul_int(P)).same_value(s(1))
+        assert (c * s(P)).same_value(s(1))
 
     def test_canonical_folds_p_powers(self):
         c = PadicScalar.from_fraction(P, Fraction(50, P), N)
@@ -105,6 +105,12 @@ class TestNormValue:
 
     def test_mul_with_zero(self):
         assert (NormValue.zero() * NormValue.unbounded()).is_zero
+
+
+def binom(x, k):
+    """C(x, k) for an integral scalar x, from _binom_residue."""
+    prec, res = _binom_residue(x.p, x.prec, x.residue, k)
+    return PadicScalar(x.p, prec, res)
 
 
 class TestBinom:

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -182,13 +183,20 @@ class TestDistributionFiles:
 
 class TestMahlerFiles:
     def test_round_trip(self):
-        for f in (
-            FunctionSpec.power_series_1p(1, P, 0),
-            FunctionSpec.monomial(2, P, (1, 2)),
-        ):
-            t = mahler_coeffs(f, 8, prec=12)
-            text = serialize_mahler(t)
-            assert serialize_mahler(parse_mahler(text)) == text
+        # the same text, and the same table: equal triples, cap, decay and
+        # completeness, for every builtin function at p = 3, 5 and 7
+        for p, d, cap in itertools.product((3, 5, 7), (1, 2), (0, 3, 8)):
+            ones, twos = ",".join(["1"] * d), ",".join(["2"] * d)
+            ramp = ",".join(str(i + 1) for i in range(d))
+            for fid in ("constant:3", "coordinate:0", f"coordinate:{d - 1}",
+                        f"monomial:{twos}", f"monomial:{ramp}", "power1p:0",
+                        f"indicator:{ones}:1", f"indicator:{twos}:2"):
+                t = mahler_coeffs(FunctionSpec.parse(d, p, fid), cap, prec=12)
+                text = serialize_mahler(t)
+                back = parse_mahler(text)
+                assert serialize_mahler(back) == text
+                assert back.coeffs == t.coeffs
+                assert (back.cap, back.decay, back.complete) == (t.cap, t.decay, t.complete)
 
     @pytest.mark.parametrize("growth", ["1/0", "x"])
     def test_rejects_bad_decay_growth(self, growth):
