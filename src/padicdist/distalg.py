@@ -231,20 +231,17 @@ class Distribution:
 
         The growth-0 tail bound, or an entry's magnitude bound where larger
         (as in ``norm``: head_error where that is larger), read off the
-        valuation profile.  Where equal bounds carry different exact flags,
-        the tail's flag wins, then the lowest degree's, and at one degree a
-        certain valuation's before the other entries'.
+        valuation profile: the least of their exponents.
         """
         tail = self.tail_bound_at_growth(0)
         if tail is None:
             return None
-        best, exact = tail.exponent, tail.exact
-        for _, v, e, e_exact in self._valuation_profile():
-            if v is not None and v < best:
-                best, exact = v, True
-            if e is not None and e < best:
-                best, exact = e, e_exact
-        return tail if best == tail.exponent else NormValue(best, exact)
+        best = tail.exponent
+        for _, v, e in self._valuation_profile():
+            for x in (v, e):
+                if x is not None and x < best:
+                    best = x
+        return NormValue(best)
 
     def is_integral(self) -> bool:
         tail = self.tail_bound_at_growth(0)
@@ -399,10 +396,7 @@ class Distribution:
         entry contributes only to the upper end: its magnitude bound (its
         valuation, else its window; head_error if that is larger) times
         r^tau, capped by the all-alpha certificates at tau.  Both are read
-        off the valuation profile, one level per degree tau.  Where equal
-        bounds carry different exact flags, the upper end takes the flag of
-        the lowest degree, and a cap's flag only when the cap is strictly
-        tighter than every entry at its degree.
+        off the valuation profile, one level per degree tau.
         """
         s = r.s
         profile = self._valuation_profile()
@@ -412,7 +406,7 @@ class Distribution:
         # exponents (zero and unbounded bounds) are the only floats
         D = lcm(s.denominator, *(getattr(x, "denominator", 1) for x in chain(
             (c.growth for c in certs), (c.bound.exponent for c in certs),
-            (e for _, _, e, _ in profile))))
+            (e for _, _, e in profile))))
 
         def scaled(x):
             return x if isinstance(x, float) else int(x * D)
@@ -423,30 +417,22 @@ class Distribution:
         S = scaled(s)
         # the all-alpha cap on |d_alpha| r^tau at degree tau is the least of
         # C p^(-(s - t) tau) over the certificates (C, t): exponent pairs
-        # (C, s - t), with C's exact flag, in certificate order
-        caps = [(scaled(c.bound.exponent), scaled(s - c.growth), c.bound.exact)
-                for c in certs]
-        lower = inf
-        upper = None  # (exponent, exact) of the largest uncertain bound
-        for tau, v, e, exact in profile:
+        # (C, s - t).  An uncertain level's bound is the largest exponent of
+        # the entry's and the caps'.
+        caps = [(scaled(c.bound.exponent), scaled(s - c.growth)) for c in certs]
+        lower = upper = inf  # upper: the exponent of the largest uncertain bound
+        for tau, v, e in profile:
             st = S * tau
             if v is not None and v * D + st < lower:
                 lower = v * D + st
             if e is None:
                 continue
             e = scaled(e) + st
-            for C, slope, cexact in caps:
-                # the first of the tightest caps, where it beats the entry
-                ce = C + slope * tau
-                if ce > e:
-                    e, exact = ce, cexact
-            if upper is None or e < upper[0]:
-                upper = (e, exact)
-        if upper is not None and upper[0] < lower:
-            upper = NormValue(unscaled(upper[0]), upper[1])
-            lower = NormValue(unscaled(lower))
-        else:
-            lower = upper = NormValue(unscaled(lower))
+            for C, slope in caps:
+                e = max(e, C + slope * tau)
+            upper = min(upper, e)
+        # the upper end is never below the lower end
+        lower, upper = NormValue(unscaled(lower)), NormValue(unscaled(min(upper, lower)))
         tail = self._tail_norm_bound(s)
         if tail is None and not self.exact:
             tail = NormValue.unbounded()
@@ -455,28 +441,25 @@ class Distribution:
         return NormInterval(lower, upper)
 
     def _valuation_profile(self):
-        """Per degree tau with a stored entry: (tau, v, e, exact), v the least
+        """Per degree tau with a stored entry: (tau, v, e), v the least
         valuation of a certain entry and e the least magnitude exponent of the
-        others, with the exact flag of the first entry that has it (None
-        where there is no such entry).  Computed once: a distribution is not
-        changed after construction."""
+        others, head_error's where that is less (None where there is no such
+        entry).  Computed once: a distribution is not changed after
+        construction."""
         if self._profile is None:
             p = self.model.p
             herr = self.head_error
             levels = {}
             for alpha, c in self.coeffs.items():
-                level = levels.setdefault(self.model.tau(alpha), [None, None, None])
+                level = levels.setdefault(self.model.tau(alpha), [None, None])
                 v = triple_valuation(p, c)
                 if v is not None and herr.exponent > v:
                     if level[0] is None or v < level[0]:
                         level[0] = v
                     continue
-                bound = triple_bound(p, c)
-                e, exact = bound.exponent, bound.exact
-                if herr.exponent < e:
-                    e, exact = herr.exponent, herr.exact
+                e = min(triple_bound(p, c).exponent, herr.exponent)
                 if level[1] is None or e < level[1]:
-                    level[1:] = e, exact
+                    level[1] = e
             self._profile = tuple((tau, *level) for tau, level in sorted(levels.items()))
         return self._profile
 
@@ -488,7 +471,7 @@ class Distribution:
         for cert in self.tail_certs:
             C, t = cert.bound, cert.growth
             if s > t:
-                cand = NormValue(C.exponent + (s - t) * tplus, C.exact)
+                cand = NormValue(C.exponent + (s - t) * tplus)
             elif s == t:
                 cand = C
             else:

@@ -73,18 +73,18 @@ class GradedPoly:
 
     def __init__(self, ambient: GradedAmbient, terms):
         self.ambient = ambient
-        p = ambient.p
-        clean = {}
+        p, n = ambient.p, ambient.d + 1
+        self.terms = {}
         for mon, c in terms.items():
-            mon = tuple(int(x) for x in mon)
-            if len(mon) != ambient.d + 1:
-                raise GradedError(f"monomial {mon} has wrong length for d={ambient.d}")
-            if any(a < 0 for a in mon[:-1]):
+            # integral entries only, so that distinct monomials stay distinct
+            key = tuple(int(x) for x in mon)
+            if key != tuple(mon) or len(key) != n:
+                raise GradedError(f"monomial {tuple(mon)} is not {n} integers")
+            if any(a < 0 for a in key[:-1]):
                 raise GradedError("X exponents must be non-negative")
-            c = c % p
+            c %= p
             if c:
-                clean[mon] = (clean.get(mon, 0) + c) % p
-        self.terms = {m: c for m, c in clean.items() if c}
+                self.terms[key] = c
 
     # -- constructors ------------------------------------------------------
 

@@ -255,9 +255,10 @@ def validate_basis(model: GroupModel, basis) -> None:
             raise ModelError(
                 f"basis element {i} has omega {val} (exact={exact}), expected 1"
             )
-    a = _basis_matrix(model, basis, 1)
-    if _det_mod(a, model.p) == 0:
-        raise ModelError("basis coordinate matrix is singular mod p")
+    try:
+        _matinv_mod(_basis_matrix(model, basis, 1), model.p, 1)
+    except ModelError:
+        raise ModelError("basis coordinate matrix is singular mod p") from None
 
 
 def coords_in_basis(model: GroupModel, basis, g: GroupElement):
@@ -294,26 +295,6 @@ def _basis_matrix(model, basis, W):
         [basis[j].coords[i] % m for j in range(model.d)]
         for i in range(model.d)
     ]
-
-
-def _det_mod(a, p):
-    n = len(a)
-    a = [[x % p for x in row] for row in a]
-    det = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] % p != 0), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det = (det * a[col][col]) % p
-        inv = pow(a[col][col], -1, p)
-        for r in range(col + 1, n):
-            f = (a[r][col] * inv) % p
-            for cc in range(col, n):
-                a[r][cc] = (a[r][cc] - f * a[col][cc]) % p
-    return det % p
 
 
 def _matinv_mod(a, p, W):

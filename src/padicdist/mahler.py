@@ -72,9 +72,7 @@ class FunctionSpec:
 
     @classmethod
     def monomial(cls, d, p, alpha):
-        alpha = tuple(int(a) for a in alpha)
-        if len(alpha) != d or any(a < 0 for a in alpha):
-            raise MahlerError(f"bad monomial exponent {alpha}")
+        alpha = _int_tuple(alpha, d, "monomial exponent", nonnegative=True)
         return cls("monomial", d, p, alpha=alpha)
 
     @classmethod
@@ -85,9 +83,9 @@ class FunctionSpec:
 
     @classmethod
     def indicator(cls, d, p, a, n):
-        a = tuple(int(x) for x in a)
-        if len(a) != d or n < 1:
-            raise MahlerError("indicator needs d residues and level n >= 1")
+        a = _int_tuple(a, d, "indicator residue")
+        if n < 1:
+            raise MahlerError("indicator needs level n >= 1")
         m = ppow(p, n)
         return cls("indicator", d, p, a=tuple(x % m for x in a), n=n)
 
@@ -124,10 +122,9 @@ class FunctionSpec:
         return "indicator:" + ",".join(str(x) for x in pr["a"]) + f":{pr['n']}"
 
     def evaluate(self, point) -> Fraction:
-        """Exact value at an integer lattice point."""
-        point = tuple(int(x) for x in point)
-        if len(point) != self.d:
-            raise MahlerError(f"expected {self.d} coordinates")
+        """Exact value at an integer lattice point.  A point that is not d
+        integers raises MahlerError."""
+        point = _int_tuple(point, self.d, "point")
         k, pr = self.kind, self.params
         if k == "constant":
             return Fraction(pr["value"])
@@ -210,7 +207,7 @@ class MahlerTable:
                 best = max(best, self.decay[0])
             else:
                 # builtin functions are Z_p-valued, so |c_alpha| <= 1
-                best = max(best, NormValue(0, exact=False))
+                best = max(best, NormValue.one())
         return best
 
     def missing_bound(self, alpha) -> NormValue:
@@ -221,7 +218,7 @@ class MahlerTable:
         if self.decay is not None:
             C, t = self.decay
             return C * NormValue(t * k)
-        return NormValue(0, exact=False)
+        return NormValue.one()
 
     def evaluate(self, point) -> PadicScalar:
         """sum c_alpha C(point, alpha) over the stored head, mod p^prec.  A

@@ -4,8 +4,8 @@ A scalar is stored as a residue modulo p**prec together with a denominator
 exponent ``shift`` (value = p**-shift * residue).  The absolute precision
 window is p**(prec - shift): two scalars with the same value agree on the
 overlap of their windows, and arithmetic never claims more digits than the
-inputs justify.  Norm values live in p**Q and are kept as exact rational
-exponents.
+inputs justify.  A norm value in p**Q is its rational exponent and nothing
+else (+inf for zero, -inf for an unbounded estimate).
 
 The rules for a sum, a valuation and a magnitude bound are written once, as
 functions on the triple (residue, prec, shift) of ints: the form in which
@@ -68,20 +68,19 @@ def _check_prime(p: int) -> None:
 
 
 class NormValue:
-    """An exact value p**(-exponent), totally ordered, with product = exponent sum.
+    """The value p**(-exponent), totally ordered, with product = exponent sum.
 
     ``exponent`` is a Fraction, +inf (the value zero) or -inf (an unbounded
-    upper estimate).  ``exact`` marks whether the value is known exactly or
-    is only an upper bound.
+    upper estimate).  The exponent is all a NormValue holds: whether a norm
+    is known exactly is a property of its ``NormInterval`` (``collapsed``).
     """
 
-    __slots__ = ("exponent", "exact")
+    __slots__ = ("exponent",)
 
-    def __init__(self, exponent, exact: bool = True):
+    def __init__(self, exponent):
         if exponent not in (inf, -inf):
             exponent = Fraction(exponent)
         object.__setattr__(self, "exponent", exponent)
-        object.__setattr__(self, "exact", exact)
 
     def __setattr__(self, *a):
         raise AttributeError("NormValue is immutable")
@@ -96,7 +95,7 @@ class NormValue:
 
     @classmethod
     def unbounded(cls) -> "NormValue":
-        return cls(-inf, exact=False)
+        return cls(-inf)
 
     @property
     def is_zero(self) -> bool:
@@ -128,8 +127,8 @@ class NormValue:
         a, b = self.exponent, other.exponent
         if inf in (a, b) and -inf in (a, b):
             # 0 * unbounded: treat as zero
-            return NormValue(inf, self.exact and other.exact)
-        return NormValue(a + b, self.exact and other.exact)
+            return NormValue(inf)
+        return NormValue(a + b)
 
     def __repr__(self):
         return f"NormValue({self})"
@@ -175,10 +174,9 @@ def triple_valuation(p: int, x):
 
 
 def triple_bound(p: int, x) -> NormValue:
-    """Upper bound on |x|: p**-v from the valuation, else only p**-window,
-    marked inexact."""
+    """Upper bound on |x|: p**-v from the valuation, else only p**-window."""
     v = triple_valuation(p, x)
-    return NormValue(x[1] - x[2], exact=False) if v is None else NormValue(v)
+    return NormValue(x[1] - x[2] if v is None else v)
 
 
 def fraction_triple(p: int, x, prec: int):

@@ -90,7 +90,7 @@ def parse_normvalue(text: str, line=None) -> NormValue:
         q = Fraction(text[2:])
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"bad norm value exponent in {text!r}", line) from None
-    return NormValue(-q, exact=False)
+    return NormValue(-q)
 
 
 # -- distributions ----------------------------------------------------------

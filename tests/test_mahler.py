@@ -242,7 +242,7 @@ class TestPairingInexactHeads:
         assert t.complete
         value, err = pair(lam, t)
         assert (value.residue, value.prec, value.shift) == want_value
-        assert (err.exponent, err.exact) == want_err
+        assert err.exponent == want_err
         # the exact pairing <lam, x^2> = p * 9 - 3p * 1 lies within the error
         exact, exact_err = pair(self.source(), t)
         assert exact_err.is_zero and exact.same_value(sc(6 * P, 4))
@@ -256,8 +256,8 @@ class TestPairingInexactHeads:
         lam = Distribution.from_coeffs(
             src.model, {a: src.coeff(a) for a in src.coeffs}, 3, exact=False,
             tail_certs=[TailCert(NormValue.zero(), Fraction(0))],
-            head_error=NormValue(3, exact=False))
-        self.check(lam, (30, 4, 0), (3, False))
+            head_error=NormValue(3))
+        self.check(lam, (30, 4, 0), 3)
 
     def test_table_entries_beyond_the_head(self):
         # the head to degree 2 under a tail bound p^-1: c_1 = 1 pairs with
@@ -266,7 +266,7 @@ class TestPairingInexactHeads:
         lam = Distribution.from_coeffs(
             src.model, {a: src.coeff(a) for a in src.coeffs if sum(a) <= 2}, 2,
             exact=False, tail_certs=[TailCert(NormValue(1), Fraction(0))])
-        self.check(lam, (30, 4, 0), (1, True))
+        self.check(lam, (30, 4, 0), 1)
 
 
 class TestProjection:
@@ -362,6 +362,16 @@ class TestIndexValidation:
         with pytest.raises(MahlerError, match="coset key"):
             self.projection().coeff(key)
 
+    @pytest.mark.parametrize("make", [
+        lambda: FunctionSpec.monomial(1, P, (1.5,)),
+        lambda: FunctionSpec.indicator(1, P, (2.5,), 1),
+        lambda: FunctionSpec.coordinate(1, P, 0).evaluate((2.7,)),
+    ], ids=["monomial", "indicator", "evaluate"])
+    def test_function_spec_refuses_fractional_inputs(self, make):
+        # refused, not truncated to monomial:1, indicator:2:1 or the value 2
+        with pytest.raises(MahlerError, match="is not 1"):
+            make()
+
     def test_negative_coset_keys_reduce(self):
         e = self.projection()
         assert e.coeff((-3, 3)).same_value(sc(1, e.coeff((2, 3)).prec))
@@ -404,7 +414,7 @@ class TestAgainstScalarReference:
     """pair, MahlerTable.evaluate, finite_level_project and the product in
     K[G/G_n], computed on triples, against their PadicScalar versions in
     mahler_reference: identical (p, prec, residue, shift) for every value
-    and coefficient, and the same error bound and exact flag."""
+    and coefficient, and the same error bound."""
 
     @staticmethod
     def distributions(model, rng):
@@ -427,7 +437,7 @@ class TestAgainstScalarReference:
             yield Distribution.from_coeffs(
                 model, {a: src.coeff(a) for a in src.coeffs if sum(a) <= T - 1}, T - 1,
                 exact=False, tail_certs=[TailCert(NormValue(k - 1), Fraction(0))],
-                head_error=NormValue(k, exact=False))
+                head_error=NormValue(k))
 
     @staticmethod
     def tables(d, p, prec, rng):
@@ -465,7 +475,7 @@ class TestAgainstScalarReference:
                     continue
                 value, err = pair(lam, t)
                 assert same_scalar(value, want), (lam, t)
-                assert (err.exponent, err.exact) == (want_err.exponent, want_err.exact)
+                assert err.exponent == want_err.exponent
                 checked += 1
         assert checked > 100 and refused > 0
 
