@@ -86,6 +86,16 @@ class GradedPoly:
             if c:
                 self.terms[key] = c
 
+    @classmethod
+    def _clean(cls, ambient, terms) -> "GradedPoly":
+        """Wrap terms already in the form ``__init__`` leaves them in (d+1
+        ints per monomial, X exponents >= 0, units mod p), with no checks:
+        for the Groebner engine's own outputs."""
+        out = object.__new__(cls)
+        out.ambient = ambient
+        out.terms = terms
+        return out
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -280,7 +290,8 @@ def _reduce(work, divisors, p, cof=None):
                 q = tuple(map(sub, m, lm))
                 f = c * inv % p
                 if cof is not None:
-                    cof[i][q] = (cof[i].get(q, 0) + f) % p
+                    # the popped terms strictly decrease, so q is new to cof[i]
+                    cof[i][q] = f
                 for bm, bc in tail:
                     t = tuple(map(add, q, bm))
                     nv = (work.get(t, 0) - f * bc) % p
@@ -399,7 +410,7 @@ def _reduce_basis(basis, leads, p):
 class GradedIdeal:
     """An ideal of F_p[e0, X_1..X_d] given by generators with e0-exponent >= 0."""
 
-    __slots__ = ("ambient", "gens", "_gb")
+    __slots__ = ("ambient", "gens", "_gb", "_divs")
 
     def __init__(self, ambient: GradedAmbient, gens):
         self.ambient = ambient
@@ -413,6 +424,18 @@ class GradedIdeal:
                 out.append(g)
         self.gens = tuple(out)
         self._gb = None
+        self._divs = None
+
+    @classmethod
+    def _from_basis(cls, ambient, basis) -> "GradedIdeal":
+        """The ideal a reduced basis from the engine generates, with that
+        basis as its own; nothing is checked again."""
+        out = object.__new__(cls)
+        out.ambient = ambient
+        out.gens = tuple(GradedPoly._clean(ambient, dict(b)) for b in basis)
+        out._gb = basis
+        out._divs = None
+        return out
 
     def _raw_gens(self):
         return [dict(g.terms) for g in self.gens]
@@ -422,38 +445,38 @@ class GradedIdeal:
             self._gb = _buchberger(self._raw_gens(), self.ambient.p)
         return self._gb
 
+    def _divisors(self):
+        """The basis as ``_reduce``'s divisors, in key form; built once."""
+        if self._divs is None:
+            p = self.ambient.p
+            self._divs = [_divisor(_encode(b), p) for b in self.groebner_raw()]
+        return self._divs
+
     def groebner(self) -> "GradedIdeal":
-        out = GradedIdeal(
-            self.ambient, [GradedPoly(self.ambient, b) for b in self.groebner_raw()]
-        )
-        out._gb = [dict(g.terms) for g in out.gens]
-        return out
+        return GradedIdeal._from_basis(self.ambient, self.groebner_raw())
 
     def contains(self, poly: GradedPoly) -> bool:
         if poly.is_zero:
             return True
-        gb = self.groebner_raw()
-        if not gb:
-            return False
-        p = self.ambient.p
-        return not _reduce(_encode(poly.terms), [_divisor(_encode(b), p) for b in gb], p)
+        divs = self._divisors()
+        return bool(divs) and not _reduce(_encode(poly.terms), divs, self.ambient.p)
 
     def reduce(self, poly: GradedPoly):
         """Normal form and cofactors w.r.t. the Groebner basis:
         poly = sum cof_i * basis_i + remainder."""
-        gb = self.groebner_raw()
-        if not gb:
+        divs = self._divisors()
+        if not divs:
             return poly, []
-        p = self.ambient.p
-        cof = [{} for _ in gb]
-        rem = _reduce(_encode(poly.terms), [_divisor(_encode(b), p) for b in gb], p, cof)
+        amb = self.ambient
+        cof = [{} for _ in divs]
+        rem = _reduce(_encode(poly.terms), divs, amb.p, cof)
         return (
-            GradedPoly(self.ambient, _decode(rem)),
-            [GradedPoly(self.ambient, _decode(c)) for c in cof],
+            GradedPoly._clean(amb, _decode(rem)),
+            [GradedPoly._clean(amb, _decode(c)) for c in cof],
         )
 
     def basis_polys(self):
-        return [GradedPoly(self.ambient, b) for b in self.groebner_raw()]
+        return [GradedPoly._clean(self.ambient, dict(b)) for b in self.groebner_raw()]
 
     def same_ideal(self, other: "GradedIdeal") -> bool:
         return self.groebner_raw() == other.groebner_raw()
@@ -470,36 +493,46 @@ def saturate(ideal: GradedIdeal) -> GradedIdeal:
     Groebner basis of J : e0^infinity (Bayer-Stillman, Invent. Math. 87, 1987;
     Eisenbud, Commutative Algebra, Prop. 15.12).
 
-    I itself need not be homogeneous, so each generator f becomes
-    f^h = h^deg(f) * f(X/h, e0/h) with a new variable h just before e0, and
-    J = <f^h>.  Setting h = 1 commutes with saturating at e0:
+    When every generator of I is homogeneous, J is I: its basis is I's own
+    (computed once and kept), and the divided basis only needs inter-reducing.
+    Every S-pair of a Groebner basis reduces to zero, so ``_buchberger`` on it
+    would end in the same ``_reduce_basis`` call on the same list.
+
+    Otherwise each generator f becomes f^h = h^deg(f) * f(X/h, e0/h) with a
+    new variable h just before e0, and J = <f^h>.  Setting h = 1 commutes
+    with saturating at e0:
     - if e0^k * F lies in J, setting h = 1 puts e0^k * F(h=1) in I;
     - if e0^k * f = sum a_i * f_i in I, homogenizing that identity gives
       h^m * e0^k * f^h = sum h^(m_i) * a_i^h * f_i^h in J for some m, m_i >= 0,
       so h^m * f^h lies in J : e0^infinity, and setting h = 1 returns f.
     So setting h = 1 in a basis of J : e0^infinity gives generators of
-    I : e0^infinity, and one more Buchberger run gives its reduced basis.
-
-    When every generator is homogeneous, h appears nowhere, so the basis of J
-    with h dropped is I's own reduced basis; it is kept as I's basis."""
+    I : e0^infinity.  They need not be a Groebner basis in this order, since
+    setting h = 1 can change which term leads, so a second Buchberger run
+    gives the reduced basis."""
     amb = ideal.ambient
     p = amb.p
-    homog = []
-    for g in ideal._raw_gens():
-        top = max(sum(m) for m in g)
-        homog.append({m[:-1] + (top - sum(m), m[-1]): c for m, c in g.items()})
-    basis = _buchberger(homog, p)
-    if ideal._gb is None and all(m[-2] == 0 for g in homog for m in g):
-        ideal._gb = [{m[:-2] + m[-1:]: c for m, c in b.items()} for b in basis]
-    gens = []
-    for b in basis:
-        # b is homogeneous, so dropping h merges no two terms
-        k = min(m[-1] for m in b)
-        gens.append({m[:-2] + (m[-1] - k,): c for m, c in b.items()})
-    sat = _buchberger(gens, p)
-    out = GradedIdeal(amb, [GradedPoly(amb, b) for b in sat])
-    out._gb = sat
-    return out
+    gens = [g.terms for g in ideal.gens]
+    if all(len({sum(m) for m in g}) == 1 for g in gens):
+        divided = [_encode(_divide_e0(b)) for b in ideal.groebner_raw()]
+        sat = [_decode(b) for b in _reduce_basis(divided, [max(b) for b in divided], p)]
+    else:
+        homog = []
+        for g in gens:
+            top = max(sum(m) for m in g)
+            homog.append({m[:-1] + (top - sum(m), m[-1]): c for m, c in g.items()})
+        # each basis element is homogeneous, so dropping h merges no two terms
+        sat = _buchberger(
+            [_divide_e0({m[:-2] + m[-1:]: c for m, c in b.items()})
+             for b in _buchberger(homog, p)],
+            p,
+        )
+    return GradedIdeal._from_basis(amb, sat)
+
+
+def _divide_e0(poly):
+    """poly divided by the largest power of e0 that divides it."""
+    k = min(m[-1] for m in poly)
+    return {m[:-1] + (m[-1] - k,): c for m, c in poly.items()}
 
 
 def krull_dim(ideal: GradedIdeal) -> int:

@@ -36,10 +36,24 @@ def int_binom(m: int, k: int) -> int:
     return (-1) ** k * comb(k - m - 1, k)
 
 
+def _int(x, what) -> int:
+    """x as an int; MahlerError unless it is integral."""
+    try:
+        n = int(x)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != x:
+        raise MahlerError(f"{what} {x!r} is not an integer")
+    return n
+
+
 def _int_tuple(x, d, what, nonnegative=False) -> tuple:
     """x as a tuple of d ints; MahlerError unless its entries are integral
     (and nonnegative where asked)."""
-    ints = tuple(map(int, x))
+    try:
+        ints = tuple(map(int, x))
+    except (TypeError, ValueError, OverflowError):
+        ints = None
     if ints != tuple(x) or len(ints) != d or (nonnegative and any(a < 0 for a in ints)):
         raise MahlerError(f"{what} {tuple(x)} is not {d} {'nonnegative ' * nonnegative}integers")
     return ints
@@ -62,10 +76,11 @@ class FunctionSpec:
 
     @classmethod
     def constant(cls, d, p, value=1):
-        return cls("constant", d, p, value=int(value))
+        return cls("constant", d, p, value=_int(value, "constant value"))
 
     @classmethod
     def coordinate(cls, d, p, i):
+        i = _int(i, "coordinate index")
         if not 0 <= i < d:
             raise MahlerError(f"coordinate index {i} out of range")
         return cls("coordinate", d, p, i=i)
@@ -77,6 +92,7 @@ class FunctionSpec:
 
     @classmethod
     def power_series_1p(cls, d, p, i):
+        i = _int(i, "coordinate index")
         if not 0 <= i < d:
             raise MahlerError(f"coordinate index {i} out of range")
         return cls("power_series_1p", d, p, i=i)
@@ -84,6 +100,7 @@ class FunctionSpec:
     @classmethod
     def indicator(cls, d, p, a, n):
         a = _int_tuple(a, d, "indicator residue")
+        n = _int(n, "indicator level")
         if n < 1:
             raise MahlerError("indicator needs level n >= 1")
         m = ppow(p, n)

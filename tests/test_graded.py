@@ -6,6 +6,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import padicdist.graded as graded
+
 from graded_reference import (
     grade_grevlex,
     groebner_grevlex,
@@ -366,6 +368,118 @@ class TestBasisReuse:
         sat = saturate(ideal)
         assert ideal._gb is None
         assert sat._gb == _buchberger(saturate_by_quotients(ideal), P)
+
+
+def _homogeneous(poly):
+    # in total degree, as saturate reads it (not in the grading degree)
+    return len({sum(m) for m in poly.terms}) <= 1
+
+
+def inhomogeneous_ideals(d, p, count):
+    """count ideals of three generators over F_p with d X-variables, each
+    generator two or three terms of total degree 0 to 2 and at least one
+    generator not homogeneous in total degree."""
+    rng = random.Random(f"inhomogeneous:{d}:{p}")
+    a = GradedAmbient(p, d, [1] * d, Fraction(1, 2))
+    mons = [m for m in product(range(3), repeat=d + 1) if sum(m) <= 2]
+    while count:
+        gens = [GradedPoly(a, {m: rng.randrange(1, p) for m in rng.sample(mons, rng.randint(2, 3))})
+                for _ in range(3)]
+        if not all(map(_homogeneous, gens)):
+            count -= 1
+            yield GradedIdeal(a, gens)
+
+
+def _divided(basis):
+    """Each element divided by the largest power of e0 dividing it."""
+    out = []
+    for b in basis:
+        k = min(m[-1] for m in b)
+        out.append({m[:-1] + (m[-1] - k,): c for m, c in b.items()})
+    return out
+
+
+class TestOneRunSaturation:
+    """For a homogeneous ideal, saturate inter-reduces the e0-divided basis
+    instead of running Buchberger on it again; the result is the full run's,
+    term order included.  Other ideals still take the second run."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_homogeneous_ideals(self, family, p):
+        for _, ideal, _, _ in seeded_ideals(family, p, 8):
+            assert all(map(_homogeneous, ideal.gens))
+            full = _buchberger(_divided(_buchberger(ideal._raw_gens(), p)), p)
+            sat = saturate(GradedIdeal(ideal.ambient, ideal.gens))
+            assert _items(sat._gb) == _items(full) == _items(saturate_bayer(ideal))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_inhomogeneous_ideals(self, d, p):
+        for ideal in inhomogeneous_ideals(d, p, 8):
+            sat = saturate(ideal)
+            assert ideal._gb is None
+            assert _items(sat._gb) == _items(saturate_bayer(ideal))
+
+
+def _same_as_checked(q):
+    # what the checking constructor makes of q's terms, term order included
+    return list(GradedPoly(q.ambient, q.terms).terms.items()) == list(q.terms.items())
+
+
+class TestUncheckedOutputs:
+    """The engine's outputs skip GradedPoly's checks, so they must already be
+    what the checks would make of them; the divisors are prepared once per
+    ideal."""
+
+    def ideals(self):
+        for family in FAMILIES:
+            for p in (3, 5, 7):
+                for _, ideal, member, probe in seeded_ideals(family, p, 3):
+                    yield ideal, [member, probe]
+        a = amb(2)
+        # a probe with negative e0 exponents, which GradedPoly allows
+        yield (GradedIdeal(a, [GradedPoly.parse(a, t) for t in ("X1^2+e0", "X1*X2")]),
+               [GradedPoly.parse(a, "3*X1^3*X2*e0^-2+X2^2+4"), GradedPoly.zero_poly(a)])
+
+    def test_outputs_pass_the_checks(self):
+        for ideal, polys in self.ideals():
+            outs = ideal.basis_polys() + list(ideal.groebner().gens)
+            outs += ideal.groebner().basis_polys()
+            sat = saturate(ideal)
+            outs += list(sat.gens) + sat.basis_polys()
+            for poly in polys:
+                rem, cof = ideal.reduce(poly)
+                outs += [rem] + cof
+            assert outs and all(_same_as_checked(q) for q in outs)
+
+    def test_cofactor_identity_after_mixed_calls(self):
+        for ideal, polys in self.ideals():
+            basis = ideal.basis_polys()
+            for poly in polys + polys:
+                assert ideal.contains(poly) == ideal.reduce(poly)[0].is_zero
+                rem, cof = ideal.reduce(poly)
+                recon = rem
+                for c, b in zip(cof, basis):
+                    recon = recon + c * b
+                assert recon == poly
+
+    def test_divisors_are_prepared_once(self, monkeypatch):
+        built = []
+        divisor = graded._divisor
+        monkeypatch.setattr(graded, "_divisor", lambda b, p: built.append(b) or divisor(b, p))
+        a = amb(3)
+        ideal = GradedIdeal(a, [GradedPoly.parse(a, t) for t in ("X1*X2+e0^2", "X2*X3+X1^2")])
+        ideal.groebner_raw()
+        built.clear()
+        poly = GradedPoly.parse(a, "X1^3*X2+2*X3")
+        first = ideal.reduce(poly)
+        assert len(built) == len(ideal.groebner_raw())
+        built.clear()
+        assert ideal.reduce(poly) == first
+        ideal.contains(poly)
+        assert built == []
+        assert ideal._divisors() is ideal._divisors()
 
 
 class TestDimensionAndGrade:

@@ -362,15 +362,33 @@ class TestIndexValidation:
         with pytest.raises(MahlerError, match="coset key"):
             self.projection().coeff(key)
 
-    @pytest.mark.parametrize("make", [
-        lambda: FunctionSpec.monomial(1, P, (1.5,)),
-        lambda: FunctionSpec.indicator(1, P, (2.5,), 1),
-        lambda: FunctionSpec.coordinate(1, P, 0).evaluate((2.7,)),
-    ], ids=["monomial", "indicator", "evaluate"])
-    def test_function_spec_refuses_fractional_inputs(self, make):
-        # refused, not truncated to monomial:1, indicator:2:1 or the value 2
-        with pytest.raises(MahlerError, match="is not 1"):
+    @pytest.mark.parametrize("make, match", [
+        (lambda: FunctionSpec.monomial(1, P, (1.5,)), "is not 1"),
+        (lambda: FunctionSpec.indicator(1, P, (2.5,), 1), "is not 1"),
+        (lambda: FunctionSpec.coordinate(1, P, 0).evaluate((2.7,)), "is not 1"),
+        (lambda: FunctionSpec.monomial(1, P, (math.inf,)), "is not 1"),
+        (lambda: FunctionSpec.indicator(1, P, (math.nan,), 1), "is not 1"),
+        (lambda: FunctionSpec.indicator(1, P, (2,), 1.5), "^indicator level 1.5 is not an integer"),
+        (lambda: FunctionSpec.constant(1, P, 2.5), "^constant value 2.5 is not an integer"),
+        (lambda: FunctionSpec.constant(1, P, "2"), "^constant value '2' is not an integer"),
+        (lambda: FunctionSpec.coordinate(2, P, 0.5), "^coordinate index 0.5 is not an integer"),
+        (lambda: FunctionSpec.power_series_1p(2, P, Fraction(1, 2)),
+         r"^coordinate index Fraction\(1, 2\) is not an integer"),
+    ], ids=["monomial", "indicator", "evaluate", "monomial-inf", "indicator-nan",
+            "indicator-level", "constant",
+            "constant-text", "coordinate", "power1p"])
+    def test_function_spec_refuses_fractional_inputs(self, make, match):
+        # refused, not truncated to monomial:1, indicator:2:1, the value 2,
+        # constant:2 or the coordinate 0, nor kept as indicator:2.0:1.5 with
+        # float residues
+        with pytest.raises(MahlerError, match=match):
             make()
+
+    def test_function_spec_accepts_integral_scalars(self):
+        assert FunctionSpec.indicator(1, P, (7,), 2.0).id == "indicator:7:2"
+        assert FunctionSpec.constant(1, P, Fraction(4)).id == "constant:4"
+        assert FunctionSpec.coordinate(2, P, 1.0).id == "coordinate:1"
+        assert FunctionSpec.power_series_1p(2, P, 1.0).id == "power1p:1"
 
     def test_negative_coset_keys_reduce(self):
         e = self.projection()
