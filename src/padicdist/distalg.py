@@ -39,12 +39,16 @@ from .padic import (
     require_triple,
     triple_bound,
     triple_valuation,
+    vp_int,
 )
 from .groupmodel import GroupElement, GroupModel, ModelMismatch
 
 
 class DistError(PadicError):
     pass
+
+
+_ZERO = NormValue.zero()
 
 
 class RadiusParam:
@@ -133,10 +137,7 @@ class Distribution:
     def __init__(self, model, coeffs, T, tail_certs=(), exact=False,
                  head_error=None, dirac_terms=None):
         self.model = model
-        if T < 0:
-            raise DistError("truncation weight T must be >= 0")
-        # degrees are integers, so a rational T truncates like its floor
-        self.T = floor(T)
+        self.T = _truncation(T)
         self.coeffs = dict(coeffs)
         for alpha, c in self.coeffs.items():
             if model.tau(alpha) > self.T:
@@ -146,9 +147,27 @@ class Distribution:
         self.exact = bool(exact)
         if self.exact and self.tail_certs:
             raise DistError("exact distributions carry no tail certificates")
-        self.head_error = NormValue.zero() if head_error is None else head_error
+        self.head_error = _ZERO if head_error is None else head_error
         self.dirac_terms = None if dirac_terms is None else tuple(dirac_terms)
         self._profile = None
+
+    @classmethod
+    def _clean(cls, model, coeffs, T, tail_certs=(), exact=False, head_error=_ZERO,
+               dirac_terms=None) -> "Distribution":
+        """Wrap parts already in the form ``__init__`` leaves them in (an int
+        T >= 0, a dict of triples of degree <= T, tuples of certificates and
+        Dirac terms, no certificates when exact), with no checks: for the
+        results the library builds itself."""
+        out = object.__new__(cls)
+        out.model = model
+        out.coeffs = coeffs
+        out.T = T
+        out.tail_certs = tail_certs
+        out.exact = exact
+        out.head_error = head_error
+        out.dirac_terms = dirac_terms
+        out._profile = None
+        return out
 
     # -- constructors ------------------------------------------------------
 
@@ -176,7 +195,7 @@ class Distribution:
     @classmethod
     def dirac_combination(cls, model, terms, T=None) -> "Distribution":
         """sum a_j delta_{g_j}; the term list is retained as an exact witness."""
-        T = model.max_weight if T is None else floor(T)
+        T = model.max_weight if T is None else _truncation(T)
         terms = [(as_triple(model, a), g) for a, g in terms]
         for _, g in terms:
             model._require_same(g.model)
@@ -184,9 +203,9 @@ class Distribution:
         coeffs = _expand_terms(model, merged, T)
         if _finite(model, merged, T):
             coeffs = {a: c for a, c in coeffs.items() if c[0]}
-            return cls(model, coeffs, T, exact=True, dirac_terms=merged)
+            return cls._clean(model, coeffs, T, exact=True, dirac_terms=merged)
         certs = (TailCert(_terms_coeff_bound(model, merged), Fraction(0), all_alpha=True),)
-        return cls(model, coeffs, T, tail_certs=certs, dirac_terms=merged)
+        return cls._clean(model, coeffs, T, certs, dirac_terms=merged)
 
     @classmethod
     def from_coeffs(cls, model, table, T, exact=True, tail_certs=(),
@@ -230,26 +249,13 @@ class Distribution:
         """Certified upper bound on sup_alpha |d_alpha| (head and tail).
 
         The growth-0 tail bound, or an entry's magnitude bound where larger
-        (as in ``norm``: head_error where that is larger), read off the
-        valuation profile: the least of their exponents.
-        """
-        tail = self.tail_bound_at_growth(0)
-        if tail is None:
-            return None
-        best = tail.exponent
-        for _, v, e in self._valuation_profile():
-            for x in (v, e):
-                if x is not None and x < best:
-                    best = x
-        return NormValue(best)
+        (as in ``norm``: head_error where that is larger); None without a
+        growth-0 tail.  Read off the r-norm profile."""
+        return self._rnorm_profile().sup
 
     def is_integral(self) -> bool:
-        tail = self.tail_bound_at_growth(0)
-        if tail is None or tail.exponent < 0:
-            return False
-        p = self.model.p
-        return all(triple_bound(p, c).exponent >= 0 for c in self.coeffs.values()) and \
-            self.head_error.exponent >= 0
+        sup = self.coeff_sup()
+        return sup is not None and sup.exponent >= 0 and self.head_error.exponent >= 0
 
     def _exact_terms(self):
         """An exact Dirac-combination representation, or None."""
@@ -285,8 +291,8 @@ class Distribution:
         terms = None
         if self.dirac_terms is not None:
             terms = tuple((times(a), g) for a, g in self.dirac_terms)
-        return Distribution(self.model, coeffs, self.T, certs, self.exact,
-                            self.head_error * cup, terms)
+        return Distribution._clean(self.model, coeffs, self.T, certs, self.exact,
+                                   self.head_error * cup, terms)
 
     def __neg__(self) -> "Distribution":
         return self.scale(-1)
@@ -327,7 +333,7 @@ class Distribution:
         terms = None
         if self.dirac_terms is not None and other.dirac_terms is not None:
             terms = _merge_terms(self.model, self.dirac_terms + other.dirac_terms)
-        return Distribution(self.model, coeffs, T, tuple(certs), exact, herr, terms)
+        return Distribution._clean(self.model, coeffs, T, tuple(certs), exact, herr, terms)
 
     def __sub__(self, other: "Distribution") -> "Distribution":
         return self + (-other)
@@ -358,7 +364,7 @@ class Distribution:
         coeffs = _expand_terms(model, merged, T)
         if exact_path and _finite(model, merged, T):
             coeffs = {a: c for a, c in coeffs.items() if c[0]}
-            return Distribution(model, coeffs, T, exact=True, dirac_terms=merged)
+            return Distribution._clean(model, coeffs, T, exact=True, dirac_terms=merged)
 
         sup1 = self.coeff_sup()
         sup2 = other.coeff_sup()
@@ -380,8 +386,8 @@ class Distribution:
             herr = NormValue.unbounded()
         else:
             herr = max(self._head_gap() * sup2, other._head_gap() * sup1)
-        return Distribution(model, coeffs, T, tuple(certs), head_error=herr,
-                            dirac_terms=merged if exact_path else None)
+        return Distribution._clean(model, coeffs, T, tuple(certs), head_error=herr,
+                                   dirac_terms=merged if exact_path else None)
 
     def __mul__(self, other: "Distribution") -> "Distribution":
         return self.mul(other)
@@ -395,90 +401,29 @@ class Distribution:
         head_error; it contributes p^-(v + s tau) to both ends.  Any other
         entry contributes only to the upper end: its magnitude bound (its
         valuation, else its window; head_error if that is larger) times
-        r^tau, capped by the all-alpha certificates at tau.  Both are read
-        off the valuation profile, one level per degree tau.
+        r^tau, capped by the all-alpha certificates at tau.  The tail
+        certificates bound the unstored part at weight_above(T).
+
+        Written as exponents, each end is a least value of lines in s, read
+        off the r-norm profile (``_RNormProfile``) built once per
+        distribution; at s = a/b the lines compare as ints over one common
+        denominator, and only the two returned ends are Fractions.
         """
-        s = r.s
-        profile = self._valuation_profile()
-        certs = [c for c in self.tail_certs if c.all_alpha]
-        # exponents times a common denominator D are ints (or +-inf), so
-        # the levels compare without Fraction arithmetic; the infinite
-        # exponents (zero and unbounded bounds) are the only floats
-        D = lcm(s.denominator, *(getattr(x, "denominator", 1) for x in chain(
-            (c.growth for c in certs), (c.bound.exponent for c in certs),
-            (e for _, _, e in profile))))
-
-        def scaled(x):
-            return x if isinstance(x, float) else int(x * D)
-
-        def unscaled(x):
-            return x if isinstance(x, float) else Fraction(x, D)
-
-        S = scaled(s)
-        # the all-alpha cap on |d_alpha| r^tau at degree tau is the least of
-        # C p^(-(s - t) tau) over the certificates (C, t): exponent pairs
-        # (C, s - t).  An uncertain level's bound is the largest exponent of
-        # the entry's and the caps'.
-        caps = [(scaled(c.bound.exponent), scaled(s - c.growth)) for c in certs]
-        lower = upper = inf  # upper: the exponent of the largest uncertain bound
-        for tau, v, e in profile:
-            st = S * tau
-            if v is not None and v * D + st < lower:
-                lower = v * D + st
-            if e is None:
-                continue
-            e = scaled(e) + st
-            for C, slope in caps:
-                e = max(e, C + slope * tau)
-            upper = min(upper, e)
-        # the upper end is never below the lower end
-        lower, upper = NormValue(unscaled(lower)), NormValue(unscaled(min(upper, lower)))
-        tail = self._tail_norm_bound(s)
-        if tail is None and not self.exact:
-            tail = NormValue.unbounded()
-        if tail is not None and tail > upper:
+        prof = self._rnorm_profile()
+        k, S, D = prof.scale(r.s)
+        lower = _least_line(prof.lower, k, S)
+        # the upper points include the certain levels, so upper <= lower
+        upper = -inf if prof.unbounded else _least_line(prof.upper, k, S)
+        tail = prof.tail(k, S)
+        if tail < upper:
             upper = tail
-        return NormInterval(lower, upper)
+        return NormInterval(_norm_value(lower, D), _norm_value(upper, D))
 
-    def _valuation_profile(self):
-        """Per degree tau with a stored entry: (tau, v, e), v the least
-        valuation of a certain entry and e the least magnitude exponent of the
-        others, head_error's where that is less (None where there is no such
-        entry).  Computed once: a distribution is not changed after
-        construction."""
+    def _rnorm_profile(self) -> "_RNormProfile":
+        """Built once: a distribution is not changed after construction."""
         if self._profile is None:
-            p = self.model.p
-            herr = self.head_error
-            levels = {}
-            for alpha, c in self.coeffs.items():
-                level = levels.setdefault(self.model.tau(alpha), [None, None])
-                v = triple_valuation(p, c)
-                if v is not None and herr.exponent > v:
-                    if level[0] is None or v < level[0]:
-                        level[0] = v
-                    continue
-                e = min(triple_bound(p, c).exponent, herr.exponent)
-                if level[1] is None or e < level[1]:
-                    level[1] = e
-            self._profile = tuple((tau, *level) for tau, level in sorted(levels.items()))
+            self._profile = _RNormProfile(self)
         return self._profile
-
-    def _tail_norm_bound(self, s: Fraction) -> NormValue | None:
-        if self.exact:
-            return NormValue.zero()
-        tplus = self.model.weight_above(self.T)
-        best = None
-        for cert in self.tail_certs:
-            C, t = cert.bound, cert.growth
-            if s > t:
-                cand = NormValue(C.exponent + (s - t) * tplus)
-            elif s == t:
-                cand = C
-            else:
-                continue
-            if best is None or cand < best:
-                best = cand
-        return best
 
     # -- symbols -----------------------------------------------------------
 
@@ -486,52 +431,41 @@ class Distribution:
         """Leading coset in the associated graded ring; (GradedPoly, degree).
 
         Requires 1/p < r < 1, i.e. s < 1, and enough stored precision that
-        the head minimum beats every uncertainty floor.
+        the head minimum beats every uncertainty floor: the entries of
+        unknown valuation, the tail at weight_above(T) and head_error.  The
+        test reads the r-norm profile; only the leading entries are read
+        from ``coeffs``.
         """
         from .graded import GradedAmbient, GradedPoly
 
         s = r.s
         if s >= 1:
             raise ValueError("principal symbols require 1/p < r < 1 (s < 1)")
-        model = self.model
-        p = model.p
-        best = None
-        arg = []
-        for alpha, c in self.coeffs.items():
-            v = triple_valuation(p, c)
-            if v is None:
-                continue
-            deg = v + s * model.tau(alpha)
-            if best is None or deg < best:
-                best = deg
-                arg = [(alpha, c, v)]
-            elif deg == best:
-                arg.append((alpha, c, v))
-        if best is None:
+        prof = self._rnorm_profile()
+        if not prof.valued:
             raise DistError("zero (or valuation-indeterminate) distribution has no symbol")
-        # every unknown must be certified strictly above the head minimum
-        floors = []
-        for alpha, (r, prec, shift) in self.coeffs.items():
-            if r == 0:
-                floors.append(prec - shift + s * model.tau(alpha))
-        tail = self._tail_norm_bound(s)
-        if tail is None:
-            floors.append(-inf)
-        elif not tail.is_zero:
-            floors.append(tail.exponent)
-        if not self.head_error.is_zero:
-            floors.append(self.head_error.exponent)
-        if any(f <= best for f in floors):
+        k, S, D = prof.scale(s)
+        best = _least_line(prof.lower, k, S)
+        # every unknown must be certified strictly above the head minimum; an
+        # entry of known valuation that does not beat head_error is refused
+        # through head_error, which is at most its valuation
+        least_floor = min(_least_line(prof.floors, k, S), prof.tail(k, S), k * prof.herr)
+        if least_floor <= best:
             raise DistError(
                 "insufficient truncation/precision for the principal symbol; "
                 "increase T or the scalar window"
             )
-        ambient = GradedAmbient(model.p, model.d, [1] * model.d, s)
+        model = self.model
+        p = model.p
+        ambient = GradedAmbient(p, model.d, [1] * model.d, s)
         terms = {}
-        for alpha, (r, _, shift), v in arg:
-            # the unit cofactor p^-v * d_alpha mod p
-            terms[alpha + (v,)] = r // ppow(p, v + shift) % p
-        return GradedPoly(ambient, terms), best
+        for tau, v, alphas in prof.levels:
+            if v * D + S * tau == best:
+                for alpha in alphas:
+                    # the unit cofactor p^-v * d_alpha mod p
+                    r, _, shift = self.coeffs[alpha]
+                    terms[alpha + (v,)] = r // ppow(p, v + shift) % p
+        return GradedPoly(ambient, terms), Fraction(best, D)
 
     # -- basis change and conjugation -------------------------------------
 
@@ -565,7 +499,7 @@ class Distribution:
         gives coordinates in another chart as inexact points, so that the
         kernel prunes no binomial row, and the result keeps no witness."""
         model = self.model
-        T = self.T if T is None else floor(T)
+        T = self.T if T is None else _truncation(T)
         terms = self._exact_terms()
         witness = terms is not None
         if not witness:
@@ -574,14 +508,14 @@ class Distribution:
         coeffs = _expand_terms(model, merged, T)
         if witness and _finite(model, merged, T):
             coeffs = {a: c for a, c in coeffs.items() if c[0]}
-            return Distribution(model, coeffs, T, exact=True, dirac_terms=merged)
+            return Distribution._clean(model, coeffs, T, exact=True, dirac_terms=merged)
         herr = NormValue.zero() if witness else self._head_gap()
         certs = ()
         if not herr.is_unbounded:
             bound = max(_terms_coeff_bound(model, merged), self.coeff_sup())
             certs = (TailCert(bound, Fraction(0), all_alpha=True),)
-        return Distribution(model, coeffs, T, certs, head_error=herr,
-                            dirac_terms=merged if witness and same_chart else None)
+        return Distribution._clean(model, coeffs, T, certs, head_error=herr,
+                                   dirac_terms=merged if witness and same_chart else None)
 
     # -- radius threshold --------------------------------------------------
 
@@ -595,19 +529,16 @@ class Distribution:
             raise DistError("radius threshold requires an exact distribution")
         if not self.is_integral():
             raise DistError("radius threshold requires an integral distribution")
-        model = self.model
-        p = model.p
-        unit_taus = [model.tau(a) for a, c in self.coeffs.items()
-                     if triple_valuation(p, c) == 0]
+        valued = self._rnorm_profile().valued
+        unit_taus = [tau for tau, v in valued if v == 0]
         if not unit_taus:
             raise DistError("no unit coefficient: the reduction mod p vanishes")
-        tau_beta = min(unit_taus)
+        tau_beta = unit_taus[0]
         s = Fraction(1)
-        for alpha, c in self.coeffs.items():
-            tau = model.tau(alpha)
-            if tau < tau_beta:
-                v = triple_valuation(p, c)
-                s = min(s, Fraction(v) / (tau_beta - tau))
+        for tau, v in valued:
+            if tau >= tau_beta:
+                break
+            s = min(s, Fraction(v, tau_beta - tau))
         return RadiusParam(s)
 
 
@@ -724,6 +655,188 @@ def semidirect_mul(pair1, pair2, T=None, s_work=None):
 
 
 # -- internals --------------------------------------------------------------
+
+
+class _RNormProfile:
+    """The r-norms of one distribution as integer lines in s.
+
+    Write a bound p^-x as its exponent x.  Every exponent the r-norms read
+    (valuations, windows, head_error, certificate bounds and growths) is
+    scaled once by one common denominator D0.  At s = a/b, with D = lcm(D0,
+    b), k = D / D0 and S = s D, a contribution W + s tau (W scaled) is then
+    the int k W + S tau, and a least such value is attained on the lower
+    convex hull of the points (tau, W), the Newton polygon; ``_lower_hull``
+    keeps only those points.
+
+    - ``lower``: the certain levels, (tau, v D0) with v the least valuation
+      at degree tau of an entry whose valuation beats head_error.
+    - ``upper``: the certain levels and the uncertain ones, whose exponent is
+      the least of the entries' magnitude bounds (head_error where that is
+      larger), raised to the all-alpha caps C + (s - t) tau; ``unbounded``
+      when one of these is -inf.
+    - ``tails``: the tail certificates (C, t) give C + (s - t) tplus at s >= t,
+      tplus = weight_above(T); the pairs (t D0, G), ascending, where G is the
+      largest C D0 - t D0 tplus over the certificates of growth at most t
+      (one pair (0, +inf) when the distribution is exact).
+    - ``floors`` and ``herr``: the levels of entries of unknown valuation,
+      (tau, window D0), and head_error D0, the uncertainty floors that
+      ``principal_symbol`` tests.
+    - ``levels``: (tau, v, indices) per certain level, the indices of its
+      entries of valuation v.
+    - ``valued``: (tau, least valuation) per level with an entry of known
+      valuation, ascending.
+    - ``sup``: ``coeff_sup``.
+
+    The infinite exponents are +-inf floats; every other scaled value is an
+    int.
+    """
+
+    __slots__ = ("D0", "lower", "upper", "unbounded", "tails", "tplus", "floors",
+                 "herr", "levels", "valued", "sup")
+
+    def __init__(self, lam: Distribution):
+        model = lam.model
+        p = model.p
+        herr = lam.head_error.exponent
+        # an int valuation v beats head_error when v < ceil(head_error)
+        beats = herr if isinstance(herr, float) else -(-herr.numerator // herr.denominator)
+        # per degree: [least certain v, its indices, least uncertain v, least window]
+        by_tau = {}
+        tau_of = model.tau
+        for alpha, (r, prec, shift) in lam.coeffs.items():
+            tau = tau_of(alpha)
+            level = by_tau.get(tau)
+            if level is None:
+                level = by_tau[tau] = [None, None, None, None]
+            if r:
+                v = vp_int(r, p) - shift if r % p == 0 else -shift
+                if v < beats:
+                    if level[0] is None or v < level[0]:
+                        level[0] = v
+                        level[1] = [alpha]
+                    elif v == level[0]:
+                        level[1].append(alpha)
+                elif level[2] is None or v < level[2]:
+                    level[2] = v
+            elif level[3] is None or prec - shift < level[3]:
+                level[3] = prec - shift
+
+        certs = lam.tail_certs
+        D0 = lcm(*(x.denominator for x in chain(
+            (herr,), (c.bound.exponent for c in certs), (c.growth for c in certs))
+            if not isinstance(x, float)))
+
+        def scaled(x):
+            return x if isinstance(x, float) else int(x * D0)
+
+        H = scaled(herr)
+        caps = [(scaled(c.bound.exponent), scaled(c.growth)) for c in certs if c.all_alpha]
+        lower, uncertain, floors, levels, valued = [], [], [], [], []
+        unbounded = False
+        head = inf  # the least exponent of an entry's bound, for coeff_sup
+        for tau, (vc, alphas, vu, w) in sorted(by_tau.items()):
+            if vc is not None:
+                lower.append((tau, vc * D0))
+                levels.append((tau, vc, tuple(alphas)))
+                head = min(head, vc)
+            known = [v for v in (vc, vu) if v is not None]
+            if known:
+                valued.append((tau, min(known)))
+            if w is not None:
+                floors.append((tau, w * D0))
+            if vu is None and w is None:
+                continue
+            head = min(head, herr) if w is None else min(head, w, herr)
+            e = H if w is None else min(w * D0, H)
+            for C, t in caps:
+                e = max(e, C - t * tau)
+            if e == -inf:
+                unbounded = True
+            elif e != inf:
+                uncertain.append((tau, e))
+
+        tplus = model.weight_above(lam.T)
+        if lam.exact:
+            pairs = [(0, inf)]
+        else:
+            pairs = sorted((scaled(c.growth), scaled(c.bound.exponent) - scaled(c.growth) * tplus)
+                           for c in certs)
+        tails = []
+        for t, G in pairs:
+            if not tails or G > tails[-1][1]:
+                tails.append((t, G))
+        tail0 = lam.tail_bound_at_growth(0)
+
+        self.D0 = D0
+        self.lower = _lower_hull(lower)
+        self.upper = _lower_hull(lower + uncertain)
+        self.unbounded = unbounded
+        self.tails = tuple(tails)
+        self.tplus = tplus
+        self.floors = _lower_hull(floors)
+        self.herr = H
+        self.levels = tuple(levels)
+        self.valued = tuple(valued)
+        self.sup = None if tail0 is None else NormValue(min(tail0.exponent, head))
+
+    def scale(self, s: Fraction):
+        """(k, S, D) at s: the common denominator D = lcm(D0, s's), k = D / D0
+        and S = s D."""
+        b = s.denominator
+        D = b if self.D0 == 1 else lcm(self.D0, b)
+        return D // self.D0, s.numerator * (D // b), D
+
+    def tail(self, k: int, S: int):
+        """The tightest tail term at weight_above(T), scaled by D: +inf when
+        exact, -inf when no certificate has growth at most s."""
+        G = -inf
+        for t, best in self.tails:
+            if k * t > S:
+                break
+            G = best
+        return G if isinstance(G, float) else S * self.tplus + k * G
+
+
+def _lower_hull(points) -> tuple:
+    """The points (tau, W), in ascending tau, at which the least of W + s tau
+    over all the points is attained for some s > 0: each has a smaller W
+    than the one before, and none lies on or above the segment joining its
+    neighbours.  The values along the result fall and then rise."""
+    hull = []
+    for tau, w in sorted(points):
+        if hull and w >= hull[-1][1]:
+            continue
+        while len(hull) >= 2:
+            (t1, w1), (t2, w2) = hull[-2], hull[-1]
+            if (t2 - t1) * (w - w1) > (w2 - w1) * (tau - t1):
+                break
+            hull.pop()
+        hull.append((tau, w))
+    return tuple(hull)
+
+
+def _least_line(points, k: int, S: int):
+    """The least k W + S tau over a lower hull of points (tau, W); +inf for
+    none."""
+    best = inf
+    for tau, w in points:
+        x = k * w + S * tau
+        if x >= best:
+            break
+        best = x
+    return best
+
+
+def _norm_value(x, D: int) -> NormValue:
+    return NormValue(x if isinstance(x, float) else Fraction(x, D))
+
+
+def _truncation(T) -> int:
+    """T as a degree cutoff: degrees are integers, so a rational T truncates
+    like its floor.  A negative T is refused."""
+    if T < 0:
+        raise DistError("truncation weight T must be >= 0")
+    return floor(T)
 
 
 def _multi_index(model, alpha) -> tuple:

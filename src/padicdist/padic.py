@@ -78,7 +78,9 @@ class NormValue:
     __slots__ = ("exponent",)
 
     def __init__(self, exponent):
-        if exponent not in (inf, -inf):
+        # a Fraction is kept as it is: comparing it with the infinities costs
+        # more than the rest of the construction
+        if type(exponent) is not Fraction and exponent not in (inf, -inf):
             exponent = Fraction(exponent)
         object.__setattr__(self, "exponent", exponent)
 

@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING
 
 from .padic import NormValue, PadicError, PadicScalar, PrecisionExhausted, ppow, vp_int
 from .groupmodel import GroupModel
-from .distalg import Distribution, TailCert, as_triple
+from .distalg import Distribution, TailCert
 
 if TYPE_CHECKING:
     from .mahler import MahlerTable
@@ -33,23 +33,36 @@ class ParseError(PadicError):
 
 def format_scalar(c: PadicScalar) -> str:
     """Canonical `v:m:N` with value p^v * m known mod p^N."""
-    if c.window < 1:
-        raise PrecisionExhausted(f"no certified digit to write (window {c.window})")
-    c = c.canonical()
-    if c.residue == 0:
-        return f"{c.window}:0:{c.window}"
-    k = vp_int(c.residue, c.p)
-    v = k - c.shift
-    m = (c.residue // ppow(c.p, k)) % ppow(c.p, c.prec - k)
-    return f"{v}:{m}:{c.window}"
+    return _format_triple(c.p, c.triple)
+
+
+def _format_triple(p: int, x) -> str:
+    """`v:m:N` of the triple (residue, prec, shift): the valuation v, the
+    unit cofactor m of the residue and the window N = prec - shift."""
+    r, prec, shift = x
+    window = prec - shift
+    if window < 1:
+        raise PrecisionExhausted(f"no certified digit to write (window {window})")
+    r %= ppow(p, prec)
+    if r == 0:
+        return f"{window}:0:{window}"
+    k = vp_int(r, p)
+    return f"{k - shift}:{r // ppow(p, k)}:{window}"
 
 
 def parse_scalar(p: int, text: str, line=None) -> PadicScalar:
+    r, prec, shift = _parse_triple(p, text, line)
+    return PadicScalar(p, prec, r, shift)
+
+
+def _parse_triple(p: int, text: str, line=None):
+    """The (residue, prec, shift) triple of a `v:m:N` literal, residue
+    reduced."""
     parts = text.strip().split(":")
     if len(parts) != 3:
         raise ParseError(f"scalar literal must be v:m:N, got {text!r}", line)
     try:
-        v, m, n = (int(x) for x in parts)
+        v, m, n = map(int, parts)
     except ValueError:
         raise ParseError(f"non-integer field in scalar literal {text!r}", line) from None
     if n < 1:
@@ -57,14 +70,14 @@ def parse_scalar(p: int, text: str, line=None) -> PadicScalar:
     if m == 0:
         if v != n:
             raise ParseError(f"zero scalar must read N:0:N, got {text!r}", line)
-        return PadicScalar.zero(p, n)
+        return 0, n, 0
     if m % p == 0:
         raise ParseError(f"cofactor must be a unit in {text!r}", line)
     if v >= n:
         raise ParseError(f"valuation {v} outside window {n} in {text!r}", line)
     if v >= 0:
-        return PadicScalar(p, n, m * ppow(p, v), 0)
-    return PadicScalar(p, n - v, m, -v)
+        return m * ppow(p, v) % ppow(p, n), n, 0
+    return m % ppow(p, n - v), n - v, -v
 
 
 # -- norm values ------------------------------------------------------------
@@ -109,14 +122,15 @@ def serialize_distribution(d: Distribution) -> str:
     )
     if not d.head_error.is_zero:
         head += f" err={format_normvalue(d.head_error)}"
-    return _format_terms(head, d.coeffs, d.coeff)
+    return _format_terms(head, model.p, d.coeffs)
 
 
-def _format_terms(head: str, indices, coeff) -> str:
-    """The header line, then one `a1,...,ad : v:m:N` line per index in order."""
+def _format_terms(head: str, p: int, coeffs) -> str:
+    """The header line, then one `a1,...,ad : v:m:N` line per stored triple,
+    in index order."""
     lines = [head]
-    for alpha in sorted(indices):
-        lines.append(",".join(str(a) for a in alpha) + " : " + format_scalar(coeff(alpha)))
+    for alpha in sorted(coeffs):
+        lines.append(",".join(map(str, alpha)) + " : " + _format_triple(p, coeffs[alpha]))
     return "\n".join(lines) + "\n"
 
 
@@ -133,7 +147,7 @@ def _parse_header(line):
 
 
 def _parse_terms(lines, p: int, d: int) -> dict:
-    """{alpha: scalar} from the term lines that follow the header (line 2 on);
+    """{alpha: triple} from the term lines that follow the header (line 2 on);
     a multi-index must have d entries >= 0 and appear once."""
     coeffs = {}
     for ln_no, ln in enumerate(lines, start=2):
@@ -143,14 +157,14 @@ def _parse_terms(lines, p: int, d: int) -> dict:
             raise ParseError("term line must read a1,...,ad : v:m:N", ln_no)
         left, _, right = ln.partition(":")
         try:
-            alpha = tuple(int(x) for x in left.strip().split(","))
+            alpha = tuple(map(int, left.split(",")))
         except ValueError:
             raise ParseError(f"bad multi-index {left.strip()!r}", ln_no) from None
-        if len(alpha) != d or any(a < 0 for a in alpha):
+        if len(alpha) != d or min(alpha) < 0:
             raise ParseError(f"multi-index {alpha} invalid for d={d}", ln_no)
         if alpha in coeffs:
             raise ParseError(f"duplicate index {alpha}", ln_no)
-        coeffs[alpha] = parse_scalar(p, right, ln_no)
+        coeffs[alpha] = _parse_triple(p, right, ln_no)
     return coeffs
 
 
@@ -178,7 +192,7 @@ def parse_distribution(text: str) -> Distribution:
         raise ParseError(str(exc), 1) from None
     if model.p != p:
         raise ParseError(f"header p={p} contradicts group id {h['group']}", 1)
-    coeffs = {a: as_triple(model, c) for a, c in _parse_terms(lines[1:], p, model.d).items()}
+    coeffs = _parse_terms(lines[1:], p, model.d)
     certs = ()
     if not exact:
         tail = parse_normvalue(h["tail"], 1)
@@ -205,7 +219,7 @@ def serialize_mahler(t: MahlerTable) -> str:
         f"mahler p={t.p} d={t.d} N={t.prec} A={t.cap} "
         f"decay={decay} complete={1 if t.complete else 0}"
     )
-    return _format_terms(head, t.coeffs, t.coeff)
+    return _format_terms(head, t.p, t.coeffs)
 
 
 def parse_mahler(text: str) -> MahlerTable:
@@ -231,7 +245,7 @@ def parse_mahler(text: str) -> MahlerTable:
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"bad decay growth in {h['decay']!r}", 1) from None
         decay = (parse_normvalue(c_text, 1), growth)
-    coeffs = {a: c.triple for a, c in _parse_terms(lines[1:], p, d).items()}
+    coeffs = _parse_terms(lines[1:], p, d)
     try:
         return MahlerTable(d, p, prec, cap, coeffs, decay=decay, complete=complete)
     except MahlerError as exc:

@@ -20,6 +20,8 @@ from padicdist.padic import NormValue, PadicScalar
 from padicdist.serialize import parse_distribution, serialize_distribution
 from padicdist.suites import _second_basis
 
+import norm_reference
+
 P = 5
 T = Fraction(12)
 
@@ -356,12 +358,21 @@ def norm_by_entries(lam, r):
         if cb is not None and cb < up:
             up = cb
         uppers.append(up)
-    tail = lam._tail_norm_bound(s)
-    if tail is not None:
-        uppers.append(tail)
-    elif not lam.exact:
-        uppers.append(NormValue.unbounded())
+    tail = tail_by_certs(lam, s)
+    uppers.append(NormValue.unbounded() if tail is None else tail)
     return NormInterval(lower, max([lower, *uppers]))
+
+
+def tail_by_certs(lam, s):
+    """The tail term from the certificates alone: (C, t) with t <= s bounds
+    |d_alpha| r^tau by C p^-((s - t) tau) at every unstored alpha, so by
+    C p^-((s - t) tplus) past the head, tplus = weight_above(T).  The least
+    of these; zero when exact, None when no certificate applies."""
+    if lam.exact:
+        return NormValue.zero()
+    tplus = lam.model.weight_above(lam.T)
+    return min((c.bound * NormValue((s - c.growth) * tplus)
+                for c in lam.tail_certs if c.growth <= s), default=None)
 
 
 NORM_RADII = [Fraction(1, 8), Fraction(1, 5), Fraction(1, 4), Fraction(1, 3),
@@ -377,7 +388,7 @@ SMALL_MODELS = {
 def norm_values(draw):
     if draw(st.integers(0, 7)) == 0:
         return draw(st.sampled_from([NormValue.zero(), NormValue.unbounded()]))
-    if draw(st.integers(0, 3)) == 0:
+    if draw(st.booleans()):
         # a rational exponent, as products of norm bounds at rational radii have
         return NormValue(Fraction(draw(st.integers(-4, 24)), draw(st.sampled_from([2, 3, 4]))))
     return NormValue(draw(st.integers(-1, 6)))
@@ -410,7 +421,8 @@ def distributions(draw):
             coeffs[alpha] = PadicScalar(P, prec, residue, draw(st.integers(0, 1))).triple
         certs = [TailCert(draw(norm_values()),
                           draw(st.sampled_from([Fraction(0), Fraction(1, 4),
-                                                Fraction(1, 2), Fraction(1)])),
+                                                Fraction(1, 2), Fraction(2, 3),
+                                                Fraction(1)])),
                           draw(st.integers(0, 3)) > 0)
                  for _ in range(draw(st.integers(0, 3)))]
         if draw(st.integers(0, 3)):
@@ -428,6 +440,15 @@ def distributions(draw):
     if kind == "parsed":
         lam = parse_distribution(serialize_distribution(lam))
     return lam
+
+
+def outcome(f, *args):
+    """f(*args), or the type and message of the DistError or ValueError it
+    raises."""
+    try:
+        return f(*args)
+    except (DistError, ValueError) as exc:
+        return type(exc), str(exc)
 
 
 def _tie_case(entries, herr, certs):
@@ -509,6 +530,23 @@ class TestNormProfile:
                            head_error=herr)
         got, want = lam.norm(R12), norm_by_entries(lam, R12)
         assert got.upper.exponent == want.upper.exponent == Fraction(19, 3)
+
+    @given(distributions())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_matches_the_reference(self, lam):
+        # the profile against the per-call code it replaced: both interval
+        # ends at every radius (s = 1 included), the symbol or its refusal,
+        # the coefficient sup, integrality and the radius threshold
+        for s in NORM_RADII:
+            r = RadiusParam(s)
+            got, want = lam.norm(r), norm_reference.norm(lam, r)
+            assert got.lower.exponent == want.lower.exponent, (s, got, want)
+            assert got.upper.exponent == want.upper.exponent, (s, got, want)
+            assert outcome(lam.principal_symbol, r) == \
+                outcome(norm_reference.principal_symbol, lam, r), s
+        assert lam.coeff_sup() == norm_reference.coeff_sup(lam)
+        assert lam.is_integral() == norm_reference.is_integral(lam)
+        assert outcome(lam.r_threshold) == outcome(norm_reference.r_threshold, lam)
 
     def test_coeff_sup_ties_with_the_tail_bound(self):
         # a known valuation 2 beside a growth-0 tail bound p^-2
@@ -636,6 +674,12 @@ class TestRadiusThreshold:
         d = Distribution.dirac(model.element([-1]))
         with pytest.raises(DistError):
             d.r_threshold()
+
+    def test_stored_zero_of_an_exact_head(self):
+        # an exact file may store a zero (`12:0:12`); it is the value 0 and
+        # bounds nothing, so the threshold is that of b1 alone
+        text = "group=abelian:1:5 p=5 N=12 T=6/1 tail=0 exact=1\n0 : 12:0:12\n1 : 0:1:12\n"
+        assert parse_distribution(text).r_threshold().s == 1
 
 
 class TestSemidirect:
