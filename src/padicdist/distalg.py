@@ -18,12 +18,20 @@ entry.
 
 Multiplication decomposes heads into finite Dirac combinations, multiplies
 the supports with the group law, and re-expands; no precision is lost on
-exact inputs.
+exact inputs.  The expansion (``_expand_terms``) packs each point's
+binomial row of the last axis into one int, in slots of B = bits(largest
+coefficient residue) + d * bits(p^W) + bits(#points) + 1 bits, wide enough
+that no sum carries; it sums coefficient times row once per group of points
+that share their other rows, and unpacks each slot once.  The prec of
+C(x, k) mod p^W is W - v_p(k!) for every x, so the prec of an entry does
+not depend on which point reached it.  Keys come in first-reach order:
+point by point, lexicographically within a point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial, reduce
 from itertools import chain
 from math import comb, floor, inf, lcm
 from typing import NamedTuple
@@ -559,48 +567,58 @@ def structure_constants(model: GroupModel, beta, gamma, T):
 
     Each Heisenberg core is the head of one Dirac product,
     ``Distribution.monomial(...).mul(...)`` at T, computed once per
-    (a, g, T) and kept on the model for as long as the model lives.  An
-    entry has the value the Dirac product of b^beta and b^gamma gives it,
-    and a window never narrower, since shifting adds no binomial rows.
-    Zeros that product stores where no shifted index lands (alpha1 < beta1
-    and the like) are not in the table.
+    (a, g, T) and kept on the model for as long as the model lives, with
+    each entry's degree and verdict.  Since every omega is 1, tau(alpha +
+    offset) = tau(alpha) + tau(offset): an entry is kept when its core
+    degree is at most T - tau(offset), and its verdict bound
+    tau(beta) + tau(gamma) - tau(alpha + offset) = a + g - tau(alpha) does
+    not depend on the offset.  An entry has the value the Dirac product of
+    b^beta and b^gamma gives it, and a window never narrower, since
+    shifting adds no binomial rows.  Zeros that product stores where no
+    shifted index lands (alpha1 < beta1 and the like) are not in the table.
+    Every call returns new PadicScalars.
     """
     T = floor(T)
     beta = _multi_index(model, beta)
     gamma = _multi_index(model, gamma)
-    if model.kind == "heisenberg":
-        core = _commutation_core(model, beta[1], gamma[0], T)
-        offset = (beta[0], gamma[1], beta[2] + gamma[2])
-    else:
-        core = {(0,) * model.d: as_triple(model, 1)}
-        offset = tuple(b + g for b, g in zip(beta, gamma))
+    if model.kind != "heisenberg":
+        alpha = tuple(b + g for b, g in zip(beta, gamma))
+        if model.tau(alpha) > T:
+            return {}, {}
+        return {alpha: PadicScalar.one(model.p, model.elem_prec)}, {alpha: True}
+    core = _commutation_core(model, beta[1], gamma[0], T)
+    x, y, z = beta[0], gamma[1], beta[2] + gamma[2]
+    room = T - x - y - z
     p = model.p
-    bound_base = model.tau(beta) + model.tau(gamma)
     table = {}
     verdicts = {}
-    for alpha, c in core.items():
-        alpha = tuple(a + o for a, o in zip(alpha, offset))
-        tau = model.tau(alpha)
-        if tau > T:
-            continue
-        r, prec, shift = c
+    for (a1, a2, a3), (r, prec, shift), verdict in core[room] if room >= 0 else ():
+        alpha = (a1 + x, a2 + y, a3 + z)
         table[alpha] = PadicScalar(p, prec, r, shift)
-        v = triple_valuation(p, c)
-        if v is not None:
-            verdicts[alpha] = v >= max(0, bound_base - tau)
+        if verdict is not None:
+            verdicts[alpha] = verdict
     return table, verdicts
 
 
-def _commutation_core(model: GroupModel, a: int, g: int, T: int) -> dict:
-    """Head triples of b2^a b1^g up to degree T, from the Dirac product;
-    computed once per model and (a, g, T)."""
+def _commutation_core(model: GroupModel, a: int, g: int, T: int) -> tuple:
+    """Head entries of b2^a b1^g up to degree T, from the Dirac product, as
+    (index, triple, verdict) in the product's key order: one tuple per room
+    r = 0..T, of the entries of degree at most r.  The verdict is that of
+    v_p(c) >= max(0, a + g - tau(alpha)), None when the valuation of c is
+    not known.  Computed once per model and (a, g, T)."""
     key = (a, g, T)
     core = model.commutation_cores.get(key)
     if core is None:
         big = max(T, a, g)
-        core = Distribution.monomial(model, (0, a, 0), big).mul(
+        head = Distribution.monomial(model, (0, a, 0), big).mul(
             Distribution.monomial(model, (g, 0, 0), big), T=T).coeffs
-        model.commutation_cores[key] = core
+        entries = []
+        for alpha, c in head.items():
+            tau = model.tau(alpha)
+            v = triple_valuation(model.p, c)
+            entries.append((tau, (alpha, c, None if v is None else v >= max(0, a + g - tau))))
+        core = model.commutation_cores[key] = tuple(
+            tuple(e for tau, e in entries if tau <= room) for room in range(T + 1))
     return core
 
 
@@ -842,8 +860,8 @@ def _truncation(T) -> int:
 def _multi_index(model, alpha) -> tuple:
     """alpha as a tuple of ints, refused unless it has d nonnegative
     integral entries."""
-    ints = tuple(int(a) for a in alpha)
-    if ints != tuple(alpha) or len(ints) != model.d or any(a < 0 for a in ints):
+    ints = tuple(map(int, alpha))
+    if len(ints) != model.d or ints != tuple(alpha) or min(ints, default=0) < 0:
         raise DistError(f"multi-index {tuple(alpha)} is not {model.d} nonnegative integers")
     return ints
 
@@ -908,43 +926,146 @@ def _head_to_dirac(model, coeffs):
 
 
 def _expand_terms(model, terms, T):
-    """Coefficient table of sum a_j delta_{g_j} up to degree T.
+    """Coefficient table of sum a_j delta_{g_j} up to degree T:
+    c_alpha = sum_j a_j prod_i C(g_ji, alpha_i) for |alpha| <= T.
 
-    The binomial rows come from ``_binom_residue`` as (prec, residue)
-    pairs, once per coordinate residue and length; a product of a
-    coefficient and row entries keeps the least prec, and sums are
-    ``add_triples``.  Residues are reduced once, in the returned table:
-    those rules keep an unreduced residue congruent mod p^prec."""
+    A point's row on axis i holds C(x, k) mod p^(W - v_p(k!)) for
+    k <= kmax, from ``_binom_residue`` at the coordinate residue x mod p^W
+    (W the model's ``elem_prec``); kmax is T, or the coordinate itself when
+    it is exact, nonnegative and below T, since C(x, k) vanishes exactly
+    for integer x < k.  The prec of C(x, k) does not depend on x, so the
+    prec of a product of a coefficient (r, prec, shift) and row entries is
+    min(prec, W - max_i v_p(alpha_i!)) whatever the point, and an entry of
+    the table is the triple sum of those products (``add_triples`` rules)
+    over the points that reach alpha.
+
+    The last axis is summed by Kronecker substitution.  Each row of the
+    last axis is packed into one int, entry k in the B-bit slot k, with
+    B = bits(largest coefficient residue) + d * bits(p^W) + bits(#points) + 1:
+    every coefficient residue (reduced) and row entry is nonnegative and
+    below those bounds, so no sum of products carries out of its slot.
+    Points of one class (shift, prec) and one box (kmax per axis) that
+    share their first d - 1 rows form a group, whose packed sum of a_j
+    times the last row is one multiply-add per point.  Each group's first
+    d - 1 axes are then expanded over the prefixes inside its box, and each
+    prefix adds the product of its row entries times the group's packed
+    row to the class's packed int for that prefix.  Each slot is unpacked
+    once.  Where several classes reach an index, their sums are combined by
+    the ``add_triples`` rules: the largest shift and the least window.
+
+    An index alpha is stored when some point reaches it, that is alpha_i <=
+    kmax_i on every axis, at degree <= T, even when its value is zero.  Keys
+    are in first-reach order: point by point, and lexicographically among
+    the indices a point reaches first.  Residues are reduced mod p^prec."""
     p, d, W = model.p, model.d, model.elem_prec
+    if d == 0:
+        # no axis to pack: every term lands on the one index ()
+        if not terms:
+            return {}
+        r, prec, shift = reduce(partial(add_triples, p), (a for a, _ in terms))
+        return {(): (r % ppow(p, prec), prec, shift)}
     m = ppow(p, W)
-    acc = {}
-    row_of = {}
-    for (ra, pa, sa), g in terms:
-        level = [((), ra, pa, T)]
-        for i in range(d):
-            kmax = T
-            if g.exact and g.coords[i] >= 0:
-                # binom(x, k) vanishes exactly for integer x < k
-                kmax = min(kmax, g.coords[i])
-            x = g.coords[i] % m
-            row = row_of.get((x, kmax))
-            if row is None:
-                row = row_of[x, kmax] = tuple(zip(
-                    (W, 1), *(_binom_residue(p, W, x, k) for k in range(1, kmax + 1))))
-            row_precs, row_res = row
-            level = [(alpha + (k,), r * row_res[k],
-                      prec if prec <= row_precs[k] else row_precs[k], budget - k)
-                     for alpha, r, prec, budget in level
+    rows = {}
+    points = []
+    top = K = 0
+    for (r, prec, shift), g in terms:
+        keys = []
+        box = []
+        for x in g.coords:
+            kmax = x if g.exact and 0 <= x < T else T
+            key = (x % m, kmax)
+            if key not in rows:
+                rows[key] = (1, *(_binom_residue(p, W, key[0], k)[1]
+                                  for k in range(1, kmax + 1)))
+                if kmax > K:
+                    K = kmax
+            keys.append(key)
+            box.append(kmax)
+        r %= ppow(p, prec)
+        if r > top:
+            top = r
+        points.append((r, (shift, prec), tuple(keys[:-1]), keys[-1], tuple(box)))
+    if not points:
+        return {}
+    B = top.bit_length() + d * m.bit_length() + len(points).bit_length() + 1
+    mask = (1 << B) - 1
+
+    # one packed int per group: the points of one class with the same rows
+    # but the last, and the same box
+    packed = {}
+    groups = {}
+    for r, cls, head, key, box in points:
+        row = packed.get(key)
+        if row is None:
+            row = packed[key] = sum(c << (k * B) for k, c in enumerate(rows[key]))
+        group = (cls, head, box)
+        groups[group] = groups.get(group, 0) + r * row
+
+    # each group adds its packed row times the product of its prefix row
+    # entries to its class, per prefix; the first group of each box (groups
+    # come in the order of their first points) adds the (prefix, first k,
+    # last k) runs that no earlier box reached, in first-reach order
+    sums = {}
+    segments = []
+    reached = {}
+    boxes = set()
+    for (cls, head, box), total in groups.items():
+        acc = sums.get(cls)
+        if acc is None:
+            acc = sums[cls] = {}
+        last = box[-1]
+        new = box not in boxes
+        boxes.add(box)
+        level = [((), 1, T)]
+        for key in head:
+            row, kmax = rows[key], key[1]
+            level = [(pi + (k,), c * row[k], budget - k) for pi, c, budget in level
                      for k in range(budget + 1 if budget < kmax else kmax + 1)]
-        for alpha, r, prec, _ in level:
-            e = acc.get(alpha)
+        for pi, c, budget in level:
+            cap = last if last < budget else budget
+            e = acc.get(pi)
             if e is None:
-                acc[alpha] = (r, prec, sa)
-            elif e[2] == sa:
-                acc[alpha] = (e[0] + r, prec if prec <= e[1] else e[1], sa)
+                acc[pi] = [cap, c * total]
             else:
-                acc[alpha] = add_triples(p, e, (r, prec, sa))
-    return {alpha: (r % ppow(p, prec), prec, shift) for alpha, (r, prec, shift) in acc.items()}
+                e[1] += c * total
+                if cap > e[0]:
+                    e[0] = cap
+            if new:
+                lo = reached.get(pi, -1) + 1
+                if cap >= lo:
+                    segments.append((pi, lo, cap))
+                    reached[pi] = cap
+
+    vpf = [0]
+    for k in range(1, K + 1):
+        vpf.append(vpf[-1] + (vp_int(k, p) if k % p == 0 else 0))
+    out = {}
+    if len(sums) == 1:
+        (shift, cprec), acc = sums.popitem()
+        precs = [min(cprec, W - v) for v in range(vpf[-1] + 1)]
+        mods = [ppow(p, prec) for prec in precs]
+        for pi, lo, hi in segments:
+            v = acc[pi][1] >> (lo * B)
+            vp_pi = max(map(vpf.__getitem__, pi), default=0)
+            for k in range(lo, hi + 1):
+                q = vpf[k] if vpf[k] > vp_pi else vp_pi
+                out[pi + (k,)] = ((v & mask) % mods[q], precs[q], shift)
+                v >>= B
+        return out
+    # classes that reach (pi, k): their slots, scaled to the largest shift
+    for pi, lo, hi in segments:
+        parts = [(acc[pi][0], shift, cprec, acc[pi][1] >> (lo * B))
+                 for (shift, cprec), acc in sums.items() if pi in acc]
+        vp_pi = max(map(vpf.__getitem__, pi), default=0)
+        for k in range(lo, hi + 1):
+            rp = W - (vp_pi if vp_pi > vpf[k] else vpf[k])
+            here = [(shift, min(cprec, rp) - shift, (v >> ((k - lo) * B)) & mask)
+                    for cap, shift, cprec, v in parts if cap >= k]
+            top_shift = max(shift for shift, _, _ in here)
+            prec = min(window for _, window, _ in here) + top_shift
+            r = sum(c * ppow(p, top_shift - shift) for shift, _, c in here)
+            out[pi + (k,)] = (r % ppow(p, prec), prec, top_shift)
+    return out
 
 
 def _terms_coeff_bound(model, terms) -> NormValue:

@@ -43,8 +43,10 @@ class GroupModel:
         # guard digits so binomial coefficients up to the working weight cap
         # stay correct mod p**prec
         self.elem_prec = prec + vp_factorial(self.max_weight, p) + 2
-        # head triples of the structure-constant cores b2^a b1^g by (a, g, T),
-        # filled by distalg.structure_constants and kept as long as the model
+        # the structure-constant cores b2^a b1^g by (a, g, T): per room
+        # r = 0..T, the head entries of degree <= r as (index, triple,
+        # verdict); filled by distalg.structure_constants and kept as long as
+        # the model
         self.commutation_cores = {}
 
     # -- constructors ------------------------------------------------------

@@ -127,8 +127,8 @@ class NormValue:
 
     def __mul__(self, other: "NormValue") -> "NormValue":
         a, b = self.exponent, other.exponent
-        if inf in (a, b) and -inf in (a, b):
-            # 0 * unbounded: treat as zero
+        if type(a) is float and type(b) is float and a != b:
+            # 0 * unbounded, the one sum that is nan: treat as zero
             return NormValue(inf)
         return NormValue(a + b)
 

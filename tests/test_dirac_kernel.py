@@ -5,7 +5,9 @@ shift) ints, and decomposes heads into Dirac terms, merges them and
 re-expands them on those ints.  The functions below are that round trip
 written with PadicScalar operations throughout; every stored triple must
 agree with them in residue, prec, shift and key order, and both must raise
-PrecisionExhausted on the same inputs.
+PrecisionExhausted on the same inputs.  The packed expansion kernel is also
+held to the per-point loop it replaced (``expand_reference``) on inputs
+that stress its slots and its groups.
 """
 
 import random
@@ -26,6 +28,7 @@ from padicdist.groupmodel import GroupElement, GroupModel, coords_in_basis
 from padicdist.padic import PadicScalar, PrecisionExhausted, ppow
 from padicdist.suites import _second_basis
 
+import expand_reference
 from mahler_reference import binom
 
 
@@ -287,3 +290,56 @@ class TestKernelMatchesScalars:
             expand_terms_by_scalars(model, terms, 12)
         with pytest.raises(PrecisionExhausted):
             Distribution.dirac(g, 12)
+
+
+@st.composite
+def kernel_inputs(draw):
+    """Dirac terms as the kernel takes them: points that share their first
+    d - 1 coordinates; exact nonnegative, exact negative and inexact points
+    side by side; coordinates up to 10^30 and residues near p^W; and
+    coefficients of a few (prec, shift) classes, some residues unreduced
+    or negative; and truncations that exhaust W."""
+    model = draw(models())
+    p, d, W = model.p, model.d, model.elem_prec
+    m = ppow(p, W)
+    # a T far above the working weight can need more guard digits than W
+    T = draw(st.one_of(st.integers(0, model.max_weight + 3), st.integers(0, 14)))
+    coordinate = st.one_of(st.integers(0, T + 2), st.integers(-10 ** 30, -1),
+                           st.integers(0, 10 ** 30), st.integers(m - p ** 2, m - 1),
+                           st.integers(-m, -m + p ** 2))
+    prefixes = draw(st.lists(st.tuples(*[coordinate] * (d - 1)), min_size=1, max_size=3))
+    classes = draw(st.lists(st.tuples(st.integers(1, W + 1), st.integers(0, 3)),
+                            min_size=1, max_size=3))
+    terms = []
+    for _ in range(draw(st.integers(1, 8))):
+        coords = draw(st.sampled_from(prefixes)) + (draw(coordinate),)
+        if draw(st.booleans()):
+            g = GroupElement(model, coords, True)
+        else:
+            g = GroupElement(model, tuple(x % m for x in coords), False)
+        prec, shift = draw(st.sampled_from(classes))
+        q = ppow(p, prec)
+        r = draw(st.one_of(st.integers(0, q - 1), st.integers(q - p, q - 1),
+                           st.integers(-q * q, q * q)))
+        terms.append(((r, prec, shift), g))
+    return model, terms, T
+
+
+class TestKernelMatchesReference:
+    @given(kernel_inputs())
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_expand_terms(self, case):
+        model, terms, T = case
+        got = outcome(lambda: list(_expand_terms(model, terms, T).items()))
+        want = outcome(lambda: list(expand_reference.expand_terms(model, terms, T).items()))
+        assert got == want
+
+    def test_no_axes(self):
+        # on a model of dimension 0 every term lands on the index ()
+        model = GroupModel.abelian(0, 5, prec=4, max_weight=3)
+        g = model.element([])
+        W = model.elem_prec
+        terms = [((3, W, 0), g), ((7, W - 1, 1), g), ((-2, W, 0), g)]
+        for n in range(4):
+            assert list(_expand_terms(model, terms[:n], 3).items()) == \
+                list(expand_reference.expand_terms(model, terms[:n], 3).items())

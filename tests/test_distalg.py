@@ -235,6 +235,34 @@ class TestStructureConstants:
         assert set(model.commutation_cores) == {(2, 3, 6)}
         assert GroupModel.heisenberg(P, prec=12, max_weight=6).commutation_cores == {}
 
+    @staticmethod
+    def entries(table):
+        return [(alpha, c.p, c.residue, c.prec, c.shift) for alpha, c in table.items()]
+
+    @pytest.mark.parametrize("spec", ["heisenberg:5", "abelian:2:5", "semidirect:5"])
+    def test_repeated_calls_are_equal(self, spec):
+        model = GroupModel.from_string(spec, prec=12, max_weight=6)
+        indices = [a for a, _ in model.alpha_iter(4)]
+        for beta, gamma in [(b, g) for b in indices for g in indices if sum(b) + sum(g) <= 6]:
+            first, first_verdicts = structure_constants(model, beta, gamma, 6)
+            again, again_verdicts = structure_constants(model, beta, gamma, 6)
+            assert self.entries(first) == self.entries(again)
+            assert list(first_verdicts.items()) == list(again_verdicts.items())
+
+    def test_returned_scalars_are_not_shared(self):
+        # the cores are kept on the model; a caller that mutates a returned
+        # PadicScalar must not change what the next call returns
+        model = GroupModel.heisenberg(P, prec=12, max_weight=6)
+        for beta, gamma in [((0, 2, 0), (3, 0, 0)), ((1, 2, 0), (3, 0, 1))]:
+            table, verdicts = structure_constants(model, beta, gamma, 6)
+            want = self.entries(table)
+            for c in table.values():
+                c.residue, c.prec, c.shift = 1, 1, 0
+            again, again_verdicts = structure_constants(model, beta, gamma, 6)
+            assert self.entries(again) == want
+            assert again_verdicts == verdicts
+            assert all(a is not b for a, b in zip(table.values(), again.values()))
+
 
 class TestInvalidMultiIndices:
     """A negative or fractional exponent or a multi-index of the wrong length

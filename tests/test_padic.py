@@ -103,7 +103,13 @@ class TestNormValue:
         )
 
     def test_mul_with_zero(self):
-        assert (NormValue.zero() * NormValue.unbounded()).is_zero
+        zero, unbounded, half = NormValue.zero(), NormValue.unbounded(), NormValue(Fraction(1, 2))
+        for a, b, want in [(zero, unbounded, zero), (unbounded, zero, zero),
+                           (zero, zero, zero), (unbounded, unbounded, unbounded),
+                           (zero, half, zero), (half, zero, zero),
+                           (unbounded, half, unbounded), (half, unbounded, unbounded)]:
+            got = a * b
+            assert got == want and got.exponent == want.exponent, (a, b)
 
 
 def binom(x, k):
