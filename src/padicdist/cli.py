@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from .padic import PadicError, PrecisionExhausted
-from .groupmodel import GroupModel, ModelError
+from .groupmodel import GroupModel, ModelError, truncation
 from .distalg import Distribution, RadiusParam, q_norm
 from .serialize import (
     ParseError,
@@ -55,14 +55,13 @@ def _radius(text: str) -> RadiusParam:
 
 
 def _precision_args(args):
-    """(N, T) from -N and -T, defaulting to 12 each."""
+    """(N, T) from -N and -T, defaulting to 12 each; T is floored here, once."""
     N = args.N
     if N is None:
         N = 12
-    T = _fraction(args.T or "12")
-    if N < 1 or T < 0:
-        raise UsageError(f"N must be >= 1 and T >= 0, got N={N} T={T}")
-    return N, T
+    if N < 1:
+        raise UsageError(f"N must be >= 1, got N={N}")
+    return N, truncation(_fraction(args.T or "12"))
 
 
 def _model_from_args(args) -> GroupModel:

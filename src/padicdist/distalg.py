@@ -12,9 +12,9 @@ value p^-shift * residue known mod p^(prec - shift), with the residue
 reduced mod p^prec as PadicScalar keeps it.  Sums, valuations and
 magnitude bounds follow the triple rules of ``padic``; a product takes the
 least prec and adds the shifts.  PadicScalars appear only at the edge:
-``as_triple`` reads the int, Fraction or PadicScalar coefficients that the
-constructors take, and ``Distribution.coeff`` builds the PadicScalar of an
-entry.
+``as_triple`` reads the int, Fraction, PadicScalar or triple coefficients
+that the constructors take, and ``Distribution.coeff`` builds the
+PadicScalar of an entry.
 
 Multiplication decomposes heads into finite Dirac combinations, multiplies
 the supports with the group law, and re-expands; no precision is lost on
@@ -33,7 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import chain
-from math import comb, floor, inf, lcm
+from math import comb, inf, lcm
 from typing import NamedTuple
 
 from .padic import (
@@ -43,13 +43,14 @@ from .padic import (
     _binom_residue,
     add_triples,
     fraction_triple,
+    is_int_triple,
     ppow,
     require_triple,
     triple_bound,
     triple_valuation,
     vp_int,
 )
-from .groupmodel import GroupElement, GroupModel, ModelMismatch
+from .groupmodel import GroupElement, GroupModel, ModelMismatch, truncation
 
 
 class DistError(PadicError):
@@ -112,13 +113,18 @@ class NormInterval(NamedTuple):
 
 
 def as_triple(model: GroupModel, c):
-    """The stored form of a coefficient given as an int, a Fraction or a
-    PadicScalar (a triple passes through): ints and Fractions at the
-    model's working precision."""
+    """The stored form of a coefficient given as an int, a Fraction, a
+    PadicScalar or a triple of ints (residue, prec, shift), read as the
+    PadicScalar it names: ints and Fractions at the model's working
+    precision, a triple with its residue reduced, refused when its prec is
+    below 1 or its shift below 0."""
     if isinstance(c, PadicScalar):
         return c.triple
     if isinstance(c, tuple):
-        return c
+        if not is_int_triple(c):
+            raise TypeError(f"coefficient {c!r} is not a (residue, prec, shift) triple of ints")
+        r, prec, shift = c
+        return PadicScalar(model.p, prec, r, shift).triple
     return fraction_triple(model.p, c, model.elem_prec)
 
 
@@ -127,10 +133,13 @@ class Distribution:
 
     ``coeffs`` maps alpha to the triple (residue, prec, shift) of d_alpha
     and ``dirac_terms``, when known, holds an exact witness as pairs
-    (triple, group element); ``coeff(alpha)`` returns d_alpha as a
-    PadicScalar.  The constructor takes triples; ``from_coeffs``,
-    ``dirac_combination`` and ``scale`` also take ints, Fractions and
-    PadicScalars.
+    (triple, group element) at distinct points, built by the library
+    (``_merge_terms`` or ``_head_to_dirac``) and never taken from a
+    caller; ``coeff(alpha)`` returns d_alpha as a PadicScalar.  The
+    constructor takes triples in the stored form (prec >= 1, shift >= 0,
+    residue reduced mod p^prec); ``from_coeffs``, ``dirac_combination`` and
+    ``scale`` also take ints, Fractions, PadicScalars and unreduced triples
+    (``as_triple``).
 
     What the Dirac decomposition of an inexact head leaves out (its tail
     and the errors of its entries) has coefficients bounded by
@@ -142,21 +151,20 @@ class Distribution:
     __slots__ = ("model", "coeffs", "T", "tail_certs", "exact", "head_error",
                  "dirac_terms", "_profile")
 
-    def __init__(self, model, coeffs, T, tail_certs=(), exact=False,
-                 head_error=None, dirac_terms=None):
+    def __init__(self, model, coeffs, T, tail_certs=(), exact=False, head_error=None):
         self.model = model
-        self.T = _truncation(T)
+        self.T = truncation(T)
         self.coeffs = dict(coeffs)
         for alpha, c in self.coeffs.items():
             if model.tau(alpha) > self.T:
                 raise DistError(f"stored index {alpha} exceeds truncation weight {self.T}")
-            require_triple(alpha, c)
+            require_triple(model.p, alpha, c)
         self.tail_certs = tuple(tail_certs)
         self.exact = bool(exact)
         if self.exact and self.tail_certs:
             raise DistError("exact distributions carry no tail certificates")
         self.head_error = _ZERO if head_error is None else head_error
-        self.dirac_terms = None if dirac_terms is None else tuple(dirac_terms)
+        self.dirac_terms = None
         self._profile = None
 
     @classmethod
@@ -190,7 +198,7 @@ class Distribution:
 
     @classmethod
     def monomial(cls, model, alpha, T=None) -> "Distribution":
-        T = model.max_weight if T is None else floor(T)
+        T = model.max_weight if T is None else truncation(T)
         alpha = _multi_index(model, alpha)
         if model.tau(alpha) > T:
             raise DistError(f"monomial weight {model.tau(alpha)} exceeds T={T}")
@@ -203,7 +211,7 @@ class Distribution:
     @classmethod
     def dirac_combination(cls, model, terms, T=None) -> "Distribution":
         """sum a_j delta_{g_j}; the term list is retained as an exact witness."""
-        T = model.max_weight if T is None else _truncation(T)
+        T = model.max_weight if T is None else truncation(T)
         terms = [(as_triple(model, a), g) for a, g in terms]
         for _, g in terms:
             model._require_same(g.model)
@@ -356,9 +364,7 @@ class Distribution:
         """
         self.model._require_same(other.model)
         model = self.model
-        if T is not None and T < 0:
-            raise DistError("output truncation weight is negative")
-        T = min(self.T, other.T) if T is None else floor(T)
+        T = min(self.T, other.T) if T is None else truncation(T)
         t1 = self._exact_terms()
         t2 = other._exact_terms()
         exact_path = t1 is not None and t2 is not None
@@ -507,7 +513,7 @@ class Distribution:
         gives coordinates in another chart as inexact points, so that the
         kernel prunes no binomial row, and the result keeps no witness."""
         model = self.model
-        T = self.T if T is None else _truncation(T)
+        T = self.T if T is None else truncation(T)
         terms = self._exact_terms()
         witness = terms is not None
         if not witness:
@@ -578,7 +584,7 @@ def structure_constants(model: GroupModel, beta, gamma, T):
     shifted index lands (alpha1 < beta1 and the like) are not in the table.
     Every call returns new PadicScalars.
     """
-    T = floor(T)
+    T = truncation(T)
     beta = _multi_index(model, beta)
     gamma = _multi_index(model, gamma)
     if model.kind != "heisenberg":
@@ -624,7 +630,7 @@ def _commutation_core(model: GroupModel, a: int, g: int, T: int) -> tuple:
 
 def lie_generator(model: GroupModel, i: int, T=None) -> Distribution:
     """log(1 + b_i) truncated at degree T, with a certified growing tail."""
-    K = model.max_weight if T is None else floor(T)
+    K = model.max_weight if T is None else truncation(T)
     if K < 1:
         raise DistError("truncation weight below the generator's weight")
     coeffs = {}
@@ -849,14 +855,6 @@ def _norm_value(x, D: int) -> NormValue:
     return NormValue(x if isinstance(x, float) else Fraction(x, D))
 
 
-def _truncation(T) -> int:
-    """T as a degree cutoff: degrees are integers, so a rational T truncates
-    like its floor.  A negative T is refused."""
-    if T < 0:
-        raise DistError("truncation weight T must be >= 0")
-    return floor(T)
-
-
 def _multi_index(model, alpha) -> tuple:
     """alpha as a tuple of ints, refused unless it has d nonnegative
     integral entries."""
@@ -889,7 +887,11 @@ def _nonzero_terms(model, acc, element):
 
 
 def _merge_terms(model, terms):
-    """Combine Dirac terms with identical support coordinates."""
+    """Combine Dirac terms whose support points share their key, the
+    coordinates mod p^W.  The merged point is the exact one when exact
+    points reach the key and all have the same coordinates; it is the
+    inexact residue point when only inexact points do, or when two exact
+    points differ (they agree only mod p^W), whatever comes after."""
     p = model.p
     acc = {}
     elems = {}
@@ -897,12 +899,17 @@ def _merge_terms(model, terms):
         k = g.key()
         if k in acc:
             acc[k] = add_triples(p, acc[k], a)
-            if g.exact and not elems[k].exact:
-                elems[k] = g
+            e = elems[k]
+            if g.exact and e is not None:
+                if not e.exact:
+                    elems[k] = g
+                elif e.coords != g.coords:
+                    elems[k] = None
         else:
             acc[k] = a
             elems[k] = g
-    return _nonzero_terms(model, acc, elems.__getitem__)
+    return _nonzero_terms(model, acc,
+                          lambda k: elems[k] or GroupElement(model, k, False))
 
 
 def _head_to_dirac(model, coeffs):

@@ -1,5 +1,8 @@
 """Graded rings F_p[e0^{+-1}][X_1..X_d] and commutative Groebner machinery.
 
+The ring of a radius r = p^-s is fixed by (p, d, s): every generator has
+omega = 1, so X_i has degree s, e0 (the class of p) degree 1, and the
+monomial e0^e X^alpha degree e + s |alpha|.
 Monomials are exponent tuples (a_1, ..., a_d, e) with the e0 exponent last.
 Every Groebner basis is taken in one monomial order, graded reverse lex with
 e0 the last and least variable.  The Laurent variable is handled by
@@ -28,15 +31,18 @@ class AmbientMismatch(GradedError):
 
 
 class GradedAmbient:
-    """Parameters (p, d, omega, s) shared by all polynomials of one ring."""
+    """Parameters (p, d, s) shared by all polynomials of one ring, with
+    omega = 1 on every generator.  The third argument is kept only for
+    callers that still pass the weights; it must be d ones."""
 
-    __slots__ = ("p", "d", "omegas", "s")
+    __slots__ = ("p", "d", "s")
 
     def __init__(self, p, d, omegas, s):
         _check_prime(p)
+        if tuple(omegas) != (1,) * d:
+            raise GradedError(f"every generator weight omega must be 1, got {tuple(omegas)}")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "omegas", tuple(Fraction(w) for w in omegas))
         object.__setattr__(self, "s", Fraction(s))
 
     def __setattr__(self, *a):
@@ -45,19 +51,15 @@ class GradedAmbient:
     def __eq__(self, other):
         return (
             isinstance(other, GradedAmbient)
-            and (self.p, self.d, self.omegas, self.s)
-            == (other.p, other.d, other.omegas, other.s)
+            and (self.p, self.d, self.s) == (other.p, other.d, other.s)
         )
 
     def __hash__(self):
-        return hash((self.p, self.d, self.omegas, self.s))
+        return hash((self.p, self.d, self.s))
 
     def monomial_degree(self, mon) -> Fraction:
-        """Grading degree e + s * tau(alpha) of a monomial."""
-        alpha, e = mon[:-1], mon[-1]
-        return e + self.s * sum(
-            (Fraction(a) * w for a, w in zip(alpha, self.omegas)), Fraction(0)
-        )
+        """Grading degree e + s * |alpha| of a monomial."""
+        return mon[-1] + self.s * sum(mon[:-1])
 
     def __repr__(self):
         return f"GradedAmbient(p={self.p}, d={self.d}, s={self.s})"

@@ -24,6 +24,27 @@ class ModelMismatch(ModelError):
     pass
 
 
+def truncation(T) -> int:
+    """T as a degree cutoff: degrees are integers (every omega is 1), so a
+    rational T >= 0 truncates like its floor.  A negative T is refused."""
+    if T < 0:
+        raise ModelError(f"truncation weight T must be >= 0, got {T}")
+    return floor(T)
+
+
+def simplex(d: int, T: int):
+    """The multi-indices alpha in N^d with |alpha| <= T, in lex order."""
+
+    def rec(i, prefix, left):
+        if i == d:
+            yield prefix
+            return
+        for k in range(left + 1):
+            yield from rec(i + 1, prefix + (k,), left - k)
+
+    return rec(0, (), T)
+
+
 class GroupModel:
     """A concrete group with ordered basis, chart and p-valuation data."""
 
@@ -39,7 +60,7 @@ class GroupModel:
         self.p = p
         self.d = d
         self.prec = prec
-        self.max_weight = floor(max_weight)
+        self.max_weight = truncation(max_weight)
         # guard digits so binomial coefficients up to the working weight cap
         # stay correct mod p**prec
         self.elem_prec = prec + vp_factorial(self.max_weight, p) + 2
@@ -185,21 +206,7 @@ class GroupModel:
 
     def weight_above(self, T) -> int:
         """Smallest degree strictly above T."""
-        return floor(T) + 1
-
-    def alpha_iter(self, T):
-        """All multi-indices with degree <= T, with their degrees."""
-        T = floor(T)
-        d = self.d
-
-        def rec(i, prefix, used):
-            if i == d:
-                yield tuple(prefix), used
-                return
-            for k in range(T - used + 1):
-                yield from rec(i + 1, prefix + [k], used + k)
-
-        yield from rec(0, [], 0)
+        return truncation(T) + 1
 
 
 class GroupElement:

@@ -19,7 +19,7 @@ from math import comb
 
 from .padic import (NormValue, PadicError, PadicScalar, _check_prime, add_triples, ppow,
                     require_triple, triple_bound)
-from .groupmodel import GroupModel
+from .groupmodel import GroupModel, simplex
 from .distalg import Distribution
 
 
@@ -202,7 +202,7 @@ class MahlerTable:
         self.cap = cap
         self.coeffs = dict(coeffs)
         for alpha, c in self.coeffs.items():
-            require_triple(alpha, c)
+            require_triple(p, alpha, c)
         self.decay = decay
         self.complete = bool(complete)
 
@@ -269,7 +269,7 @@ def mahler_coeffs(f: FunctionSpec, A: int, prec: int = 12) -> MahlerTable:
     if prec < 1:
         raise MahlerError(f"precision N must be >= 1, got {prec}")
     d = f.d
-    points = list(_simplex(d, A))
+    points = list(simplex(d, A))
     vals = {}
     for beta in points:
         v = f.evaluate(beta)
@@ -293,17 +293,6 @@ def mahler_coeffs(f: FunctionSpec, A: int, prec: int = 12) -> MahlerTable:
     complete = deg is not None and A >= deg
     return MahlerTable(f.d, f.p, prec, A, coeffs, decay=f.decay_certificate(),
                        complete=complete)
-
-
-def _simplex(d, A):
-    def rec(i, prefix, left):
-        if i == d:
-            yield tuple(prefix)
-            return
-        for k in range(left + 1):
-            yield from rec(i + 1, prefix + [k], left - k)
-
-    yield from rec(0, [], A)
 
 
 def amice_report(table: MahlerTable, rho_exponents):
@@ -444,17 +433,12 @@ class GroupAlgebraElement:
 
 
 def finite_level_project(lam: Distribution, n: int) -> GroupAlgebraElement:
-    """sum a_j [g_j mod G_n] from the Dirac witness of lam."""
+    """sum a_j [g_j mod G_n] from the Dirac witness of lam, whose points
+    are distinct; the constructor folds them into cosets."""
     terms = lam._exact_terms()
     if terms is None:
         raise MahlerError("finite-level projection needs an exact Dirac witness")
-    p = lam.model.p
-    m = ppow(p, n)
-    coeffs = {}
-    for a, g in terms:
-        key = tuple(x % m for x in g.coords)
-        coeffs[key] = add_triples(p, coeffs[key], a) if key in coeffs else a
-    return GroupAlgebraElement(lam.model, n, coeffs)
+    return GroupAlgebraElement(lam.model, n, {g.coords: a for a, g in terms})
 
 
 def pair_with_indicator_crosscheck(lam: Distribution, a, n: int, A=None):

@@ -160,12 +160,22 @@ def add_triples(p: int, x, y):
     return r1 * ppow(p, shift - s1) + r2 * ppow(p, shift - s2), prec, shift
 
 
-def require_triple(where, c) -> None:
-    """Refuse, with TypeError, a stored coefficient that is not a
-    (residue, prec, shift) triple of ints."""
-    if type(c) is not tuple or len(c) != 3 or not (type(c[0]) is type(c[1]) is type(c[2]) is int):
+def is_int_triple(c) -> bool:
+    """Whether c is a tuple of three ints, a (residue, prec, shift) triple."""
+    return type(c) is tuple and len(c) == 3 and type(c[0]) is type(c[1]) is type(c[2]) is int
+
+
+def require_triple(p: int, where, c) -> None:
+    """Refuse a stored coefficient that is not a (residue, prec, shift)
+    triple of ints, with TypeError, or not in the form PadicScalar stores,
+    prec >= 1, shift >= 0 and 0 <= residue < p**prec, with ValueError."""
+    if not is_int_triple(c):
         raise TypeError(f"coefficient at {where} is not a (residue, prec, shift) "
                         f"triple of ints: {c!r}")
+    r, prec, shift = c
+    if prec < 1 or shift < 0 or not 0 <= r < ppow(p, prec):
+        raise ValueError(f"coefficient at {where} is not a stored triple (prec >= 1, "
+                         f"shift >= 0, 0 <= residue < p^prec): {c!r}")
 
 
 def triple_valuation(p: int, x):

@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import inf
 
 from .padic import NormValue, PadicScalar, ppow
-from .groupmodel import GroupModel
+from .groupmodel import GroupModel, simplex, truncation
 from .distalg import (
     DistError,
     Distribution,
@@ -28,12 +28,13 @@ from . import mahler as mh
 class SuiteParams:
     p: int = 5
     N: int = 12
-    T: Fraction = Fraction(12)
+    T: int = 12  # a rational T >= 0 is floored here, once
     seed: int = 0
     group: str | None = None
     samples: int | None = None  # None: each suite's own default
 
     def __post_init__(self):
+        object.__setattr__(self, "T", truncation(self.T))
         if self.samples is not None and self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
 
@@ -85,11 +86,8 @@ def _rng(params: SuiteParams, suite: str) -> random.Random:
     return random.Random(f"{params.seed}:{suite}")
 
 
-def _model(params: SuiteParams, default: str, max_weight=None) -> GroupModel:
-    gid = params.group or default
-    return GroupModel.from_string(
-        gid, prec=params.N, max_weight=params.T if max_weight is None else max_weight
-    )
+def _model(params: SuiteParams, gid: str) -> GroupModel:
+    return GroupModel.from_string(gid, prec=params.N, max_weight=params.T)
 
 
 def _rand_unit(rng, p, maxpow=4) -> int:
@@ -99,7 +97,7 @@ def _rand_unit(rng, p, maxpow=4) -> int:
 
 def random_exact(model, rng, max_tau=3, nmax=4, valmax=2) -> Distribution:
     """Sparse exact integral distribution with at least one unit coefficient."""
-    alphas = [a for a, _ in model.alpha_iter(min(model.max_weight, max_tau))]
+    alphas = list(simplex(model.d, min(model.max_weight, max_tau)))
     k = rng.randint(1, min(nmax, len(alphas)))
     chosen = rng.sample(sorted(alphas), k)
     coeffs = {}
@@ -140,21 +138,22 @@ MODEL_IDS = ("abelian:2:{p}", "heisenberg:{p}", "semidirect:{p}")
 
 def suite_lemma41(params: SuiteParams) -> SuiteReport:
     rep = SuiteReport("lemma41", ("lemma41 structure-constant valuation bound",))
-    model = _model(params, f"heisenberg:{params.p}", max_weight=Fraction(6))
     size_cap = 6
-    betas = [a for a, _ in model.alpha_iter(size_cap)]
+    model = GroupModel.from_string(params.group or f"heisenberg:{params.p}",
+                                   prec=params.N, max_weight=size_cap)
+    betas = list(simplex(model.d, size_cap))
     pairs = entries = violations = 0
     for beta in betas:
         for gamma in betas:
             if sum(beta) + sum(gamma) > size_cap:
                 continue
             pairs += 1
-            _, verdicts = structure_constants(model, beta, gamma, Fraction(size_cap))
+            _, verdicts = structure_constants(model, beta, gamma, size_cap)
             entries += len(verdicts)
             violations += sum(1 for ok in verdicts.values() if not ok)
     rep.add("bound-exhaustive", "lemma41", violations == 0,
             f"{pairs} monomial pairs, {entries} entries, {violations} violations")
-    table, _ = structure_constants(model, (0, 1, 0), (1, 0, 0), Fraction(6))
+    table, _ = structure_constants(model, (0, 1, 0), (1, 0, 0), size_cap)
     p_scalar = PadicScalar.from_int(model.p, -model.p, model.elem_prec)
     ok_e3 = (0, 0, 1) in table and table[(0, 0, 1)].same_value(p_scalar)
     ok_e12 = (1, 1, 0) in table and table[(1, 1, 0)].same_value(
@@ -169,8 +168,7 @@ def suite_prop42(params: SuiteParams) -> SuiteReport:
     rng = _rng(params, "prop42")
     n = params.samples or 200
     for mid in MODEL_IDS:
-        model = GroupModel.from_string(mid.format(p=params.p), prec=params.N,
-                                       max_weight=params.T)
+        model = _model(params, mid.format(p=params.p))
         comparisons = violations = 0
         for _ in range(n):
             lam, mu = _mixed(model, rng), _mixed(model, rng)
@@ -187,7 +185,7 @@ def suite_prop42(params: SuiteParams) -> SuiteReport:
 
 def suite_lemma44(params: SuiteParams) -> SuiteReport:
     rep = SuiteReport("lemma44", ("lemma44 commutator norm drop",))
-    model = _model(params, f"heisenberg:{params.p}")
+    model = _model(params, params.group or f"heisenberg:{params.p}")
     for i in range(3):
         for j in range(i + 1, 3):
             bi = Distribution.monomial(model, tuple(1 if k == i else 0 for k in range(3)))
@@ -224,10 +222,9 @@ def suite_thm45_mult(params: SuiteParams) -> SuiteReport:
     rng = _rng(params, "thm45-mult")
     n = params.samples or 100
     checked = failures = skipped = 0
+    models = [_model(params, mid.format(p=params.p)) for mid in MODEL_IDS[:2]]
     for k in range(n):
-        mid = MODEL_IDS[k % 2]
-        model = GroupModel.from_string(mid.format(p=params.p), prec=params.N,
-                                       max_weight=params.T)
+        model = models[k % 2]
         s = rng.choice(S3)
         r = RadiusParam(s)
         lam = random_exact(model, rng)
@@ -265,7 +262,7 @@ def _ambient(model, s) -> GradedAmbient:
 
 def suite_thm45_graded(params: SuiteParams) -> SuiteReport:
     rep = SuiteReport("thm45-graded", ("thm45 graded-ring symbols",))
-    model = _model(params, f"heisenberg:{params.p}")
+    model = _model(params, params.group or f"heisenberg:{params.p}")
     p = model.p
     s_half = Fraction(1, 2)
     r_half = RadiusParam(s_half)
@@ -355,8 +352,7 @@ def suite_basis_inv(params: SuiteParams) -> SuiteReport:
     r = RadiusParam(s)
     n = params.samples or 20
     for mid in ("abelian:2:{p}", "heisenberg:{p}"):
-        model = GroupModel.from_string(mid.format(p=params.p), prec=params.N,
-                                       max_weight=params.T)
+        model = _model(params, mid.format(p=params.p))
         basis = _second_basis(model)
         failures = 0
         for _ in range(n // 2):
@@ -368,8 +364,7 @@ def suite_basis_inv(params: SuiteParams) -> SuiteReport:
         rep.add(f"norm-equal-{model.kind}", "basis-inv", failures == 0,
                 f"{n // 2} exact distributions, {failures} failures")
 
-    model = GroupModel.from_string(f"abelian:2:{params.p}", prec=params.N,
-                                   max_weight=params.T)
+    model = _model(params, f"abelian:2:{params.p}")
     std = [model.element([1, 0]), model.element([0, 1])]
     lam = random_exact(model, rng)
     same = lam.change_basis(std)
@@ -391,7 +386,7 @@ def suite_basis_inv(params: SuiteParams) -> SuiteReport:
 
 def suite_sect5_qnorm(params: SuiteParams) -> SuiteReport:
     rep = SuiteReport("sect5-qnorm", ("sect5 q-norm on the semidirect model",))
-    model = _model(params, f"semidirect:{params.p}")
+    model = _model(params, params.group or f"semidirect:{params.p}")
     rng = _rng(params, "sect5-qnorm")
     zero = Distribution.zero_dist(model)
     one = Distribution.one(model)
@@ -432,8 +427,7 @@ def suite_sect5_conj(params: SuiteParams) -> SuiteReport:
     s = Fraction(1, 2)
     r = RadiusParam(s)
 
-    model = GroupModel.from_string(f"heisenberg:{params.p}", prec=params.N,
-                                   max_weight=params.T)
+    model = _model(params, f"heisenberg:{params.p}")
     failures = 0
     for _ in range(n - n // 2):
         g = model.element([rng.randrange(ppow(model.p, 2)) for _ in range(3)])
@@ -445,8 +439,7 @@ def suite_sect5_conj(params: SuiteParams) -> SuiteReport:
     rep.add("inner-heisenberg", "sect5-conj", failures == 0,
             f"{n - n // 2} samples, {failures} failures")
 
-    model = GroupModel.from_string(f"semidirect:{params.p}", prec=params.N,
-                                   max_weight=params.T)
+    model = _model(params, f"semidirect:{params.p}")
     failures = 0
     for _ in range(n // 2):
         lam = random_exact(model, rng)
@@ -462,7 +455,7 @@ def suite_sect5_conj(params: SuiteParams) -> SuiteReport:
     ok = all(
         out.coeff((k,)).same_value(
             PadicScalar.from_int(model.p, (-1) ** k, model.elem_prec))
-        for k in range(1, int(params.T) + 1)
+        for k in range(1, params.T + 1)
     )
     rep.add("sigma-on-b", "sect5-conj", ok,
             "sigma b sigma^-1 = (1+b)^-1 - 1 with coefficients (-1)^k")
@@ -474,10 +467,9 @@ def suite_lemma412(params: SuiteParams) -> SuiteReport:
     rng = _rng(params, "lemma412")
     n = params.samples or 100
     checked = failures = 0
+    models = [_model(params, mid.format(p=params.p)) for mid in MODEL_IDS[:2]]
     for k in range(n):
-        mid = ("abelian:2:{p}", "heisenberg:{p}")[k % 2]
-        model = GroupModel.from_string(mid.format(p=params.p), prec=params.N,
-                                       max_weight=params.T)
+        model = models[k % 2]
         a = random_exact(model, rng, max_tau=4, valmax=3)
         s_star = a.r_threshold().s
         tau_beta = min(model.tau(al) for al in a.coeffs
@@ -490,8 +482,7 @@ def suite_lemma412(params: SuiteParams) -> SuiteReport:
     rep.add("filtration-bound", "lemma412", failures == 0,
             f"{checked} radius checks, {failures} failures")
 
-    model = GroupModel.from_string(f"abelian:1:{params.p}", prec=params.N,
-                                   max_weight=params.T)
+    model = _model(params, f"abelian:1:{params.p}")
     p = model.p
     cases = [
         ({(0,): 1}, Fraction(1)),
@@ -546,10 +537,9 @@ def suite_mahler_dirac(params: SuiteParams) -> SuiteReport:
     n = params.samples or 100
     p = params.p
 
-    model1 = GroupModel.from_string(f"abelian:1:{p}", prec=params.N,
-                                    max_weight=params.T)
+    model1 = _model(params, f"abelian:1:{p}")
     f = mh.FunctionSpec.power_series_1p(1, p, 0)
-    t1 = mh.mahler_coeffs(f, int(params.T) + 8, prec=params.N)
+    t1 = mh.mahler_coeffs(f, params.T + 8, prec=params.N)
     failures = 0
     for _ in range(n // 2):
         g = model1.random_element(rng)
@@ -562,15 +552,14 @@ def suite_mahler_dirac(params: SuiteParams) -> SuiteReport:
     rep.add("power1p-eval", "mahler-dirac", failures == 0,
             f"{n // 2} random g, {failures} failures")
 
-    model2 = GroupModel.from_string(f"abelian:2:{p}", prec=params.N,
-                                    max_weight=params.T)
+    model2 = _model(params, f"abelian:2:{p}")
     specs = [
         mh.FunctionSpec.coordinate(2, p, 1),
         mh.FunctionSpec.monomial(2, p, (1, 2)),
     ]
     failures = 0
     for spec in specs:
-        t = mh.mahler_coeffs(spec, int(params.T) + 4, prec=params.N)
+        t = mh.mahler_coeffs(spec, params.T + 4, prec=params.N)
         for _ in range(n // 4):
             g = model2.random_element(rng)
             value, err = mh.pair(Distribution.dirac(g), t)
@@ -607,8 +596,7 @@ def suite_dsmooth_proj(params: SuiteParams) -> SuiteReport:
     rng = _rng(params, "dsmooth-proj")
     n = params.samples or 50
     for mid in ("abelian:2:{p}", "heisenberg:{p}"):
-        model = GroupModel.from_string(mid.format(p=params.p), prec=params.N,
-                                       max_weight=params.T)
+        model = _model(params, mid.format(p=params.p))
         failures = 0
         for _ in range(n // 2):
             lam = random_combo(model, rng)
@@ -623,8 +611,7 @@ def suite_dsmooth_proj(params: SuiteParams) -> SuiteReport:
         rep.add(f"multiplicative-{model.kind}", "dsmooth-proj", failures == 0,
                 f"{n // 2} product pairs at levels 1,2, {failures} failures")
 
-    model = GroupModel.from_string(f"abelian:2:{params.p}", prec=params.N,
-                                   max_weight=params.T)
+    model = _model(params, f"abelian:2:{params.p}")
     counts = {"true": 0, "false": 0, "inconclusive": 0}
     trials = params.samples or 30
     for _ in range(trials):
@@ -718,7 +705,7 @@ def _random_poly(ambient, rng, deg=4, nterms=3):
 
 def suite_thm812_smooth(params: SuiteParams) -> SuiteReport:
     rep = SuiteReport("thm812-smooth", ("thm812 smooth-dual grade driver",))
-    model = _model(params, f"heisenberg:{params.p}")
+    model = _model(params, params.group or f"heisenberg:{params.p}")
     p = model.p
     for s in (Fraction(1, 2), Fraction(1, 8)):
         r = RadiusParam(s)

@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 from padicdist.distalg import Distribution
-from padicdist.groupmodel import GroupModel
+from padicdist.groupmodel import GroupModel, simplex
 from padicdist.serialize import parse_distribution, serialize_distribution
 from padicdist.suites import SUITES, SuiteParams, run_suite
 
@@ -97,7 +97,7 @@ def test_criterion_12_round_trip_and_determinism():
         if rng.random() < 0.5:
             d = Distribution.dirac(model.random_element(rng))
         else:
-            alphas = [a for a, _ in model.alpha_iter(Fraction(4))]
+            alphas = list(simplex(model.d, 4))
             table = {
                 a: rng.randint(1, 5**6)
                 for a in rng.sample(sorted(alphas), rng.randint(1, 3))

@@ -56,6 +56,12 @@ class TestExpand:
         assert code_a == code_b == 0
         assert out_a == out_b and " T=6/1 " in out_a
 
+    def test_negative_T_is_a_usage_error(self):
+        code, out, err = run_cli(["expand", "--group", "abelian:2:5", "--elem", "3,7",
+                                  "-T", "-1"])
+        assert code == 2 and out == ""
+        assert err == "error: truncation weight T must be >= 0, got -1\n"
+
 
 class TestNorm:
     def test_b1_at_half(self, b1_file):
@@ -257,6 +263,13 @@ class TestVerify:
         for suite in ("lemma44", "thm45-graded", "thm812-smooth"):
             code, out, _ = run_cli(["verify", suite, "-p", "3"])
             assert code == 0, out
+
+    def test_rational_T_is_floored(self):
+        argv = ["verify", "all", "--seed", "1", "--samples", "2", "-T"]
+        code_a, out_a, _ = run_cli(argv + ["25/2"])
+        code_b, out_b, _ = run_cli(argv + ["12"])
+        assert code_a == code_b == 0
+        assert out_a == out_b
 
     def test_unknown_suite(self):
         code, _, err = run_cli(["verify", "lemma99"])

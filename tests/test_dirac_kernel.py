@@ -33,20 +33,21 @@ from mahler_reference import binom
 
 
 def merge_terms_by_scalars(model, terms):
-    """Combine Dirac terms with identical support coordinates."""
+    """Combine Dirac terms with the same key.  The point is exact when the
+    exact points at the key all have the same coordinates, else the
+    inexact residue point."""
     out = {}
-    elems = {}
+    exact = {}
     for a, g in terms:
         k = g.key()
-        if k in out:
-            out[k] = out[k] + a
-            if g.exact and not elems[k].exact:
-                elems[k] = g
-        else:
-            out[k] = a
-            elems[k] = g
+        out[k] = out[k] + a if k in out else a
+        if g.exact:
+            exact.setdefault(k, set()).add(g.coords)
+    points = {k: model.element(list(next(iter(cs)))) if len(cs) == 1 else None
+              for k, cs in exact.items()}
     return tuple(
-        (a, elems[k]) for k, a in out.items() if a.residue != 0 or a.shift > 0
+        (a, points.get(k) or GroupElement(model, k, False))
+        for k, a in out.items() if a.residue != 0 or a.shift > 0
     )
 
 
@@ -177,13 +178,18 @@ def elements(draw, model):
 @st.composite
 def combinations(draw):
     """A model, Dirac terms on it (repeated supports included, some of them
-    given once exactly and once as residues) and a T that may exceed the
-    model's working weight."""
+    given once exactly and once as residues, or as two exact points that
+    agree mod p^W) and a T that may exceed the model's working weight."""
     model = draw(models())
     support = draw(st.lists(elements(model), min_size=1, max_size=4))
     if draw(st.booleans()):
         # inexact copies of the exact points: merging keeps the exact one
         support += [GroupElement(model, g.key(), False) for g in support if g.exact]
+    if draw(st.booleans()):
+        # exact points that agree with another one only mod p^W: merging
+        # keeps neither
+        shift = ppow(model.p, model.elem_prec)
+        support += [model.element([c + shift for c in g.coords]) for g in support if g.exact]
     terms = [(draw(coefficients(model)), draw(st.sampled_from(support)))
              for _ in range(draw(st.integers(1, 6)))]
     return model, terms, draw(st.integers(0, model.max_weight + 3))

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from math import inf
 
@@ -15,10 +16,11 @@ from padicdist.distalg import (
     semidirect_mul,
     structure_constants,
 )
-from padicdist.groupmodel import GroupModel
-from padicdist.padic import NormValue, PadicScalar
-from padicdist.serialize import parse_distribution, serialize_distribution
-from padicdist.suites import _second_basis
+from padicdist.groupmodel import GroupModel, ModelError, simplex
+from padicdist.mahler import MahlerTable
+from padicdist.padic import NormValue, PadicScalar, PrecisionExhausted
+from padicdist.serialize import ParseError, parse_distribution, serialize_distribution
+from padicdist.suites import SuiteParams, _second_basis
 
 import norm_reference
 
@@ -203,7 +205,7 @@ class TestStructureConstants:
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_heisenberg_table_matches_dirac_products(self, p):
         model = GroupModel.heisenberg(p, prec=12, max_weight=6)
-        indices = [a for a, _ in model.alpha_iter(6)]
+        indices = list(simplex(model.d, 6))
         pairs = [(b, g) for b in indices for g in indices if sum(b) + sum(g) <= 6]
         assert len(pairs) == 924
         for beta, gamma in pairs:
@@ -242,7 +244,7 @@ class TestStructureConstants:
     @pytest.mark.parametrize("spec", ["heisenberg:5", "abelian:2:5", "semidirect:5"])
     def test_repeated_calls_are_equal(self, spec):
         model = GroupModel.from_string(spec, prec=12, max_weight=6)
-        indices = [a for a, _ in model.alpha_iter(4)]
+        indices = list(simplex(model.d, 4))
         for beta, gamma in [(b, g) for b in indices for g in indices if sum(b) + sum(g) <= 6]:
             first, first_verdicts = structure_constants(model, beta, gamma, 6)
             again, again_verdicts = structure_constants(model, beta, gamma, 6)
@@ -928,3 +930,134 @@ class TestWhatAnInexactHeadLeavesOut:
         assert out.tail_certs == ()
         assert out.norm(RadiusParam(Fraction(1, 50))).upper >= NormValue(Fraction(-3, 2))
 
+
+
+# every library entry point that takes a truncation weight T, as a function
+# of T whose value is comparable
+TRUNCATION_ENTRY_POINTS = {
+    "GroupModel": lambda T: GroupModel.abelian(2, P, prec=6, max_weight=T).max_weight,
+    "Distribution": lambda T: serialize_distribution(
+        Distribution(ab(2), {(1, 0): (1, 6, 0)}, T)),
+    "monomial": lambda T: serialize_distribution(Distribution.monomial(ab(2), (1, 2), T)),
+    "dirac_combination": lambda T: serialize_distribution(
+        Distribution.dirac_combination(ab(2), [(3, ab(2).element([2, 1]))], T)),
+    "mul": lambda T: serialize_distribution(
+        Distribution.dirac(heis().element([1, 2, 0])).mul(
+            Distribution.monomial(heis(), (1, 0, 0)), T=T)),
+    "conjugate": lambda T: serialize_distribution(
+        Distribution.monomial(heis(), (1, 1, 0)).conjugate(heis().element([1, 0, 2]), T=T)),
+    "change_basis": lambda T: serialize_distribution(
+        Distribution.monomial(ab(2), (1, 0)).change_basis(_second_basis(ab(2)), T=T)),
+    "structure_constants": lambda T: [
+        (alpha, c.triple) for alpha, c in
+        structure_constants(heis(), (0, 2, 0), (2, 0, 0), T)[0].items()],
+    "lie_generator": lambda T: serialize_distribution(lie_generator(ab(2), 1, T)),
+    "SuiteParams": lambda T: SuiteParams(T=T).T,
+}
+
+
+class TestTruncationRule:
+    """One rule for T everywhere: a rational T >= 0 truncates like its
+    floor, and a negative T is refused with ModelError."""
+
+    @pytest.mark.parametrize("entry", sorted(TRUNCATION_ENTRY_POINTS))
+    def test_half_integer_acts_as_its_floor(self, entry):
+        f = TRUNCATION_ENTRY_POINTS[entry]
+        assert f(Fraction(13, 2)) == f(6)
+
+    @pytest.mark.parametrize("entry", sorted(TRUNCATION_ENTRY_POINTS))
+    def test_negative_is_refused(self, entry):
+        with pytest.raises(ModelError, match=r"^truncation weight T must be >= 0, got -1$"):
+            TRUNCATION_ENTRY_POINTS[entry](-1)
+
+    def test_ints_past_the_rule(self):
+        model = GroupModel.abelian(2, P, prec=6, max_weight=Fraction(13, 2))
+        assert type(Distribution.one(model).T) is int
+        assert type(SuiteParams(T=Fraction(25, 2)).T) is int
+
+    def test_file_header(self):
+        head = "group=abelian:1:5 p=5 N=6 T={} tail=0 exact=1\n0 : 0:1:6\n"
+        assert serialize_distribution(parse_distribution(head.format("13/2"))) == \
+            serialize_distribution(parse_distribution(head.format("6/1")))
+        with pytest.raises(ParseError, match="truncation weight T must be >= 0"):
+            parse_distribution(head.format("-1/1"))
+
+
+class TestCallerTriples:
+    """A triple given by a caller is read as the PadicScalar it names, and a
+    constructor takes only triples in the stored form."""
+
+    @staticmethod
+    def model():
+        model = GroupModel.abelian(1, P, prec=12, max_weight=4)
+        assert model.elem_prec == 14
+        return model
+
+    def test_constructor_refuses_an_unreduced_residue(self):
+        # 5^14 mod 5^14 is 0, so a norm p^-14 .. p^-14 would be false
+        with pytest.raises(ValueError, match=r"coefficient at \(0,\) is not a stored triple"):
+            Distribution(self.model(), {(0,): (5 ** 14, 14, 0)}, 4, exact=True)
+
+    def test_from_coeffs_refuses_an_empty_window(self):
+        with pytest.raises(PrecisionExhausted):
+            Distribution.from_coeffs(self.model(), {(0,): (1, 0, 0)}, 4)
+
+    def test_scale_refuses_an_empty_window(self):
+        with pytest.raises(PrecisionExhausted):
+            Distribution.one(self.model()).scale((1, 0, 0))
+
+    def test_scale_refuses_a_float_residue(self):
+        with pytest.raises(TypeError, match="triple of ints"):
+            Distribution.one(self.model()).scale((1.5, 14, 0))
+
+    def test_caller_triples_are_reduced(self):
+        model = self.model()
+        lam = Distribution.from_coeffs(model, {(0,): (5 ** 14 + 3, 14, 0), (1,): (-1, 14, 1)}, 4)
+        assert lam.coeffs == {(0,): (3, 14, 0), (1,): (5 ** 14 - 1, 14, 1)}
+        assert Distribution.from_coeffs(model, {(0,): (5 ** 14, 14, 0)}, 4).coeffs == {}
+        with pytest.raises(ValueError):
+            Distribution.from_coeffs(model, {(0,): (1, 14, -1)}, 4)
+
+    def test_mahler_table_refuses_an_unreduced_residue(self):
+        with pytest.raises(ValueError, match=r"coefficient at \(1,\) is not a stored triple"):
+            MahlerTable(1, P, 4, 3, {(1,): (5 ** 4, 4, 0)})
+        with pytest.raises(ValueError):
+            MahlerTable(1, P, 4, 3, {(1,): (1, 0, 0)})
+
+
+class TestExactPointsThatAgreeOnlyModW:
+    """delta_0 and delta_{5^15} have the same key at W = 15, but the
+    coefficient of b^5 in their sum is C(5^15, 5), of valuation 14."""
+
+    @staticmethod
+    def model():
+        model = GroupModel.abelian(1, P, prec=12, max_weight=6)
+        assert model.elem_prec == 15
+        return model
+
+    @staticmethod
+    def assert_true_to(lam, points):
+        # every coefficient up to T agrees with the true one on its window
+        for k in range(lam.T + 1):
+            true = sum(math.comb(x, k) for x in points)
+            assert lam.coeff((k,)).same_value(PadicScalar.from_int(P, true, 40)), k
+        assert not lam.exact
+
+    @pytest.mark.parametrize("order", [(0, 5 ** 15), (5 ** 15, 0)])
+    def test_both_term_orders(self, order):
+        model = self.model()
+        lam = Distribution.dirac_combination(model, [(1, model.element([x])) for x in order])
+        self.assert_true_to(lam, order)
+        ((_, point),) = lam.dirac_terms
+        assert not point.exact and point.coords == (0,)
+
+    def test_a_later_exact_point_does_not_make_it_exact(self):
+        model = self.model()
+        lam = Distribution.dirac_combination(
+            model, [(1, model.element([x])) for x in (0, 5 ** 15, 0)])
+        self.assert_true_to(lam, (0, 5 ** 15, 0))
+
+    def test_sum_then_product(self):
+        model = self.model()
+        total = Distribution.dirac(model.element([0])) + Distribution.dirac(model.element([5 ** 15]))
+        self.assert_true_to(total.mul(Distribution.one(model)), (0, 5 ** 15))

@@ -511,3 +511,22 @@ class TestAmbientDiscipline:
         g = var(amb(2, s=Fraction(1, 4)), 1)
         with pytest.raises(GradedError):
             f + g
+
+    @pytest.mark.parametrize("omegas", [[2, 1], [1], [1, 1, 1], [Fraction(1, 2)] * 2])
+    def test_weights_other_than_ones_refused(self, omegas):
+        with pytest.raises(GradedError, match="omega must be 1"):
+            GradedAmbient(P, 2, omegas, Fraction(1, 2))
+
+    def test_ones_give_the_same_ambient(self):
+        assert GradedAmbient(P, 2, (Fraction(1), 1), Fraction(1, 2)) == amb(2)
+        assert hash(GradedAmbient(P, 2, [1, 1], Fraction(1, 2))) == hash(amb(2))
+        assert amb(0) == GradedAmbient(P, 0, [], Fraction(1, 2))
+
+    def test_monomial_degree(self):
+        rng = random.Random("monomial-degree")
+        for _ in range(200):
+            d = rng.randint(0, 4)
+            s = Fraction(rng.randint(1, 8), 8)
+            mon = tuple(rng.randint(0, 6) for _ in range(d)) + (rng.randint(-5, 5),)
+            deg = amb(d, s).monomial_degree(mon)
+            assert deg == mon[-1] + s * sum(mon[:-1]) and type(deg) is Fraction

@@ -4,6 +4,7 @@ The heisenberg model chart (x, y, z) corresponds to the upper-triangular
 matrix I + p*x*E12 + p*y*E23 + (p*z + p^2*x*y)*E13, whose multiplication
 gives the closed-form law used by the chart."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from padicdist.groupmodel import (
     GroupModel,
     ModelError,
     coords_in_basis,
+    simplex,
     validate_basis,
 )
 from padicdist.padic import ppow, vp_int
@@ -205,19 +207,22 @@ class TestModelRegistry:
         assert model.gmul(model.sigma_conj(g), g).is_identity_in_window
 
 
-class TestAlphaIter:
+class TestSimplex:
     def test_abelian_count(self):
-        model = GroupModel.from_string("abelian:2:5", max_weight=Fraction(3))
-        alphas = [a for a, _ in model.alpha_iter(Fraction(3))]
-        assert len(alphas) == 10  # C(3+2, 2)
+        assert len(list(simplex(2, 3))) == 10  # C(3+2, 2)
 
     def test_degrees_are_ints(self):
         model = GroupModel.from_string("abelian:2:5", max_weight=Fraction(13, 2))
         assert model.max_weight == 6 and type(model.max_weight) is int
-        assert [a for a, _ in model.alpha_iter(Fraction(7, 2))] == \
-            [a for a, _ in model.alpha_iter(3)]
-        for alpha, tau in model.alpha_iter(3):
-            assert type(tau) is int and tau == model.tau(alpha) == sum(alpha)
+        for alpha in simplex(2, 3):
+            tau = model.tau(alpha)
+            assert type(tau) is int and tau == sum(alpha) <= 3
+
+    @pytest.mark.parametrize("d", [0, 1, 2, 3])
+    @pytest.mark.parametrize("T", [0, 1, 4])
+    def test_is_the_filtered_product_in_lex_order(self, d, T):
+        want = [a for a in itertools.product(range(T + 1), repeat=d) if sum(a) <= T]
+        assert list(simplex(d, T)) == want
 
     def test_weight_above(self):
         model = heis()

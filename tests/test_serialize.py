@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from padicdist.distalg import Distribution, RadiusParam
-from padicdist.groupmodel import GroupModel
+from padicdist.groupmodel import GroupModel, simplex
 from padicdist.mahler import FunctionSpec, MahlerError, MahlerTable, mahler_coeffs
 from padicdist.padic import NormValue, PadicScalar, PrecisionExhausted
 from padicdist.serialize import (
@@ -81,7 +81,7 @@ def _random_distribution(rng):
     model = GroupModel.from_string(gid, prec=12, max_weight=Fraction(12))
     if rng.random() < 0.5:
         return Distribution.dirac(model.random_element(rng))
-    alphas = [a for a, _ in model.alpha_iter(Fraction(4))]
+    alphas = list(simplex(model.d, 4))
     coeffs = {}
     for a in rng.sample(sorted(alphas), rng.randint(1, 3)):
         coeffs[a] = rng.randint(1, 5**6)
