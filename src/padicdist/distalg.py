@@ -226,12 +226,15 @@ class Distribution:
     @classmethod
     def from_coeffs(cls, model, table, T, exact=True, tail_certs=(),
                     head_error=None) -> "Distribution":
-        """Build from an explicit coefficient table (exact by default)."""
+        """Build from an explicit coefficient table (exact by default).  An
+        exact table drops the entries that are zero to the working precision
+        (window at least ``elem_prec``, as ints and Fractions are read); a
+        zero known on a narrower window stays, as an uncertain entry."""
         coeffs = {}
         for alpha, c in table.items():
             alpha = _multi_index(model, alpha)
             c = as_triple(model, c)
-            if exact and c[0] == 0:
+            if exact and c[0] == 0 and c[1] - c[2] >= model.elem_prec:
                 continue
             coeffs[alpha] = c
         return cls(model, coeffs, T, tail_certs=tail_certs, exact=exact,

@@ -5,7 +5,12 @@ omega = 1, so X_i has degree s, e0 (the class of p) degree 1, and the
 monomial e0^e X^alpha degree e + s |alpha|.
 Monomials are exponent tuples (a_1, ..., a_d, e) with the e0 exponent last.
 Every Groebner basis is taken in one monomial order, graded reverse lex with
-e0 the last and least variable.  The Laurent variable is handled by
+e0 the last and least variable.  Inside the Groebner engine a monomial is one
+int, its packed key (``_Layout``): the total degree above one W-bit field per
+exponent, so that int comparison is the order and a product, a quotient or a
+divisibility test is one int operation.  W is read off the input and doubled
+whenever a computed exponent outgrows it; exponent tuples appear only at the
+engine's edges.  The Laurent variable is handled by
 saturating ideals at e0 inside the polynomial ring, which that order reduces
 to dividing basis elements by powers of e0 (see ``saturate``).
 """
@@ -13,10 +18,11 @@ to dividing basis elements by powers of e0 (see ``saturate``).
 from __future__ import annotations
 
 from fractions import Fraction
+import functools
 import heapq
 import itertools
 from math import inf
-from operator import add, ge, sub
+from operator import mul
 import re
 
 from .padic import PadicError, _check_prime
@@ -79,10 +85,10 @@ class GradedPoly:
         self.terms = {}
         for mon, c in terms.items():
             # integral entries only, so that distinct monomials stay distinct
-            key = tuple(int(x) for x in mon)
+            key = tuple(map(int, mon))
             if key != tuple(mon) or len(key) != n:
                 raise GradedError(f"monomial {tuple(mon)} is not {n} integers")
-            if any(a < 0 for a in key[:-1]):
+            if min(key[:-1], default=0) < 0:
                 raise GradedError("X exponents must be non-negative")
             c %= p
             if c:
@@ -238,64 +244,136 @@ class GradedPoly:
         return f"GradedPoly({self.to_text()})"
 
 
-# -- the monomial order ------------------------------------------------------
+# -- the monomial order: packed keys ------------------------------------------
 
 
-def _key(mon):
-    # graded reverse lex: total degree first, then the smaller exponent of the
-    # last variable wins, so e0 (the last slot) is the least variable.  The
-    # engine below stores every monomial as this key: tuple comparison is then
-    # the order, products and quotients are slot-wise sums and differences,
-    # and b divides a exactly when b[k] >= a[k] in every slot k >= 1.
-    return (sum(mon),) + tuple(-x for x in reversed(mon))
+class _FieldOverflow(Exception):
+    """A term the engine built has an exponent outside its layout's range."""
 
 
-def _encode(poly):
-    return {_key(m): c for m, c in poly.items()}
+class _Layout:
+    """Packed graded reverse lex keys of monomials with n exponents.
+
+    The monomial (a_1, ..., a_n), e0 = a_n, is the one int
+
+        (a_1 + ... + a_n) << n*W  +  sum over j of (OFF - a_{j+1}) << j*W
+
+    with OFF = 2^(W-2): below the total degree come the W-bit fields
+    OFF - a_n, ..., OFF - a_1, so that int comparison is the order (total
+    degree first, then the smaller exponent of the last variable wins).  The
+    top bit of each field is a guard that stays clear while every exponent
+    lies in -2^(W-2) < a <= 2^(W-2); the degree takes no field of its own, as
+    Python ints are signed and unbounded.  Then, with BASE the key of 1:
+    - the product of two keys is k1 + k2 - BASE, their quotient k1 - k2 + BASE;
+    - l divides m exactly when ((l_low | G) - m_low) & G == G, where _low
+      keeps the fields and G is the guard mask: each field of l_low | G minus
+      the one of m_low keeps its guard exactly when it is not smaller, and no
+      field borrows from the next;
+    - the lcm is the field-wise minimum, with the degree recomputed.
+    A term built out of range sets the guard of its lowest field out of range,
+    and the engine raises ``_FieldOverflow`` there; its callers then redo the
+    whole call at twice the width (``_widening``), so that no key ever wraps."""
+
+    __slots__ = ("n", "width", "off", "base", "low", "guards", "top", "mask", "shifts",
+                 "weights")
+
+    def __init__(self, n, width):
+        self.n = n
+        self.width = width
+        self.off = 1 << width - 2
+        self.shifts = tuple(range(0, n * width, width))
+        self.top = n * width
+        self.base = sum(self.off << s for s in self.shifts)
+        self.low = (1 << self.top) - 1
+        self.guards = sum(1 << s + width - 1 for s in self.shifts)
+        self.mask = (1 << width) - 1
+        # a_j adds a_j to the degree and takes a_j from its field
+        self.weights = tuple((1 << self.top) - (1 << s) for s in self.shifts)
+
+    def pack(self, poly):
+        base, weights = self.base, self.weights
+        return {base + sum(map(mul, m, weights)): c for m, c in poly.items()}
+
+    def unpack(self, poly):
+        off, mask, shifts = self.off, self.mask, self.shifts
+        return {tuple([off - (k >> s & mask) for s in shifts]): c for k, c in poly.items()}
+
+    def lcm(self, a, b):
+        a &= self.low
+        b &= self.low
+        # the guards where a's field is not below b's, then those fields'
+        # value bits, where b's field (the larger exponent) is taken
+        ge = ((a | self.guards) - b) & self.guards
+        low = a ^ (a ^ b) & ge - (ge >> self.width - 1)
+        mask = self.mask
+        deg = self.n * self.off - sum([low >> s & mask for s in self.shifts])
+        return (deg << self.top) + low
 
 
-def _decode(poly):
-    return {tuple(-x for x in reversed(k[1:])): c for k, c in poly.items()}
+# the narrowest width: it leaves exponents up to 2^14 before a redo, and
+# wider keys are longer ints, slower to add, compare and hash
+_MIN_WIDTH = 16
+_layout = functools.cache(_Layout)
 
 
-def _divides(a, b):
-    """Whether the key a divides the key b."""
-    return all(map(ge, a[1:], b[1:]))
+def _width(polys):
+    """The least width at which every exponent of the polys fits."""
+    exps = list(itertools.chain.from_iterable(itertools.chain.from_iterable(polys)))
+    big = max(max(exps, default=0), -min(exps, default=0))
+    return max(_MIN_WIDTH, big.bit_length() + 2)
 
 
-def _lcm(a, b):
-    neg = tuple(map(min, a[1:], b[1:]))
-    return (-sum(neg),) + neg
+def _widening(width, run):
+    """run(width), redone at twice the width while a built term overflows."""
+    while True:
+        try:
+            return run(width)
+        except _FieldOverflow:
+            width *= 2
 
 
 # -- raw polynomial engine (dict key -> coeff in F_p) -----------------------
+#
+# Inside the engine every monomial is its packed key (``_Layout``), so
+# ``max(poly)`` is the lead, a product or quotient of monomials is one
+# addition, and a divisibility test one subtraction against the divisor's
+# lead with its guards set, prepared once in ``_divisor``.  Each entry point
+# (``_buchberger``, ``GradedIdeal._divide``, ``saturate``) packs its input at
+# the width ``_width`` reads off it, under ``_widening``, and decodes its
+# outputs to exponent tuples.
 
 
-def _divisor(poly, p):
-    """(lead, lead[1:], inverse lead coefficient, tail) of a nonzero poly."""
+def _divisor(poly, p, lay):
+    """(lead, its fields with the guards set, inverse lead coefficient, tail)
+    of a nonzero poly."""
     lm = max(poly)
-    return lm, lm[1:], pow(poly[lm], -1, p), [(m, c) for m, c in poly.items() if m != lm]
+    return (lm, lm & lay.low | lay.guards, pow(poly[lm], -1, p),
+            [(m, c) for m, c in poly.items() if m != lm])
 
 
-def _reduce(work, divisors, p, cof=None):
+def _reduce(work, divisors, p, lay, cof=None):
     """Multivariate division, consuming work: work = sum q_i * divisor_i +
     remainder.  The largest remaining term goes first, to the first divisor
     whose lead divides it; cof, if given, is one dict per divisor and
     collects the q_i."""
+    low, guards, base = lay.low, lay.guards, lay.base
     rem = {}
     while work:
         m = max(work)
         c = work.pop(m)
-        mneg = m[1:]
-        for i, (lm, lneg, inv, tail) in enumerate(divisors):
-            if all(map(ge, lneg, mneg)):
-                q = tuple(map(sub, m, lm))
+        mlow = m & low
+        for i, (lm, lguard, inv, tail) in enumerate(divisors):
+            if (lguard - mlow) & guards == guards:
+                shift = m - lm
                 f = c * inv % p
                 if cof is not None:
-                    # the popped terms strictly decrease, so q is new to cof[i]
-                    cof[i][q] = f
+                    # the popped terms strictly decrease, so the quotient is
+                    # new to cof[i]
+                    cof[i][shift + base] = f
                 for bm, bc in tail:
-                    t = tuple(map(add, q, bm))
+                    t = shift + bm
+                    if t & guards:
+                        raise _FieldOverflow
                     nv = (work.get(t, 0) - f * bc) % p
                     if nv:
                         work[t] = nv
@@ -307,20 +385,19 @@ def _reduce(work, divisors, p, cof=None):
     return rem
 
 
-def _spoly(f, g, p):
+def _spoly(f, g, p, lay):
     """S-polynomial of two divisors; their leads cancel and are never formed."""
     lf, _, cf, tf = f
     lg, _, cg, tg = g
-    l = _lcm(lf, lg)
+    l = lay.lcm(lf, lg)
+    guards = lay.guards
     out = {}
-    qf = tuple(map(sub, l, lf))
-    for m, c in tf:
-        t = tuple(map(add, qf, m))
-        out[t] = (out.get(t, 0) + c * cf) % p
-    qg = tuple(map(sub, l, lg))
-    for m, c in tg:
-        t = tuple(map(add, qg, m))
-        out[t] = (out.get(t, 0) - c * cg) % p
+    for shift, tail, scale in ((l - lf, tf, cf), (l - lg, tg, -cg)):
+        for m, c in tail:
+            t = shift + m
+            if t & guards:
+                raise _FieldOverflow
+            out[t] = (out.get(t, 0) + c * scale) % p
     return {m: c for m, c in out.items() if c}
 
 
@@ -333,74 +410,88 @@ def _buchberger(gens, p):
     product criterion.  ``active`` is their G: an element whose lead a later
     lead divides stops taking new pairs and dividing, though pairs already
     queued with it stay."""
-    basis = [_encode(g) for g in gens if g]
+    gens = [g for g in gens if g]
+    if not gens:
+        return []
+    n = len(next(iter(gens[0])))
+    return _widening(_width(gens), lambda w: _buchberger_packed(gens, p, _layout(n, w)))
+
+
+def _buchberger_packed(gens, p, lay):
+    """``_buchberger`` on the keys of the layout lay."""
+    basis = [lay.pack(g) for g in gens]
+    lcm, low, guards, top = lay.lcm, lay.low, lay.guards, lay.top
     divs = []
     active = []
     pairs = []
 
     def update(k):
         nonlocal pairs, active
-        h = divs[k][0]
+        h, hguard = divs[k][:2]
         cands = []
         for t in active:
-            l = _lcm(h, divs[t][0])
-            cands.append((l, t, l == tuple(map(add, h, divs[t][0]))))
+            lt = divs[t][0]
+            l = lcm(h, lt)
+            # the lcm is the product exactly when the degrees add
+            cands.append((l, t, l >> top == (h >> top) + (lt >> top)))
         # M and F: drop a new pair whose lcm another new pair's lcm divides,
         # keeping one of each equal lcm; coprime pairs stay to the end as
         # witnesses, then go by the product criterion
         kept = []
         for n, (l, t, coprime) in enumerate(cands):
+            llow = l & low
             if coprime or not any(
-                _divides(o[0], l) for o in itertools.chain(cands[n + 1:], kept)
+                ((o[0] & low | guards) - llow) & guards == guards
+                for o in itertools.chain(cands[n + 1:], kept)
             ):
                 kept.append((l, t, coprime))
         # B: an old pair (i, j) goes when h divides its lcm and neither lcm
         # with h equals it
         pairs = [
             pr for pr in pairs
-            if not _divides(h, pr[0])
-            or _lcm(divs[pr[1]][0], h) == pr[0]
-            or _lcm(divs[pr[2]][0], h) == pr[0]
+            if (hguard - (pr[0] & low)) & guards != guards
+            or lcm(divs[pr[1]][0], h) == pr[0]
+            or lcm(divs[pr[2]][0], h) == pr[0]
         ]
         pairs.extend((l, k, t) for l, t, coprime in kept if not coprime)
         heapq.heapify(pairs)
-        active = [t for t in active if not _divides(h, divs[t][0])] + [k]
+        active = [t for t in active if (hguard - (divs[t][0] & low)) & guards != guards] + [k]
 
     for k, b in enumerate(basis):
-        divs.append(_divisor(b, p))
+        divs.append(_divisor(b, p, lay))
         update(k)
     reducers = [divs[t] for t in active]
     while pairs:
         _, i, j = heapq.heappop(pairs)
-        r = _reduce(_spoly(divs[i], divs[j], p), reducers, p)
+        r = _reduce(_spoly(divs[i], divs[j], p, lay), reducers, p, lay)
         if r:
             basis.append(r)
-            divs.append(_divisor(r, p))
+            divs.append(_divisor(r, p, lay))
             update(len(basis) - 1)
             reducers = [divs[t] for t in active]
-    return [_decode(b) for b in _reduce_basis(basis, [d[0] for d in divs], p)]
+    return [lay.unpack(b) for b in _reduce_basis(basis, divs, p, lay)]
 
 
-def _reduce_basis(basis, leads, p):
-    """Minimalize, then inter-reduce and make monic (the reduced basis).
-    Among elements with equal leads the first is kept, so a basis of one
-    generator keeps that generator's term order."""
+def _reduce_basis(basis, divs, p, lay):
+    """Minimalize, then inter-reduce and make monic (the reduced basis), given
+    each element's divisor.  Among elements with equal leads the first is
+    kept, so a basis of one generator keeps that generator's term order."""
+    low, guards = lay.low, lay.guards
     keep = []
-    for i, lm in enumerate(leads):
-        if any(
-            j != i and _divides(leads[j], lm)
-            and (leads[j] != lm or j < i)
-            for j in range(len(basis))
+    for i, (lm, _, _, _) in enumerate(divs):
+        mlow = lm & low
+        if not any(
+            j != i and (dj[1] - mlow) & guards == guards and (dj[0] != lm or j < i)
+            for j, dj in enumerate(divs)
         ):
-            continue
-        keep.append(i)
+            keep.append(i)
     out = []
-    kept = [_divisor(basis[i], p) for i in keep]
+    kept = [divs[i] for i in keep]
     for i in keep:
-        b = basis[i]
-        others = [d for d in kept if d[0] != leads[i]]
-        r = _reduce(dict(b), others, p) if others else dict(b)
-        f = pow(r[leads[i]], -1, p)
+        lead = divs[i][0]
+        others = [d for d in kept if d[0] != lead]
+        r = _reduce(dict(basis[i]), others, p, lay) if others else dict(basis[i])
+        f = pow(r[lead], -1, p)
         out.append({m: c * f % p for m, c in r.items()})
     out.sort(key=max)
     return out
@@ -412,7 +503,7 @@ def _reduce_basis(basis, leads, p):
 class GradedIdeal:
     """An ideal of F_p[e0, X_1..X_d] given by generators with e0-exponent >= 0."""
 
-    __slots__ = ("ambient", "gens", "_gb", "_divs")
+    __slots__ = ("ambient", "gens", "_gb", "_packed")
 
     def __init__(self, ambient: GradedAmbient, gens):
         self.ambient = ambient
@@ -426,17 +517,18 @@ class GradedIdeal:
                 out.append(g)
         self.gens = tuple(out)
         self._gb = None
-        self._divs = None
+        self._packed = None
 
     @classmethod
-    def _from_basis(cls, ambient, basis) -> "GradedIdeal":
+    def _from_basis(cls, ambient, basis, packed=None) -> "GradedIdeal":
         """The ideal a reduced basis from the engine generates, with that
-        basis as its own; nothing is checked again."""
+        basis as its own and ``packed``, if given, as its ``_divisors()``;
+        nothing is checked again."""
         out = object.__new__(cls)
         out.ambient = ambient
         out.gens = tuple(GradedPoly._clean(ambient, dict(b)) for b in basis)
         out._gb = basis
-        out._divs = None
+        out._packed = packed
         return out
 
     def _raw_gens(self):
@@ -447,12 +539,27 @@ class GradedIdeal:
             self._gb = _buchberger(self._raw_gens(), self.ambient.p)
         return self._gb
 
-    def _divisors(self):
-        """The basis as ``_reduce``'s divisors, in key form; built once."""
-        if self._divs is None:
-            p = self.ambient.p
-            self._divs = [_divisor(_encode(b), p) for b in self.groebner_raw()]
-        return self._divs
+    def _divisors(self, width=0):
+        """(layout, the basis packed in it, those polys as ``_reduce``'s
+        divisors), at a width of at least ``width`` and what the basis
+        needs; built once per width."""
+        if self._packed is None or self._packed[0].width < width:
+            basis = self.groebner_raw()
+            lay = _layout(self.ambient.d + 1, max(width, _width(basis)))
+            polys = [lay.pack(b) for b in basis]
+            self._packed = lay, polys, [_divisor(b, self.ambient.p, lay) for b in polys]
+        return self._packed
+
+    def _divide(self, poly, with_cof):
+        """(layout, remainder, cofactors if asked for) of dividing poly by
+        the basis, all packed."""
+
+        def run(width):
+            lay, _, divs = self._divisors(width)
+            cof = [{} for _ in divs] if with_cof else None
+            return lay, _reduce(lay.pack(poly.terms), divs, self.ambient.p, lay, cof), cof
+
+        return _widening(max(_width([poly.terms]), self._divisors()[0].width), run)
 
     def groebner(self) -> "GradedIdeal":
         return GradedIdeal._from_basis(self.ambient, self.groebner_raw())
@@ -460,21 +567,18 @@ class GradedIdeal:
     def contains(self, poly: GradedPoly) -> bool:
         if poly.is_zero:
             return True
-        divs = self._divisors()
-        return bool(divs) and not _reduce(_encode(poly.terms), divs, self.ambient.p)
+        return bool(self.groebner_raw()) and not self._divide(poly, False)[1]
 
     def reduce(self, poly: GradedPoly):
         """Normal form and cofactors w.r.t. the Groebner basis:
         poly = sum cof_i * basis_i + remainder."""
-        divs = self._divisors()
-        if not divs:
+        if not self.groebner_raw():
             return poly, []
         amb = self.ambient
-        cof = [{} for _ in divs]
-        rem = _reduce(_encode(poly.terms), divs, amb.p, cof)
+        lay, rem, cof = self._divide(poly, True)
         return (
-            GradedPoly._clean(amb, _decode(rem)),
-            [GradedPoly._clean(amb, _decode(c)) for c in cof],
+            GradedPoly._clean(amb, lay.unpack(rem)),
+            [GradedPoly._clean(amb, lay.unpack(c)) for c in cof],
         )
 
     def basis_polys(self):
@@ -496,7 +600,8 @@ def saturate(ideal: GradedIdeal) -> GradedIdeal:
     Eisenbud, Commutative Algebra, Prop. 15.12).
 
     When every generator of I is homogeneous, J is I: its basis is I's own
-    (computed once and kept), and the divided basis only needs inter-reducing.
+    (computed once and kept, packed, for later calls on I), and the divided
+    basis only needs inter-reducing.
     Every S-pair of a Groebner basis reduces to zero, so ``_buchberger`` on it
     would end in the same ``_reduce_basis`` call on the same list.
 
@@ -515,19 +620,35 @@ def saturate(ideal: GradedIdeal) -> GradedIdeal:
     p = amb.p
     gens = [g.terms for g in ideal.gens]
     if all(len({sum(m) for m in g}) == 1 for g in gens):
-        divided = [_encode(_divide_e0(b)) for b in ideal.groebner_raw()]
-        sat = [_decode(b) for b in _reduce_basis(divided, [max(b) for b in divided], p)]
-    else:
-        homog = []
-        for g in gens:
-            top = max(sum(m) for m in g)
-            homog.append({m[:-1] + (top - sum(m), m[-1]): c for m, c in g.items()})
-        # each basis element is homogeneous, so dropping h merges no two terms
-        sat = _buchberger(
-            [_divide_e0({m[:-2] + m[-1:]: c for m, c in b.items()})
-             for b in _buchberger(homog, p)],
-            p,
-        )
+
+        def run(width):
+            packed = ideal._divisors(width)
+            lay, polys, divs = packed
+            # each element's least e0 exponent, from its largest e0 field
+            eshift, mask = lay.shifts[-1], lay.mask
+            ks = [lay.off - max([m >> eshift & mask for m in b]) for b in polys]
+            if not any(ks):
+                # a reduced basis that e0 divides nowhere is already the
+                # divided one's reduced basis, term order included
+                return ideal.groebner_raw(), packed
+            # dividing by e0^k takes k times e0's weight from every key
+            w = lay.weights[-1]
+            polys = [{m - k * w: c for m, c in b.items()} if k else b for b, k in zip(polys, ks)]
+            divs = [_divisor(b, p, lay) if k else d for b, k, d in zip(polys, ks, divs)]
+            out = _reduce_basis(polys, divs, p, lay)
+            return [lay.unpack(b) for b in out], (lay, out, [_divisor(b, p, lay) for b in out])
+
+        return GradedIdeal._from_basis(amb, *_widening(ideal._divisors()[0].width, run))
+    homog = []
+    for g in gens:
+        top = max(sum(m) for m in g)
+        homog.append({m[:-1] + (top - sum(m), m[-1]): c for m, c in g.items()})
+    # each basis element is homogeneous, so dropping h merges no two terms
+    sat = _buchberger(
+        [_divide_e0({m[:-2] + m[-1:]: c for m, c in b.items()})
+         for b in _buchberger(homog, p)],
+        p,
+    )
     return GradedIdeal._from_basis(amb, sat)
 
 
@@ -540,10 +661,11 @@ def _divide_e0(poly):
 def krull_dim(ideal: GradedIdeal) -> int:
     """Krull dimension of F_p[e0, X]/I via independent sets modulo leading terms."""
     nvars = ideal.ambient.d + 1
-    gb = ideal.groebner_raw()
-    if not gb:
+    if not ideal.groebner_raw():
         return nvars
-    supports = [frozenset(i for i, a in enumerate(max(g, key=_key)) if a) for g in gb]
+    lay, _, divs = ideal._divisors()
+    leads = lay.unpack(dict.fromkeys(div[0] for div in divs))
+    supports = [frozenset(i for i, a in enumerate(lead) if a) for lead in leads]
     if frozenset() in supports:
         return -1  # the unit ideal: the zero ring
     best = 0

@@ -20,7 +20,7 @@ from math import comb
 from .padic import (NormValue, PadicError, PadicScalar, _check_prime, add_triples, ppow,
                     require_triple, triple_bound)
 from .groupmodel import GroupModel, simplex
-from .distalg import Distribution
+from .distalg import Distribution, as_triple
 
 
 class MahlerError(PadicError):
@@ -371,7 +371,8 @@ def _lam_tail_bound_at(lam, k):
 class GroupAlgebraElement:
     """Element of K[G/G_n]: ``coeffs`` maps coordinate residues mod p^n to
     coefficient triples, residues reduced and nonzero.  The constructor takes
-    triples and sums keys that agree mod p^n."""
+    triples of ints, read as ``as_triple`` reads them (residue reduced, prec
+    >= 1 and shift >= 0, else refused), and sums keys that agree mod p^n."""
 
     __slots__ = ("model", "n", "coeffs")
 
@@ -384,6 +385,9 @@ class GroupAlgebraElement:
         m = ppow(p, n)
         clean = {}
         for key, c in coeffs.items():
+            if not isinstance(c, tuple):
+                raise TypeError(f"coefficient at {key} is not a (residue, prec, shift) triple: {c!r}")
+            c = as_triple(model, c)
             key = tuple(int(x) % m for x in key)
             clean[key] = add_triples(p, clean[key], c) if key in clean else c
         reduced = ((k, (r % ppow(p, prec), prec, shift)) for k, (r, prec, shift) in clean.items())

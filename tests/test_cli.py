@@ -135,6 +135,14 @@ class TestGrade:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("group, gens, want", [
+        ("abelian:1:5", [f"X1^{2**70}"], "grade = 1"),
+        ("heisenberg:5", [f"X1^{2**70}+e0*X2", "X2^2*X3+e0^2*X1"], "grade = 2"),
+    ])
+    def test_exponents_past_64_bits(self, group, gens, want):
+        code, out, _ = run_cli(["grade", "--group", group, "--r", "1/2", *gens])
+        assert code == 0 and out.strip() == want
+
 
 class TestMahlerPair:
     def test_table(self):

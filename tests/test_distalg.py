@@ -1002,6 +1002,13 @@ class TestCallerTriples:
         with pytest.raises(PrecisionExhausted):
             Distribution.from_coeffs(self.model(), {(0,): (1, 0, 0)}, 4)
 
+    def test_from_coeffs_keeps_a_windowed_zero(self):
+        # 0 mod 5 may be 5, of norm p^-2 at s = 1: an entry, not an exact zero
+        model = self.model()
+        lam = Distribution.from_coeffs(model, {(1,): PadicScalar(P, 1, 0), (3,): 1}, 4)
+        assert lam.coeffs == {(1,): (0, 1, 0), (3,): (1, 14, 0)}
+        assert str(lam.norm(RadiusParam(1))) == "p^-3 .. p^-2"
+
     def test_scale_refuses_an_empty_window(self):
         with pytest.raises(PrecisionExhausted):
             Distribution.one(self.model()).scale((1, 0, 0))

@@ -467,7 +467,7 @@ class TestUncheckedOutputs:
     def test_divisors_are_prepared_once(self, monkeypatch):
         built = []
         divisor = graded._divisor
-        monkeypatch.setattr(graded, "_divisor", lambda b, p: built.append(b) or divisor(b, p))
+        monkeypatch.setattr(graded, "_divisor", lambda b, p, lay: built.append(b) or divisor(b, p, lay))
         a = amb(3)
         ideal = GradedIdeal(a, [GradedPoly.parse(a, t) for t in ("X1*X2+e0^2", "X2*X3+X1^2")])
         ideal.groebner_raw()
@@ -480,6 +480,83 @@ class TestUncheckedOutputs:
         ideal.contains(poly)
         assert built == []
         assert ideal._divisors() is ideal._divisors()
+
+
+@st.composite
+def scaled_cases(draw):
+    """(ideal, probes, whole): an ideal of one to three generators over F_p,
+    d <= 3, with every exponent of the scaled slots (all of them if whole,
+    else one X slot) a multiple of a scale up to 2^70, and probes that may
+    have negative e0 exponents.  Every monomial the engines build then keeps
+    those slots multiples of the scale, so a huge scale costs no more steps."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    d = draw(st.integers(1, 3))
+    scale = draw(st.sampled_from([1, 2**13 - 1, 2**13, 2**70 - 1, 2**70]))
+    whole = draw(st.booleans())
+    slots = range(d + 1) if whole else [draw(st.integers(0, d - 1))]
+    a = GradedAmbient(p, d, [1] * d, Fraction(1, 2))
+
+    def scaled(mon):
+        return tuple(x * scale if i in slots else x for i, x in enumerate(mon))
+
+    mons = [m for m in product(range(3), repeat=d + 1) if sum(m) <= 2]
+    term = st.dictionaries(st.sampled_from(mons), st.integers(1, p - 1), min_size=1, max_size=3)
+    gens = [GradedPoly(a, {scaled(m): c for m, c in g.items()})
+            for g in draw(st.lists(term, min_size=1, max_size=3))]
+    probe_mons = [m + (e,) for m in product(range(4), repeat=d) if sum(m) <= 3
+                  for e in range(-2, 3)]
+    probe = st.dictionaries(st.sampled_from(probe_mons), st.integers(1, p - 1), max_size=4)
+    probes = [GradedPoly(a, {scaled(m): c for m, c in t.items()})
+              for t in draw(st.lists(probe, min_size=1, max_size=2))]
+    return GradedIdeal(a, gens), probes, whole
+
+
+class TestPackedEngine:
+    """The packed engine against the plain reference engine, term order
+    included, on exponents from 0 to past 2^70: far enough that some built
+    terms leave their first layout's range and the call is redone wider."""
+
+    def test_matches_reference(self, monkeypatch):
+        overflows = []
+        widening = graded._widening
+
+        def counted(width, run):
+            def recorded(w):
+                try:
+                    return run(w)
+                except graded._FieldOverflow:
+                    overflows.append(w)
+                    raise
+            return widening(width, recorded)
+
+        monkeypatch.setattr(graded, "_widening", counted)
+
+        @given(scaled_cases())
+        @settings(max_examples=80, deadline=None, derandomize=True)
+        def check(case):
+            ideal, probes, whole = case
+            p, d = ideal.ambient.p, ideal.ambient.d
+            raw = ideal._raw_gens()
+            ref = groebner_grevlex(raw, p)
+            assert _items(ideal.groebner_raw()) == _items(ref)
+            for poly in probes:
+                rem, cof = ideal.reduce(poly)
+                ref_rem, ref_cof = reduce_grevlex(poly.terms, ref, p)
+                assert list(rem.terms.items()) == list(ref_rem.items())
+                assert [list(c.terms.items()) for c in cof] == _items(ref_cof)
+                assert ideal.contains(poly) == (not ref_rem)
+            # saturate_bayer homogenizes with a variable h whose exponents
+            # are multiples of a scale only when every slot is scaled or no
+            # generator needs h
+            if whole or all(map(_homogeneous, ideal.gens)):
+                ref_sat = saturate_bayer(ideal)
+                sat = saturate(GradedIdeal(ideal.ambient, ideal.gens))
+                assert _items(sat._gb) == _items(ref_sat)
+                ref_grade = grade_grevlex(ref_sat, d)
+                assert grade_cyclic(ideal, d) == (inf if ref_grade is None else ref_grade)
+
+        check()
+        assert overflows
 
 
 class TestDimensionAndGrade:

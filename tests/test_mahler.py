@@ -11,6 +11,7 @@ from padicdist.distalg import Distribution, TailCert, lie_generator
 from padicdist.groupmodel import GroupModel
 from padicdist.mahler import (
     FunctionSpec,
+    GroupAlgebraElement,
     MahlerError,
     MahlerTable,
     amice_report,
@@ -20,7 +21,7 @@ from padicdist.mahler import (
     pair,
     pair_with_indicator_crosscheck,
 )
-from padicdist.padic import NormValue, PadicScalar, ppow
+from padicdist.padic import NormValue, PadicScalar, PrecisionExhausted, ppow
 from padicdist.serialize import format_scalar, parse_mahler
 
 P = 5
@@ -426,6 +427,17 @@ class TestStoredForm:
                 assert 0 <= c[0] < P ** c[1] and c[2] >= 0
         assert all(c[0] for c in e.coeffs.values())
         assert (1, 0, 2) not in e.coeffs  # 1 - 1 in the coset of (1, 0, 2)
+
+    def test_constructor_refuses_a_float_residue(self):
+        model = GroupModel.abelian(2, P, prec=4)
+        with pytest.raises(TypeError, match="triple of ints"):
+            GroupAlgebraElement(model, 1, {(0, 0): (1.5, 3, 0)})
+
+    def test_constructor_refuses_an_empty_window(self):
+        # prec 0 knows no digit; reduced away, it would read as 0 mod p^N
+        model = GroupModel.abelian(2, P, prec=4)
+        with pytest.raises(PrecisionExhausted):
+            GroupAlgebraElement(model, 1, {(0, 0): (1, 0, 0)})
 
 
 class TestAgainstScalarReference:
