@@ -22,10 +22,9 @@ exact inputs.  The expansion (``_expand_terms``) packs each point's
 binomial row of the last axis into one int, in slots of B = bits(largest
 coefficient residue) + d * bits(p^W) + bits(#points) + 1 bits, wide enough
 that no sum carries; it sums coefficient times row once per group of points
-that share their other rows, and unpacks each slot once.  The prec of
-C(x, k) mod p^W is W - v_p(k!) for every x, so the prec of an entry does
-not depend on which point reached it.  Keys come in first-reach order:
-point by point, lexicographically within a point.
+that share their other rows, and unpacks each slot once per class.  The
+prec of C(x, k) mod p^W is W - v_p(k!) for every x, so the prec of an
+entry does not depend on which point reached it.
 """
 
 from __future__ import annotations
@@ -126,6 +125,13 @@ def as_triple(model: GroupModel, c):
         r, prec, shift = c
         return PadicScalar(model.p, prec, r, shift).triple
     return fraction_triple(model.p, c, model.elem_prec)
+
+
+def known_zero(model: GroupModel, c) -> bool:
+    """Whether the triple c, residue reduced, is 0 on a window of at least
+    the working precision ``elem_prec``: what an unstored entry reads as.
+    A zero known on a narrower window is an uncertain entry."""
+    return c[0] == 0 and c[1] - c[2] >= model.elem_prec
 
 
 class Distribution:
@@ -234,7 +240,7 @@ class Distribution:
         for alpha, c in table.items():
             alpha = _multi_index(model, alpha)
             c = as_triple(model, c)
-            if exact and c[0] == 0 and c[1] - c[2] >= model.elem_prec:
+            if exact and known_zero(model, c):
                 continue
             coeffs[alpha] = c
         return cls(model, coeffs, T, tail_certs=tail_certs, exact=exact,
@@ -954,19 +960,19 @@ def _expand_terms(model, terms, T):
     B = bits(largest coefficient residue) + d * bits(p^W) + bits(#points) + 1:
     every coefficient residue (reduced) and row entry is nonnegative and
     below those bounds, so no sum of products carries out of its slot.
-    Points of one class (shift, prec) and one box (kmax per axis) that
-    share their first d - 1 rows form a group, whose packed sum of a_j
-    times the last row is one multiply-add per point.  Each group's first
-    d - 1 axes are then expanded over the prefixes inside its box, and each
-    prefix adds the product of its row entries times the group's packed
-    row to the class's packed int for that prefix.  Each slot is unpacked
-    once.  Where several classes reach an index, their sums are combined by
-    the ``add_triples`` rules: the largest shift and the least window.
+    Points of one class (shift, prec) that share their first d - 1 rows
+    form a group, whose packed sum of a_j times the last row is one
+    multiply-add per point, and which reaches as far on the last axis as
+    its longest row.  Each group's first d - 1 axes are then expanded over
+    the prefixes its rows reach, and each prefix adds the product of its
+    row entries times the group's packed row to the class's packed int for
+    that prefix.  Each class unpacks each of its slots once; an index that
+    an earlier class reached is combined with it by the ``add_triples``
+    rules: the largest shift and the least window.
 
     An index alpha is stored when some point reaches it, that is alpha_i <=
-    kmax_i on every axis, at degree <= T, even when its value is zero.  Keys
-    are in first-reach order: point by point, and lexicographically among
-    the indices a point reaches first.  Residues are reduced mod p^prec."""
+    kmax_i on every axis, at degree <= T, even when its value is zero.
+    Residues are reduced mod p^prec."""
     p, d, W = model.p, model.d, model.elem_prec
     if d == 0:
         # no axis to pack: every term lands on the one index ()
@@ -980,7 +986,6 @@ def _expand_terms(model, terms, T):
     top = K = 0
     for (r, prec, shift), g in terms:
         keys = []
-        box = []
         for x in g.coords:
             kmax = x if g.exact and 0 <= x < T else T
             key = (x % m, kmax)
@@ -990,42 +995,36 @@ def _expand_terms(model, terms, T):
                 if kmax > K:
                     K = kmax
             keys.append(key)
-            box.append(kmax)
         r %= ppow(p, prec)
         if r > top:
             top = r
-        points.append((r, (shift, prec), tuple(keys[:-1]), keys[-1], tuple(box)))
+        points.append((r, (shift, prec), tuple(keys[:-1]), keys[-1]))
     if not points:
         return {}
     B = top.bit_length() + d * m.bit_length() + len(points).bit_length() + 1
     mask = (1 << B) - 1
 
-    # one packed int per group: the points of one class with the same rows
-    # but the last, and the same box
+    # one [last kmax, packed int] per group: the points of one class with
+    # the same rows but the last
     packed = {}
     groups = {}
-    for r, cls, head, key, box in points:
+    for r, cls, head, key in points:
         row = packed.get(key)
         if row is None:
             row = packed[key] = sum(c << (k * B) for k, c in enumerate(rows[key]))
-        group = (cls, head, box)
-        groups[group] = groups.get(group, 0) + r * row
+        e = groups.get((cls, head))
+        if e is None:
+            groups[cls, head] = [key[1], r * row]
+        else:
+            e[1] += r * row
+            if key[1] > e[0]:
+                e[0] = key[1]
 
     # each group adds its packed row times the product of its prefix row
-    # entries to its class, per prefix; the first group of each box (groups
-    # come in the order of their first points) adds the (prefix, first k,
-    # last k) runs that no earlier box reached, in first-reach order
+    # entries to its class, per prefix, with the last k it reaches there
     sums = {}
-    segments = []
-    reached = {}
-    boxes = set()
-    for (cls, head, box), total in groups.items():
-        acc = sums.get(cls)
-        if acc is None:
-            acc = sums[cls] = {}
-        last = box[-1]
-        new = box not in boxes
-        boxes.add(box)
+    for (cls, head), (last, total) in groups.items():
+        acc = sums.setdefault(cls, {})
         level = [((), 1, T)]
         for key in head:
             row, kmax = rows[key], key[1]
@@ -1040,41 +1039,26 @@ def _expand_terms(model, terms, T):
                 e[1] += c * total
                 if cap > e[0]:
                     e[0] = cap
-            if new:
-                lo = reached.get(pi, -1) + 1
-                if cap >= lo:
-                    segments.append((pi, lo, cap))
-                    reached[pi] = cap
 
     vpf = [0]
     for k in range(1, K + 1):
         vpf.append(vpf[-1] + (vp_int(k, p) if k % p == 0 else 0))
     out = {}
-    if len(sums) == 1:
-        (shift, cprec), acc = sums.popitem()
+    for (shift, cprec), acc in sums.items():
         precs = [min(cprec, W - v) for v in range(vpf[-1] + 1)]
         mods = [ppow(p, prec) for prec in precs]
-        for pi, lo, hi in segments:
-            v = acc[pi][1] >> (lo * B)
+        for pi, (cap, v) in acc.items():
             vp_pi = max(map(vpf.__getitem__, pi), default=0)
-            for k in range(lo, hi + 1):
+            for k in range(cap + 1):
                 q = vpf[k] if vpf[k] > vp_pi else vp_pi
-                out[pi + (k,)] = ((v & mask) % mods[q], precs[q], shift)
+                alpha = pi + (k,)
+                e = out.get(alpha)
+                if e is None:
+                    out[alpha] = ((v & mask) % mods[q], precs[q], shift)
+                else:
+                    r, prec, s = add_triples(p, e, (v & mask, precs[q], shift))
+                    out[alpha] = (r % ppow(p, prec), prec, s)
                 v >>= B
-        return out
-    # classes that reach (pi, k): their slots, scaled to the largest shift
-    for pi, lo, hi in segments:
-        parts = [(acc[pi][0], shift, cprec, acc[pi][1] >> (lo * B))
-                 for (shift, cprec), acc in sums.items() if pi in acc]
-        vp_pi = max(map(vpf.__getitem__, pi), default=0)
-        for k in range(lo, hi + 1):
-            rp = W - (vp_pi if vp_pi > vpf[k] else vpf[k])
-            here = [(shift, min(cprec, rp) - shift, (v >> ((k - lo) * B)) & mask)
-                    for cap, shift, cprec, v in parts if cap >= k]
-            top_shift = max(shift for shift, _, _ in here)
-            prec = min(window for _, window, _ in here) + top_shift
-            r = sum(c * ppow(p, top_shift - shift) for shift, _, c in here)
-            out[pi + (k,)] = (r % ppow(p, prec), prec, top_shift)
     return out
 
 

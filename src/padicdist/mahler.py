@@ -20,7 +20,7 @@ from math import comb
 from .padic import (NormValue, PadicError, PadicScalar, _check_prime, add_triples, ppow,
                     require_triple, triple_bound)
 from .groupmodel import GroupModel, simplex
-from .distalg import Distribution, as_triple
+from .distalg import Distribution, as_triple, known_zero
 
 
 class MahlerError(PadicError):
@@ -370,9 +370,10 @@ def _lam_tail_bound_at(lam, k):
 
 class GroupAlgebraElement:
     """Element of K[G/G_n]: ``coeffs`` maps coordinate residues mod p^n to
-    coefficient triples, residues reduced and nonzero.  The constructor takes
-    triples of ints, read as ``as_triple`` reads them (residue reduced, prec
-    >= 1 and shift >= 0, else refused), and sums keys that agree mod p^n."""
+    coefficient triples, residues reduced, without the zeros known to the
+    working precision (``known_zero``).  The constructor takes triples of
+    ints, read as ``as_triple`` reads them (residue reduced, prec >= 1 and
+    shift >= 0, else refused), and sums keys that agree mod p^n."""
 
     __slots__ = ("model", "n", "coeffs")
 
@@ -391,7 +392,7 @@ class GroupAlgebraElement:
             key = tuple(int(x) % m for x in key)
             clean[key] = add_triples(p, clean[key], c) if key in clean else c
         reduced = ((k, (r % ppow(p, prec), prec, shift)) for k, (r, prec, shift) in clean.items())
-        self.coeffs = {k: c for k, c in reduced if c[0]}
+        self.coeffs = {k: c for k, c in reduced if not known_zero(model, c)}
 
     def coeff(self, key) -> PadicScalar:
         """The coefficient of the coset of key as a PadicScalar; zero at the

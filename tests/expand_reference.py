@@ -3,9 +3,8 @@
 ``distalg._expand_terms`` packs each binomial row of the last axis into one
 int and folds it once per group of points that share their other rows.  The
 function here is the loop it replaced: one tuple and one dict update per
-(point, alpha).  The tests require the same keys, the same triples and the
-same key order from both, and PrecisionExhausted from both on the same
-inputs.
+(point, alpha).  The tests require the same keys and the same triples from
+both, and PrecisionExhausted from both on the same inputs.
 """
 
 from padicdist.padic import _binom_residue, add_triples, ppow

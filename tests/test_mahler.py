@@ -439,6 +439,15 @@ class TestStoredForm:
         with pytest.raises(PrecisionExhausted):
             GroupAlgebraElement(model, 1, {(0, 0): (1, 0, 0)})
 
+    def test_constructor_keeps_a_zero_on_a_narrow_window(self):
+        # 0 mod p^3 may be p^3; only a zero to the working precision is
+        # dropped, as Distribution.from_coeffs drops it
+        model = GroupModel.abelian(2, P, prec=4)
+        W = model.elem_prec
+        e = GroupAlgebraElement(model, 1, {(0, 0): (0, 3, 0), (1, 0): (0, W, 0)})
+        assert e.coeffs == {(0, 0): (0, 3, 0)}
+        assert e.coeff((0, 0)).prec == 3
+
 
 class TestAgainstScalarReference:
     """pair, MahlerTable.evaluate, finite_level_project and the product in
