@@ -147,6 +147,10 @@ class Distribution:
     ``scale`` also take ints, Fractions, PadicScalars and unreduced triples
     (``as_triple``).
 
+    ``mul`` multiplies witness points by the model's declared law on their
+    coordinate tuples; ``_merge_terms`` builds one GroupElement per point
+    of a merged witness.
+
     What the Dirac decomposition of an inexact head leaves out (its tail
     and the errors of its entries) has coefficients bounded by
     ``_head_gap``: the larger of the growth-0 tail and ``head_error``, and
@@ -218,10 +222,9 @@ class Distribution:
     def dirac_combination(cls, model, terms, T=None) -> "Distribution":
         """sum a_j delta_{g_j}; the term list is retained as an exact witness."""
         T = model.max_weight if T is None else truncation(T)
-        terms = [(as_triple(model, a), g) for a, g in terms]
         for _, g in terms:
             model._require_same(g.model)
-        merged = _merge_terms(model, terms)
+        merged = _merge_terms(model, [(as_triple(model, a), g.coords, g.exact) for a, g in terms])
         coeffs = _expand_terms(model, merged, T)
         if _finite(model, merged, T):
             coeffs = {a: c for a, c in coeffs.items() if c[0]}
@@ -357,7 +360,8 @@ class Distribution:
                 certs.append(TailCert(max(a, b), t))
         terms = None
         if self.dirac_terms is not None and other.dirac_terms is not None:
-            terms = _merge_terms(self.model, self.dirac_terms + other.dirac_terms)
+            terms = _merge_terms(self.model, [(a, g.coords, g.exact) for a, g in
+                                              self.dirac_terms + other.dirac_terms])
         return Distribution._clean(self.model, coeffs, T, tuple(certs), exact, herr, terms)
 
     def __sub__(self, other: "Distribution") -> "Distribution":
@@ -379,11 +383,10 @@ class Distribution:
         exact_path = t1 is not None and t2 is not None
         t1 = _head_to_dirac(model, self.coeffs) if t1 is None else t1
         t2 = _head_to_dirac(model, other.coeffs) if t2 is None else t2
-        prods = []
-        for (ra, pa, sa), g in t1:
-            for (rb, pb, sb), h in t2:
-                prods.append(((ra * rb, min(pa, pb), sa + sb), model.gmul(g, h)))
-        merged = _merge_terms(model, prods)
+        law, p = model.law.mul, model.p
+        merged = _merge_terms(model, (
+            ((ra * rb, pa if pa < pb else pb, sa + sb), law(p, g.coords, h.coords),
+             g.exact and h.exact) for (ra, pa, sa), g in t1 for (rb, pb, sb), h in t2))
         coeffs = _expand_terms(model, merged, T)
         if exact_path and _finite(model, merged, T):
             coeffs = {a: c for a, c in coeffs.items() if c[0]}
@@ -508,7 +511,6 @@ class Distribution:
         if g == "sigma":
             act = model.sigma_conj
         elif isinstance(g, GroupElement):
-            model._require_same(g.model)
             ginv = model.ginv(g)
             act = lambda h: model.gmul(model.gmul(g, h), ginv)
         else:
@@ -527,7 +529,8 @@ class Distribution:
         witness = terms is not None
         if not witness:
             terms = _head_to_dirac(model, self.coeffs)
-        merged = _merge_terms(model, [(a, act(h)) for a, h in terms])
+        images = ((a, act(h)) for a, h in terms)
+        merged = _merge_terms(model, [(a, g.coords, g.exact) for a, g in images])
         coeffs = _expand_terms(model, merged, T)
         if witness and _finite(model, merged, T):
             coeffs = {a: c for a, c in coeffs.items() if c[0]}
@@ -577,8 +580,9 @@ def structure_constants(model: GroupModel, beta, gamma, T):
     b2^gamma2 b3^(beta3+gamma3) with the core S(a, g) = b2^a b1^g, and
     b1^x b^alpha b2^y b3^z = b^(alpha + (x, y, z)): the table is S(beta2,
     gamma1) with every index shifted by (beta1, gamma2, beta3+gamma3),
-    dropping entries of degree above T.  In the abelian and semidirect
-    models the core is 1, so the table is b^(beta+gamma).
+    dropping entries of degree above T.  Under a commutative law (the
+    abelian and semidirect models) the core is 1, so the table is
+    b^(beta+gamma); Heisenberg's is the one law that is not commutative.
 
     Each Heisenberg core is the head of one Dirac product,
     ``Distribution.monomial(...).mul(...)`` at T, computed once per
@@ -596,7 +600,7 @@ def structure_constants(model: GroupModel, beta, gamma, T):
     T = truncation(T)
     beta = _multi_index(model, beta)
     gamma = _multi_index(model, gamma)
-    if model.kind != "heisenberg":
+    if model.law.commutative:
         alpha = tuple(b + g for b, g in zip(beta, gamma))
         if model.tau(alpha) > T:
             return {}, {}
@@ -639,6 +643,8 @@ def _commutation_core(model: GroupModel, a: int, g: int, T: int) -> tuple:
 
 def lie_generator(model: GroupModel, i: int, T=None) -> Distribution:
     """log(1 + b_i) truncated at degree T, with a certified growing tail."""
+    if not isinstance(i, int) or not 0 <= i < model.d:
+        raise DistError(f"generator index must be an integer in 0..{model.d - 1}, got {i!r}")
     K = model.max_weight if T is None else truncation(T)
     if K < 1:
         raise DistError("truncation weight below the generator's weight")
@@ -665,7 +671,7 @@ def lie_generator(model: GroupModel, i: int, T=None) -> Distribution:
 def q_norm(pair, r: RadiusParam) -> NormInterval:
     """max of the component norms of mu = lambda_1 + lambda_2 delta_sigma."""
     lam1, lam2 = pair
-    if lam1.model.kind != "semidirect":
+    if not lam1.model.law.sigma:
         raise ModelMismatch("q-norm is defined on the semidirect model")
     lam1.model._require_same(lam2.model)
     n1 = lam1.norm(r)
@@ -678,7 +684,7 @@ def semidirect_mul(pair1, pair2, T=None, s_work=None):
     sigma conjugate and ds^2 = 1."""
     a, b = pair1
     c, e = pair2
-    if a.model.kind != "semidirect":
+    if not a.model.law.sigma:
         raise ModelMismatch("semidirect product requires the semidirect model")
     sc = c.conjugate("sigma")
     se = e.conjugate("sigma")
@@ -896,29 +902,26 @@ def _nonzero_terms(model, acc, element):
 
 
 def _merge_terms(model, terms):
-    """Combine Dirac terms whose support points share their key, the
-    coordinates mod p^W.  The merged point is the exact one when exact
-    points reach the key and all have the same coordinates; it is the
-    inexact residue point when only inexact points do, or when two exact
-    points differ (they agree only mod p^W), whatever comes after."""
+    """Combine Dirac terms (triple, coords, exact) whose points share their
+    key, the coordinates mod p^W, in first-reach order.  The merged point,
+    one GroupElement, is the exact one when exact points reach the key and
+    all have the same coordinates; it is the inexact residue point when only
+    inexact points do, or when two exact points differ (mod p^W only)."""
     p = model.p
+    reduce_mod = ppow(p, model.elem_prec).__rmod__
     acc = {}
-    elems = {}
-    for a, g in terms:
-        k = g.key()
-        if k in acc:
-            acc[k] = add_triples(p, acc[k], a)
-            e = elems[k]
-            if g.exact and e is not None:
-                if not e.exact:
-                    elems[k] = g
-                elif e.coords != g.coords:
-                    elems[k] = None
-        else:
-            acc[k] = a
-            elems[k] = g
-    return _nonzero_terms(model, acc,
-                          lambda k: elems[k] or GroupElement(model, k, False))
+    exact_at = {}
+    for a, coords, exact in terms:
+        k = tuple(map(reduce_mod, coords))
+        acc[k] = add_triples(p, acc[k], a) if k in acc else a
+        if exact and exact_at.setdefault(k, coords) != coords:
+            exact_at[k] = None
+
+    def point(k):
+        coords = exact_at.get(k)
+        return GroupElement(model, k, False) if coords is None else GroupElement(model, coords, True)
+
+    return _nonzero_terms(model, acc, point)
 
 
 def _head_to_dirac(model, coeffs):

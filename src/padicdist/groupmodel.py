@@ -5,13 +5,19 @@ unitriangular 3x3 matrices with off-diagonal entries in pZ_p, and the
 non-uniform compact model Z_p |x {+-1} whose uniform part is Z_p.  Elements
 are identified with their chart coordinates in Z_p^d, held as Python ints:
 the coordinates themselves when the element is exact (built from integer
-coordinates by the group law), else their residues mod p**elem_prec.  The
-group law is one closed form per model kind on those ints.
+coordinates by the group law), else their residues mod p**elem_prec.
+
+Each kind declares its group law once, in ``LAWS``, on tuples of int
+coordinates.  ``gmul``, ``ginv`` and ``gpow`` are the checked edge and build
+one GroupElement per result; ``distalg`` and ``mahler`` multiply coordinate
+tuples with ``model.law.mul`` and build GroupElements only for the points
+they return.
 """
 
 from __future__ import annotations
 
 from math import floor, inf
+from typing import Callable, NamedTuple
 
 from .padic import PadicError, _check_prime, ppow, vp_factorial, vp_int
 
@@ -45,6 +51,39 @@ def simplex(d: int, T: int):
     return rec(0, (), T)
 
 
+class Law(NamedTuple):
+    """A kind's group law, ``mul(p, a, b)``, ``inv(p, a)`` and ``pow(p, a, t)``
+    on int chart coordinate tuples; ``dim``, its one dimension (None: any
+    d >= 0); ``sigma``, an order-2 coset acting by inversion."""
+
+    dim: int | None
+    commutative: bool
+    mul: Callable
+    inv: Callable
+    pow: Callable
+    sigma: bool = False
+
+
+def _heisenberg_mul(p, a, b):
+    (x1, y1, z1), (x2, y2, z2) = a, b
+    return (x1 + x2, y1 + y2, z1 + z2 - p * x2 * y1)
+
+
+_SUM = (lambda p, a, b: tuple(x + y for x, y in zip(a, b)),
+        lambda p, a: tuple(-x for x in a),
+        lambda p, a, t: tuple(t * x for x in a))
+LAWS = {
+    "abelian": Law(None, True, *_SUM),
+    # psi(x, y, z)^t = psi(tx, ty, tz - p x y C(t, 2)); the inverse is t = -1
+    "heisenberg": Law(3, False, _heisenberg_mul,
+                      lambda p, a: (-a[0], -a[1], -a[2] - p * a[0] * a[1]),
+                      lambda p, a, t: (t * a[0], t * a[1],
+                                       t * a[2] - p * a[0] * a[1] * (t * (t - 1) // 2))),
+    # the uniform part is Z_p; the sigma coset acts by inversion
+    "semidirect": Law(1, True, *_SUM, sigma=True),
+}
+
+
 class GroupModel:
     """A concrete group with ordered basis, chart and p-valuation data."""
 
@@ -54,9 +93,14 @@ class GroupModel:
         _check_prime(p)
         if prec < 1:
             raise ModelError(f"precision N must be >= 1, got {prec}")
-        if kind not in ("abelian", "heisenberg", "semidirect"):
+        law = LAWS.get(kind)
+        if law is None:
             raise ModelError(f"unknown model kind {kind!r}")
+        if not isinstance(d, int) or d < 0 or law.dim not in (None, d):
+            want = "an integer >= 0" if law.dim is None else law.dim
+            raise ModelError(f"{kind} model dimension must be {want}, got {d!r}")
         self.kind = kind
+        self.law = law
         self.p = p
         self.d = d
         self.prec = prec
@@ -64,10 +108,8 @@ class GroupModel:
         # guard digits so binomial coefficients up to the working weight cap
         # stay correct mod p**prec
         self.elem_prec = prec + vp_factorial(self.max_weight, p) + 2
-        # the structure-constant cores b2^a b1^g by (a, g, T): per room
-        # r = 0..T, the head entries of degree <= r as (index, triple,
-        # verdict); filled by distalg.structure_constants and kept as long as
-        # the model
+        # the structure-constant cores by (a, g, T), kept as long as the
+        # model: filled and read by distalg._commutation_core
         self.commutation_cores = {}
 
     # -- constructors ------------------------------------------------------
@@ -82,38 +124,32 @@ class GroupModel:
 
     @classmethod
     def semidirect(cls, p: int, **kw) -> "GroupModel":
-        # the uniform part is Z_p; the sigma coset acts by inversion
         return cls("semidirect", p, 1, **kw)
 
     @classmethod
     def from_string(cls, spec: str, **kw) -> "GroupModel":
-        parts = spec.split(":")
+        """``kind:d:p`` for a kind of any dimension, else ``kind:p``."""
+        kind, *nums = spec.split(":")
+        law = LAWS.get(kind)
+        if law is None or len(nums) != (2 if law.dim is None else 1):
+            raise ModelError(f"bad group id {spec!r}")
         try:
-            if parts[0] == "abelian" and len(parts) == 3:
-                return cls.abelian(int(parts[1]), int(parts[2]), **kw)
-            if parts[0] == "heisenberg" and len(parts) == 2:
-                return cls.heisenberg(int(parts[1]), **kw)
-            if parts[0] == "semidirect" and len(parts) == 2:
-                return cls.semidirect(int(parts[1]), **kw)
+            *dim, p = map(int, nums)
         except ValueError as exc:
             raise ModelError(f"bad group id {spec!r}: {exc}") from exc
-        raise ModelError(f"bad group id {spec!r}")
+        return cls(kind, p, dim[0] if dim else law.dim, **kw)
 
     @property
     def id(self) -> str:
-        if self.kind == "abelian":
-            return f"abelian:{self.d}:{self.p}"
+        if self.law.dim is None:
+            return f"{self.kind}:{self.d}:{self.p}"
         return f"{self.kind}:{self.p}"
 
     def __repr__(self):
         return f"GroupModel({self.id})"
 
     def same_as(self, other: "GroupModel") -> bool:
-        return (
-            self.kind == other.kind
-            and self.p == other.p
-            and self.d == other.d
-        )
+        return (self.kind, self.p, self.d) == (other.kind, other.p, other.d)
 
     def _require_same(self, other: "GroupModel") -> None:
         if not self.same_as(other):
@@ -148,40 +184,23 @@ class GroupModel:
     def gmul(self, g: "GroupElement", h: "GroupElement") -> "GroupElement":
         self._require_same(g.model)
         self._require_same(h.model)
-        if self.kind == "heisenberg":
-            x1, y1, z1 = g.coords
-            x2, y2, z2 = h.coords
-            coords = (x1 + x2, y1 + y2, z1 + z2 - self.p * x2 * y1)
-        else:
-            coords = tuple(a + b for a, b in zip(g.coords, h.coords))
-        return self._law_result(coords, g.exact and h.exact)
+        return self._law_result(self.law.mul(self.p, g.coords, h.coords),
+                                g.exact and h.exact)
 
     def ginv(self, g: "GroupElement") -> "GroupElement":
         self._require_same(g.model)
-        if self.kind == "heisenberg":
-            x, y, z = g.coords
-            coords = (-x, -y, -z - self.p * x * y)
-        else:
-            coords = tuple(-c for c in g.coords)
-        return self._law_result(coords, g.exact)
+        return self._law_result(self.law.inv(self.p, g.coords), g.exact)
 
     def gpow(self, g: "GroupElement", t: int) -> "GroupElement":
         """g**t for an integer t (closed form on chart coordinates)."""
         self._require_same(g.model)
-        if self.kind == "heisenberg":
-            x, y, z = g.coords
-            # psi(a,b,c)^t = psi(ta, tb, tc - p*a*b*C(t,2))
-            coords = (t * x, t * y, t * z - self.p * x * y * (t * (t - 1) // 2))
-        else:
-            coords = tuple(t * c for c in g.coords)
-        return self._law_result(coords, g.exact)
-
-    def commutator(self, g: "GroupElement", h: "GroupElement") -> "GroupElement":
-        return self.gmul(self.gmul(self.ginv(g), self.ginv(h)), self.gmul(g, h))
+        if not isinstance(t, int):
+            raise ModelError(f"group power exponent must be an integer, got {t!r}")
+        return self._law_result(self.law.pow(self.p, g.coords, t), g.exact)
 
     def sigma_conj(self, g: "GroupElement") -> "GroupElement":
         """Conjugation by the order-2 coset representative (semidirect model)."""
-        if self.kind != "semidirect":
+        if not self.law.sigma:
             raise ModelError("sigma conjugation is defined only on the semidirect model")
         return self.ginv(g)
 
@@ -227,10 +246,6 @@ class GroupElement:
         """Hashable key: the coordinate residues mod p**elem_prec."""
         m = ppow(self.model.p, self.model.elem_prec)
         return tuple(c % m for c in self.coords)
-
-    @property
-    def is_identity_in_window(self) -> bool:
-        return not any(self.key())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GroupElement):

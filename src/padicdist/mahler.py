@@ -15,25 +15,15 @@ are built only for values that leave the module (the two ``coeff`` methods,
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 
-from .padic import (NormValue, PadicError, PadicScalar, _check_prime, add_triples, ppow,
-                    require_triple, triple_bound)
+from .padic import (NormValue, PadicError, PadicScalar, _check_prime, add_triples, int_binom,
+                    ppow, require_triple, triple_bound)
 from .groupmodel import GroupModel, simplex
 from .distalg import Distribution, as_triple, known_zero
 
 
 class MahlerError(PadicError):
     pass
-
-
-def int_binom(m: int, k: int) -> int:
-    """C(m, k) for any integer m, natural k (exact)."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if m >= 0:
-        return comb(m, k)
-    return (-1) ** k * comb(k - m - 1, k)
 
 
 def _int(x, what) -> int:
@@ -389,7 +379,7 @@ class GroupAlgebraElement:
             if not isinstance(c, tuple):
                 raise TypeError(f"coefficient at {key} is not a (residue, prec, shift) triple: {c!r}")
             c = as_triple(model, c)
-            key = tuple(int(x) % m for x in key)
+            key = tuple(x % m for x in _int_tuple(key, model.d, "coset key"))
             clean[key] = add_triples(p, clean[key], c) if key in clean else c
         reduced = ((k, (r % ppow(p, prec), prec, shift)) for k, (r, prec, shift) in clean.items())
         self.coeffs = {k: c for k, c in reduced if not known_zero(model, c)}
@@ -409,14 +399,13 @@ class GroupAlgebraElement:
     def __mul__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
         self._check(other)
         model = self.model
-        right = [(model.element(k2), c2) for k2, c2 in other.coeffs.items()]
+        law, p = model.law.mul, model.p
         out = {}
         for k1, (r1, prec1, s1) in self.coeffs.items():
-            g1 = model.element(k1)
-            for g2, (r2, prec2, s2) in right:
-                k = model.gmul(g1, g2).coords
+            for k2, (r2, prec2, s2) in other.coeffs.items():
+                k = law(p, k1, k2)
                 c = (r1 * r2, min(prec1, prec2), s1 + s2)
-                out[k] = add_triples(model.p, out[k], c) if k in out else c
+                out[k] = add_triples(p, out[k], c) if k in out else c
         return GroupAlgebraElement(model, self.n, out)
 
     def _check(self, other):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, inf
+from math import comb, inf
 
 
 class PadicError(Exception):
@@ -320,14 +320,20 @@ class PadicScalar:
         return f"PadicScalar(p={c.p}, {c.residue} mod p^{c.prec})"
 
 
+def int_binom(m: int, k: int) -> int:
+    """C(m, k) for any integer m, natural k (exact)."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    if m >= 0:
+        return comb(m, k)
+    return (-1) ** k * comb(k - m - 1, k)
+
+
 @lru_cache(maxsize=1 << 18)
 def _binom_residue(p: int, prec: int, rep: int, k: int):
     """(prec', C(rep, k) mod p**prec') for an integer rep known mod p**prec,
     where prec' = prec - v_p(k!)."""
-    num = 1
-    for j in range(k):
-        num *= rep - j
-    c = num // factorial(k)  # exact: k consecutive integers
+    c = int_binom(rep, k)
     vkf = vp_factorial(k, p)
     prec_out = prec - vkf
     if prec_out < 1:

@@ -333,16 +333,17 @@ def suite_thm45_graded(params: SuiteParams) -> SuiteReport:
 
 
 def _second_basis(model):
-    if model.kind == "abelian" and model.d == 2:
-        h1 = model.element([1, 0])
-        h2 = model.element([0, 1])
-        return [model.gmul(h1, h2), h2]
-    if model.kind == "heisenberg":
-        h1 = model.element([1, 0, 0])
-        h2 = model.element([0, 1, 0])
-        h3 = model.element([0, 0, 1])
-        return [model.gmul(h1, h3), h2, h3]
-    raise ValueError(f"no alternate basis on {model.id}")
+    """h_1 h_d, h_2, ..., h_d: another ordered basis of generators of omega 1."""
+    if model.d < 2:
+        raise ValueError(f"no alternate basis on {model.id}")
+    h = [model.element([int(i == j) for j in range(model.d)]) for i in range(model.d)]
+    return [model.gmul(h[0], h[-1])] + h[1:]
+
+
+def _same_norm(lam, mu, r) -> bool:
+    """Whether the r-norms of lam and mu are both known exactly and equal."""
+    n0, n1 = lam.norm(r), mu.norm(r)
+    return n0.collapsed and n1.collapsed and n0.lower == n1.lower
 
 
 def suite_basis_inv(params: SuiteParams) -> SuiteReport:
@@ -357,10 +358,7 @@ def suite_basis_inv(params: SuiteParams) -> SuiteReport:
         failures = 0
         for _ in range(n // 2):
             lam = random_exact(model, rng)
-            lam2 = lam.change_basis(basis)
-            n0, n2 = lam.norm(r), lam2.norm(r)
-            if not (n0.collapsed and n2.collapsed and n0.lower == n2.lower):
-                failures += 1
+            failures += not _same_norm(lam, lam.change_basis(basis), r)
         rep.add(f"norm-equal-{model.kind}", "basis-inv", failures == 0,
                 f"{n // 2} exact distributions, {failures} failures")
 
@@ -432,10 +430,7 @@ def suite_sect5_conj(params: SuiteParams) -> SuiteReport:
     for _ in range(n - n // 2):
         g = model.element([rng.randrange(ppow(model.p, 2)) for _ in range(3)])
         lam = random_exact(model, rng)
-        out = lam.conjugate(g)
-        n0, n1 = lam.norm(r), out.norm(r)
-        if not (n0.collapsed and n1.collapsed and n0.lower == n1.lower):
-            failures += 1
+        failures += not _same_norm(lam, lam.conjugate(g), r)
     rep.add("inner-heisenberg", "sect5-conj", failures == 0,
             f"{n - n // 2} samples, {failures} failures")
 
@@ -443,10 +438,7 @@ def suite_sect5_conj(params: SuiteParams) -> SuiteReport:
     failures = 0
     for _ in range(n // 2):
         lam = random_exact(model, rng)
-        out = lam.conjugate("sigma")
-        n0, n1 = lam.norm(r), out.norm(r)
-        if not (n0.collapsed and n1.collapsed and n0.lower == n1.lower):
-            failures += 1
+        failures += not _same_norm(lam, lam.conjugate("sigma"), r)
     rep.add("sigma-semidirect", "sect5-conj", failures == 0,
             f"{n // 2} samples, {failures} failures")
 

@@ -103,6 +103,11 @@ class TestNorm:
             code, _, err = run_cli(["norm", "--in", str(path), "--r", "1/2"])
             assert code == 3 and err.startswith("parse error: "), err
 
+    def test_negative_dimension_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "bad.dist"
+        path.write_text("group=abelian:-1:5 p=5 N=12 T=4/1 tail=0 exact=1\n")
+        code, out, err = run_cli(["norm", "--in", str(path), "--r", "1/2"])
+        assert code == 3 and out == "" and err.startswith("parse error: "), err
 
 class TestMulSymbolThreshold:
     def test_mul(self, b1_file):

@@ -35,6 +35,7 @@ from padicdist.serialize import parse_distribution, serialize_distribution
 from padicdist.suites import _second_basis
 
 import expand_reference
+import mul_reference
 from mahler_reference import binom
 
 
@@ -119,6 +120,12 @@ def triples(terms):
     return tuple((a.triple, g) for a, g in terms)
 
 
+def points(terms):
+    """Dirac terms (triple, element) as the (triple, coords, exact) that
+    ``_merge_terms`` takes."""
+    return [(a, g.coords, g.exact) for a, g in terms]
+
+
 def table_entries(table):
     return sorted((alpha, c.residue, c.prec, c.shift) for alpha, c in table.items())
 
@@ -183,10 +190,18 @@ def elements(draw, model):
 
 @st.composite
 def combinations(draw):
-    """A model, Dirac terms on it (repeated supports included, some of them
-    given once exactly and once as residues, or as two exact points that
-    agree mod p^W) and a T that may exceed the model's working weight."""
+    """A model, Dirac terms on it (``witness_terms``) and a T that may
+    exceed the model's working weight."""
     model = draw(models())
+    terms = draw(witness_terms(model))
+    return model, terms, draw(st.integers(0, model.max_weight + 3))
+
+
+@st.composite
+def witness_terms(draw, model):
+    """Dirac terms (PadicScalar, g) on model: repeated supports included,
+    some of them given once exactly and once as residues, or as two exact
+    points that agree mod p^W."""
     support = draw(st.lists(elements(model), min_size=1, max_size=4))
     if draw(st.booleans()):
         # inexact copies of the exact points: merging keeps the exact one
@@ -196,9 +211,8 @@ def combinations(draw):
         # keeps neither
         shift = ppow(model.p, model.elem_prec)
         support += [model.element([c + shift for c in g.coords]) for g in support if g.exact]
-    terms = [(draw(coefficients(model)), draw(st.sampled_from(support)))
-             for _ in range(draw(st.integers(1, 6)))]
-    return model, terms, draw(st.integers(0, model.max_weight + 3))
+    return [(draw(coefficients(model)), draw(st.sampled_from(support)))
+            for _ in range(draw(st.integers(1, 6)))]
 
 
 @st.composite
@@ -214,7 +228,7 @@ class TestKernelMatchesScalars:
     @settings(max_examples=300, deadline=None, derandomize=True)
     def test_merge_and_expand(self, case):
         model, terms, T = case
-        merged = _merge_terms(model, triples(terms))
+        merged = _merge_terms(model, points(triples(terms)))
         want_merged = merge_terms_by_scalars(model, terms)
         assert kernel_term_entries(merged) == scalar_term_entries(want_merged)
         got = outcome(lambda: triple_entries(_expand_terms(model, merged, T)))
@@ -250,7 +264,7 @@ class TestKernelMatchesScalars:
         prods = [((ra * rb, min(pa, pb), sa + sb), model.gmul(g, h))
                  for (ra, pa, sa), g in kernel for (rb, pb, sb), h in kernel]
         want_prods = [(a * b, model.gmul(g, h)) for a, g in scalars for b, h in scalars]
-        merged = _merge_terms(model, prods)
+        merged = _merge_terms(model, points(prods))
         want_merged = merge_terms_by_scalars(model, want_prods)
         assert kernel_term_entries(merged) == scalar_term_entries(want_merged)
         assert outcome(lambda: triple_entries(_expand_terms(model, merged, T))) == \
@@ -270,7 +284,7 @@ class TestKernelMatchesScalars:
         def coords_of(g):
             return coords_in_basis(model, basis, g)
 
-        merged = _merge_terms(model, triples(terms))
+        merged = _merge_terms(model, points(triples(terms)))
         mapped = [(a, GroupElement(model, coords_of(g), False)) for a, g in merged]
         want_merged = merge_terms_by_scalars(model, terms)
         got = triple_entries(_expand_terms(model, mapped, 5))
@@ -286,7 +300,7 @@ class TestKernelMatchesScalars:
             scalar_term_entries(terms)
         g = model.element([1, 2, 0])
         prods = [(a, model.gmul(h, g)) for a, h in terms]
-        got = _expand_terms(model, _merge_terms(model, triples(prods)), 8)
+        got = _expand_terms(model, _merge_terms(model, points(triples(prods))), 8)
         want = expand_terms_by_scalars(model, merge_terms_by_scalars(model, prods), 8)
         assert triple_entries(got) == table_entries(want)
 
@@ -400,3 +414,85 @@ def test_key_order_is_not_observable(tmp_path):
         assert symbol_at_half(fwd) == symbol_at_half(rev)
         delta = Distribution.dirac(model.element([1, 2, 0][:model.d]), lam.T)
         assert serialize_distribution(fwd.mul(delta)) == serialize_distribution(rev.mul(delta))
+
+
+@st.composite
+def factor_pairs(draw):
+    """Two Dirac combinations on one model and a T.  Where drawn, the
+    factors get terms 1*x and 1*1, and 1*1 and -1*x, so that x*1 and
+    1*(-x) meet at x's key and cancel; alone, or beside the other terms."""
+    model, terms1, T = draw(combinations())
+    terms2 = draw(witness_terms(model))
+    cancel = draw(st.sampled_from(["none", "beside", "alone"]))
+    if cancel != "none":
+        x = draw(elements(model))
+        one = PadicScalar.one(model.p, model.elem_prec)
+        e = model.identity()
+        pair1, pair2 = [(one, x), (one, e)], [(one, e), (-one, x)]
+        if cancel == "alone":
+            terms1, terms2 = pair1, pair2
+        else:
+            terms1, terms2 = terms1 + pair1, terms2 + pair2
+    return model, terms1, terms2, T
+
+
+class TestPairLoopMatchesReference:
+    """``mul``'s pair loop (the declared law on coordinate tuples) and
+    ``_merge_terms`` on (triple, coords, exact) against the GroupElement
+    pair loop and merge they replaced (``mul_reference``)."""
+
+    @given(combinations())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_merge(self, case):
+        model, terms, _ = case
+        got = _merge_terms(model, points(triples(terms)))
+        assert kernel_term_entries(got) == \
+            kernel_term_entries(mul_reference.merge_terms(model, triples(terms)))
+
+    @given(kernel_inputs())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_merge_large_coordinates(self, case):
+        # exact points up to 10^30 and past p^W, next to their residues
+        model, terms, _ = case
+        assert kernel_term_entries(_merge_terms(model, points(terms))) == \
+            kernel_term_entries(mul_reference.merge_terms(model, terms))
+
+    @given(factor_pairs())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_products(self, case):
+        model, terms1, terms2, T = case
+        lam1 = outcome(lambda: Distribution.dirac_combination(model, terms1, T))
+        lam2 = outcome(lambda: Distribution.dirac_combination(model, terms2, T))
+        if PrecisionExhausted in (lam1, lam2):
+            return
+        # the exact path: the product keeps its merged witness
+        want = mul_reference.merge_terms(
+            model, mul_reference.pair_products(model, lam1.dirac_terms, lam2.dirac_terms))
+        got = outcome(lambda: lam1.mul(lam2, T=T))
+        table = outcome(lambda: _expand_terms(model, want, T))
+        if table is PrecisionExhausted:
+            assert got is PrecisionExhausted
+            return
+        assert kernel_term_entries(got.dirac_terms) == kernel_term_entries(want)
+        assert triple_entries(got.coeffs) == \
+            [e for e in triple_entries(table) if e[1] or not got.exact]
+        # the head path: inexact heads without a witness
+        head1, head2 = (Distribution(model, lam.coeffs, T) for lam in (lam1, lam2))
+        want = mul_reference.merge_terms(model, mul_reference.pair_products(
+            model, _head_to_dirac(model, head1.coeffs), _head_to_dirac(model, head2.coeffs)))
+        got = outcome(lambda: head1.mul(head2, T=T).coeffs)
+        assert outcome(lambda: triple_entries(got)) == \
+            outcome(lambda: triple_entries(_expand_terms(model, want, T)))
+
+    def test_cancelling_products_leave_no_term(self):
+        for spec in ("abelian:2:3", "heisenberg:5", "semidirect:7"):
+            model = GroupModel.from_string(spec, prec=4, max_weight=4)
+            x, e = model.element([1, 2, 0][:model.d]), model.identity()
+            lam1 = Distribution.dirac_combination(model, [(1, x), (1, e)], 4)
+            lam2 = Distribution.dirac_combination(model, [(1, e), (-1, x)], 4)
+            got = lam1.mul(lam2)
+            want = mul_reference.merge_terms(
+                model, mul_reference.pair_products(model, lam1.dirac_terms, lam2.dirac_terms))
+            assert kernel_term_entries(got.dirac_terms) == kernel_term_entries(want)
+            assert [g.coords for _, g in got.dirac_terms] == \
+                [model.gmul(x, x).coords, e.coords]

@@ -620,6 +620,13 @@ class TestLieGenerator:
         sym, _ = lie_generator(model, 0).principal_symbol(RadiusParam(Fraction(1, P - 1)))
         assert len(sym.terms) == 2
 
+    @pytest.mark.parametrize("i", [3, -1, 1.5, "0", None])
+    def test_index_outside_the_generators_rejected(self, i):
+        # heisenberg:5 has the generators 0, 1 and 2
+        model = GroupModel.heisenberg(5, max_weight=4)
+        with pytest.raises(DistError, match="generator index"):
+            lie_generator(model, i, 4)
+
     @pytest.mark.parametrize("p,T", [(5, 6), (7, 12), (5, 30), (3, 30)])
     def test_tail_certificate_covers_every_k(self, p, T):
         # the tail claims |1/k| = p^(v_p(k)) <= p^(t*k) for every k > T;

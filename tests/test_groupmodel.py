@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from padicdist.groupmodel import (
+    LAWS,
     GroupModel,
     ModelError,
     coords_in_basis,
@@ -44,6 +45,16 @@ def mat_mul(a, b, m):
     )
 
 
+def commutator(model, g, h):
+    """[g, h] = g^-1 h^-1 g h."""
+    return model.gmul(model.gmul(model.ginv(g), model.ginv(h)), model.gmul(g, h))
+
+
+def is_identity_in_window(g):
+    """Whether every chart coordinate of g vanishes mod p^elem_prec."""
+    return not any(g.key())
+
+
 coords_st = st.lists(st.integers(0, ppow(P, 6) - 1), min_size=3, max_size=3)
 
 
@@ -67,7 +78,7 @@ class TestHeisenbergLaw:
     def test_inverse(self, a):
         model = heis()
         g = model.element(a)
-        assert model.gmul(g, model.ginv(g)).is_identity_in_window
+        assert is_identity_in_window(model.gmul(g, model.ginv(g)))
 
     @given(coords_st, coords_st, coords_st)
     @settings(max_examples=30, deadline=None)
@@ -94,7 +105,7 @@ class TestHeisenbergLaw:
         model = heis()
         g = model.element([1, 0, 0])
         h = model.element([0, 1, 0])
-        c = model.commutator(g, h)
+        c = commutator(model, g, h)
         x, y, z = c.key()
         assert x == 0 and y == 0
         # [h1, h2] = h3^(+-p): omega = 2 = omega(h1) + omega(h2)
@@ -127,6 +138,13 @@ class TestCoordinates:
         g = model.element([-1, 0, m + 2])
         assert g.key() == (m - 1, 0, 2)
         assert g == model.element([m - 1, 0, 2])
+
+    def test_power_takes_integers_only(self):
+        model = heis()
+        g = model.element([1, 2, 3])
+        for t in (1.5, Fraction(3, 2), Fraction(2)):
+            with pytest.raises(ModelError, match="exponent must be an integer"):
+                model.gpow(g, t)
 
     def test_element_takes_integers_only(self):
         model = heis()
@@ -171,7 +189,7 @@ class TestOmega:
         vq, eq = model.omega(model.gmul(g, model.ginv(h)))
         if eg and eh and eq:
             assert vq >= min(vg, vh)
-        vc, ec = model.omega(model.commutator(g, h))
+        vc, ec = model.omega(commutator(model, g, h))
         if eg and eh and ec:
             assert vc >= vg + vh
 
@@ -197,6 +215,32 @@ class TestModelRegistry:
         with pytest.raises(ModelError):
             GroupModel.from_string("abelian:2:5", prec=prec)
 
+    @pytest.mark.parametrize("kind, d", [
+        ("abelian", -1), ("heisenberg", 2), ("heisenberg", 5), ("semidirect", 3),
+        ("semidirect", 0), ("abelian", 1.5)])
+    def test_dimension_outside_the_kind_rejected(self, kind, d):
+        with pytest.raises(ModelError, match="dimension"):
+            GroupModel(kind, P, d)
+
+    @pytest.mark.parametrize("spec", ["abelian:-1:5", "abelian:-3:7"])
+    def test_negative_dimension_id_rejected(self, spec):
+        with pytest.raises(ModelError, match="dimension"):
+            GroupModel.from_string(spec)
+
+    def test_abelian_dimension_zero_stays_legal(self):
+        assert GroupModel.from_string("abelian:0:5").d == 0
+        assert GroupModel.from_string("abelian:0:5").id == "abelian:0:5"
+
+    def test_declared_laws(self):
+        assert {kind: (law.dim, law.commutative, law.sigma) for kind, law in LAWS.items()} == {
+            "abelian": (None, True, False),
+            "heisenberg": (3, False, False),
+            "semidirect": (1, True, True),
+        }
+        for gid in ("abelian:2:5", "heisenberg:5", "semidirect:5"):
+            model = GroupModel.from_string(gid)
+            assert model.law is LAWS[model.kind]
+
     def test_id_round_trip(self):
         for gid in ("abelian:2:5", "heisenberg:5", "semidirect:5"):
             assert GroupModel.from_string(gid).id == gid
@@ -204,7 +248,7 @@ class TestModelRegistry:
     def test_semidirect_sigma_inverts(self):
         model = GroupModel.from_string("semidirect:5")
         g = model.element([7])
-        assert model.gmul(model.sigma_conj(g), g).is_identity_in_window
+        assert is_identity_in_window(model.gmul(model.sigma_conj(g), g))
 
 
 class TestSimplex:
@@ -256,4 +300,4 @@ class TestBasisChange:
         rebuilt = model.identity()
         for yi, bi in zip(y, basis):
             rebuilt = model.gmul(rebuilt, model.gpow(bi, yi))
-        assert model.gmul(model.ginv(rebuilt), g).is_identity_in_window
+        assert is_identity_in_window(model.gmul(model.ginv(rebuilt), g))

@@ -433,6 +433,14 @@ class TestStoredForm:
         with pytest.raises(TypeError, match="triple of ints"):
             GroupAlgebraElement(model, 1, {(0, 0): (1.5, 3, 0)})
 
+    def test_constructor_refuses_a_key_that_is_no_coset(self):
+        # the product multiplies keys by the group law, so each must have d
+        # integer entries
+        model = GroupModel.abelian(2, P, prec=4)
+        for key in ((0, 0, 0), (1,), (Fraction(1, 2), 0)):
+            with pytest.raises(MahlerError, match="coset key"):
+                GroupAlgebraElement(model, 1, {key: (1, 3, 0)})
+
     def test_constructor_refuses_an_empty_window(self):
         # prec 0 knows no digit; reduced away, it would read as 0 mod p^N
         model = GroupModel.abelian(2, P, prec=4)
