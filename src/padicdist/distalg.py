@@ -16,6 +16,10 @@ least prec and adds the shifts.  PadicScalars appear only at the edge:
 that the constructors take, and ``Distribution.coeff`` builds the
 PadicScalar of an entry.
 
+A witness term is (triple, coords, exact): the point is its int chart
+coordinates, exact or residues mod p^W, on which ``model.law`` acts, from
+``_merge_terms`` to ``mahler.finite_level_project``.
+
 Multiplication decomposes heads into finite Dirac combinations, multiplies
 the supports with the group law, and re-expands; no precision is lost on
 exact inputs.  The expansion (``_expand_terms``) packs each point's
@@ -49,7 +53,7 @@ from .padic import (
     triple_valuation,
     vp_int,
 )
-from .groupmodel import GroupElement, GroupModel, ModelMismatch, truncation
+from .groupmodel import GroupElement, GroupModel, ModelError, ModelMismatch, truncation
 
 
 class DistError(PadicError):
@@ -138,18 +142,15 @@ class Distribution:
     """lambda = sum d_alpha b^alpha, stored up to degree |alpha| <= T.
 
     ``coeffs`` maps alpha to the triple (residue, prec, shift) of d_alpha
-    and ``dirac_terms``, when known, holds an exact witness as pairs
-    (triple, group element) at distinct points, built by the library
-    (``_merge_terms`` or ``_head_to_dirac``) and never taken from a
-    caller; ``coeff(alpha)`` returns d_alpha as a PadicScalar.  The
-    constructor takes triples in the stored form (prec >= 1, shift >= 0,
-    residue reduced mod p^prec); ``from_coeffs``, ``dirac_combination`` and
+    and ``dirac_terms``, when known, holds an exact witness as terms
+    (triple, coords, exact) at distinct points, built by the library
+    (``_merge_terms``) and never taken from a caller; ``mul`` and
+    ``conjugate`` apply the model's law to its coordinates.
+    ``coeff(alpha)`` returns d_alpha as a PadicScalar.  The constructor
+    takes triples in the stored form (prec >= 1, shift >= 0, residue
+    reduced mod p^prec); ``from_coeffs``, ``dirac_combination`` and
     ``scale`` also take ints, Fractions, PadicScalars and unreduced triples
     (``as_triple``).
-
-    ``mul`` multiplies witness points by the model's declared law on their
-    coordinate tuples; ``_merge_terms`` builds one GroupElement per point
-    of a merged witness.
 
     What the Dirac decomposition of an inexact head leaves out (its tail
     and the errors of its entries) has coefficients bounded by
@@ -174,6 +175,8 @@ class Distribution:
         if self.exact and self.tail_certs:
             raise DistError("exact distributions carry no tail certificates")
         self.head_error = _ZERO if head_error is None else head_error
+        if self.exact and not self.head_error.is_zero:
+            raise DistError("exact distributions carry no head error")
         self.dirac_terms = None
         self._profile = None
 
@@ -183,10 +186,11 @@ class Distribution:
         """Wrap parts already in the form ``__init__`` leaves them in (an int
         T >= 0, a dict of triples of degree <= T, tuples of certificates and
         Dirac terms, no certificates when exact), with no checks: for the
-        results the library builds itself."""
+        results the library builds itself.  An exact table keeps no entry of
+        residue 0; this is the one place where a result drops its zeros."""
         out = object.__new__(cls)
         out.model = model
-        out.coeffs = coeffs
+        out.coeffs = {a: c for a, c in coeffs.items() if c[0]} if exact else coeffs
         out.T = T
         out.tail_certs = tail_certs
         out.exact = exact
@@ -226,9 +230,8 @@ class Distribution:
             model._require_same(g.model)
         merged = _merge_terms(model, [(as_triple(model, a), g.coords, g.exact) for a, g in terms])
         coeffs = _expand_terms(model, merged, T)
-        if _finite(model, merged, T):
-            coeffs = {a: c for a, c in coeffs.items() if c[0]}
-            return cls._clean(model, coeffs, T, exact=True, dirac_terms=merged)
+        if out := _exact_result(model, merged, coeffs, T):
+            return out
         certs = (TailCert(_terms_coeff_bound(model, merged), Fraction(0), all_alpha=True),)
         return cls._clean(model, coeffs, T, certs, dirac_terms=merged)
 
@@ -312,13 +315,11 @@ class Distribution:
             return r * cr % ppow(p, prec), prec, shift + cshift
 
         coeffs = {a: times(v) for a, v in self.coeffs.items()}
-        if self.exact:
-            coeffs = {a: v for a, v in coeffs.items() if v[0]}
         certs = tuple(TailCert(tc.bound * cup, tc.growth, tc.all_alpha)
                       for tc in self.tail_certs)
         terms = None
         if self.dirac_terms is not None:
-            terms = tuple((times(a), g) for a, g in self.dirac_terms)
+            terms = tuple((times(a), coords, exact) for a, coords, exact in self.dirac_terms)
         return Distribution._clean(self.model, coeffs, self.T, certs, self.exact,
                                    self.head_error * cup, terms)
 
@@ -337,8 +338,6 @@ class Distribution:
             r, prec, shift = add_triples(p, self.coeffs.get(a, zero), other.coeffs.get(a, zero))
             coeffs[a] = r % ppow(p, prec), prec, shift
         exact = self.exact and other.exact
-        if exact:
-            coeffs = {a: c for a, c in coeffs.items() if c[0]}
         herr = max(self.head_error, other.head_error)
         for left, right in ((self, other), (other, self)):
             if not right.exact and any(a not in right.coeffs for a in left.coeffs):
@@ -360,8 +359,7 @@ class Distribution:
                 certs.append(TailCert(max(a, b), t))
         terms = None
         if self.dirac_terms is not None and other.dirac_terms is not None:
-            terms = _merge_terms(self.model, [(a, g.coords, g.exact) for a, g in
-                                              self.dirac_terms + other.dirac_terms])
+            terms = _merge_terms(self.model, self.dirac_terms + other.dirac_terms)
         return Distribution._clean(self.model, coeffs, T, tuple(certs), exact, herr, terms)
 
     def __sub__(self, other: "Distribution") -> "Distribution":
@@ -385,12 +383,11 @@ class Distribution:
         t2 = _head_to_dirac(model, other.coeffs) if t2 is None else t2
         law, p = model.law.mul, model.p
         merged = _merge_terms(model, (
-            ((ra * rb, pa if pa < pb else pb, sa + sb), law(p, g.coords, h.coords),
-             g.exact and h.exact) for (ra, pa, sa), g in t1 for (rb, pb, sb), h in t2))
+            ((ra * rb, pa if pa < pb else pb, sa + sb), law(p, g, h), ge and he)
+            for (ra, pa, sa), g, ge in t1 for (rb, pb, sb), h, he in t2))
         coeffs = _expand_terms(model, merged, T)
-        if exact_path and _finite(model, merged, T):
-            coeffs = {a: c for a, c in coeffs.items() if c[0]}
-            return Distribution._clean(model, coeffs, T, exact=True, dirac_terms=merged)
+        if exact_path and (out := _exact_result(model, merged, coeffs, T)):
+            return out
 
         sup1 = self.coeff_sup()
         sup2 = other.coeff_sup()
@@ -502,17 +499,24 @@ class Distribution:
         model = self.model
         validate_basis(model, basis)
         return self._map_support(
-            lambda h: GroupElement(model, coords_in_basis(model, basis, h), False),
+            lambda coords, exact: (
+                coords_in_basis(model, basis, GroupElement(model, coords, exact)), False),
             T, same_chart=False)
 
     def conjugate(self, g, T=None) -> "Distribution":
-        """Image under delta_h -> delta_{g h g^-1} (g a GroupElement or "sigma")."""
+        """Image under delta_h -> delta_{g h g^-1} (g a GroupElement or "sigma",
+        the order-2 coset acting by inversion)."""
         model = self.model
+        law, p = model.law, model.p
         if g == "sigma":
-            act = model.sigma_conj
+            if not law.sigma:
+                raise ModelError("sigma conjugation is defined only on the semidirect model")
+            act = lambda coords, exact: (law.inv(p, coords), exact)
         elif isinstance(g, GroupElement):
-            ginv = model.ginv(g)
-            act = lambda h: model.gmul(model.gmul(g, h), ginv)
+            model._require_same(g.model)
+            x, x_inv = g.coords, law.inv(p, g.coords)
+            act = lambda coords, exact: (
+                law.mul(p, law.mul(p, x, coords), x_inv), exact and g.exact)
         else:
             raise DistError(f"undefined conjugation action {g!r}")
         return self._map_support(act, T)
@@ -520,21 +524,20 @@ class Distribution:
     def _map_support(self, act, T, same_chart=True) -> "Distribution":
         """sum a_j delta_{act(g_j)} up to degree T (default self.T), over the
         exact witness, else over the Dirac decomposition of the head with
-        ``_head_gap`` as the head error.  With ``same_chart`` unset, ``act``
-        gives coordinates in another chart as inexact points, so that the
-        kernel prunes no binomial row, and the result keeps no witness."""
+        ``_head_gap`` as the head error; ``act`` maps a point's (coords,
+        exact) to its image's.  With ``same_chart`` unset, ``act`` gives
+        coordinates in another chart as inexact points, so that the kernel
+        prunes no binomial row, and the result keeps no witness."""
         model = self.model
         T = self.T if T is None else truncation(T)
         terms = self._exact_terms()
         witness = terms is not None
         if not witness:
             terms = _head_to_dirac(model, self.coeffs)
-        images = ((a, act(h)) for a, h in terms)
-        merged = _merge_terms(model, [(a, g.coords, g.exact) for a, g in images])
+        merged = _merge_terms(model, ((a, *act(coords, exact)) for a, coords, exact in terms))
         coeffs = _expand_terms(model, merged, T)
-        if witness and _finite(model, merged, T):
-            coeffs = {a: c for a, c in coeffs.items() if c[0]}
-            return Distribution._clean(model, coeffs, T, exact=True, dirac_terms=merged)
+        if witness and (out := _exact_result(model, merged, coeffs, T)):
+            return out
         herr = NormValue.zero() if witness else self._head_gap()
         certs = ()
         if not herr.is_unbounded:
@@ -879,34 +882,23 @@ def _multi_index(model, alpha) -> tuple:
     return ints
 
 
-def _finite(model, terms, T) -> bool:
-    """Whether every support point is exact in N^d with degree <= T, so that
-    the expansion of the combination ends inside the head."""
-    return all(
-        g.exact and all(x >= 0 for x in g.coords) and model.tau(g.coords) <= T
-        for _, g in terms
-    )
-
-
-def _nonzero_terms(model, acc, element):
-    """Dirac terms (triple, element(key)) of the accumulated
-    {key: coefficient}, residues reduced, without the coefficients that
-    vanish with no denominator."""
-    p = model.p
-    out = []
-    for k, (r, prec, shift) in acc.items():
-        r %= ppow(p, prec)
-        if r or shift > 0:
-            out.append(((r, prec, shift), element(k)))
-    return tuple(out)
+def _exact_result(model, terms, coeffs, T):
+    """The exact distribution with the witness ``terms`` and its expansion
+    ``coeffs`` up to degree T, when every support point is exact in N^d with
+    degree <= T, so that the expansion ends inside the head; else None."""
+    if all(exact and all(x >= 0 for x in coords) and model.tau(coords) <= T
+           for _, coords, exact in terms):
+        return Distribution._clean(model, coeffs, T, exact=True, dirac_terms=terms)
 
 
 def _merge_terms(model, terms):
-    """Combine Dirac terms (triple, coords, exact) whose points share their
-    key, the coordinates mod p^W, in first-reach order.  The merged point,
-    one GroupElement, is the exact one when exact points reach the key and
-    all have the same coordinates; it is the inexact residue point when only
-    inexact points do, or when two exact points differ (mod p^W only)."""
+    """The Dirac witness of terms (triple, coords, exact): terms whose points
+    share their key, the coordinates mod p^W, combined in first-reach order,
+    residues reduced, without the coefficients that vanish with no
+    denominator.  The merged point is the exact one when exact points reach
+    the key and all have the same coordinates; it is the inexact residue
+    point (the key) when only inexact points do, or when two exact points
+    differ (mod p^W only)."""
     p = model.p
     reduce_mod = ppow(p, model.elem_prec).__rmod__
     acc = {}
@@ -916,32 +908,33 @@ def _merge_terms(model, terms):
         acc[k] = add_triples(p, acc[k], a) if k in acc else a
         if exact and exact_at.setdefault(k, coords) != coords:
             exact_at[k] = None
-
-    def point(k):
-        coords = exact_at.get(k)
-        return GroupElement(model, k, False) if coords is None else GroupElement(model, coords, True)
-
-    return _nonzero_terms(model, acc, point)
+    out = []
+    for k, (r, prec, shift) in acc.items():
+        r %= ppow(p, prec)
+        if r or shift > 0:
+            coords = exact_at.get(k)
+            out.append(((r, prec, shift), k if coords is None else coords, coords is not None))
+    return tuple(out)
 
 
 def _head_to_dirac(model, coeffs):
     """Exact Dirac decomposition of a finite b-polynomial:
     b^beta = sum_{k <= beta} (-1)^{|beta - k|} C(beta, k) delta_{psi(k)}.
 
-    Every sign and binomial factor is an int product on the residue, and
-    the sums are ``add_triples``."""
-    p = model.p
-    acc = {}
-    for beta, (r0, prec, shift) in coeffs.items():
-        level = [((), r0)]
-        for b in beta:
-            signed = [(-1) ** (b - k) * comb(b, k) for k in range(b + 1)]
-            level = [(kappa + (k,), r * f) for kappa, r in level
-                     for k, f in enumerate(signed)]
-        for kappa, r in level:
-            e = acc.get(kappa)
-            acc[kappa] = (r, prec, shift) if e is None else add_triples(p, e, (r, prec, shift))
-    return _nonzero_terms(model, acc, model.element)
+    Every sign and binomial factor is an int product on the residue; the
+    exact points psi(k) are merged by ``_merge_terms``."""
+
+    def terms():
+        for beta, (r0, prec, shift) in coeffs.items():
+            level = [((), r0)]
+            for b in beta:
+                signed = [(-1) ** (b - k) * comb(b, k) for k in range(b + 1)]
+                level = [(kappa + (k,), r * f) for kappa, r in level
+                         for k, f in enumerate(signed)]
+            for kappa, r in level:
+                yield (r, prec, shift), kappa, True
+
+    return _merge_terms(model, terms())
 
 
 def _expand_terms(model, terms, T):
@@ -981,16 +974,16 @@ def _expand_terms(model, terms, T):
         # no axis to pack: every term lands on the one index ()
         if not terms:
             return {}
-        r, prec, shift = reduce(partial(add_triples, p), (a for a, _ in terms))
+        r, prec, shift = reduce(partial(add_triples, p), (a for a, _, _ in terms))
         return {(): (r % ppow(p, prec), prec, shift)}
     m = ppow(p, W)
     rows = {}
     points = []
     top = K = 0
-    for (r, prec, shift), g in terms:
+    for (r, prec, shift), coords, exact in terms:
         keys = []
-        for x in g.coords:
-            kmax = x if g.exact and 0 <= x < T else T
+        for x in coords:
+            kmax = x if exact and 0 <= x < T else T
             key = (x % m, kmax)
             if key not in rows:
                 rows[key] = (1, *(_binom_residue(p, W, key[0], k)[1]
@@ -1070,7 +1063,7 @@ def _terms_coeff_bound(model, terms) -> NormValue:
     largest magnitude bound of an a_j."""
     p = model.p
     bound = NormValue.zero()
-    for a, _ in terms:
+    for a, _, _ in terms:
         up = triple_bound(p, a)
         if up > bound:
             bound = up

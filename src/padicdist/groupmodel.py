@@ -9,9 +9,9 @@ coordinates by the group law), else their residues mod p**elem_prec.
 
 Each kind declares its group law once, in ``LAWS``, on tuples of int
 coordinates.  ``gmul``, ``ginv`` and ``gpow`` are the checked edge and build
-one GroupElement per result; ``distalg`` and ``mahler`` multiply coordinate
-tuples with ``model.law.mul`` and build GroupElements only for the points
-they return.
+one GroupElement per result.  ``distalg`` and ``mahler`` apply ``model.law``
+to coordinate tuples: a Dirac witness is a tuple of terms (triple, coords,
+exact), with no GroupElement in it.
 """
 
 from __future__ import annotations
@@ -90,7 +90,10 @@ class GroupModel:
     def __init__(self, kind: str, p: int, d: int, prec: int = 12, max_weight=12):
         # Every generator has omega = 1, so omega > 1/(p-1) and (HYP)
         # omega_i + omega_j > p/(p-1) both reduce to p > 2.
-        _check_prime(p)
+        try:
+            _check_prime(p)
+        except ValueError as exc:
+            raise ModelError(str(exc)) from None
         if prec < 1:
             raise ModelError(f"precision N must be >= 1, got {prec}")
         law = LAWS.get(kind)
@@ -197,12 +200,6 @@ class GroupModel:
         if not isinstance(t, int):
             raise ModelError(f"group power exponent must be an integer, got {t!r}")
         return self._law_result(self.law.pow(self.p, g.coords, t), g.exact)
-
-    def sigma_conj(self, g: "GroupElement") -> "GroupElement":
-        """Conjugation by the order-2 coset representative (semidirect model)."""
-        if not self.law.sigma:
-            raise ModelError("sigma conjugation is defined only on the semidirect model")
-        return self.ginv(g)
 
     # -- valuation data ----------------------------------------------------
 

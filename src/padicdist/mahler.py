@@ -176,6 +176,20 @@ class MahlerTable:
     __slots__ = ("d", "p", "prec", "cap", "coeffs", "decay", "complete")
 
     def __init__(self, d, p, prec, cap, coeffs, decay=None, complete=False):
+        self.check_header(d, p, prec, cap)
+        self.d = d
+        self.p = p
+        self.prec = prec
+        self.cap = cap
+        self.coeffs = dict(coeffs)
+        for alpha, c in self.coeffs.items():
+            require_triple(p, alpha, c)
+        self.decay = decay
+        self.complete = bool(complete)
+
+    @staticmethod
+    def check_header(d, p, prec, cap) -> None:
+        """Refuse a p that is not an odd prime, d < 1, N < 1 or A < 0."""
         try:
             _check_prime(p)
         except ValueError as exc:
@@ -186,15 +200,6 @@ class MahlerTable:
             raise MahlerError(f"precision N must be >= 1, got {prec}")
         if cap < 0:
             raise MahlerError(f"cap A must be >= 0, got {cap}")
-        self.d = d
-        self.p = p
-        self.prec = prec
-        self.cap = cap
-        self.coeffs = dict(coeffs)
-        for alpha, c in self.coeffs.items():
-            require_triple(p, alpha, c)
-        self.decay = decay
-        self.complete = bool(complete)
 
     def coeff(self, alpha) -> PadicScalar:
         """c_alpha as a PadicScalar; zero at the table's precision where
@@ -432,7 +437,7 @@ def finite_level_project(lam: Distribution, n: int) -> GroupAlgebraElement:
     terms = lam._exact_terms()
     if terms is None:
         raise MahlerError("finite-level projection needs an exact Dirac witness")
-    return GroupAlgebraElement(lam.model, n, {g.coords: a for a, g in terms})
+    return GroupAlgebraElement(lam.model, n, {coords: a for a, coords, _ in terms})
 
 
 def pair_with_indicator_crosscheck(lam: Distribution, a, n: int, A=None):

@@ -245,8 +245,10 @@ def parse_mahler(text: str) -> MahlerTable:
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"bad decay growth in {h['decay']!r}", 1) from None
         decay = (parse_normvalue(c_text, 1), growth)
-    coeffs = _parse_terms(lines[1:], p, d)
     try:
-        return MahlerTable(d, p, prec, cap, coeffs, decay=decay, complete=complete)
+        # the header numbers first: the term lines are read mod p
+        MahlerTable.check_header(d, p, prec, cap)
+        return MahlerTable(d, p, prec, cap, _parse_terms(lines[1:], p, d),
+                           decay=decay, complete=complete)
     except MahlerError as exc:
         raise ParseError(str(exc), 1) from None

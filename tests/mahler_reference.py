@@ -123,9 +123,9 @@ def project_scalars(lam, n):
     p = lam.model.p
     m = ppow(p, n)
     coeffs = {}
-    for (r, prec, shift), g in terms:
+    for (r, prec, shift), coords, _ in terms:
         a = PadicScalar(p, prec, r, shift)
-        key = tuple(x % m for x in g.coords)
+        key = tuple(x % m for x in coords)
         coeffs[key] = coeffs[key] + a if key in coeffs else a
     return _cosets(lam.model, n, coeffs)
 

@@ -1,17 +1,23 @@
-"""Reference Dirac pair loop and merge for the tests of ``padicdist.distalg``.
+"""Reference Dirac pair loop, merge and conjugation for the tests of
+``padicdist.distalg``.
 
-``Distribution.mul`` applies the model's declared law to the coordinate
-tuples of the witness points and ``_merge_terms`` merges (triple, coords,
-exact) terms, building one GroupElement per returned point.  The functions
-here are the loop and merge they replaced: one checked ``gmul`` and one
-GroupElement per pair, and a merge keyed by ``GroupElement.key()``.  The
-tests require the same merged terms (triple, coordinates, exactness and
-order) from both.
+``Distribution.mul`` and ``Distribution.conjugate`` apply the model's
+declared law to the coordinate tuples of the witness points, and
+``_merge_terms`` merges (triple, coords, exact) terms into a witness of the
+same form, building no GroupElement.  The functions here are the loops and
+merge they replaced: one checked ``gmul`` and one GroupElement per pair or
+point, and a merge keyed by ``GroupElement.key()`` that returns (triple,
+GroupElement) terms.  The tests require the same merged terms (triple,
+coordinates, exactness and order) from both.
 """
 
-from padicdist.distalg import _nonzero_terms
 from padicdist.groupmodel import GroupElement
-from padicdist.padic import add_triples
+from padicdist.padic import add_triples, ppow
+
+
+def elements(model, terms):
+    """Witness terms (triple, coords, exact) as (triple, GroupElement)."""
+    return [(a, GroupElement(model, coords, exact)) for a, coords, exact in terms]
 
 
 def pair_products(model, t1, t2):
@@ -45,5 +51,18 @@ def merge_terms(model, terms):
         else:
             acc[k] = a
             elems[k] = g
-    return _nonzero_terms(model, acc,
-                          lambda k: elems[k] or GroupElement(model, k, False))
+    out = []
+    for k, (r, prec, shift) in acc.items():
+        # the coefficients that vanish with no denominator leave no term
+        r %= ppow(p, prec)
+        if r or shift > 0:
+            out.append(((r, prec, shift), elems[k] or GroupElement(model, k, False)))
+    return tuple(out)
+
+
+def conjugate_terms(model, terms, g):
+    """(triple, g h g^-1) for every Dirac term (triple, h); g "sigma" maps
+    h to h^-1, the action of the order-2 coset."""
+    if g == "sigma":
+        return [(a, model.ginv(h)) for a, h in terms]
+    return [(a, model.gmul(model.gmul(g, h), model.ginv(g))) for a, h in terms]

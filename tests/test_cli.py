@@ -109,6 +109,30 @@ class TestNorm:
         code, out, err = run_cli(["norm", "--in", str(path), "--r", "1/2"])
         assert code == 3 and out == "" and err.startswith("parse error: "), err
 
+    @pytest.mark.parametrize("header", [
+        "group=heisenberg:4 p=4 N=12 T=4/1 tail=0 exact=1",
+        "group=abelian:1:9 p=9 N=12 T=4/1 tail=0 exact=1",
+    ])
+    def test_non_prime_p_is_a_parse_error(self, tmp_path, header):
+        path = tmp_path / "bad.dist"
+        path.write_text(header + "\n")
+        code, out, err = run_cli(["norm", "--in", str(path), "--r", "1/2"])
+        assert code == 3 and out == "" and err.startswith("parse error: "), err
+        assert "prime" in err
+
+    def test_non_prime_group_argument_stays_a_usage_error(self):
+        code, _, err = run_cli(["expand", "--group", "heisenberg:4", "--elem", "1,0,0"])
+        assert (code, err) == (2, "error: prime must be odd and >= 3, got 4\n")
+
+    def test_exact_file_with_head_error_is_a_parse_error(self, tmp_path):
+        # an exact head has no error: the file's norm at s = 1 would read
+        # 0 .. p^0, and its products p^0 .. p^0, with err= dropped
+        path = tmp_path / "bad.dist"
+        path.write_text("group=abelian:1:5 p=5 N=12 T=4/1 tail=0 exact=1 err=p^0\n"
+                        "0 : 0:1:12\n")
+        code, out, err = run_cli(["norm", "--in", str(path), "--r", "1"])
+        assert code == 3 and out == "" and err.startswith("parse error: "), err
+
 class TestMulSymbolThreshold:
     def test_mul(self, b1_file):
         code, out, _ = run_cli(["mul", b1_file, b1_file])

@@ -139,6 +139,12 @@ def scalar_term_entries(terms):
 
 
 def kernel_term_entries(terms):
+    """Witness terms (triple, coords, exact), flattened."""
+    return [(*a, coords, exact) for a, coords, exact in terms]
+
+
+def element_term_entries(terms):
+    """Reference terms (triple, GroupElement), flattened alike."""
     return [(*a, g.coords, g.exact) for a, g in terms]
 
 
@@ -262,7 +268,8 @@ class TestKernelMatchesScalars:
         kernel = _head_to_dirac(model, head)
         scalars = head_to_dirac_by_scalars(model, {a: lam.coeff(a) for a in head})
         prods = [((ra * rb, min(pa, pb), sa + sb), model.gmul(g, h))
-                 for (ra, pa, sa), g in kernel for (rb, pb, sb), h in kernel]
+                 for (ra, pa, sa), g in mul_reference.elements(model, kernel)
+                 for (rb, pb, sb), h in mul_reference.elements(model, kernel)]
         want_prods = [(a * b, model.gmul(g, h)) for a, g in scalars for b, h in scalars]
         merged = _merge_terms(model, points(prods))
         want_merged = merge_terms_by_scalars(model, want_prods)
@@ -285,7 +292,8 @@ class TestKernelMatchesScalars:
             return coords_in_basis(model, basis, g)
 
         merged = _merge_terms(model, points(triples(terms)))
-        mapped = [(a, GroupElement(model, coords_of(g), False)) for a, g in merged]
+        mapped = [(a, coords_of(GroupElement(model, coords, exact)), False)
+                  for a, coords, exact in merged]
         want_merged = merge_terms_by_scalars(model, terms)
         got = triple_entries(_expand_terms(model, mapped, 5))
         assert got == table_entries(expand_terms_by_scalars(model, want_merged, 5, coords_of))
@@ -311,7 +319,7 @@ class TestKernelMatchesScalars:
         g = model.random_element(random.Random(1))
         terms = [(PadicScalar.one(model.p, model.elem_prec), g)]
         with pytest.raises(PrecisionExhausted):
-            _expand_terms(model, triples(terms), 12)
+            _expand_terms(model, points(triples(terms)), 12)
         with pytest.raises(PrecisionExhausted):
             expand_terms_by_scalars(model, terms, 12)
         with pytest.raises(PrecisionExhausted):
@@ -356,7 +364,7 @@ class TestKernelMatchesReference:
     @settings(max_examples=400, deadline=None, derandomize=True)
     def test_expand_terms(self, case):
         model, terms, T = case
-        got = outcome(lambda: _expand_terms(model, terms, T))
+        got = outcome(lambda: _expand_terms(model, points(terms), T))
         want = outcome(lambda: expand_reference.expand_terms(model, terms, T))
         assert got == want
 
@@ -367,7 +375,7 @@ class TestKernelMatchesReference:
         W = model.elem_prec
         terms = [((3, W, 0), g), ((7, W - 1, 1), g), ((-2, W, 0), g)]
         for n in range(4):
-            assert _expand_terms(model, terms[:n], 3) == \
+            assert _expand_terms(model, points(terms[:n]), 3) == \
                 expand_reference.expand_terms(model, terms[:n], 3)
 
 
@@ -447,7 +455,7 @@ class TestPairLoopMatchesReference:
         model, terms, _ = case
         got = _merge_terms(model, points(triples(terms)))
         assert kernel_term_entries(got) == \
-            kernel_term_entries(mul_reference.merge_terms(model, triples(terms)))
+            element_term_entries(mul_reference.merge_terms(model, triples(terms)))
 
     @given(kernel_inputs())
     @settings(max_examples=100, deadline=None, derandomize=True)
@@ -455,7 +463,7 @@ class TestPairLoopMatchesReference:
         # exact points up to 10^30 and past p^W, next to their residues
         model, terms, _ = case
         assert kernel_term_entries(_merge_terms(model, points(terms))) == \
-            kernel_term_entries(mul_reference.merge_terms(model, terms))
+            element_term_entries(mul_reference.merge_terms(model, terms))
 
     @given(factor_pairs())
     @settings(max_examples=200, deadline=None, derandomize=True)
@@ -466,23 +474,24 @@ class TestPairLoopMatchesReference:
         if PrecisionExhausted in (lam1, lam2):
             return
         # the exact path: the product keeps its merged witness
-        want = mul_reference.merge_terms(
-            model, mul_reference.pair_products(model, lam1.dirac_terms, lam2.dirac_terms))
+        want = mul_reference.merge_terms(model, mul_reference.pair_products(
+            model, *(mul_reference.elements(model, lam.dirac_terms) for lam in (lam1, lam2))))
         got = outcome(lambda: lam1.mul(lam2, T=T))
-        table = outcome(lambda: _expand_terms(model, want, T))
+        table = outcome(lambda: _expand_terms(model, points(want), T))
         if table is PrecisionExhausted:
             assert got is PrecisionExhausted
             return
-        assert kernel_term_entries(got.dirac_terms) == kernel_term_entries(want)
+        assert kernel_term_entries(got.dirac_terms) == element_term_entries(want)
         assert triple_entries(got.coeffs) == \
             [e for e in triple_entries(table) if e[1] or not got.exact]
         # the head path: inexact heads without a witness
         head1, head2 = (Distribution(model, lam.coeffs, T) for lam in (lam1, lam2))
         want = mul_reference.merge_terms(model, mul_reference.pair_products(
-            model, _head_to_dirac(model, head1.coeffs), _head_to_dirac(model, head2.coeffs)))
+            model, *(mul_reference.elements(model, _head_to_dirac(model, head.coeffs))
+                     for head in (head1, head2))))
         got = outcome(lambda: head1.mul(head2, T=T).coeffs)
         assert outcome(lambda: triple_entries(got)) == \
-            outcome(lambda: triple_entries(_expand_terms(model, want, T)))
+            outcome(lambda: triple_entries(_expand_terms(model, points(want), T)))
 
     def test_cancelling_products_leave_no_term(self):
         for spec in ("abelian:2:3", "heisenberg:5", "semidirect:7"):
@@ -491,8 +500,75 @@ class TestPairLoopMatchesReference:
             lam1 = Distribution.dirac_combination(model, [(1, x), (1, e)], 4)
             lam2 = Distribution.dirac_combination(model, [(1, e), (-1, x)], 4)
             got = lam1.mul(lam2)
-            want = mul_reference.merge_terms(
-                model, mul_reference.pair_products(model, lam1.dirac_terms, lam2.dirac_terms))
-            assert kernel_term_entries(got.dirac_terms) == kernel_term_entries(want)
-            assert [g.coords for _, g in got.dirac_terms] == \
+            want = mul_reference.merge_terms(model, mul_reference.pair_products(
+                model, *(mul_reference.elements(model, lam.dirac_terms) for lam in (lam1, lam2))))
+            assert kernel_term_entries(got.dirac_terms) == element_term_entries(want)
+            assert [coords for _, coords, _ in got.dirac_terms] == \
                 [model.gmul(x, x).coords, e.coords]
+
+
+@st.composite
+def conjugations(draw):
+    """A Dirac combination (``combinations``), and what conjugates it: an
+    exact or an inexact element of its model, or "sigma" on the semidirect
+    model."""
+    model, terms, T = draw(combinations())
+    if model.law.sigma and draw(st.booleans()):
+        return model, terms, T, "sigma"
+    return model, terms, T, draw(elements(model))
+
+
+class TestConjugationMatchesReference:
+    """``conjugate``'s action on witness coordinates (the declared law on
+    tuples) against the per-point ``gmul(gmul(g, h), ginv(g))`` on
+    GroupElements of ``mul_reference``."""
+
+    @staticmethod
+    def check(model, terms, T, g):
+        lam = outcome(lambda: Distribution.dirac_combination(model, terms, T))
+        if lam is PrecisionExhausted:
+            return
+        # the witness path: the image keeps its merged witness
+        want = mul_reference.merge_terms(model, mul_reference.conjugate_terms(
+            model, mul_reference.elements(model, lam.dirac_terms), g))
+        got = outcome(lambda: lam.conjugate(g))
+        table = outcome(lambda: _expand_terms(model, points(want), T))
+        if table is PrecisionExhausted:
+            assert got is PrecisionExhausted
+        else:
+            assert kernel_term_entries(got.dirac_terms) == element_term_entries(want)
+            assert triple_entries(got.coeffs) == \
+                [e for e in triple_entries(table) if e[1] or not got.exact]
+        # the head path: an inexact head without a witness
+        head = Distribution(model, lam.coeffs, T)
+        want = mul_reference.merge_terms(model, mul_reference.conjugate_terms(
+            model, mul_reference.elements(model, _head_to_dirac(model, head.coeffs)), g))
+        got = outcome(lambda: head.conjugate(g))
+        table = outcome(lambda: triple_entries(_expand_terms(model, points(want), T)))
+        if table is PrecisionExhausted:
+            assert got is PrecisionExhausted
+        else:
+            assert got.dirac_terms is None and triple_entries(got.coeffs) == table
+
+    @given(conjugations())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_conjugate(self, case):
+        self.check(*case)
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    @pytest.mark.parametrize("spec", ["abelian:2:{p}", "heisenberg:{p}", "semidirect:{p}"])
+    def test_every_kind(self, spec, p):
+        # exact and inexact points, conjugated by an exact and an inexact
+        # element, and by sigma where the model has it
+        model = GroupModel.from_string(spec.format(p=p), prec=4, max_weight=4)
+        rng = random.Random(p)
+        x = model.element([2, -1, 3][:model.d])
+        one = PadicScalar.one(p, model.elem_prec)
+        terms = [(one, x), (-one, model.identity()), (one + one, model.random_element(rng))]
+        actions = [model.element([1, 2, 1][:model.d]), model.random_element(rng)]
+        if model.law.sigma:
+            actions.append("sigma")
+        for g in actions:
+            self.check(model, terms, 4, g)
+            self.check(model, terms[:2], 4, g)
+

@@ -16,7 +16,7 @@ from padicdist.distalg import (
     semidirect_mul,
     structure_constants,
 )
-from padicdist.groupmodel import GroupModel, ModelError, simplex
+from padicdist.groupmodel import GroupModel, ModelError, ModelMismatch, simplex
 from padicdist.mahler import MahlerTable
 from padicdist.padic import NormValue, PadicScalar, PrecisionExhausted
 from padicdist.serialize import ParseError, parse_distribution, serialize_distribution
@@ -94,6 +94,16 @@ class TestConstructors:
         z = Distribution.zero_dist(model)
         assert (one - one).coeffs == z.coeffs
         assert one.norm(R12).lower == NormValue(0)
+
+    def test_exact_refuses_a_head_error(self):
+        model = ab(1)
+        one = sc(model, 1).triple
+        with pytest.raises(DistError, match="head error"):
+            Distribution(model, {(0,): one}, 4, exact=True, head_error=NormValue(0))
+        with pytest.raises(DistError, match="head error"):
+            Distribution.from_coeffs(model, {(0,): 1}, 4, head_error=NormValue.unbounded())
+        assert Distribution(model, {(0,): one}, 4, exact=True,
+                            head_error=NormValue.zero()).exact
 
     def test_constructor_takes_int_triples_only(self):
         # a table of PadicScalars is refused here, not later inside norm
@@ -677,6 +687,17 @@ class TestConjugationAndBasis:
         n1 = lam.conjugate(g).norm(R12)
         assert n0.collapsed and n1.collapsed and n0.lower == n1.lower
 
+    def test_element_of_another_model_is_refused(self):
+        lam = Distribution.monomial(heis(), (1, 0, 0))
+        for other in (GroupModel.heisenberg(7), ab(3)):
+            with pytest.raises(ModelMismatch):
+                lam.conjugate(other.element([1, 0, 0]))
+
+    def test_sigma_needs_the_semidirect_model(self):
+        lam = Distribution.monomial(heis(), (1, 0, 0))
+        with pytest.raises(ModelError, match="sigma conjugation is defined only"):
+            lam.conjugate("sigma")
+
     def test_change_basis_b1_example(self):
         model = ab(2)
         h1, h2 = model.element([1, 0]), model.element([0, 1])
@@ -1062,8 +1083,8 @@ class TestExactPointsThatAgreeOnlyModW:
         model = self.model()
         lam = Distribution.dirac_combination(model, [(1, model.element([x])) for x in order])
         self.assert_true_to(lam, order)
-        ((_, point),) = lam.dirac_terms
-        assert not point.exact and point.coords == (0,)
+        ((_, coords, exact),) = lam.dirac_terms
+        assert not exact and coords == (0,)
 
     def test_a_later_exact_point_does_not_make_it_exact(self):
         model = self.model()

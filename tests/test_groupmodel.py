@@ -205,8 +205,9 @@ class TestModelRegistry:
             GroupModel.from_string("solvable:5")
 
     def test_composite_p_rejected(self):
-        with pytest.raises(Exception):
-            GroupModel.from_string("abelian:2:6")
+        for spec in ("abelian:2:6", "heisenberg:4", "abelian:1:9"):
+            with pytest.raises(ModelError, match="prime"):
+                GroupModel.from_string(spec)
 
     @pytest.mark.parametrize("prec", [0, -1])
     def test_precision_below_one_rejected(self, prec):
@@ -248,7 +249,7 @@ class TestModelRegistry:
     def test_semidirect_sigma_inverts(self):
         model = GroupModel.from_string("semidirect:5")
         g = model.element([7])
-        assert is_identity_in_window(model.gmul(model.sigma_conj(g), g))
+        assert is_identity_in_window(model.gmul(model.ginv(g), g))
 
 
 class TestSimplex:

@@ -173,6 +173,21 @@ class TestDistributionFiles:
         with pytest.raises(ParseError):
             parse_distribution(text.replace(" N=12 ", f" N={n} "))
 
+    def test_exact_file_with_head_error_is_a_parse_error(self):
+        text = "group=abelian:1:5 p=5 N=12 T=4/1 tail=0 exact=1 err=p^0\n0 : 0:1:12\n"
+        with pytest.raises(ParseError) as exc:
+            parse_distribution(text)
+        assert "head error" in str(exc.value) and exc.value.line == 1
+        # a zero error is no error
+        lam = parse_distribution(text.replace(" err=p^0", " err=0"))
+        assert lam.exact and lam.head_error.is_zero
+
+    @pytest.mark.parametrize("group,p", [("heisenberg:4", 4), ("abelian:1:9", 9)])
+    def test_non_prime_p_is_a_parse_error(self, group, p):
+        with pytest.raises(ParseError) as exc:
+            parse_distribution(f"group={group} p={p} N=12 T=4/1 tail=0 exact=1\n")
+        assert "prime" in str(exc.value) and exc.value.line == 1
+
     def test_parse_error_carries_line(self):
         model = GroupModel.heisenberg(P, prec=12, max_weight=Fraction(12))
         text = serialize_distribution(Distribution.one(model)) + "oops\n"
@@ -237,13 +252,16 @@ class TestMahlerFiles:
         (5, 1, 0, 4, "precision"),
         (5, 0, 12, 4, "dimension"),
         (5, 1, 12, -2, "cap"),
+        (0, 1, 3, 2, "prime"),
     ])
     def test_rejects_bad_header_numbers(self, p, d, N, A, word):
         # p an odd prime, d >= 1, N >= 1 and A >= 0, as distribution files
-        # require of their models
+        # require of their models; the header is checked before the term
+        # lines, which are read mod p
         header = f"mahler p={p} d={d} N={N} A={A} decay=none complete=0\n"
-        with pytest.raises(ParseError) as exc:
-            parse_mahler(header)
-        assert word in str(exc.value) and exc.value.line == 1
+        for text in (header, header + "0 : 0:1:3\n"):
+            with pytest.raises(ParseError) as exc:
+                parse_mahler(text)
+            assert word in str(exc.value) and exc.value.line == 1
         with pytest.raises(MahlerError):
             MahlerTable(d, p, N, A, {})
