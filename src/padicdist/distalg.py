@@ -319,7 +319,8 @@ class Distribution:
                       for tc in self.tail_certs)
         terms = None
         if self.dirac_terms is not None:
-            terms = tuple((times(a), coords, exact) for a, coords, exact in self.dirac_terms)
+            terms = _merge_terms(self.model, [(times(a), coords, exact)
+                                              for a, coords, exact in self.dirac_terms])
         return Distribution._clean(self.model, coeffs, self.T, certs, self.exact,
                                    self.head_error * cup, terms)
 

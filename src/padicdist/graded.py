@@ -6,13 +6,14 @@ monomial e0^e X^alpha degree e + s |alpha|.
 Monomials are exponent tuples (a_1, ..., a_d, e) with the e0 exponent last.
 Every Groebner basis is taken in one monomial order, graded reverse lex with
 e0 the last and least variable.  Inside the Groebner engine a monomial is one
-int, its packed key (``_Layout``): the total degree above one W-bit field per
-exponent, so that int comparison is the order and a product, a quotient or a
-divisibility test is one int operation.  W is read off the input and doubled
-whenever a computed exponent outgrows it; exponent tuples appear only at the
-engine's edges.  The Laurent variable is handled by
-saturating ideals at e0 inside the polynomial ring, which that order reduces
-to dividing basis elements by powers of e0 (see ``saturate``).
+int, its packed key (``_Layout``), so that int comparison is the order and a
+product, a quotient or a divisibility test is one int operation.  An ideal
+keeps the reduced basis of its one Buchberger run packed, with its divisors
+(``_Basis``); exponent tuples are decoded on demand, through tables per layout
+that hold at most the distinct monomials seen at that width.  The Laurent
+variable is handled by saturating ideals at e0 inside the polynomial ring,
+which that order reduces to dividing basis elements by powers of e0 (see
+``saturate``).
 """
 
 from __future__ import annotations
@@ -47,9 +48,8 @@ class GradedAmbient:
         _check_prime(p)
         if tuple(omegas) != (1,) * d:
             raise GradedError(f"every generator weight omega must be 1, got {tuple(omegas)}")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "s", Fraction(s))
+        for name, value in (("p", p), ("d", d), ("s", Fraction(s))):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, *a):
         raise AttributeError("GradedAmbient is immutable")
@@ -100,8 +100,7 @@ class GradedPoly:
         ints per monomial, X exponents >= 0, units mod p), with no checks:
         for the Groebner engine's own outputs."""
         out = object.__new__(cls)
-        out.ambient = ambient
-        out.terms = terms
+        out.ambient, out.terms = ambient, terms
         return out
 
     # -- constructors ------------------------------------------------------
@@ -170,9 +169,7 @@ class GradedPoly:
 
     @property
     def min_e0_exponent(self) -> int:
-        if not self.terms:
-            return 0
-        return min(m[-1] for m in self.terms)
+        return min((m[-1] for m in self.terms), default=0)
 
     def degrees(self) -> set:
         return {self.ambient.monomial_degree(m) for m in self.terms}
@@ -271,15 +268,15 @@ class _Layout:
       field borrows from the next;
     - the lcm is the field-wise minimum, with the degree recomputed.
     A term built out of range sets the guard of its lowest field out of range,
-    and the engine raises ``_FieldOverflow`` there; its callers then redo the
-    whole call at twice the width (``_widening``), so that no key ever wraps."""
+    and the engine raises ``_FieldOverflow`` there, as ``pack`` does for an
+    exponent out of range; its callers then redo the whole call at twice the
+    width, from 16 (``_widening``), so that no key ever wraps."""
 
     __slots__ = ("n", "width", "off", "base", "low", "guards", "top", "mask", "shifts",
-                 "weights")
+                 "weights", "enc", "dec")
 
     def __init__(self, n, width):
-        self.n = n
-        self.width = width
+        self.n, self.width = n, width
         self.off = 1 << width - 2
         self.shifts = tuple(range(0, n * width, width))
         self.top = n * width
@@ -289,14 +286,36 @@ class _Layout:
         self.mask = (1 << width) - 1
         # a_j adds a_j to the degree and takes a_j from its field
         self.weights = tuple((1 << self.top) - (1 << s) for s in self.shifts)
+        # exponent tuple -> key and back, filled on first use and dropped
+        # with the layout, when ``_layout``'s cache is cleared
+        self.enc, self.dec = {}, {}
 
     def pack(self, poly):
-        base, weights = self.base, self.weights
-        return {base + sum(map(mul, m, weights)): c for m, c in poly.items()}
+        """A dict on exponent tuples as the same dict on their keys, in its
+        term order; ``_FieldOverflow`` for an exponent out of range."""
+        enc = self.enc
+        try:
+            return {enc[m]: c for m, c in poly.items()}
+        except KeyError:
+            off, base, weights = self.off, self.base, self.weights
+            for m in poly:
+                if m not in enc:
+                    if max(m) > off or min(m) <= -off:
+                        raise _FieldOverflow from None
+                    enc[m] = base + sum(map(mul, m, weights))
+            return {enc[m]: c for m, c in poly.items()}
 
     def unpack(self, poly):
-        off, mask, shifts = self.off, self.mask, self.shifts
-        return {tuple([off - (k >> s & mask) for s in shifts]): c for k, c in poly.items()}
+        """The inverse of ``pack``."""
+        dec = self.dec
+        try:
+            return {dec[k]: c for k, c in poly.items()}
+        except KeyError:
+            off, mask, shifts = self.off, self.mask, self.shifts
+            for k in poly:
+                if k not in dec:
+                    dec[k] = tuple([off - (k >> s & mask) for s in shifts])
+            return {dec[k]: c for k, c in poly.items()}
 
     def lcm(self, a, b):
         a &= self.low
@@ -316,13 +335,6 @@ _MIN_WIDTH = 16
 _layout = functools.cache(_Layout)
 
 
-def _width(polys):
-    """The least width at which every exponent of the polys fits."""
-    exps = list(itertools.chain.from_iterable(itertools.chain.from_iterable(polys)))
-    big = max(max(exps, default=0), -min(exps, default=0))
-    return max(_MIN_WIDTH, big.bit_length() + 2)
-
-
 def _widening(width, run):
     """run(width), redone at twice the width while a built term overflows."""
     while True:
@@ -332,15 +344,7 @@ def _widening(width, run):
             width *= 2
 
 
-# -- raw polynomial engine (dict key -> coeff in F_p) -----------------------
-#
-# Inside the engine every monomial is its packed key (``_Layout``), so
-# ``max(poly)`` is the lead, a product or quotient of monomials is one
-# addition, and a divisibility test one subtraction against the divisor's
-# lead with its guards set, prepared once in ``_divisor``.  Each entry point
-# (``_buchberger``, ``GradedIdeal._divide``, ``saturate``) packs its input at
-# the width ``_width`` reads off it, under ``_widening``, and decodes its
-# outputs to exponent tuples.
+# -- raw polynomial engine (dict packed key -> coeff in F_p): max is the lead --
 
 
 def _divisor(poly, p, lay):
@@ -387,8 +391,7 @@ def _reduce(work, divisors, p, lay, cof=None):
 
 def _spoly(f, g, p, lay):
     """S-polynomial of two divisors; their leads cancel and are never formed."""
-    lf, _, cf, tf = f
-    lg, _, cg, tg = g
+    (lf, _, cf, tf), (lg, _, cg, tg) = f, g
     l = lay.lcm(lf, lg)
     guards = lay.guards
     out = {}
@@ -401,8 +404,24 @@ def _spoly(f, g, p, lay):
     return {m: c for m, c in out.items() if c}
 
 
-def _buchberger(gens, p):
-    """Reduced Groebner basis of plain exponent dicts, as plain exponent dicts.
+class _Basis:
+    """A reduced basis as the engine holds it: its layout (None when empty),
+    its polys in that layout, smallest lead first, and their divisors."""
+
+    __slots__ = ("lay", "polys", "divs")
+
+    def __init__(self, lay, polys, divs):
+        self.lay, self.polys, self.divs = lay, polys, divs
+
+    def __len__(self):
+        return len(self.polys)
+
+    def unpack(self):
+        return [self.lay.unpack(b) for b in self.polys]
+
+
+def _buchberger(gens, p) -> _Basis:
+    """The reduced Groebner basis of plain exponent dicts, as the engine holds it.
 
     Pairs are taken smallest lcm first (the normal strategy), which keeps the
     degrees of intermediate polynomials low, and are pruned by Gebauer and
@@ -412,18 +431,16 @@ def _buchberger(gens, p):
     queued with it stay."""
     gens = [g for g in gens if g]
     if not gens:
-        return []
+        return _Basis(None, [], [])
     n = len(next(iter(gens[0])))
-    return _widening(_width(gens), lambda w: _buchberger_packed(gens, p, _layout(n, w)))
+    return _widening(_MIN_WIDTH, lambda w: _buchberger_packed(gens, p, _layout(n, w)))
 
 
 def _buchberger_packed(gens, p, lay):
     """``_buchberger`` on the keys of the layout lay."""
     basis = [lay.pack(g) for g in gens]
     lcm, low, guards, top = lay.lcm, lay.low, lay.guards, lay.top
-    divs = []
-    active = []
-    pairs = []
+    divs, active, pairs = [], [], []
 
     def update(k):
         nonlocal pairs, active
@@ -469,24 +486,18 @@ def _buchberger_packed(gens, p, lay):
             divs.append(_divisor(r, p, lay))
             update(len(basis) - 1)
             reducers = [divs[t] for t in active]
-    return [lay.unpack(b) for b in _reduce_basis(basis, divs, p, lay)]
+    return _reduce_basis(basis, divs, p, lay)
 
 
-def _reduce_basis(basis, divs, p, lay):
+def _reduce_basis(basis, divs, p, lay) -> _Basis:
     """Minimalize, then inter-reduce and make monic (the reduced basis), given
     each element's divisor.  Among elements with equal leads the first is
     kept, so a basis of one generator keeps that generator's term order."""
     low, guards = lay.low, lay.guards
-    keep = []
-    for i, (lm, _, _, _) in enumerate(divs):
-        mlow = lm & low
-        if not any(
-            j != i and (dj[1] - mlow) & guards == guards and (dj[0] != lm or j < i)
-            for j, dj in enumerate(divs)
-        ):
-            keep.append(i)
-    out = []
-    kept = [divs[i] for i in keep]
+    keep = [i for i, (lm, _, _, _) in enumerate(divs) if not any(
+        j != i and (dj[1] - (lm & low)) & guards == guards and (dj[0] != lm or j < i)
+        for j, dj in enumerate(divs))]
+    out, kept = [], [divs[i] for i in keep]
     for i in keep:
         lead = divs[i][0]
         others = [d for d in kept if d[0] != lead]
@@ -494,7 +505,7 @@ def _reduce_basis(basis, divs, p, lay):
         f = pow(r[lead], -1, p)
         out.append({m: c * f % p for m, c in r.items()})
     out.sort(key=max)
-    return out
+    return _Basis(lay, out, [_divisor(b, p, lay) for b in out])
 
 
 # -- ideals -----------------------------------------------------------------
@@ -503,83 +514,82 @@ def _reduce_basis(basis, divs, p, lay):
 class GradedIdeal:
     """An ideal of F_p[e0, X_1..X_d] given by generators with e0-exponent >= 0."""
 
-    __slots__ = ("ambient", "gens", "_gb", "_packed")
+    __slots__ = ("ambient", "_gens", "_gb", "_packed")
 
     def __init__(self, ambient: GradedAmbient, gens):
         self.ambient = ambient
-        out = []
+        gens = tuple(gens)
         for g in gens:
             if g.ambient != ambient:
                 raise AmbientMismatch("generator from a different ambient")
             if g.min_e0_exponent < 0:
                 raise GradedError("ideal generators must have e0-exponents >= 0")
-            if not g.is_zero:
-                out.append(g)
-        self.gens = tuple(out)
-        self._gb = None
-        self._packed = None
+        self._gens = tuple(g for g in gens if not g.is_zero)
+        self._gb = self._packed = None
 
     @classmethod
-    def _from_basis(cls, ambient, basis, packed=None) -> "GradedIdeal":
+    def _from_basis(cls, ambient, basis: _Basis) -> "GradedIdeal":
         """The ideal a reduced basis from the engine generates, with that
-        basis as its own and ``packed``, if given, as its ``_divisors()``;
-        nothing is checked again."""
-        out = object.__new__(cls)
-        out.ambient = ambient
-        out.gens = tuple(GradedPoly._clean(ambient, dict(b)) for b in basis)
-        out._gb = basis
-        out._packed = packed
+        basis as its own; nothing is checked again."""
+        out = cls(ambient, ())
+        out._gens, out._packed = None, basis
         return out
+
+    @property
+    def gens(self):
+        if self._gens is None:
+            self._gens = tuple(self.basis_polys())
+        return self._gens
 
     def _raw_gens(self):
         return [dict(g.terms) for g in self.gens]
 
+    def _basis(self, width=0) -> _Basis:
+        """The reduced basis, from this ideal's one ``_buchberger`` run, at a
+        width of at least ``width``: repacked only when its own is narrower."""
+        basis = self._packed
+        if basis is None:
+            basis = self._packed = _buchberger(self._raw_gens(), self.ambient.p)
+        if basis and basis.lay.width < width:
+            lay = _layout(basis.lay.n, width)
+            polys = [lay.pack(b) for b in basis.unpack()]
+            divs = [_divisor(b, self.ambient.p, lay) for b in polys]
+            basis = self._packed = _Basis(lay, polys, divs)
+        return basis
+
     def groebner_raw(self):
         if self._gb is None:
-            self._gb = _buchberger(self._raw_gens(), self.ambient.p)
+            self._gb = self._basis().unpack()
         return self._gb
 
-    def _divisors(self, width=0):
-        """(layout, the basis packed in it, those polys as ``_reduce``'s
-        divisors), at a width of at least ``width`` and what the basis
-        needs; built once per width."""
-        if self._packed is None or self._packed[0].width < width:
-            basis = self.groebner_raw()
-            lay = _layout(self.ambient.d + 1, max(width, _width(basis)))
-            polys = [lay.pack(b) for b in basis]
-            self._packed = lay, polys, [_divisor(b, self.ambient.p, lay) for b in polys]
-        return self._packed
-
     def _divide(self, poly, with_cof):
-        """(layout, remainder, cofactors if asked for) of dividing poly by
-        the basis, all packed."""
+        """(layout, remainder, cofactors if asked for) of poly by the basis, packed."""
 
         def run(width):
-            lay, _, divs = self._divisors(width)
+            basis = self._basis(width)
+            lay, divs = basis.lay, basis.divs
             cof = [{} for _ in divs] if with_cof else None
             return lay, _reduce(lay.pack(poly.terms), divs, self.ambient.p, lay, cof), cof
 
-        return _widening(max(_width([poly.terms]), self._divisors()[0].width), run)
+        return _widening(self._basis().lay.width, run)
 
     def groebner(self) -> "GradedIdeal":
-        return GradedIdeal._from_basis(self.ambient, self.groebner_raw())
+        return GradedIdeal._from_basis(self.ambient, self._basis())
 
     def contains(self, poly: GradedPoly) -> bool:
         if poly.is_zero:
             return True
-        return bool(self.groebner_raw()) and not self._divide(poly, False)[1]
+        return bool(self._basis()) and not self._divide(poly, False)[1]
 
     def reduce(self, poly: GradedPoly):
         """Normal form and cofactors w.r.t. the Groebner basis:
         poly = sum cof_i * basis_i + remainder."""
-        if not self.groebner_raw():
+        if not self._basis():
             return poly, []
         amb = self.ambient
         lay, rem, cof = self._divide(poly, True)
-        return (
-            GradedPoly._clean(amb, lay.unpack(rem)),
-            [GradedPoly._clean(amb, lay.unpack(c)) for c in cof],
-        )
+        return (GradedPoly._clean(amb, lay.unpack(rem)),
+                [GradedPoly._clean(amb, lay.unpack(c)) for c in cof])
 
     def basis_polys(self):
         return [GradedPoly._clean(self.ambient, dict(b)) for b in self.groebner_raw()]
@@ -588,8 +598,7 @@ class GradedIdeal:
         return self.groebner_raw() == other.groebner_raw()
 
     def __repr__(self):
-        inner = ", ".join(g.to_text() for g in self.gens)
-        return f"GradedIdeal({inner})"
+        return f"GradedIdeal({', '.join(g.to_text() for g in self.gens)})"
 
 
 def saturate(ideal: GradedIdeal) -> GradedIdeal:
@@ -599,11 +608,10 @@ def saturate(ideal: GradedIdeal) -> GradedIdeal:
     Groebner basis of J : e0^infinity (Bayer-Stillman, Invent. Math. 87, 1987;
     Eisenbud, Commutative Algebra, Prop. 15.12).
 
-    When every generator of I is homogeneous, J is I: its basis is I's own
-    (computed once and kept, packed, for later calls on I), and the divided
-    basis only needs inter-reducing.
-    Every S-pair of a Groebner basis reduces to zero, so ``_buchberger`` on it
-    would end in the same ``_reduce_basis`` call on the same list.
+    When every generator of I is homogeneous, J is I: its basis is I's own,
+    and the divided basis only needs inter-reducing, on packed keys (every
+    S-pair of a Groebner basis reduces to zero, so ``_buchberger`` on it would
+    end in the same ``_reduce_basis`` call on the same list).
 
     Otherwise each generator f becomes f^h = h^deg(f) * f(X/h, e0/h) with a
     new variable h just before e0, and J = <f^h>.  Setting h = 1 commutes
@@ -613,68 +621,60 @@ def saturate(ideal: GradedIdeal) -> GradedIdeal:
       h^m * e0^k * f^h = sum h^(m_i) * a_i^h * f_i^h in J for some m, m_i >= 0,
       so h^m * f^h lies in J : e0^infinity, and setting h = 1 returns f.
     So setting h = 1 in a basis of J : e0^infinity gives generators of
-    I : e0^infinity.  They need not be a Groebner basis in this order, since
-    setting h = 1 can change which term leads, so a second Buchberger run
-    gives the reduced basis."""
-    amb = ideal.ambient
-    p = amb.p
+    I : e0^infinity; a second Buchberger run makes them the reduced basis,
+    as setting h = 1 can change which term leads."""
+    amb, p = ideal.ambient, ideal.ambient.p
     gens = [g.terms for g in ideal.gens]
     if all(len({sum(m) for m in g}) == 1 for g in gens):
 
         def run(width):
-            packed = ideal._divisors(width)
-            lay, polys, divs = packed
+            basis = ideal._basis(width)
+            lay = basis.lay
             # each element's least e0 exponent, from its largest e0 field
             eshift, mask = lay.shifts[-1], lay.mask
-            ks = [lay.off - max([m >> eshift & mask for m in b]) for b in polys]
+            ks = [lay.off - max([m >> eshift & mask for m in b]) for b in basis.polys]
             if not any(ks):
                 # a reduced basis that e0 divides nowhere is already the
                 # divided one's reduced basis, term order included
-                return ideal.groebner_raw(), packed
+                return basis
             # dividing by e0^k takes k times e0's weight from every key
             w = lay.weights[-1]
-            polys = [{m - k * w: c for m, c in b.items()} if k else b for b, k in zip(polys, ks)]
-            divs = [_divisor(b, p, lay) if k else d for b, k, d in zip(polys, ks, divs)]
-            out = _reduce_basis(polys, divs, p, lay)
-            return [lay.unpack(b) for b in out], (lay, out, [_divisor(b, p, lay) for b in out])
+            polys = [{m - k * w: c for m, c in b.items()} if k else b
+                     for b, k in zip(basis.polys, ks)]
+            divs = [_divisor(b, p, lay) if k else d for b, k, d in zip(polys, ks, basis.divs)]
+            return _reduce_basis(polys, divs, p, lay)
 
-        return GradedIdeal._from_basis(amb, *_widening(ideal._divisors()[0].width, run))
+        basis = ideal._basis()
+        return GradedIdeal._from_basis(amb, basis and _widening(basis.lay.width, run))
     homog = []
     for g in gens:
         top = max(sum(m) for m in g)
         homog.append({m[:-1] + (top - sum(m), m[-1]): c for m, c in g.items()})
-    # each basis element is homogeneous, so dropping h merges no two terms
-    sat = _buchberger(
-        [_divide_e0({m[:-2] + m[-1:]: c for m, c in b.items()})
-         for b in _buchberger(homog, p)],
-        p,
-    )
-    return GradedIdeal._from_basis(amb, sat)
-
-
-def _divide_e0(poly):
-    """poly divided by the largest power of e0 that divides it."""
-    k = min(m[-1] for m in poly)
-    return {m[:-1] + (m[-1] - k,): c for m, c in poly.items()}
+    divided = []
+    for b in _buchberger(homog, p).unpack():
+        # each element is homogeneous, so dropping h merges no two terms
+        k = min(m[-1] for m in b)
+        divided.append({m[:-2] + (m[-1] - k,): c for m, c in b.items()})
+    return GradedIdeal._from_basis(amb, _buchberger(divided, p))
 
 
 def krull_dim(ideal: GradedIdeal) -> int:
-    """Krull dimension of F_p[e0, X]/I via independent sets modulo leading terms."""
+    """Krull dimension of F_p[e0, X]/I via independent sets modulo leading
+    terms, as bitmasks of exponent slots: a lead's fields that are not OFF."""
     nvars = ideal.ambient.d + 1
-    if not ideal.groebner_raw():
+    basis = ideal._basis()
+    if not basis:
         return nvars
-    lay, _, divs = ideal._divisors()
-    leads = lay.unpack(dict.fromkeys(div[0] for div in divs))
-    supports = [frozenset(i for i, a in enumerate(lead) if a) for lead in leads]
-    if frozenset() in supports:
+    off, mask, shifts = basis.lay.off, basis.lay.mask, basis.lay.shifts
+    supports = [sum(1 << i for i, s in enumerate(shifts) if div[0] >> s & mask != off)
+                for div in basis.divs]
+    if 0 in supports:
         return -1  # the unit ideal: the zero ring
     best = 0
-    for mask in range(1 << nvars):
-        subset = frozenset(i for i in range(nvars) if mask >> i & 1)
-        if len(subset) <= best:
-            continue
-        if all(not sup <= subset for sup in supports):
-            best = len(subset)
+    for subset in range(1 << nvars):
+        size = subset.bit_count()
+        if size > best and all(sup & ~subset for sup in supports):
+            best = size
     return best
 
 

@@ -243,3 +243,23 @@ def grade_grevlex(sat, d):
         if not any(sup <= subset for sup in supports)
     )
     return (d + 1) - dim
+
+
+def krull_dim_frozensets(basis, nvars):
+    """Krull dimension of F_p[e0, X]/<basis> for a reduced basis in the
+    library's order, as ``graded.krull_dim`` once computed it: each lead's
+    support a frozenset of slots, tried against every subset of the
+    variables; -1 for the unit ideal."""
+    if not basis:
+        return nvars
+    supports = [frozenset(i for i, a in enumerate(_lead(g, _grevlex_key)) if a) for g in basis]
+    if frozenset() in supports:
+        return -1
+    best = 0
+    for mask in range(1 << nvars):
+        subset = frozenset(i for i in range(nvars) if mask >> i & 1)
+        if len(subset) <= best:
+            continue
+        if all(not sup <= subset for sup in supports):
+            best = len(subset)
+    return best

@@ -1045,6 +1045,12 @@ class TestCallerTriples:
         with pytest.raises(TypeError, match="triple of ints"):
             Distribution.one(self.model()).scale((1.5, 14, 0))
 
+    def test_scale_keeps_the_witness_zero_rule(self):
+        # a witness term scaled to 0 goes, as it does from lam - lam
+        lam = Distribution.dirac(GroupModel.from_string("abelian:1:5").element((3,)))
+        assert lam.scale(0).dirac_terms == (lam - lam).dirac_terms == ()
+        assert lam.scale(5).dirac_terms == (((5, 16, 0), (3,), True),)
+
     def test_caller_triples_are_reduced(self):
         model = self.model()
         lam = Distribution.from_coeffs(model, {(0,): (5 ** 14 + 3, 14, 0), (1,): (-1, 14, 1)}, 4)

@@ -9,8 +9,10 @@ from hypothesis import given, settings, strategies as st
 import padicdist.graded as graded
 
 from graded_reference import (
+    _grevlex_key,
     grade_grevlex,
     groebner_grevlex,
+    krull_dim_frozensets,
     reduce_grevlex,
     saturate_bayer,
     saturate_by_quotients,
@@ -234,13 +236,13 @@ class TestSaturationOracle:
     @settings(max_examples=50, deadline=None, derandomize=True)
     def test_matches_iterated_quotients(self, ideal):
         ref = saturate_by_quotients(ideal)
-        assert saturate(ideal)._gb == _buchberger(ref, ideal.ambient.p)
+        assert saturate(ideal).groebner_raw() == _gb(ref, ideal.ambient.p)
 
     @given(small_ideals())
     @settings(max_examples=50, deadline=None, derandomize=True)
     def test_matches_rabinowitsch(self, ideal):
         ref = saturate_rabinowitsch(ideal)
-        assert saturate(ideal)._gb == _buchberger(ref, ideal.ambient.p)
+        assert saturate(ideal).groebner_raw() == _gb(ref, ideal.ambient.p)
 
     def test_roadmap_ideal(self):
         a = amb(3)
@@ -271,6 +273,11 @@ class TestSaturationOracle:
         e0_power_certificate(ideal, sat, kmax=3)
         assert all(b.min_e0_exponent == 0 for b in sat.basis_polys())
         assert grade_cyclic(ideal, 3) == 3
+
+
+def _gb(gens, p):
+    # the engine's reduced basis, decoded
+    return _buchberger(gens, p).unpack()
 
 
 def _items(basis):
@@ -329,9 +336,10 @@ class TestEngineMatchesReference:
         for d, ideal, member, probe in seeded_ideals(family, p, count):
             raw = ideal._raw_gens()
             ref = groebner_grevlex(raw, p)
-            assert _items(_buchberger(raw, p)) == _items(ref)
+            assert _items(_gb(raw, p)) == _items(ref)
             ref_sat = saturate_bayer(ideal)
-            assert _items(saturate(GradedIdeal(ideal.ambient, ideal.gens))._gb) == _items(ref_sat)
+            sat = saturate(GradedIdeal(ideal.ambient, ideal.gens))
+            assert _items(sat.groebner_raw()) == _items(ref_sat)
             ref_grade = grade_grevlex(ref_sat, d)
             assert grade_cyclic(ideal, d) == (inf if ref_grade is None else ref_grade)
             for poly in (member, probe):
@@ -350,7 +358,10 @@ class TestBasisReuse:
     def test_homogeneous_ideal_keeps_its_basis(self, family):
         for d, ideal, _, _ in seeded_ideals(family, 5, 3):
             grade_cyclic(ideal, d)
-            assert _items(ideal._gb) == _items(_buchberger(ideal._raw_gens(), 5))
+            kept = ideal._packed
+            assert kept is not None
+            assert _items(ideal.groebner_raw()) == _items(_gb(ideal._raw_gens(), 5))
+            assert ideal._packed is kept
 
     def test_principal_ideal_keeps_its_term_order(self):
         # two generators with one lead: the first one's term order is kept
@@ -358,16 +369,16 @@ class TestBasisReuse:
         ideal = GradedIdeal(a, [GradedPoly.parse(a, t) for t in (
             "2*e0*X2 + 1*X1^2 + 3*X1*X2", "2*X1^2 + 1*X1*X2 + 4*e0*X2")])
         grade_cyclic(ideal, 2)
-        assert _items(ideal._gb) == _items(groebner_grevlex(ideal._raw_gens(), P))
-        assert list(ideal._gb[0]) == [(0, 1, 1), (2, 0, 0), (1, 1, 0)]
+        assert _items(ideal.groebner_raw()) == _items(groebner_grevlex(ideal._raw_gens(), P))
+        assert list(ideal.groebner_raw()[0]) == [(0, 1, 1), (2, 0, 0), (1, 1, 0)]
 
     @pytest.mark.parametrize("gens", [("X1+e0^2", "X2*X1"), ROADMAP_GENS])
     def test_inhomogeneous_ideal_is_left_alone(self, gens):
         a = amb(3)
         ideal = GradedIdeal(a, [GradedPoly.parse(a, g) for g in gens])
         sat = saturate(ideal)
-        assert ideal._gb is None
-        assert sat._gb == _buchberger(saturate_by_quotients(ideal), P)
+        assert ideal._packed is None
+        assert sat.groebner_raw() == _gb(saturate_by_quotients(ideal), P)
 
 
 def _homogeneous(poly):
@@ -409,17 +420,17 @@ class TestOneRunSaturation:
     def test_homogeneous_ideals(self, family, p):
         for _, ideal, _, _ in seeded_ideals(family, p, 8):
             assert all(map(_homogeneous, ideal.gens))
-            full = _buchberger(_divided(_buchberger(ideal._raw_gens(), p)), p)
+            full = _gb(_divided(_gb(ideal._raw_gens(), p)), p)
             sat = saturate(GradedIdeal(ideal.ambient, ideal.gens))
-            assert _items(sat._gb) == _items(full) == _items(saturate_bayer(ideal))
+            assert _items(sat.groebner_raw()) == _items(full) == _items(saturate_bayer(ideal))
 
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_inhomogeneous_ideals(self, d, p):
         for ideal in inhomogeneous_ideals(d, p, 8):
             sat = saturate(ideal)
-            assert ideal._gb is None
-            assert _items(sat._gb) == _items(saturate_bayer(ideal))
+            assert ideal._packed is None
+            assert _items(sat.groebner_raw()) == _items(saturate_bayer(ideal))
 
 
 def _same_as_checked(q):
@@ -465,21 +476,24 @@ class TestUncheckedOutputs:
                 assert recon == poly
 
     def test_divisors_are_prepared_once(self, monkeypatch):
+        # Buchberger's run builds the basis's divisors; nothing after it
+        # builds one for this ideal's basis again
         built = []
         divisor = graded._divisor
         monkeypatch.setattr(graded, "_divisor", lambda b, p, lay: built.append(b) or divisor(b, p, lay))
         a = amb(3)
         ideal = GradedIdeal(a, [GradedPoly.parse(a, t) for t in ("X1*X2+e0^2", "X2*X3+X1^2")])
         ideal.groebner_raw()
+        assert built
         built.clear()
         poly = GradedPoly.parse(a, "X1^3*X2+2*X3")
         first = ideal.reduce(poly)
-        assert len(built) == len(ideal.groebner_raw())
-        built.clear()
         assert ideal.reduce(poly) == first
         ideal.contains(poly)
+        krull_dim(ideal)
+        ideal.basis_polys()
         assert built == []
-        assert ideal._divisors() is ideal._divisors()
+        assert ideal._basis() is ideal._basis()
 
 
 @st.composite
@@ -551,12 +565,133 @@ class TestPackedEngine:
             if whole or all(map(_homogeneous, ideal.gens)):
                 ref_sat = saturate_bayer(ideal)
                 sat = saturate(GradedIdeal(ideal.ambient, ideal.gens))
-                assert _items(sat._gb) == _items(ref_sat)
+                assert _items(sat.groebner_raw()) == _items(ref_sat)
                 ref_grade = grade_grevlex(ref_sat, d)
                 assert grade_cyclic(ideal, d) == (inf if ref_grade is None else ref_grade)
 
         check()
         assert overflows
+
+
+class TestCodec:
+    """Exponent tuples to packed keys and back, through each layout's tables."""
+
+    @staticmethod
+    def monomials(n, width):
+        # the ends of the range and values inside it, in every slot; e0 (the
+        # last slot) also negative, down to -2 * 2^70 where that fits
+        off = 1 << width - 2
+        xs = [0, 1, 2, off // 3, off - 1, off]
+        es = xs + [-1, -off // 3, -off + 1] + [e for e in (-2 * 2 ** 70,) if e > -off]
+        rng = random.Random(f"codec:{n}:{width}")
+        mons = {tuple(rng.choice(xs) for _ in range(n - 1)) + (rng.choice(es),)
+                for _ in range(40)}
+        mons |= {(x,) * (n - 1) + (e,) for x in (0, off) for e in es}
+        return sorted(mons)
+
+    @pytest.mark.parametrize("n", [1, 3, 4])
+    def test_round_trip(self, n):
+        for width in range(16, 75):
+            mons = self.monomials(n, width)
+            poly = {m: 1 + i % 4 for i, m in enumerate(mons)}
+            lay = graded._Layout(n, width)
+            packed = lay.pack(poly)
+            # filled on the first call, read from the tables on the second,
+            # and decoded by a layout whose tables never saw these keys
+            assert lay.pack(poly) == packed
+            assert list(lay.unpack(packed).items()) == list(poly.items())
+            assert list(lay.unpack(packed).items()) == list(poly.items())
+            assert list(graded._Layout(n, width).unpack(packed).items()) == list(poly.items())
+            # int order is the monomial order
+            assert sorted(poly, key=_grevlex_key) == sorted(poly, key=lay.enc.__getitem__)
+
+    @pytest.mark.parametrize("width", [16, 17, 40, 74])
+    def test_out_of_range_exponents_overflow(self, width):
+        off = 1 << width - 2
+        lay = graded._Layout(3, width)
+        for mon in ((off + 1, 0, 0), (0, 0, off + 1), (0, 0, -off), (0, 0, -2 * 2 ** 70 - off)):
+            with pytest.raises(graded._FieldOverflow):
+                lay.pack({(0, 0, 0): 1, mon: 2})
+            assert mon not in lay.enc
+
+    def test_widths_keep_their_own_tables(self):
+        graded._layout.cache_clear()
+        narrow, wide = graded._layout(3, 16), graded._layout(3, 32)
+        assert narrow.enc == narrow.dec == wide.enc == wide.dec == {}
+        mon = (1, 2, 3)
+        (kn,), (kw,) = narrow.pack({mon: 1}), wide.pack({mon: 1})
+        assert kn != kw
+        assert narrow.unpack({kn: 1}) == wide.unpack({kw: 1}) == {mon: 1}
+        # each width reads the other's key by its own fields, not from a table
+        assert list(wide.unpack({kn: 1})) != [mon] and list(narrow.unpack({kw: 1})) != [mon]
+        assert narrow.enc[mon] == kn and wide.enc[mon] == kw
+        # the tables go with the cache, as in a fresh process
+        graded._layout.cache_clear()
+        assert graded._layout(3, 16) is not narrow and graded._layout(3, 16).enc == {}
+
+
+def _counting_runs(monkeypatch):
+    """The list of ``_buchberger`` results, one per run from now on."""
+    runs = []
+    buchberger = graded._buchberger
+    monkeypatch.setattr(graded, "_buchberger",
+                        lambda gens, p: runs.append(buchberger(gens, p)) or runs[-1])
+    return runs
+
+
+class TestOneBuchbergerRun:
+    """An ideal's basis comes from one ``_buchberger`` run, whatever is asked
+    of the ideal and in whatever order; that run's length is the basis size."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_homogeneous_ideals(self, family, p, monkeypatch):
+        runs = _counting_runs(monkeypatch)
+        for i, (d, ideal, member, probe) in enumerate(seeded_ideals(family, p, 6)):
+            runs.clear()
+            calls = [
+                lambda: ideal.groebner_raw(),
+                lambda: ideal.reduce(member),
+                lambda: ideal.contains(probe),
+                lambda: saturate(ideal),
+                lambda: grade_cyclic(ideal, d),
+            ]
+            # a different call first for each ideal
+            for call in calls[i % 5:] + calls[:i % 5]:
+                call()
+            assert len(runs) == 1
+            assert len(runs[0]) == len(ideal.groebner_raw())
+
+    def test_inhomogeneous_ideal(self, monkeypatch):
+        runs = _counting_runs(monkeypatch)
+        a = amb(3)
+        ideal = GradedIdeal(a, [GradedPoly.parse(a, g) for g in ROADMAP_GENS])
+        ideal.reduce(GradedPoly.parse(a, "X1^3*X2+2*X3"))
+        ideal.contains(GradedPoly.parse(a, "X1"))
+        assert [len(r) for r in runs] == [len(ideal.groebner_raw())]
+        # saturating takes two runs of its own, on the homogenized ideal and
+        # on the divided basis; the second is the saturation's basis
+        sat = saturate(ideal)
+        assert len(runs) == 3 and len(runs[2]) == len(sat.groebner_raw())
+        sat.reduce(GradedPoly.parse(a, "X1^3*X2+2*X3"))
+        krull_dim(sat)
+        assert len(runs) == 3
+
+
+class TestKrullDimension:
+    """krull_dim reads supports as bitmasks off packed keys; the reference
+    reads them as frozensets off decoded leads."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_matches_frozenset_version(self, family, p):
+        dims = set()
+        for d, ideal, _, _ in seeded_ideals(family, p, 12):
+            for I in (ideal, saturate(ideal)):
+                want = krull_dim_frozensets(I.groebner_raw(), d + 1)
+                assert krull_dim(I) == want
+                dims.add(want)
+        assert len(dims) > 1
 
 
 class TestDimensionAndGrade:
