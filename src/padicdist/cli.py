@@ -18,7 +18,6 @@ from .groupmodel import GroupModel, ModelError, truncation
 from .distalg import Distribution, RadiusParam, q_norm
 from .serialize import (
     ParseError,
-    format_normvalue,
     format_scalar,
     parse_distribution,
     serialize_distribution,
@@ -136,7 +135,7 @@ def cmd_mul(args) -> int:
 def cmd_norm(args) -> int:
     dist = _load_distribution(args.infile)
     n = dist.norm(_radius(args.r))
-    _emit(args, f"{format_normvalue(n.lower)} .. {format_normvalue(n.upper)}\n")
+    _emit(args, f"{n}\n")
     return EXIT_OK
 
 
@@ -163,7 +162,7 @@ def cmd_pair(args) -> int:
     f = _function_spec(args, dist.model)
     table = mahler_coeffs(f, args.cap, prec=dist.model.prec)
     value, err = pair(dist, table)
-    _emit(args, f"value = {format_scalar(value)}\nerror <= {format_normvalue(err)}\n")
+    _emit(args, f"value = {format_scalar(value)}\nerror <= {err}\n")
     return EXIT_OK
 
 
@@ -238,7 +237,7 @@ def cmd_qnorm(args) -> int:
     lam1 = _load_distribution(args.files[0])
     lam2 = _load_distribution(args.files[1])
     n = q_norm((lam1, lam2), _radius(args.r))
-    _emit(args, f"{format_normvalue(n.lower)} .. {format_normvalue(n.upper)}\n")
+    _emit(args, f"{n}\n")
     return EXIT_OK
 
 

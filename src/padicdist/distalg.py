@@ -20,15 +20,17 @@ A witness term is (triple, coords, exact): the point is its int chart
 coordinates, exact or residues mod p^W, on which ``model.law`` acts, from
 ``_merge_terms`` to ``mahler.finite_level_project``.
 
-Multiplication decomposes heads into finite Dirac combinations, multiplies
-the supports with the group law, and re-expands; no precision is lost on
-exact inputs.  The expansion (``_expand_terms``) packs each point's
-binomial row of the last axis into one int, in slots of B = bits(largest
-coefficient residue) + d * bits(p^W) + bits(#points) + 1 bits, wide enough
-that no sum carries; it sums coefficient times row once per group of points
-that share their other rows, and unpacks each slot once per class.  The
-prec of C(x, k) mod p^W is W - v_p(k!) for every x, so the prec of an
-entry does not depend on which point reached it.
+Multiplication decomposes heads into finite Dirac combinations by the
+transpose of ``padic.binomial_transform`` (``_head_to_dirac``; its forward
+direction gives Mahler tables), multiplies the supports with the group
+law, and re-expands; no precision is lost on exact inputs.  The expansion
+(``_expand_terms``) packs each point's binomial row of the last axis into
+one int, in slots of B = bits(largest coefficient residue) + d * bits(p^W)
++ bits(#points) + 1 bits, wide enough that no sum carries; it sums
+coefficient times row once per group of points that share their other
+rows, and unpacks each slot once per class.  The prec of C(x, k) mod p^W
+is W - v_p(k!) for every x, so the prec of an entry does not depend on
+which point reached it.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import chain
-from math import comb, inf, lcm
+from math import inf, lcm
 from typing import NamedTuple
 
 from .padic import (
@@ -45,6 +47,7 @@ from .padic import (
     PadicScalar,
     _binom_residue,
     add_triples,
+    binomial_transform,
     fraction_triple,
     is_int_triple,
     ppow,
@@ -920,22 +923,19 @@ def _merge_terms(model, terms):
 
 def _head_to_dirac(model, coeffs):
     """Exact Dirac decomposition of a finite b-polynomial:
-    b^beta = sum_{k <= beta} (-1)^{|beta - k|} C(beta, k) delta_{psi(k)}.
-
-    Every sign and binomial factor is an int product on the residue; the
-    exact points psi(k) are merged by ``_merge_terms``."""
-
-    def terms():
-        for beta, (r0, prec, shift) in coeffs.items():
-            level = [((), r0)]
-            for b in beta:
-                signed = [(-1) ** (b - k) * comb(b, k) for k in range(b + 1)]
-                level = [(kappa + (k,), r * f) for kappa, r in level
-                         for k, f in enumerate(signed)]
-            for kappa, r in level:
-                yield (r, prec, shift), kappa, True
-
-    return _merge_terms(model, terms())
+    b^beta = sum_{k <= beta} (-1)^{|beta - k|} C(beta, k) delta_{psi(k)},
+    by the transpose of ``binomial_transform`` on each (prec, shift) class
+    of the head.  ``_merge_terms`` gets every entry of each class's
+    downward closure, zeros too, so that a point keeps the prec and shift
+    of every class that reaches it."""
+    classes = {}
+    for beta, (r, prec, shift) in coeffs.items():
+        classes.setdefault((prec, shift), {})[beta] = r
+    for table in classes.values():
+        binomial_transform(table, transpose=True)
+    return _merge_terms(model, [((r, prec, shift), kappa, True)
+                                for (prec, shift), table in classes.items()
+                                for kappa, r in table.items()])
 
 
 def _expand_terms(model, terms, T):

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .padic import (NormValue, PadicError, PadicScalar, _check_prime, add_triples, int_binom,
-                    ppow, require_triple, triple_bound)
+from .padic import (NormValue, PadicError, PadicScalar, _check_prime, add_triples,
+                    binomial_transform, int_binom, ppow, require_triple, triple_bound)
 from .groupmodel import GroupModel, simplex
 from .distalg import Distribution, as_triple, known_zero
 
@@ -99,6 +99,8 @@ class FunctionSpec:
     @classmethod
     def parse(cls, d, p, text: str) -> "FunctionSpec":
         parts = text.split(":")
+        if len(parts) not in {"constant": (1, 2), "indicator": (3,)}.get(parts[0], (2,)):
+            raise MahlerError(f"bad function id {text!r}: wrong number of fields")
         try:
             if parts[0] == "constant":
                 return cls.constant(d, p, int(parts[1]) if len(parts) > 1 else 1)
@@ -111,7 +113,7 @@ class FunctionSpec:
             if parts[0] == "indicator":
                 return cls.indicator(d, p, [int(x) for x in parts[1].split(",")],
                                      int(parts[2]))
-        except (IndexError, ValueError) as exc:
+        except ValueError as exc:
             raise MahlerError(f"bad function id {text!r}: {exc}") from exc
         raise MahlerError(f"bad function id {text!r}")
 
@@ -251,39 +253,22 @@ class MahlerTable:
 
 def mahler_coeffs(f: FunctionSpec, A: int, prec: int = 12) -> MahlerTable:
     """c_alpha = sum_{beta <= alpha} (-1)^{|alpha - beta|} C(alpha, beta) f(beta)
-    for all |alpha| <= A, as iterated forward differences.
-
-    f is evaluated once on the simplex |beta| <= A, where every builtin
-    function is integer-valued.  Along each axis in turn, every row of the
-    simplex (the other coordinates fixed) is replaced in place by its Newton
-    differences, so after the last axis the entry at alpha is the mixed
-    difference Delta^alpha f(0) = c_alpha: O(d A^(d+1)) integer subtractions.
-    """
+    for all |alpha| <= A: the forward differences of ``binomial_transform``
+    on the values of f on the simplex |beta| <= A, where every builtin
+    function is integer-valued; O(d A^(d+1)) integer subtractions."""
     if A < 0:
         raise MahlerError("cap must be >= 0")
     if prec < 1:
         raise MahlerError(f"precision N must be >= 1, got {prec}")
-    d = f.d
-    points = list(simplex(d, A))
     vals = {}
-    for beta in points:
+    for beta in simplex(f.d, A):
         v = f.evaluate(beta)
         if v.denominator != 1:
             raise MahlerError(f"f({beta}) = {v} is not an integer")
         vals[beta] = v.numerator
-    for i in range(d):
-        for start in points:
-            if start[i]:
-                continue
-            keys = [start[:i] + (k,) + start[i + 1:]
-                    for k in range(A - sum(start) + 1)]
-            row = [vals[key] for key in keys]
-            for j in range(1, len(row)):
-                for k in range(len(row) - 1, j - 1, -1):
-                    row[k] -= row[k - 1]
-            vals.update(zip(keys, row))
+    binomial_transform(vals)
     m = ppow(f.p, prec)
-    coeffs = {alpha: (vals[alpha] % m, prec, 0) for alpha in points if vals[alpha]}
+    coeffs = {alpha: (v % m, prec, 0) for alpha, v in vals.items() if v}
     deg = f.poly_degree()
     complete = deg is not None and A >= deg
     return MahlerTable(f.d, f.p, prec, A, coeffs, decay=f.decay_certificate(),

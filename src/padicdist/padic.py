@@ -140,8 +140,7 @@ class NormValue:
             return "0"
         if self.is_unbounded:
             return "unbounded"
-        e = self.exponent
-        return f"p^{-e}" if e <= 0 else f"p^-{e}"
+        return f"p^{-self.exponent}"
 
 
 # -- the scalar rules on (residue, prec, shift) triples -----------------------
@@ -327,6 +326,31 @@ def int_binom(m: int, k: int) -> int:
     if m >= 0:
         return comb(m, k)
     return (-1) ** k * comb(k - m - 1, k)
+
+
+def binomial_transform(table: dict, transpose: bool = False) -> None:
+    """Rewrite an int table on N^d in place, one axis at a time, by forward
+    differences, c_alpha = sum_{beta <= alpha} (-1)^{|alpha - beta|}
+    C(alpha, beta) v_beta, or by their transpose, the Taylor shift by -1,
+    a_k = sum_{beta >= k} (-1)^{|beta - k|} C(beta, k) v_beta.  Each line of
+    an axis runs from 0 to its largest index, absent entries read as 0: so
+    the forward direction needs down-closed keys (and keeps their order),
+    and the transpose of any table is that of its zero-filled closure."""
+    step = 1 if transpose else -1
+    for i in range(len(next(iter(table), ()))):
+        lines = {}
+        for key in table:
+            rest = key[:i] + key[i + 1:]
+            if key[i] >= lines.get(rest, 0):
+                lines[rest] = key[i] + 1
+        for rest, n in lines.items():
+            head, tail = rest[:i], rest[i:]
+            keys = [head + (k,) + tail for k in range(n)]
+            row = [table.get(key, 0) for key in keys]
+            for j in range(n - 1):
+                for k in range(n - 2, j - 1, -1) if transpose else range(n - 1, j, -1):
+                    row[k] -= row[k + step]
+            table.update(zip(keys, row))
 
 
 @lru_cache(maxsize=1 << 18)

@@ -83,14 +83,6 @@ def _parse_triple(p: int, text: str, line=None):
 # -- norm values ------------------------------------------------------------
 
 
-def format_normvalue(b: NormValue) -> str:
-    if b.is_zero:
-        return "0"
-    if b.is_unbounded:
-        return "unbounded"
-    return f"p^{-b.exponent}"
-
-
 def parse_normvalue(text: str, line=None) -> NormValue:
     text = text.strip()
     if text == "0":
@@ -115,13 +107,13 @@ def serialize_distribution(d: Distribution) -> str:
         tail = "0"
     else:
         b = d.tail_bound_at_growth(0)
-        tail = "unbounded" if b is None else format_normvalue(b)
+        tail = "unbounded" if b is None else str(b)
     head = (
         f"group={model.id} p={model.p} N={model.prec} "
         f"T={d.T}/1 tail={tail} exact={1 if d.exact else 0}"
     )
     if not d.head_error.is_zero:
-        head += f" err={format_normvalue(d.head_error)}"
+        head += f" err={d.head_error}"
     return _format_terms(head, model.p, d.coeffs)
 
 
@@ -214,7 +206,7 @@ def serialize_mahler(t: MahlerTable) -> str:
         decay = "none"
     else:
         C, g = t.decay
-        decay = f"{format_normvalue(C)}@{g}"
+        decay = f"{C}@{g}"
     head = (
         f"mahler p={t.p} d={t.d} N={t.prec} A={t.cap} "
         f"decay={decay} complete={1 if t.complete else 0}"

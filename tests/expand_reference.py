@@ -1,12 +1,22 @@
-"""Reference Dirac expansion for the tests of ``padicdist.distalg``.
+"""Reference Dirac expansion and decomposition for the tests of
+``padicdist.distalg``.
 
 ``distalg._expand_terms`` packs each binomial row of the last axis into one
-int and folds it once per group of points that share their other rows.  The
-function here is the loop it replaced: one tuple and one dict update per
-(point, alpha).  The tests require the same keys and the same triples from
-both, and PrecisionExhausted from both on the same inputs.
+int and folds it once per group of points that share their other rows.
+``expand_terms`` here is the loop it replaced: one tuple and one dict
+update per (point, alpha).  The tests require the same keys and the same
+triples from both, and PrecisionExhausted from both on the same inputs.
+
+``distalg._head_to_dirac`` takes each (prec, shift) class of a head to its
+Dirac coefficients by ``padic.binomial_transform``.  ``head_to_dirac`` here
+is the loop it replaced: one term per head entry beta and point k <= beta.
+The tests require the same merged terms from both, as dicts keyed by the
+point's coordinates, since only the order of the terms differs.
 """
 
+from math import comb
+
+from padicdist.distalg import _merge_terms
 from padicdist.padic import _binom_residue, add_triples, ppow
 
 
@@ -48,3 +58,23 @@ def expand_terms(model, terms, T):
             else:
                 acc[alpha] = add_triples(p, e, (r, prec, sa))
     return {alpha: (r % ppow(p, prec), prec, shift) for alpha, (r, prec, shift) in acc.items()}
+
+
+def head_to_dirac(model, coeffs):
+    """Exact Dirac decomposition of a finite b-polynomial:
+    b^beta = sum_{k <= beta} (-1)^{|beta - k|} C(beta, k) delta_{psi(k)}.
+
+    Every sign and binomial factor is an int product on the residue; the
+    exact points psi(k) are merged by ``_merge_terms``."""
+
+    def terms():
+        for beta, (r0, prec, shift) in coeffs.items():
+            level = [((), r0)]
+            for b in beta:
+                signed = [(-1) ** (b - k) * comb(b, k) for k in range(b + 1)]
+                level = [(kappa + (k,), r * f) for kappa, r in level
+                         for k, f in enumerate(signed)]
+            for kappa, r in level:
+                yield (r, prec, shift), kappa, True
+
+    return _merge_terms(model, terms())

@@ -190,6 +190,26 @@ class TestMahlerPair:
         )
         assert code == 0 and out.splitlines()[0] == "value = 0:2:12"
 
+    @pytest.mark.parametrize("fn", ["coordinate:0:9", "constant:3:4", "power1p:0:junk",
+                                    "monomial:1:9", "indicator:1:1:5"])
+    def test_trailing_fields_are_a_usage_error(self, tmp_path, fn):
+        # not paired with the function the id starts with
+        code, out, _ = run_cli(["expand", "--group", "abelian:1:5", "--elem", "2"])
+        assert code == 0
+        path = tmp_path / "g.dist"
+        path.write_text(out)
+        code, out, err = run_cli(["pair", "--in", str(path), "--fn", fn, "--cap", "6"])
+        assert code == 2 and out == ""
+        assert "wrong number of fields" in err
+        code, out, err = run_cli(["mahler", "--group", "abelian:1:5", "--fn", fn])
+        assert code == 2 and out == "" and "wrong number of fields" in err
+
+    def test_forward_differences_of_a_monomial(self):
+        # x1^2 x2 = C(x1, 1) C(x2, 1) + 2 C(x1, 2) C(x2, 1)
+        code, out, _ = run_cli(["mahler", "--group", "abelian:2:5", "--fn", "monomial:2,1",
+                                "--cap", "4"])
+        assert code == 0 and out.splitlines()[1:] == ["1,1 : 0:1:12", "2,1 : 0:2:12"]
+
 
 class TestProject:
     def test_exact_witness(self, tmp_path):

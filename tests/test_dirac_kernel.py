@@ -4,10 +4,14 @@
 shift) ints, and decomposes heads into Dirac terms, merges them and
 re-expands them on those ints.  The functions below are that round trip
 written with PadicScalar operations throughout; every stored triple must
-agree with them in residue, prec and shift, the Dirac terms also in their
-order, and both must raise PrecisionExhausted on the same inputs.  The
-packed expansion kernel is also held to the per-point loop it replaced
-(``expand_reference``) on inputs that stress its slots and its groups.
+agree with them in residue, prec and shift, and both must raise
+PrecisionExhausted on the same inputs.  ``_merge_terms`` must also keep
+the order of ``mul_reference``'s merge.  The order of a head's Dirac terms
+is not compared: every consumer of a decomposition sums its terms with
+``add_triples`` or sorts them.  The packed expansion kernel is also held
+to the per-point loop it replaced (``expand_reference``) on inputs that
+stress its slots and its groups, and the decomposition of a head to the
+per-term loop it replaced.
 """
 
 import contextlib
@@ -143,6 +147,14 @@ def kernel_term_entries(terms):
     return [(*a, coords, exact) for a, coords, exact in terms]
 
 
+def by_point(terms):
+    """Witness terms (triple, coords, exact) keyed by their coordinates,
+    which the merge leaves distinct."""
+    out = {coords: (a, exact) for a, coords, exact in terms}
+    assert len(out) == len(terms)
+    return out
+
+
 def element_term_entries(terms):
     """Reference terms (triple, GroupElement), flattened alike."""
     return [(*a, g.coords, g.exact) for a, g in terms]
@@ -254,8 +266,8 @@ class TestKernelMatchesScalars:
     def test_head_to_dirac(self, case):
         model, coeffs = case
         stored = {alpha: c.triple for alpha, c in coeffs.items()}
-        assert kernel_term_entries(_head_to_dirac(model, stored)) == \
-            scalar_term_entries(head_to_dirac_by_scalars(model, coeffs))
+        assert sorted(kernel_term_entries(_head_to_dirac(model, stored))) == \
+            sorted(scalar_term_entries(head_to_dirac_by_scalars(model, coeffs)))
 
     @given(combinations(), st.integers(0, 3))
     @settings(max_examples=100, deadline=None, derandomize=True)
@@ -273,7 +285,7 @@ class TestKernelMatchesScalars:
         want_prods = [(a * b, model.gmul(g, h)) for a, g in scalars for b, h in scalars]
         merged = _merge_terms(model, points(prods))
         want_merged = merge_terms_by_scalars(model, want_prods)
-        assert kernel_term_entries(merged) == scalar_term_entries(want_merged)
+        assert sorted(kernel_term_entries(merged)) == sorted(scalar_term_entries(want_merged))
         assert outcome(lambda: triple_entries(_expand_terms(model, merged, T))) == \
             outcome(lambda: table_entries(expand_terms_by_scalars(model, want_merged, T)))
 
@@ -304,8 +316,8 @@ class TestKernelMatchesScalars:
         lg = lie_generator(model, 0, 8)
         terms = head_to_dirac_by_scalars(model, {a: lg.coeff(a) for a in lg.coeffs})
         assert any(a.shift > 0 for a, _ in terms)
-        assert kernel_term_entries(_head_to_dirac(model, lg.coeffs)) == \
-            scalar_term_entries(terms)
+        assert sorted(kernel_term_entries(_head_to_dirac(model, lg.coeffs))) == \
+            sorted(scalar_term_entries(terms))
         g = model.element([1, 2, 0])
         prods = [(a, model.gmul(h, g)) for a, h in terms]
         got = _expand_terms(model, _merge_terms(model, points(triples(prods))), 8)
@@ -377,6 +389,62 @@ class TestKernelMatchesReference:
         for n in range(4):
             assert _expand_terms(model, points(terms[:n]), 3) == \
                 expand_reference.expand_terms(model, terms[:n], 3)
+
+
+def reference_heads(spec, p):
+    """Heads at T = 12 on one model, as the decomposition meets them: an
+    exact Dirac head, an inexact product head (a prec class per v_p(k!)),
+    the lie_generator heads (a shift class per v_p(k)) and sparse sub-heads
+    of each (every third entry, and the entries of top degree)."""
+    model = GroupModel.from_string(spec.format(p=p), max_weight=12)
+    rng = random.Random(p)
+    exact = Distribution.dirac_combination(model, [
+        (1, model.element([2, 1, 3][:model.d])), (-2, model.identity()),
+        (Fraction(1, p), model.element([0, 4, 1][:model.d]))], 12)
+    product = Distribution.dirac(model.random_element(rng), 12).mul(
+        Distribution.dirac(model.random_element(rng), 12))
+    heads = [exact.coeffs, product.coeffs]
+    heads += [lie_generator(model, i, 12).coeffs for i in range(model.d)]
+    for head in heads[:]:
+        top = max(map(sum, head))
+        heads.append({a: c for j, (a, c) in enumerate(head.items()) if j % 3 == 0})
+        heads.append({a: c for a, c in head.items() if sum(a) == top})
+    return model, heads
+
+
+class TestHeadToDiracMatchesReference:
+    """``_head_to_dirac`` (``binomial_transform`` per (prec, shift) class)
+    against the per-term loop it replaced (``expand_reference``)."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    @pytest.mark.parametrize("spec", MODEL_IDS)
+    def test_heads(self, spec, p):
+        model, heads = reference_heads(spec, p)
+        assert any(len({c[1] for c in head.values()}) > 1 for head in heads)
+        assert any(len({c[2] for c in head.values()}) > 1 for head in heads)
+        for head in heads:
+            assert by_point(_head_to_dirac(model, head)) == \
+                by_point(expand_reference.head_to_dirac(model, head))
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_no_axes(self, p):
+        model = GroupModel.abelian(0, p, prec=4, max_weight=3)
+        W = model.elem_prec
+        for c in [(1, W, 0), (0, W, 0), (0, W - 1, 2), (p, W - 2, 1)]:
+            assert _head_to_dirac(model, {(): c}) == \
+                expand_reference.head_to_dirac(model, {(): c})
+
+    def test_parsed_expand_heads(self, tmp_path):
+        # the heads of expand files, which carry no witness: an exact one,
+        # and the truncated heads of points beyond T
+        for T, elem in (("8", "1,2,0"), ("8", "7,2,3"), ("12", "7,11,13")):
+            path = tmp_path / "e.dist"
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["expand", "--group", "heisenberg:5", "-T", T,
+                             "--elem", elem, "--out", str(path)]) == 0
+            lam = parse_distribution(path.read_text())
+            assert by_point(_head_to_dirac(lam.model, lam.coeffs)) == \
+                by_point(expand_reference.head_to_dirac(lam.model, lam.coeffs))
 
 
 def key_order_cases(tmp_path):

@@ -155,6 +155,20 @@ class TestFunctionSpecParse:
         with pytest.raises((MahlerError, ValueError)):
             FunctionSpec.parse(1, P, "exp:1")
 
+    @pytest.mark.parametrize("text", [
+        "coordinate:0:9", "constant:3:4", "power1p:0:junk", "monomial:2,1:9",
+        "indicator:1,2:1:5", "indicator:1,2", "coordinate", "monomial", "power1p",
+        "constant:1:", "coordinate:0:",
+    ])
+    def test_wrong_field_counts_are_refused(self, text):
+        # a trailing field is not ignored, and a missing one is no IndexError
+        with pytest.raises(MahlerError, match="wrong number of fields"):
+            FunctionSpec.parse(2, P, text)
+
+    def test_constant_takes_an_optional_value(self):
+        assert FunctionSpec.parse(2, P, "constant").id == "constant:1"
+        assert FunctionSpec.parse(2, P, "constant:3").id == "constant:3"
+
 
 class TestAmice:
     def test_geometric_decay_rows(self):

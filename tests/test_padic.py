@@ -1,14 +1,20 @@
+import random
 from fractions import Fraction
+from itertools import product
+from math import prod
 
 import pytest
 from hypothesis import given, strategies as st
 
+from padicdist.groupmodel import simplex
 from padicdist.padic import (
     NormValue,
     PadicError,
     PadicScalar,
     PrecisionExhausted,
     _binom_residue,
+    binomial_transform,
+    int_binom,
     ppow,
     vp_factorial,
     vp_int,
@@ -143,3 +149,64 @@ class TestBinom:
         want = math.comb(m, k)
         got = binom(x, k)
         assert got.same_value(PadicScalar.from_int(P, want, got.window))
+
+
+def box(sides):
+    return set(product(*(range(n + 1) for n in sides)))
+
+
+def down_closed_sets(d):
+    """A simplex, a box, their union, and the union of a thin simplex and a
+    long box in N^d, each as its sorted keys."""
+    simp, wide = set(simplex(d, 3)), set(simplex(d, 1))
+    return [sorted(keys) for keys in
+            (simp, box((3, 1, 2)[:d]), simp | box((3, 1, 2)[:d]), wide | box((4, 0, 1)[:d]))]
+
+
+def transform_matrix(keys, transpose):
+    """{(alpha, beta): entry} of the transform on the down-closed keys, one
+    unit vector at a time; each image keeps the keys in their order."""
+    out = {}
+    for beta in keys:
+        table = dict.fromkeys(keys, 0)
+        table[beta] = 1
+        binomial_transform(table, transpose)
+        assert list(table) == keys
+        out.update(((alpha, beta), x) for alpha, x in table.items())
+    return out
+
+
+class TestBinomialTransform:
+    @pytest.mark.parametrize("d", range(4))
+    def test_directions_are_transposes(self, d):
+        # <u, F v> = <F^T u, v> for every pair of unit vectors u, v
+        for keys in down_closed_sets(d):
+            forward = transform_matrix(keys, False)
+            back = transform_matrix(keys, True)
+            assert all(forward[a, b] == back[b, a] for a in keys for b in keys)
+            assert any(forward[a, b] for a in keys for b in keys if a != b) or d == 0
+
+    @pytest.mark.parametrize("d", range(4))
+    def test_forward_inverts_newton_interpolation(self, d):
+        # f(x) = sum_alpha c_alpha C(x, alpha) on the keys: its forward
+        # differences are the c_alpha
+        rng = random.Random(d)
+        for keys in down_closed_sets(d):
+            c = {alpha: rng.randint(-9, 9) for alpha in keys}
+            f = {x: sum(ca * prod(map(int_binom, x, alpha)) for alpha, ca in c.items())
+                 for x in keys}
+            binomial_transform(f)
+            assert f == c
+
+    @pytest.mark.parametrize("d", range(4))
+    def test_transpose_fills_the_downward_closure(self, d):
+        # a table that is not down-closed: the transpose of its closure,
+        # filled with zeros, on the closure
+        rng = random.Random(d)
+        for keys in down_closed_sets(d):
+            sparse = {k: rng.randint(1, 9) for k in keys[::3]}
+            full = dict.fromkeys(set().union(*map(box, sparse)), 0)
+            full.update(sparse)
+            binomial_transform(sparse, transpose=True)
+            binomial_transform(full, transpose=True)
+            assert sparse == full
