@@ -279,6 +279,16 @@ class Distribution:
                 best = c.bound
         return best
 
+    def _cap_at_growth(self, t) -> NormValue | None:
+        """Best C with |d_alpha| <= C p^(t tau) for every alpha, head
+        included: an exact distribution's from its stored entries, any
+        other's from its all-alpha certificates."""
+        if self.exact:
+            p = self.model.p
+            return _least_cover([(self.model.tau(a), triple_bound(p, c))
+                                 for a, c in self.coeffs.items()], t)
+        return self.tail_bound_at_growth(t, all_alpha=True)
+
     def coeff_sup(self) -> NormValue | None:
         """Certified upper bound on sup_alpha |d_alpha| (head and tail).
 
@@ -331,23 +341,31 @@ class Distribution:
         return self.scale(-1)
 
     def __add__(self, other: "Distribution") -> "Distribution":
+        """The sum.  Two exact operands vanish past their heads, so their sum
+        keeps both heads, at the larger T.  Any other sum is cut at the
+        smaller T, and each of its tail certificates also covers the entries
+        cut off there; an exact operand's all-alpha cap is its stored sup."""
         self.model._require_same(other.model)
-        T = min(self.T, other.T)
-        keys = {a for a in self.coeffs if self.model.tau(a) <= T}
-        keys |= {a for a in other.coeffs if self.model.tau(a) <= T}
+        exact = self.exact and other.exact
+        T = max(self.T, other.T) if exact else min(self.T, other.T)
+        tau = self.model.tau
+        keys = {a for a in chain(self.coeffs, other.coeffs) if tau(a) <= T}
         p = self.model.p
         zero = (0, self.model.elem_prec, 0)
         coeffs = {}
         for a in keys:
             r, prec, shift = add_triples(p, self.coeffs.get(a, zero), other.coeffs.get(a, zero))
             coeffs[a] = r % ppow(p, prec), prec, shift
-        exact = self.exact and other.exact
         herr = max(self.head_error, other.head_error)
         for left, right in ((self, other), (other, self)):
             if not right.exact and any(a not in right.coeffs for a in left.coeffs):
                 herr = max(herr, right._head_gap())
         certs = []
         if not exact:
+            # the stored entries past T, each bounded by its magnitude bound
+            # or its operand's head_error, whichever is larger
+            cut = [(tau(a), max(triple_bound(p, c), x.head_error))
+                   for x in (self, other) for a, c in x.coeffs.items() if tau(a) > T]
             growths = sorted({tc.growth for tc in self.tail_certs + other.tail_certs})
             if not growths:
                 growths = [Fraction(0)]
@@ -356,11 +374,11 @@ class Distribution:
                 b = other.tail_bound_at_growth(t)
                 if a is None or b is None:
                     continue
-                aa = self.tail_bound_at_growth(t, all_alpha=True)
-                bb = other.tail_bound_at_growth(t, all_alpha=True)
+                aa = self._cap_at_growth(t)
+                bb = other._cap_at_growth(t)
                 if aa is not None and bb is not None:
                     certs.append(TailCert(max(aa, bb), t, all_alpha=True))
-                certs.append(TailCert(max(a, b), t))
+                certs.append(TailCert(max(a, b, _least_cover(cut, t)), t))
         terms = None
         if self.dirac_terms is not None and other.dirac_terms is not None:
             terms = _merge_terms(self.model, self.dirac_terms + other.dirac_terms)
@@ -871,6 +889,12 @@ def _least_line(points, k: int, S: int):
             break
         best = x
     return best
+
+
+def _least_cover(bounds, t) -> NormValue:
+    """The least C with b <= C p^(t tau) for every (tau, b) in bounds: the
+    largest b p^(-t tau); zero for none."""
+    return max((b * NormValue(t * tau) for tau, b in bounds), default=NormValue.zero())
 
 
 def _norm_value(x, D: int) -> NormValue:

@@ -13,7 +13,10 @@ keeps the reduced basis of its one Buchberger run packed, with its divisors
 that hold at most the distinct monomials seen at that width.  The Laurent
 variable is handled by saturating ideals at e0 inside the polynomial ring,
 which that order reduces to dividing basis elements by powers of e0 (see
-``saturate``).
+``saturate``).  For an ideal J homogeneous in total degree the same theorem
+gives in(J : e0^infinity) = in(J) : e0^infinity (Bayer-Stillman, Invent.
+Math. 87, 1987), so a grade, which depends only on initial ideals, is read
+off J's own leads with e0 struck out (see ``grade_cyclic``).
 """
 
 from __future__ import annotations
@@ -514,7 +517,7 @@ def _reduce_basis(basis, divs, p, lay) -> _Basis:
 class GradedIdeal:
     """An ideal of F_p[e0, X_1..X_d] given by generators with e0-exponent >= 0."""
 
-    __slots__ = ("ambient", "_gens", "_gb", "_packed")
+    __slots__ = ("ambient", "_gens", "_gb", "_packed", "_saturated")
 
     def __init__(self, ambient: GradedAmbient, gens):
         self.ambient = ambient
@@ -526,13 +529,15 @@ class GradedIdeal:
                 raise GradedError("ideal generators must have e0-exponents >= 0")
         self._gens = tuple(g for g in gens if not g.is_zero)
         self._gb = self._packed = None
+        # set by ``saturate`` on the ideals it returns: I = I : e0^infinity
+        self._saturated = False
 
     @classmethod
-    def _from_basis(cls, ambient, basis: _Basis) -> "GradedIdeal":
+    def _from_basis(cls, ambient, basis: _Basis, saturated=False) -> "GradedIdeal":
         """The ideal a reduced basis from the engine generates, with that
         basis as its own; nothing is checked again."""
         out = cls(ambient, ())
-        out._gens, out._packed = None, basis
+        out._gens, out._packed, out._saturated = None, basis, saturated
         return out
 
     @property
@@ -622,10 +627,15 @@ def saturate(ideal: GradedIdeal) -> GradedIdeal:
       so h^m * f^h lies in J : e0^infinity, and setting h = 1 returns f.
     So setting h = 1 in a basis of J : e0^infinity gives generators of
     I : e0^infinity; a second Buchberger run makes them the reduced basis,
-    as setting h = 1 can change which term leads."""
+    as setting h = 1 can change which term leads.
+
+    The ideal returned is marked saturated, and saturating a marked ideal
+    returns it as it is."""
+    if ideal._saturated:
+        return ideal
     amb, p = ideal.ambient, ideal.ambient.p
     gens = [g.terms for g in ideal.gens]
-    if all(len({sum(m) for m in g}) == 1 for g in gens):
+    if _homogeneous(gens):
 
         def run(width):
             basis = ideal._basis(width)
@@ -645,7 +655,7 @@ def saturate(ideal: GradedIdeal) -> GradedIdeal:
             return _reduce_basis(polys, divs, p, lay)
 
         basis = ideal._basis()
-        return GradedIdeal._from_basis(amb, basis and _widening(basis.lay.width, run))
+        return GradedIdeal._from_basis(amb, basis and _widening(basis.lay.width, run), True)
     homog = []
     for g in gens:
         top = max(sum(m) for m in g)
@@ -655,21 +665,39 @@ def saturate(ideal: GradedIdeal) -> GradedIdeal:
         # each element is homogeneous, so dropping h merges no two terms
         k = min(m[-1] for m in b)
         divided.append({m[:-2] + (m[-1] - k,): c for m, c in b.items()})
-    return GradedIdeal._from_basis(amb, _buchberger(divided, p))
+    return GradedIdeal._from_basis(amb, _buchberger(divided, p), True)
+
+
+def _homogeneous(gens) -> bool:
+    """Whether every generator (an exponent dict) is homogeneous in total
+    degree, the grading Bayer's criterion needs (not the grading degree)."""
+    return all(len({sum(m) for m in g}) == 1 for g in gens)
 
 
 def krull_dim(ideal: GradedIdeal) -> int:
-    """Krull dimension of F_p[e0, X]/I via independent sets modulo leading
-    terms, as bitmasks of exponent slots: a lead's fields that are not OFF."""
-    nvars = ideal.ambient.d + 1
-    basis = ideal._basis()
+    """Krull dimension of F_p[e0, X]/I, from the leads of I's reduced basis."""
+    return _independent_dim(_lead_supports(ideal._basis()), ideal.ambient.d + 1)
+
+
+def _lead_supports(basis: _Basis, strike_e0=False):
+    """Each lead's support as a bitmask of exponent slots, bit i for slot i:
+    the lead's fields that are not OFF, e0's field left out if asked."""
     if not basis:
-        return nvars
+        return []
     off, mask, shifts = basis.lay.off, basis.lay.mask, basis.lay.shifts
-    supports = [sum(1 << i for i, s in enumerate(shifts) if div[0] >> s & mask != off)
-                for div in basis.divs]
+    if strike_e0:
+        shifts = shifts[:-1]
+    return [sum(1 << i for i, s in enumerate(shifts) if div[0] >> s & mask != off)
+            for div in basis.divs]
+
+
+def _independent_dim(supports, nvars) -> int:
+    """Krull dimension of F_p[x_1..x_nvars]/M for the monomial ideal M whose
+    generators have these supports: the size of the largest set of variables
+    that holds no support (an independent set modulo M); -1 for the unit
+    ideal, the zero ring."""
     if 0 in supports:
-        return -1  # the unit ideal: the zero ring
+        return -1
     best = 0
     for subset in range(1 << nvars):
         size = subset.bit_count()
@@ -679,9 +707,23 @@ def krull_dim(ideal: GradedIdeal) -> int:
 
 
 def grade_cyclic(J: GradedIdeal, d: int):
-    """(d+1) - krull_dim(saturate(J)); inf marks the zero quotient."""
-    sat = saturate(J)
-    dim = krull_dim(sat)
+    """(d+1) - dim F_p[e0, X]/(J : e0^infinity); inf marks the zero quotient.
+
+    A Krull dimension depends only on the initial ideal, and for J
+    homogeneous in total degree, in graded reverse lex with e0 last,
+    in(J : e0^infinity) = in(J) : e0^infinity (Bayer-Stillman, Invent. Math.
+    87, 1987; Eisenbud, Commutative Algebra, Prop. 15.12).  A monomial ideal
+    saturated at e0 is generated by its generators with e0 struck out, so the
+    dimension is read off the leads of J's own reduced basis, the one
+    Buchberger run that ``reduce`` and ``contains`` share, with e0's field
+    cleared; a lead that is a power of e0 strips to the unit.  For any other
+    J, setting h = 1 in ``saturate`` can change the leads, and the dimension
+    is that of the saturation's basis."""
+    if _homogeneous([g.terms for g in J.gens]):
+        supports = _lead_supports(J._basis(), strike_e0=True)
+        dim = _independent_dim(supports, J.ambient.d + 1)
+    else:
+        dim = krull_dim(saturate(J))
     if dim == -1:
         return inf
     return (d + 1) - dim

@@ -255,13 +255,16 @@ def mahler_coeffs(f: FunctionSpec, A: int, prec: int = 12) -> MahlerTable:
     """c_alpha = sum_{beta <= alpha} (-1)^{|alpha - beta|} C(alpha, beta) f(beta)
     for all |alpha| <= A: the forward differences of ``binomial_transform``
     on the values of f on the simplex |beta| <= A, where every builtin
-    function is integer-valued; O(d A^(d+1)) integer subtractions."""
+    function is integer-valued; O(d A^(d+1)) integer subtractions.  For a
+    polynomial f of degree D every c_alpha with |alpha| > D is 0, and c_alpha
+    reads f only at beta <= alpha, so the simplex stops at min(A, D)."""
     if A < 0:
         raise MahlerError("cap must be >= 0")
     if prec < 1:
         raise MahlerError(f"precision N must be >= 1, got {prec}")
+    deg = f.poly_degree()
     vals = {}
-    for beta in simplex(f.d, A):
+    for beta in simplex(f.d, A if deg is None else min(A, deg)):
         v = f.evaluate(beta)
         if v.denominator != 1:
             raise MahlerError(f"f({beta}) = {v} is not an integer")
@@ -269,7 +272,6 @@ def mahler_coeffs(f: FunctionSpec, A: int, prec: int = 12) -> MahlerTable:
     binomial_transform(vals)
     m = ppow(f.p, prec)
     coeffs = {alpha: (v % m, prec, 0) for alpha, v in vals.items() if v}
-    deg = f.poly_degree()
     complete = deg is not None and A >= deg
     return MahlerTable(f.d, f.p, prec, A, coeffs, decay=f.decay_certificate(),
                        complete=complete)

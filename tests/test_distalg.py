@@ -18,7 +18,7 @@ from padicdist.distalg import (
 )
 from padicdist.groupmodel import GroupModel, ModelError, ModelMismatch, simplex
 from padicdist.mahler import MahlerTable
-from padicdist.padic import NormValue, PadicScalar, PrecisionExhausted
+from padicdist.padic import NormValue, PadicScalar, PrecisionExhausted, vp_int
 from padicdist.serialize import ParseError, parse_distribution, serialize_distribution
 from padicdist.suites import SuiteParams, _second_basis
 
@@ -1102,3 +1102,113 @@ class TestExactPointsThatAgreeOnlyModW:
         model = self.model()
         total = Distribution.dirac(model.element([0])) + Distribution.dirac(model.element([5 ** 15]))
         self.assert_true_to(total.mul(Distribution.one(model)), (0, 5 ** 15))
+
+
+def sum_operand(draw, model, table):
+    """(operand, source): the source is the exact table, the operand an exact
+    distribution (the table cut at its T) or an inexact view of it at T, with
+    every head entry stored, valid tail certificates and maybe a cap and a
+    head_error."""
+    T = draw(st.integers(0, model.max_weight))
+    if draw(st.booleans()):
+        table = {a: c for a, c in table.items() if model.tau(a) <= T}
+        return Distribution.from_coeffs(model, table, T), table
+    head = {a: table.get(a, 0) for a in simplex(model.d, T)}
+    certs = []
+    for t in draw(st.lists(st.sampled_from([Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1)]),
+                           min_size=1, max_size=2, unique=True)):
+        above = [(a, c) for a, c in table.items() if model.tau(a) > T]
+        # the least valid bound, or a looser one
+        C = max((NormValue(vp_int(c, P) + t * model.tau(a)) for a, c in above if c),
+                default=NormValue.zero())
+        if C.is_zero or draw(st.booleans()):
+            C = max(C, NormValue(draw(st.integers(-1, 3))))
+        certs.append(TailCert(C, t))
+        if draw(st.booleans()):
+            cap = max((NormValue(vp_int(c, P) + t * model.tau(a)) for a, c in table.items() if c),
+                      default=NormValue(2))
+            certs.append(TailCert(cap, t, all_alpha=True))
+    herr = draw(st.sampled_from([None, NormValue(3), NormValue(1)]))
+    return Distribution.from_coeffs(model, head, T, exact=False, tail_certs=certs,
+                                    head_error=herr), table
+
+
+SUM_MODELS = {
+    "abelian:1": lambda: GroupModel.abelian(1, P, prec=6, max_weight=8),
+    "abelian:2": lambda: GroupModel.abelian(2, P, prec=6, max_weight=5),
+}
+
+
+@st.composite
+def sum_cases(draw):
+    model = SUM_MODELS[draw(st.sampled_from(sorted(SUM_MODELS)))]()
+    index = st.sampled_from(list(simplex(model.d, model.max_weight)))
+    value = st.sampled_from([1, 2, -3, P, 2 * P, P ** 2, 3 * P ** 3])
+    tables = [draw(st.dictionaries(index, value, max_size=5)) for _ in range(2)]
+    return model, [sum_operand(draw, model, table) for table in tables]
+
+
+class TestSumCertificates:
+    """What a sum certifies holds of the sum of its operands' sources, with
+    operands of different T, exact and inexact."""
+
+    def test_exact_operands_keep_the_larger_head(self):
+        # b^6 lies above the first operand's T = 4 and is certified, not dropped
+        model = GroupModel.abelian(1, P, prec=12, max_weight=8)
+        out = Distribution.monomial(model, (0,), 4).scale(5) + Distribution.monomial(model, (6,), 8)
+        assert out.exact and out.T == 8 and set(out.coeffs) == {(0,), (6,)}
+        n = out.norm(RadiusParam(Fraction(1, 8)))
+        assert n.lower == n.upper == NormValue(Fraction(3, 4))
+
+    def test_inexact_sum_covers_what_it_cuts(self):
+        model = GroupModel.abelian(1, P, prec=12, max_weight=8)
+        lam = Distribution.from_coeffs(model, {(0,): 25}, 4, exact=False,
+                                       tail_certs=(TailCert(NormValue(2), Fraction(0)),))
+        out = lam + Distribution.monomial(model, (6,), 8)
+        assert not out.exact and out.T == 4
+        assert out.tail_certs == (TailCert(NormValue(0), Fraction(0)),)
+        n = out.norm(RadiusParam(Fraction(1, 8)))
+        # |d_6| r^6 = p^(-3/4) lies inside
+        assert n.upper == NormValue(Fraction(5, 8)) >= NormValue(Fraction(3, 4))
+
+    def test_exact_operand_caps_with_its_stored_sup(self):
+        # |5 + d_0| = p^-1 whatever d_0 with |d_0| <= p^-2 is
+        model = GroupModel.abelian(1, P, prec=12, max_weight=4)
+        a = Distribution.from_coeffs(model, {(0,): 5}, 4)
+        o = Distribution(model, {(0,): (0, 1, 0)}, 4, exact=False,
+                         tail_certs=(TailCert(NormValue(2), Fraction(0), all_alpha=True),))
+        for out in (a + o, o + a):
+            assert TailCert(NormValue(1), Fraction(0), all_alpha=True) in out.tail_certs
+            assert out.norm(R12) == NormInterval(NormValue.zero(), NormValue(1))
+
+    @given(sum_cases())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_certificates_hold_of_the_true_sum(self, case):
+        model, ((lam, src1), (mu, src2)) = case
+        out = lam + mu
+        true = {a: src1.get(a, 0) + src2.get(a, 0) for a in set(src1) | set(src2)}
+        true = {a: c for a, c in true.items() if c}
+
+        def size(c):
+            return NormValue(vp_int(c, P)) if c else NormValue.zero()
+
+        assert out.exact == (lam.exact and mu.exact)
+        if out.exact:
+            assert out.T == max(lam.T, mu.T)
+            assert {a: out.coeff(a).residue for a in out.coeffs} == \
+                {a: c % P ** model.elem_prec for a, c in true.items()}
+        for a in out.coeffs:
+            got = out.coeff(a)
+            diff = Fraction(got.residue, P ** got.shift) - true.get(a, 0)
+            off = NormValue(vp_int(diff.numerator, P) - vp_int(diff.denominator, P)) \
+                if diff else NormValue.zero()
+            assert off <= max(NormValue(got.window), out.head_error), a
+        for c in out.tail_certs:
+            for a, x in true.items():
+                if c.all_alpha or model.tau(a) > out.T:
+                    assert size(x) <= c.bound * NormValue(-c.growth * model.tau(a)), (c, a)
+        for s in NORM_RADII:
+            want = max((size(x) * NormValue(s * model.tau(a)) for a, x in true.items()),
+                       default=NormValue.zero())
+            got = out.norm(RadiusParam(s))
+            assert got.lower <= want <= got.upper, s

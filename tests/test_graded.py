@@ -426,11 +426,15 @@ class TestOneRunSaturation:
 
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("p", [3, 5, 7])
-    def test_inhomogeneous_ideals(self, d, p):
+    def test_inhomogeneous_ideals(self, d, p, monkeypatch):
+        runs = _counting_runs(monkeypatch)
         for ideal in inhomogeneous_ideals(d, p, 8):
             sat = saturate(ideal)
             assert ideal._packed is None
             assert _items(sat.groebner_raw()) == _items(saturate_bayer(ideal))
+            # the saturation is marked, and saturating it again runs nothing
+            runs.clear()
+            assert saturate(sat) is sat and not runs
 
 
 def _same_as_checked(q):
@@ -654,10 +658,12 @@ class TestOneBuchbergerRun:
                 lambda: ideal.reduce(member),
                 lambda: ideal.contains(probe),
                 lambda: saturate(ideal),
+                lambda: saturate(saturate(ideal)),
                 lambda: grade_cyclic(ideal, d),
             ]
             # a different call first for each ideal
-            for call in calls[i % 5:] + calls[:i % 5]:
+            k = i % len(calls)
+            for call in calls[k:] + calls[:k]:
                 call()
             assert len(runs) == 1
             assert len(runs[0]) == len(ideal.groebner_raw())
@@ -676,6 +682,71 @@ class TestOneBuchbergerRun:
         sat.reduce(GradedPoly.parse(a, "X1^3*X2+2*X3"))
         krull_dim(sat)
         assert len(runs) == 3
+        # a saturation is marked as one: saturating it again, or taking its
+        # grade, runs nothing
+        assert saturate(sat) is sat
+        assert grade_cyclic(sat, 3) == 3
+        assert len(runs) == 3
+
+
+def _grade_by_saturation(ideal, d):
+    """(d+1) - krull_dim(saturate(J)) on a fresh copy of J, inf for the unit
+    ideal: the saturation's own basis, built in full."""
+    dim = krull_dim(saturate(GradedIdeal(ideal.ambient, ideal.gens)))
+    return inf if dim == -1 else (d + 1) - dim
+
+
+class TestGradeFromLeads:
+    """For homogeneous J, grade_cyclic reads in(J) : e0^infinity off the leads
+    of J's own basis; the grade is the one the saturation's basis gives."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_families(self, family):
+        grades, e0_leads = set(), 0
+        for p in (3, 5, 7):
+            for d, ideal, _, _ in seeded_ideals(family, p, 12):
+                want = _grade_by_saturation(ideal, d)
+                assert grade_cyclic(ideal, d) == want
+                grades.add(want)
+                e0_leads += any(max(b, key=_grevlex_key)[-1] for b in ideal.groebner_raw())
+        assert len(grades) > 1
+        if family != "d3-binomials":  # its generators have no e0
+            assert e0_leads
+
+    @pytest.mark.parametrize("gens, grade", [
+        # leads divisible by e0: X1*e0 and X2*e0 strike to X1 and X2
+        (("X1*e0", "X2*e0"), 2),
+        (("X1*e0+X2^2", "X2^2*e0"), 2),
+        (("X1^2*e0+X2*e0^2", "X2^3"), 2),
+        (("e0^3+X1*e0^2",), 1),
+        # a lead that is a power of e0 strikes to the unit
+        (("e0^2",), inf),
+        (("X1*X2+e0", "X2^2*e0"), inf),
+        # the zero ideal
+        ((), 0),
+        # generators that are not homogeneous
+        (("X1^2+e0", "X1*X2"), 2),
+        (("X1+e0^2", "X2*X1"), 2),
+    ])
+    def test_known_answers(self, gens, grade):
+        a = amb(2)
+        ideal = GradedIdeal(a, [GradedPoly.parse(a, g) for g in gens])
+        assert grade_cyclic(ideal, 2) == _grade_by_saturation(ideal, 2) == grade
+
+    def test_one_run_and_no_inter_reduction(self, monkeypatch):
+        # Buchberger's own _reduce_basis call is the only one: the saturation's
+        # basis is never built
+        runs = _counting_runs(monkeypatch)
+        reductions = []
+        reduce_basis = graded._reduce_basis
+        monkeypatch.setattr(graded, "_reduce_basis",
+                            lambda *args: reductions.append(args) or reduce_basis(*args))
+        for family in FAMILIES:
+            for d, ideal, _, _ in seeded_ideals(family, 5, 6):
+                runs.clear()
+                reductions.clear()
+                grade_cyclic(ideal, d)
+                assert len(runs) == len(reductions) == 1
 
 
 class TestKrullDimension:

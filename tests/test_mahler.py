@@ -81,10 +81,13 @@ class TestMahlerCoeffs:
     def test_matches_binomial_sums(self, d, p):
         # the same table, scalar for scalar, with the same completeness flag;
         # a reference c_alpha does not depend on the cap, so the cap-12
-        # reference restricted to |alpha| <= cap is the reference at cap
+        # reference restricted to |alpha| <= cap is the reference at cap; the
+        # polynomial kinds also at the CLI's default cap 16, far past their
+        # degrees
         for f in builtin_functions(d, p):
-            full = mahler_coeffs_by_binomial_sums(f, 12, prec=N)
-            for cap in range(13):
+            top = 12 if f.poly_degree() is None else 16
+            full = mahler_coeffs_by_binomial_sums(f, top, prec=N)
+            for cap in sorted({*range(13), top}):
                 t = mahler_coeffs(f, cap, prec=N)
                 want = {a: c for a, c in full.items() if sum(a) <= cap}
                 complete = f.poly_degree() is not None and cap >= f.poly_degree()
@@ -95,6 +98,22 @@ class TestMahlerCoeffs:
                         (c.p, c.prec, c.residue, c.shift), (f, cap, alpha)
                 assert t.complete == complete and t.cap == cap, (f, cap)
 
+
+    def test_polynomials_are_evaluated_up_to_their_degree(self):
+        # c_alpha reads f at beta <= alpha only, and is 0 past the degree
+        seen = []
+
+        class Counted(FunctionSpec):
+            def evaluate(self, point):
+                seen.append(point)
+                return super().evaluate(point)
+
+        for f in (Counted.monomial(2, P, (2, 1)), Counted.coordinate(2, P, 0),
+                  Counted.constant(2, P, 3)):
+            seen.clear()
+            t = mahler_coeffs(f, 16, prec=N)
+            assert max(map(sum, seen)) == f.poly_degree()
+            assert t.cap == 16 and t.complete
 
     def test_non_integer_values_are_refused(self):
         # the differences run in ints: a value off Z is an error, not truncated
