@@ -45,8 +45,8 @@ from .padic import (
     NormValue,
     PadicError,
     PadicScalar,
-    _binom_residue,
     add_triples,
+    binom,
     binomial_transform,
     fraction_triple,
     is_int_triple,
@@ -357,8 +357,12 @@ class Distribution:
             r, prec, shift = add_triples(p, self.coeffs.get(a, zero), other.coeffs.get(a, zero))
             coeffs[a] = r % ppow(p, prec), prec, shift
         herr = max(self.head_error, other.head_error)
+        # an entry of the sum that an inexact operand does not store carries
+        # that operand's head gap; an index past T is no entry of the sum,
+        # and the tail certificates below cover it
         for left, right in ((self, other), (other, self)):
-            if not right.exact and any(a not in right.coeffs for a in left.coeffs):
+            if not right.exact and any(a not in right.coeffs for a in left.coeffs
+                                       if tau(a) <= T):
                 herr = max(herr, right._head_gap())
         certs = []
         if not exact:
@@ -759,16 +763,26 @@ class _RNormProfile:
                  "herr", "levels", "valued", "sup")
 
     def __init__(self, lam: Distribution):
-        model = lam.model
-        p = model.p
+        p = lam.model.p
         herr = lam.head_error.exponent
+        # each certificate's exponents, read once: (bound, growth, all_alpha)
+        certs = [(c.bound.exponent, c.growth, c.all_alpha) for c in lam.tail_certs]
+        D0 = 1
+        for x in chain((herr,), *((C, t) for C, t, _ in certs)):
+            if type(x) is not float and D0 % x.denominator:
+                D0 = lcm(D0, x.denominator)
+
+        def scaled(x):
+            return x if type(x) is float else x.numerator * (D0 // x.denominator)
+
+        H = scaled(herr)
         # an int valuation v beats head_error when v < ceil(head_error)
-        beats = herr if isinstance(herr, float) else -(-herr.numerator // herr.denominator)
-        # per degree: [least certain v, its indices, least uncertain v, least window]
+        beats = herr if type(herr) is float else -(-herr.numerator // herr.denominator)
+        # per degree (|alpha|, every omega is 1): [least certain v, its
+        # indices, least uncertain v, least window]
         by_tau = {}
-        tau_of = model.tau
         for alpha, (r, prec, shift) in lam.coeffs.items():
-            tau = tau_of(alpha)
+            tau = sum(alpha)
             level = by_tau.get(tau)
             if level is None:
                 level = by_tau[tau] = [None, None, None, None]
@@ -785,16 +799,7 @@ class _RNormProfile:
             elif level[3] is None or prec - shift < level[3]:
                 level[3] = prec - shift
 
-        certs = lam.tail_certs
-        D0 = lcm(*(x.denominator for x in chain(
-            (herr,), (c.bound.exponent for c in certs), (c.growth for c in certs))
-            if not isinstance(x, float)))
-
-        def scaled(x):
-            return x if isinstance(x, float) else int(x * D0)
-
-        H = scaled(herr)
-        caps = [(scaled(c.bound.exponent), scaled(c.growth)) for c in certs if c.all_alpha]
+        caps = [(scaled(C), scaled(t)) for C, t, all_alpha in certs if all_alpha]
         lower, uncertain, floors, levels, valued = [], [], [], [], []
         unbounded = False
         head = inf  # the least exponent of an entry's bound, for coeff_sup
@@ -802,34 +807,38 @@ class _RNormProfile:
             if vc is not None:
                 lower.append((tau, vc * D0))
                 levels.append((tau, vc, tuple(alphas)))
-                head = min(head, vc)
-            known = [v for v in (vc, vu) if v is not None]
-            if known:
-                valued.append((tau, min(known)))
+                if vc < head:
+                    head = vc
+            if vu is not None:
+                valued.append((tau, vu if vc is None or vu < vc else vc))
+            elif vc is not None:
+                valued.append((tau, vc))
             if w is not None:
                 floors.append((tau, w * D0))
-            if vu is None and w is None:
+            elif vu is None:
                 continue
             head = min(head, herr) if w is None else min(head, w, herr)
-            e = H if w is None else min(w * D0, H)
+            e = H if w is None or H < w * D0 else w * D0
             for C, t in caps:
-                e = max(e, C - t * tau)
+                if C - t * tau > e:
+                    e = C - t * tau
             if e == -inf:
                 unbounded = True
             elif e != inf:
                 uncertain.append((tau, e))
 
-        tplus = model.weight_above(lam.T)
+        tplus = lam.model.weight_above(lam.T)
         if lam.exact:
             pairs = [(0, inf)]
         else:
-            pairs = sorted((scaled(c.growth), scaled(c.bound.exponent) - scaled(c.growth) * tplus)
-                           for c in certs)
+            pairs = sorted((scaled(t), scaled(C) - scaled(t) * tplus) for C, t, _ in certs)
         tails = []
         for t, G in pairs:
             if not tails or G > tails[-1][1]:
                 tails.append((t, G))
-        tail0 = lam.tail_bound_at_growth(0)
+        # tail_bound_at_growth(0), as an exponent
+        tail0 = inf if lam.exact else max((C for C, t, _ in certs if t.numerator <= 0),
+                                          default=None)
 
         self.D0 = D0
         self.lower = _lower_hull(lower)
@@ -841,7 +850,7 @@ class _RNormProfile:
         self.herr = H
         self.levels = tuple(levels)
         self.valued = tuple(valued)
-        self.sup = None if tail0 is None else NormValue(min(tail0.exponent, head))
+        self.sup = None if tail0 is None else NormValue(min(tail0, head))
 
     def scale(self, s: Fraction):
         """(k, S, D) at s: the common denominator D = lcm(D0, s's), k = D / D0
@@ -967,8 +976,9 @@ def _expand_terms(model, terms, T):
     c_alpha = sum_j a_j prod_i C(g_ji, alpha_i) for |alpha| <= T.
 
     A point's row on axis i holds C(x, k) mod p^(W - v_p(k!)) for
-    k <= kmax, from ``_binom_residue`` at the coordinate residue x mod p^W
-    (W the model's ``elem_prec``); kmax is T, or the coordinate itself when
+    k <= kmax, the cached row ``binom(p, W, x, kmax)`` at the coordinate
+    residue x mod p^W (W the model's ``elem_prec``), one lookup per
+    distinct (x, kmax); kmax is T, or the coordinate itself when
     it is exact, nonnegative and below T, since C(x, k) vanishes exactly
     for integer x < k.  The prec of C(x, k) does not depend on x, so the
     prec of a product of a coefficient (r, prec, shift) and row entries is
@@ -1011,8 +1021,7 @@ def _expand_terms(model, terms, T):
             kmax = x if exact and 0 <= x < T else T
             key = (x % m, kmax)
             if key not in rows:
-                rows[key] = (1, *(_binom_residue(p, W, key[0], k)[1]
-                                  for k in range(1, kmax + 1)))
+                rows[key] = binom(p, W, *key)
                 if kmax > K:
                     K = kmax
             keys.append(key)

@@ -13,6 +13,11 @@ distribution heads, Dirac witnesses, Mahler table entries and level-n coset
 coefficients are stored.  A product takes the least prec and adds the
 shifts.  PadicScalar applies the same rules to its own triple; it is the
 form in which a value leaves the library.
+
+A Dirac distribution is expanded in Mahler's binomial basis, one row of
+binomial coefficients C(x, 0..kmax) per coordinate.  ``binom`` builds such
+a row whole, by the exact recurrence in k, and caches it: one lookup per
+row, not per entry.
 """
 
 from __future__ import annotations
@@ -353,15 +358,23 @@ def binomial_transform(table: dict, transpose: bool = False) -> None:
             table.update(zip(keys, row))
 
 
-@lru_cache(maxsize=1 << 18)
-def _binom_residue(p: int, prec: int, rep: int, k: int):
-    """(prec', C(rep, k) mod p**prec') for an integer rep known mod p**prec,
-    where prec' = prec - v_p(k!)."""
-    c = int_binom(rep, k)
-    vkf = vp_factorial(k, p)
-    prec_out = prec - vkf
-    if prec_out < 1:
-        raise PrecisionExhausted(
-            f"binomial coefficient needs {vkf} guard digits, window has {prec}"
-        )
-    return prec_out, c % ppow(p, prec_out)
+@lru_cache(maxsize=1 << 16)
+def binom(p: int, prec: int, x: int, kmax: int) -> tuple:
+    """The binomial row of an integer x known mod p**prec, as residues:
+    (1, C(x, 1), ..., C(x, kmax)), entry k reduced mod p**(prec - v_p(k!)),
+    the digits that x mod p**prec fixes.  Built by the exact recurrence
+    C(x, k) = C(x, k - 1) (x - k + 1) / k, one cache entry per row; raises
+    PrecisionExhausted at the first k with v_p(k!) >= prec."""
+    row = [1]
+    c = 1
+    vkf = 0
+    for k in range(1, kmax + 1):
+        if k % p == 0:
+            vkf += vp_int(k, p)
+        if vkf >= prec:
+            raise PrecisionExhausted(
+                f"binomial coefficient needs {vkf} guard digits, window has {prec}"
+            )
+        c = c * (x - k + 1) // k
+        row.append(c % ppow(p, prec - vkf))
+    return tuple(row)

@@ -141,12 +141,9 @@ def suite_lemma41(params: SuiteParams) -> SuiteReport:
     size_cap = 6
     model = GroupModel.from_string(params.group or f"heisenberg:{params.p}",
                                    prec=params.N, max_weight=size_cap)
-    betas = list(simplex(model.d, size_cap))
     pairs = entries = violations = 0
-    for beta in betas:
-        for gamma in betas:
-            if sum(beta) + sum(gamma) > size_cap:
-                continue
+    for beta in simplex(model.d, size_cap):
+        for gamma in simplex(model.d, size_cap - sum(beta)):
             pairs += 1
             _, verdicts = structure_constants(model, beta, gamma, size_cap)
             entries += len(verdicts)

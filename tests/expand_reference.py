@@ -17,14 +17,16 @@ point's coordinates, since only the order of the terms differs.
 from math import comb
 
 from padicdist.distalg import _merge_terms
-from padicdist.padic import _binom_residue, add_triples, ppow
+from padicdist.padic import add_triples, ppow
+
+from mahler_reference import binom_residue
 
 
 def expand_terms(model, terms, T):
     """Coefficient table of sum a_j delta_{g_j} up to degree T.
 
-    The binomial rows come from ``_binom_residue`` as (prec, residue)
-    pairs, once per coordinate residue and length; a product of a
+    The binomial rows come from ``mahler_reference.binom_residue`` as
+    (prec, residue) pairs, one ``math.comb`` per entry; a product of a
     coefficient and row entries keeps the least prec, and sums are
     ``add_triples``.  Residues are reduced once, in the returned table:
     those rules keep an unreduced residue congruent mod p^prec."""
@@ -43,7 +45,7 @@ def expand_terms(model, terms, T):
             row = row_of.get((x, kmax))
             if row is None:
                 row = row_of[x, kmax] = tuple(zip(
-                    (W, 1), *(_binom_residue(p, W, x, k) for k in range(1, kmax + 1))))
+                    (W, 1), *(binom_residue(p, W, x, k) for k in range(1, kmax + 1))))
             row_precs, row_res = row
             level = [(alpha + (k,), r * row_res[k],
                       prec if prec <= row_precs[k] else row_precs[k], budget - k)

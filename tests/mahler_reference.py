@@ -8,15 +8,35 @@ with a PadicScalar per entry and per step, as the module once did:
 - ``evaluate_scalars``: sum c_alpha C(point, alpha) of a table;
 - ``project_scalars`` and ``mul_scalars``: the level-n projection of a Dirac
   witness and the product in K[G/G_n], as {coset key: PadicScalar};
-- ``binom``: the binomial coefficient of a PadicScalar, the reference for
-  the binomial rows of ``distalg``.
+- ``binom_residue`` and ``binom``: one binomial coefficient by
+  ``math.comb``, as (prec, residue) and as a PadicScalar, the reference for
+  the cached rows of ``padic.binom``.
 
 The tests require identical (p, prec, residue, shift) for every value and
 coefficient, and the same error bound.
 """
 
+from math import comb, factorial
+
 from padicdist.mahler import MahlerError, int_binom
-from padicdist.padic import NormValue, PadicError, PadicScalar, _binom_residue, ppow
+from padicdist.padic import NormValue, PadicError, PadicScalar, PrecisionExhausted, ppow
+
+
+def binom_residue(p: int, prec: int, x: int, k: int):
+    """(prec', C(x, k) mod p**prec') for an integer x known mod p**prec,
+    prec' = prec - v_p(k!), by ``math.comb`` and the p-part of k!;
+    PrecisionExhausted when prec' < 1."""
+    f, vkf = factorial(k), 0
+    while f % p == 0:
+        f //= p
+        vkf += 1
+    prec_out = prec - vkf
+    if prec_out < 1:
+        raise PrecisionExhausted(
+            f"binomial coefficient needs {vkf} guard digits, window has {prec}"
+        )
+    c = comb(x, k) if x >= 0 else (-1) ** k * comb(k - x - 1, k)
+    return prec_out, c % ppow(p, prec_out)
 
 
 def binom(x: PadicScalar, k: int) -> PadicScalar:
@@ -28,7 +48,7 @@ def binom(x: PadicScalar, k: int) -> PadicScalar:
         raise PadicError("binomial coefficient requires an integral argument")
     if k == 0:
         return PadicScalar.one(x.p, x.prec)
-    prec_out, res = _binom_residue(x.p, x.prec, x.residue, k)
+    prec_out, res = binom_residue(x.p, x.prec, x.residue, k)
     return PadicScalar(x.p, prec_out, res, 0)
 
 

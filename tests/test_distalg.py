@@ -588,6 +588,43 @@ class TestNormProfile:
         assert lam.is_integral() == norm_reference.is_integral(lam)
         assert outcome(lam.r_threshold) == outcome(norm_reference.r_threshold, lam)
 
+    # certificate bounds and growths in halves, thirds and quarters (D0 = 12),
+    # with an unbounded head error or an unbounded certificate
+    SCALED_ENTRIES = {(0, 0): (P ** 2, 6, 0), (1, 0): (0, 3, 0), (0, 2): (2 * P, 6, 1),
+                      (2, 1): (0, 5, 1), (3, 3): (P ** 4, 6, 0)}
+    SCALED_CERTS = [TailCert(NormValue(Fraction(5, 2)), Fraction(1, 3)),
+                    TailCert(NormValue(Fraction(7, 3)), Fraction(3, 4), all_alpha=True),
+                    TailCert(NormValue(Fraction(9, 4)), Fraction(1, 2))]
+
+    @pytest.mark.parametrize("herr,extra", [
+        (NormValue.unbounded(), []),
+        (NormValue.zero(), [TailCert(NormValue.unbounded(), Fraction(1, 4))]),
+        (NormValue(Fraction(11, 4)), [TailCert(NormValue.unbounded(), Fraction(2, 3),
+                                               all_alpha=True)]),
+        (NormValue.unbounded(), [TailCert(NormValue(Fraction(1, 3)), Fraction(0))]),
+    ])
+    def test_exponents_scaled_by_the_common_denominator(self, herr, extra):
+        model = GroupModel.abelian(2, P, prec=6, max_weight=6)
+        lam = Distribution(model, self.SCALED_ENTRIES, 6,
+                           tail_certs=self.SCALED_CERTS + extra, head_error=herr)
+        prof = lam._rnorm_profile()
+        assert prof.D0 == 12
+        assert prof.herr == (herr.exponent if herr.exponent in (inf, -inf)
+                             else herr.exponent * 12)
+        # every finite scaled value is an int
+        for tau, e in prof.lower + prof.upper + prof.floors + prof.tails:
+            assert type(e) is int or e in (inf, -inf), (tau, e)
+        for s in NORM_RADII:
+            r = RadiusParam(s)
+            got = lam.norm(r)
+            for want in (norm_by_entries(lam, r), norm_reference.norm(lam, r)):
+                assert got.lower.exponent == want.lower.exponent, (s, got, want)
+                assert got.upper.exponent == want.upper.exponent, (s, got, want)
+            assert outcome(lam.principal_symbol, r) == \
+                outcome(norm_reference.principal_symbol, lam, r), s
+        assert lam.coeff_sup() == norm_reference.coeff_sup(lam) == coeff_sup_by_entries(lam)
+        assert outcome(lam.r_threshold) == outcome(norm_reference.r_threshold, lam)
+
     def test_coeff_sup_ties_with_the_tail_bound(self):
         # a known valuation 2 beside a growth-0 tail bound p^-2
         model = GroupModel.abelian(2, P, prec=6, max_weight=6)
@@ -904,7 +941,9 @@ class TestInexactHeads:
         assert_contains_exact_norm(out, src.mul(h))
 
     def test_add_entry_missing_from_inexact_operand(self):
-        # b3^3 lies beyond the inexact head: the head error takes its tail bound
+        # b3^3 lies beyond the inexact head and above the sum's T = 2: the
+        # sum cuts it off and its tail certificate covers it, so no entry of
+        # the sum lacks an inexact operand's value and no head error is added
         src = heis_source()
         b = Distribution.monomial(src.model, (0, 0, 3))
         out = inexact_head(src, 2) + b
@@ -916,8 +955,8 @@ class TestInexactHeads:
                 (1, 0, 0): (1, 7, 0), (1, 0, 1): (78123, 7, 0), (1, 1, 0): (2, 7, 0),
                 (2, 0, 0): (1, 7, 0)},
             "certs": [(-1, 0, False)],
-            "head_error": -1,
-            "norm": [inf, -1],
+            "head_error": inf,
+            "norm": [-1, -1],
         }
         assert_contains_exact_norm(out, src + b)
 
@@ -1170,6 +1209,18 @@ class TestSumCertificates:
         n = out.norm(RadiusParam(Fraction(1, 8)))
         # |d_6| r^6 = p^(-3/4) lies inside
         assert n.upper == NormValue(Fraction(5, 8)) >= NormValue(Fraction(3, 4))
+
+    def test_index_past_T_adds_no_head_error(self):
+        # b^6 lies above the sum's T = 4, so the certain entry 25 (valuation
+        # 2) stays certain: the lower end is p^-2, not 0
+        model = GroupModel.abelian(1, P, prec=12, max_weight=8)
+        lam = Distribution.from_coeffs(model, {(0,): 25}, 4, exact=False,
+                                       tail_certs=(TailCert(NormValue(2), Fraction(0)),))
+        b = Distribution.monomial(model, (6,), 8)
+        for out in (lam + b, b + lam):
+            assert out.head_error == NormValue.zero()
+            assert out.norm(RadiusParam(Fraction(1, 8))) == \
+                NormInterval(NormValue(2), NormValue(Fraction(5, 8)))
 
     def test_exact_operand_caps_with_its_stored_sup(self):
         # |5 + d_0| = p^-1 whatever d_0 with |d_0| <= p^-2 is

@@ -12,13 +12,15 @@ from padicdist.padic import (
     PadicError,
     PadicScalar,
     PrecisionExhausted,
-    _binom_residue,
+    binom as binom_row,
     binomial_transform,
     int_binom,
     ppow,
     vp_factorial,
     vp_int,
 )
+
+from mahler_reference import binom_residue
 
 P = 5
 N = 12
@@ -119,9 +121,9 @@ class TestNormValue:
 
 
 def binom(x, k):
-    """C(x, k) for an integral scalar x, from _binom_residue."""
-    prec, res = _binom_residue(x.p, x.prec, x.residue, k)
-    return PadicScalar(x.p, prec, res)
+    """C(x, k) for an integral scalar x, entry k of its ``padic.binom`` row."""
+    row = binom_row(x.p, x.prec, x.residue, k)
+    return PadicScalar(x.p, x.prec - vp_factorial(k, x.p), row[k])
 
 
 class TestBinom:
@@ -149,6 +151,49 @@ class TestBinom:
         want = math.comb(m, k)
         got = binom(x, k)
         assert got.same_value(PadicScalar.from_int(P, want, got.window))
+
+
+class TestBinomRow:
+    """``padic.binom``'s rows, built by a recurrence in k and cached whole,
+    against one ``math.comb`` per entry."""
+
+    T = 12
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_rows_match_math_comb(self, p):
+        for prec in range(1, 17):
+            m = ppow(p, prec)
+            xs = [0, 1, 2, p - 1, p, p + 1, 2 * p * p + 3, m - 2, m - 1, m, m + 1]
+            for x in xs:
+                want, raised = [1], None
+                for k in range(1, self.T + 4):
+                    try:
+                        want.append(binom_residue(p, prec, x, k)[1])
+                    except PrecisionExhausted as exc:
+                        raised = k, str(exc)
+                        break
+                for kmax in range(self.T + 4):
+                    if raised is not None and kmax >= raised[0]:
+                        # the first entry the window cannot hold, same message
+                        with pytest.raises(PrecisionExhausted) as info:
+                            binom_row(p, prec, x, kmax)
+                        assert str(info.value) == raised[1], (p, prec, x, kmax)
+                    else:
+                        assert binom_row(p, prec, x, kmax) == tuple(want[:kmax + 1]), \
+                            (p, prec, x, kmax)
+
+    def test_negative_argument(self):
+        # C(-1, k) = (-1)^k and C(-3, 2) = 6
+        assert binom_row(P, 4, -1, 6) == tuple((-1) ** k % ppow(P, 4 - vp_factorial(k, P))
+                                              for k in range(7))
+        assert binom_row(P, 4, -3, 2)[2] == 6
+
+    def test_one_cache_entry_per_row(self):
+        binom_row.cache_clear()
+        binom_row(P, N, 7, 10)
+        binom_row(P, N, 7, 10)
+        info = binom_row.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
 
 
 def box(sides):
