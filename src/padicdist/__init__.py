@@ -9,7 +9,7 @@ from importlib import import_module
 _EXPORTS = {
     "padic": ("NormValue", "PadicError", "PadicScalar", "PrecisionExhausted"),
     "groupmodel": ("GroupElement", "GroupModel", "ModelError"),
-    "distalg": ("DistError", "Distribution", "NormInterval", "RadiusParam", "TailCert",
+    "distalg": ("DistError", "Distribution", "Enclosure", "NormInterval", "RadiusParam",
                 "lie_generator", "q_norm", "semidirect_mul", "structure_constants"),
     "graded": ("GradedAmbient", "GradedError", "GradedIdeal", "GradedPoly",
                "grade_cyclic", "krull_dim", "saturate"),

@@ -2,9 +2,12 @@
 
 A distribution is held as a finite coefficient table over the monomials
 b^alpha = (h_1-1)^a1 ... (h_d-1)^ad up to a total-degree cutoff T,
-together with certified bounds on everything that is not stored: a list of
-tail certificates (C, t) asserting |d_alpha| <= C * p^(t * tau(alpha)) for
-every unstored alpha, and a per-entry error bound on the stored head.
+together with one ``Enclosure`` of everything it does not hold exactly: an
+error bound on each stored entry beyond its window, and lines (C, t), each
+asserting |d_alpha| <= C * p^(t * tau(alpha)), that hold at every unstored
+alpha or at every alpha.  ``norm`` reads the unstored lines only at
+weight_above(T), past the head, while ``mahler.pair`` reads them at every
+unstored degree (ROADMAP item 4(a)).
 
 Every head entry (``coeffs``) and every coefficient of the Dirac witness
 (``dirac_terms``) is stored as a triple of ints (residue, prec, shift), the
@@ -35,6 +38,7 @@ which point reached it.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import chain
@@ -97,13 +101,61 @@ class RadiusParam:
         return f"p^-{self.s}"
 
 
-class TailCert(NamedTuple):
-    """|d_alpha| <= bound * p^(growth * tau(alpha)) for every unstored alpha;
-    with all_alpha set, for every alpha including the stored head."""
+class Line(NamedTuple):
+    """|d_alpha| <= bound * p^(growth * tau(alpha)) at every alpha it covers."""
 
     bound: NormValue
-    growth: Fraction
-    all_alpha: bool = False
+    growth: int | Fraction
+
+
+class Enclosure(namedtuple("Enclosure", ("stored", "unstored", "cap"))):
+    """What a distribution knows of the entries it does not hold exactly.
+
+    Each line (C, t) is a bound on its own, |d_alpha| <= C p^(t tau(alpha)),
+    so a set of lines bounds by its least line at each alpha.  ``stored``
+    bounds each stored entry's error beyond its window; the ``unstored``
+    lines hold at every unstored alpha, and the ``cap`` lines at every
+    alpha, so every reader of the unstored entries reads them too.
+    ``EXACT`` (stored 0, the one unstored line (0, 0)) says the stored
+    entries are the distribution; the default, stored 0 and no line, bounds
+    nothing unstored.  A bound that is not a NormValue, or a growth that is
+    not an int or a Fraction, is refused with DistError.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, stored=_ZERO, unstored=(), cap=()):
+        try:
+            unstored, cap = (tuple(Line(*x) for x in lines) for lines in (unstored, cap))
+        except TypeError:
+            raise DistError("an enclosure line is not a (bound, growth) pair") from None
+        for C, t in ((stored, 0), *unstored, *cap):
+            if not isinstance(C, NormValue) or type(t) not in (int, Fraction):
+                raise DistError(f"enclosure bound {C!r} or growth {t!r} is not a "
+                                "NormValue and an int or a Fraction")
+        return super().__new__(cls, stored, unstored, cap)
+
+    def bound(self, tau=0, t=inf) -> NormValue | None:
+        """The least C p^(g tau) over the lines of growth g <= t that hold at
+        every unstored alpha; None for none."""
+        return min((C * NormValue(-g * tau) for C, g in self.unstored + self.cap if g <= t),
+                   default=None)
+
+    @property
+    def gap(self) -> NormValue:
+        """Bound on the coefficients of what the Dirac decomposition of the
+        head leaves out: the growth-0 bound or ``stored``, whichever is
+        larger; unbounded without a growth-0 line."""
+        tail = self.bound(0, 0)
+        return NormValue.unbounded() if tail is None else max(tail, self.stored)
+
+    def scale(self, c: NormValue) -> "Enclosure":
+        """The enclosure of c times the distribution, |c| <= c."""
+        return Enclosure(self.stored * c, [(C * c, t) for C, t in self.unstored],
+                         [(C * c, t) for C, t in self.cap])
+
+
+Enclosure.EXACT = Enclosure(_ZERO, ((_ZERO, 0),))
 
 
 class NormInterval(NamedTuple):
@@ -155,17 +207,17 @@ class Distribution:
     ``scale`` also take ints, Fractions, PadicScalars and unreduced triples
     (``as_triple``).
 
+    ``enclosure`` bounds what the table does not hold exactly; the default
+    bounds nothing unstored.  ``exact`` says that it is ``Enclosure.EXACT``.
     What the Dirac decomposition of an inexact head leaves out (its tail
-    and the errors of its entries) has coefficients bounded by
-    ``_head_gap``: the larger of the growth-0 tail and ``head_error``, and
-    unbounded without a growth-0 tail.  ``mul``, ``conjugate``,
-    ``change_basis`` and ``+`` all take that bound from there.
+    and the errors of its entries) has coefficients bounded by the
+    enclosure's ``gap``; ``mul``, ``conjugate``, ``change_basis`` and ``+``
+    all take that bound from there.
     """
 
-    __slots__ = ("model", "coeffs", "T", "tail_certs", "exact", "head_error",
-                 "dirac_terms", "_profile")
+    __slots__ = ("model", "coeffs", "T", "enclosure", "dirac_terms", "_profile")
 
-    def __init__(self, model, coeffs, T, tail_certs=(), exact=False, head_error=None):
+    def __init__(self, model, coeffs, T, enclosure=Enclosure()):
         self.model = model
         self.T = truncation(T)
         self.coeffs = dict(coeffs)
@@ -173,41 +225,38 @@ class Distribution:
             if model.tau(alpha) > self.T:
                 raise DistError(f"stored index {alpha} exceeds truncation weight {self.T}")
             require_triple(model.p, alpha, c)
-        self.tail_certs = tuple(tail_certs)
-        self.exact = bool(exact)
-        if self.exact and self.tail_certs:
-            raise DistError("exact distributions carry no tail certificates")
-        self.head_error = _ZERO if head_error is None else head_error
-        if self.exact and not self.head_error.is_zero:
-            raise DistError("exact distributions carry no head error")
+        if not isinstance(enclosure, Enclosure):
+            raise DistError(f"enclosure {enclosure!r} is not an Enclosure")
+        self.enclosure = enclosure
         self.dirac_terms = None
         self._profile = None
 
     @classmethod
-    def _clean(cls, model, coeffs, T, tail_certs=(), exact=False, head_error=_ZERO,
-               dirac_terms=None) -> "Distribution":
+    def _clean(cls, model, coeffs, T, enclosure, dirac_terms=None) -> "Distribution":
         """Wrap parts already in the form ``__init__`` leaves them in (an int
-        T >= 0, a dict of triples of degree <= T, tuples of certificates and
-        Dirac terms, no certificates when exact), with no checks: for the
-        results the library builds itself.  An exact table keeps no entry of
-        residue 0; this is the one place where a result drops its zeros."""
+        T >= 0, a dict of triples of degree <= T, an Enclosure and a tuple of
+        Dirac terms), with no checks: for the results the library builds
+        itself.  An exact table keeps no entry of residue 0; this is the one
+        place where a result drops its zeros."""
         out = object.__new__(cls)
         out.model = model
-        out.coeffs = {a: c for a, c in coeffs.items() if c[0]} if exact else coeffs
+        out.enclosure = enclosure
+        out.coeffs = {a: c for a, c in coeffs.items() if c[0]} if out.exact else coeffs
         out.T = T
-        out.tail_certs = tail_certs
-        out.exact = exact
-        out.head_error = head_error
         out.dirac_terms = dirac_terms
         out._profile = None
         return out
+
+    @property
+    def exact(self) -> bool:
+        return self.enclosure == Enclosure.EXACT
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero_dist(cls, model, T=None) -> "Distribution":
         T = model.max_weight if T is None else T
-        return cls(model, {}, T, exact=True)
+        return cls(model, {}, T, Enclosure.EXACT)
 
     @classmethod
     def one(cls, model, T=None) -> "Distribution":
@@ -219,7 +268,7 @@ class Distribution:
         alpha = _multi_index(model, alpha)
         if model.tau(alpha) > T:
             raise DistError(f"monomial weight {model.tau(alpha)} exceeds T={T}")
-        return cls(model, {alpha: as_triple(model, 1)}, T, exact=True)
+        return cls(model, {alpha: as_triple(model, 1)}, T, Enclosure.EXACT)
 
     @classmethod
     def dirac(cls, g: GroupElement, T=None) -> "Distribution":
@@ -233,18 +282,18 @@ class Distribution:
             model._require_same(g.model)
         merged = _merge_terms(model, [(as_triple(model, a), g.coords, g.exact) for a, g in terms])
         coeffs = _expand_terms(model, merged, T)
-        if out := _exact_result(model, merged, coeffs, T):
+        if out := _exact_result(model, merged, coeffs, T, merged):
             return out
-        certs = (TailCert(_terms_coeff_bound(model, merged), Fraction(0), all_alpha=True),)
-        return cls._clean(model, coeffs, T, certs, dirac_terms=merged)
+        cap = ((_terms_coeff_bound(model, merged), Fraction(0)),)
+        return cls._clean(model, coeffs, T, Enclosure(cap=cap), merged)
 
     @classmethod
-    def from_coeffs(cls, model, table, T, exact=True, tail_certs=(),
-                    head_error=None) -> "Distribution":
+    def from_coeffs(cls, model, table, T, enclosure=Enclosure.EXACT) -> "Distribution":
         """Build from an explicit coefficient table (exact by default).  An
         exact table drops the entries that are zero to the working precision
         (window at least ``elem_prec``, as ints and Fractions are read); a
         zero known on a narrower window stays, as an uncertain entry."""
+        exact = enclosure == Enclosure.EXACT
         coeffs = {}
         for alpha, c in table.items():
             alpha = _multi_index(model, alpha)
@@ -252,8 +301,7 @@ class Distribution:
             if exact and known_zero(model, c):
                 continue
             coeffs[alpha] = c
-        return cls(model, coeffs, T, tail_certs=tail_certs, exact=exact,
-                   head_error=head_error)
+        return cls(model, coeffs, T, enclosure)
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -266,53 +314,24 @@ class Distribution:
                                          (0, model.elem_prec, 0))
         return PadicScalar(model.p, prec, r, shift)
 
-    def tail_bound_at_growth(self, t, all_alpha=False) -> NormValue | None:
-        """Best certified uniform bound C with |d_alpha| <= C p^(t tau) off the head."""
-        if self.exact:
-            return NormValue.zero()
-        t = Fraction(t)
-        best = None
-        for c in self.tail_certs:
-            if all_alpha and not c.all_alpha:
-                continue
-            if c.growth <= t and (best is None or c.bound < best):
-                best = c.bound
-        return best
-
-    def _cap_at_growth(self, t) -> NormValue | None:
-        """Best C with |d_alpha| <= C p^(t tau) for every alpha, head
-        included: an exact distribution's from its stored entries, any
-        other's from its all-alpha certificates."""
-        if self.exact:
-            p = self.model.p
-            return _least_cover([(self.model.tau(a), triple_bound(p, c))
-                                 for a, c in self.coeffs.items()], t)
-        return self.tail_bound_at_growth(t, all_alpha=True)
-
     def coeff_sup(self) -> NormValue | None:
         """Certified upper bound on sup_alpha |d_alpha| (head and tail).
 
-        The growth-0 tail bound, or an entry's magnitude bound where larger
-        (as in ``norm``: head_error where that is larger); None without a
-        growth-0 tail.  Read off the r-norm profile."""
+        The growth-0 bound of the enclosure, or an entry's magnitude bound
+        where larger (as in ``norm``: the stored error where that is
+        larger); None without a growth-0 line.  Read off the r-norm
+        profile."""
         return self._rnorm_profile().sup
 
     def is_integral(self) -> bool:
         sup = self.coeff_sup()
-        return sup is not None and sup.exponent >= 0 and self.head_error.exponent >= 0
+        return sup is not None and sup.exponent >= 0 and self.enclosure.stored.exponent >= 0
 
     def _exact_terms(self):
         """An exact Dirac-combination representation, or None."""
         if self.dirac_terms is None and self.exact:
             self.dirac_terms = _head_to_dirac(self.model, self.coeffs)
         return self.dirac_terms
-
-    def _head_gap(self) -> NormValue:
-        """Bound on the coefficients of what the Dirac decomposition of the
-        head leaves out: the growth-0 tail or head_error, whichever is
-        larger; unbounded without a growth-0 tail."""
-        tail = self.tail_bound_at_growth(0)
-        return NormValue.unbounded() if tail is None else max(tail, self.head_error)
 
     # -- linear structure --------------------------------------------------
 
@@ -328,14 +347,12 @@ class Distribution:
             return r * cr % ppow(p, prec), prec, shift + cshift
 
         coeffs = {a: times(v) for a, v in self.coeffs.items()}
-        certs = tuple(TailCert(tc.bound * cup, tc.growth, tc.all_alpha)
-                      for tc in self.tail_certs)
         terms = None
         if self.dirac_terms is not None:
             terms = _merge_terms(self.model, [(times(a), coords, exact)
                                               for a, coords, exact in self.dirac_terms])
-        return Distribution._clean(self.model, coeffs, self.T, certs, self.exact,
-                                   self.head_error * cup, terms)
+        return Distribution._clean(self.model, coeffs, self.T, self.enclosure.scale(cup),
+                                   terms)
 
     def __neg__(self) -> "Distribution":
         return self.scale(-1)
@@ -343,8 +360,12 @@ class Distribution:
     def __add__(self, other: "Distribution") -> "Distribution":
         """The sum.  Two exact operands vanish past their heads, so their sum
         keeps both heads, at the larger T.  Any other sum is cut at the
-        smaller T, and each of its tail certificates also covers the entries
-        cut off there; an exact operand's all-alpha cap is its stored sup."""
+        smaller T.  At each growth t of either operand's lines, the sum's
+        line is the larger of the operands' least lines at t, and its
+        unstored line also covers the entries cut off at T; an exact
+        operand's cap is its stored sup.  (The union of the operands' lines
+        would not do: each line bounds on its own, so the union would
+        certify the tighter operand's bound for the sum.)"""
         self.model._require_same(other.model)
         exact = self.exact and other.exact
         T = max(self.T, other.T) if exact else min(self.T, other.T)
@@ -356,37 +377,44 @@ class Distribution:
         for a in keys:
             r, prec, shift = add_triples(p, self.coeffs.get(a, zero), other.coeffs.get(a, zero))
             coeffs[a] = r % ppow(p, prec), prec, shift
-        herr = max(self.head_error, other.head_error)
+        e1, e2 = self.enclosure, other.enclosure
+        herr = max(e1.stored, e2.stored)
         # an entry of the sum that an inexact operand does not store carries
         # that operand's head gap; an index past T is no entry of the sum,
-        # and the tail certificates below cover it
+        # and the lines below cover it
         for left, right in ((self, other), (other, self)):
             if not right.exact and any(a not in right.coeffs for a in left.coeffs
                                        if tau(a) <= T):
-                herr = max(herr, right._head_gap())
-        certs = []
-        if not exact:
+                herr = max(herr, right.enclosure.gap)
+        if exact:
+            enclosure = Enclosure.EXACT
+        else:
+            def cap_at(x, t):
+                if x.exact:
+                    return _least_cover([(tau(a), triple_bound(p, c))
+                                         for a, c in x.coeffs.items()], t)
+                return min((C for C, g in x.enclosure.cap if g <= t), default=None)
+
             # the stored entries past T, each bounded by its magnitude bound
-            # or its operand's head_error, whichever is larger
-            cut = [(tau(a), max(triple_bound(p, c), x.head_error))
+            # or its operand's stored error, whichever is larger
+            cut = [(tau(a), max(triple_bound(p, c), x.enclosure.stored))
                    for x in (self, other) for a, c in x.coeffs.items() if tau(a) > T]
-            growths = sorted({tc.growth for tc in self.tail_certs + other.tail_certs})
-            if not growths:
-                growths = [Fraction(0)]
-            for t in growths:
-                a = self.tail_bound_at_growth(t)
-                b = other.tail_bound_at_growth(t)
+            unstored, cap = [], []
+            for t in sorted({g for e in (e1, e2) for _, g in e.unstored + e.cap}):
+                a = e1.bound(0, t)
+                b = e2.bound(0, t)
                 if a is None or b is None:
                     continue
-                aa = self._cap_at_growth(t)
-                bb = other._cap_at_growth(t)
+                aa = cap_at(self, t)
+                bb = cap_at(other, t)
                 if aa is not None and bb is not None:
-                    certs.append(TailCert(max(aa, bb), t, all_alpha=True))
-                certs.append(TailCert(max(a, b, _least_cover(cut, t)), t))
+                    cap.append((max(aa, bb), t))
+                unstored.append((max(a, b, _least_cover(cut, t)), t))
+            enclosure = Enclosure(herr, unstored, cap)
         terms = None
         if self.dirac_terms is not None and other.dirac_terms is not None:
             terms = _merge_terms(self.model, self.dirac_terms + other.dirac_terms)
-        return Distribution._clean(self.model, coeffs, T, tuple(certs), exact, herr, terms)
+        return Distribution._clean(self.model, coeffs, T, enclosure, terms)
 
     def __sub__(self, other: "Distribution") -> "Distribution":
         return self + (-other)
@@ -396,8 +424,8 @@ class Distribution:
     def mul(self, other: "Distribution", T=None, s_work=None) -> "Distribution":
         """Noncommutative convolution via Dirac decomposition of the heads.
 
-        ``s_work`` attaches an extra tail certificate at growth s_work from
-        the product of the factors' norm upper bounds at r = p^(-s_work).
+        ``s_work`` attaches an extra cap line at growth s_work from the
+        product of the factors' norm upper bounds at r = p^(-s_work).
         """
         self.model._require_same(other.model)
         model = self.model
@@ -412,14 +440,14 @@ class Distribution:
             ((ra * rb, pa if pa < pb else pb, sa + sb), law(p, g, h), ge and he)
             for (ra, pa, sa), g, ge in t1 for (rb, pb, sb), h, he in t2))
         coeffs = _expand_terms(model, merged, T)
-        if exact_path and (out := _exact_result(model, merged, coeffs, T)):
+        if exact_path and (out := _exact_result(model, merged, coeffs, T, merged)):
             return out
 
         sup1 = self.coeff_sup()
         sup2 = other.coeff_sup()
-        certs = []
+        cap = []
         if sup1 is not None and sup2 is not None:
-            certs.append(TailCert(sup1 * sup2, Fraction(0), all_alpha=True))
+            cap.append((sup1 * sup2, Fraction(0)))
         if s_work is not None:
             works = [s_work] if isinstance(s_work, (int, Fraction)) else list(s_work)
             for s in works:
@@ -428,15 +456,15 @@ class Distribution:
                 u1 = self.norm(r).upper
                 u2 = other.norm(r).upper
                 if not (u1.is_unbounded or u2.is_unbounded):
-                    certs.append(TailCert(u1 * u2, s, all_alpha=True))
+                    cap.append((u1 * u2, s))
         if exact_path:
             herr = NormValue.zero()
         elif sup1 is None or sup2 is None:
             herr = NormValue.unbounded()
         else:
-            herr = max(self._head_gap() * sup2, other._head_gap() * sup1)
-        return Distribution._clean(model, coeffs, T, tuple(certs), head_error=herr,
-                                   dirac_terms=merged if exact_path else None)
+            herr = max(self.enclosure.gap * sup2, other.enclosure.gap * sup1)
+        return Distribution._clean(model, coeffs, T, Enclosure(herr, (), cap),
+                                   merged if exact_path else None)
 
     def __mul__(self, other: "Distribution") -> "Distribution":
         return self.mul(other)
@@ -446,12 +474,14 @@ class Distribution:
     def norm(self, r: RadiusParam) -> NormInterval:
         """The interval certified to contain sup_alpha |d_alpha| r^tau(alpha).
 
-        A head entry is certain when its valuation v is known and beats
-        head_error; it contributes p^-(v + s tau) to both ends.  Any other
-        entry contributes only to the upper end: its magnitude bound (its
-        valuation, else its window; head_error if that is larger) times
-        r^tau, capped by the all-alpha certificates at tau.  The tail
-        certificates bound the unstored part at weight_above(T).
+        A head entry is certain when its valuation v is known and beats the
+        enclosure's stored error; it contributes p^-(v + s tau) to both
+        ends.  Any other entry contributes only to the upper end: its
+        magnitude bound (its valuation, else its window; the stored error
+        if that is larger) times r^tau, capped by the cap lines at tau.
+        The unstored and cap lines bound the unstored part, read at
+        weight_above(T) only: an unstored index of degree <= T reads as
+        zero (ROADMAP item 4(a)).
 
         Written as exponents, each end is a least value of lines in s, read
         off the r-norm profile (``_RNormProfile``) built once per
@@ -481,9 +511,9 @@ class Distribution:
 
         Requires 1/p < r < 1, i.e. s < 1, and enough stored precision that
         the head minimum beats every uncertainty floor: the entries of
-        unknown valuation, the tail at weight_above(T) and head_error.  The
-        test reads the r-norm profile; only the leading entries are read
-        from ``coeffs``.
+        unknown valuation, the tail at weight_above(T) and the stored
+        error.  The test reads the r-norm profile; only the leading entries
+        are read from ``coeffs``.
         """
         from .graded import GradedAmbient, GradedPoly
 
@@ -496,8 +526,8 @@ class Distribution:
         k, S, D = prof.scale(s)
         best = _least_line(prof.lower, k, S)
         # every unknown must be certified strictly above the head minimum; an
-        # entry of known valuation that does not beat head_error is refused
-        # through head_error, which is at most its valuation
+        # entry of known valuation that does not beat the stored error is
+        # refused through that error, which is at most its valuation
         least_floor = min(_least_line(prof.floors, k, S), prof.tail(k, S), k * prof.herr)
         if least_floor <= best:
             raise DistError(
@@ -519,15 +549,30 @@ class Distribution:
     # -- basis change and conjugation -------------------------------------
 
     def change_basis(self, basis, T=None) -> "Distribution":
-        """Re-expand in the monomials of another ordered basis (omega 1 each)."""
+        """Re-expand in the monomials of another ordered basis (omega 1 each).
+
+        A point's coordinates in the new chart are residues mod p^W.  For an
+        exact point and an exact basis, the residues lifted to their least
+        absolute values are the exact coordinates when the basis powers
+        rebuild the point under the exact int law; the image is then exact."""
         from .groupmodel import coords_in_basis, validate_basis
 
         model = self.model
         validate_basis(model, basis)
-        return self._map_support(
-            lambda coords, exact: (
-                coords_in_basis(model, basis, GroupElement(model, coords, exact)), False),
-            T, same_chart=False)
+        law, p = model.law, model.p
+        m = ppow(p, model.elem_prec)
+        exact_basis = all(b.exact for b in basis)
+
+        def act(coords, exact):
+            y = coords_in_basis(model, basis, GroupElement(model, coords, exact))
+            if exact and exact_basis:
+                lift = tuple(x - m if 2 * x > m else x for x in y)
+                powers = map(partial(law.pow, p), (b.coords for b in basis), lift)
+                if reduce(partial(law.mul, p), powers, (0,) * model.d) == coords:
+                    return lift, True
+            return y, False
+
+        return self._map_support(act, T, same_chart=False)
 
     def conjugate(self, g, T=None) -> "Distribution":
         """Image under delta_h -> delta_{g h g^-1} (g a GroupElement or "sigma",
@@ -549,11 +594,11 @@ class Distribution:
 
     def _map_support(self, act, T, same_chart=True) -> "Distribution":
         """sum a_j delta_{act(g_j)} up to degree T (default self.T), over the
-        exact witness, else over the Dirac decomposition of the head with
-        ``_head_gap`` as the head error; ``act`` maps a point's (coords,
-        exact) to its image's.  With ``same_chart`` unset, ``act`` gives
-        coordinates in another chart as inexact points, so that the kernel
-        prunes no binomial row, and the result keeps no witness."""
+        exact witness, else over the Dirac decomposition of the head with the
+        enclosure's ``gap`` as the stored error; ``act`` maps a point's
+        (coords, exact) to its image's.  With ``same_chart`` unset, ``act``
+        gives coordinates in another chart, on which ``model.law`` does not
+        act, so the result keeps no witness."""
         model = self.model
         T = self.T if T is None else truncation(T)
         terms = self._exact_terms()
@@ -562,15 +607,15 @@ class Distribution:
             terms = _head_to_dirac(model, self.coeffs)
         merged = _merge_terms(model, ((a, *act(coords, exact)) for a, coords, exact in terms))
         coeffs = _expand_terms(model, merged, T)
-        if witness and (out := _exact_result(model, merged, coeffs, T)):
+        kept = merged if same_chart else None
+        if witness and (out := _exact_result(model, merged, coeffs, T, kept)):
             return out
-        herr = NormValue.zero() if witness else self._head_gap()
-        certs = ()
+        herr = NormValue.zero() if witness else self.enclosure.gap
+        cap = ()
         if not herr.is_unbounded:
-            bound = max(_terms_coeff_bound(model, merged), self.coeff_sup())
-            certs = (TailCert(bound, Fraction(0), all_alpha=True),)
-        return Distribution._clean(model, coeffs, T, certs, head_error=herr,
-                                   dirac_terms=merged if witness and same_chart else None)
+            cap = ((max(_terms_coeff_bound(model, merged), self.coeff_sup()), Fraction(0)),)
+        return Distribution._clean(model, coeffs, T, Enclosure(herr, (), cap),
+                                   kept if witness else None)
 
     # -- radius threshold --------------------------------------------------
 
@@ -693,8 +738,7 @@ def lie_generator(model: GroupModel, i: int, T=None) -> Distribution:
         if q > K:
             break
         m += 1
-    return Distribution(model, coeffs, K,
-                        tail_certs=(TailCert(NormValue.one(), t),))
+    return Distribution(model, coeffs, K, Enclosure(unstored=((NormValue.one(), t),)))
 
 
 def q_norm(pair, r: RadiusParam) -> NormInterval:
@@ -729,7 +773,7 @@ class _RNormProfile:
     """The r-norms of one distribution as integer lines in s.
 
     Write a bound p^-x as its exponent x.  Every exponent the r-norms read
-    (valuations, windows, head_error, certificate bounds and growths) is
+    (valuations, windows, the stored error, line bounds and growths) is
     scaled once by one common denominator D0.  At s = a/b, with D = lcm(D0,
     b), k = D / D0 and S = s D, a contribution W + s tau (W scaled) is then
     the int k W + S tau, and a least such value is attained on the lower
@@ -737,17 +781,17 @@ class _RNormProfile:
     keeps only those points.
 
     - ``lower``: the certain levels, (tau, v D0) with v the least valuation
-      at degree tau of an entry whose valuation beats head_error.
+      at degree tau of an entry whose valuation beats the stored error.
     - ``upper``: the certain levels and the uncertain ones, whose exponent is
-      the least of the entries' magnitude bounds (head_error where that is
-      larger), raised to the all-alpha caps C + (s - t) tau; ``unbounded``
-      when one of these is -inf.
-    - ``tails``: the tail certificates (C, t) give C + (s - t) tplus at s >= t,
-      tplus = weight_above(T); the pairs (t D0, G), ascending, where G is the
-      largest C D0 - t D0 tplus over the certificates of growth at most t
-      (one pair (0, +inf) when the distribution is exact).
+      the least of the entries' magnitude bounds (the stored error where
+      that is larger), raised to the cap lines C + (s - t) tau;
+      ``unbounded`` when one of these is -inf.
+    - ``tails``: the unstored and cap lines (C, t) give C + (s - t) tplus at
+      s >= t, tplus = weight_above(T); the pairs (t D0, G), ascending, where
+      G is the largest C D0 - t D0 tplus over the lines of growth at most t
+      (EXACT's zero line gives the one pair (0, +inf)).
     - ``floors`` and ``herr``: the levels of entries of unknown valuation,
-      (tau, window D0), and head_error D0, the uncertainty floors that
+      (tau, window D0), and the stored error D0, the uncertainty floors that
       ``principal_symbol`` tests.
     - ``levels``: (tau, v, indices) per certain level, the indices of its
       entries of valuation v.
@@ -764,11 +808,13 @@ class _RNormProfile:
 
     def __init__(self, lam: Distribution):
         p = lam.model.p
-        herr = lam.head_error.exponent
-        # each certificate's exponents, read once: (bound, growth, all_alpha)
-        certs = [(c.bound.exponent, c.growth, c.all_alpha) for c in lam.tail_certs]
+        enc = lam.enclosure
+        herr = enc.stored.exponent
+        # each line's exponents, read once: (bound, growth)
+        caps = [(C.exponent, t) for C, t in enc.cap]
+        lines = [(C.exponent, t) for C, t in enc.unstored] + caps
         D0 = 1
-        for x in chain((herr,), *((C, t) for C, t, _ in certs)):
+        for x in chain((herr,), *lines):
             if type(x) is not float and D0 % x.denominator:
                 D0 = lcm(D0, x.denominator)
 
@@ -776,7 +822,7 @@ class _RNormProfile:
             return x if type(x) is float else x.numerator * (D0 // x.denominator)
 
         H = scaled(herr)
-        # an int valuation v beats head_error when v < ceil(head_error)
+        # an int valuation v beats the stored error when v < ceil(its exponent)
         beats = herr if type(herr) is float else -(-herr.numerator // herr.denominator)
         # per degree (|alpha|, every omega is 1): [least certain v, its
         # indices, least uncertain v, least window]
@@ -799,7 +845,7 @@ class _RNormProfile:
             elif level[3] is None or prec - shift < level[3]:
                 level[3] = prec - shift
 
-        caps = [(scaled(C), scaled(t)) for C, t, all_alpha in certs if all_alpha]
+        caps = [(scaled(C), scaled(t)) for C, t in caps]
         lower, uncertain, floors, levels, valued = [], [], [], [], []
         unbounded = False
         head = inf  # the least exponent of an entry's bound, for coeff_sup
@@ -828,17 +874,12 @@ class _RNormProfile:
                 uncertain.append((tau, e))
 
         tplus = lam.model.weight_above(lam.T)
-        if lam.exact:
-            pairs = [(0, inf)]
-        else:
-            pairs = sorted((scaled(t), scaled(C) - scaled(t) * tplus) for C, t, _ in certs)
         tails = []
-        for t, G in pairs:
+        for t, G in sorted((scaled(t), scaled(C) - scaled(t) * tplus) for C, t in lines):
             if not tails or G > tails[-1][1]:
                 tails.append((t, G))
-        # tail_bound_at_growth(0), as an exponent
-        tail0 = inf if lam.exact else max((C for C, t, _ in certs if t.numerator <= 0),
-                                          default=None)
+        # the enclosure's bound(0, 0), as an exponent
+        tail0 = max((C for C, t in lines if t.numerator <= 0), default=None)
 
         self.D0 = D0
         self.lower = _lower_hull(lower)
@@ -861,7 +902,7 @@ class _RNormProfile:
 
     def tail(self, k: int, S: int):
         """The tightest tail term at weight_above(T), scaled by D: +inf when
-        exact, -inf when no certificate has growth at most s."""
+        exact, -inf when no line has growth at most s."""
         G = -inf
         for t, best in self.tails:
             if k * t > S:
@@ -919,13 +960,14 @@ def _multi_index(model, alpha) -> tuple:
     return ints
 
 
-def _exact_result(model, terms, coeffs, T):
-    """The exact distribution with the witness ``terms`` and its expansion
-    ``coeffs`` up to degree T, when every support point is exact in N^d with
-    degree <= T, so that the expansion ends inside the head; else None."""
+def _exact_result(model, terms, coeffs, T, witness):
+    """The exact distribution with the expansion ``coeffs`` of ``terms`` up
+    to degree T, and the Dirac witness ``witness``, when every support point
+    is exact in N^d with degree <= T, so that the expansion ends inside the
+    head; else None."""
     if all(exact and all(x >= 0 for x in coords) and model.tau(coords) <= T
            for _, coords, exact in terms):
-        return Distribution._clean(model, coeffs, T, exact=True, dirac_terms=terms)
+        return Distribution._clean(model, coeffs, T, Enclosure.EXACT, witness)
 
 
 def _merge_terms(model, terms):
@@ -1095,10 +1137,4 @@ def _expand_terms(model, terms, T):
 def _terms_coeff_bound(model, terms) -> NormValue:
     """Uniform bound on expansion coefficients of a Dirac combination: the
     largest magnitude bound of an a_j."""
-    p = model.p
-    bound = NormValue.zero()
-    for a, _, _ in terms:
-        up = triple_bound(p, a)
-        if up > bound:
-            bound = up
-    return bound
+    return max((triple_bound(model.p, a) for a, _, _ in terms), default=_ZERO)

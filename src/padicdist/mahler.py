@@ -319,35 +319,26 @@ def pair(lam: Distribution, table: MahlerTable):
             total = add_triples(p, total, (r * c[0], min(prec, c[1]), shift + c[2]))
         else:
             errors.append(triple_bound(p, (r, prec, shift)) * table.missing_bound(alpha))
-    if not lam.head_error.is_zero:
-        errors.append(lam.head_error * table.sup_bound())
+    enc = lam.enclosure
+    if not enc.stored.is_zero:
+        errors.append(enc.stored * table.sup_bound())
     if not lam.exact:
-        # table entries reachable only through the distribution's tail,
-        # beyond T as well as unstored in the head
+        # table entries reachable only through the distribution's unstored
+        # entries, beyond T as well as unstored in the head
+        unbounded = NormValue.unbounded()
         for alpha, c in table.coeffs.items():
             if alpha not in lam.coeffs:
-                errors.append(_lam_tail_bound_at(lam, sum(alpha)) * triple_bound(p, c))
+                bound = enc.bound(sum(alpha))
+                errors.append(unbounded if bound is None else bound * triple_bound(p, c))
         if not table.complete:
+            # the lines of growth t <= t_t, times the decay C_t p^(-t_t k),
+            # at the least degree k0 past both the head and the table
             C_t, t_t = table.decay
             k0 = max(model.weight_above(lam.T), table.cap + 1)
-            best = None
-            for cert in lam.tail_certs:
-                if t_t >= cert.growth:
-                    cand = cert.bound * C_t * NormValue((t_t - cert.growth) * k0)
-                    if best is None or cand < best:
-                        best = cand
-            errors.append(NormValue.unbounded() if best is None else best)
+            best = enc.bound(k0, t_t)
+            errors.append(unbounded if best is None else best * NormValue(t_t * k0) * C_t)
     r, prec, shift = total
     return PadicScalar(p, prec, r, shift), max(errors)
-
-
-def _lam_tail_bound_at(lam, k):
-    best = None
-    for cert in lam.tail_certs:
-        cand = cert.bound * NormValue(-cert.growth * k)
-        if best is None or cand < best:
-            best = cand
-    return NormValue.unbounded() if best is None else best
 
 
 class GroupAlgebraElement:

@@ -2,8 +2,9 @@
 and Mahler-table files with one term per line.
 
 A scalar reads back with its value and window.  A distribution file keeps
-the head, the growth-0 tail bound and the head error; it drops the all-alpha
-and growth > 0 tail certificates and the Dirac witness."""
+the head and two numbers of its enclosure, the growth-0 bound on the
+unstored entries and the stored error; it drops the cap lines, the lines of
+growth > 0 and the Dirac witness."""
 
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from typing import TYPE_CHECKING
 
 from .padic import NormValue, PadicError, PadicScalar, PrecisionExhausted, ppow, vp_int
 from .groupmodel import GroupModel
-from .distalg import Distribution, TailCert
+from .distalg import Distribution, Enclosure
 
 if TYPE_CHECKING:
     from .mahler import MahlerTable
@@ -103,17 +104,14 @@ def parse_normvalue(text: str, line=None) -> NormValue:
 
 def serialize_distribution(d: Distribution) -> str:
     model = d.model
-    if d.exact:
-        tail = "0"
-    else:
-        b = d.tail_bound_at_growth(0)
-        tail = "unbounded" if b is None else str(b)
+    enc = d.enclosure
+    b = enc.bound(0, 0)
     head = (
         f"group={model.id} p={model.p} N={model.prec} "
-        f"T={d.T}/1 tail={tail} exact={1 if d.exact else 0}"
+        f"T={d.T}/1 tail={'unbounded' if b is None else b} exact={1 if d.exact else 0}"
     )
-    if not d.head_error.is_zero:
-        head += f" err={d.head_error}"
+    if not enc.stored.is_zero:
+        head += f" err={enc.stored}"
     return _format_terms(head, model.p, d.coeffs)
 
 
@@ -185,15 +183,14 @@ def parse_distribution(text: str) -> Distribution:
     if model.p != p:
         raise ParseError(f"header p={p} contradicts group id {h['group']}", 1)
     coeffs = _parse_terms(lines[1:], p, model.d)
-    certs = ()
-    if not exact:
-        tail = parse_normvalue(h["tail"], 1)
-        if not tail.is_unbounded:
-            certs = (TailCert(tail, Fraction(0)),)
-    herr = parse_normvalue(h["err"], 1) if "err" in h else None
+    # an exact file's tail is 0, whatever its header says
+    tail = NormValue.zero() if exact else parse_normvalue(h["tail"], 1)
+    herr = parse_normvalue(h["err"], 1) if "err" in h else NormValue.zero()
+    if exact and not herr.is_zero:
+        raise ParseError("exact distributions carry no head error", 1)
+    unstored = () if tail.is_unbounded else ((tail, Fraction(0)),)
     try:
-        return Distribution(model, coeffs, T, tail_certs=certs, exact=exact,
-                            head_error=herr)
+        return Distribution(model, coeffs, T, Enclosure(herr, unstored))
     except PadicError as exc:
         raise ParseError(str(exc), 1) from None
 

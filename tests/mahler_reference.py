@@ -21,6 +21,8 @@ from math import comb, factorial
 from padicdist.mahler import MahlerError, int_binom
 from padicdist.padic import NormValue, PadicError, PadicScalar, PrecisionExhausted, ppow
 
+from enclosure_view import head_error, tail_certs
+
 
 def binom_residue(p: int, prec: int, x: int, k: int):
     """(prec', C(x, k) mod p**prec') for an integer x known mod p**prec,
@@ -81,7 +83,7 @@ def evaluate_scalars(table, point) -> PadicScalar:
 
 def _tail_bound_at(lam, k):
     best = None
-    for cert in lam.tail_certs:
+    for cert in tail_certs(lam):
         cand = cert.bound * NormValue(-cert.growth * k)
         if best is None or cand < best:
             best = cand
@@ -105,8 +107,8 @@ def pair_scalars(lam, table):
             total = total + dcoef * c
         else:
             errors.append(dcoef.abs_val() * table.missing_bound(alpha))
-    if not lam.head_error.is_zero:
-        errors.append(lam.head_error * sup_bound_scalars(table))
+    if not head_error(lam).is_zero:
+        errors.append(head_error(lam) * sup_bound_scalars(table))
     if not lam.exact:
         for alpha, c in entries.items():
             if alpha not in lam.coeffs:
@@ -115,7 +117,7 @@ def pair_scalars(lam, table):
             C_t, t_t = table.decay
             k0 = max(model.weight_above(lam.T), table.cap + 1)
             best = None
-            for cert in lam.tail_certs:
+            for cert in tail_certs(lam):
                 if t_t >= cert.growth:
                     cand = cert.bound * C_t * NormValue((t_t - cert.growth) * k0)
                     if best is None or cand < best:

@@ -18,13 +18,15 @@ from math import inf, lcm
 from padicdist.distalg import DistError, NormInterval, RadiusParam
 from padicdist.padic import NormValue, ppow, triple_bound, triple_valuation
 
+from enclosure_view import head_error, tail_bound_at_growth, tail_certs
+
 
 def valuation_profile(lam):
     """Per degree tau with a stored entry: (tau, v, e), v the least valuation
     of a certain entry and e the least magnitude exponent of the others,
     head_error's where that is less (None where there is no such entry)."""
     p = lam.model.p
-    herr = lam.head_error
+    herr = head_error(lam)
     levels = {}
     for alpha, c in lam.coeffs.items():
         level = levels.setdefault(lam.model.tau(alpha), [None, None])
@@ -46,7 +48,7 @@ def tail_norm_bound(lam, s: Fraction):
         return NormValue.zero()
     tplus = lam.model.weight_above(lam.T)
     best = None
-    for cert in lam.tail_certs:
+    for cert in tail_certs(lam):
         C, t = cert.bound, cert.growth
         if s > t:
             cand = NormValue(C.exponent + (s - t) * tplus)
@@ -62,7 +64,7 @@ def tail_norm_bound(lam, s: Fraction):
 def norm(lam, r: RadiusParam) -> NormInterval:
     s = r.s
     profile = valuation_profile(lam)
-    certs = [c for c in lam.tail_certs if c.all_alpha]
+    certs = [c for c in tail_certs(lam) if c.all_alpha]
     D = lcm(s.denominator, *(getattr(x, "denominator", 1) for x in chain(
         (c.growth for c in certs), (c.bound.exponent for c in certs),
         (e for _, _, e in profile))))
@@ -96,7 +98,7 @@ def norm(lam, r: RadiusParam) -> NormInterval:
 
 
 def coeff_sup(lam):
-    tail = lam.tail_bound_at_growth(0)
+    tail = tail_bound_at_growth(lam, 0)
     if tail is None:
         return None
     best = tail.exponent
@@ -138,8 +140,8 @@ def principal_symbol(lam, r: RadiusParam):
         floors.append(-inf)
     elif not tail.is_zero:
         floors.append(tail.exponent)
-    if not lam.head_error.is_zero:
-        floors.append(lam.head_error.exponent)
+    if not head_error(lam).is_zero:
+        floors.append(head_error(lam).exponent)
     if any(f <= best for f in floors):
         raise DistError(
             "insufficient truncation/precision for the principal symbol; "
@@ -153,12 +155,12 @@ def principal_symbol(lam, r: RadiusParam):
 
 
 def is_integral(lam) -> bool:
-    tail = lam.tail_bound_at_growth(0)
+    tail = tail_bound_at_growth(lam, 0)
     if tail is None or tail.exponent < 0:
         return False
     p = lam.model.p
     return all(triple_bound(p, c).exponent >= 0 for c in lam.coeffs.values()) and \
-        lam.head_error.exponent >= 0
+        head_error(lam).exponent >= 0
 
 
 def r_threshold(lam) -> RadiusParam:

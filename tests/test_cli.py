@@ -245,15 +245,14 @@ def expanded(tmp_path, name, group, *how):
 
 class TestBasisConjQnorm:
     def test_basis(self, tmp_path):
-        # delta_{h1 h2} is 1 + b'2 in the basis (h1, h1 h2, h3)
+        # delta_{h1 h2} is exactly 1 + b'2 in the basis (h1, h1 h2, h3): the
+        # point (1, 1, 0) is (0, 1, 0) in that chart, an exact image
         h = expanded(tmp_path, "h.dist", "heisenberg:5", "--elem", "1,1,0", "-T", "2")
         code, out, _ = run_cli(["basis", "--in", h, "--basis", "1,0,0;1,1,0;0,0,1"])
         assert code == 0
         assert out == (
-            "group=heisenberg:5 p=5 N=4 T=2/1 tail=p^0 exact=0\n"
-            "0,0,0 : 0:1:6\n0,0,1 : 6:0:6\n0,0,2 : 6:0:6\n0,1,0 : 0:1:6\n"
-            "0,1,1 : 6:0:6\n0,2,0 : 6:0:6\n1,0,0 : 6:0:6\n1,0,1 : 6:0:6\n"
-            "1,1,0 : 6:0:6\n2,0,0 : 6:0:6\n")
+            "group=heisenberg:5 p=5 N=4 T=2/1 tail=0 exact=1\n"
+            "0,0,0 : 0:1:6\n0,1,0 : 0:1:6\n")
 
     def test_conj_elem(self, tmp_path):
         h = expanded(tmp_path, "h.dist", "heisenberg:5", "--elem", "1,1,0", "-T", "3")

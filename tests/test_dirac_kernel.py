@@ -479,8 +479,7 @@ def test_key_order_is_not_observable(tmp_path):
     for lam in key_order_cases(tmp_path):
         model = lam.model
         items = list(lam.coeffs.items())
-        fwd, rev = (Distribution(model, dict(order), lam.T, lam.tail_certs, lam.exact,
-                                 lam.head_error)
+        fwd, rev = (Distribution(model, dict(order), lam.T, lam.enclosure)
                     for order in (items, items[::-1]))
         assert list(fwd.coeffs) != list(rev.coeffs)
         assert serialize_distribution(fwd) == serialize_distribution(rev)

@@ -8,9 +8,10 @@ from hypothesis import given, settings, strategies as st
 from padicdist.distalg import (
     DistError,
     Distribution,
+    Enclosure,
+    Line,
     NormInterval,
     RadiusParam,
-    TailCert,
     lie_generator,
     q_norm,
     semidirect_mul,
@@ -23,6 +24,7 @@ from padicdist.serialize import ParseError, parse_distribution, serialize_distri
 from padicdist.suites import SuiteParams, _second_basis
 
 import norm_reference
+from enclosure_view import head_error, tail_bound_at_growth, tail_certs
 
 P = 5
 T = Fraction(12)
@@ -65,7 +67,7 @@ class TestConstructors:
         model = ab(1)
         d = Distribution.dirac(model.element([-1]))
         assert not d.exact
-        assert d.tail_bound_at_growth(0) == NormValue(0)
+        assert d.enclosure.bound(0, 0) == NormValue(0)
         for k in range(6):
             assert d.coeff((k,)).same_value(sc(model, (-1) ** k))
 
@@ -96,14 +98,66 @@ class TestConstructors:
         assert one.norm(R12).lower == NormValue(0)
 
     def test_exact_refuses_a_head_error(self):
+        # exact means the enclosure is EXACT: a file that says exact=1 with
+        # a head error is refused, a stored error beside EXACT's zero line
+        # is an inexact head, and a zero stored error is none
+        with pytest.raises(ParseError, match="head error"):
+            parse_distribution("group=abelian:1:5 p=5 N=12 T=4/1 tail=0 exact=1 err=p^0\n")
         model = ab(1)
         one = sc(model, 1).triple
-        with pytest.raises(DistError, match="head error"):
-            Distribution(model, {(0,): one}, 4, exact=True, head_error=NormValue(0))
-        with pytest.raises(DistError, match="head error"):
-            Distribution.from_coeffs(model, {(0,): 1}, 4, head_error=NormValue.unbounded())
-        assert Distribution(model, {(0,): one}, 4, exact=True,
-                            head_error=NormValue.zero()).exact
+        zero_line = [(NormValue.zero(), 0)]
+        assert not Distribution(model, {(0,): one}, 4, Enclosure(NormValue(0), zero_line)).exact
+        assert not Distribution.from_coeffs(model, {(0,): 1}, 4,
+                                            Enclosure(NormValue.unbounded(), zero_line)).exact
+        lam = Distribution(model, {(0,): one}, 4, Enclosure(NormValue.zero(), zero_line))
+        assert lam.exact and lam.enclosure == Enclosure.EXACT
+
+    @pytest.mark.parametrize("stored,unstored,cap", [
+        # a float growth, which the r-norm profile cannot scale
+        (NormValue.zero(), [(NormValue(1), 0.25)], []),
+        (NormValue.zero(), [], [(NormValue(1), True)]),
+        (NormValue.zero(), [(1, Fraction(0))], []),
+        (NormValue.zero(), [], [(NormValue(1), Fraction(0), True)]),
+        (NormValue.zero(), [NormValue(1)], []),
+        (0, [], []),
+    ])
+    def test_enclosure_refuses_bad_lines(self, stored, unstored, cap):
+        with pytest.raises(DistError, match="enclosure"):
+            Enclosure(stored, unstored, cap)
+
+    def test_constructor_takes_an_enclosure_only(self):
+        model = ab(1)
+        with pytest.raises(DistError, match="not an Enclosure"):
+            Distribution(model, {}, 4, [(NormValue(1), Fraction(0))])
+
+    def test_default_enclosure_bounds_nothing_unstored(self):
+        model = ab(1)
+        lam = Distribution(model, {(0,): sc(model, 1).triple}, 4)
+        assert lam.enclosure == Enclosure() and not lam.exact
+        for s in NORM_RADII:
+            assert lam.norm(RadiusParam(s)).upper.is_unbounded
+
+    def test_exact_results_carry_the_exact_enclosure(self):
+        # points in N^d of degree <= T: (2,0,1)(1,3,4) = (3,3,5), and
+        # (0,1,0) commutes with (0,2,1)
+        heis_model, model = heis(), ab(2)
+        g, h = heis_model.element([2, 0, 1]), heis_model.element([1, 3, 4])
+        b = Distribution.monomial(model, (1, 0))
+        cases = [
+            Distribution.zero_dist(model), Distribution.one(model), b,
+            Distribution.from_coeffs(model, {(1, 1): 3}, 6),
+            Distribution.dirac(model.element([2, 1])),
+            Distribution.dirac_combination(model, [(3, model.element([1, 1])),
+                                                   (Fraction(1, 5), model.element([0, 2]))]),
+            Distribution.dirac(g).mul(Distribution.dirac(h)),
+            Distribution.dirac(heis_model.element([0, 2, 1])).conjugate(
+                heis_model.element([0, 1, 0])),
+            b + Distribution.dirac(model.element([1, 2])),
+            b.scale(7), -b, b - b,
+            parse_distribution(serialize_distribution(b)),
+        ]
+        for lam in cases:
+            assert lam.exact and lam.enclosure == Enclosure.EXACT, lam.coeffs
 
     def test_constructor_takes_int_triples_only(self):
         # a table of PadicScalars is refused here, not later inside norm
@@ -293,7 +347,7 @@ class TestInvalidMultiIndices:
         with pytest.raises(DistError):
             Distribution.from_coeffs(model, {alpha: 1, (0, 0): 1}, 6)
         with pytest.raises(DistError):
-            Distribution.from_coeffs(model, {alpha: 1}, 6, exact=False)
+            Distribution.from_coeffs(model, {alpha: 1}, 6, Enclosure())
 
     @pytest.mark.parametrize("beta, gamma", [((-1, 0, 0), (1, 0, 0)),
                                              ((0, 1, 0), (0, -1, 2)),
@@ -354,7 +408,7 @@ def cert_bound_at(lam, tau, s):
     """Best all-alpha certificate bound on |d_alpha| r^(s tau) at one index,
     one NormValue per certificate: the first of the tightest."""
     best = None
-    for c in lam.tail_certs:
+    for c in tail_certs(lam):
         if not c.all_alpha:
             continue
         cand = c.bound * NormValue((s - c.growth) * tau)
@@ -366,7 +420,7 @@ def cert_bound_at(lam, tau, s):
 def coeff_sup_by_entries(lam):
     """Reference for Distribution.coeff_sup: one bound per stored coefficient,
     the larger of its magnitude and head_error, from the growth-0 tail up."""
-    tail = lam.tail_bound_at_growth(0)
+    tail = tail_bound_at_growth(lam, 0)
     if tail is None:
         return None
     best = tail
@@ -374,7 +428,7 @@ def coeff_sup_by_entries(lam):
         c = lam.coeff(alpha)
         v = c.valuation
         up = NormValue(v) if v is not None else NormValue(c.window)
-        best = max(best, up, lam.head_error)
+        best = max(best, up, head_error(lam))
     return best
 
 
@@ -388,12 +442,12 @@ def norm_by_entries(lam, r):
         c = lam.coeff(alpha)
         tau = model.tau(alpha)
         v = c.valuation
-        if v is not None and lam.head_error < NormValue(v):
+        if v is not None and head_error(lam) < NormValue(v):
             lower = max(lower, NormValue(v + s * tau))
             uppers.append(NormValue(v + s * tau))
             continue
         mag = NormValue(v) if v is not None else NormValue(c.window)
-        up = max(mag, lam.head_error) * NormValue(s * tau)
+        up = max(mag, head_error(lam)) * NormValue(s * tau)
         cb = cert_bound_at(lam, tau, s)
         if cb is not None and cb < up:
             up = cb
@@ -412,7 +466,7 @@ def tail_by_certs(lam, s):
         return NormValue.zero()
     tplus = lam.model.weight_above(lam.T)
     return min((c.bound * NormValue((s - c.growth) * tplus)
-                for c in lam.tail_certs if c.growth <= s), default=None)
+                for c in tail_certs(lam) if c.growth <= s), default=None)
 
 
 NORM_RADII = [Fraction(1, 8), Fraction(1, 5), Fraction(1, 4), Fraction(1, 3),
@@ -459,17 +513,19 @@ def distributions(draw):
             prec = draw(st.integers(2, 6))
             residue = draw(st.sampled_from([0, 0, 0, 1, 2, P, 2 * P, P ** 2, P ** 3]))
             coeffs[alpha] = PadicScalar(P, prec, residue, draw(st.integers(0, 1))).triple
-        certs = [TailCert(draw(norm_values()),
-                          draw(st.sampled_from([Fraction(0), Fraction(1, 4),
-                                                Fraction(1, 2), Fraction(2, 3),
-                                                Fraction(1)])),
-                          draw(st.integers(0, 3)) > 0)
+        # (bound, growth, cap)
+        lines = [(draw(norm_values()),
+                  draw(st.sampled_from([Fraction(0), Fraction(1, 4), Fraction(1, 2),
+                                        Fraction(2, 3), Fraction(1)])),
+                  draw(st.integers(0, 3)) > 0)
                  for _ in range(draw(st.integers(0, 3)))]
         if draw(st.integers(0, 3)):
             # a tail bounded at every s, so that the entries can set the upper end
-            certs.append(TailCert(NormValue(draw(st.integers(0, 3))), Fraction(0)))
-        lam = Distribution(model, coeffs, T, tail_certs=certs,
-                           head_error=draw(st.one_of(st.just(NormValue.zero()), norm_values())))
+            lines.append((NormValue(draw(st.integers(0, 3))), Fraction(0), False))
+        herr = draw(st.one_of(st.just(NormValue.zero()), norm_values()))
+        lam = Distribution(model, coeffs, T, Enclosure(
+            herr, [(C, t) for C, t, cap in lines if not cap],
+            [(C, t) for C, t, cap in lines if cap]))
     else:
         g = model.element(draw(st.lists(coord, min_size=d, max_size=d)))
         lam = Distribution.dirac(g)
@@ -491,21 +547,21 @@ def outcome(f, *args):
         return type(exc), str(exc)
 
 
-def _tie_case(entries, herr, certs):
+def _tie_case(entries, enclosure):
     model = GroupModel.abelian(2, P, prec=6, max_weight=6)
     coeffs = {alpha: PadicScalar(P, prec, residue).triple for alpha, residue, prec in entries}
-    return Distribution(model, coeffs, 6, tail_certs=certs, head_error=herr)
+    return Distribution(model, coeffs, 6, enclosure)
 
 
 class TestNormProfile:
     @pytest.mark.parametrize("lam", [
         # an entry of known valuation exactly at an all-alpha cap
         # p^-(2 + s tau), after an entry the cap holds down to it
-        _tie_case([((0, 1), 0, 1), ((1, 0), P ** 2, 5)], NormValue(2),
-                  [TailCert(NormValue(2), Fraction(0), all_alpha=True)]),
+        _tie_case([((0, 1), 0, 1), ((1, 0), P ** 2, 5)],
+                  Enclosure(NormValue(2), cap=[(NormValue(2), Fraction(0))])),
         # a window bound at degree 2 and a valuation at degree 0, both p^-4
-        _tie_case([((2, 0), 0, 3), ((0, 0), P ** 4, 6)], NormValue(4),
-                  [TailCert(NormValue(1), Fraction(0))]),
+        _tie_case([((2, 0), 0, 3), ((0, 0), P ** 4, 6)],
+                  Enclosure(NormValue(4), [(NormValue(1), Fraction(0))])),
     ])
     def test_tied_upper_ends(self, lam):
         # bounds from different levels tie for the upper end
@@ -527,8 +583,7 @@ class TestNormProfile:
     def test_entry_bounds(self, coeffs, herr, upper):
         model = GroupModel.abelian(2, P, prec=6, max_weight=6)
         coeffs = {a: (residue, prec, 0) for a, (prec, residue) in coeffs.items()}
-        lam = Distribution(model, coeffs, 6, tail_certs=[TailCert(NormValue(1), Fraction(0))],
-                           head_error=herr)
+        lam = Distribution(model, coeffs, 6, Enclosure(herr, [(NormValue(1), Fraction(0))]))
         r = RadiusParam(Fraction(1, 2))
         got, want = lam.norm(r), norm_by_entries(lam, r)
         assert got.upper.exponent == want.upper.exponent == upper
@@ -563,11 +618,9 @@ class TestNormProfile:
         # norm() compares exponents over a common denominator, which must
         # take in the thirds that the radius does not have
         model = GroupModel.abelian(2, P, prec=6, max_weight=6)
-        certs = [TailCert(NormValue(7), Fraction(0))]
-        if cap is not None:
-            certs.append(TailCert(cap, Fraction(0), all_alpha=True))
-        lam = Distribution(model, {(0, 0): (0, prec, 0)}, 6, tail_certs=certs,
-                           head_error=herr)
+        caps = [] if cap is None else [(cap, Fraction(0))]
+        lam = Distribution(model, {(0, 0): (0, prec, 0)}, 6,
+                           Enclosure(herr, [(NormValue(7), Fraction(0))], caps))
         got, want = lam.norm(R12), norm_by_entries(lam, R12)
         assert got.upper.exponent == want.upper.exponent == Fraction(19, 3)
 
@@ -592,21 +645,22 @@ class TestNormProfile:
     # with an unbounded head error or an unbounded certificate
     SCALED_ENTRIES = {(0, 0): (P ** 2, 6, 0), (1, 0): (0, 3, 0), (0, 2): (2 * P, 6, 1),
                       (2, 1): (0, 5, 1), (3, 3): (P ** 4, 6, 0)}
-    SCALED_CERTS = [TailCert(NormValue(Fraction(5, 2)), Fraction(1, 3)),
-                    TailCert(NormValue(Fraction(7, 3)), Fraction(3, 4), all_alpha=True),
-                    TailCert(NormValue(Fraction(9, 4)), Fraction(1, 2))]
+    SCALED_UNSTORED = [(NormValue(Fraction(5, 2)), Fraction(1, 3)),
+                       (NormValue(Fraction(9, 4)), Fraction(1, 2))]
+    SCALED_CAP = [(NormValue(Fraction(7, 3)), Fraction(3, 4))]
 
+    # extra: (unstored lines, cap lines)
     @pytest.mark.parametrize("herr,extra", [
-        (NormValue.unbounded(), []),
-        (NormValue.zero(), [TailCert(NormValue.unbounded(), Fraction(1, 4))]),
-        (NormValue(Fraction(11, 4)), [TailCert(NormValue.unbounded(), Fraction(2, 3),
-                                               all_alpha=True)]),
-        (NormValue.unbounded(), [TailCert(NormValue(Fraction(1, 3)), Fraction(0))]),
+        (NormValue.unbounded(), ([], [])),
+        (NormValue.zero(), ([(NormValue.unbounded(), Fraction(1, 4))], [])),
+        (NormValue(Fraction(11, 4)), ([], [(NormValue.unbounded(), Fraction(2, 3))])),
+        (NormValue.unbounded(), ([(NormValue(Fraction(1, 3)), Fraction(0))], [])),
     ])
     def test_exponents_scaled_by_the_common_denominator(self, herr, extra):
         model = GroupModel.abelian(2, P, prec=6, max_weight=6)
-        lam = Distribution(model, self.SCALED_ENTRIES, 6,
-                           tail_certs=self.SCALED_CERTS + extra, head_error=herr)
+        unstored, cap = extra
+        lam = Distribution(model, self.SCALED_ENTRIES, 6, Enclosure(
+            herr, self.SCALED_UNSTORED + unstored, self.SCALED_CAP + cap))
         prof = lam._rnorm_profile()
         assert prof.D0 == 12
         assert prof.herr == (herr.exponent if herr.exponent in (inf, -inf)
@@ -629,7 +683,7 @@ class TestNormProfile:
         # a known valuation 2 beside a growth-0 tail bound p^-2
         model = GroupModel.abelian(2, P, prec=6, max_weight=6)
         lam = Distribution(model, {(1, 0): (P ** 2, 6, 0)}, 6,
-                           tail_certs=[TailCert(NormValue(2), Fraction(0))])
+                           Enclosure(unstored=[(NormValue(2), Fraction(0))]))
         assert lam.coeff_sup().exponent == 2
 
 
@@ -679,7 +733,9 @@ class TestLieGenerator:
         # the tail claims |1/k| = p^(v_p(k)) <= p^(t*k) for every k > T;
         # a growth read off the first prime power past T alone fails here
         model = GroupModel.abelian(1, p, prec=12, max_weight=Fraction(T))
-        (cert,) = lie_generator(model, 0).tail_certs
+        enc = lie_generator(model, 0).enclosure
+        (cert,) = enc.unstored
+        assert enc.cap == () and enc.stored.is_zero
         assert cert.bound == NormValue.one()
         for k in range(T + 1, p ** 2 * T):
             v, n = 0, k
@@ -742,6 +798,29 @@ class TestConjugationAndBasis:
         assert out.coeff((1, 0)).same_value(sc(model, 1))
         assert out.coeff((0, 1)).same_value(sc(model, -1))
         assert out.coeff((1, 1)).same_value(sc(model, -1))
+
+    def test_change_basis_keeps_exact_images_exact(self):
+        # delta_{h1 h2} is exactly 1 + b'2 in the basis (h1, h1 h2, h3)
+        model = GroupModel.heisenberg(P, prec=4, max_weight=2)
+        basis = [model.element(c) for c in ([1, 0, 0], [1, 1, 0], [0, 0, 1])]
+        out = Distribution.dirac(model.element([1, 1, 0])).change_basis(basis)
+        assert out.exact and out.enclosure == Enclosure.EXACT
+        assert out.coeffs == {(0, 0, 0): sc(model, 1).triple, (0, 1, 0): sc(model, 1).triple}
+        # its support is in the other chart, on which the law does not act
+        assert out.dirac_terms is None
+
+    @pytest.mark.parametrize("x", [-2, P ** 15])
+    def test_change_basis_keeps_other_images_inexact(self, x):
+        # delta_x is its own image in the basis (h1): a negative x has no
+        # finite expansion, and 5^15 = 0 mod p^W lifts to 0, which the basis
+        # power does not rebuild to 5^15
+        model = GroupModel.abelian(1, P, prec=12, max_weight=6)
+        assert model.elem_prec == 15
+        out = Distribution.dirac(model.element([x])).change_basis([model.element([1])])
+        assert not out.exact
+        for k in range(7):
+            true = math.prod(range(x - k + 1, x + 1)) // math.factorial(k)
+            assert out.coeff((k,)).same_value(PadicScalar.from_int(P, true, 40)), k
 
 
 class TestRadiusThreshold:
@@ -809,8 +888,7 @@ def inexact_head(src, K, growth=Fraction(0)):
             head[alpha] = c
         else:
             bound = max(bound, c.abs_val() * NormValue(growth * model.tau(alpha)))
-    return Distribution.from_coeffs(model, head, K, exact=False,
-                                    tail_certs=[TailCert(bound, growth)])
+    return Distribution.from_coeffs(model, head, K, Enclosure(unstored=[(bound, growth)]))
 
 
 def heis_source():
@@ -832,8 +910,8 @@ def summary(lam):
     return {
         "T": lam.T,
         "entries": entries,
-        "certs": [(c.bound.exponent, c.growth, c.all_alpha) for c in lam.tail_certs],
-        "head_error": lam.head_error.exponent,
+        "certs": [(c.bound.exponent, c.growth, c.all_alpha) for c in tail_certs(lam)],
+        "head_error": head_error(lam).exponent,
         "norm": [x.exponent for x in lam.norm(R12)],
     }
 
@@ -885,17 +963,21 @@ class TestInexactHeads:
         assert_contains_exact_norm(out, src.conjugate(g))
 
     def test_change_basis(self):
-        # the r-norm does not depend on the ordered basis
+        # the r-norm does not depend on the ordered basis.  The head's Dirac
+        # points have exact images in the new chart, whose binomial rows end
+        # at their coordinates, so an entry that only the terms of shift 0
+        # reach keeps their window p^7, where rows to T gave it the shift-1
+        # terms' p^6: b'3^2 is 3, not 15/5, and b'1 is 1, not 5/5
         src = heis_source()
         basis = _second_basis(src.model)
         out = inexact_head(src, 2).change_basis(basis)
         assert summary(out) == {
             "T": 2,
             "entries": {
-                (0, 0, 0): (1, 7, 1), (0, 0, 1): (78111, 7, 1), (0, 0, 2): (15, 7, 1),
+                (0, 0, 0): (1, 7, 1), (0, 0, 1): (78111, 7, 1), (0, 0, 2): (3, 7, 0),
                 (0, 1, 0): (7, 7, 1), (0, 1, 1): (78117, 7, 1), (0, 2, 0): (1, 7, 1),
-                (1, 0, 0): (5, 7, 1), (1, 0, 1): (78100, 7, 1), (1, 1, 0): (10, 7, 1),
-                (2, 0, 0): (5, 7, 1)},
+                (1, 0, 0): (1, 7, 0), (1, 0, 1): (78120, 7, 0), (1, 1, 0): (2, 7, 0),
+                (2, 0, 0): (1, 7, 0)},
             "certs": [(-1, 0, True)],
             "head_error": -1,
             "norm": [inf, -1],
@@ -976,9 +1058,7 @@ class TestWhatAnInexactHeadLeavesOut:
         # of norm p^0, though its tail is only p^-5
         model = GroupModel.heisenberg(P, prec=12, max_weight=3)
         lam = Distribution.from_coeffs(
-            model, {(0, 0, 0): 25}, 3, exact=False,
-            tail_certs=[TailCert(NormValue(5), Fraction(0))],
-            head_error=NormValue(0))
+            model, {(0, 0, 0): 25}, 3, Enclosure(NormValue(0), [(NormValue(5), Fraction(0))]))
         if op == "mul":
             out = lam.mul(Distribution.one(model, 3))
         elif op == "conjugate":
@@ -994,7 +1074,7 @@ class TestWhatAnInexactHeadLeavesOut:
         model = GroupModel.from_string("heisenberg:5")
         lam = lie_generator(model, 0, T=6)
         out = lam.change_basis(standard_basis(model))
-        assert out.tail_certs == ()
+        assert out.enclosure.unstored == out.enclosure.cap == ()
         assert out.norm(RadiusParam(Fraction(1, 50))).upper >= NormValue(Fraction(-3, 2))
 
 
@@ -1063,7 +1143,7 @@ class TestCallerTriples:
     def test_constructor_refuses_an_unreduced_residue(self):
         # 5^14 mod 5^14 is 0, so a norm p^-14 .. p^-14 would be false
         with pytest.raises(ValueError, match=r"coefficient at \(0,\) is not a stored triple"):
-            Distribution(self.model(), {(0,): (5 ** 14, 14, 0)}, 4, exact=True)
+            Distribution(self.model(), {(0,): (5 ** 14, 14, 0)}, 4, Enclosure.EXACT)
 
     def test_from_coeffs_refuses_an_empty_window(self):
         with pytest.raises(PrecisionExhausted):
@@ -1153,7 +1233,7 @@ def sum_operand(draw, model, table):
         table = {a: c for a, c in table.items() if model.tau(a) <= T}
         return Distribution.from_coeffs(model, table, T), table
     head = {a: table.get(a, 0) for a in simplex(model.d, T)}
-    certs = []
+    unstored, caps = [], []
     for t in draw(st.lists(st.sampled_from([Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1)]),
                            min_size=1, max_size=2, unique=True)):
         above = [(a, c) for a, c in table.items() if model.tau(a) > T]
@@ -1162,14 +1242,13 @@ def sum_operand(draw, model, table):
                 default=NormValue.zero())
         if C.is_zero or draw(st.booleans()):
             C = max(C, NormValue(draw(st.integers(-1, 3))))
-        certs.append(TailCert(C, t))
+        unstored.append((C, t))
         if draw(st.booleans()):
             cap = max((NormValue(vp_int(c, P) + t * model.tau(a)) for a, c in table.items() if c),
                       default=NormValue(2))
-            certs.append(TailCert(cap, t, all_alpha=True))
-    herr = draw(st.sampled_from([None, NormValue(3), NormValue(1)]))
-    return Distribution.from_coeffs(model, head, T, exact=False, tail_certs=certs,
-                                    head_error=herr), table
+            caps.append((cap, t))
+    herr = draw(st.sampled_from([NormValue.zero(), NormValue(3), NormValue(1)]))
+    return Distribution.from_coeffs(model, head, T, Enclosure(herr, unstored, caps)), table
 
 
 SUM_MODELS = {
@@ -1201,11 +1280,12 @@ class TestSumCertificates:
 
     def test_inexact_sum_covers_what_it_cuts(self):
         model = GroupModel.abelian(1, P, prec=12, max_weight=8)
-        lam = Distribution.from_coeffs(model, {(0,): 25}, 4, exact=False,
-                                       tail_certs=(TailCert(NormValue(2), Fraction(0)),))
+        lam = Distribution.from_coeffs(model, {(0,): 25}, 4,
+                                       Enclosure(unstored=[(NormValue(2), Fraction(0))]))
         out = lam + Distribution.monomial(model, (6,), 8)
         assert not out.exact and out.T == 4
-        assert out.tail_certs == (TailCert(NormValue(0), Fraction(0)),)
+        assert out.enclosure.unstored == (Line(NormValue(0), Fraction(0)),)
+        assert out.enclosure.cap == ()
         n = out.norm(RadiusParam(Fraction(1, 8)))
         # |d_6| r^6 = p^(-3/4) lies inside
         assert n.upper == NormValue(Fraction(5, 8)) >= NormValue(Fraction(3, 4))
@@ -1214,11 +1294,11 @@ class TestSumCertificates:
         # b^6 lies above the sum's T = 4, so the certain entry 25 (valuation
         # 2) stays certain: the lower end is p^-2, not 0
         model = GroupModel.abelian(1, P, prec=12, max_weight=8)
-        lam = Distribution.from_coeffs(model, {(0,): 25}, 4, exact=False,
-                                       tail_certs=(TailCert(NormValue(2), Fraction(0)),))
+        lam = Distribution.from_coeffs(model, {(0,): 25}, 4,
+                                       Enclosure(unstored=[(NormValue(2), Fraction(0))]))
         b = Distribution.monomial(model, (6,), 8)
         for out in (lam + b, b + lam):
-            assert out.head_error == NormValue.zero()
+            assert out.enclosure.stored == NormValue.zero()
             assert out.norm(RadiusParam(Fraction(1, 8))) == \
                 NormInterval(NormValue(2), NormValue(Fraction(5, 8)))
 
@@ -1226,10 +1306,10 @@ class TestSumCertificates:
         # |5 + d_0| = p^-1 whatever d_0 with |d_0| <= p^-2 is
         model = GroupModel.abelian(1, P, prec=12, max_weight=4)
         a = Distribution.from_coeffs(model, {(0,): 5}, 4)
-        o = Distribution(model, {(0,): (0, 1, 0)}, 4, exact=False,
-                         tail_certs=(TailCert(NormValue(2), Fraction(0), all_alpha=True),))
+        o = Distribution(model, {(0,): (0, 1, 0)}, 4,
+                         Enclosure(cap=[(NormValue(2), Fraction(0))]))
         for out in (a + o, o + a):
-            assert TailCert(NormValue(1), Fraction(0), all_alpha=True) in out.tail_certs
+            assert Line(NormValue(1), Fraction(0)) in out.enclosure.cap
             assert out.norm(R12) == NormInterval(NormValue.zero(), NormValue(1))
 
     @given(sum_cases())
@@ -1253,8 +1333,8 @@ class TestSumCertificates:
             diff = Fraction(got.residue, P ** got.shift) - true.get(a, 0)
             off = NormValue(vp_int(diff.numerator, P) - vp_int(diff.denominator, P)) \
                 if diff else NormValue.zero()
-            assert off <= max(NormValue(got.window), out.head_error), a
-        for c in out.tail_certs:
+            assert off <= max(NormValue(got.window), head_error(out)), a
+        for c in tail_certs(out):
             for a, x in true.items():
                 if c.all_alpha or model.tau(a) > out.T:
                     assert size(x) <= c.bound * NormValue(-c.growth * model.tau(a)), (c, a)

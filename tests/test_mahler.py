@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mahler_reference import evaluate_scalars, mul_scalars, pair_scalars, project_scalars
-from padicdist.distalg import Distribution, TailCert, lie_generator
+from padicdist.distalg import Distribution, Enclosure, lie_generator
 from padicdist.groupmodel import GroupModel
 from padicdist.mahler import (
     FunctionSpec,
@@ -288,9 +288,8 @@ class TestPairingInexactHeads:
         # that times the table's sup bound p^0
         src = self.source()
         lam = Distribution.from_coeffs(
-            src.model, {a: src.coeff(a) for a in src.coeffs}, 3, exact=False,
-            tail_certs=[TailCert(NormValue.zero(), Fraction(0))],
-            head_error=NormValue(3))
+            src.model, {a: src.coeff(a) for a in src.coeffs}, 3,
+            Enclosure(NormValue(3), [(NormValue.zero(), Fraction(0))]))
         self.check(lam, (30, 4, 0), 3)
 
     def test_table_entries_beyond_the_head(self):
@@ -299,7 +298,7 @@ class TestPairingInexactHeads:
         src = self.source()
         lam = Distribution.from_coeffs(
             src.model, {a: src.coeff(a) for a in src.coeffs if sum(a) <= 2}, 2,
-            exact=False, tail_certs=[TailCert(NormValue(1), Fraction(0))])
+            Enclosure(unstored=[(NormValue(1), Fraction(0))]))
         self.check(lam, (30, 4, 0), 1)
 
 
@@ -332,9 +331,7 @@ class TestProjection:
     def test_requires_witness(self):
         model = ab(1)
         lam = Distribution.from_coeffs(
-            model, {}, Fraction(12), exact=False,
-            tail_certs=[],
-        )
+            model, {}, Fraction(12), Enclosure())
         with pytest.raises(MahlerError):
             finite_level_project(lam, 1)
 
@@ -516,8 +513,7 @@ class TestAgainstScalarReference:
         for k in (1, 3):
             yield Distribution.from_coeffs(
                 model, {a: src.coeff(a) for a in src.coeffs if sum(a) <= T - 1}, T - 1,
-                exact=False, tail_certs=[TailCert(NormValue(k - 1), Fraction(0))],
-                head_error=NormValue(k))
+                Enclosure(NormValue(k), [(NormValue(k - 1), Fraction(0))]))
 
     @staticmethod
     def tables(d, p, prec, rng):

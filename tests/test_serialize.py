@@ -179,7 +179,7 @@ class TestDistributionFiles:
         assert "head error" in str(exc.value) and exc.value.line == 1
         # a zero error is no error
         lam = parse_distribution(text.replace(" err=p^0", " err=0"))
-        assert lam.exact and lam.head_error.is_zero
+        assert lam.exact and lam.enclosure.stored.is_zero
 
     @pytest.mark.parametrize("group,p", [("heisenberg:4", 4), ("abelian:1:9", 9)])
     def test_non_prime_p_is_a_parse_error(self, group, p):
