@@ -17,7 +17,9 @@ magnitude bounds follow the triple rules of ``padic``; a product takes the
 least prec and adds the shifts.  PadicScalars appear only at the edge:
 ``as_triple`` reads the int, Fraction, PadicScalar or triple coefficients
 that the constructors take, and ``Distribution.coeff`` builds the
-PadicScalar of an entry.
+PadicScalar of an entry.  Exact tables, Dirac witnesses and ``mahler``'s
+coset tables drop a zero only by ``known_zero`` (a window of at least N + 2,
+the narrowest of a binomial row); inexact tables keep their zeros.
 
 A witness term is (triple, coords, exact): the point is its int chart
 coordinates, exact or residues mod p^W, on which ``model.law`` acts, from
@@ -188,9 +190,10 @@ def as_triple(model: GroupModel, c):
 
 def known_zero(model: GroupModel, c) -> bool:
     """Whether the triple c, residue reduced, is 0 on a window of at least
-    the working precision ``elem_prec``: what an unstored entry reads as.
-    A zero known on a narrower window is an uncertain entry."""
-    return c[0] == 0 and c[1] - c[2] >= model.elem_prec
+    N + 2 (``zero_window``), the narrowest of a binomial row up to the weight
+    cap: the one rule that drops a zero.  A zero on a narrower window is an
+    uncertain entry, which the r-norms and the projections read."""
+    return c[0] == 0 and c[1] - c[2] >= model.zero_window
 
 
 class Distribution:
@@ -205,7 +208,7 @@ class Distribution:
     takes triples in the stored form (prec >= 1, shift >= 0, residue
     reduced mod p^prec); ``from_coeffs``, ``dirac_combination`` and
     ``scale`` also take ints, Fractions, PadicScalars and unreduced triples
-    (``as_triple``).
+    (``as_triple``).  An exact table keeps no ``known_zero`` entry.
 
     ``enclosure`` bounds what the table does not hold exactly; the default
     bounds nothing unstored.  ``exact`` says that it is ``Enclosure.EXACT``.
@@ -218,34 +221,36 @@ class Distribution:
     __slots__ = ("model", "coeffs", "T", "enclosure", "dirac_terms", "_profile")
 
     def __init__(self, model, coeffs, T, enclosure=Enclosure()):
-        self.model = model
-        self.T = truncation(T)
-        self.coeffs = dict(coeffs)
-        for alpha, c in self.coeffs.items():
-            if model.tau(alpha) > self.T:
-                raise DistError(f"stored index {alpha} exceeds truncation weight {self.T}")
+        T = truncation(T)
+        coeffs = dict(coeffs)
+        for alpha, c in coeffs.items():
+            if model.tau(alpha) > T:
+                raise DistError(f"stored index {alpha} exceeds truncation weight {T}")
             require_triple(model.p, alpha, c)
         if not isinstance(enclosure, Enclosure):
             raise DistError(f"enclosure {enclosure!r} is not an Enclosure")
-        self.enclosure = enclosure
-        self.dirac_terms = None
-        self._profile = None
+        self._set(model, coeffs, T, enclosure)
 
     @classmethod
     def _clean(cls, model, coeffs, T, enclosure, dirac_terms=None) -> "Distribution":
         """Wrap parts already in the form ``__init__`` leaves them in (an int
         T >= 0, a dict of triples of degree <= T, an Enclosure and a tuple of
         Dirac terms), with no checks: for the results the library builds
-        itself.  An exact table keeps no entry of residue 0; this is the one
-        place where a result drops its zeros."""
+        itself."""
         out = object.__new__(cls)
-        out.model = model
-        out.enclosure = enclosure
-        out.coeffs = {a: c for a, c in coeffs.items() if c[0]} if out.exact else coeffs
-        out.T = T
-        out.dirac_terms = dirac_terms
-        out._profile = None
+        out._set(model, coeffs, T, enclosure, dirac_terms)
         return out
+
+    def _set(self, model, coeffs, T, enclosure, dirac_terms=None):
+        """Fill the slots of either constructor; an exact table drops its
+        ``known_zero`` entries here."""
+        self.model = model
+        self.T = T
+        self.enclosure = enclosure
+        self.coeffs = ({a: c for a, c in coeffs.items() if not known_zero(model, c)}
+                       if self.exact else coeffs)
+        self.dirac_terms = dirac_terms
+        self._profile = None
 
     @property
     def exact(self) -> bool:
@@ -289,19 +294,12 @@ class Distribution:
 
     @classmethod
     def from_coeffs(cls, model, table, T, enclosure=Enclosure.EXACT) -> "Distribution":
-        """Build from an explicit coefficient table (exact by default).  An
-        exact table drops the entries that are zero to the working precision
-        (window at least ``elem_prec``, as ints and Fractions are read); a
-        zero known on a narrower window stays, as an uncertain entry."""
-        exact = enclosure == Enclosure.EXACT
-        coeffs = {}
-        for alpha, c in table.items():
-            alpha = _multi_index(model, alpha)
-            c = as_triple(model, c)
-            if exact and known_zero(model, c):
-                continue
-            coeffs[alpha] = c
-        return cls(model, coeffs, T, enclosure)
+        """Build from an explicit coefficient table (exact by default), its
+        coefficients read by ``as_triple``.  The constructor drops the
+        ``known_zero`` entries of an exact table; a zero known on a window
+        narrower than N + 2 stays, as an uncertain entry."""
+        return cls(model, {_multi_index(model, a): as_triple(model, c) for a, c in table.items()},
+                   T, enclosure)
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -973,11 +971,10 @@ def _exact_result(model, terms, coeffs, T, witness):
 def _merge_terms(model, terms):
     """The Dirac witness of terms (triple, coords, exact): terms whose points
     share their key, the coordinates mod p^W, combined in first-reach order,
-    residues reduced, without the coefficients that vanish with no
-    denominator.  The merged point is the exact one when exact points reach
-    the key and all have the same coordinates; it is the inexact residue
-    point (the key) when only inexact points do, or when two exact points
-    differ (mod p^W only)."""
+    residues reduced, without the ``known_zero`` coefficients.  The merged
+    point is the exact one when exact points reach the key and all have the
+    same coordinates; it is the inexact residue point (the key) when only
+    inexact points do, or when two exact points differ (mod p^W only)."""
     p = model.p
     reduce_mod = ppow(p, model.elem_prec).__rmod__
     acc = {}
@@ -989,10 +986,10 @@ def _merge_terms(model, terms):
             exact_at[k] = None
     out = []
     for k, (r, prec, shift) in acc.items():
-        r %= ppow(p, prec)
-        if r or shift > 0:
+        c = (r % ppow(p, prec), prec, shift)
+        if not known_zero(model, c):
             coords = exact_at.get(k)
-            out.append(((r, prec, shift), k if coords is None else coords, coords is not None))
+            out.append((c, k if coords is None else coords, coords is not None))
     return tuple(out)
 
 

@@ -108,9 +108,10 @@ class GroupModel:
         self.d = d
         self.prec = prec
         self.max_weight = truncation(max_weight)
-        # guard digits so binomial coefficients up to the working weight cap
-        # stay correct mod p**prec
-        self.elem_prec = prec + vp_factorial(self.max_weight, p) + 2
+        # the narrowest window of a binomial row up to the weight cap, and the
+        # known-zero threshold; elem_prec adds the guard digits v_p(max_weight!)
+        self.zero_window = prec + 2
+        self.elem_prec = self.zero_window + vp_factorial(self.max_weight, p)
         # the structure-constant cores by (a, g, T), kept as long as the
         # model: filled and read by distalg._commutation_core
         self.commutation_cores = {}

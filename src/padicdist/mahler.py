@@ -343,10 +343,11 @@ def pair(lam: Distribution, table: MahlerTable):
 
 class GroupAlgebraElement:
     """Element of K[G/G_n]: ``coeffs`` maps coordinate residues mod p^n to
-    coefficient triples, residues reduced, without the zeros known to the
-    working precision (``known_zero``).  The constructor takes triples of
-    ints, read as ``as_triple`` reads them (residue reduced, prec >= 1 and
-    shift >= 0, else refused), and sums keys that agree mod p^n."""
+    coefficient triples, residues reduced, without the ``known_zero``
+    entries (0 on a window of at least N + 2).  The constructor takes
+    triples of ints, read as ``as_triple`` reads them (residue reduced,
+    prec >= 1 and shift >= 0, else refused), and sums keys that agree mod
+    p^n."""
 
     __slots__ = ("model", "n", "coeffs")
 

@@ -127,15 +127,15 @@ def pair_scalars(lam, table):
 
 
 def _cosets(model, n, coeffs):
-    """Keys reduced mod p^n, equal keys summed, the zeros known to the
-    working precision dropped; a zero on a narrower window stays."""
+    """Keys reduced mod p^n, equal keys summed, the zeros on a window of at
+    least N + 2 dropped; a zero on a narrower window stays."""
     m = ppow(model.p, n)
     clean = {}
     for key, c in coeffs.items():
         key = tuple(int(x) % m for x in key)
         clean[key] = clean[key] + c if key in clean else c
     return {k: c for k, c in clean.items()
-            if c.residue != 0 or c.prec - c.shift < model.elem_prec}
+            if c.residue != 0 or c.prec - c.shift < model.prec + 2}
 
 
 def project_scalars(lam, n):

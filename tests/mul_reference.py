@@ -53,9 +53,9 @@ def merge_terms(model, terms):
             elems[k] = g
     out = []
     for k, (r, prec, shift) in acc.items():
-        # the coefficients that vanish with no denominator leave no term
+        # a coefficient 0 on a window of at least N + 2 leaves no term
         r %= ppow(p, prec)
-        if r or shift > 0:
+        if r or prec - shift < model.prec + 2:
             out.append(((r, prec, shift), elems[k] or GroupElement(model, k, False)))
     return tuple(out)
 

@@ -58,7 +58,7 @@ def merge_terms_by_scalars(model, terms):
               for k, cs in exact.items()}
     return tuple(
         (a, points.get(k) or GroupElement(model, k, False))
-        for k, a in out.items() if a.residue != 0 or a.shift > 0
+        for k, a in out.items() if a.residue != 0 or a.prec - a.shift < model.prec + 2
     )
 
 
@@ -86,7 +86,8 @@ def head_to_dirac_by_scalars(model, coeffs):
 
         rec(0, [], 1)
     return tuple(
-        (a, elems[k]) for k, a in acc.items() if a.residue != 0 or a.shift > 0
+        (a, elems[k]) for k, a in acc.items()
+        if a.residue != 0 or a.prec - a.shift < model.prec + 2
     )
 
 
@@ -253,13 +254,15 @@ class TestKernelMatchesScalars:
         want = outcome(lambda: table_entries(expand_terms_by_scalars(model, want_merged, T)))
         assert got == want
         # what dirac_combination stores: the same witness, and the same
-        # table less its zero entries where the expansion is exact
+        # table less its zeros on a window of at least N + 2 where the
+        # expansion is exact
         lam = outcome(lambda: Distribution.dirac_combination(model, terms, T))
         if want is PrecisionExhausted:
             assert lam is PrecisionExhausted
             return
         assert kernel_term_entries(lam.dirac_terms) == scalar_term_entries(want_merged)
-        assert triple_entries(lam.coeffs) == [e for e in want if e[1] or not lam.exact]
+        assert triple_entries(lam.coeffs) == [
+            e for e in want if e[1] or e[2] - e[3] < model.prec + 2 or not lam.exact]
 
     @given(heads())
     @settings(max_examples=200, deadline=None, derandomize=True)
