@@ -44,7 +44,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import chain
-from math import inf, lcm
+from math import comb, inf, lcm
 from typing import NamedTuple
 
 from .padic import (
@@ -646,6 +646,9 @@ class Distribution:
 def structure_constants(model: GroupModel, beta, gamma, T):
     """Table {alpha: c} of b^beta b^gamma = sum c b^alpha up to weight T,
     with the per-entry verdict of v_p(c) >= max(0, tau(beta)+tau(gamma)-tau(alpha)).
+    Each c is a triple (residue, prec, shift), the stored form of
+    ``Distribution.coeffs``; the table is the caller's own, its triples
+    immutable.
 
     The table is a shifted core, not a product per pair.  In the Heisenberg
     model b3 is central, so b^beta b^gamma = b1^beta1 S(beta2, gamma1)
@@ -656,18 +659,17 @@ def structure_constants(model: GroupModel, beta, gamma, T):
     abelian and semidirect models) the core is 1, so the table is
     b^(beta+gamma); Heisenberg's is the one law that is not commutative.
 
-    Each Heisenberg core is the head of one Dirac product,
-    ``Distribution.monomial(...).mul(...)`` at T, computed once per
-    (a, g, T) and kept on the model for as long as the model lives, with
-    each entry's degree and verdict.  Since every omega is 1, tau(alpha +
-    offset) = tau(alpha) + tau(offset): an entry is kept when its core
-    degree is at most T - tau(offset), and its verdict bound
-    tau(beta) + tau(gamma) - tau(alpha + offset) = a + g - tau(alpha) does
-    not depend on the offset.  An entry has the value the Dirac product of
-    b^beta and b^gamma gives it, and a window never narrower, since
-    shifting adds no binomial rows.  Zeros that product stores where no
-    shifted index lands (alpha1 < beta1 and the like) are not in the table.
-    Every call returns new PadicScalars.
+    Each Heisenberg core is expanded from its Dirac grid at T
+    (``_commutation_core``), once per (a, g, T), and kept on the model for
+    as long as the model lives, with each entry's degree and verdict.
+    Since every omega is 1, tau(alpha + offset) = tau(alpha) +
+    tau(offset): an entry is kept when its core degree is at most
+    T - tau(offset), and its verdict bound tau(beta) + tau(gamma) -
+    tau(alpha + offset) = a + g - tau(alpha) does not depend on the offset.
+    An entry has the value the Dirac product of b^beta and b^gamma gives
+    it, and a window never narrower, since shifting adds no binomial rows.
+    Zeros that product stores where no shifted index lands (alpha1 <
+    beta1 and the like) are not in the table.
     """
     T = truncation(T)
     beta = _multi_index(model, beta)
@@ -676,37 +678,49 @@ def structure_constants(model: GroupModel, beta, gamma, T):
         alpha = tuple(b + g for b, g in zip(beta, gamma))
         if model.tau(alpha) > T:
             return {}, {}
-        return {alpha: PadicScalar.one(model.p, model.elem_prec)}, {alpha: True}
+        return {alpha: as_triple(model, 1)}, {alpha: True}
     core = _commutation_core(model, beta[1], gamma[0], T)
     x, y, z = beta[0], gamma[1], beta[2] + gamma[2]
     room = T - x - y - z
-    p = model.p
     table = {}
     verdicts = {}
-    for (a1, a2, a3), (r, prec, shift), verdict in core[room] if room >= 0 else ():
+    for (a1, a2, a3), c, verdict in core[room] if room >= 0 else ():
         alpha = (a1 + x, a2 + y, a3 + z)
-        table[alpha] = PadicScalar(p, prec, r, shift)
+        table[alpha] = c
         if verdict is not None:
             verdicts[alpha] = verdict
     return table, verdicts
 
 
 def _commutation_core(model: GroupModel, a: int, g: int, T: int) -> tuple:
-    """Head entries of b2^a b1^g up to degree T, from the Dirac product, as
-    (index, triple, verdict) in the product's key order: one tuple per room
-    r = 0..T, of the entries of degree at most r.  The verdict is that of
-    v_p(c) >= max(0, a + g - tau(alpha)), None when the valuation of c is
-    not known.  Computed once per model and (a, g, T)."""
+    """Head entries of b2^a b1^g up to degree T, as (index, triple,
+    verdict): one tuple per room r = 0..T, of the entries of degree at most
+    r.  The core is expanded from its Dirac grid,
+
+        b2^a b1^g = sum_{i <= a, j <= g} (-1)^(a-i+g-j) C(a, i) C(g, j) delta_(e2^i e1^j),
+
+    each point e2^i e1^j = (j, i, -p i j) from the model's law and each
+    coefficient at the working precision, by one ``_expand_terms`` at T:
+    the entries of the Dirac product of the two monomials.  When a = 0 or
+    g = 0 every point is exact in N^d, and the core, like ``mul``'s exact
+    path, drops its ``known_zero`` entries (``_exact_result``).  The verdict
+    is that of v_p(c) >= max(0, a + g - tau(alpha)), None when the
+    valuation of c is not known.  Computed once per model and (a, g, T)."""
     key = (a, g, T)
     core = model.commutation_cores.get(key)
     if core is None:
-        big = max(T, a, g)
-        head = Distribution.monomial(model, (0, a, 0), big).mul(
-            Distribution.monomial(model, (g, 0, 0), big), T=T).coeffs
+        p, W, law = model.p, model.elem_prec, model.law.mul
+        terms = _merge_terms(model, [
+            (((-1) ** (a - i + g - j) * comb(a, i) * comb(g, j), W, 0),
+             law(p, (0, i, 0), (j, 0, 0)), True)
+            for i in range(a + 1) for j in range(g + 1)])
+        head = _expand_terms(model, terms, T)
+        if out := _exact_result(model, terms, head, T, terms):
+            head = out.coeffs
         entries = []
         for alpha, c in head.items():
             tau = model.tau(alpha)
-            v = triple_valuation(model.p, c)
+            v = triple_valuation(p, c)
             entries.append((tau, (alpha, c, None if v is None else v >= max(0, a + g - tau))))
         core = model.commutation_cores[key] = tuple(
             tuple(e for tau, e in entries if tau <= room) for room in range(T + 1))
@@ -950,9 +964,12 @@ def _norm_value(x, D: int) -> NormValue:
 
 
 def _multi_index(model, alpha) -> tuple:
-    """alpha as a tuple of ints, refused unless it has d nonnegative
-    integral entries."""
-    ints = tuple(map(int, alpha))
+    """alpha as a tuple of ints, refused with DistError unless it is an
+    iterable of d nonnegative integral entries."""
+    try:
+        ints = tuple(map(int, alpha))
+    except (TypeError, ValueError, OverflowError):
+        raise DistError(f"multi-index {alpha!r} is not {model.d} nonnegative integers") from None
     if len(ints) != model.d or ints != tuple(alpha) or min(ints, default=0) < 0:
         raise DistError(f"multi-index {tuple(alpha)} is not {model.d} nonnegative integers")
     return ints

@@ -151,10 +151,16 @@ def suite_lemma41(params: SuiteParams) -> SuiteReport:
     rep.add("bound-exhaustive", "lemma41", violations == 0,
             f"{pairs} monomial pairs, {entries} entries, {violations} violations")
     table, _ = structure_constants(model, (0, 1, 0), (1, 0, 0), size_cap)
-    p_scalar = PadicScalar.from_int(model.p, -model.p, model.elem_prec)
-    ok_e3 = (0, 0, 1) in table and table[(0, 0, 1)].same_value(p_scalar)
-    ok_e12 = (1, 1, 0) in table and table[(1, 1, 0)].same_value(
-        PadicScalar.one(model.p, model.elem_prec))
+
+    def entry_is(alpha, n):
+        if alpha not in table:
+            return False
+        r, prec, shift = table[alpha]
+        return PadicScalar(model.p, prec, r, shift).same_value(
+            PadicScalar.from_int(model.p, n, model.elem_prec))
+
+    ok_e3 = entry_is((0, 0, 1), -model.p)
+    ok_e12 = entry_is((1, 1, 0), 1)
     rep.add("b2b1-entries", "lemma41", ok_e3 and ok_e12,
             "c at (0,0,1) = -p and c at (1,1,0) = 1")
     return rep

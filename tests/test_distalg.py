@@ -12,6 +12,7 @@ from padicdist.distalg import (
     Line,
     NormInterval,
     RadiusParam,
+    _commutation_core,
     lie_generator,
     q_norm,
     semidirect_mul,
@@ -19,7 +20,7 @@ from padicdist.distalg import (
 )
 from padicdist.groupmodel import GroupModel, ModelError, ModelMismatch, simplex
 from padicdist.mahler import MahlerTable
-from padicdist.padic import NormValue, PadicScalar, PrecisionExhausted, vp_int
+from padicdist.padic import NormValue, PadicScalar, PrecisionExhausted, triple_valuation, vp_int
 from padicdist.serialize import ParseError, parse_distribution, serialize_distribution
 from padicdist.suites import SuiteParams, _second_basis
 
@@ -224,11 +225,17 @@ class TestConvolution:
         assert all(left.coeff(a).same_value(right.coeff(a)) for a in keys)
 
 
+def scalar(model, c):
+    """A stored triple (residue, prec, shift) read as its PadicScalar."""
+    r, prec, shift = c
+    return PadicScalar(model.p, prec, r, shift)
+
+
 class TestStructureConstants:
     def test_central_entry(self):
         model = GroupModel.heisenberg(P, prec=12, max_weight=Fraction(6))
         table, verdicts = structure_constants(model, (0, 1, 0), (1, 0, 0), Fraction(6))
-        assert table[(0, 0, 1)].same_value(sc(model, -P))
+        assert scalar(model, table[(0, 0, 1)]).same_value(sc(model, -P))
         assert all(verdicts.values())
 
     def test_verdict_matches_direct_bound(self):
@@ -237,6 +244,7 @@ class TestStructureConstants:
         table, verdicts = structure_constants(model, beta, gamma, Fraction(6))
         tb = model.tau(beta) + model.tau(gamma)
         for alpha, c in table.items():
+            c = scalar(model, c)
             if c.valuation is None:
                 continue
             want = c.valuation >= max(0, tb - model.tau(alpha))
@@ -256,14 +264,15 @@ class TestStructureConstants:
         for alpha in prod.coeffs:
             c = prod.coeff(alpha)
             if alpha in table:
-                assert table[alpha].same_value(c), (beta, gamma, alpha)
-                assert table[alpha].window >= c.window, (beta, gamma, alpha)
+                mine = scalar(model, table[alpha])
+                assert mine.same_value(c), (beta, gamma, alpha)
+                assert mine.window >= c.window, (beta, gamma, alpha)
             else:
                 assert c.residue == 0, (beta, gamma, alpha)
             if c.valuation is not None:
                 want[alpha] = c.valuation >= max(0, tb - model.tau(alpha))
         for alpha, c in table.items():
-            assert alpha in prod.coeffs or c.residue == 0, (beta, gamma, alpha)
+            assert alpha in prod.coeffs or scalar(model, c).residue == 0, (beta, gamma, alpha)
         assert verdicts == want, (beta, gamma)
 
     @pytest.mark.parametrize("p", [3, 5, 7])
@@ -302,8 +311,8 @@ class TestStructureConstants:
         assert GroupModel.heisenberg(P, prec=12, max_weight=6).commutation_cores == {}
 
     @staticmethod
-    def entries(table):
-        return [(alpha, c.p, c.residue, c.prec, c.shift) for alpha, c in table.items()]
+    def entries(model, table):
+        return [(alpha, *scalar(model, c).triple) for alpha, c in table.items()]
 
     @pytest.mark.parametrize("spec", ["heisenberg:5", "abelian:2:5", "semidirect:5"])
     def test_repeated_calls_are_equal(self, spec):
@@ -312,31 +321,70 @@ class TestStructureConstants:
         for beta, gamma in [(b, g) for b in indices for g in indices if sum(b) + sum(g) <= 6]:
             first, first_verdicts = structure_constants(model, beta, gamma, 6)
             again, again_verdicts = structure_constants(model, beta, gamma, 6)
-            assert self.entries(first) == self.entries(again)
+            assert self.entries(model, first) == self.entries(model, again)
             assert list(first_verdicts.items()) == list(again_verdicts.items())
 
-    def test_returned_scalars_are_not_shared(self):
-        # the cores are kept on the model; a caller that mutates a returned
-        # PadicScalar must not change what the next call returns
-        model = GroupModel.heisenberg(P, prec=12, max_weight=6)
-        for beta, gamma in [((0, 2, 0), (3, 0, 0)), ((1, 2, 0), (3, 0, 1))]:
+    def test_a_returned_table_is_the_callers_own(self):
+        # the cores are kept on the model; a caller that mutates or clears a
+        # returned table or its verdicts must not change what the next call
+        # returns, and the triples it holds are immutable
+        heisenberg = GroupModel.heisenberg(P, prec=12, max_weight=6)
+        abelian = GroupModel.abelian(2, P, prec=12, max_weight=6)
+        for model, beta, gamma in [(heisenberg, (0, 2, 0), (3, 0, 0)),
+                                   (heisenberg, (1, 2, 0), (3, 0, 1)),
+                                   (abelian, (1, 2), (3, 0))]:
             table, verdicts = structure_constants(model, beta, gamma, 6)
-            want = self.entries(table)
-            for c in table.values():
-                c.residue, c.prec, c.shift = 1, 1, 0
+            want, want_verdicts = self.entries(model, table), dict(verdicts)
+            assert table and all(type(c) is tuple for c in table.values())
+            for alpha in table:
+                table[alpha] = (1, 1, 0)
+                verdicts[alpha] = None
+            table[(6,) * model.d] = (0, 1, 0)
             again, again_verdicts = structure_constants(model, beta, gamma, 6)
-            assert self.entries(again) == want
-            assert again_verdicts == verdicts
-            assert all(a is not b for a, b in zip(table.values(), again.values()))
+            assert self.entries(model, again) == want
+            assert again_verdicts == want_verdicts
+            table.clear()
+            verdicts.clear()
+            again, again_verdicts = structure_constants(model, beta, gamma, 6)
+            assert self.entries(model, again) == want
+            assert again_verdicts == want_verdicts
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    @pytest.mark.parametrize("N", [1, 2, 12])
+    def test_cores_match_the_product_route(self, p, N):
+        # each room of the core b2^a b1^g, built from its Dirac grid, holds
+        # the entries of degree <= room of the product of the two monomials,
+        # with their verdicts; the exact cores (a = 0 or g = 0) included,
+        # which drop their known zeros as mul's exact path does
+        model = GroupModel.heisenberg(p, prec=N, max_weight=6)
+        for T in range(9):
+            for a in range(T + 1):
+                for g in range(T + 1 - a):
+                    core = _commutation_core(model, a, g, T)
+                    assert len(core) == T + 1
+                    head = Distribution.monomial(model, (0, a, 0), T).mul(
+                        Distribution.monomial(model, (g, 0, 0), T), T=T).coeffs
+                    want = []
+                    for alpha, c in head.items():
+                        v = triple_valuation(p, c)
+                        want.append((alpha, c, None if v is None
+                                     else v >= max(0, a + g - model.tau(alpha))))
+                    for room, entries in enumerate(core):
+                        assert set(entries) == {e for e in want if model.tau(e[0]) <= room}, \
+                            (a, g, T, room)
+
+
+# entries that are no integer, and a multi-index that is no iterable
+NOT_INTEGERS = [("a", 0, 0), (None, 0, 0), 5, (0, float("inf"), 0), (0, 0, float("nan"))]
 
 
 class TestInvalidMultiIndices:
-    """A negative or fractional exponent or a multi-index of the wrong length
-    has no monomial; it is refused, not stored, dropped, rounded or read as a
-    shorter one."""
+    """A negative, fractional or non-numeric exponent or a multi-index of the
+    wrong length has no monomial; it is refused with DistError, not stored,
+    dropped, rounded or read as a shorter one."""
 
     @pytest.mark.parametrize("alpha", [(-1, 2, 0), (0, 0, -3), (1, 0), (1, 0, 0, 0),
-                                       (Fraction(3, 2), 0, 0), (0, 0.5, 1)])
+                                       (Fraction(3, 2), 0, 0), (0, 0.5, 1)] + NOT_INTEGERS)
     def test_monomial(self, alpha):
         with pytest.raises(DistError):
             Distribution.monomial(GroupModel.heisenberg(P), alpha)
@@ -352,14 +400,15 @@ class TestInvalidMultiIndices:
     @pytest.mark.parametrize("beta, gamma", [((-1, 0, 0), (1, 0, 0)),
                                              ((0, 1, 0), (0, -1, 2)),
                                              ((0, 1), (1, 0, 0)),
-                                             ((0, 1, 0), (1, 0, 0, 0))])
+                                             ((0, 1, 0), (1, 0, 0, 0))]
+                             + [((0, 1, 0), alpha) for alpha in NOT_INTEGERS])
     def test_structure_constants(self, beta, gamma):
         with pytest.raises(DistError):
             structure_constants(GroupModel.heisenberg(P), beta, gamma, 6)
         with pytest.raises(DistError):
             structure_constants(GroupModel.heisenberg(P), gamma, beta, 6)
 
-    @pytest.mark.parametrize("alpha", [(1.5, 2, 0), (-1, 0, 0), (1, 0)])
+    @pytest.mark.parametrize("alpha", [(1.5, 2, 0), (-1, 0, 0), (1, 0)] + NOT_INTEGERS)
     def test_coeff(self, alpha):
         d = Distribution.dirac(GroupModel.heisenberg(P).element((1, 2, 0)))
         with pytest.raises(DistError):
@@ -1095,9 +1144,8 @@ TRUNCATION_ENTRY_POINTS = {
         Distribution.monomial(heis(), (1, 1, 0)).conjugate(heis().element([1, 0, 2]), T=T)),
     "change_basis": lambda T: serialize_distribution(
         Distribution.monomial(ab(2), (1, 0)).change_basis(_second_basis(ab(2)), T=T)),
-    "structure_constants": lambda T: [
-        (alpha, c.triple) for alpha, c in
-        structure_constants(heis(), (0, 2, 0), (2, 0, 0), T)[0].items()],
+    "structure_constants": lambda T: list(
+        structure_constants(heis(), (0, 2, 0), (2, 0, 0), T)[0].items()),
     "lie_generator": lambda T: serialize_distribution(lie_generator(ab(2), 1, T)),
     "SuiteParams": lambda T: SuiteParams(T=T).T,
 }
