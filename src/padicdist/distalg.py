@@ -17,9 +17,11 @@ magnitude bounds follow the triple rules of ``padic``; a product takes the
 least prec and adds the shifts.  PadicScalars appear only at the edge:
 ``as_triple`` reads the int, Fraction, PadicScalar or triple coefficients
 that the constructors take, and ``Distribution.coeff`` builds the
-PadicScalar of an entry.  Exact tables, Dirac witnesses and ``mahler``'s
-coset tables drop a zero only by ``known_zero`` (a window of at least N + 2,
-the narrowest of a binomial row); inexact tables keep their zeros.
+PadicScalar of an entry; a caller's multi-index is read by
+``padic.int_tuple`` (d nonnegative integral entries, else DistError).
+Exact tables, Dirac witnesses and ``mahler``'s coset tables drop a zero only
+by ``known_zero`` (a window of at least N + 2, the narrowest of a binomial
+row); inexact tables keep their zeros.
 
 A witness term is (triple, coords, exact): the point is its int chart
 coordinates, exact or residues mod p^W, on which ``model.law`` acts, from
@@ -55,6 +57,7 @@ from .padic import (
     binom,
     binomial_transform,
     fraction_triple,
+    int_tuple,
     is_int_triple,
     ppow,
     require_triple,
@@ -85,10 +88,6 @@ class RadiusParam:
 
     def __setattr__(self, *a):
         raise AttributeError("RadiusParam is immutable")
-
-    @classmethod
-    def parse(cls, text: str) -> "RadiusParam":
-        return cls(Fraction(text))
 
     def __eq__(self, other):
         return isinstance(other, RadiusParam) and self.s == other.s
@@ -222,7 +221,7 @@ class Distribution:
 
     def __init__(self, model, coeffs, T, enclosure=Enclosure()):
         T = truncation(T)
-        coeffs = dict(coeffs)
+        coeffs = {_multi_index(model, a): c for a, c in dict(coeffs).items()}
         for alpha, c in coeffs.items():
             if model.tau(alpha) > T:
                 raise DistError(f"stored index {alpha} exceeds truncation weight {T}")
@@ -269,11 +268,8 @@ class Distribution:
 
     @classmethod
     def monomial(cls, model, alpha, T=None) -> "Distribution":
-        T = model.max_weight if T is None else truncation(T)
-        alpha = _multi_index(model, alpha)
-        if model.tau(alpha) > T:
-            raise DistError(f"monomial weight {model.tau(alpha)} exceeds T={T}")
-        return cls(model, {alpha: as_triple(model, 1)}, T, Enclosure.EXACT)
+        T = model.max_weight if T is None else T
+        return cls(model, {_multi_index(model, alpha): as_triple(model, 1)}, T, Enclosure.EXACT)
 
     @classmethod
     def dirac(cls, g: GroupElement, T=None) -> "Distribution":
@@ -298,8 +294,7 @@ class Distribution:
         coefficients read by ``as_triple``.  The constructor drops the
         ``known_zero`` entries of an exact table; a zero known on a window
         narrower than N + 2 stays, as an uncertain entry."""
-        return cls(model, {_multi_index(model, a): as_triple(model, c) for a, c in table.items()},
-                   T, enclosure)
+        return cls(model, {a: as_triple(model, c) for a, c in table.items()}, T, enclosure)
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -546,7 +541,7 @@ class Distribution:
 
     # -- basis change and conjugation -------------------------------------
 
-    def change_basis(self, basis, T=None) -> "Distribution":
+    def change_basis(self, basis) -> "Distribution":
         """Re-expand in the monomials of another ordered basis (omega 1 each).
 
         A point's coordinates in the new chart are residues mod p^W.  For an
@@ -570,9 +565,9 @@ class Distribution:
                     return lift, True
             return y, False
 
-        return self._map_support(act, T, same_chart=False)
+        return self._map_support(act, same_chart=False)
 
-    def conjugate(self, g, T=None) -> "Distribution":
+    def conjugate(self, g) -> "Distribution":
         """Image under delta_h -> delta_{g h g^-1} (g a GroupElement or "sigma",
         the order-2 coset acting by inversion)."""
         model = self.model
@@ -588,17 +583,16 @@ class Distribution:
                 law.mul(p, law.mul(p, x, coords), x_inv), exact and g.exact)
         else:
             raise DistError(f"undefined conjugation action {g!r}")
-        return self._map_support(act, T)
+        return self._map_support(act)
 
-    def _map_support(self, act, T, same_chart=True) -> "Distribution":
-        """sum a_j delta_{act(g_j)} up to degree T (default self.T), over the
+    def _map_support(self, act, same_chart=True) -> "Distribution":
+        """sum a_j delta_{act(g_j)} up to degree self.T, over the
         exact witness, else over the Dirac decomposition of the head with the
         enclosure's ``gap`` as the stored error; ``act`` maps a point's
         (coords, exact) to its image's.  With ``same_chart`` unset, ``act``
         gives coordinates in another chart, on which ``model.law`` does not
         act, so the result keeps no witness."""
-        model = self.model
-        T = self.T if T is None else truncation(T)
+        model, T = self.model, self.T
         terms = self._exact_terms()
         witness = terms is not None
         if not witness:
@@ -764,7 +758,7 @@ def q_norm(pair, r: RadiusParam) -> NormInterval:
     return NormInterval(max(n1.lower, n2.lower), max(n1.upper, n2.upper))
 
 
-def semidirect_mul(pair1, pair2, T=None, s_work=None):
+def semidirect_mul(pair1, pair2, s_work=None):
     """(a + b ds)(c + e ds) = (ac + b s(e)) + (a e + b s(c)) ds, with s(x) the
     sigma conjugate and ds^2 = 1."""
     a, b = pair1
@@ -773,8 +767,8 @@ def semidirect_mul(pair1, pair2, T=None, s_work=None):
         raise ModelMismatch("semidirect product requires the semidirect model")
     sc = c.conjugate("sigma")
     se = e.conjugate("sigma")
-    first = a.mul(c, T=T, s_work=s_work) + b.mul(se, T=T, s_work=s_work)
-    second = a.mul(e, T=T, s_work=s_work) + b.mul(sc, T=T, s_work=s_work)
+    first = a.mul(c, s_work=s_work) + b.mul(se, s_work=s_work)
+    second = a.mul(e, s_work=s_work) + b.mul(sc, s_work=s_work)
     return first, second
 
 
@@ -964,15 +958,8 @@ def _norm_value(x, D: int) -> NormValue:
 
 
 def _multi_index(model, alpha) -> tuple:
-    """alpha as a tuple of ints, refused with DistError unless it is an
-    iterable of d nonnegative integral entries."""
-    try:
-        ints = tuple(map(int, alpha))
-    except (TypeError, ValueError, OverflowError):
-        raise DistError(f"multi-index {alpha!r} is not {model.d} nonnegative integers") from None
-    if len(ints) != model.d or ints != tuple(alpha) or min(ints, default=0) < 0:
-        raise DistError(f"multi-index {tuple(alpha)} is not {model.d} nonnegative integers")
-    return ints
+    """alpha as a tuple of d nonnegative ints (``int_tuple``), else DistError."""
+    return int_tuple(alpha, model.d, DistError, "multi-index", nonnegative=True)
 
 
 def _exact_result(model, terms, coeffs, T, witness):

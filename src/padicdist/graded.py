@@ -29,7 +29,7 @@ from math import inf
 from operator import mul
 import re
 
-from .padic import PadicError, _check_prime
+from .padic import PadicError, _check_prime, as_int, int_tuple
 
 
 class GradedError(PadicError):
@@ -48,7 +48,7 @@ class GradedAmbient:
     __slots__ = ("p", "d", "s")
 
     def __init__(self, p, d, omegas, s):
-        _check_prime(p)
+        p, d = _check_prime(p, GradedError), as_int(d, GradedError, "dimension d")
         if tuple(omegas) != (1,) * d:
             raise GradedError(f"every generator weight omega must be 1, got {tuple(omegas)}")
         for name, value in (("p", p), ("d", d), ("s", Fraction(s))):
@@ -88,12 +88,10 @@ class GradedPoly:
         self.terms = {}
         for mon, c in terms.items():
             # integral entries only, so that distinct monomials stay distinct
-            key = tuple(map(int, mon))
-            if key != tuple(mon) or len(key) != n:
-                raise GradedError(f"monomial {tuple(mon)} is not {n} integers")
+            key = int_tuple(mon, n, GradedError, "monomial")
             if min(key[:-1], default=0) < 0:
                 raise GradedError("X exponents must be non-negative")
-            c %= p
+            c = as_int(c, GradedError, "coefficient") % p
             if c:
                 self.terms[key] = c
 
@@ -119,6 +117,7 @@ class GradedPoly:
     @classmethod
     def variable(cls, ambient, i: int) -> "GradedPoly":
         """X_i for 1 <= i <= d; i = 0 gives e0."""
+        i = as_int(i, GradedError, "variable index")
         mon = [0] * (ambient.d + 1)
         if i == 0:
             mon[-1] = 1
@@ -707,7 +706,8 @@ def _independent_dim(supports, nvars) -> int:
 
 
 def grade_cyclic(J: GradedIdeal, d: int):
-    """(d+1) - dim F_p[e0, X]/(J : e0^infinity); inf marks the zero quotient.
+    """(d+1) - dim F_p[e0, X]/(J : e0^infinity), d that of J's ambient (else
+    GradedError); inf marks the zero quotient.
 
     A Krull dimension depends only on the initial ideal, and for J
     homogeneous in total degree, in graded reverse lex with e0 last,
@@ -719,6 +719,8 @@ def grade_cyclic(J: GradedIdeal, d: int):
     cleared; a lead that is a power of e0 strips to the unit.  For any other
     J, setting h = 1 in ``saturate`` can change the leads, and the dimension
     is that of the saturation's basis."""
+    if d != J.ambient.d:
+        raise GradedError(f"grade_cyclic: d={d!r} is not the ambient's d={J.ambient.d}")
     if _homogeneous([g.terms for g in J.gens]):
         supports = _lead_supports(J._basis(), strike_e0=True)
         dim = _independent_dim(supports, J.ambient.d + 1)
@@ -726,4 +728,4 @@ def grade_cyclic(J: GradedIdeal, d: int):
         dim = krull_dim(saturate(J))
     if dim == -1:
         return inf
-    return (d + 1) - dim
+    return (J.ambient.d + 1) - dim

@@ -19,7 +19,7 @@ from __future__ import annotations
 from math import floor, inf
 from typing import Callable, NamedTuple
 
-from .padic import PadicError, _check_prime, ppow, vp_factorial, vp_int
+from .padic import PadicError, _check_prime, as_int, int_tuple, ppow, vp_factorial, vp_int
 
 
 class ModelError(PadicError):
@@ -90,10 +90,8 @@ class GroupModel:
     def __init__(self, kind: str, p: int, d: int, prec: int = 12, max_weight=12):
         # Every generator has omega = 1, so omega > 1/(p-1) and (HYP)
         # omega_i + omega_j > p/(p-1) both reduce to p > 2.
-        try:
-            _check_prime(p)
-        except ValueError as exc:
-            raise ModelError(str(exc)) from None
+        p = _check_prime(p, ModelError)
+        prec = as_int(prec, ModelError, "precision N")
         if prec < 1:
             raise ModelError(f"precision N must be >= 1, got {prec}")
         law = LAWS.get(kind)
@@ -163,11 +161,7 @@ class GroupModel:
 
     def element(self, coords) -> "GroupElement":
         """The exact element with the given integer chart coordinates."""
-        if len(coords) != self.d:
-            raise ModelError(f"expected {self.d} coordinates, got {len(coords)}")
-        if not all(isinstance(c, int) for c in coords):
-            raise ModelError("chart coordinates must be integers")
-        return GroupElement(self, tuple(coords), True)
+        return GroupElement(self, int_tuple(coords, self.d, ModelError, "chart coordinates"), True)
 
     def identity(self) -> "GroupElement":
         return self.element([0] * self.d)

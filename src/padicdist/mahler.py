@@ -9,44 +9,24 @@ Table entries and coset coefficients are (residue, prec, shift) int triples,
 as in distribution heads, under the triple rules of ``padic``.  PadicScalars
 are built only for values that leave the module (the two ``coeff`` methods,
 ``MahlerTable.evaluate`` and ``pair``) and to compare values in
-``GroupAlgebraElement.__eq__``.
+``GroupAlgebraElement.__eq__``.  A caller's integers (indices, points, coset
+keys, caps, precisions, levels) are read by ``padic.as_int`` and
+``padic.int_tuple``, and refused with MahlerError unless integral.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .padic import (NormValue, PadicError, PadicScalar, _check_prime, add_triples,
-                    binomial_transform, int_binom, ppow, require_triple, triple_bound)
+from .padic import (NormValue, PadicError, PadicScalar, _check_prime, add_triples, as_int,
+                    binomial_transform, int_binom, int_tuple, ppow, require_triple,
+                    triple_bound)
 from .groupmodel import GroupModel, simplex
 from .distalg import Distribution, as_triple, known_zero
 
 
 class MahlerError(PadicError):
     pass
-
-
-def _int(x, what) -> int:
-    """x as an int; MahlerError unless it is integral."""
-    try:
-        n = int(x)
-    except (TypeError, ValueError, OverflowError):
-        n = None
-    if n is None or n != x:
-        raise MahlerError(f"{what} {x!r} is not an integer")
-    return n
-
-
-def _int_tuple(x, d, what, nonnegative=False) -> tuple:
-    """x as a tuple of d ints; MahlerError unless its entries are integral
-    (and nonnegative where asked)."""
-    try:
-        ints = tuple(map(int, x))
-    except (TypeError, ValueError, OverflowError):
-        ints = None
-    if ints != tuple(x) or len(ints) != d or (nonnegative and any(a < 0 for a in ints)):
-        raise MahlerError(f"{what} {tuple(x)} is not {d} {'nonnegative ' * nonnegative}integers")
-    return ints
 
 
 class FunctionSpec:
@@ -60,40 +40,36 @@ class FunctionSpec:
         if kind not in self.KINDS:
             raise MahlerError(f"unknown builtin function {kind!r}")
         self.kind = kind
-        self.d = d
-        self.p = p
+        self.d = as_int(d, MahlerError, "dimension d")
+        self.p = _check_prime(p, MahlerError)
         self.params = params
+        if "i" in params and not 0 <= params["i"] < self.d:
+            raise MahlerError(f"coordinate index {params['i']} out of range")
 
     @classmethod
     def constant(cls, d, p, value=1):
-        return cls("constant", d, p, value=_int(value, "constant value"))
+        return cls("constant", d, p, value=as_int(value, MahlerError, "constant value"))
 
     @classmethod
     def coordinate(cls, d, p, i):
-        i = _int(i, "coordinate index")
-        if not 0 <= i < d:
-            raise MahlerError(f"coordinate index {i} out of range")
-        return cls("coordinate", d, p, i=i)
+        return cls("coordinate", d, p, i=as_int(i, MahlerError, "coordinate index"))
 
     @classmethod
     def monomial(cls, d, p, alpha):
-        alpha = _int_tuple(alpha, d, "monomial exponent", nonnegative=True)
+        alpha = int_tuple(alpha, d, MahlerError, "monomial exponent", nonnegative=True)
         return cls("monomial", d, p, alpha=alpha)
 
     @classmethod
     def power_series_1p(cls, d, p, i):
-        i = _int(i, "coordinate index")
-        if not 0 <= i < d:
-            raise MahlerError(f"coordinate index {i} out of range")
-        return cls("power_series_1p", d, p, i=i)
+        return cls("power_series_1p", d, p, i=as_int(i, MahlerError, "coordinate index"))
 
     @classmethod
     def indicator(cls, d, p, a, n):
-        a = _int_tuple(a, d, "indicator residue")
-        n = _int(n, "indicator level")
+        a = int_tuple(a, d, MahlerError, "indicator residue")
+        n = as_int(n, MahlerError, "indicator level")
         if n < 1:
             raise MahlerError("indicator needs level n >= 1")
-        m = ppow(p, n)
+        m = ppow(_check_prime(p, MahlerError), n)
         return cls("indicator", d, p, a=tuple(x % m for x in a), n=n)
 
     @classmethod
@@ -133,7 +109,7 @@ class FunctionSpec:
     def evaluate(self, point) -> Fraction:
         """Exact value at an integer lattice point.  A point that is not d
         integers raises MahlerError."""
-        point = _int_tuple(point, self.d, "point")
+        point = int_tuple(point, self.d, MahlerError, "point")
         k, pr = self.kind, self.params
         if k == "constant":
             return Fraction(pr["value"])
@@ -178,37 +154,34 @@ class MahlerTable:
     __slots__ = ("d", "p", "prec", "cap", "coeffs", "decay", "complete")
 
     def __init__(self, d, p, prec, cap, coeffs, decay=None, complete=False):
-        self.check_header(d, p, prec, cap)
-        self.d = d
-        self.p = p
-        self.prec = prec
-        self.cap = cap
-        self.coeffs = dict(coeffs)
+        self.d, self.p, self.prec, self.cap = self.check_header(d, p, prec, cap)
+        self.coeffs = {int_tuple(a, self.d, MahlerError, "multi-index", nonnegative=True): c
+                       for a, c in dict(coeffs).items()}
         for alpha, c in self.coeffs.items():
             require_triple(p, alpha, c)
         self.decay = decay
         self.complete = bool(complete)
 
     @staticmethod
-    def check_header(d, p, prec, cap) -> None:
-        """Refuse a p that is not an odd prime, d < 1, N < 1 or A < 0."""
-        try:
-            _check_prime(p)
-        except ValueError as exc:
-            raise MahlerError(str(exc)) from None
+    def check_header(d, p, prec, cap) -> tuple:
+        """(d, p, N, A) as ints; refuses any that is not an integer, a p that
+        is not an odd prime, d < 1, N < 1 or A < 0."""
+        p, d = _check_prime(p, MahlerError), as_int(d, MahlerError, "dimension d")
         if d < 1:
             raise MahlerError(f"dimension d must be >= 1, got {d}")
+        prec, cap = as_int(prec, MahlerError, "precision N"), as_int(cap, MahlerError, "cap A")
         if prec < 1:
             raise MahlerError(f"precision N must be >= 1, got {prec}")
         if cap < 0:
             raise MahlerError(f"cap A must be >= 0, got {cap}")
+        return d, p, prec, cap
 
     def coeff(self, alpha) -> PadicScalar:
         """c_alpha as a PadicScalar; zero at the table's precision where
         nothing is stored.  An alpha that is not d nonnegative integers
         raises MahlerError."""
-        r, prec, shift = self.coeffs.get(
-            _int_tuple(alpha, self.d, "multi-index", nonnegative=True), (0, self.prec, 0))
+        alpha = int_tuple(alpha, self.d, MahlerError, "multi-index", nonnegative=True)
+        r, prec, shift = self.coeffs.get(alpha, (0, self.prec, 0))
         return PadicScalar(self.p, prec, r, shift)
 
     def sup_bound(self) -> NormValue:
@@ -237,7 +210,7 @@ class MahlerTable:
     def evaluate(self, point) -> PadicScalar:
         """sum c_alpha C(point, alpha) over the stored head, mod p^prec.  A
         point that is not d integers raises MahlerError."""
-        point = _int_tuple(point, self.d, "point")
+        point = int_tuple(point, self.d, MahlerError, "point")
         total = (0, self.prec, 0)
         for alpha, (r, prec, shift) in self.coeffs.items():
             w = 1
@@ -258,6 +231,7 @@ def mahler_coeffs(f: FunctionSpec, A: int, prec: int = 12) -> MahlerTable:
     function is integer-valued; O(d A^(d+1)) integer subtractions.  For a
     polynomial f of degree D every c_alpha with |alpha| > D is 0, and c_alpha
     reads f only at beta <= alpha, so the simplex stops at min(A, D)."""
+    A, prec = as_int(A, MahlerError, "cap A"), as_int(prec, MahlerError, "precision N")
     if A < 0:
         raise MahlerError("cap must be >= 0")
     if prec < 1:
@@ -352,6 +326,7 @@ class GroupAlgebraElement:
     __slots__ = ("model", "n", "coeffs")
 
     def __init__(self, model: GroupModel, n: int, coeffs):
+        n = as_int(n, MahlerError, "level")
         if n < 1:
             raise MahlerError("level must be >= 1")
         self.model = model
@@ -363,7 +338,7 @@ class GroupAlgebraElement:
             if not isinstance(c, tuple):
                 raise TypeError(f"coefficient at {key} is not a (residue, prec, shift) triple: {c!r}")
             c = as_triple(model, c)
-            key = tuple(x % m for x in _int_tuple(key, model.d, "coset key"))
+            key = tuple(x % m for x in int_tuple(key, model.d, MahlerError, "coset key"))
             clean[key] = add_triples(p, clean[key], c) if key in clean else c
         reduced = ((k, (r % ppow(p, prec), prec, shift)) for k, (r, prec, shift) in clean.items())
         self.coeffs = {k: c for k, c in reduced if not known_zero(model, c)}
@@ -373,7 +348,8 @@ class GroupAlgebraElement:
         working precision where nothing is stored.  A key that is not d
         integers raises MahlerError; negative entries reduce mod p^n."""
         m = ppow(self.model.p, self.n)
-        return self._scalar(tuple(x % m for x in _int_tuple(key, self.model.d, "coset key")))
+        key = int_tuple(key, self.model.d, MahlerError, "coset key")
+        return self._scalar(tuple(x % m for x in key))
 
     def _scalar(self, key) -> PadicScalar:
         """coeff at a key already reduced mod p^n, unchecked."""
@@ -419,15 +395,13 @@ def finite_level_project(lam: Distribution, n: int) -> GroupAlgebraElement:
     return GroupAlgebraElement(lam.model, n, {coords: a for a, coords, _ in terms})
 
 
-def pair_with_indicator_crosscheck(lam: Distribution, a, n: int, A=None):
-    """Compare the Mahler pairing against indicator(a, n) with the coset
-    coefficient in the level-n projection; returns "true", "false" or
-    "inconclusive"."""
+def pair_with_indicator_crosscheck(lam: Distribution, a, n: int):
+    """Compare the Mahler pairing against indicator(a, n), its table at the
+    cap 3p, with the coset coefficient in the level-n projection; returns
+    "true", "false" or "inconclusive"."""
     model = lam.model
-    if A is None:
-        A = 3 * model.p
     f = FunctionSpec.indicator(model.d, model.p, a, n)
-    value, err = pair(lam, mahler_coeffs(f, A, prec=model.elem_prec))
+    value, err = pair(lam, mahler_coeffs(f, 3 * model.p, prec=model.elem_prec))
     proj = finite_level_project(lam, n)
     expected = proj.coeff(a)
     diff = value - expected

@@ -18,6 +18,10 @@ A Dirac distribution is expanded in Mahler's binomial basis, one row of
 binomial coefficients C(x, 0..kmax) per coordinate.  ``binom`` builds such
 a row whole, by the exact recurrence in k, and caches it: one lookup per
 row, not per entry.
+
+Caller integers are read by one rule, ``as_int`` and ``int_tuple``: an
+integral value (an int, integral float or Fraction, or an iterable of them)
+is read as an int; anything else is refused with the caller's module error.
 """
 
 from __future__ import annotations
@@ -62,14 +66,41 @@ def vp_factorial(k: int, p: int) -> int:
     return v
 
 
-def _check_prime(p: int) -> None:
+def as_int(x, error, what) -> int:
+    """x as an int when it is integral, else refused with ``error``."""
+    try:
+        n = int(x)
+        if n == x:
+            return n
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise error(f"{what} {x!r} is not an integer")
+
+
+def int_tuple(x, d, error, what, nonnegative=False) -> tuple:
+    """x as a tuple of d ints, when it is an iterable of d integral entries
+    (>= 0 where asked), else refused with ``error``."""
+    try:
+        x = tuple(x)
+        ints = tuple(map(int, x))
+        if len(ints) == d and ints == x and not (nonnegative and ints and min(ints) < 0):
+            return ints
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise error(f"{what} {x!r} is not {d} {'nonnegative ' * nonnegative}integers")
+
+
+def _check_prime(p, error) -> int:
+    """p as an int (``as_int``), refused with ``error`` unless an odd prime."""
+    p = as_int(p, error, "prime p")
     if p < 3 or p % 2 == 0:
-        raise ValueError(f"prime must be odd and >= 3, got {p}")
+        raise error(f"prime must be odd and >= 3, got {p}")
     i = 3
     while i * i <= p:
         if p % i == 0:
-            raise ValueError(f"{p} is not prime")
+            raise error(f"{p} is not prime")
         i += 2
+    return p
 
 
 class NormValue:

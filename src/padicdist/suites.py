@@ -612,7 +612,7 @@ def suite_dsmooth_proj(params: SuiteParams) -> SuiteReport:
     for _ in range(trials):
         lam = random_combo(model, rng, nmax=2, coord_cap=4)
         coset = [rng.randrange(model.p) for _ in range(model.d)]
-        verdict = mh.pair_with_indicator_crosscheck(lam, coset, 1, A=3 * model.p)
+        verdict = mh.pair_with_indicator_crosscheck(lam, coset, 1)
         counts[verdict] += 1
     ok = counts["false"] == 0 and counts["true"] >= trials * 9 // 10
     rep.add("indicator-crosscheck", "dsmooth-proj", ok,

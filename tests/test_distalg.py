@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 from math import inf
+from typing import Callable, NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,10 +19,13 @@ from padicdist.distalg import (
     semidirect_mul,
     structure_constants,
 )
+from padicdist.graded import GradedAmbient, GradedError, GradedPoly
 from padicdist.groupmodel import GroupModel, ModelError, ModelMismatch, simplex
-from padicdist.mahler import MahlerTable
+from padicdist.mahler import (FunctionSpec, GroupAlgebraElement, MahlerError, MahlerTable,
+                              finite_level_project, mahler_coeffs)
 from padicdist.padic import NormValue, PadicScalar, PrecisionExhausted, triple_valuation, vp_int
-from padicdist.serialize import ParseError, parse_distribution, serialize_distribution
+from padicdist.serialize import (ParseError, parse_distribution, serialize_distribution,
+                                 serialize_mahler)
 from padicdist.suites import SuiteParams, _second_basis
 
 import norm_reference
@@ -1140,10 +1144,6 @@ TRUNCATION_ENTRY_POINTS = {
     "mul": lambda T: serialize_distribution(
         Distribution.dirac(heis().element([1, 2, 0])).mul(
             Distribution.monomial(heis(), (1, 0, 0)), T=T)),
-    "conjugate": lambda T: serialize_distribution(
-        Distribution.monomial(heis(), (1, 1, 0)).conjugate(heis().element([1, 0, 2]), T=T)),
-    "change_basis": lambda T: serialize_distribution(
-        Distribution.monomial(ab(2), (1, 0)).change_basis(_second_basis(ab(2)), T=T)),
     "structure_constants": lambda T: list(
         structure_constants(heis(), (0, 2, 0), (2, 0, 0), T)[0].items()),
     "lie_generator": lambda T: serialize_distribution(lie_generator(ab(2), 1, T)),
@@ -1176,6 +1176,182 @@ class TestTruncationRule:
             serialize_distribution(parse_distribution(head.format("6/1")))
         with pytest.raises(ParseError, match="truncation weight T must be >= 0"):
             parse_distribution(head.format("-1/1"))
+
+
+class IntegerEntry(NamedTuple):
+    """A library entry point that reads an integer, or a tuple of d of them,
+    from a caller: ``f`` of the value under test gives a comparable output,
+    ``good`` is a value it accepts and ``error`` its module's error.
+    ``nonnegative`` marks the readers that refuse a negative entry; ``key``
+    the ones that read a dict key, which a list cannot be."""
+
+    f: Callable
+    good: int | tuple
+    error: type
+    nonnegative: bool = False
+    key: bool = False
+
+
+def _table():
+    return MahlerTable(2, P, 6, 4, {(1, 2): (1, 6, 0), (0, 1): (3, 6, 0)}, complete=True)
+
+
+def _projection():
+    return finite_level_project(Distribution.dirac(ab(2).element([2, 3])), 1)
+
+
+def _graded():
+    return GradedAmbient(P, 2, [1, 1], Fraction(1, 2))
+
+
+# every library entry point that reads a caller integer, as a function of it
+INTEGER_ENTRY_POINTS = {
+    # tuple readers
+    "Distribution": IntegerEntry(lambda a: serialize_distribution(
+        Distribution(ab(2), {a: (1, 6, 0)}, 6, Enclosure.EXACT)), (1, 2), DistError, True, True),
+    "from_coeffs": IntegerEntry(lambda a: serialize_distribution(
+        Distribution.from_coeffs(ab(2), {a: 3}, 6)), (1, 2), DistError, True, True),
+    "monomial": IntegerEntry(lambda a: serialize_distribution(
+        Distribution.monomial(ab(2), a, 6)), (1, 2), DistError, True),
+    "coeff": IntegerEntry(lambda a: Distribution.dirac(ab(2).element([2, 3])).coeff(a).triple,
+                          (1, 2), DistError, True),
+    "structure_constants": IntegerEntry(lambda a: list(
+        structure_constants(heis(), a, (2, 0, 0), 6)[0].items()), (0, 2, 0), DistError, True),
+    "MahlerTable": IntegerEntry(lambda a: serialize_mahler(
+        MahlerTable(2, P, 6, 4, {a: (1, 6, 0)}, complete=True)), (1, 2), MahlerError, True, True),
+    "MahlerTable.coeff": IntegerEntry(lambda a: _table().coeff(a).triple, (1, 2), MahlerError,
+                                      True),
+    "MahlerTable.evaluate": IntegerEntry(lambda x: _table().evaluate(x).triple, (3, -4),
+                                         MahlerError),
+    "FunctionSpec.monomial": IntegerEntry(lambda a: FunctionSpec.monomial(2, P, a).id, (1, 2),
+                                          MahlerError, True),
+    "FunctionSpec.indicator": IntegerEntry(lambda a: FunctionSpec.indicator(2, P, a, 1).id,
+                                           (2, -3), MahlerError),
+    "FunctionSpec.evaluate": IntegerEntry(
+        lambda x: FunctionSpec.monomial(2, P, (1, 2)).evaluate(x), (3, -4), MahlerError),
+    "GroupAlgebraElement": IntegerEntry(lambda k: repr(GroupAlgebraElement(
+        ab(2), 1, {k: (1, 6, 0)}).coeffs), (2, -3), MahlerError, key=True),
+    "GroupAlgebraElement.coeff": IntegerEntry(lambda k: _projection().coeff(k).triple, (2, -2),
+                                              MahlerError),
+    "GroupModel.element": IntegerEntry(lambda x: ab(2).element(x).coords, (2, -3), ModelError),
+    "GradedPoly": IntegerEntry(lambda m: GradedPoly(_graded(), {m: 3}).terms, (1, 0, -2),
+                               GradedError, key=True),
+    # scalar readers
+    "GroupModel p": IntegerEntry(lambda p: serialize_distribution(Distribution.dirac(
+        GroupModel("abelian", p, 2, prec=6, max_weight=4).element([1, 2]))), 5, ModelError),
+    "GroupModel prec": IntegerEntry(lambda n: serialize_distribution(Distribution.dirac(
+        GroupModel.abelian(2, P, prec=n, max_weight=4).element([1, 2]))), 6, ModelError),
+    "mahler_coeffs cap": IntegerEntry(lambda A: serialize_mahler(
+        mahler_coeffs(FunctionSpec.monomial(2, P, (2, 1)), A, prec=6)), 2, MahlerError),
+    "mahler_coeffs prec": IntegerEntry(lambda n: serialize_mahler(
+        mahler_coeffs(FunctionSpec.monomial(2, P, (2, 1)), 4, prec=n)), 6, MahlerError),
+    "MahlerTable p": IntegerEntry(lambda p: serialize_mahler(
+        MahlerTable(2, p, 6, 4, {(1, 2): (1, 6, 0)})), 5, MahlerError),
+    "MahlerTable d": IntegerEntry(lambda d: serialize_mahler(
+        MahlerTable(d, P, 6, 4, {(1, 2): (1, 6, 0)})), 2, MahlerError),
+    "MahlerTable cap": IntegerEntry(lambda A: serialize_mahler(
+        MahlerTable(2, P, 6, A, {(1, 2): (1, 6, 0)})), 4, MahlerError),
+    "MahlerTable prec": IntegerEntry(lambda n: serialize_mahler(
+        MahlerTable(2, P, n, 4, {(1, 2): (1, 6, 0)})), 6, MahlerError),
+    "GroupAlgebraElement level": IntegerEntry(lambda n: repr(GroupAlgebraElement(
+        ab(2), n, {(2, 3): (1, 6, 0)}).coeffs), 2, MahlerError),
+    "finite_level_project": IntegerEntry(lambda n: repr(finite_level_project(
+        Distribution.dirac(ab(2).element([2, 3])), n).coeffs), 1, MahlerError),
+    "FunctionSpec p": IntegerEntry(lambda p: serialize_mahler(
+        mahler_coeffs(FunctionSpec.coordinate(2, p, 0), 4, prec=6)), 5, MahlerError),
+    "FunctionSpec d": IntegerEntry(lambda d: serialize_mahler(
+        mahler_coeffs(FunctionSpec.coordinate(d, P, 0), 4, prec=6)), 2, MahlerError),
+    "FunctionSpec.indicator level": IntegerEntry(
+        lambda n: FunctionSpec.indicator(2, P, (2, 3), n).id, 2, MahlerError),
+    "GradedAmbient p": IntegerEntry(lambda p: repr(GradedAmbient(p, 2, [1, 1], Fraction(1, 2))),
+                                    5, GradedError),
+    "GradedAmbient d": IntegerEntry(lambda d: repr(GradedAmbient(P, d, [1, 1], Fraction(1, 2))),
+                                    2, GradedError),
+    "GradedPoly coefficient": IntegerEntry(lambda c: GradedPoly(_graded(), {(1, 0, 0): c}).terms,
+                                           3, GradedError),
+    "GradedPoly.variable": IntegerEntry(lambda i: GradedPoly.variable(_graded(), i).terms, 2,
+                                        GradedError),
+}
+
+
+def _malformed(entry):
+    """Inputs that are no integer (or no d of them) for the entry."""
+    good = entry.good
+    if isinstance(good, int):
+        return [str(good), None, (good,), inf, -inf, math.nan, good + 0.5, Fraction(1, 2)]
+    d = len(good)
+    rest = good[1:]
+    out = [("a",) + rest, (None,) + rest, (inf,) + rest, (math.nan,) + rest,
+           (good[0] + 0.5,) + rest, (Fraction(1, 2),) + rest, good[:-1], good + (0,),
+           5, None, "1" * d]
+    if entry.nonnegative:
+        out.append((-1,) + rest)
+    return out
+
+
+def _spellings(entry):
+    """Spellings of the entry's good value that read as the same ints."""
+    good = entry.good
+    if isinstance(good, int):
+        return [float(good), Fraction(good)]
+    out = [tuple(map(float, good)), tuple(map(Fraction, good))]
+    if not entry.key:
+        out.append(list(good))
+    return out
+
+
+# inputs that a reader without the rule stored, or refused with an error
+# that is not its module's: a stored negative key makes lambda * 1 != lambda
+# and writes a file that does not parse, and a short one breaks mul
+INTEGER_DEFECTS = {
+    "negative-key": (lambda: Distribution(heis(), {(-1, 2, 0): (1, 12, 0)}, 4, Enclosure.EXACT),
+                     DistError),
+    "short-key": (lambda: Distribution(heis(), {(1, 2): (1, 12, 0)}, 4, Enclosure.EXACT),
+                  DistError),
+    "mahler-negative-key": (lambda: MahlerTable(1, 5, 12, 4, {(-1,): (1, 12, 0)}, complete=True),
+                            MahlerError),
+    "project-level": (lambda: finite_level_project(Distribution.dirac(ab(2).element([1, 2])), 1.5),
+                      MahlerError),
+    "mahler-cap": (lambda: mahler_coeffs(FunctionSpec.coordinate(1, P, 0), 2.5), MahlerError),
+    "model-prec": (lambda: GroupModel.from_string("abelian:1:5", prec=2.5), ModelError),
+    "graded-text": (lambda: GradedPoly(_graded(), {("a", 0, 0): 1}), GradedError),
+    "graded-none": (lambda: GradedPoly(_graded(), {(None, 0, 0): 1}), GradedError),
+    "graded-int": (lambda: GradedPoly(_graded(), {5: 1}), GradedError),
+    "graded-inf": (lambda: GradedPoly(_graded(), {(inf, 0, 0): 1}), GradedError),
+    "coset-int": (lambda: GroupAlgebraElement(ab(2), 1, {5: (1, 12, 0)}), MahlerError),
+    "evaluate-int": (lambda: FunctionSpec.coordinate(2, P, 0).evaluate(5), MahlerError),
+    "element-int": (lambda: ab(2).element(5), ModelError),
+    # the prime test looped for ever on an infinite p, and passed a NaN
+    "model-prime-inf": (lambda: GroupModel("abelian", inf, 2), ModelError),
+    "model-prime-nan": (lambda: GroupModel("abelian", math.nan, 2), ModelError),
+}
+
+
+class TestIntegerRule:
+    """One rule for caller integers (``padic.as_int`` and ``int_tuple``): an
+    integral value is read as an int, and anything else is refused with the
+    entry point's module error, never TypeError, ValueError or
+    OverflowError."""
+
+    @pytest.mark.parametrize("name, bad", [
+        (name, bad) for name, entry in INTEGER_ENTRY_POINTS.items() for bad in _malformed(entry)])
+    def test_malformed_is_refused(self, name, bad):
+        entry = INTEGER_ENTRY_POINTS[name]
+        with pytest.raises(entry.error, match="integer"):
+            entry.f(bad)
+
+    @pytest.mark.parametrize("name", sorted(INTEGER_ENTRY_POINTS))
+    def test_integral_spellings_read_as_ints(self, name):
+        entry = INTEGER_ENTRY_POINTS[name]
+        want = entry.f(entry.good)
+        for spelling in _spellings(entry):
+            assert repr(entry.f(spelling)) == repr(want)
+
+    @pytest.mark.parametrize("name", sorted(INTEGER_DEFECTS))
+    def test_named_defects(self, name):
+        make, error = INTEGER_DEFECTS[name]
+        with pytest.raises(error):
+            make()
 
 
 class TestCallerTriples:

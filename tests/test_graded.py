@@ -787,6 +787,16 @@ class TestDimensionAndGrade:
         g2 = grade_cyclic(GradedIdeal(a, [var(a, 1)]), 2)
         assert g1 == g2 == 1
 
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    def test_grade_takes_only_the_ambients_d(self, d):
+        # <X1, X2> has grade 2 on abelian:2:5's ring; (d+1) - dim would
+        # answer d for any other d
+        a = amb(2)
+        ideal = GradedIdeal(a, [var(a, 1), var(a, 2)])
+        assert grade_cyclic(ideal, 2) == 2
+        with pytest.raises(GradedError, match="ambient"):
+            grade_cyclic(ideal, d)
+
 
 class TestAmbientDiscipline:
     def test_mismatched_ambients_rejected(self):

@@ -353,7 +353,7 @@ class TestCrosscheck:
             model,
             [(1, model.element([1, 0])), (-1, model.element([0, 1]))],
         )
-        v = pair_with_indicator_crosscheck(lam, [1, 0], 1, A=3 * P)
+        v = pair_with_indicator_crosscheck(lam, [1, 0], 1)
         assert v in ("true", "inconclusive")
         assert v != "false"
 
