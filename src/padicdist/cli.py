@@ -3,8 +3,11 @@
 Exit codes: 0 success, 1 verification-check failure, 2 usage error,
 3 parse error in an input file, 4 precision exhausted.
 
-A call builds the parser of its own subcommand only, and ``graded``,
-``mahler`` and ``suites`` are imported by the handlers that use them.
+A call to a known subcommand builds one argparse parser, the subcommand's
+own; help, no arguments, an unknown command and arguments left over after a
+subcommand go through the full tree (``build_parser``), which prints every
+text.  ``graded``, ``mahler`` and ``suites`` are imported by the handlers
+that use them.
 """
 
 from __future__ import annotations
@@ -357,37 +360,49 @@ COMMANDS = {
 }
 
 
-def build_parser(command=None) -> argparse.ArgumentParser:
-    """The parser with every subcommand, or with ``command``'s alone.
+def _add_command(ap: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """Give ``ap`` the arguments of subcommand ``name`` and its defaults."""
+    _, func, arguments = COMMANDS[name]
+    for flags, kwargs in arguments:
+        ap.add_argument(*flags, **kwargs)
+    ap.set_defaults(command=name, func=func)
+    return ap
 
-    A subcommand's help, usage and errors do not depend on its siblings.
-    The top-level usage does, so a one-subcommand tree still names all of
-    them there, as in "unrecognized arguments" errors.
-    """
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full tree: the top-level parser with every subcommand."""
     ap = argparse.ArgumentParser(
         prog="padicdist",
         description="Exact arithmetic in p-adic distribution algebras of "
         "uniform pro-p groups.",
     )
-    if command is None:
-        names, metavar = COMMANDS, None
-    else:
-        names, metavar = [command], "{" + ",".join(COMMANDS) + "}"
-    sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in names:
-        help_text, func, arguments = COMMANDS[name]
-        sp = sub.add_parser(name, help=help_text)
-        for flags, kwargs in arguments:
-            sp.add_argument(*flags, **kwargs)
-        sp.set_defaults(func=func)
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, (help_text, _, _) in COMMANDS.items():
+        _add_command(sub.add_parser(name, help=help_text), name)
     return ap
+
+
+def _parse_args(argv):
+    """The Namespace of ``argv``, parsed as the full tree parses it.
+
+    A known subcommand is parsed by one parser, its own.  Its help, usage
+    and errors do not depend on its siblings; the one error that argparse
+    reports at the top level, arguments left over, does, so that path and
+    every call that names no known subcommand (help, no arguments, an
+    unknown command) parse ``argv`` with the full tree.
+    """
+    if argv and argv[0] in COMMANDS:
+        ap = _add_command(argparse.ArgumentParser(prog=f"padicdist {argv[0]}"), argv[0])
+        args, extras = ap.parse_known_args(argv[1:])
+        if not extras:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    ap = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
-        args = ap.parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

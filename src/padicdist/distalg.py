@@ -235,7 +235,7 @@ class Distribution:
         """Wrap parts already in the form ``__init__`` leaves them in (an int
         T >= 0, a dict of triples of degree <= T, an Enclosure and a tuple of
         Dirac terms), with no checks: for the results the library builds
-        itself."""
+        itself and for the terms ``serialize`` has checked line by line."""
         out = object.__new__(cls)
         out._set(model, coeffs, T, enclosure, dirac_terms)
         return out

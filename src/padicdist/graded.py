@@ -49,6 +49,8 @@ class GradedAmbient:
 
     def __init__(self, p, d, omegas, s):
         p, d = _check_prime(p, GradedError), as_int(d, GradedError, "dimension d")
+        if d < 0:
+            raise GradedError(f"dimension d must be >= 0, got {d}")
         if tuple(omegas) != (1,) * d:
             raise GradedError(f"every generator weight omega must be 1, got {tuple(omegas)}")
         for name, value in (("p", p), ("d", d), ("s", Fraction(s))):

@@ -240,6 +240,9 @@ class PadicScalar:
     __slots__ = ("p", "prec", "residue", "shift")
 
     def __init__(self, p: int, prec: int, residue: int, shift: int = 0):
+        if type(p) is not int:
+            # a float p would key ppow's cache like the int, and poison it
+            p = as_int(p, PadicError, "prime p")
         if prec < 1:
             raise PrecisionExhausted(f"precision window exhausted (prec={prec})")
         if shift < 0:

@@ -4,7 +4,12 @@ and Mahler-table files with one term per line.
 A scalar reads back with its value and window.  A distribution file keeps
 the head and two numbers of its enclosure, the growth-0 bound on the
 unstored entries and the stored error; it drops the cap lines, the lines of
-growth > 0 and the Dirac witness."""
+growth > 0 and the Dirac witness.
+
+A file is checked in one pass: ``_parse_terms`` refuses a term line whose
+multi-index is malformed, repeated or of degree above the header's T, or
+whose scalar is, with that line's number, and ``parse_distribution`` wraps
+the checked parts without the ``Distribution`` constructor's checks."""
 
 from __future__ import annotations
 
@@ -12,7 +17,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .padic import NormValue, PadicError, PadicScalar, PrecisionExhausted, ppow, vp_int
-from .groupmodel import GroupModel
+from .groupmodel import GroupModel, ModelError, truncation
 from .distalg import Distribution, Enclosure
 
 if TYPE_CHECKING:
@@ -136,9 +141,11 @@ def _parse_header(line):
     return fields
 
 
-def _parse_terms(lines, p: int, d: int) -> dict:
+def _parse_terms(lines, p: int, d: int, T=None) -> dict:
     """{alpha: triple} from the term lines that follow the header (line 2 on);
-    a multi-index must have d entries >= 0 and appear once."""
+    a multi-index must have d entries >= 0, appear once and, under a
+    truncation weight T, have degree |alpha| <= T.  Each triple is in the
+    stored form (``_parse_triple``)."""
     coeffs = {}
     for ln_no, ln in enumerate(lines, start=2):
         if not ln.strip():
@@ -152,6 +159,8 @@ def _parse_terms(lines, p: int, d: int) -> dict:
             raise ParseError(f"bad multi-index {left.strip()!r}", ln_no) from None
         if len(alpha) != d or min(alpha) < 0:
             raise ParseError(f"multi-index {alpha} invalid for d={d}", ln_no)
+        if T is not None and sum(alpha) > T:
+            raise ParseError(f"stored index {alpha} exceeds truncation weight {T}", ln_no)
         if alpha in coeffs:
             raise ParseError(f"duplicate index {alpha}", ln_no)
         coeffs[alpha] = _parse_triple(p, right, ln_no)
@@ -174,25 +183,22 @@ def parse_distribution(text: str) -> Distribution:
         exact = {"0": False, "1": True}[h["exact"]]
     except (ValueError, ZeroDivisionError, KeyError):
         raise ParseError("malformed header numbers", 1) from None
-    from .groupmodel import ModelError
-
     try:
         model = GroupModel.from_string(h["group"], prec=prec, max_weight=max(T, 12))
+        T = truncation(T)
     except ModelError as exc:
         raise ParseError(str(exc), 1) from None
     if model.p != p:
         raise ParseError(f"header p={p} contradicts group id {h['group']}", 1)
-    coeffs = _parse_terms(lines[1:], p, model.d)
+    coeffs = _parse_terms(lines[1:], p, model.d, T)
     # an exact file's tail is 0, whatever its header says
     tail = NormValue.zero() if exact else parse_normvalue(h["tail"], 1)
     herr = parse_normvalue(h["err"], 1) if "err" in h else NormValue.zero()
     if exact and not herr.is_zero:
         raise ParseError("exact distributions carry no head error", 1)
     unstored = () if tail.is_unbounded else ((tail, Fraction(0)),)
-    try:
-        return Distribution(model, coeffs, T, Enclosure(herr, unstored))
-    except PadicError as exc:
-        raise ParseError(str(exc), 1) from None
+    # every part is checked: the terms by _parse_terms, the rest above
+    return Distribution._clean(model, coeffs, T, Enclosure(herr, unstored))
 
 
 # -- Mahler tables ----------------------------------------------------------

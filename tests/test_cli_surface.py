@@ -9,6 +9,7 @@ and at the top level.  argparse's wording differs between Python versions,
 so the recorded text is compared only under the version that recorded it.
 """
 
+import argparse
 import io
 import json
 import sys
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from padicdist.cli import COMMANDS, build_parser, main
+from padicdist.cli import COMMANDS, _parse_args, build_parser, main
 
 SURFACE = json.loads((Path(__file__).parent / "cli_surface.json").read_text())
 
@@ -99,12 +100,12 @@ def test_full_tree_namespace(argv, want):
     assert {**got, "func": got["func"].__name__} == want
 
 
-def parse_outcome(parser, argv):
-    """(Namespace or exit code, stdout, stderr) of ``parser.parse_args(argv)``."""
+def parse_outcome(parse, argv):
+    """(Namespace or exit code, stdout, stderr) of ``parse(argv)``."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         try:
-            result = parser.parse_args(argv)
+            result = parse(argv)
         except SystemExit as exc:
             result = exc.code
     return result, out.getvalue(), err.getvalue()
@@ -112,16 +113,50 @@ def parse_outcome(parser, argv):
 
 SUBCOMMAND_ARGVS = [c["argv"] for c in SURFACE["cases"] if c["argv"] and c["argv"][0] in COMMANDS]
 SUBCOMMAND_ARGVS += [argv for argv, _ in NAMESPACES]
+SUBCOMMAND_ARGVS += [
+    # left over after the subcommand: argparse reports it at the top level
+    ["norm", "--in", "a", "--r", "1/2", "--bogus"],
+    ["mul", "a", "b", "c"],
+    # an abbreviated option
+    ["mul", "a", "b", "--ou", "x"],
+    # "--" ends the options, before and among the positionals
+    ["mul", "--", "a", "b"],
+    ["mul", "a", "--", "b", "--r", "1/2"],
+    ["grade", "--r", "1/2", "--", "-X1"],
+    # a negative first coordinate in the = form, and the form argparse refuses
+    ["expand", "--elem=-21,5"],
+    ["expand", "--elem", "-21,5"],
+    # a repeated option: the last one counts
+    ["norm", "--in", "a", "--r", "1/2", "--in", "b"],
+    ["verify", "lemma44", "--seed", "1", "--seed", "2"],
+]
 
 
 @pytest.mark.parametrize("argv", SUBCOMMAND_ARGVS, ids=" ".join)
 def test_own_tree_parses_like_the_full_tree(argv, columns):
     # under any Python version: the text, exit code and Namespace of a call
-    # parsed by its subcommand's own tree match those of the full tree
-    assert parse_outcome(build_parser(argv[0]), argv) == parse_outcome(build_parser(), argv)
+    # parsed by its subcommand's own parser match those of the full tree
+    assert parse_outcome(_parse_args, argv) == parse_outcome(build_parser().parse_args, argv)
 
 
-def test_own_tree_has_one_subcommand():
-    ap = build_parser("norm")
-    result, _, err = parse_outcome(ap, ["expand", "--elem", "1"])
-    assert result == 2 and "invalid choice: 'expand'" in err
+@pytest.mark.parametrize("argv, parsers", [
+    (["norm", "--in", "a", "--r", "1/2"], 1),
+    (["verify", "-h"], 1),
+    (["norm", "--in", "a", "--r", "1/2", "--bogus"], 15),
+    ([], 14),
+    (["frobnicate"], 14),
+])
+def test_a_call_builds_one_parser(argv, parsers, monkeypatch):
+    # a known subcommand's call builds its own parser alone; arguments left
+    # over add the full tree (the top level and its 13 subcommands), which
+    # no arguments and an unknown command build alone
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    parse_outcome(_parse_args, argv)
+    assert len(built) == parsers

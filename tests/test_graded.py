@@ -810,6 +810,12 @@ class TestAmbientDiscipline:
         with pytest.raises(GradedError, match="omega must be 1"):
             GradedAmbient(P, 2, omegas, Fraction(1, 2))
 
+    def test_negative_d_refused(self):
+        # with d = -1, (1,) * d is (), so the empty weights passed; its zero
+        # ideal then had grade 0
+        with pytest.raises(GradedError, match="d must be >= 0"):
+            GradedAmbient(P, -1, [], Fraction(1, 2))
+
     def test_ones_give_the_same_ambient(self):
         assert GradedAmbient(P, 2, (Fraction(1), 1), Fraction(1, 2)) == amb(2)
         assert hash(GradedAmbient(P, 2, [1, 1], Fraction(1, 2))) == hash(amb(2))

@@ -50,6 +50,21 @@ class TestValuationHelpers:
         assert vp_factorial(24, P) == 4
 
 
+class TestScalarPrime:
+    def test_float_p_reads_as_the_int(self):
+        # ppow's cache keys 5.0 like 5: a float p stored there would make
+        # ppow(5, e) a float for the rest of the process
+        ppow.cache_clear()
+        c = PadicScalar(5.0, N, 1, 0)
+        assert type(c.p) is int and type(ppow(5, N)) is int
+        assert c.same_value(PadicScalar(P, N, 1, 0))
+
+    @pytest.mark.parametrize("p", [5.5, "5", None])
+    def test_non_integral_p_refused(self, p):
+        with pytest.raises(PadicError, match="prime p"):
+            PadicScalar(p, N, 1)
+
+
 class TestScalarArithmetic:
     def test_exact_valuation(self):
         assert s(7).valuation == 0

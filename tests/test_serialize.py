@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from padicdist.distalg import Distribution, RadiusParam
+from pathlib import Path
+
+from padicdist.distalg import Distribution, Enclosure, RadiusParam, lie_generator
 from padicdist.groupmodel import GroupModel, simplex
 from padicdist.mahler import FunctionSpec, MahlerError, MahlerTable, mahler_coeffs
 from padicdist.padic import NormValue, PadicScalar, PrecisionExhausted
@@ -18,6 +20,7 @@ from padicdist.serialize import (
     parse_scalar,
     serialize_distribution,
     serialize_mahler,
+    _parse_terms,
 )
 
 P = 5
@@ -193,6 +196,98 @@ class TestDistributionFiles:
         with pytest.raises(ParseError) as exc:
             parse_distribution(text)
         assert exc.value.line == 3
+
+
+def _checked(text):
+    """The distribution of a well-formed file through the checked
+    constructor: its term lines read without the degree check, which the
+    constructor makes, and its header as ``parse_distribution`` reads it."""
+    lines = text.splitlines()
+    head = dict(tok.split("=", 1) for tok in lines[0].split())
+    T = Fraction(head["T"])
+    model = GroupModel.from_string(head["group"], prec=int(head["N"]), max_weight=max(T, 12))
+    exact = head["exact"] == "1"
+    tail = NormValue.zero() if exact else parse_normvalue(head["tail"])
+    unstored = () if tail.is_unbounded else ((tail, Fraction(0)),)
+    enclosure = Enclosure(parse_normvalue(head.get("err", "0")), unstored)
+    return Distribution(model, _parse_terms(lines[1:], model.p, model.d), T, enclosure)
+
+
+def _constructed():
+    """One distribution of each constructor, exact and inexact, and a
+    product, on every model kind."""
+    out = []
+    for gid in ("abelian:1:5", "abelian:2:5", "heisenberg:5", "semidirect:5"):
+        m = GroupModel.from_string(gid, prec=12, max_weight=Fraction(8))
+        one = (0,) * m.d
+        ramp = tuple(range(1, m.d + 1))
+        g, h = m.element(ramp), m.element((-1,) + ramp[1:])
+        out += [
+            Distribution.zero_dist(m),
+            Distribution.one(m, 4),
+            Distribution.monomial(m, ramp, 6),
+            Distribution.dirac(g, 6),
+            Distribution.dirac(h, 6),
+            Distribution.dirac_combination(m, [(3, g), (Fraction(1, 5), h)], 5),
+            Distribution.from_coeffs(m, {one: 5, ramp: (0, 1, 0)}, 6),
+            Distribution.from_coeffs(m, {one: 7}, 6, Enclosure(NormValue(1), ((NormValue(2), 0),))),
+            Distribution.from_coeffs(m, {one: 7}, 6, Enclosure()),
+            lie_generator(m, 0, 6),
+            Distribution.dirac(g, 6).mul(Distribution.dirac(h, 6)),
+        ]
+    return out
+
+
+class TestOneCheckedPass:
+    """``parse_distribution`` checks a file in one pass and wraps the parts
+    unchecked; it must answer as the checked constructor does."""
+
+    def test_term_above_T_is_refused_on_its_line(self):
+        head = "group=abelian:1:5 p=5 N=12 T={} tail={} exact={}\n"
+        for T, tail, exact in (("2/1", "0", 1), ("5/2", "p^0", 0), ("0/1", "unbounded", 0)):
+            text = head.format(T, tail, exact) + "0 : 0:1:12\n\n3 : 0:1:12\n"
+            with pytest.raises(ParseError, match="exceeds truncation weight") as exc:
+                parse_distribution(text)
+            assert exc.value.line == 4
+        with pytest.raises(ParseError) as exc:
+            parse_distribution("group=heisenberg:5 p=5 N=12 T=2/1 tail=0 exact=1\n"
+                               "0,1,1 : 0:1:12\n1,1,1 : 0:1:12\n")
+        assert exc.value.line == 3
+
+    @pytest.mark.parametrize("text, line", [
+        ("", 1),
+        ("group=abelian:1:5 p=5 N=12 T=4/1 tail=0\n", 1),
+        ("group=abelian:1:5 p=5 N=x T=4/1 tail=0 exact=1\n", 1),
+        ("group=abelian:1:5 p=5 N=12 T=-1/1 tail=0 exact=1\n0 : 0:1:12\n", 1),
+        ("group=abelian:-1:5 p=5 N=12 T=4/1 tail=0 exact=1\n", 1),
+        ("group=abelian:1:5 p=7 N=12 T=4/1 tail=0 exact=1\n", 1),
+        ("group=abelian:1:5 p=5 N=12 T=4/1 tail=q^1 exact=0\n", 1),
+        ("group=abelian:1:5 p=5 N=12 T=4/1 tail=0 exact=1 err=p^0\n", 1),
+        ("group=abelian:1:5 p=5 N=12 T=4/1 tail=0 exact=1\n0 : 0:1:12\nx\n", 3),
+        ("group=abelian:1:5 p=5 N=12 T=4/1 tail=0 exact=1\n0 : 0:1:12\na : 0:1:12\n", 3),
+        ("group=abelian:1:5 p=5 N=12 T=4/1 tail=0 exact=1\n0,1 : 0:1:12\n", 2),
+        ("group=abelian:1:5 p=5 N=12 T=4/1 tail=0 exact=1\n-1 : 0:1:12\n", 2),
+        ("group=abelian:1:5 p=5 N=12 T=4/1 tail=0 exact=1\n1 : 0:1:12\n1 : 0:2:12\n", 3),
+        ("group=abelian:1:5 p=5 N=12 T=4/1 tail=0 exact=1\n1 : 0:5:12\n", 2),
+        ("group=abelian:1:5 p=5 N=12 T=4/1 tail=0 exact=1\n1 : 0:1:0\n", 2),
+    ])
+    def test_every_refusal_keeps_its_line(self, text, line):
+        with pytest.raises(ParseError) as exc:
+            parse_distribution(text)
+        assert exc.value.line == line
+
+    @pytest.mark.parametrize("text", [
+        *(path.read_text() for path in sorted((Path(__file__).parent / "golden").glob("*.dist"))),
+        *(serialize_distribution(lam) for lam in _constructed()),
+        # an exact file drops its known zeros, and keeps a zero on a narrow window
+        "group=abelian:1:5 p=5 N=12 T=4/1 tail=0 exact=1\n0 : 1:0:1\n1 : 14:0:14\n",
+        "group=abelian:1:5 p=5 N=12 T=9/2 tail=unbounded exact=0 err=p^-1\n1 : -1:2:3\n",
+    ])
+    def test_parsed_equals_checked(self, text):
+        parsed, checked = parse_distribution(text), _checked(text)
+        assert (parsed.coeffs, parsed.T, parsed.enclosure, parsed.exact) == \
+            (checked.coeffs, checked.T, checked.enclosure, checked.exact)
+        assert type(parsed.T) is int and parsed.model.id == checked.model.id
 
 
 class TestMahlerFiles:
