@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from .padic import PadicError, PrecisionExhausted
-from .groupmodel import GroupModel, ModelError, truncation
+from .groupmodel import GroupModel, truncation
 from .distalg import Distribution, RadiusParam, q_norm
 from .serialize import (
     ParseError,
@@ -50,10 +50,7 @@ def _radius(text: str) -> RadiusParam:
         raise UsageError(
             f"radius exponent must be an exact rational like 1/2, got {text!r}"
         )
-    try:
-        return RadiusParam(_fraction(text))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    return RadiusParam(_fraction(text))
 
 
 def _precision_args(args):
@@ -69,10 +66,7 @@ def _precision_args(args):
 def _model_from_args(args) -> GroupModel:
     gid = args.group or "heisenberg:5"
     N, T = _precision_args(args)
-    try:
-        return GroupModel.from_string(gid, prec=N, max_weight=T)
-    except ModelError as exc:
-        raise UsageError(str(exc)) from None
+    return GroupModel.from_string(gid, prec=N, max_weight=T)
 
 
 def _read_text(path: str) -> str:
@@ -149,20 +143,11 @@ def cmd_symbol(args) -> int:
     return EXIT_OK
 
 
-def _function_spec(args, model):
-    from .mahler import FunctionSpec
-
-    try:
-        return FunctionSpec.parse(model.d, model.p, args.fn)
-    except (PadicError, ValueError) as exc:
-        raise UsageError(str(exc)) from None
-
-
 def cmd_pair(args) -> int:
-    from .mahler import mahler_coeffs, pair
+    from .mahler import FunctionSpec, mahler_coeffs, pair
 
     dist = _load_distribution(args.infile)
-    f = _function_spec(args, dist.model)
+    f = FunctionSpec.parse(dist.model.d, dist.model.p, args.fn)
     table = mahler_coeffs(f, args.cap, prec=dist.model.prec)
     value, err = pair(dist, table)
     _emit(args, f"value = {format_scalar(value)}\nerror <= {err}\n")
@@ -170,10 +155,10 @@ def cmd_pair(args) -> int:
 
 
 def cmd_mahler(args) -> int:
-    from .mahler import mahler_coeffs
+    from .mahler import FunctionSpec, mahler_coeffs
 
     model = _model_from_args(args)
-    f = _function_spec(args, model)
+    f = FunctionSpec.parse(model.d, model.p, args.fn)
     _emit(args, serialize_mahler(mahler_coeffs(f, args.cap, prec=model.prec)))
     return EXIT_OK
 
@@ -215,11 +200,7 @@ def cmd_basis(args) -> int:
     if len(rows) != model.d:
         raise UsageError(f"basis needs {model.d} elements separated by ';'")
     basis = [model.element(_parse_coords(r, model.d)) for r in rows]
-    try:
-        out = dist.change_basis(basis)
-    except ModelError as exc:
-        raise UsageError(str(exc)) from None
-    _emit(args, serialize_distribution(out))
+    _emit(args, serialize_distribution(dist.change_basis(basis)))
     return EXIT_OK
 
 

@@ -542,26 +542,24 @@ class Distribution:
     # -- basis change and conjugation -------------------------------------
 
     def change_basis(self, basis) -> "Distribution":
-        """Re-expand in the monomials of another ordered basis (omega 1 each).
+        """Re-expand in the monomials of another ordered basis (omega 1 each),
+        through its chart, built once (``groupmodel.basis_chart``).
 
         A point's coordinates in the new chart are residues mod p^W.  For an
         exact point and an exact basis, the residues lifted to their least
-        absolute values are the exact coordinates when the basis powers
-        rebuild the point under the exact int law; the image is then exact."""
-        from .groupmodel import coords_in_basis, validate_basis
+        absolute values are the exact coordinates when the chart's ``point``
+        rebuilds the point from them; the image is then exact."""
+        from .groupmodel import basis_chart
 
-        model = self.model
-        validate_basis(model, basis)
-        law, p = model.law, model.p
-        m = ppow(p, model.elem_prec)
+        point, solve = basis_chart(self.model, basis)
+        m = ppow(self.model.p, self.model.elem_prec)
         exact_basis = all(b.exact for b in basis)
 
         def act(coords, exact):
-            y = coords_in_basis(model, basis, GroupElement(model, coords, exact))
+            y = solve(coords)
             if exact and exact_basis:
                 lift = tuple(x - m if 2 * x > m else x for x in y)
-                powers = map(partial(law.pow, p), (b.coords for b in basis), lift)
-                if reduce(partial(law.mul, p), powers, (0,) * model.d) == coords:
+                if point(lift) == coords:
                     return lift, True
             return y, False
 
@@ -575,10 +573,10 @@ class Distribution:
         if g == "sigma":
             if not law.sigma:
                 raise ModelError("sigma conjugation is defined only on the semidirect model")
-            act = lambda coords, exact: (law.inv(p, coords), exact)
+            act = lambda coords, exact: (law.pow(p, coords, -1), exact)
         elif isinstance(g, GroupElement):
             model._require_same(g.model)
-            x, x_inv = g.coords, law.inv(p, g.coords)
+            x, x_inv = g.coords, law.pow(p, g.coords, -1)
             act = lambda coords, exact: (
                 law.mul(p, law.mul(p, x, coords), x_inv), exact and g.exact)
         else:

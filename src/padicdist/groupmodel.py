@@ -7,15 +7,16 @@ are identified with their chart coordinates in Z_p^d, held as Python ints:
 the coordinates themselves when the element is exact (built from integer
 coordinates by the group law), else their residues mod p**elem_prec.
 
-Each kind declares its group law once, in ``LAWS``, on tuples of int
-coordinates.  ``gmul``, ``ginv`` and ``gpow`` are the checked edge and build
-one GroupElement per result.  ``distalg`` and ``mahler`` apply ``model.law``
-to coordinate tuples: a Dirac witness is a tuple of terms (triple, coords,
-exact), with no GroupElement in it.
+Each kind declares its group law once, in ``LAWS``, as product and power on
+tuples of int coordinates.  ``gmul``, ``ginv`` and ``gpow`` are the checked
+edge and build one GroupElement per result.  ``distalg``, ``mahler`` and
+``basis_chart`` apply ``model.law`` to coordinate tuples: a Dirac witness is
+a tuple of terms (triple, coords, exact), with no GroupElement in it.
 """
 
 from __future__ import annotations
 
+from functools import partial, reduce
 from math import floor, inf
 from typing import Callable, NamedTuple
 
@@ -52,14 +53,14 @@ def simplex(d: int, T: int):
 
 
 class Law(NamedTuple):
-    """A kind's group law, ``mul(p, a, b)``, ``inv(p, a)`` and ``pow(p, a, t)``
-    on int chart coordinate tuples; ``dim``, its one dimension (None: any
-    d >= 0); ``sigma``, an order-2 coset acting by inversion."""
+    """A kind's group law: product ``mul(p, a, b)`` and integer power
+    ``pow(p, a, t)`` on int chart coordinate tuples, whose inverse is
+    ``pow(p, a, -1)``; ``dim``, its one dimension (None: any d >= 0);
+    ``sigma``, an order-2 coset acting by inversion."""
 
     dim: int | None
     commutative: bool
     mul: Callable
-    inv: Callable
     pow: Callable
     sigma: bool = False
 
@@ -70,13 +71,11 @@ def _heisenberg_mul(p, a, b):
 
 
 _SUM = (lambda p, a, b: tuple(x + y for x, y in zip(a, b)),
-        lambda p, a: tuple(-x for x in a),
         lambda p, a, t: tuple(t * x for x in a))
 LAWS = {
     "abelian": Law(None, True, *_SUM),
     # psi(x, y, z)^t = psi(tx, ty, tz - p x y C(t, 2)); the inverse is t = -1
     "heisenberg": Law(3, False, _heisenberg_mul,
-                      lambda p, a: (-a[0], -a[1], -a[2] - p * a[0] * a[1]),
                       lambda p, a, t: (t * a[0], t * a[1],
                                        t * a[2] - p * a[0] * a[1] * (t * (t - 1) // 2))),
     # the uniform part is Z_p; the sigma coset acts by inversion
@@ -187,7 +186,7 @@ class GroupModel:
 
     def ginv(self, g: "GroupElement") -> "GroupElement":
         self._require_same(g.model)
-        return self._law_result(self.law.inv(self.p, g.coords), g.exact)
+        return self._law_result(self.law.pow(self.p, g.coords, -1), g.exact)
 
     def gpow(self, g: "GroupElement", t: int) -> "GroupElement":
         """g**t for an integer t (closed form on chart coordinates)."""
@@ -256,11 +255,12 @@ class GroupElement:
 # -- alternate ordered bases ------------------------------------------------
 
 
-def validate_basis(model: GroupModel, basis) -> None:
-    """Check that basis is an ordered basis of generators of omega 1.
+def validate_basis(model: GroupModel, basis):
+    """Check that basis is an ordered basis of generators of omega 1, and
+    return the inverse of its coordinate matrix mod p**elem_prec.
 
     Requires omega(b_i) == 1 exactly and the coordinate matrix of the basis
-    to be invertible mod p.
+    to be invertible mod p, which is invertibility mod every power of p.
     """
     if len(basis) != model.d:
         raise ModelError(f"expected {model.d} basis elements, got {len(basis)}")
@@ -271,38 +271,40 @@ def validate_basis(model: GroupModel, basis) -> None:
             raise ModelError(
                 f"basis element {i} has omega {val} (exact={exact}), expected 1"
             )
+    W = model.elem_prec
     try:
-        _matinv_mod(_basis_matrix(model, basis, 1), model.p, 1)
+        return _matinv_mod(_basis_matrix(model, basis, W), model.p, W)
     except ModelError:
         raise ModelError("basis coordinate matrix is singular mod p") from None
 
 
-def coords_in_basis(model: GroupModel, basis, g: GroupElement):
-    """Chart coordinates of g in the chart of another ordered basis, as
-    residues mod p**elem_prec.
+def basis_chart(model: GroupModel, basis):
+    """The chart of another ordered basis, as (point, solve) on int tuples.
 
-    Solves g = b_1^{y_1} ... b_d^{y_d} by a Hensel/Newton iteration on the
-    coordinate linearization at the identity.
+    ``point(y)`` is b_1^{y_1} ... b_d^{y_d} under ``model.law``.
+    ``solve(x)`` is the y, residues mod p**elem_prec, with point(y) = x mod
+    p**elem_prec: a Hensel/Newton iteration on the coordinate linearization
+    at the identity.  The basis is checked and its matrix inverted once.
     """
-    W = model.elem_prec
-    p, d = model.p, model.d
+    ainv = validate_basis(model, basis)
+    law, p, d, W = model.law, model.p, model.d, model.elem_prec
     m = ppow(p, W)
-    a = _basis_matrix(model, basis, W)
-    ainv = _matinv_mod(a, p, W)
-    y = [0] * d
-    for _ in range(W + 4):
-        cur = model.identity()
-        for j in range(d):
-            cur = model.gmul(cur, model.gpow(basis[j], y[j]))
-        err = model.gmul(model.ginv(cur), g)
-        c = err.key()
-        if not any(c):
-            break
-        for j in range(d):
-            y[j] = (y[j] + sum(ainv[j][k] * c[k] for k in range(d))) % m
-    else:
+    gens = [b.coords for b in basis]
+
+    def point(y):
+        return reduce(partial(law.mul, p), map(partial(law.pow, p), gens, y), (0,) * d)
+
+    def solve(x):
+        y = (0,) * d
+        for _ in range(W + 4):
+            c = [e % m for e in law.mul(p, law.pow(p, point(y), -1), x)]
+            if not any(c):
+                return y
+            y = tuple((yj + sum(a * ck for a, ck in zip(row, c))) % m
+                      for yj, row in zip(y, ainv))
         raise ModelError("basis coordinate iteration did not converge")
-    return tuple(y)
+
+    return point, solve
 
 
 def _basis_matrix(model, basis, W):

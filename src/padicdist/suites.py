@@ -7,10 +7,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from math import inf
 
 from .padic import NormValue, PadicScalar, ppow
-from .groupmodel import GroupModel, simplex, truncation
+from .groupmodel import GroupModel, ModelError, simplex, truncation
 from .distalg import (
     DistError,
     Distribution,
@@ -133,6 +134,23 @@ def _mixed(model, rng) -> Distribution:
 MODEL_IDS = ("abelian:2:{p}", "heisenberg:{p}", "semidirect:{p}")
 
 
+def _generators(model, suite):
+    """The indices of b_1, ..., b_d, which are the chart coordinates of the
+    generators h_1, ..., h_d; a suite on pairs of them refuses d < 2."""
+    if model.d < 2:
+        raise ModelError(f"{suite} needs a model of dimension >= 2, got {model.id}")
+    return [tuple(int(i == k) for i in range(model.d)) for k in range(model.d)]
+
+
+def _index(alpha) -> str:
+    return f"({','.join(map(str, alpha))})"
+
+
+def _p_word(n, p) -> str:
+    """n as the reports write it, with p and -p by name."""
+    return {p: "p", -p: "-p"}.get(n, str(n))
+
+
 # -- suites -----------------------------------------------------------------
 
 
@@ -141,6 +159,7 @@ def suite_lemma41(params: SuiteParams) -> SuiteReport:
     size_cap = 6
     model = GroupModel.from_string(params.group or f"heisenberg:{params.p}",
                                    prec=params.N, max_weight=size_cap)
+    e = _generators(model, "lemma41")
     pairs = entries = violations = 0
     for beta in simplex(model.d, size_cap):
         for gamma in simplex(model.d, size_cap - sum(beta)):
@@ -150,19 +169,22 @@ def suite_lemma41(params: SuiteParams) -> SuiteReport:
             violations += sum(1 for ok in verdicts.values() if not ok)
     rep.add("bound-exhaustive", "lemma41", violations == 0,
             f"{pairs} monomial pairs, {entries} entries, {violations} violations")
-    table, _ = structure_constants(model, (0, 1, 0), (1, 0, 0), size_cap)
+    table, _ = structure_constants(model, e[1], e[0], size_cap)
 
     def entry_is(alpha, n):
         if alpha not in table:
-            return False
+            return n == 0
         r, prec, shift = table[alpha]
         return PadicScalar(model.p, prec, r, shift).same_value(
             PadicScalar.from_int(model.p, n, model.elem_prec))
 
-    ok_e3 = entry_is((0, 0, 1), -model.p)
-    ok_e12 = entry_is((1, 1, 0), 1)
-    rep.add("b2b1-entries", "lemma41", ok_e3 and ok_e12,
-            "c at (0,0,1) = -p and c at (1,1,0) = 1")
+    # b2 b1 = delta_{h2 h1} - delta_{h2} - delta_{h1} + 1, and delta_g has
+    # coefficient C(g, alpha) at b^alpha: g_k at b_k, g_1 g_2 at b1 b2
+    p, g = model.p, model.law.mul(model.p, e[1], e[0])
+    e12 = tuple(map(sum, zip(e[0], e[1])))
+    want = [(ek, gk - e12[k]) for k, (ek, gk) in enumerate(zip(e, g))] + [(e12, g[0] * g[1])]
+    rep.add("b2b1-entries", "lemma41", all(entry_is(a, n) for a, n in want),
+            " and ".join(f"c at {_index(a)} = {_p_word(n, p)}" for a, n in want if n))
     return rep
 
 
@@ -189,12 +211,12 @@ def suite_prop42(params: SuiteParams) -> SuiteReport:
 def suite_lemma44(params: SuiteParams) -> SuiteReport:
     rep = SuiteReport("lemma44", ("lemma44 commutator norm drop",))
     model = _model(params, params.group or f"heisenberg:{params.p}")
-    for i in range(3):
-        for j in range(i + 1, 3):
-            bi = Distribution.monomial(model, tuple(1 if k == i else 0 for k in range(3)))
-            bj = Distribution.monomial(model, tuple(1 if k == j else 0 for k in range(3)))
-            bij = bi * bj
-            diff = bij - bj * bi
+    e = _generators(model, "lemma44")
+    b = [Distribution.monomial(model, ek) for ek in e]
+    for i in range(model.d):
+        for j in range(i + 1, model.d):
+            bij = b[i] * b[j]
+            diff = bij - b[j] * b[i]
             ok = True
             detail = []
             for s in S3:
@@ -204,19 +226,22 @@ def suite_lemma44(params: SuiteParams) -> SuiteReport:
                 ok = ok and good
                 detail.append(f"s={s}: {nd.upper} < {nb.lower}")
             rep.add(f"strict-drop-{i+1}{j+1}", "lemma44", ok, "; ".join(detail))
-    comm = (Distribution.monomial(model, (1, 0, 0)) * Distribution.monomial(model, (0, 1, 0))
-            - Distribution.monomial(model, (0, 1, 0)) * Distribution.monomial(model, (1, 0, 0)))
-    p = model.p
-    c = comm.coeff((0, 0, 1))
-    witness_ok = c.same_value(PadicScalar.from_int(p, p, model.elem_prec))
-    # beside p*b3 (norm p^-1 r) the commutator has a unit b3^p term (norm
-    # r^p), which is the larger of the two below s = 1/(p-1)
+    comm = b[0] * b[1] - b[1] * b[0]
+    p, law = model.p, model.law
+    # b1 b2 - b2 b1 = delta_{h1 h2} - delta_{h2 h1}: its coefficient at b_k
+    # is coordinate k of h1 h2 less that of h2 h1
+    want = [(ek, x - y) for ek, x, y in zip(e, law.mul(p, e[0], e[1]), law.mul(p, e[1], e[0]))]
+    witness_ok = all(comm.coeff(a).same_value(PadicScalar.from_int(p, n, model.elem_prec))
+                     for a, n in want)
+    # beside p*b3 (norm p^-1 r) the Heisenberg commutator has a unit b3^p
+    # term (norm r^p), which is the larger of the two below s = 1/(p-1)
     for s in S3:
         nd = comm.norm(RadiusParam(s))
         witness_ok = witness_ok and nd.upper <= NormValue(min(1 + s, p * s))
     bound = "p^-1 r" if min(S3) >= Fraction(1, p - 1) else "max(p^-1 r, r^p)"
+    known = ", ".join(f"{_p_word(n, p)} at {_index(a)}" for a, n in want if n)
     rep.add("witness-p-at-e3", "lemma44", witness_ok,
-            f"commutator coefficient p at (0,0,1); norm <= {bound}")
+            f"commutator coefficient {known or '0'}; norm <= {bound}")
     return rep
 
 
@@ -263,6 +288,11 @@ def _ambient(model, s) -> GradedAmbient:
     return GradedAmbient(model.p, model.d, [1] * model.d, s)
 
 
+def _x1_e0(model, k, m):
+    """The graded monomial X1^k e0^m of the model's dimension."""
+    return (k,) + (0,) * (model.d - 1) + (m,)
+
+
 def suite_thm45_graded(params: SuiteParams) -> SuiteReport:
     rep = SuiteReport("thm45-graded", ("thm45 graded-ring symbols",))
     model = _model(params, params.group or f"heisenberg:{params.p}")
@@ -273,7 +303,7 @@ def suite_thm45_graded(params: SuiteParams) -> SuiteReport:
 
     ok = True
     for i in range(model.d):
-        bi = Distribution.monomial(model, tuple(1 if k == i else 0 for k in range(3)))
+        bi = Distribution.monomial(model, tuple(1 if k == i else 0 for k in range(model.d)))
         sym, deg = bi.principal_symbol(r_half)
         ok = ok and sym == GradedPoly.variable(amb, i + 1) and deg == s_half
     rep.add("symbol-bi", "thm45-graded", ok, "symbol of b_i is X_i, degree s")
@@ -298,14 +328,14 @@ def suite_thm45_graded(params: SuiteParams) -> SuiteReport:
     m = _log_lead_power(p, s_low)
     k = p ** m
     deg_low = s_low * k - m
-    want = GradedPoly(amb_low, {(k, 0, 0, -m): 1})
+    want = GradedPoly(amb_low, {_x1_e0(model, k, -m): 1})
     rep.add("symbol-log-low-s", "thm45-graded",
             sym == want and deg == deg_low,
             f"log(1+b1) at s=1/8 has symbol e0^-{m}*X1^{k}, degree {deg_low}")
     s_tie = Fraction(1, p - 1)
     amb_tie = _ambient(model, s_tie)
     sym, deg = lg.principal_symbol(RadiusParam(s_tie))
-    want = GradedPoly(amb_tie, {(1, 0, 0, 0): 1, (p, 0, 0, -1): 1})
+    want = GradedPoly(amb_tie, {_x1_e0(model, 1, 0): 1, _x1_e0(model, p, -1): 1})
     rep.add("symbol-log-tie", "thm45-graded", sym == want,
             "at s=1/(p-1) the symbol is the genuine two-term sum")
 
@@ -329,8 +359,9 @@ def suite_thm45_graded(params: SuiteParams) -> SuiteReport:
     rep.add("symbol-homomorphism", "thm45-graded", failures == 0 and checked > 0,
             f"{checked} products, {failures} failures, {skipped} undefined")
 
-    x1, x2 = GradedPoly.variable(amb, 1), GradedPoly.variable(amb, 2)
-    rep.add("symbol-commutative", "thm45-graded", x1 * x2 == x2 * x1,
+    xs = [GradedPoly.variable(amb, i) for i in range(model.d + 1)]
+    rep.add("symbol-commutative", "thm45-graded",
+            all(x * y == y * x for x, y in combinations(xs, 2)),
             "graded product is order-independent")
     return rep
 
@@ -724,7 +755,7 @@ def suite_thm812_smooth(params: SuiteParams) -> SuiteReport:
     m = _log_lead_power(p, s_low)
     k = p ** m
     rep.add("low-s-symbol", "thm812-smooth",
-            sym == GradedPoly(amb, {(k, 0, 0, -m): 1})
+            sym == GradedPoly(amb, {_x1_e0(model, k, -m): 1})
             and deg == s_low * k - m,
             f"at s=1/8 the symbol is e0^-{m}*X1^" + ("p" if m == 1 else f"(p^{m})"))
     return rep

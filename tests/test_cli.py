@@ -7,7 +7,10 @@ from pathlib import Path
 import pytest
 
 import padicdist
+from padicdist import suites
 from padicdist.cli import main
+from padicdist.distalg import Distribution
+from padicdist.groupmodel import GroupModel
 
 
 def run_cli(argv, stdin=""):
@@ -338,6 +341,42 @@ class TestVerify:
             code, out, err = run_cli(["verify", suite, "--samples", samples])
             assert code == 2 and out == ""
             assert err == f"error: samples must be >= 1, got {samples}\n"
+
+
+class TestSuitesOnGivenModels:
+    """The suites that read ``--group`` take their known answers from the
+    model's law, so a lemma that holds on the model passes on it."""
+
+    @pytest.mark.parametrize("group", ["abelian:1:5", "abelian:2:5", "abelian:3:5",
+                                       "semidirect:5", "heisenberg:5", "heisenberg:7"])
+    @pytest.mark.parametrize("suite", ["lemma41", "lemma44", "thm45-graded", "thm812-smooth"])
+    def test_pass_or_refuse_with_a_reason(self, suite, group):
+        code, out, err = run_cli(["verify", suite, "--group", group, "--samples", "2"])
+        assert "Traceback" not in out + err
+        # lemma41 and lemma44 are statements about pairs of generators
+        if suite in ("lemma41", "lemma44") and GroupModel.from_string(group).d < 2:
+            assert code == 2 and out == ""
+            assert suite in err and group in err
+        else:
+            assert code == 0 and err == "", out
+            assert f"suite {suite}: PASS" in out
+
+    @pytest.mark.parametrize("suite, check, swapped", [
+        ("lemma41", "b2b1-entries", "structure_constants"),
+        ("lemma44", "witness-p-at-e3", "__mul__"),
+    ])
+    def test_known_answers_catch_swapped_factors(self, monkeypatch, suite, check, swapped):
+        # b1 b2 in place of b2 b1 differs in the central coefficient, so
+        # the answers taken from the law must reject it
+        if swapped == "structure_constants":
+            orig = suites.structure_constants
+            monkeypatch.setattr(suites, "structure_constants",
+                                lambda model, beta, gamma, T: orig(model, gamma, beta, T))
+        else:
+            orig = Distribution.__mul__
+            monkeypatch.setattr(Distribution, "__mul__", lambda a, b: orig(b, a))
+        rep = suites.run_suite(suite, suites.SuiteParams(group="heisenberg:5"))
+        assert [c.passed for c in rep.checks if c.check_id == check] == [False]
 
 
 class TestPrecisionArguments:

@@ -12,13 +12,17 @@ from hypothesis import given, settings, strategies as st
 
 from padicdist.groupmodel import (
     LAWS,
+    GroupElement,
     GroupModel,
+    Law,
     ModelError,
-    coords_in_basis,
+    basis_chart,
     simplex,
     validate_basis,
 )
 from padicdist.padic import ppow, vp_int
+
+import basis_reference
 
 P = 5
 
@@ -295,10 +299,85 @@ class TestBasisChange:
         h2 = model.element([0, 1, 0])
         h3 = model.element([0, 0, 1])
         basis = [model.gmul(h1, h3), h2, h3]
-        validate_basis(model, basis)
+        point, solve = basis_chart(model, basis)
         g = model.element([3, 4, 2])
-        y = coords_in_basis(model, basis, g)
+        y = solve(g.coords)
         rebuilt = model.identity()
         for yi, bi in zip(y, basis):
             rebuilt = model.gmul(rebuilt, model.gpow(bi, yi))
         assert is_identity_in_window(model.gmul(model.ginv(rebuilt), g))
+        assert point(y) == rebuilt.coords
+
+    def test_chart_refuses_what_validate_refuses(self):
+        model = heis()
+        h1 = model.element([1, 0, 0])
+        with pytest.raises(ModelError, match="singular mod p"):
+            basis_chart(model, [h1, h1, model.element([0, 0, 1])])
+        with pytest.raises(ModelError, match="expected 3 basis elements"):
+            basis_chart(model, [h1])
+
+
+# one model per declared kind: a new law joins the chart checks here
+KIND_SPECS = {"abelian": "abelian:3:{p}", "heisenberg": "heisenberg:{p}",
+              "semidirect": "semidirect:{p}"}
+big_ints = st.one_of(st.integers(-50, 50), st.integers(-10**30 - 50, -10**30 + 50),
+                     st.integers(10**30 - 50, 10**30 + 50))
+
+
+def test_kind_specs_cover_the_laws():
+    assert set(KIND_SPECS) == set(LAWS)
+    assert Law._fields == ("dim", "commutative", "mul", "pow", "sigma")
+
+
+def draw_basis(data, model, exact):
+    """An ordered basis whose coordinate matrix is (I + L)(D + U) + pR with
+    its columns permuted: L strictly lower, U strictly upper, D units mod p,
+    so it is invertible mod p; exact, or its residues marked inexact."""
+    p, d = model.p, model.d
+    ints = st.integers(-2 * p, 2 * p)
+    low = [[data.draw(ints) if j < i else int(i == j) for j in range(d)] for i in range(d)]
+    up = [[data.draw(ints) if j > i else 0 for j in range(d)] for i in range(d)]
+    for i in range(d):
+        up[i][i] = data.draw(st.integers(1, p - 1)) * data.draw(st.sampled_from([1, -1]))
+    mat = [[sum(low[i][k] * up[k][j] for k in range(d)) + p * data.draw(ints)
+            for j in range(d)] for i in range(d)]
+    order = data.draw(st.permutations(range(d)))
+    cols = [tuple(mat[i][j] for i in range(d)) for j in order]
+    if exact:
+        return [model.element(c) for c in cols]
+    m = ppow(p, model.elem_prec)
+    return [GroupElement(model, tuple(x % m for x in c), False) for c in cols]
+
+
+class TestBasisChart:
+    """``basis_chart`` against the per-point GroupElement iteration of
+    ``basis_reference``, on every declared kind."""
+
+    @given(st.sampled_from(sorted(KIND_SPECS)), st.sampled_from([3, 5, 7]),
+           st.booleans(), st.booleans(), st.data())
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    def test_solve_matches_reference_and_point_inverts_it(
+            self, kind, p, exact_basis, exact_point, data):
+        model = GroupModel.from_string(KIND_SPECS[kind].format(p=p), prec=4, max_weight=5)
+        basis = draw_basis(data, model, exact_basis)
+        point, solve = basis_chart(model, basis)
+        m = ppow(p, model.elem_prec)
+        for _ in range(3):
+            if exact_point:
+                g = model.element([data.draw(big_ints) for _ in range(model.d)])
+            else:
+                g = GroupElement(model, tuple(data.draw(st.integers(0, m - 1))
+                                              for _ in range(model.d)), False)
+            y = solve(g.coords)
+            assert y == basis_reference.coords_in_basis(model, basis, g)
+            assert all(0 <= c < m for c in y)
+            assert all((a - b) % m == 0 for a, b in zip(point(y), g.coords))
+
+    @given(st.sampled_from(sorted(KIND_SPECS)), st.sampled_from([3, 5, 7]), st.data())
+    @settings(max_examples=90, deadline=None, derandomize=True)
+    def test_inverse_is_the_power_minus_one(self, kind, p, data):
+        model = GroupModel.from_string(KIND_SPECS[kind].format(p=p))
+        law, one = model.law, (0,) * model.d
+        a = tuple(data.draw(big_ints) for _ in range(model.d))
+        inv = law.pow(p, a, -1)
+        assert law.mul(p, a, inv) == one and law.mul(p, inv, a) == one
