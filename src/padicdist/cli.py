@@ -8,6 +8,10 @@ own; help, no arguments, an unknown command and arguments left over after a
 subcommand go through the full tree (``build_parser``), which prints every
 text.  ``graded``, ``mahler`` and ``suites`` are imported by the handlers
 that use them.
+
+``verify <suite> --group G`` runs the suite's checks on G alone.  A suite
+refuses a G it does not run on with one stderr line; ``verify all`` prints
+the reports of the suites that run and exits 2 only when none does.
 """
 
 from __future__ import annotations
@@ -233,7 +237,7 @@ def cmd_rthresh(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .suites import SUITES, SuiteParams, run_suite
+    from .suites import SUITES, SuiteParams, SuiteRefused, run_suite
 
     names = list(SUITES) if args.suite == "all" else [args.suite]
     for name in names:
@@ -250,14 +254,16 @@ def cmd_verify(args) -> int:
         group=args.group,
         samples=args.samples,
     )
-    pieces = []
-    ok = True
+    reports = []
     for name in names:
-        report = run_suite(name, params)
-        ok = ok and report.passed
-        pieces.append(report.to_text(args.format))
-    _emit(args, "".join(pieces))
-    return EXIT_OK if ok else EXIT_CHECK
+        try:
+            reports.append(run_suite(name, params))
+        except SuiteRefused as exc:
+            print(exc, file=sys.stderr)
+    if not reports:
+        return EXIT_USAGE
+    _emit(args, "".join(r.to_text(args.format) for r in reports))
+    return EXIT_OK if all(r.passed for r in reports) else EXIT_CHECK
 
 
 # -- parser ------------------------------------------------------------------

@@ -162,6 +162,16 @@ class MahlerTable:
         self.decay = decay
         self.complete = bool(complete)
 
+    @classmethod
+    def _clean(cls, header, coeffs, decay, complete) -> "MahlerTable":
+        """Wrap parts already checked, with no checks: the (d, p, N, A) that
+        ``check_header`` returns and a dict of stored triples at d
+        nonnegative indices, as ``serialize`` checks the term lines."""
+        out = object.__new__(cls)
+        out.d, out.p, out.prec, out.cap = header
+        out.coeffs, out.decay, out.complete = coeffs, decay, complete
+        return out
+
     @staticmethod
     def check_header(d, p, prec, cap) -> tuple:
         """(d, p, N, A) as ints; refuses any that is not an integer, a p that

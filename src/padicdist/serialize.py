@@ -8,8 +8,9 @@ growth > 0 and the Dirac witness.
 
 A file is checked in one pass: ``_parse_terms`` refuses a term line whose
 multi-index is malformed, repeated or of degree above the header's T, or
-whose scalar is, with that line's number, and ``parse_distribution`` wraps
-the checked parts without the ``Distribution`` constructor's checks."""
+whose scalar is, with that line's number.  ``parse_distribution`` and
+``parse_mahler`` wrap the checked parts without the checks of the
+``Distribution`` and ``MahlerTable`` constructors."""
 
 from __future__ import annotations
 
@@ -242,8 +243,8 @@ def parse_mahler(text: str) -> MahlerTable:
         decay = (parse_normvalue(c_text, 1), growth)
     try:
         # the header numbers first: the term lines are read mod p
-        MahlerTable.check_header(d, p, prec, cap)
-        return MahlerTable(d, p, prec, cap, _parse_terms(lines[1:], p, d),
-                           decay=decay, complete=complete)
+        header = MahlerTable.check_header(d, p, prec, cap)
     except MahlerError as exc:
         raise ParseError(str(exc), 1) from None
+    # every part is checked: the terms by _parse_terms, the rest above
+    return MahlerTable._clean(header, _parse_terms(lines[1:], p, d), decay, complete)

@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import inf
+from typing import Callable
 
 from .padic import NormValue, PadicScalar, ppow
 from .groupmodel import GroupModel, ModelError, simplex, truncation
@@ -43,19 +44,20 @@ class SuiteParams:
 @dataclass(frozen=True)
 class SuiteCheck:
     check_id: str
-    anchor: str
     passed: bool
     witness: str
 
 
 @dataclass
 class SuiteReport:
+    """A suite's checks; each is anchored in the claim the suite is named for."""
+
     suite: str
-    anchors: tuple
+    anchor: str
     checks: list = field(default_factory=list)
 
-    def add(self, check_id, anchor, passed, witness=""):
-        self.checks.append(SuiteCheck(check_id, anchor, bool(passed), str(witness)))
+    def add(self, check_id, passed, witness=""):
+        self.checks.append(SuiteCheck(check_id, bool(passed), str(witness)))
 
     @property
     def passed(self) -> bool:
@@ -65,30 +67,88 @@ class SuiteReport:
         checks = sorted(self.checks, key=lambda c: c.check_id)
         if fmt == "tsv":
             lines = [
-                "\t".join([self.suite, c.check_id, c.anchor,
+                "\t".join([self.suite, c.check_id, self.suite,
                            "PASS" if c.passed else "FAIL", c.witness])
                 for c in checks
             ]
             return "\n".join(lines) + "\n"
-        lines = [f"suite {self.suite} (anchors: {', '.join(self.anchors)})"]
+        lines = [f"suite {self.suite} (anchors: {self.anchor})"]
         for c in checks:
             mark = "PASS" if c.passed else "FAIL"
-            lines.append(f"  [{mark}] {c.check_id} ({c.anchor}): {c.witness}")
+            lines.append(f"  [{mark}] {c.check_id} ({self.suite}): {c.witness}")
         verdict = "PASS" if self.passed else "FAIL"
         lines.append(f"suite {self.suite}: {verdict} ({len(checks)} checks)")
         return "\n".join(lines) + "\n"
 
 
+class SuiteRefused(ModelError):
+    """A suite asked to run on a model its claim is not stated for."""
+
+
+@dataclass(frozen=True)
+class Suite:
+    """A verify suite: ``checks(report, params, rng)`` fills the report, and
+    a model given by ``--group`` must have dimension ``min_d`` or more and,
+    with ``sigma``, a law with the order-2 coset.  A suite whose ``min_d``
+    is None takes no group model.  The rng is seeded by the seed and the
+    suite's name."""
+
+    name: str
+    anchor: str
+    checks: Callable
+    min_d: int | None = 0
+    sigma: bool = False
+
+    def __call__(self, params: SuiteParams) -> SuiteReport:
+        if params.group is not None:
+            reason = self._refusal(params)
+            if reason:
+                raise SuiteRefused(f"{self.name} does not run on {params.group}: {reason}")
+        rep = SuiteReport(self.name, self.anchor)
+        self.checks(rep, params, random.Random(f"{params.seed}:{self.name}"))
+        return rep
+
+    def _refusal(self, params) -> str | None:
+        if self.min_d is None:
+            return "it takes no group model"
+        model = GroupModel.from_string(params.group, prec=params.N)
+        if self.sigma and not model.law.sigma:
+            return "its law has no sigma coset"
+        if model.d < self.min_d:
+            return f"it needs a model of dimension >= {self.min_d}"
+        return None
+
+
+SUITES: dict[str, Suite] = {}  # in `verify all` order, the order declared below
+
+
+def suite(name, anchor, **needs):
+    """Declare the checks that follow as the suite ``name`` (see Suite)."""
+
+    def declare(checks):
+        SUITES[name] = Suite(name, anchor, checks, **needs)
+        return SUITES[name]
+
+    return declare
+
+
+def _models(params, *ids, T=None):
+    """The models a suite's checks run on: with ``--group``, that model
+    alone; else each default id, a kind or kind:d, at the prime p.  T, if
+    given, replaces the truncation weight."""
+    ids = [params.group] if params.group else [f"{i}:{params.p}" for i in ids]
+    T = params.T if T is None else T
+    return [GroupModel.from_string(i, prec=params.N, max_weight=T) for i in ids]
+
+
+def _units(d):
+    """e_1, ..., e_d: the coordinates of the generators h_1, ..., h_d, which
+    are also the multi-indices of b_1, ..., b_d."""
+    return [tuple(int(i == k) for i in range(d)) for k in range(d)]
+
+
 S3 = (Fraction(3, 4), Fraction(1, 2), Fraction(1, 4))
 S4 = S3 + (Fraction(1),)
-
-
-def _rng(params: SuiteParams, suite: str) -> random.Random:
-    return random.Random(f"{params.seed}:{suite}")
-
-
-def _model(params: SuiteParams, gid: str) -> GroupModel:
-    return GroupModel.from_string(gid, prec=params.N, max_weight=params.T)
 
 
 def _rand_unit(rng, p, maxpow=4) -> int:
@@ -131,17 +191,6 @@ def _mixed(model, rng) -> Distribution:
     return random_dirac(model, rng) if rng.random() < 0.4 else random_exact(model, rng)
 
 
-MODEL_IDS = ("abelian:2:{p}", "heisenberg:{p}", "semidirect:{p}")
-
-
-def _generators(model, suite):
-    """The indices of b_1, ..., b_d, which are the chart coordinates of the
-    generators h_1, ..., h_d; a suite on pairs of them refuses d < 2."""
-    if model.d < 2:
-        raise ModelError(f"{suite} needs a model of dimension >= 2, got {model.id}")
-    return [tuple(int(i == k) for i in range(model.d)) for k in range(model.d)]
-
-
 def _index(alpha) -> str:
     return f"({','.join(map(str, alpha))})"
 
@@ -154,12 +203,11 @@ def _p_word(n, p) -> str:
 # -- suites -----------------------------------------------------------------
 
 
-def suite_lemma41(params: SuiteParams) -> SuiteReport:
-    rep = SuiteReport("lemma41", ("lemma41 structure-constant valuation bound",))
+@suite("lemma41", "lemma41 structure-constant valuation bound", min_d=2)
+def suite_lemma41(rep, params, rng):
     size_cap = 6
-    model = GroupModel.from_string(params.group or f"heisenberg:{params.p}",
-                                   prec=params.N, max_weight=size_cap)
-    e = _generators(model, "lemma41")
+    [model] = _models(params, "heisenberg", T=size_cap)
+    e = _units(model.d)
     pairs = entries = violations = 0
     for beta in simplex(model.d, size_cap):
         for gamma in simplex(model.d, size_cap - sum(beta)):
@@ -167,7 +215,7 @@ def suite_lemma41(params: SuiteParams) -> SuiteReport:
             _, verdicts = structure_constants(model, beta, gamma, size_cap)
             entries += len(verdicts)
             violations += sum(1 for ok in verdicts.values() if not ok)
-    rep.add("bound-exhaustive", "lemma41", violations == 0,
+    rep.add("bound-exhaustive", violations == 0,
             f"{pairs} monomial pairs, {entries} entries, {violations} violations")
     table, _ = structure_constants(model, e[1], e[0], size_cap)
 
@@ -183,17 +231,14 @@ def suite_lemma41(params: SuiteParams) -> SuiteReport:
     p, g = model.p, model.law.mul(model.p, e[1], e[0])
     e12 = tuple(map(sum, zip(e[0], e[1])))
     want = [(ek, gk - e12[k]) for k, (ek, gk) in enumerate(zip(e, g))] + [(e12, g[0] * g[1])]
-    rep.add("b2b1-entries", "lemma41", all(entry_is(a, n) for a, n in want),
+    rep.add("b2b1-entries", all(entry_is(a, n) for a, n in want),
             " and ".join(f"c at {_index(a)} = {_p_word(n, p)}" for a, n in want if n))
-    return rep
 
 
-def suite_prop42(params: SuiteParams) -> SuiteReport:
-    rep = SuiteReport("prop42", ("prop42 norm submultiplicativity",))
-    rng = _rng(params, "prop42")
+@suite("prop42", "prop42 norm submultiplicativity")
+def suite_prop42(rep, params, rng):
     n = params.samples or 200
-    for mid in MODEL_IDS:
-        model = _model(params, mid.format(p=params.p))
+    for model in _models(params, "abelian:2", "heisenberg", "semidirect"):
         comparisons = violations = 0
         for _ in range(n):
             lam, mu = _mixed(model, rng), _mixed(model, rng)
@@ -203,15 +248,14 @@ def suite_prop42(params: SuiteParams) -> SuiteReport:
                 comparisons += 1
                 if prod.norm(r).upper > lam.norm(r).upper * mu.norm(r).upper:
                     violations += 1
-        rep.add(f"submult-{model.kind}", "prop42", violations == 0,
+        rep.add(f"submult-{model.kind}", violations == 0,
                 f"{comparisons} comparisons, {violations} violations")
-    return rep
 
 
-def suite_lemma44(params: SuiteParams) -> SuiteReport:
-    rep = SuiteReport("lemma44", ("lemma44 commutator norm drop",))
-    model = _model(params, params.group or f"heisenberg:{params.p}")
-    e = _generators(model, "lemma44")
+@suite("lemma44", "lemma44 commutator norm drop", min_d=2)
+def suite_lemma44(rep, params, rng):
+    [model] = _models(params, "heisenberg")
+    e = _units(model.d)
     b = [Distribution.monomial(model, ek) for ek in e]
     for i in range(model.d):
         for j in range(i + 1, model.d):
@@ -225,7 +269,7 @@ def suite_lemma44(params: SuiteParams) -> SuiteReport:
                 good = nb.collapsed and nd.collapsed and nd.upper < nb.lower
                 ok = ok and good
                 detail.append(f"s={s}: {nd.upper} < {nb.lower}")
-            rep.add(f"strict-drop-{i+1}{j+1}", "lemma44", ok, "; ".join(detail))
+            rep.add(f"strict-drop-{i+1}{j+1}", ok, "; ".join(detail))
     comm = b[0] * b[1] - b[1] * b[0]
     p, law = model.p, model.law
     # b1 b2 - b2 b1 = delta_{h1 h2} - delta_{h2 h1}: its coefficient at b_k
@@ -240,19 +284,17 @@ def suite_lemma44(params: SuiteParams) -> SuiteReport:
         witness_ok = witness_ok and nd.upper <= NormValue(min(1 + s, p * s))
     bound = "p^-1 r" if min(S3) >= Fraction(1, p - 1) else "max(p^-1 r, r^p)"
     known = ", ".join(f"{_p_word(n, p)} at {_index(a)}" for a, n in want if n)
-    rep.add("witness-p-at-e3", "lemma44", witness_ok,
+    rep.add("witness-p-at-e3", witness_ok,
             f"commutator coefficient {known or '0'}; norm <= {bound}")
-    return rep
 
 
-def suite_thm45_mult(params: SuiteParams) -> SuiteReport:
-    rep = SuiteReport("thm45-mult", ("thm45 multiplicative norm on exact heads",))
-    rng = _rng(params, "thm45-mult")
+@suite("thm45-mult", "thm45 multiplicative norm on exact heads")
+def suite_thm45_mult(rep, params, rng):
     n = params.samples or 100
     checked = failures = skipped = 0
-    models = [_model(params, mid.format(p=params.p)) for mid in MODEL_IDS[:2]]
+    models = _models(params, "abelian:2", "heisenberg")
     for k in range(n):
-        model = models[k % 2]
+        model = models[k % len(models)]
         s = rng.choice(S3)
         r = RadiusParam(s)
         lam = random_exact(model, rng)
@@ -268,10 +310,9 @@ def suite_thm45_mult(params: SuiteParams) -> SuiteReport:
         if not (nl.collapsed and nm.collapsed and np_.collapsed
                 and np_.lower == target):
             failures += 1
-    rep.add("collapse-equality", "thm45-mult", failures == 0 and checked > 0,
+    rep.add("collapse-equality", failures == 0 and checked > 0,
             f"{checked} pairs exactly multiplicative, {failures} failures, "
             f"{skipped} skipped (precondition)")
-    return rep
 
 
 def _log_lead_power(p, s):
@@ -293,25 +334,23 @@ def _x1_e0(model, k, m):
     return (k,) + (0,) * (model.d - 1) + (m,)
 
 
-def suite_thm45_graded(params: SuiteParams) -> SuiteReport:
-    rep = SuiteReport("thm45-graded", ("thm45 graded-ring symbols",))
-    model = _model(params, params.group or f"heisenberg:{params.p}")
+@suite("thm45-graded", "thm45 graded-ring symbols", min_d=1)
+def suite_thm45_graded(rep, params, rng):
+    [model] = _models(params, "heisenberg")
     p = model.p
     s_half = Fraction(1, 2)
     r_half = RadiusParam(s_half)
     amb = _ambient(model, s_half)
 
     ok = True
-    for i in range(model.d):
-        bi = Distribution.monomial(model, tuple(1 if k == i else 0 for k in range(model.d)))
-        sym, deg = bi.principal_symbol(r_half)
+    for i, ei in enumerate(_units(model.d)):
+        sym, deg = Distribution.monomial(model, ei).principal_symbol(r_half)
         ok = ok and sym == GradedPoly.variable(amb, i + 1) and deg == s_half
-    rep.add("symbol-bi", "thm45-graded", ok, "symbol of b_i is X_i, degree s")
+    rep.add("symbol-bi", ok, "symbol of b_i is X_i, degree s")
 
     p1 = Distribution.one(model).scale(p)
     sym, deg = p1.principal_symbol(r_half)
-    rep.add("symbol-p", "thm45-graded",
-            sym == GradedPoly.variable(amb, 0) and deg == 1,
+    rep.add("symbol-p", sym == GradedPoly.variable(amb, 0) and deg == 1,
             "symbol of p is e0, degree 1")
 
     lg = lie_generator(model, 0)
@@ -319,8 +358,7 @@ def suite_thm45_graded(params: SuiteParams) -> SuiteReport:
     s_high = next(s for s in (s_half, Fraction(3, 4)) if s > Fraction(1, p - 1))
     amb_high = _ambient(model, s_high)
     sym, deg = lg.principal_symbol(RadiusParam(s_high))
-    rep.add("symbol-log-high-s", "thm45-graded",
-            sym == GradedPoly.variable(amb_high, 1) and deg == s_high,
+    rep.add("symbol-log-high-s", sym == GradedPoly.variable(amb_high, 1) and deg == s_high,
             f"log(1+b1) at s={s_high} has symbol X1")
     s_low = Fraction(1, 8)
     amb_low = _ambient(model, s_low)
@@ -329,17 +367,15 @@ def suite_thm45_graded(params: SuiteParams) -> SuiteReport:
     k = p ** m
     deg_low = s_low * k - m
     want = GradedPoly(amb_low, {_x1_e0(model, k, -m): 1})
-    rep.add("symbol-log-low-s", "thm45-graded",
-            sym == want and deg == deg_low,
+    rep.add("symbol-log-low-s", sym == want and deg == deg_low,
             f"log(1+b1) at s=1/8 has symbol e0^-{m}*X1^{k}, degree {deg_low}")
     s_tie = Fraction(1, p - 1)
     amb_tie = _ambient(model, s_tie)
     sym, deg = lg.principal_symbol(RadiusParam(s_tie))
     want = GradedPoly(amb_tie, {_x1_e0(model, 1, 0): 1, _x1_e0(model, p, -1): 1})
-    rep.add("symbol-log-tie", "thm45-graded", sym == want,
+    rep.add("symbol-log-tie", sym == want,
             "at s=1/(p-1) the symbol is the genuine two-term sum")
 
-    rng = _rng(params, "thm45-graded")
     n = params.samples or 30
     checked = failures = skipped = 0
     for _ in range(n):
@@ -356,21 +392,17 @@ def suite_thm45_graded(params: SuiteParams) -> SuiteReport:
         checked += 1
         if sp != sl * sm:
             failures += 1
-    rep.add("symbol-homomorphism", "thm45-graded", failures == 0 and checked > 0,
+    rep.add("symbol-homomorphism", failures == 0 and checked > 0,
             f"{checked} products, {failures} failures, {skipped} undefined")
 
     xs = [GradedPoly.variable(amb, i) for i in range(model.d + 1)]
-    rep.add("symbol-commutative", "thm45-graded",
-            all(x * y == y * x for x, y in combinations(xs, 2)),
+    rep.add("symbol-commutative", all(x * y == y * x for x, y in combinations(xs, 2)),
             "graded product is order-independent")
-    return rep
 
 
 def _second_basis(model):
     """h_1 h_d, h_2, ..., h_d: another ordered basis of generators of omega 1."""
-    if model.d < 2:
-        raise ValueError(f"no alternate basis on {model.id}")
-    h = [model.element([int(i == j) for j in range(model.d)]) for i in range(model.d)]
+    h = [model.element(e) for e in _units(model.d)]
     return [model.gmul(h[0], h[-1])] + h[1:]
 
 
@@ -380,53 +412,47 @@ def _same_norm(lam, mu, r) -> bool:
     return n0.collapsed and n1.collapsed and n0.lower == n1.lower
 
 
-def suite_basis_inv(params: SuiteParams) -> SuiteReport:
-    rep = SuiteReport("basis-inv", ("basis-independence of the r-norms",))
-    rng = _rng(params, "basis-inv")
+@suite("basis-inv", "basis-independence of the r-norms", min_d=2)
+def suite_basis_inv(rep, params, rng):
     s = Fraction(1, 2)
     r = RadiusParam(s)
     n = params.samples or 20
-    for mid in ("abelian:2:{p}", "heisenberg:{p}"):
-        model = _model(params, mid.format(p=params.p))
+    for model in _models(params, "abelian:2", "heisenberg"):
         basis = _second_basis(model)
         failures = 0
         for _ in range(n // 2):
             lam = random_exact(model, rng)
             failures += not _same_norm(lam, lam.change_basis(basis), r)
-        rep.add(f"norm-equal-{model.kind}", "basis-inv", failures == 0,
+        rep.add(f"norm-equal-{model.kind}", failures == 0,
                 f"{n // 2} exact distributions, {failures} failures")
 
-    model = _model(params, f"abelian:2:{params.p}")
-    std = [model.element([1, 0]), model.element([0, 1])]
+    [model] = _models(params, "abelian:2")
+    d, e = model.d, _units(model.d)
     lam = random_exact(model, rng)
-    same = lam.change_basis(std)
+    same = lam.change_basis([model.element(ek) for ek in e])
     keys = set(lam.coeffs) | set(same.coeffs)
-    rep.add("identity-basis", "basis-inv",
-            all(lam.coeff(a).same_value(same.coeff(a)) for a in keys),
+    rep.add("identity-basis", all(lam.coeff(a).same_value(same.coeff(a)) for a in keys),
             "re-expansion in the standard basis reproduces the head")
 
-    b1 = Distribution.monomial(model, (1, 0))
-    out = b1.change_basis(_second_basis(model))
+    # h_1 = (h_1 h_d) h_d^-1, so b1 = (1 + b'1)(1 + b'd)^-1 - 1
+    out = Distribution.monomial(model, e[0]).change_basis(_second_basis(model))
     one = PadicScalar.one(model.p, model.elem_prec)
-    ok = (out.coeff((1, 0)).same_value(one)
-          and out.coeff((0, 1)).same_value(-one)
-          and out.coeff((1, 1)).same_value(-one))
-    rep.add("b1-reexpansion", "basis-inv", ok,
-            "b1 in basis (h1h2, h2): leading terms b'1 - b'2 - b'1b'2")
-    return rep
+    want = [(e[0], one), (e[-1], -one), (tuple(map(sum, zip(e[0], e[-1]))), -one)]
+    basis = ", ".join([f"h1h{d}"] + [f"h{i}" for i in range(2, d + 1)])
+    rep.add("b1-reexpansion", all(out.coeff(a).same_value(c) for a, c in want),
+            f"b1 in basis ({basis}): leading terms b'1 - b'{d} - b'1b'{d}")
 
 
-def suite_sect5_qnorm(params: SuiteParams) -> SuiteReport:
-    rep = SuiteReport("sect5-qnorm", ("sect5 q-norm on the semidirect model",))
-    model = _model(params, params.group or f"semidirect:{params.p}")
-    rng = _rng(params, "sect5-qnorm")
+@suite("sect5-qnorm", "sect5 q-norm on the semidirect model", sigma=True)
+def suite_sect5_qnorm(rep, params, rng):
+    [model] = _models(params, "semidirect")
     zero = Distribution.zero_dist(model)
     one = Distribution.one(model)
     ok = all(
         q_norm((zero, one), RadiusParam(s)) == (NormValue.one(), NormValue.one())
         for s in S3
     )
-    rep.add("delta-sigma", "sect5-qnorm", ok, "q_r(delta_sigma) = 1")
+    rep.add("delta-sigma", ok, "q_r(delta_sigma) = 1")
     b = Distribution.monomial(model, (1,))
     mu = (b, one.scale(model.p))
     ok = all(
@@ -434,7 +460,7 @@ def suite_sect5_qnorm(params: SuiteParams) -> SuiteReport:
         and q_norm(mu, RadiusParam(s)).collapsed
         for s in S4
     )
-    rep.add("b-plus-p-sigma", "sect5-qnorm", ok, "q_r(b + p delta_sigma) = max(r, 1/p)")
+    rep.add("b-plus-p-sigma", ok, "q_r(b + p delta_sigma) = max(r, 1/p)")
 
     n = params.samples or 100
     comparisons = violations = 0
@@ -447,33 +473,33 @@ def suite_sect5_qnorm(params: SuiteParams) -> SuiteReport:
             comparisons += 1
             if q_norm(prod, r).upper > q_norm(mu1, r).upper * q_norm(mu2, r).upper:
                 violations += 1
-    rep.add("submultiplicative", "sect5-qnorm", violations == 0,
+    rep.add("submultiplicative", violations == 0,
             f"{comparisons} comparisons, {violations} violations")
-    return rep
 
 
-def suite_sect5_conj(params: SuiteParams) -> SuiteReport:
-    rep = SuiteReport("sect5-conj", ("sect5 conjugation isometry",))
-    rng = _rng(params, "sect5-conj")
+@suite("sect5-conj", "sect5 conjugation isometry")
+def suite_sect5_conj(rep, params, rng):
     n = params.samples or 50
     s = Fraction(1, 2)
     r = RadiusParam(s)
 
-    model = _model(params, f"heisenberg:{params.p}")
+    [model] = _models(params, "heisenberg")
     failures = 0
     for _ in range(n - n // 2):
-        g = model.element([rng.randrange(ppow(model.p, 2)) for _ in range(3)])
+        g = model.element([rng.randrange(ppow(model.p, 2)) for _ in range(model.d)])
         lam = random_exact(model, rng)
         failures += not _same_norm(lam, lam.conjugate(g), r)
-    rep.add("inner-heisenberg", "sect5-conj", failures == 0,
+    rep.add(f"inner-{model.kind}", failures == 0,
             f"{n - n // 2} samples, {failures} failures")
 
-    model = _model(params, f"semidirect:{params.p}")
+    [model] = _models(params, "semidirect")
+    if not model.law.sigma:
+        return
     failures = 0
     for _ in range(n // 2):
         lam = random_exact(model, rng)
         failures += not _same_norm(lam, lam.conjugate("sigma"), r)
-    rep.add("sigma-semidirect", "sect5-conj", failures == 0,
+    rep.add("sigma-semidirect", failures == 0,
             f"{n // 2} samples, {failures} failures")
 
     b = Distribution.monomial(model, (1,))
@@ -483,19 +509,17 @@ def suite_sect5_conj(params: SuiteParams) -> SuiteReport:
             PadicScalar.from_int(model.p, (-1) ** k, model.elem_prec))
         for k in range(1, params.T + 1)
     )
-    rep.add("sigma-on-b", "sect5-conj", ok,
+    rep.add("sigma-on-b", ok,
             "sigma b sigma^-1 = (1+b)^-1 - 1 with coefficients (-1)^k")
-    return rep
 
 
-def suite_lemma412(params: SuiteParams) -> SuiteReport:
-    rep = SuiteReport("lemma412", ("lemma412 radius threshold",))
-    rng = _rng(params, "lemma412")
+@suite("lemma412", "lemma412 radius threshold", min_d=1)
+def suite_lemma412(rep, params, rng):
     n = params.samples or 100
     checked = failures = 0
-    models = [_model(params, mid.format(p=params.p)) for mid in MODEL_IDS[:2]]
+    models = _models(params, "abelian:2", "heisenberg")
     for k in range(n):
-        model = models[k % 2]
+        model = models[k % len(models)]
         a = random_exact(model, rng, max_tau=4, valmax=3)
         s_star = a.r_threshold().s
         tau_beta = min(model.tau(al) for al in a.coeffs
@@ -505,27 +529,27 @@ def suite_lemma412(params: SuiteParams) -> SuiteReport:
             checked += 1
             if a.norm(RadiusParam(s_r)).upper > NormValue(s_r * tau_beta):
                 failures += 1
-    rep.add("filtration-bound", "lemma412", failures == 0,
+    rep.add("filtration-bound", failures == 0,
             f"{checked} radius checks, {failures} failures")
 
-    model = _model(params, f"abelian:1:{params.p}")
-    p = model.p
+    [model] = _models(params, "abelian:1")
+    p, e1 = model.p, _units(model.d)[0]
+    zero, e1_cubed = (0,) * model.d, tuple(3 * x for x in e1)
     cases = [
-        ({(0,): 1}, Fraction(1)),
-        ({(0,): p, (1,): 1}, Fraction(1)),
-        ({(0,): p, (3,): 1}, Fraction(1, 3)),
+        ({zero: 1}, Fraction(1)),
+        ({zero: p, e1: 1}, Fraction(1)),
+        ({zero: p, e1_cubed: 1}, Fraction(1, 3)),
     ]
     ok = True
     for table, want in cases:
         a = Distribution.from_coeffs(model, table, model.max_weight)
         ok = ok and a.r_threshold().s == want
-    rep.add("formula-oracles", "lemma412", ok,
+    rep.add("formula-oracles", ok,
             "thresholds for 1, p+b1, p+b1^3 are s = 1, 1, 1/3")
-    return rep
 
 
-def suite_amice(params: SuiteParams) -> SuiteReport:
-    rep = SuiteReport("amice", ("amice decay criterion",))
+@suite("amice", "amice decay criterion", min_d=None)
+def suite_amice(rep, params, rng):
     p = params.p
     f = mh.FunctionSpec.power_series_1p(1, p, 0)
     table = mh.mahler_coeffs(f, 24, prec=30)
@@ -533,19 +557,18 @@ def suite_amice(params: SuiteParams) -> SuiteReport:
         table.coeff((k,)).same_value(PadicScalar.from_int(p, ppow(p, k), 30))
         for k in range(25)
     )
-    rep.add("power1p-coeffs", "amice", ok, "c_k = p^k exactly for k <= 24")
+    rep.add("power1p-coeffs", ok, "c_k = p^k exactly for k <= 24")
 
     report = mh.amice_report(table, [Fraction(1, 2)])[0]
     rows_ok = all(
         report["rows"][k] == NormValue(k - Fraction(k, 2)) for k in range(25)
     )
-    rep.add("power1p-decay", "amice",
-            rows_ok and report["tail_nonincreasing"],
+    rep.add("power1p-decay", rows_ok and report["tail_nonincreasing"],
             "rows p^(-k/2), decaying tail verdict")
 
     const = mh.mahler_coeffs(mh.FunctionSpec.constant(1, p), 2 * p, prec=params.N)
     ok = set(const.coeffs) == {(0,)} and const.complete
-    rep.add("constant-rows", "amice", ok, "all rows k >= 1 vanish")
+    rep.add("constant-rows", ok, "all rows k >= 1 vanish")
 
     ind = mh.mahler_coeffs(mh.FunctionSpec.indicator(1, p, [0], 1), 3 * p,
                            prec=params.N)
@@ -553,18 +576,15 @@ def suite_amice(params: SuiteParams) -> SuiteReport:
     witness = "; ".join(
         f"u={d['u']}: tail_nonincreasing={d['tail_nonincreasing']}" for d in data
     )
-    rep.add("indicator-data", "amice", True, "recorded, not asserted: " + witness)
-    return rep
+    rep.add("indicator-data", True, "recorded, not asserted: " + witness)
 
 
-def suite_mahler_dirac(params: SuiteParams) -> SuiteReport:
-    rep = SuiteReport("mahler-dirac", ("mahler pairing evaluates Diracs",))
-    rng = _rng(params, "mahler-dirac")
+@suite("mahler-dirac", "mahler pairing evaluates Diracs", min_d=1)
+def suite_mahler_dirac(rep, params, rng):
     n = params.samples or 100
-    p = params.p
-
-    model1 = _model(params, f"abelian:1:{p}")
-    f = mh.FunctionSpec.power_series_1p(1, p, 0)
+    [model1] = _models(params, "abelian:1")
+    p = model1.p
+    f = mh.FunctionSpec.power_series_1p(model1.d, p, 0)
     t1 = mh.mahler_coeffs(f, params.T + 8, prec=params.N)
     failures = 0
     for _ in range(n // 2):
@@ -575,13 +595,14 @@ def suite_mahler_dirac(params: SuiteParams) -> SuiteReport:
         diff = value - PadicScalar.from_int(p, expected, value.window)
         if diff.residue != 0 and diff.abs_val() > err:
             failures += 1
-    rep.add("power1p-eval", "mahler-dirac", failures == 0,
+    rep.add("power1p-eval", failures == 0,
             f"{n // 2} random g, {failures} failures")
 
-    model2 = _model(params, f"abelian:2:{p}")
+    [model2] = _models(params, "abelian:2")
+    d = model2.d
     specs = [
-        mh.FunctionSpec.coordinate(2, p, 1),
-        mh.FunctionSpec.monomial(2, p, (1, 2)),
+        mh.FunctionSpec.coordinate(d, p, d - 1),
+        mh.FunctionSpec.monomial(d, p, range(1, d + 1)),
     ]
     failures = 0
     for spec in specs:
@@ -599,30 +620,25 @@ def suite_mahler_dirac(params: SuiteParams) -> SuiteReport:
                 continue
             v, e = mh.pair(Distribution.monomial(model2, alpha), t)
             ok_mono = ok_mono and e.is_zero and v.same_value(t.coeff(alpha))
-        rep.add(f"monomial-pairing-{spec.kind}", "mahler-dirac", ok_mono,
+        rep.add(f"monomial-pairing-{spec.kind}", ok_mono,
                 "pair(b^alpha, t) = c_alpha exactly")
-    rep.add("poly-eval", "mahler-dirac", failures == 0,
+    rep.add("poly-eval", failures == 0,
             f"{n // 2} random g over polynomial functions, {failures} failures")
 
-    t0 = mh.mahler_coeffs(mh.FunctionSpec.coordinate(1, p, 0), 6, prec=params.N)
+    t0 = mh.mahler_coeffs(mh.FunctionSpec.coordinate(model1.d, p, 0), 6, prec=params.N)
     v, e = mh.pair(lie_generator(model1, 0), t0)
-    rep.add("derivative-at-0", "mahler-dirac",
-            e.is_zero and v.same_value(PadicScalar.one(p, v.prec)),
+    rep.add("derivative-at-0", e.is_zero and v.same_value(PadicScalar.one(p, v.prec)),
             "pair(log(1+b1), x) = 1 exactly")
 
     v, e = mh.pair(Distribution.one(model1), t1)
-    rep.add("identity-pairing", "mahler-dirac",
-            v.same_value(t1.coeff((0,))),
+    rep.add("identity-pairing", v.same_value(t1.coeff((0,) * model1.d)),
             "pair(1, t) = c_0")
-    return rep
 
 
-def suite_dsmooth_proj(params: SuiteParams) -> SuiteReport:
-    rep = SuiteReport("dsmooth-proj", ("finite-level projection homomorphism",))
-    rng = _rng(params, "dsmooth-proj")
+@suite("dsmooth-proj", "finite-level projection homomorphism", min_d=1)
+def suite_dsmooth_proj(rep, params, rng):
     n = params.samples or 50
-    for mid in ("abelian:2:{p}", "heisenberg:{p}"):
-        model = _model(params, mid.format(p=params.p))
+    for model in _models(params, "abelian:2", "heisenberg"):
         failures = 0
         for _ in range(n // 2):
             lam = random_combo(model, rng)
@@ -634,10 +650,10 @@ def suite_dsmooth_proj(params: SuiteParams) -> SuiteReport:
                     mh.finite_level_project(mu, level)
                 if left != right:
                     failures += 1
-        rep.add(f"multiplicative-{model.kind}", "dsmooth-proj", failures == 0,
+        rep.add(f"multiplicative-{model.kind}", failures == 0,
                 f"{n // 2} product pairs at levels 1,2, {failures} failures")
 
-    model = _model(params, f"abelian:2:{params.p}")
+    [model] = _models(params, "abelian:2")
     counts = {"true": 0, "false": 0, "inconclusive": 0}
     trials = params.samples or 30
     for _ in range(trials):
@@ -646,16 +662,14 @@ def suite_dsmooth_proj(params: SuiteParams) -> SuiteReport:
         verdict = mh.pair_with_indicator_crosscheck(lam, coset, 1)
         counts[verdict] += 1
     ok = counts["false"] == 0 and counts["true"] >= trials * 9 // 10
-    rep.add("indicator-crosscheck", "dsmooth-proj", ok,
+    rep.add("indicator-crosscheck", ok,
             f"true={counts['true']} inconclusive={counts['inconclusive']} "
             f"false={counts['false']} of {trials}")
-    return rep
 
 
-def suite_prop814(params: SuiteParams) -> SuiteReport:
-    rep = SuiteReport("prop814", ("prop814 grade via Krull codimension",))
+@suite("prop814", "prop814 grade via Krull codimension", min_d=None)
+def suite_prop814(rep, params, rng):
     p = params.p
-    rng = _rng(params, "prop814")
 
     def amb(d):
         return GradedAmbient(p, d, [1] * d, Fraction(1, 2))
@@ -671,14 +685,12 @@ def suite_prop814(params: SuiteParams) -> SuiteReport:
     ]
     for cid, ideal, d, want in cases:
         got = grade_cyclic(ideal, d)
-        rep.add(cid, "prop814", got == want, f"grade = {got}, expected {want}")
+        rep.add(cid, got == want, f"grade = {got}, expected {want}")
 
     sat = saturate(GradedIdeal(a2, [x(a2, 0) * x(a2, 1)]))
-    rep.add("saturate-e0x1", "prop814",
-            sat.same_ideal(GradedIdeal(a2, [x(a2, 1)]).groebner()),
+    rep.add("saturate-e0x1", sat.same_ideal(GradedIdeal(a2, [x(a2, 1)]).groebner()),
             "e0*X1 saturates to X1")
-    rep.add("krull-oracles", "prop814",
-            krull_dim(GradedIdeal(a2, [])) == 3
+    rep.add("krull-oracles", krull_dim(GradedIdeal(a2, [])) == 3
             and krull_dim(GradedIdeal(a2, [x(a2, 1)])) == 2
             and krull_dim(GradedIdeal(a3, [x(a3, 1), x(a3, 2), x(a3, 3)])) == 1
             and krull_dim(GradedIdeal(a2, [GradedPoly.constant(a2, 1)])) == -1,
@@ -688,7 +700,7 @@ def suite_prop814(params: SuiteParams) -> SuiteReport:
                           x(a2, 1) * x(a2, 2) - x(a2, 0) * x(a2, 0)]).groebner()
     has = any(g == x(a2, 0) * x(a2, 0) * x(a2, 1) for g in gb.gens)
     idem = gb.groebner().same_ideal(gb)
-    rep.add("buchberger-oracle", "prop814", has and idem,
+    rep.add("buchberger-oracle", has and idem,
             "basis contains e0^2*X1; groebner is idempotent")
 
     n = params.samples or 50
@@ -713,9 +725,8 @@ def suite_prop814(params: SuiteParams) -> SuiteReport:
             failures += 1
         if probe is member and not rem.is_zero:
             failures += 1
-    rep.add("membership-certificates", "prop814", failures == 0,
+    rep.add("membership-certificates", failures == 0,
             f"{n} randomized instances, {failures} failures")
-    return rep
 
 
 def _random_poly(ambient, rng, deg=4, nterms=3):
@@ -729,9 +740,9 @@ def _random_poly(ambient, rng, deg=4, nterms=3):
     return GradedPoly(ambient, terms)
 
 
-def suite_thm812_smooth(params: SuiteParams) -> SuiteReport:
-    rep = SuiteReport("thm812-smooth", ("thm812 smooth-dual grade driver",))
-    model = _model(params, params.group or f"heisenberg:{params.p}")
+@suite("thm812-smooth", "thm812 smooth-dual grade driver", min_d=1)
+def suite_thm812_smooth(rep, params, rng):
+    [model] = _models(params, "heisenberg")
     p = model.p
     for s in (Fraction(1, 2), Fraction(1, 8)):
         r = RadiusParam(s)
@@ -745,8 +756,7 @@ def suite_thm812_smooth(params: SuiteParams) -> SuiteReport:
             degs.append(deg)
         J = GradedIdeal(amb, gens)
         got = grade_cyclic(J, model.d)
-        rep.add(f"grade-at-s-{s.numerator}-{s.denominator}", "thm812-smooth",
-                got == model.d,
+        rep.add(f"grade-at-s-{s.numerator}-{s.denominator}", got == model.d,
                 f"J = symbols of log(1+b_i): grade {got} = d, degrees {degs}")
     lg = lie_generator(model, 0)
     s_low = Fraction(1, 8)
@@ -754,29 +764,9 @@ def suite_thm812_smooth(params: SuiteParams) -> SuiteReport:
     amb = _ambient(model, s_low)
     m = _log_lead_power(p, s_low)
     k = p ** m
-    rep.add("low-s-symbol", "thm812-smooth",
-            sym == GradedPoly(amb, {_x1_e0(model, k, -m): 1})
+    rep.add("low-s-symbol", sym == GradedPoly(amb, {_x1_e0(model, k, -m): 1})
             and deg == s_low * k - m,
             f"at s=1/8 the symbol is e0^-{m}*X1^" + ("p" if m == 1 else f"(p^{m})"))
-    return rep
-
-
-SUITES = {
-    "lemma41": suite_lemma41,
-    "prop42": suite_prop42,
-    "lemma44": suite_lemma44,
-    "thm45-mult": suite_thm45_mult,
-    "thm45-graded": suite_thm45_graded,
-    "basis-inv": suite_basis_inv,
-    "sect5-qnorm": suite_sect5_qnorm,
-    "sect5-conj": suite_sect5_conj,
-    "lemma412": suite_lemma412,
-    "amice": suite_amice,
-    "mahler-dirac": suite_mahler_dirac,
-    "dsmooth-proj": suite_dsmooth_proj,
-    "prop814": suite_prop814,
-    "thm812-smooth": suite_thm812_smooth,
-}
 
 
 def run_suite(name: str, params: SuiteParams) -> SuiteReport:

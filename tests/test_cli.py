@@ -344,22 +344,93 @@ class TestVerify:
 
 
 class TestSuitesOnGivenModels:
-    """The suites that read ``--group`` take their known answers from the
-    model's law, so a lemma that holds on the model passes on it."""
+    """``verify <suite> --group G`` runs every check of the suite on G alone,
+    with its known answers taken from G's law, or refuses G before any check
+    runs when the suite's claim is not stated for G."""
 
-    @pytest.mark.parametrize("group", ["abelian:1:5", "abelian:2:5", "abelian:3:5",
-                                       "semidirect:5", "heisenberg:5", "heisenberg:7"])
-    @pytest.mark.parametrize("suite", ["lemma41", "lemma44", "thm45-graded", "thm812-smooth"])
+    GROUPS = ["abelian:0:5", "abelian:1:5", "abelian:2:5", "abelian:3:5",
+              "semidirect:5", "heisenberg:5", "heisenberg:7"]
+    # the least dimension of G for each suite that asks for one: lemma41,
+    # lemma44 and basis-inv speak of pairs of generators, the others of b_1
+    LEAST_D = {"lemma41": 2, "lemma44": 2, "basis-inv": 2, "thm45-graded": 1,
+               "lemma412": 1, "mahler-dirac": 1, "dsmooth-proj": 1, "thm812-smooth": 1}
+
+    @classmethod
+    def runs_on(cls, suite, group):
+        if suite in ("amice", "prop814"):  # they take no group model
+            return False
+        if suite == "sect5-qnorm":  # the q-norm needs the sigma coset
+            return group == "semidirect:5"
+        return GroupModel.from_string(group).d >= cls.LEAST_D.get(suite, 0)
+
+    @pytest.mark.parametrize("group", GROUPS)
+    @pytest.mark.parametrize("suite", list(suites.SUITES))
     def test_pass_or_refuse_with_a_reason(self, suite, group):
         code, out, err = run_cli(["verify", suite, "--group", group, "--samples", "2"])
         assert "Traceback" not in out + err
-        # lemma41 and lemma44 are statements about pairs of generators
-        if suite in ("lemma41", "lemma44") and GroupModel.from_string(group).d < 2:
+        if not self.runs_on(suite, group):
             assert code == 2 and out == ""
-            assert suite in err and group in err
-        else:
-            assert code == 0 and err == "", out
-            assert f"suite {suite}: PASS" in out
+            assert err.startswith(f"{suite} does not run on {group}: ") and err.count("\n") == 1
+            return
+        assert code == 0 and err == "", out
+        assert f"suite {suite}: PASS" in out
+        # a check named for a model kind names G's kind
+        kinds = {"abelian", "heisenberg", "semidirect"}
+        named = [c.split("-")[-1] for c in
+                 (ln.split()[1] for ln in out.splitlines() if ln.startswith("  ["))]
+        assert {k for k in named if k in kinds} <= {group.split(":")[0]}
+
+    @pytest.mark.parametrize("suite, group, checks", [
+        ("prop42", "abelian:1:5", ["submult-abelian"]),
+        ("sect5-conj", "heisenberg:7", ["inner-heisenberg"]),
+        ("sect5-conj", "semidirect:5", ["inner-semidirect", "sigma-on-b", "sigma-semidirect"]),
+        ("basis-inv", "abelian:3:5", ["b1-reexpansion", "identity-basis", "norm-equal-abelian"]),
+        ("dsmooth-proj", "heisenberg:5", ["indicator-crosscheck", "multiplicative-heisenberg"]),
+    ])
+    def test_checks_on_the_given_model(self, suite, group, checks):
+        rep = suites.run_suite(suite, suites.SuiteParams(group=group, samples=2))
+        assert sorted(c.check_id for c in rep.checks) == checks and rep.passed
+
+    def test_checks_at_the_dimension_of_the_given_model(self):
+        rep = suites.run_suite("basis-inv", suites.SuiteParams(group="heisenberg:5", samples=2))
+        assert [c.witness for c in rep.checks if c.check_id == "b1-reexpansion"] == \
+            ["b1 in basis (h1h3, h2, h3): leading terms b'1 - b'3 - b'1b'3"]
+
+    def test_verify_all_reports_the_suites_that_run(self):
+        code, out, err = run_cli(["verify", "all", "--group", "abelian:2:5", "--samples", "2"])
+        assert code == 0
+        ran = [name for name in suites.SUITES if self.runs_on(name, "abelian:2:5")]
+        assert [ln.split()[1][:-1] for ln in out.splitlines()
+                if ln.startswith("suite ") and ln.endswith("checks)")] == ran
+        assert err.splitlines() == [
+            "sect5-qnorm does not run on abelian:2:5: its law has no sigma coset",
+            "amice does not run on abelian:2:5: it takes no group model",
+            "prop814 does not run on abelian:2:5: it takes no group model",
+        ]
+
+    def test_verify_all_exit_codes(self, monkeypatch):
+        # a failed check exits 1 beside the refusals; an error of the library
+        # is not a refusal, and exits 2
+        orig = suites.structure_constants
+        monkeypatch.setattr(suites, "structure_constants",
+                            lambda model, beta, gamma, T: orig(model, gamma, beta, T))
+        code, out, err = run_cli(["verify", "all", "--group", "heisenberg:5", "--samples", "2"])
+        assert code == 1 and "suite lemma41: FAIL" in out and "amice does not run" in err
+
+        def broken(model, i, T=None):
+            raise suites.DistError("no logarithm here")
+
+        monkeypatch.setattr(suites, "lie_generator", broken)
+        code, out, err = run_cli(["verify", "all", "--group", "heisenberg:5", "--samples", "2"])
+        assert code == 2 and out == "" and err.endswith("error: no logarithm here\n")
+
+    def test_suites_are_declared_in_verify_all_order(self):
+        # the names and anchors of the golden report, in its order
+        golden = (Path(__file__).parent / "golden" / "verify_all_p5.txt").read_text()
+        heads = [ln[len("suite "):-1].split(" (anchors: ")
+                 for ln in golden.splitlines() if "(anchors: " in ln]
+        assert [[name, s.anchor] for name, s in suites.SUITES.items()] == heads
+        assert len(heads) == 14
 
     @pytest.mark.parametrize("suite, check, swapped", [
         ("lemma41", "b2b1-entries", "structure_constants"),

@@ -306,6 +306,10 @@ class TestMahlerFiles:
                 assert serialize_mahler(back) == text
                 assert back.coeffs == t.coeffs
                 assert (back.cap, back.decay, back.complete) == (t.cap, t.decay, t.complete)
+                # parse_mahler wraps its checked parts unchecked; they must
+                # make the table the checked constructor makes of them
+                checked = MahlerTable(d, p, 12, cap, back.coeffs, back.decay, back.complete)
+                assert all(getattr(back, k) == getattr(checked, k) for k in MahlerTable.__slots__)
 
     @pytest.mark.parametrize("growth", ["1/0", "x"])
     def test_rejects_bad_decay_growth(self, growth):
@@ -336,6 +340,21 @@ class TestMahlerFiles:
         with pytest.raises(ParseError) as exc:
             parse_mahler(self._table_text() + "-1 : 0:3:12\n")
         assert exc.value.line == 7
+
+    @pytest.mark.parametrize("terms, line", [
+        ("x\n", 2),
+        ("0 : 0:1:12\na : 0:1:12\n", 3),
+        ("0,1 : 0:1:12\n", 2),
+        ("0 : 0:1:12\n\n-1 : 0:1:12\n", 4),
+        ("1 : 0:1:12\n1 : 0:2:12\n", 3),
+        ("1 : 0:5:12\n", 2),
+        ("1 : 0:1:0\n", 2),
+        ("1 : 0:1\n", 2),
+    ])
+    def test_every_term_refusal_keeps_its_line(self, terms, line):
+        with pytest.raises(ParseError) as exc:
+            parse_mahler("mahler p=5 d=1 N=12 A=4 decay=none complete=0\n" + terms)
+        assert exc.value.line == line
 
     def test_rejects_wrong_magic(self):
         with pytest.raises(ParseError):
