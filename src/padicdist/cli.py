@@ -3,15 +3,20 @@
 Exit codes: 0 success, 1 verification-check failure, 2 usage error,
 3 parse error in an input file, 4 precision exhausted.
 
-A call to a known subcommand builds one argparse parser, the subcommand's
-own; help, no arguments, an unknown command and arguments left over after a
-subcommand go through the full tree (``build_parser``), which prints every
-text.  ``graded``, ``mahler`` and ``suites`` are imported by the handlers
-that use them.
+A plain call builds no parser: it is read against ``COMMANDS`` into the
+Namespace the full tree (``build_parser``) gives it.  It is a known
+subcommand, its exact flags, one value after each flag that takes one (not
+starting with '-'; a lone '-' is a value) and one run of positionals of the
+declared length, whose values pass their type and choices, with every
+required flag.  Every other argv, help and every error included, goes to
+the full tree, which prints every text.  ``graded``, ``mahler`` and
+``suites`` are imported by the handlers that use them.
 
-``verify <suite> --group G`` runs the suite's checks on G alone.  A suite
-refuses a G it does not run on with one stderr line; ``verify all`` prints
-the reports of the suites that run and exits 2 only when none does.
+``verify <suite> --group G`` runs the suite's checks on G alone, at G's
+prime (a ``-p`` that differs is a usage error; without G, ``-p`` defaults to
+5).  A suite refuses a G it does not run on with one stderr line; ``verify
+all`` prints the reports of the suites that run and exits 2 only when none
+does.
 """
 
 from __future__ import annotations
@@ -64,11 +69,11 @@ def _precision_args(args):
         N = 12
     if N < 1:
         raise UsageError(f"N must be >= 1, got N={N}")
-    return N, truncation(_fraction(args.T or "12"))
+    return N, truncation(_fraction("12" if args.T is None else args.T))
 
 
 def _model_from_args(args) -> GroupModel:
-    gid = args.group or "heisenberg:5"
+    gid = "heisenberg:5" if args.group is None else args.group
     N, T = _precision_args(args)
     return GroupModel.from_string(gid, prec=N, max_weight=T)
 
@@ -89,11 +94,14 @@ def _load_distribution(path: str) -> Distribution:
 
 def _emit(args, text: str) -> None:
     out = getattr(args, "out", None)
-    if out and out != "-":
+    if out is None or out == "-":
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {out}: {exc}") from None
 
 
 def _parse_coords(text: str, d: int):
@@ -128,7 +136,7 @@ def cmd_expand(args) -> int:
 def cmd_mul(args) -> int:
     lam = _load_distribution(args.files[0])
     mu = _load_distribution(args.files[1])
-    s_work = _radius(args.r).s if args.r else None
+    s_work = None if args.r is None else _radius(args.r).s
     _emit(args, serialize_distribution(lam.mul(mu, s_work=s_work)))
     return EXIT_OK
 
@@ -246,8 +254,13 @@ def cmd_verify(args) -> int:
                 f"unknown suite {name!r}; choose from: {', '.join(SUITES)} or 'all'"
             )
     N, T = _precision_args(args)
+    p = 5 if args.p is None else args.p
+    if args.group is not None:
+        p = GroupModel.from_string(args.group, prec=N).p
+        if args.p not in (None, p):
+            raise UsageError(f"-p {args.p} contradicts --group {args.group}, whose prime is {p}")
     params = SuiteParams(
-        p=args.p,
+        p=p,
         N=N,
         T=T,
         seed=args.seed,
@@ -339,21 +352,12 @@ COMMANDS = {
     "verify": ("run a named verification suite", cmd_verify, (
         *_GROUP, _OUT,
         _arg("suite", help="suite id or 'all'"),
-        _arg("-p", type=int, default=5),
+        _arg("-p", type=int),
         _arg("--seed", type=int, default=0),
         _arg("--samples", type=int),
         _arg("--format", choices=("text", "tsv"), default="text"),
     )),
 }
-
-
-def _add_command(ap: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
-    """Give ``ap`` the arguments of subcommand ``name`` and its defaults."""
-    _, func, arguments = COMMANDS[name]
-    for flags, kwargs in arguments:
-        ap.add_argument(*flags, **kwargs)
-    ap.set_defaults(command=name, func=func)
-    return ap
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -364,26 +368,80 @@ def build_parser() -> argparse.ArgumentParser:
         "uniform pro-p groups.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, (help_text, _, _) in COMMANDS.items():
-        _add_command(sub.add_parser(name, help=help_text), name)
+    for name, (help_text, func, arguments) in COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        for flags, kwargs in arguments:
+            sp.add_argument(*flags, **kwargs)
+        sp.set_defaults(command=name, func=func)
     return ap
 
 
-def _parse_args(argv):
-    """The Namespace of ``argv``, parsed as the full tree parses it.
+def _value(kwargs, text):
+    """``text`` through the declared type and choices; ValueError if refused."""
+    value = kwargs.get("type", str)(text)
+    if value not in kwargs.get("choices", (value,)):
+        raise ValueError(text)
+    return value
 
-    A known subcommand is parsed by one parser, its own.  Its help, usage
-    and errors do not depend on its siblings; the one error that argparse
-    reports at the top level, arguments left over, does, so that path and
-    every call that names no known subcommand (help, no arguments, an
-    unknown command) parse ``argv`` with the full tree.
-    """
-    if argv and argv[0] in COMMANDS:
-        ap = _add_command(argparse.ArgumentParser(prog=f"padicdist {argv[0]}"), argv[0])
-        args, extras = ap.parse_known_args(argv[1:])
-        if not extras:
-            return args
-    return build_parser().parse_args(argv)
+
+def _dashed(arg):
+    """Whether argparse may read ``arg`` as an option: it starts with '-'."""
+    return arg.startswith("-") and arg != "-"
+
+
+def _plain_call(argv):
+    """The Namespace the full tree gives ``argv`` if it is a plain call (see
+    the module docstring), else None."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, func, arguments = COMMANDS[argv[0]]
+    ns = {"command": argv[0]}
+    flags, positional, required, given, run = {}, None, set(), set(), []
+    for names, kwargs in arguments:
+        if not names[0].startswith("-"):
+            positional = (names[0], kwargs)
+            continue
+        dest = kwargs.get("dest", names[0].lstrip("-"))
+        store_true = kwargs.get("action") == "store_true"
+        ns[dest] = False if store_true else kwargs.get("default")
+        flags[names[0]] = (dest, store_true, kwargs)
+        if kwargs.get("required"):
+            required.add(dest)
+    i = 1
+    try:
+        while i < len(argv):
+            if argv[i] in flags:
+                dest, store_true, kwargs = flags[argv[i]]
+                if store_true:
+                    ns[dest] = True
+                else:
+                    i += 1
+                    if i == len(argv) or _dashed(argv[i]):
+                        return None
+                    ns[dest] = _value(kwargs, argv[i])
+                given.add(dest)
+            elif _dashed(argv[i]) or positional is None or run and run[-1] != i - 1:
+                return None
+            else:
+                run.append(i)
+            i += 1
+        if positional:
+            name, kwargs = positional
+            nargs = kwargs.get("nargs")
+            if not run or nargs != "+" and len(run) != (nargs or 1):
+                return None
+            values = [_value(kwargs, argv[k]) for k in run]
+            ns[name] = values if nargs else values[0]
+    except ValueError:
+        return None
+    if not required <= given:
+        return None
+    return argparse.Namespace(**ns, func=func)
+
+
+def _parse_args(argv):
+    """The Namespace of ``argv``, as the full tree parses it."""
+    return _plain_call(argv) or build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:

@@ -136,7 +136,7 @@ def _models(params, *ids, T=None):
     """The models a suite's checks run on: with ``--group``, that model
     alone; else each default id, a kind or kind:d, at the prime p.  T, if
     given, replaces the truncation weight."""
-    ids = [params.group] if params.group else [f"{i}:{params.p}" for i in ids]
+    ids = [params.group] if params.group is not None else [f"{i}:{params.p}" for i in ids]
     T = params.T if T is None else T
     return [GroupModel.from_string(i, prec=params.N, max_weight=T) for i in ids]
 

@@ -334,6 +334,29 @@ class TestVerify:
         code, _, err = run_cli(["verify", "lemma99"])
         assert code == 2 and "unknown suite" in err
 
+    def test_p_defaults_to_the_prime_of_the_given_group(self, monkeypatch):
+        argv = ["verify", "prop42", "--group", "heisenberg:7", "--samples", "2"]
+        code, out, err = run_cli(argv)
+        assert code == 0 and err == ""
+        assert run_cli(argv + ["-p", "7"]) == (code, out, err)
+        primes = []
+        run_suite = suites.run_suite
+
+        def recording(name, params):
+            primes.append(params.p)
+            return run_suite(name, params)
+
+        monkeypatch.setattr(suites, "run_suite", recording)
+        run_cli(argv)
+        run_cli(["verify", "lemma44"])
+        assert primes == [7, 5]
+
+    @pytest.mark.parametrize("suite", ["prop42", "all"])
+    def test_p_that_contradicts_the_given_group_is_a_usage_error(self, suite):
+        code, out, err = run_cli(["verify", suite, "-p", "7", "--group", "heisenberg:5"])
+        assert code == 2 and out == ""
+        assert err == "error: -p 7 contradicts --group heisenberg:5, whose prime is 5\n"
+
     @pytest.mark.parametrize("samples", ["0", "-1"])
     def test_samples_below_one_is_a_usage_error(self, samples):
         # not the suite defaults (0) and not vacuous zero-sample verdicts (-1)
@@ -462,6 +485,36 @@ class TestPrecisionArguments:
         code, out, err = run_cli(argv + ["-N", "0"])
         assert code == 2 and out == ""
         assert "N must be >= 1" in err and "N=0" in err
+
+
+class TestEmptyValues:
+    # an empty value is given, not absent: it reaches the validators
+    def test_empty_T(self):
+        code, out, err = run_cli(["expand", "--group", "abelian:1:5", "--elem", "2", "-T", ""])
+        assert (code, out, err) == (2, "", "error: not a rational number: ''\n")
+
+    @pytest.mark.parametrize("cmd", [["expand", "--elem", "1,1,0"], ["verify", "lemma44"]])
+    def test_empty_group(self, cmd):
+        code, out, err = run_cli(cmd + ["--group", ""])
+        assert (code, out, err) == (2, "", "error: bad group id ''\n")
+
+    def test_empty_radius_of_mul(self, b1_file):
+        code, out, err = run_cli(["mul", b1_file, b1_file, "--r", ""])
+        assert (code, out, err) == (2, "", "error: not a rational number: ''\n")
+
+
+class TestOutputFile:
+    @pytest.mark.parametrize("out", ["missing/x.dist", ""])
+    def test_unwritable_out_is_a_usage_error(self, tmp_path, out):
+        path = str(tmp_path / out) if out else out
+        code, text, err = run_cli(["expand", "--group", "abelian:2:5", "--elem", "3,7",
+                                   "-T", "4", "--out", path])
+        assert code == 2 and text == ""
+        assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+
+    def test_dash_is_stdout(self):
+        argv = ["expand", "--group", "abelian:2:5", "--elem", "3,7", "-T", "4"]
+        assert run_cli(argv + ["--out", "-"]) == run_cli(argv)
 
 
 class TestUsage:

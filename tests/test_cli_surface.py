@@ -12,6 +12,7 @@ so the recorded text is compared only under the version that recorded it.
 import argparse
 import io
 import json
+import random
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -132,24 +133,8 @@ SUBCOMMAND_ARGVS += [
 ]
 
 
-@pytest.mark.parametrize("argv", SUBCOMMAND_ARGVS, ids=" ".join)
-def test_own_tree_parses_like_the_full_tree(argv, columns):
-    # under any Python version: the text, exit code and Namespace of a call
-    # parsed by its subcommand's own parser match those of the full tree
-    assert parse_outcome(_parse_args, argv) == parse_outcome(build_parser().parse_args, argv)
-
-
-@pytest.mark.parametrize("argv, parsers", [
-    (["norm", "--in", "a", "--r", "1/2"], 1),
-    (["verify", "-h"], 1),
-    (["norm", "--in", "a", "--r", "1/2", "--bogus"], 15),
-    ([], 14),
-    (["frobnicate"], 14),
-])
-def test_a_call_builds_one_parser(argv, parsers, monkeypatch):
-    # a known subcommand's call builds its own parser alone; arguments left
-    # over add the full tree (the top level and its 13 subcommands), which
-    # no arguments and an unknown command build alone
+def count_parsers(monkeypatch):
+    """The list to which every ArgumentParser built from now on is added."""
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -158,5 +143,126 @@ def test_a_call_builds_one_parser(argv, parsers, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    return built
+
+
+@pytest.mark.parametrize("argv", SUBCOMMAND_ARGVS, ids=" ".join)
+def test_pinned_calls_parse_like_the_full_tree(argv, columns):
+    # under any Python version: the text, exit code and Namespace of each
+    # pinned call match those of the full tree
+    assert parse_outcome(_parse_args, argv) == parse_outcome(build_parser().parse_args, argv)
+
+
+@pytest.mark.parametrize("argv, parsers", [
+    (["norm", "--in", "a", "--r", "1/2"], 0),
+    (["mul", "a", "b", "--out", "-"], 0),
+    (["verify", "-h"], 14),
+    (["norm", "--in", "a", "--r=1/2"], 14),
+    (["norm", "--in", "a", "--r", "1/2", "--bogus"], 14),
+    ([], 14),
+    (["frobnicate"], 14),
+])
+def test_a_plain_call_builds_no_parser(argv, parsers, monkeypatch):
+    # a plain call is read from COMMANDS; any other call builds the full
+    # tree (the top level and its 13 subcommands) and nothing else
+    built = count_parsers(monkeypatch)
     parse_outcome(_parse_args, argv)
     assert len(built) == parsers
+
+
+# -- a seeded corpus of calls built from COMMANDS -------------------------------
+
+WORDS = ("a.dist", "1/2", "heisenberg:5", "X1+e0", "-", "", "two words", "7")
+
+
+def flag_value(rng, kwargs):
+    if "choices" in kwargs:
+        return rng.choice(kwargs["choices"])
+    if kwargs.get("type") is int:
+        return str(rng.randrange(30))
+    return rng.choice(WORDS)
+
+
+def plain_units(rng, arguments):
+    """A plain call's units in a random order: each flag with its value, a
+    random half of the optional flags, and the run of positionals."""
+    units = []
+    for flags, kwargs in arguments:
+        if not flags[0].startswith("-"):
+            n = {None: 1, 2: 2, "+": rng.randint(1, 3)}[kwargs.get("nargs")]
+            units.append(("run", [rng.choice(WORDS[:5]) for _ in range(n)]))
+        elif kwargs.get("required") or rng.random() < 0.5:
+            value = [] if kwargs.get("action") else [flag_value(rng, kwargs)]
+            units.append((flags[0], [flags[0], *value]))
+    rng.shuffle(units)
+    return units
+
+
+def flat(units):
+    return [word for _, words in units for word in words]
+
+
+def variants(rng, name):
+    """(label, argv, plain) for calls of subcommand ``name``."""
+    arguments = COMMANDS[name][2]
+    options = {flags[0]: kwargs for flags, kwargs in arguments if flags[0].startswith("-")}
+    positional = next((kw for flags, kw in arguments if not flags[0].startswith("-")), None)
+    for _ in range(6):
+        yield "plain", [name, *flat(plain_units(rng, arguments))], True
+    units = plain_units(rng, arguments)
+    valued = [u for u in units if u[0] in options and len(u[1]) == 2]
+    flag, (_, value) = rng.choice(valued) if valued else ("--out", ("--out", "x"))
+    yield "repeated", [name, *flat(units), flag, value, flag, flag_value(rng, options[flag])], True
+    yield "out to stdout", [name, *flat(units), "--out", "-"], True
+    yield "= form", [name, *flat(units), f"{flag}={value}"], False
+    yield "abbreviated", [name, *flat(units), "--ou", "x"], False
+    yield "help", [name, *flat(units), "-h"], False
+    yield "dashed value", [name, *flat(units), "--out", "-x"], False
+    yield "unknown flag", [name, "--bogus", *flat(units)], False
+    ints = [f for f, kw in options.items() if kw.get("type") is int]
+    if ints:
+        yield "bad int", [name, *flat(units), rng.choice(ints), "x"], False
+        # argparse reads a negative number as a value; the matcher does not
+        yield "negative int", [name, *flat(units), rng.choice(ints), "-3"], False
+    if "--format" in options:
+        yield "bad choice", [name, *flat(units), "--format", "xml"], False
+    required = [u for u in units if options.get(u[0], {}).get("required")]
+    if required:
+        missing = rng.choice(required)
+        yield "missing required", [name, *flat(u for u in units if u is not missing)], False
+    run = next((u for u in units if u[0] == "run"), None)
+    if run is None:
+        yield "stray positional", [name, *flat(units), "a"], False
+        return
+    rest = [u for u in units if u is not run]
+    need = {None: 1, 2: 2, "+": 1}[positional.get("nargs")]
+    yield "too few", [name, *flat(rest), *run[1][:need - 1]], False
+    if positional.get("nargs") != "+":
+        yield "too many", [name, *flat(rest), *run[1], "b"], False
+    yield "--", [name, *flat(rest), "--", *run[1]], False
+    words = run[1] + ["b"] * (2 - len(run[1]))
+    yield "split", [name, *words[:1], "--out", "x", *words[1:], *flat(rest)], False
+
+
+def corpus():
+    rng = random.Random("cli-corpus")
+    return [case for name in COMMANDS for case in variants(rng, name)]
+
+
+CORPUS = corpus()
+
+
+@pytest.mark.parametrize("label, argv, plain", CORPUS,
+                         ids=[f"{label}: {' '.join(argv)}" for label, argv, _ in CORPUS])
+def test_corpus_parses_like_the_full_tree(label, argv, plain, columns, monkeypatch):
+    # a plain call builds no parser and any other the full tree, and both
+    # paths give the full tree's Namespace or exit code, stdout and stderr
+    built = count_parsers(monkeypatch)
+    got = parse_outcome(_parse_args, argv)
+    assert len(built) == (0 if plain else 14)
+    assert got == parse_outcome(build_parser().parse_args, argv)
+
+
+def test_corpus_covers_every_subcommand_both_ways():
+    assert {argv[0] for _, argv, plain in CORPUS if plain} == set(COMMANDS)
+    assert {argv[0] for _, argv, plain in CORPUS if not plain} == set(COMMANDS)
