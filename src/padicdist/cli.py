@@ -12,6 +12,15 @@ required flag.  Every other argv, help and every error included, goes to
 the full tree, which prints every text.  ``graded``, ``mahler`` and
 ``suites`` are imported by the handlers that use them.
 
+A subcommand declares only the flags it reads, and each of them changes
+its output, except ``mul --r``, ``grade --r`` and ``verify --seed``, which
+``tests/test_cli_surface.py`` names with the ROADMAP items that will make
+them act.  ``expand`` and ``verify`` take ``-N`` and ``-T``; ``mahler``
+takes ``-N`` only, and ``grade`` neither: a grade depends on p, d and the
+generators alone.  A call that gives both of ``expand --elem``/``--monomial``
+or ``conj --elem``/``--sigma`` is a usage error.  ``--in -`` reads stdin as
+bytes, decoded as a file is.
+
 ``verify <suite> --group G`` runs the suite's checks on G alone, at G's
 prime (a ``-p`` that differs is a usage error; without G, ``-p`` defaults to
 5).  A suite refuses a G it does not run on with one stderr line; ``verify
@@ -64,30 +73,33 @@ def _radius(text: str) -> RadiusParam:
     return RadiusParam(_fraction(text))
 
 
-def _precision_args(args):
-    """(N, T) from -N and -T, defaulting to 12 each; T is floored here, once."""
-    N = args.N
-    if N is None:
-        N = 12
+def _group_id(args) -> str:
+    """--group, defaulting to heisenberg:5."""
+    return "heisenberg:5" if args.group is None else args.group
+
+
+def _window(args) -> int:
+    """-N, defaulting to 12."""
+    N = 12 if args.N is None else args.N
     if N < 1:
         raise UsageError(f"N must be >= 1, got N={N}")
-    return N, truncation(_fraction("12" if args.T is None else args.T))
+    return N
 
 
-def _model_from_args(args) -> GroupModel:
-    gid = "heisenberg:5" if args.group is None else args.group
-    N, T = _precision_args(args)
-    return GroupModel.from_string(gid, prec=N, max_weight=T)
+def _weight(args) -> int:
+    """-T, defaulting to 12; floored here, once."""
+    return truncation(_fraction("12" if args.T is None else args.T))
 
 
 def _read_text(path: str) -> str:
     if path == "-":
-        return sys.stdin.read()
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc}") from None
+        data = sys.stdin.buffer.read()
+    else:
+        try:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        except OSError as exc:
+            raise UsageError(f"cannot read {path}: {exc}") from None
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -134,7 +146,9 @@ def _parse_coords(text: str, d: int):
 
 
 def cmd_expand(args) -> int:
-    model = _model_from_args(args)
+    if args.elem is not None and args.monomial is not None:
+        raise UsageError("expand takes --elem or --monomial, not both")
+    model = GroupModel.from_string(_group_id(args), prec=_window(args), max_weight=_weight(args))
     if args.elem is not None:
         g = model.element(_parse_coords(args.elem, model.d))
         dist = Distribution.dirac(g)
@@ -185,7 +199,7 @@ def cmd_pair(args) -> int:
 def cmd_mahler(args) -> int:
     from .mahler import FunctionSpec, mahler_coeffs
 
-    model = _model_from_args(args)
+    model = GroupModel.from_string(_group_id(args), prec=_window(args))
     f = FunctionSpec.parse(model.d, model.p, args.fn)
     _emit(args, serialize_mahler(mahler_coeffs(f, args.cap, prec=model.prec)))
     return EXIT_OK
@@ -209,7 +223,7 @@ def cmd_project(args) -> int:
 def cmd_grade(args) -> int:
     from .graded import GradedAmbient, GradedError, GradedIdeal, GradedPoly, grade_cyclic
 
-    model = _model_from_args(args)
+    model = GroupModel.from_string(_group_id(args))
     s = _radius(args.r).s
     ambient = GradedAmbient(model.p, model.d, [1] * model.d, s)
     try:
@@ -233,6 +247,8 @@ def cmd_basis(args) -> int:
 
 
 def cmd_conj(args) -> int:
+    if args.sigma and args.elem is not None:
+        raise UsageError("conj takes --elem or --sigma, not both")
     dist = _load_distribution(args.infile)
     if args.sigma:
         out = dist.conjugate("sigma")
@@ -269,7 +285,7 @@ def cmd_verify(args) -> int:
             raise UsageError(
                 f"unknown suite {name!r}; choose from: {', '.join(SUITES)} or 'all'"
             )
-    N, T = _precision_args(args)
+    N, T = _window(args), _weight(args)
     p = 5 if args.p is None else args.p
     if args.group is not None:
         p = GroupModel.from_string(args.group, prec=N).p
@@ -302,26 +318,25 @@ def _arg(*flags, **kwargs):
     return flags, kwargs
 
 
-_GROUP = (
-    _arg("--group", help="group id, e.g. heisenberg:5 or abelian:2:5"),
-    _arg("-N", type=int, help="scalar precision (window) in p-digits"),
-    _arg("-T", help="truncation degree, a non-negative rational "
-         "(floored: degrees are integers)"),
-)
+_GROUP = _arg("--group", help="group id, e.g. heisenberg:5 or abelian:2:5")
+_N = _arg("-N", type=int, help="scalar precision (window) in p-digits")
+_T = _arg("-T", help="truncation degree, a non-negative rational "
+          "(floored: degrees are integers)")
 _OUT = _arg("--out", help="output file ('-' = stdout)")
 _IN = _arg("--in", dest="infile", required=True)
 
 # name -> (help, handler, arguments in the order they are added)
 COMMANDS = {
     "expand": ("expand a Dirac or monomial distribution", cmd_expand, (
-        *_GROUP, _OUT,
+        _GROUP, _N, _T, _OUT,
         _arg("--elem", help="chart coordinates a1,...,ad of a group element"),
         _arg("--monomial", help="exponents a1,...,ad of b^alpha"),
     )),
     "mul": ("convolve two distribution files", cmd_mul, (
         _OUT,
         _arg("files", nargs=2, help="two distribution files"),
-        _arg("--r", help="radius exponent s for an extra tail certificate"),
+        _arg("--r", help="radius exponent s for an extra tail certificate; "
+             "it is not written, as a file keeps only the growth-0 tail"),
     )),
     "norm": ("certified r-norm interval", cmd_norm, (
         _OUT, _IN,
@@ -336,7 +351,7 @@ COMMANDS = {
         _arg("--cap", type=int, default=16, help="Mahler table cap A"),
     )),
     "mahler": ("Mahler coefficient table of a builtin function", cmd_mahler, (
-        *_GROUP, _OUT,
+        _GROUP, _N, _OUT,
         _arg("--fn", required=True),
         _arg("--cap", type=int, default=16),
     )),
@@ -344,7 +359,7 @@ COMMANDS = {
         _OUT, _IN, _arg("--level", type=int, required=True),
     )),
     "grade": ("grade of a cyclic graded module", cmd_grade, (
-        *_GROUP, _OUT,
+        _GROUP, _OUT,
         _arg("--r", required=True),
         _arg("gens", nargs="+", help="ideal generators, e.g. 'X1^2+4*e0*X2'"),
     )),
@@ -366,7 +381,7 @@ COMMANDS = {
         _OUT, _IN,
     )),
     "verify": ("run a named verification suite", cmd_verify, (
-        *_GROUP, _OUT,
+        _GROUP, _N, _T, _OUT,
         _arg("suite", help="suite id or 'all'"),
         _arg("-p", type=int),
         _arg("--seed", type=int, default=0),

@@ -14,10 +14,10 @@ from padicdist.distalg import Distribution
 from padicdist.groupmodel import GroupModel
 
 
-def run_cli(argv, stdin=""):
+def run_cli(argv, stdin=b""):
     out, err = io.StringIO(), io.StringIO()
     old = sys.stdout, sys.stderr, sys.stdin
-    sys.stdout, sys.stderr, sys.stdin = out, err, io.StringIO(stdin)
+    sys.stdout, sys.stderr, sys.stdin = out, err, io.TextIOWrapper(io.BytesIO(stdin))
     try:
         code = main(argv)
     finally:
@@ -48,6 +48,21 @@ class TestExpand:
     def test_needs_elem_or_monomial(self):
         code, _, err = run_cli(["expand", "--group", "heisenberg:5"])
         assert code == 2 and "elem" in err
+
+    def test_elem_and_monomial_together_are_a_usage_error(self):
+        code, out, err = run_cli(["expand", "--group", "abelian:2:5", "--elem", "1,2",
+                                  "--monomial", "3,4"])
+        assert (code, out, err) == (2, "", "error: expand takes --elem or --monomial, not both\n")
+
+    @pytest.mark.parametrize("how, terms", [
+        # delta_(1,2) = (1 + b1)(1 + b2)^2, and b^(1,2) alone
+        ("--elem", ["0,0 : 0:1:14", "0,1 : 0:2:14", "0,2 : 0:1:14",
+                    "1,0 : 0:1:14", "1,1 : 0:2:14", "1,2 : 0:1:14"]),
+        ("--monomial", ["1,2 : 0:1:14"]),
+    ])
+    def test_elem_or_monomial_alone(self, how, terms):
+        code, out, err = run_cli(["expand", "--group", "abelian:2:5", how, "1,2", "-T", "3"])
+        assert (code, err) == (0, "") and out.splitlines()[1:] == terms
 
     def test_unknown_group(self):
         code, _, _ = run_cli(["expand", "--group", "frobnitz:5", "--elem", "1"])
@@ -98,6 +113,16 @@ class TestNorm:
         code, out, err = run_cli(["norm", "--in", str(path), "--r", "1/2"])
         assert (code, out) == (3, "")
         assert err == f"parse error: input is not UTF-8 text (line {line})\n"
+
+    def test_stdin_is_read_as_a_file_is(self, tmp_path, b1_file):
+        data = Path(b1_file).read_bytes()
+        assert run_cli(["norm", "--in", "-", "--r", "1/2"], stdin=data) == \
+            run_cli(["norm", "--in", b1_file, "--r", "1/2"])
+        path = tmp_path / "bad.dist"
+        path.write_bytes(b"abc\xff\n")
+        want = (3, "", "parse error: input is not UTF-8 text (line 1)\n")
+        assert run_cli(["norm", "--in", str(path), "--r", "1/2"]) == want
+        assert run_cli(["norm", "--in", "-", "--r", "1/2"], stdin=b"abc\xff\n") == want
 
     def test_zero_denominator_is_a_parse_error(self, tmp_path):
         code, out, _ = run_cli(
@@ -300,6 +325,13 @@ class TestBasisConjQnorm:
         code, out, err = run_cli(["conj", "--in", s])
         assert code == 2 and out == "" and "--elem or --sigma" in err
 
+    @pytest.mark.parametrize("group, elem", [("semidirect:5", "1"), ("abelian:1:5", "1")])
+    def test_conj_elem_and_sigma_together_are_a_usage_error(self, tmp_path, group, elem):
+        # refused before sigma is read, on a model with sigma and one without
+        s = expanded(tmp_path, "s.dist", group, "--elem", "2", "-T", "3")
+        code, out, err = run_cli(["conj", "--in", s, "--elem", elem, "--sigma"])
+        assert (code, out, err) == (2, "", "error: conj takes --elem or --sigma, not both\n")
+
     def test_basis_needs_d_rows(self, tmp_path):
         h = expanded(tmp_path, "h.dist", "heisenberg:5", "--elem", "1,1,0", "-T", "2")
         code, out, err = run_cli(["basis", "--in", h, "--basis", "1,0,0;0,1,0"])
@@ -489,7 +521,6 @@ class TestPrecisionArguments:
     @pytest.mark.parametrize("argv", [
         ["expand", "--group", "abelian:1:5", "--elem", "2"],
         ["mahler", "--group", "abelian:1:5", "--fn", "coordinate:0"],
-        ["grade", "--group", "heisenberg:5", "--r", "1/2", "X1"],
         ["verify", "lemma44"],
     ])
     def test_N_zero_is_a_usage_error(self, argv):
@@ -497,6 +528,18 @@ class TestPrecisionArguments:
         code, out, err = run_cli(argv + ["-N", "0"])
         assert code == 2 and out == ""
         assert "N must be >= 1" in err and "N=0" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["grade", "--group", "heisenberg:5", "--r", "1/2", "X1", "-N", "0"],
+        ["grade", "--group", "heisenberg:5", "--r", "1/2", "X1", "-T", "3"],
+        ["mahler", "--group", "abelian:1:5", "--fn", "coordinate:0", "-T", "3"],
+    ])
+    def test_a_flag_the_command_does_not_read_is_unrecognized(self, argv):
+        # a grade depends on p, d and the generators alone, a Mahler table on
+        # no truncation weight: neither command declares what it would ignore
+        code, out, err = run_cli(argv)
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: " + " ".join(argv[-2:]) in err
 
 
 class TestEmptyValues:

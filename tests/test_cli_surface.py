@@ -70,13 +70,13 @@ NAMESPACES = [
      {"command": "pair", "out": None, "infile": "a.dist", "fn": "coordinate:0", "cap": 16,
       "func": "cmd_pair"}),
     (["mahler", "--group", "abelian:1:5", "--fn", "power1p:0", "--cap", "6"],
-     {"command": "mahler", "group": "abelian:1:5", "N": None, "T": None, "out": None,
+     {"command": "mahler", "group": "abelian:1:5", "N": None, "out": None,
       "fn": "power1p:0", "cap": 6, "func": "cmd_mahler"}),
     (["project", "--in", "a.dist", "--level", "2"],
      {"command": "project", "out": None, "infile": "a.dist", "level": 2,
       "func": "cmd_project"}),
     (["grade", "--group", "heisenberg:5", "--r", "1/2", "X1", "X2+e0*X3"],
-     {"command": "grade", "group": "heisenberg:5", "N": None, "T": None, "out": None,
+     {"command": "grade", "group": "heisenberg:5", "out": None,
       "r": "1/2", "gens": ["X1", "X2+e0*X3"], "func": "cmd_grade"}),
     (["basis", "--in", "a.dist", "--basis", "1,0,0;1,1,0;0,0,1"],
      {"command": "basis", "out": None, "infile": "a.dist", "basis": "1,0,0;1,1,0;0,0,1",
@@ -266,3 +266,158 @@ def test_corpus_parses_like_the_full_tree(label, argv, plain, columns, monkeypat
 def test_corpus_covers_every_subcommand_both_ways():
     assert {argv[0] for _, argv, plain in CORPUS if plain} == set(COMMANDS)
     assert {argv[0] for _, argv, plain in CORPUS if not plain} == set(COMMANDS)
+
+
+# -- every declared flag acts, or is named inert --------------------------------
+
+# Two valid calls for each (subcommand, dest) of COMMANDS that differ in that
+# dest, and whose outcomes differ.  Words in braces name the files of
+# ``call_files``; {out} is an --out path, read after the call.
+ACTS = {
+    ("expand", "group"): ("expand --group abelian:1:5 --elem 2",
+                          "expand --group abelian:1:7 --elem 2"),
+    ("expand", "N"): ("expand --group abelian:1:5 --elem 2 -N 4",
+                      "expand --group abelian:1:5 --elem 2 -N 6"),
+    ("expand", "T"): ("expand --group abelian:1:5 --elem 2 -T 1",
+                      "expand --group abelian:1:5 --elem 2 -T 2"),
+    ("expand", "out"): ("expand --group abelian:1:5 --elem 2",
+                        "expand --group abelian:1:5 --elem 2 --out {out}"),
+    ("expand", "elem"): ("expand --group abelian:1:5 --elem 2",
+                         "expand --group abelian:1:5 --elem 3"),
+    ("expand", "monomial"): ("expand --group abelian:1:5 --monomial 1",
+                             "expand --group abelian:1:5 --monomial 2"),
+    ("mul", "out"): ("mul {a} {b}", "mul {a} {b} --out {out}"),
+    ("mul", "files"): ("mul {a} {b}", "mul {b} {b}"),
+    ("norm", "out"): ("norm --in {s1} --r 1/2", "norm --in {s1} --r 1/2 --out {out}"),
+    ("norm", "infile"): ("norm --in {s1} --r 1/2", "norm --in {s2} --r 1/2"),
+    ("norm", "r"): ("norm --in {s1} --r 1/2", "norm --in {s1} --r 1/4"),
+    ("symbol", "out"): ("symbol --in {s1} --r 1/2", "symbol --in {s1} --r 1/2 --out {out}"),
+    ("symbol", "infile"): ("symbol --in {s1} --r 1/2", "symbol --in {s2} --r 1/2"),
+    ("symbol", "r"): ("symbol --in {s1} --r 1/2", "symbol --in {s1} --r 1/4"),
+    ("pair", "out"): ("pair --in {b} --fn coordinate:0",
+                      "pair --in {b} --fn coordinate:0 --out {out}"),
+    ("pair", "infile"): ("pair --in {a} --fn coordinate:0", "pair --in {b} --fn coordinate:0"),
+    ("pair", "fn"): ("pair --in {a} --fn coordinate:0", "pair --in {a} --fn power1p:0"),
+    ("pair", "cap"): ("pair --in {a} --fn power1p:0 --cap 4",
+                      "pair --in {a} --fn power1p:0 --cap 16"),
+    ("mahler", "group"): ("mahler --group abelian:1:5 --fn coordinate:0 --cap 4",
+                          "mahler --group abelian:1:7 --fn coordinate:0 --cap 4"),
+    ("mahler", "N"): ("mahler --group abelian:1:5 --fn power1p:0 --cap 4 -N 4",
+                      "mahler --group abelian:1:5 --fn power1p:0 --cap 4 -N 6"),
+    ("mahler", "out"): ("mahler --group abelian:1:5 --fn coordinate:0 --cap 4",
+                        "mahler --group abelian:1:5 --fn coordinate:0 --cap 4 --out {out}"),
+    ("mahler", "fn"): ("mahler --group abelian:1:5 --fn coordinate:0 --cap 4",
+                       "mahler --group abelian:1:5 --fn power1p:0 --cap 4"),
+    ("mahler", "cap"): ("mahler --group abelian:1:5 --fn power1p:0 --cap 4",
+                        "mahler --group abelian:1:5 --fn power1p:0 --cap 6"),
+    ("project", "out"): ("project --in {b} --level 1", "project --in {b} --level 1 --out {out}"),
+    ("project", "infile"): ("project --in {b} --level 1", "project --in {s2} --level 1"),
+    ("project", "level"): ("project --in {b} --level 1", "project --in {b} --level 2"),
+    ("grade", "group"): ("grade --group abelian:1:5 --r 1/2 5*X1",
+                         "grade --group abelian:1:7 --r 1/2 5*X1"),
+    ("grade", "out"): ("grade --group abelian:2:5 --r 1/2 X1",
+                       "grade --group abelian:2:5 --r 1/2 X1 --out {out}"),
+    ("grade", "gens"): ("grade --group abelian:2:5 --r 1/2 X1",
+                        "grade --group abelian:2:5 --r 1/2 X1 X2"),
+    ("basis", "out"): ("basis --in {b} --basis 1", "basis --in {b} --basis 1 --out {out}"),
+    ("basis", "infile"): ("basis --in {a} --basis 1", "basis --in {b} --basis 1"),
+    ("basis", "basis"): ("basis --in {b} --basis 1", "basis --in {b} --basis 2"),
+    ("conj", "out"): ("conj --in {s1} --sigma", "conj --in {s1} --sigma --out {out}"),
+    ("conj", "infile"): ("conj --in {s1} --sigma", "conj --in {s2} --sigma"),
+    ("conj", "elem"): ("conj --in {h} --elem 0,0,0", "conj --in {h} --elem 1,0,1"),
+    # the alternative: the one call gives --sigma, the other --elem
+    ("conj", "sigma"): ("conj --in {s1} --elem 0", "conj --in {s1} --sigma"),
+    ("qnorm", "out"): ("qnorm {s2} {s1} --r 1/2", "qnorm {s2} {s1} --r 1/2 --out {out}"),
+    ("qnorm", "files"): ("qnorm {s1} {s1} --r 1/2", "qnorm {s2} {s2} --r 1/2"),
+    ("qnorm", "r"): ("qnorm {s2} {s1} --r 1/2", "qnorm {s2} {s1} --r 1/4"),
+    ("rthresh", "out"): ("rthresh --in {t}", "rthresh --in {t} --out {out}"),
+    ("rthresh", "infile"): ("rthresh --in {b}", "rthresh --in {t}"),
+    ("verify", "group"): ("verify lemma44 --group abelian:2:5",
+                          "verify lemma44 --group heisenberg:5"),
+    ("verify", "N"): ("verify lemma41 -N 1", "verify lemma41 -N 12"),
+    ("verify", "T"): ("verify thm45-mult --samples 4 -T 3",
+                      "verify thm45-mult --samples 4 -T 12"),
+    ("verify", "out"): ("verify lemma44", "verify lemma44 --out {out}"),
+    ("verify", "suite"): ("verify lemma44", "verify amice"),
+    ("verify", "p"): ("verify lemma44 -p 3", "verify lemma44 -p 5"),
+    ("verify", "samples"): ("verify prop42 --samples 2", "verify prop42 --samples 4"),
+    ("verify", "format"): ("verify lemma44 --format text", "verify lemma44 --format tsv"),
+}
+
+# Declared values that do not yet change any outcome, each with the ROADMAP
+# item that will make it act.  Their calls give identical outcomes.
+INERT = {
+    # the cap line of --r stays in memory: the file holds the growth-0 tail
+    ("mul", "r"): ("item 7", "mul {a} {b}", "mul {a} {b} --r 1/2"),
+    # a grade is read off the leads of gr D_r, which do not depend on s
+    ("grade", "r"): ("item 21", "grade --group heisenberg:5 --r 1/2 X1",
+                     "grade --group heisenberg:5 --r 1/4 X1"),
+    # the sampled suites report counts and verdicts, not their witnesses
+    ("verify", "seed"): ("item 5", "verify prop42 --samples 2 --seed 1",
+                         "verify prop42 --samples 2 --seed 7"),
+}
+
+# flags of which a call gives one: a case may trade the one for the other
+ALTERNATIVES = {"conj": {"elem", "sigma"}}
+
+# every (subcommand, dest) that COMMANDS declares
+DECLARED = [(name, kwargs.get("dest", flags[0].lstrip("-")))
+            for name, (_, _, arguments) in COMMANDS.items() for flags, kwargs in arguments]
+
+
+@pytest.fixture(scope="module")
+def call_files(tmp_path_factory):
+    """The files the cases read, and the --out path they write."""
+    root = tmp_path_factory.mktemp("flags")
+    files = {"out": str(root / "out.txt")}
+    for name, argv in [("a", "--group abelian:1:5 --elem=-3"),
+                       ("b", "--group abelian:1:5 --elem 7"),
+                       ("s1", "--group semidirect:5 --monomial 1"),
+                       ("s2", "--group semidirect:5 --monomial 2"),
+                       ("h", "--group heisenberg:5 --elem 1,1,0 -N 4 -T 3")]:
+        files[name] = str(root / f"{name}.dist")
+        assert main(["expand", *argv.split(), "--out", files[name]]) == 0
+    # 5 + b^2: its first unit coefficient sits above a non-unit, so s = 1/2
+    files["t"] = str(root / "t.dist")
+    Path(files["t"]).write_text("group=abelian:1:5 p=5 N=12 T=12/1 tail=0 exact=1\n"
+                                "0 : 1:1:15\n2 : 0:1:16\n")
+    return files
+
+
+def effect(call, files):
+    """(exit code, stdout, bytes of the --out file or None) of ``call``."""
+    argv = [word.format(**files) for word in call.split()]
+    out = Path(files["out"])
+    out.unlink(missing_ok=True)
+    result = outcome(argv)
+    written = out.read_bytes() if out.exists() else None
+    return result["exit"], result["stdout"], written
+
+
+def namespace_change(call_a, call_b, files):
+    """The dests at which the full tree's Namespaces of two calls differ."""
+    a, b = (vars(build_parser().parse_args([w.format(**files) for w in c.split()]))
+            for c in (call_a, call_b))
+    return {dest for dest in a if a[dest] != b[dest]}
+
+
+@pytest.mark.parametrize("command, dest", DECLARED, ids=[" ".join(k) for k in DECLARED])
+def test_every_declared_flag_acts_or_is_named_inert(command, dest, call_files):
+    key = (command, dest)
+    covered = key in ACTS or key in INERT
+    assert covered, f"{command} declares {dest}: it needs a case in ACTS or an entry in INERT"
+    call_a, call_b = ACTS[key] if key in ACTS else INERT[key][1:]
+    changed = namespace_change(call_a, call_b, call_files)
+    assert dest in changed and changed <= {dest} | ALTERNATIVES.get(command, set())
+    a, b = effect(call_a, call_files), effect(call_b, call_files)
+    assert a[0] == b[0] == 0, (a, b)
+    if key in ACTS:
+        assert a != b
+    else:
+        assert a == b
+
+
+def test_every_case_names_a_declared_flag():
+    assert set(ACTS) | set(INERT) <= set(DECLARED) and not set(ACTS) & set(INERT)
+    assert len(DECLARED) == 52
+    assert sorted(INERT) == [("grade", "r"), ("mul", "r"), ("verify", "seed")]
