@@ -54,6 +54,7 @@ from .padic import (
     PadicError,
     PadicScalar,
     add_triples,
+    as_int,
     binom,
     binomial_transform,
     fraction_triple,
@@ -721,8 +722,9 @@ def _commutation_core(model: GroupModel, a: int, g: int, T: int) -> tuple:
 
 def lie_generator(model: GroupModel, i: int, T=None) -> Distribution:
     """log(1 + b_i) truncated at degree T, with a certified growing tail."""
-    if not isinstance(i, int) or not 0 <= i < model.d:
-        raise DistError(f"generator index must be an integer in 0..{model.d - 1}, got {i!r}")
+    i = as_int(i, DistError, "generator index")
+    if not 0 <= i < model.d:
+        raise DistError(f"generator index must be in 0..{model.d - 1}, got {i}")
     K = model.max_weight if T is None else truncation(T)
     if K < 1:
         raise DistError("truncation weight below the generator's weight")

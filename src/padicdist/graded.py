@@ -12,11 +12,11 @@ keeps the reduced basis of its one Buchberger run packed, with its divisors
 (``_Basis``); exponent tuples are decoded on demand, through tables per layout
 that hold at most the distinct monomials seen at that width.  The Laurent
 variable is handled by saturating ideals at e0 inside the polynomial ring,
-which that order reduces to dividing basis elements by powers of e0 (see
-``saturate``).  For an ideal J homogeneous in total degree the same theorem
-gives in(J : e0^infinity) = in(J) : e0^infinity (Bayer-Stillman, Invent.
-Math. 87, 1987), so a grade, which depends only on initial ideals, is read
-off J's own leads with e0 struck out (see ``grade_cyclic``).
+which that order reduces to dividing homogenized basis elements by powers of
+e0 (see ``saturate``).  For an ideal J homogeneous in total degree the same
+theorem gives in(J : e0^infinity) = in(J) : e0^infinity (Bayer-Stillman,
+Invent. Math. 87, 1987), so a grade, which depends only on initial ideals, is
+read off J's own leads with e0 struck out (see ``grade_cyclic``).
 """
 
 from __future__ import annotations
@@ -67,10 +67,6 @@ class GradedAmbient:
 
     def __hash__(self):
         return hash((self.p, self.d, self.s))
-
-    def monomial_degree(self, mon) -> Fraction:
-        """Grading degree e + s * |alpha| of a monomial."""
-        return mon[-1] + self.s * sum(mon[:-1])
 
     def __repr__(self):
         return f"GradedAmbient(p={self.p}, d={self.d}, s={self.s})"
@@ -174,12 +170,6 @@ class GradedPoly:
     @property
     def min_e0_exponent(self) -> int:
         return min((m[-1] for m in self.terms), default=0)
-
-    def degrees(self) -> set:
-        return {self.ambient.monomial_degree(m) for m in self.terms}
-
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
 
     def _require_ambient(self, other):
         if self.ambient != other.ambient:
@@ -518,7 +508,7 @@ def _reduce_basis(basis, divs, p, lay) -> _Basis:
 class GradedIdeal:
     """An ideal of F_p[e0, X_1..X_d] given by generators with e0-exponent >= 0."""
 
-    __slots__ = ("ambient", "_gens", "_gb", "_packed", "_saturated")
+    __slots__ = ("ambient", "_gens", "_packed", "_saturated")
 
     def __init__(self, ambient: GradedAmbient, gens):
         self.ambient = ambient
@@ -529,7 +519,7 @@ class GradedIdeal:
             if g.min_e0_exponent < 0:
                 raise GradedError("ideal generators must have e0-exponents >= 0")
         self._gens = tuple(g for g in gens if not g.is_zero)
-        self._gb = self._packed = None
+        self._packed = None
         # set by ``saturate`` on the ideals it returns: I = I : e0^infinity
         self._saturated = False
 
@@ -543,8 +533,9 @@ class GradedIdeal:
 
     @property
     def gens(self):
+        """The generators given, or the basis decoded afresh if none were."""
         if self._gens is None:
-            self._gens = tuple(self.basis_polys())
+            return tuple(self.basis_polys())
         return self._gens
 
     def _raw_gens(self):
@@ -564,9 +555,8 @@ class GradedIdeal:
         return basis
 
     def groebner_raw(self):
-        if self._gb is None:
-            self._gb = self._basis().unpack()
-        return self._gb
+        """The reduced basis as fresh exponent dicts, smallest lead first."""
+        return self._basis().unpack()
 
     def _divide(self, poly, with_cof):
         """(layout, remainder, cofactors if asked for) of poly by the basis, packed."""
@@ -598,7 +588,7 @@ class GradedIdeal:
                 [GradedPoly._clean(amb, lay.unpack(c)) for c in cof])
 
     def basis_polys(self):
-        return [GradedPoly._clean(self.ambient, dict(b)) for b in self.groebner_raw()]
+        return [GradedPoly._clean(self.ambient, b) for b in self.groebner_raw()]
 
     def same_ideal(self, other: "GradedIdeal") -> bool:
         return self.groebner_raw() == other.groebner_raw()
@@ -614,59 +604,33 @@ def saturate(ideal: GradedIdeal) -> GradedIdeal:
     Groebner basis of J : e0^infinity (Bayer-Stillman, Invent. Math. 87, 1987;
     Eisenbud, Commutative Algebra, Prop. 15.12).
 
-    When every generator of I is homogeneous, J is I: its basis is I's own,
-    and the divided basis only needs inter-reducing, on packed keys (every
-    S-pair of a Groebner basis reduces to zero, so ``_buchberger`` on it would
-    end in the same ``_reduce_basis`` call on the same list).
-
-    Otherwise each generator f becomes f^h = h^deg(f) * f(X/h, e0/h) with a
-    new variable h just before e0, and J = <f^h>.  Setting h = 1 commutes
-    with saturating at e0:
+    Each generator f of I becomes f^h = h^deg(f) * f(X/h, e0/h) with a new
+    variable h just before e0, and J = <f^h>.  Setting h = 1 commutes with
+    saturating at e0:
     - if e0^k * F lies in J, setting h = 1 puts e0^k * F(h=1) in I;
     - if e0^k * f = sum a_i * f_i in I, homogenizing that identity gives
       h^m * e0^k * f^h = sum h^(m_i) * a_i^h * f_i^h in J for some m, m_i >= 0,
       so h^m * f^h lies in J : e0^infinity, and setting h = 1 returns f.
     So setting h = 1 in a basis of J : e0^infinity gives generators of
     I : e0^infinity; a second Buchberger run makes them the reduced basis,
-    as setting h = 1 can change which term leads.
+    as setting h = 1 can change which term leads.  Every ideal takes these
+    two runs, homogeneous or not; I's own basis is not built for them.
 
     The ideal returned is marked saturated, and saturating a marked ideal
     returns it as it is."""
     if ideal._saturated:
         return ideal
-    amb, p = ideal.ambient, ideal.ambient.p
-    gens = [g.terms for g in ideal.gens]
-    if _homogeneous(gens):
-
-        def run(width):
-            basis = ideal._basis(width)
-            lay = basis.lay
-            # each element's least e0 exponent, from its largest e0 field
-            eshift, mask = lay.shifts[-1], lay.mask
-            ks = [lay.off - max([m >> eshift & mask for m in b]) for b in basis.polys]
-            if not any(ks):
-                # a reduced basis that e0 divides nowhere is already the
-                # divided one's reduced basis, term order included
-                return basis
-            # dividing by e0^k takes k times e0's weight from every key
-            w = lay.weights[-1]
-            polys = [{m - k * w: c for m, c in b.items()} if k else b
-                     for b, k in zip(basis.polys, ks)]
-            divs = [_divisor(b, p, lay) if k else d for b, k, d in zip(polys, ks, basis.divs)]
-            return _reduce_basis(polys, divs, p, lay)
-
-        basis = ideal._basis()
-        return GradedIdeal._from_basis(amb, basis and _widening(basis.lay.width, run), True)
+    p = ideal.ambient.p
     homog = []
-    for g in gens:
-        top = max(sum(m) for m in g)
-        homog.append({m[:-1] + (top - sum(m), m[-1]): c for m, c in g.items()})
+    for g in ideal.gens:
+        top = max(sum(m) for m in g.terms)
+        homog.append({m[:-1] + (top - sum(m), m[-1]): c for m, c in g.terms.items()})
     divided = []
     for b in _buchberger(homog, p).unpack():
         # each element is homogeneous, so dropping h merges no two terms
         k = min(m[-1] for m in b)
         divided.append({m[:-2] + (m[-1] - k,): c for m, c in b.items()})
-    return GradedIdeal._from_basis(amb, _buchberger(divided, p), True)
+    return GradedIdeal._from_basis(ideal.ambient, _buchberger(divided, p), True)
 
 
 def _homogeneous(gens) -> bool:

@@ -33,10 +33,14 @@ class ModelMismatch(ModelError):
 
 def truncation(T) -> int:
     """T as a degree cutoff: degrees are integers (every omega is 1), so a
-    rational T >= 0 truncates like its floor.  A negative T is refused."""
+    rational T >= 0 truncates like its floor, and anything else is refused."""
+    try:
+        cut = floor(T)
+    except (TypeError, ValueError, OverflowError):
+        raise ModelError(f"truncation weight T must be a finite rational, got {T!r}") from None
     if T < 0:
         raise ModelError(f"truncation weight T must be >= 0, got {T}")
-    return floor(T)
+    return cut
 
 
 def simplex(d: int, T: int):
@@ -96,7 +100,8 @@ class GroupModel:
         law = LAWS.get(kind)
         if law is None:
             raise ModelError(f"unknown model kind {kind!r}")
-        if not isinstance(d, int) or d < 0 or law.dim not in (None, d):
+        d = as_int(d, ModelError, f"{kind} model dimension")
+        if d < 0 or law.dim not in (None, d):
             want = "an integer >= 0" if law.dim is None else law.dim
             raise ModelError(f"{kind} model dimension must be {want}, got {d!r}")
         self.kind = kind
@@ -191,8 +196,7 @@ class GroupModel:
     def gpow(self, g: "GroupElement", t: int) -> "GroupElement":
         """g**t for an integer t (closed form on chart coordinates)."""
         self._require_same(g.model)
-        if not isinstance(t, int):
-            raise ModelError(f"group power exponent must be an integer, got {t!r}")
+        t = as_int(t, ModelError, "group power exponent")
         return self._law_result(self.law.pow(self.p, g.coords, t), g.exact)
 
     # -- valuation data ----------------------------------------------------

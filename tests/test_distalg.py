@@ -1165,6 +1165,18 @@ class TestTruncationRule:
         with pytest.raises(ModelError, match=r"^truncation weight T must be >= 0, got -1$"):
             TRUNCATION_ENTRY_POINTS[entry](-1)
 
+    @pytest.mark.parametrize("entry, bad", [
+        (entry, bad) for entry in sorted(TRUNCATION_ENTRY_POINTS)
+        for bad in (inf, math.nan, "12", None)
+        # these read None as the default weight
+        if not (bad is None and entry in ("dirac_combination", "lie_generator", "monomial",
+                                          "mul"))])
+    def test_no_finite_floor_is_refused(self, entry, bad):
+        # inf, nan, a string and None escaped as OverflowError, ValueError
+        # or TypeError
+        with pytest.raises(ModelError, match=r"^truncation weight T must be a finite rational"):
+            TRUNCATION_ENTRY_POINTS[entry](bad)
+
     def test_ints_past_the_rule(self):
         model = GroupModel.abelian(2, P, prec=6, max_weight=Fraction(13, 2))
         assert type(Distribution.one(model).T) is int
@@ -1241,6 +1253,12 @@ INTEGER_ENTRY_POINTS = {
         GroupModel("abelian", p, 2, prec=6, max_weight=4).element([1, 2]))), 5, ModelError),
     "GroupModel prec": IntegerEntry(lambda n: serialize_distribution(Distribution.dirac(
         GroupModel.abelian(2, P, prec=n, max_weight=4).element([1, 2]))), 6, ModelError),
+    "GroupModel d": IntegerEntry(lambda d: GroupModel("abelian", P, d, prec=6, max_weight=4).id,
+                                 2, ModelError),
+    "GroupModel.gpow": IntegerEntry(lambda t: heis().gpow(heis().element([1, 2, 3]), t).coords,
+                                    2, ModelError),
+    "lie_generator index": IntegerEntry(lambda i: serialize_distribution(
+        lie_generator(ab(2), i, 4)), 1, DistError),
     "mahler_coeffs cap": IntegerEntry(lambda A: serialize_mahler(
         mahler_coeffs(FunctionSpec.monomial(2, P, (2, 1)), A, prec=6)), 2, MahlerError),
     "mahler_coeffs prec": IntegerEntry(lambda n: serialize_mahler(
@@ -1301,8 +1319,9 @@ def _spellings(entry):
 
 
 # inputs that a reader without the rule stored, or refused with an error
-# that is not its module's: a stored negative key makes lambda * 1 != lambda
-# and writes a file that does not parse, and a short one breaks mul
+# that is not its module's, each with the error now raised or the value now
+# returned: a stored negative key makes lambda * 1 != lambda and writes a file
+# that does not parse, and a short one breaks mul
 INTEGER_DEFECTS = {
     "negative-key": (lambda: Distribution(heis(), {(-1, 2, 0): (1, 12, 0)}, 4, Enclosure.EXACT),
                      DistError),
@@ -1324,6 +1343,10 @@ INTEGER_DEFECTS = {
     # the prime test looped for ever on an infinite p, and passed a NaN
     "model-prime-inf": (lambda: GroupModel("abelian", inf, 2), ModelError),
     "model-prime-nan": (lambda: GroupModel("abelian", math.nan, 2), ModelError),
+    # a dimension True was stored as is: the id read abelian:True:5, and
+    # every file the model wrote failed to parse
+    "model-d-true": (lambda: parse_distribution(serialize_distribution(
+        Distribution.one(GroupModel("abelian", 5, True)))).model.id, "abelian:1:5"),
 }
 
 
@@ -1349,9 +1372,12 @@ class TestIntegerRule:
 
     @pytest.mark.parametrize("name", sorted(INTEGER_DEFECTS))
     def test_named_defects(self, name):
-        make, error = INTEGER_DEFECTS[name]
-        with pytest.raises(error):
-            make()
+        make, want = INTEGER_DEFECTS[name]
+        if isinstance(want, str):
+            assert make() == want
+        else:
+            with pytest.raises(want):
+                make()
 
 
 class TestCallerTriples:

@@ -88,13 +88,6 @@ class TestPolyArithmetic:
         f = GradedPoly.parse(a, "1*e0^2*X1")
         assert f.shift_e0(-2).shift_e0(2) == f
 
-    def test_homogeneous_degrees(self):
-        a = amb(2, s=Fraction(1, 2))
-        f = GradedPoly.parse(a, "1*X1 + 1*X2")
-        assert f.is_homogeneous() and f.degrees() == {Fraction(1, 2)}
-        g = GradedPoly.parse(a, "1*e0 + 1*X1^2")
-        assert g.is_homogeneous()  # deg e0 = 1 = 2s
-
     @given(st.integers(1, 4), st.integers(1, 4))
     @settings(max_examples=20, deadline=None)
     def test_distributivity_sampled(self, i, j):
@@ -351,8 +344,9 @@ class TestEngineMatchesReference:
 
 
 class TestBasisReuse:
-    """saturate keeps the basis of a homogeneous ideal, which it computes on
-    the way, as that ideal's own basis."""
+    """An ideal keeps one packed basis: grade_cyclic builds it on the way for
+    a homogeneous ideal, each read decodes fresh dicts from it, and saturate
+    builds none."""
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_homogeneous_ideal_keeps_its_basis(self, family):
@@ -371,6 +365,25 @@ class TestBasisReuse:
         grade_cyclic(ideal, 2)
         assert _items(ideal.groebner_raw()) == _items(groebner_grevlex(ideal._raw_gens(), P))
         assert list(ideal.groebner_raw()[0]) == [(0, 1, 1), (2, 0, 0), (1, 1, 0)]
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_decoded_basis_is_a_copy(self, family):
+        # every read decodes the same dicts afresh, so a caller that changes
+        # them changes no later read; an ideal built from a basis (the
+        # ideal's own, shared, or a saturation's) has that basis as its gens
+        for _, ideal, _, _ in seeded_ideals(family, 5, 3):
+            for I in (ideal.groebner(), saturate(ideal)):
+                first = I.groebner_raw()
+                want = _items(first)
+                assert first and _items(I.groebner_raw()) == want
+                for b in first:
+                    lead = next(iter(b))
+                    b[lead] = 0
+                    b[(9,) * len(lead)] = 1
+                first.append({})
+                for poly in I.basis_polys() + list(I.gens):
+                    poly.terms.clear()
+                assert _items(I.groebner_raw()) == _items(g.terms for g in I.gens) == want
 
     @pytest.mark.parametrize("gens", [("X1+e0^2", "X2*X1"), ROADMAP_GENS])
     def test_inhomogeneous_ideal_is_left_alone(self, gens):
@@ -410,10 +423,12 @@ def _divided(basis):
     return out
 
 
-class TestOneRunSaturation:
-    """For a homogeneous ideal, saturate inter-reduces the e0-divided basis
-    instead of running Buchberger on it again; the result is the full run's,
-    term order included.  Other ideals still take the second run."""
+class TestSaturationMatchesBayer:
+    """saturate's one path gives the reduced basis of I : e0^infinity, term
+    order included, on homogeneous and inhomogeneous ideals alike: for a
+    homogeneous ideal, that of its own basis divided by e0, and for every
+    ideal the reference's.  A saturation is marked, and saturating it again
+    runs nothing."""
 
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("p", [3, 5, 7])
@@ -645,7 +660,9 @@ def _counting_runs(monkeypatch):
 
 class TestOneBuchbergerRun:
     """An ideal's basis comes from one ``_buchberger`` run, whatever is asked
-    of the ideal and in whatever order; that run's length is the basis size."""
+    of the ideal and in whatever order; that run's length is the basis size.
+    Saturating an unmarked ideal adds two runs of its own, and a marked one
+    none."""
 
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("p", [3, 5, 7])
@@ -657,16 +674,25 @@ class TestOneBuchbergerRun:
                 lambda: ideal.groebner_raw(),
                 lambda: ideal.reduce(member),
                 lambda: ideal.contains(probe),
-                lambda: saturate(ideal),
-                lambda: saturate(saturate(ideal)),
                 lambda: grade_cyclic(ideal, d),
+                lambda: saturate(ideal),
             ]
-            # a different call first for each ideal
+            # a different call first for each ideal; saturating takes two
+            # runs of its own, on the homogenized ideal and on the divided
+            # basis, and every other call shares the ideal's one run
+            own = []
             k = i % len(calls)
             for call in calls[k:] + calls[:k]:
-                call()
-            assert len(runs) == 1
-            assert len(runs[0]) == len(ideal.groebner_raw())
+                before = len(runs)
+                out = call()
+                if call is calls[-1]:
+                    sat, sat_runs = out, runs[before:]
+                else:
+                    own += runs[before:]
+            assert len(own) == 1 and len(own[0]) == len(ideal.groebner_raw())
+            assert len(sat_runs) == 2 and len(sat_runs[1]) == len(sat.groebner_raw())
+            # the saturation is marked: saturating it again runs nothing
+            assert saturate(sat) is sat and len(runs) == 3
 
     def test_inhomogeneous_ideal(self, monkeypatch):
         runs = _counting_runs(monkeypatch)
@@ -820,12 +846,3 @@ class TestAmbientDiscipline:
         assert GradedAmbient(P, 2, (Fraction(1), 1), Fraction(1, 2)) == amb(2)
         assert hash(GradedAmbient(P, 2, [1, 1], Fraction(1, 2))) == hash(amb(2))
         assert amb(0) == GradedAmbient(P, 0, [], Fraction(1, 2))
-
-    def test_monomial_degree(self):
-        rng = random.Random("monomial-degree")
-        for _ in range(200):
-            d = rng.randint(0, 4)
-            s = Fraction(rng.randint(1, 8), 8)
-            mon = tuple(rng.randint(0, 6) for _ in range(d)) + (rng.randint(-5, 5),)
-            deg = amb(d, s).monomial_degree(mon)
-            assert deg == mon[-1] + s * sum(mon[:-1]) and type(deg) is Fraction
