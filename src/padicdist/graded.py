@@ -24,7 +24,6 @@ from __future__ import annotations
 from fractions import Fraction
 import functools
 import heapq
-import itertools
 from math import inf
 from operator import mul
 import re
@@ -43,7 +42,9 @@ class AmbientMismatch(GradedError):
 class GradedAmbient:
     """Parameters (p, d, s) shared by all polynomials of one ring, with
     omega = 1 on every generator.  The third argument is kept only for
-    callers that still pass the weights; it must be d ones."""
+    callers that still pass the weights; it must be d ones.  s is read as a
+    radius exponent is (``distalg.RadiusParam``): an exact rational with
+    0 < s <= 1."""
 
     __slots__ = ("p", "d", "s")
 
@@ -53,14 +54,21 @@ class GradedAmbient:
             raise GradedError(f"dimension d must be >= 0, got {d}")
         if tuple(omegas) != (1,) * d:
             raise GradedError(f"every generator weight omega must be 1, got {tuple(omegas)}")
-        for name, value in (("p", p), ("d", d), ("s", Fraction(s))):
+        try:
+            s = Fraction(s)
+        except (TypeError, ValueError, OverflowError):
+            raise GradedError(f"radius exponent s {s!r} is not a rational number") from None
+        # a Fraction's denominator is positive
+        if not 0 < s.numerator <= s.denominator:
+            raise GradedError(f"radius exponent s must satisfy 0 < s <= 1, got {s}")
+        for name, value in (("p", p), ("d", d), ("s", s)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, *a):
         raise AttributeError("GradedAmbient is immutable")
 
     def __eq__(self, other):
-        return (
+        return other is self or (
             isinstance(other, GradedAmbient)
             and (self.p, self.d, self.s) == (other.p, other.d, other.s)
         )
@@ -87,7 +95,8 @@ class GradedPoly:
         for mon, c in terms.items():
             # integral entries only, so that distinct monomials stay distinct
             key = int_tuple(mon, n, GradedError, "monomial")
-            if min(key[:-1], default=0) < 0:
+            # e0's exponent, the last, may be negative
+            if min(key) < 0 and min(key[:-1], default=0) < 0:
                 raise GradedError("X exponents must be non-negative")
             c = as_int(c, GradedError, "coefficient") % p
             if c:
@@ -260,16 +269,24 @@ class _Layout:
       keeps the fields and G is the guard mask: each field of l_low | G minus
       the one of m_low keeps its guard exactly when it is not smaller, and no
       field borrows from the next;
-    - the lcm is the field-wise minimum, with the degree recomputed.
+    - the lcm is the field-wise minimum, with the degree recomputed from the
+      sum of its fields, taken two fields at a time: the even fields, and the
+      odd ones shifted down, each lie one to a 2W-bit chunk, and a number's
+      chunks sum to it mod 2^2W - 1.
     A term built out of range sets the guard of its lowest field out of range,
     and the engine raises ``_FieldOverflow`` there, as ``pack`` does for an
     exponent out of range; its callers then redo the whole call at twice the
-    width, from 16 (``_widening``), so that no key ever wraps."""
+    width, from 16 (``_widening``), so that no key ever wraps.  A layout whose
+    chunk sums could reach that modulus (2^(W+2) - 1 exponents or more)
+    raises it on construction."""
 
     __slots__ = ("n", "width", "off", "base", "low", "guards", "top", "mask", "shifts",
-                 "weights", "enc", "dec")
+                 "weights", "evens", "chunk_mod", "enc", "dec")
 
     def __init__(self, n, width):
+        # lcm sums (n+1)//2 fields, each below 2^(W-1), in one chunk
+        if (n + 1) // 2 << width - 1 >= (1 << 2 * width) - 1:
+            raise _FieldOverflow
         self.n, self.width = n, width
         self.off = 1 << width - 2
         self.shifts = tuple(range(0, n * width, width))
@@ -280,6 +297,8 @@ class _Layout:
         self.mask = (1 << width) - 1
         # a_j adds a_j to the degree and takes a_j from its field
         self.weights = tuple((1 << self.top) - (1 << s) for s in self.shifts)
+        self.evens = sum(self.mask << s for s in self.shifts[::2])
+        self.chunk_mod = (1 << 2 * width) - 1
         # exponent tuple -> key and back, filled on first use and dropped
         # with the layout, when ``_layout``'s cache is cleared
         self.enc, self.dec = {}, {}
@@ -318,8 +337,8 @@ class _Layout:
         # value bits, where b's field (the larger exponent) is taken
         ge = ((a | self.guards) - b) & self.guards
         low = a ^ (a ^ b) & ge - (ge >> self.width - 1)
-        mask = self.mask
-        deg = self.n * self.off - sum([low >> s & mask for s in self.shifts])
+        evens, mod = self.evens, self.chunk_mod
+        deg = self.n * self.off - (low & evens) % mod - (low >> self.width & evens) % mod
         return (deg << self.top) + low
 
 
@@ -355,13 +374,15 @@ def _reduce(work, divisors, p, lay, cof=None):
     whose lead divides it; cof, if given, is one dict per divisor and
     collects the q_i."""
     low, guards, base = lay.low, lay.guards, lay.base
+    lguards = [div[1] for div in divisors]
     rem = {}
     while work:
         m = max(work)
         c = work.pop(m)
         mlow = m & low
-        for i, (lm, lguard, inv, tail) in enumerate(divisors):
+        for i, lguard in enumerate(lguards):
             if (lguard - mlow) & guards == guards:
+                lm, _, inv, tail = divisors[i]
                 shift = m - lm
                 f = c * inv % p
                 if cof is not None:
@@ -383,10 +404,10 @@ def _reduce(work, divisors, p, lay, cof=None):
     return rem
 
 
-def _spoly(f, g, p, lay):
-    """S-polynomial of two divisors; their leads cancel and are never formed."""
+def _spoly(f, g, l, p, lay):
+    """S-polynomial of two divisors whose leads have the lcm l; the leads
+    cancel and are never formed."""
     (lf, _, cf, tf), (lg, _, cg, tg) = f, g
-    l = lay.lcm(lf, lg)
     guards = lay.guards
     out = {}
     for shift, tail, scale in ((l - lf, tf, cf), (l - lg, tg, -cg)):
@@ -422,7 +443,12 @@ def _buchberger(gens, p) -> _Basis:
     Moeller's update (J. Symb. Comp. 6, 1988): criteria B, M and F and the
     product criterion.  ``active`` is their G: an element whose lead a later
     lead divides stops taking new pairs and dividing, though pairs already
-    queued with it stay."""
+    queued with it stay.  So every element outside the final ``active`` has a
+    lead that an active lead divides, and every element the loop adds is
+    reduced by the ``active`` of its time, so that no earlier lead divides
+    its lead; only a generator can tie with an earlier lead or be divided by
+    one.  The minimal basis is therefore read off ``active`` and the
+    generators (``_reduce_basis``)."""
     gens = [g for g in gens if g]
     if not gens:
         return _Basis(None, [], [])
@@ -434,72 +460,111 @@ def _buchberger_packed(gens, p, lay):
     """``_buchberger`` on the keys of the layout lay."""
     basis = [lay.pack(g) for g in gens]
     lcm, low, guards, top = lay.lcm, lay.low, lay.guards, lay.top
-    divs, active, pairs = [], [], []
+    divs, pairs = [], []
+    # the active elements and their divisors, in the same order
+    active, reducers = [], []
 
     def update(k):
-        nonlocal pairs, active
+        nonlocal pairs, active, reducers
         h, hguard = divs[k][:2]
-        cands = []
-        for t in active:
-            lt = divs[t][0]
+        hdeg = h >> top
+        # (lcm with h, its fields with the guards set, partner, coprime) for
+        # each active partner; partners whose lead h divides leave ``active``
+        cands, stay = [], []
+        for t, (lt, _, _, _) in zip(active, reducers):
             l = lcm(h, lt)
             # the lcm is the product exactly when the degrees add
-            cands.append((l, t, l >> top == (h >> top) + (lt >> top)))
+            cands.append((l, l & low | guards, t, l >> top == hdeg + (lt >> top)))
+            stay.append((hguard - (lt & low)) & guards != guards)
         # M and F: drop a new pair whose lcm another new pair's lcm divides,
         # keeping one of each equal lcm; coprime pairs stay to the end as
         # witnesses, then go by the product criterion
         kept = []
-        for n, (l, t, coprime) in enumerate(cands):
-            llow = l & low
-            if coprime or not any(
-                ((o[0] & low | guards) - llow) & guards == guards
-                for o in itertools.chain(cands[n + 1:], kept)
-            ):
-                kept.append((l, t, coprime))
+        for n, cand in enumerate(cands):
+            if cand[3]:
+                kept.append(cand)
+                continue
+            llow = cand[1] ^ guards
+            for o in kept:
+                if (o[1] - llow) & guards == guards:
+                    break
+            else:
+                for o in cands[n + 1:]:
+                    if (o[1] - llow) & guards == guards:
+                        break
+                else:
+                    kept.append(cand)
         # B: an old pair (i, j) goes when h divides its lcm and neither lcm
-        # with h equals it
-        pairs = [
-            pr for pr in pairs
-            if (hguard - (pr[0] & low)) & guards != guards
-            or lcm(divs[pr[1]][0], h) == pr[0]
-            or lcm(divs[pr[2]][0], h) == pr[0]
-        ]
-        pairs.extend((l, k, t) for l, t, coprime in kept if not coprime)
+        # with h equals it; an active partner's lcm with h is in cands
+        old, pairs, with_h = pairs, [], None
+        for pr in old:
+            l, i, j = pr
+            if (hguard - (l & low)) & guards == guards:
+                if with_h is None:
+                    with_h = {t: lh for lh, _, t, _ in cands}
+                if ((with_h[i] if i in with_h else lcm(divs[i][0], h)) != l
+                        and (with_h[j] if j in with_h else lcm(divs[j][0], h)) != l):
+                    continue
+            pairs.append(pr)
+        pairs.extend((l, k, t) for l, _, t, coprime in kept if not coprime)
         heapq.heapify(pairs)
-        active = [t for t in active if (hguard - (divs[t][0] & low)) & guards != guards] + [k]
+        if not all(stay):
+            active = [t for t, s in zip(active, stay) if s]
+            reducers = [d for d, s in zip(reducers, stay) if s]
+        active.append(k)
+        reducers.append(divs[k])
 
     for k, b in enumerate(basis):
         divs.append(_divisor(b, p, lay))
         update(k)
-    reducers = [divs[t] for t in active]
     while pairs:
-        _, i, j = heapq.heappop(pairs)
-        r = _reduce(_spoly(divs[i], divs[j], p, lay), reducers, p, lay)
+        l, i, j = heapq.heappop(pairs)
+        r = _reduce(_spoly(divs[i], divs[j], l, p, lay), reducers, p, lay)
         if r:
             basis.append(r)
             divs.append(_divisor(r, p, lay))
             update(len(basis) - 1)
-            reducers = [divs[t] for t in active]
-    return _reduce_basis(basis, divs, p, lay)
+    return _reduce_basis(basis, divs, active, len(gens), p, lay)
 
 
-def _reduce_basis(basis, divs, p, lay) -> _Basis:
+def _reduce_basis(basis, divs, active, ngens, p, lay) -> _Basis:
     """Minimalize, then inter-reduce and make monic (the reduced basis), given
-    each element's divisor.  Among elements with equal leads the first is
-    kept, so a basis of one generator keeps that generator's term order."""
+    each element's divisor, the pair loop's final ``active`` and the number
+    of generators, which come first.  Among elements with equal leads the
+    first is kept, so a basis of one generator keeps that generator's term
+    order.
+
+    The minimal elements are found among ``active`` and the generators alone:
+    an element outside both has a lead that an active lead divides, and no
+    later one (``_buchberger``).  An active element the loop added is always
+    minimal, as no other lead divides its own; a generator is dropped when
+    another candidate's lead divides its lead, unless the two are equal and
+    the generator comes first."""
     low, guards = lay.low, lay.guards
-    keep = [i for i, (lm, _, _, _) in enumerate(divs) if not any(
-        j != i and (dj[1] - (lm & low)) & guards == guards and (dj[0] != lm or j < i)
-        for j, dj in enumerate(divs))]
-    out, kept = [], [divs[i] for i in keep]
-    for i in keep:
-        lead = divs[i][0]
-        others = [d for d in kept if d[0] != lead]
+    cands = sorted(set(active).union(range(ngens)))
+    keep = []
+    for i in cands:
+        if i < ngens:
+            lm = divs[i][0]
+            mlow = lm & low
+            if any(j != i and (divs[j][1] - mlow) & guards == guards
+                   and (divs[j][0] != lm or j < i) for j in cands):
+                continue
+        keep.append(i)
+    kept = [divs[i] for i in keep]
+    out = []
+    for i, div in zip(keep, kept):
+        lead = div[0]
+        others = [d for d in kept if d is not div]
         r = _reduce(dict(basis[i]), others, p, lay) if others else dict(basis[i])
         f = pow(r[lead], -1, p)
-        out.append({m: c * f % p for m, c in r.items()})
-    out.sort(key=max)
-    return _Basis(lay, out, [_divisor(b, p, lay) for b in out])
+        if f != 1:
+            r = {m: c * f % p for m, c in r.items()}
+        out.append((lead, r))
+    out.sort(key=lambda lr: lr[0])
+    return _Basis(lay, [r for _, r in out],
+                  [(lead, lead & low | guards, 1, [(m, c) for m, c in r.items() if m != lead])
+                   for lead, r in out])
 
 
 # -- ideals -----------------------------------------------------------------
@@ -584,8 +649,8 @@ class GradedIdeal:
             return poly, []
         amb = self.ambient
         lay, rem, cof = self._divide(poly, True)
-        return (GradedPoly._clean(amb, lay.unpack(rem)),
-                [GradedPoly._clean(amb, lay.unpack(c)) for c in cof])
+        unpack, clean = lay.unpack, GradedPoly._clean
+        return clean(amb, unpack(rem)), [clean(amb, unpack(c) if c else {}) for c in cof]
 
     def basis_polys(self):
         return [GradedPoly._clean(self.ambient, b) for b in self.groebner_raw()]
@@ -645,30 +710,68 @@ def krull_dim(ideal: GradedIdeal) -> int:
 
 
 def _lead_supports(basis: _Basis, strike_e0=False):
-    """Each lead's support as a bitmask of exponent slots, bit i for slot i:
-    the lead's fields that are not OFF, e0's field left out if asked."""
+    """Each lead's support as a bitmask of exponent slots, the guard bit of
+    each field that is not OFF (a nonzero exponent), e0's field left out if
+    asked.  A field's xor with OFF lies below its guard, and is nonzero
+    exactly when adding the guard less one reaches the guard."""
     if not basis:
         return []
-    off, mask, shifts = basis.lay.off, basis.lay.mask, basis.lay.shifts
+    lay = basis.lay
+    guards = lay.guards
     if strike_e0:
-        shifts = shifts[:-1]
-    return [sum(1 << i for i, s in enumerate(shifts) if div[0] >> s & mask != off)
-            for div in basis.divs]
+        guards ^= 1 << lay.top - 1
+    fill, base, low = guards - (guards >> lay.width - 1), lay.base, lay.low
+    return [((div[0] ^ base) & low) + fill & guards for div in basis.divs]
 
 
 def _independent_dim(supports, nvars) -> int:
     """Krull dimension of F_p[x_1..x_nvars]/M for the monomial ideal M whose
     generators have these supports: the size of the largest set of variables
     that holds no support (an independent set modulo M); -1 for the unit
-    ideal, the zero ring."""
+    ideal, the zero ring.  A set holds no support exactly when the variables
+    outside it meet every support, so the dimension is nvars less the least
+    number of variables that meets every support (``_least_cover``)."""
     if 0 in supports:
         return -1
-    best = 0
-    for subset in range(1 << nvars):
-        size = subset.bit_count()
-        if size > best and all(sup & ~subset for sup in supports):
-            best = size
-    return best
+    return nvars - _least_cover(sorted(set(supports), key=lambda s: (s.bit_count(), s)), nvars)
+
+
+def _least_cover(supports, bound):
+    """The least number of variables that meets every support (bitmasks,
+    smallest first), or bound if that is less.  A support no chosen variable
+    meets yet needs one of its own variables, so the search branches on the
+    variables of the smallest such support, those in the most supports
+    first; a variable that is a support on its own is taken without a branch.
+    Supports that share no variable need one variable each, so a branch with
+    more of them than it may take is dropped."""
+    forced = 0
+    for s in supports:
+        if s & s - 1:
+            break
+        forced |= s
+    if forced:
+        taken = forced.bit_count()
+        if taken >= bound:
+            return bound
+        return taken + _least_cover([s for s in supports if not s & forced], bound - taken)
+    if not supports:
+        return 0
+    met = need = 0
+    for s in supports:
+        if not s & met:
+            met |= s
+            need += 1
+    if need >= bound:
+        return bound
+    smallest = supports[0]
+    options = []
+    while smallest:
+        var = smallest & -smallest
+        smallest ^= var
+        options.append((-sum(1 for s in supports if s & var), var))
+    for _, var in sorted(options):
+        bound = min(bound, 1 + _least_cover([s for s in supports if not s & var], bound - 1))
+    return bound
 
 
 def grade_cyclic(J: GradedIdeal, d: int):

@@ -68,6 +68,8 @@ def vp_factorial(k: int, p: int) -> int:
 
 def as_int(x, error, what) -> int:
     """x as an int when it is integral, else refused with ``error``."""
+    if type(x) is int:
+        return x
     try:
         n = int(x)
         if n == x:
@@ -80,6 +82,10 @@ def as_int(x, error, what) -> int:
 def int_tuple(x, d, error, what, nonnegative=False) -> tuple:
     """x as a tuple of d ints, when it is an iterable of d integral entries
     (>= 0 where asked), else refused with ``error``."""
+    # a tuple of d ints is read as it is
+    if (type(x) is tuple and len(x) == d and {*map(type, x)} <= {int}
+            and not (nonnegative and x and min(x) < 0)):
+        return x
     try:
         x = tuple(x)
         ints = tuple(map(int, x))

@@ -18,6 +18,11 @@ deglex basis as a list of ``{monomial: coefficient}`` dicts:
   ideal stops growing.
 
 Both are slow on some inputs and exist only to check ``graded.saturate``.
+
+Two of ``graded``'s own steps are kept here in the forms they replaced:
+``reduce_basis_all_elements`` minimalizes a packed basis by testing every
+pair of elements the pair loop made, and ``independent_dim_scan`` finds a
+Krull dimension by trying every subset of the variables.
 """
 
 import heapq
@@ -262,4 +267,44 @@ def krull_dim_frozensets(basis, nvars):
             continue
         if all(not sup <= subset for sup in supports):
             best = len(subset)
+    return best
+
+
+# -- graded's steps in the forms they replaced ---------------------------------
+
+
+def reduce_basis_all_elements(basis, divs, p, lay):
+    """``graded._reduce_basis`` as it minimalized before it read the pair
+    loop's ``active`` set: an element is dropped when any other element's
+    lead divides its lead, unless the two leads are equal and it comes
+    first; then inter-reduced and made monic, smallest lead first."""
+    from padicdist.graded import _Basis, _divisor, _reduce
+
+    low, guards = lay.low, lay.guards
+    keep = [i for i, (lm, _, _, _) in enumerate(divs) if not any(
+        j != i and (dj[1] - (lm & low)) & guards == guards and (dj[0] != lm or j < i)
+        for j, dj in enumerate(divs))]
+    out, kept = [], [divs[i] for i in keep]
+    for i in keep:
+        lead = divs[i][0]
+        others = [d for d in kept if d[0] != lead]
+        r = _reduce(dict(basis[i]), others, p, lay) if others else dict(basis[i])
+        f = pow(r[lead], -1, p)
+        out.append({m: c * f % p for m, c in r.items()})
+    out.sort(key=max)
+    return _Basis(lay, out, [_divisor(b, p, lay) for b in out])
+
+
+def independent_dim_scan(supports, nvars):
+    """Krull dimension of F_p[x_1..x_nvars]/M for the monomial ideal M whose
+    generators have these supports (bitmasks), by trying every subset of the
+    variables: the size of the largest that holds no support; -1 for the
+    unit ideal."""
+    if 0 in supports:
+        return -1
+    best = 0
+    for subset in range(1 << nvars):
+        size = subset.bit_count()
+        if size > best and all(sup & ~subset for sup in supports):
+            best = size
     return best

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import product
+import math
 from math import inf
 import random
 
@@ -12,7 +13,9 @@ from graded_reference import (
     _grevlex_key,
     grade_grevlex,
     groebner_grevlex,
+    independent_dim_scan,
     krull_dim_frozensets,
+    reduce_basis_all_elements,
     reduce_grevlex,
     saturate_bayer,
     saturate_by_quotients,
@@ -69,8 +72,18 @@ class TestPolyArithmetic:
             GradedPoly(amb(2), terms)
 
     def test_accepts_integral_exponents_of_any_type(self):
+        # a tuple of ints is taken as it is; any other spelling is read as
+        # plain ints, bools and int subclasses included
+        class Int(int):
+            pass
+
         a = amb(2)
-        assert GradedPoly(a, {(1.0, 0, Fraction(2)): 3}) == GradedPoly(a, {(1, 0, 2): 3})
+        want = GradedPoly(a, {(1, 0, 2): 3})
+        for mon, c in [((1.0, 0, Fraction(2)), 3), ((True, False, 2), 3.0),
+                       ((Int(1), 0, Int(2)), Int(8)), ((1, 0, 2), True + 2)]:
+            got = GradedPoly(a, {mon: c})
+            assert got == want
+            assert [type(e) for m, c in got.terms.items() for e in (*m, c)] == [int] * 4
 
     def test_coefficients_mod_p(self):
         a = amb(1)
@@ -338,6 +351,76 @@ class TestEngineMatchesReference:
             for poly in (member, probe):
                 rem, cof = ideal.reduce(poly)
                 ref_rem, ref_cof = reduce_grevlex(poly.terms, ref, p)
+                assert list(rem.terms.items()) == list(ref_rem.items())
+                assert [list(c.terms.items()) for c in cof] == _items(ref_cof)
+            assert not ideal.reduce(member)[0].terms
+
+
+# ideals whose generators tie or divide one another, where the minimal basis
+# cannot be read off the pair loop's active set alone
+EDGE_IDEALS = [
+    ("1", "e0"),
+    ("e0", "1"),
+    # two generators with one lead
+    ("2*e0*X2 + 1*X1^2 + 3*X1*X2", "2*X1^2 + 1*X1*X2 + 4*e0*X2"),
+    # a generator that divides a later one, and a later one that divides
+    ("X1", "X1*X2 + X2^2"),
+    ("X1*X2 + e0^2", "X1", "X2^2 + 2*e0*X1"),
+    # a repeated generator
+    ("X1^2 + e0*X2", "X1^2 + e0*X2", "X2^2 + X1*e0"),
+    ("3*X1^2 + e0*X2", "X1*X2", "X1^2 + 2*e0*X2"),
+]
+
+
+def edge_ideals():
+    a = amb(2)
+    rng = random.Random("edge-ideals")
+    for gens in EDGE_IDEALS:
+        ideal = GradedIdeal(a, [GradedPoly.parse(a, g) for g in gens])
+        member = GradedPoly.zero_poly(a)
+        for g in ideal.gens:
+            member = member + GradedPoly(a, {(rng.randint(0, 1), rng.randint(0, 1),
+                                              rng.randint(0, 1)): rng.randrange(1, P)}) * g
+        probe = GradedPoly(a, {(rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 2)):
+                               rng.randrange(1, P) for _ in range(3)})
+        yield 2, ideal, member, probe
+
+
+class TestMinimalSetFromPairLoop:
+    """``_reduce_basis`` reads the minimal basis off the pair loop's final
+    ``active`` set and the generators; testing every pair of elements, the
+    rule it replaced, gives the same bases, term order included, and so the
+    same remainders and cofactors."""
+
+    @staticmethod
+    def outputs(ideal, member, probe):
+        fresh = GradedIdeal(ideal.ambient, ideal.gens)
+        out = [_items(fresh.groebner_raw())]
+        for poly in (member, probe):
+            rem, cof = fresh.reduce(poly)
+            out.append((list(rem.terms.items()), [list(c.terms.items()) for c in cof]))
+        return out
+
+    @pytest.mark.parametrize("family, p", [
+        *((family, p) for family in FAMILIES for p in (3, 5, 7)), ("edge", P)])
+    def test_matches_all_elements_rule(self, family, p, monkeypatch):
+        cases = list(edge_ideals() if family == "edge" else seeded_ideals(family, p, 12))
+        got = [self.outputs(*case[1:]) for case in cases]
+        monkeypatch.setattr(
+            graded, "_reduce_basis",
+            lambda basis, divs, active, ngens, p, lay: reduce_basis_all_elements(
+                basis, divs, p, lay))
+        want = [self.outputs(*case[1:]) for case in cases]
+        assert got == want
+
+    def test_edge_ideals_match_reference(self):
+        for _, ideal, member, probe in edge_ideals():
+            raw = ideal._raw_gens()
+            ref = groebner_grevlex(raw, P)
+            assert _items(ideal.groebner_raw()) == _items(ref)
+            for poly in (member, probe):
+                rem, cof = ideal.reduce(poly)
+                ref_rem, ref_cof = reduce_grevlex(poly.terms, ref, P)
                 assert list(rem.terms.items()) == list(ref_rem.items())
                 assert [list(c.terms.items()) for c in cof] == _items(ref_cof)
             assert not ideal.reduce(member)[0].terms
@@ -633,6 +716,28 @@ class TestCodec:
                 lay.pack({(0, 0, 0): 1, mon: 2})
             assert mon not in lay.enc
 
+    @pytest.mark.parametrize("width", [16, 17, 40])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 9])
+    def test_lcm_is_the_exponentwise_max(self, n, width):
+        # the degree is summed from the fields two at a time; the ends of the
+        # range make the largest field sums
+        lay = graded._Layout(n, width)
+        off = lay.off
+        rng = random.Random(f"lcm:{n}:{width}")
+        ends = [-off + 1, -off + 2, -1, 0, 1, 2, off - 1, off]
+        for _ in range(200):
+            a, b = ([rng.choice(ends) if rng.random() < 0.5 else rng.randint(-off + 1, off)
+                     for _ in range(n)] for _ in range(2))
+            (ka,), (kb,), (want,) = (lay.pack({tuple(m): 1})
+                                     for m in (a, b, list(map(max, a, b))))
+            assert lay.lcm(ka, kb) == lay.lcm(kb, ka) == want
+
+    def test_too_many_exponents_for_the_width(self):
+        # (n+1)//2 fields below 2^15 no longer sum below 2^32 - 1; nothing is
+        # built before the refusal, and the engine redoes the call wider
+        with pytest.raises(graded._FieldOverflow):
+            graded._Layout((1 << 18) - 1, 16)
+
     def test_widths_keep_their_own_tables(self):
         graded._layout.cache_clear()
         narrow, wide = graded._layout(3, 16), graded._layout(3, 32)
@@ -790,6 +895,39 @@ class TestKrullDimension:
                 dims.add(want)
         assert len(dims) > 1
 
+    def test_least_cover_matches_scan(self):
+        # seeded support sets on up to 9 variables: each support a nonempty
+        # bitmask, and now and then the unit ideal's empty support
+        rng = random.Random("supports")
+        dims = set()
+        for _ in range(1500):
+            nvars = rng.randint(1, 9)
+            supports = [rng.randrange(1, 1 << nvars) if rng.random() > 0.02 else 0
+                        for _ in range(rng.randint(0, 7))]
+            supports = [sup & rng.randrange(1 << nvars) or sup for sup in supports]
+            want = independent_dim_scan(supports, nvars)
+            assert graded._independent_dim(supports, nvars) == want
+            dims.add(want)
+        assert dims == set(range(-1, 10))
+
+    def test_many_singleton_supports(self):
+        # variables that are supports on their own are taken without a branch,
+        # so the search does not recurse once per variable
+        n = 3000
+        assert graded._independent_dim([1 << i for i in range(n)], n + 1) == 1
+        assert graded._independent_dim([1 << i for i in range(0, n, 2)] + [3 << n], n + 2) == \
+            (n + 2) - n // 2 - 1
+
+    @pytest.mark.parametrize("d", [24, 40, 64])
+    def test_many_variables(self, d):
+        # the subset scan doubled its time with each variable
+        a = amb(d)
+        assert grade_cyclic(GradedIdeal(a, [var(a, 1)]), d) == 1
+        assert grade_cyclic(GradedIdeal(a, [var(a, i) for i in range(1, d + 1)]), d) == d
+        ideal = GradedIdeal(a, [var(a, i) * var(a, i + 1) for i in range(1, d)])
+        # the path X1 - X2 - ... - Xd needs every other variable to meet its edges
+        assert krull_dim(ideal) == (d + 1) - d // 2
+
 
 class TestDimensionAndGrade:
     def test_krull_table(self):
@@ -835,6 +973,17 @@ class TestAmbientDiscipline:
     def test_weights_other_than_ones_refused(self, omegas):
         with pytest.raises(GradedError, match="omega must be 1"):
             GradedAmbient(P, 2, omegas, Fraction(1, 2))
+
+    @pytest.mark.parametrize("s", ["x", None, math.nan, inf, -inf, 0.5j, -1, 0, 5,
+                                   Fraction(3, 2), Fraction(-1, 2)])
+    def test_s_must_be_rational_in_unit_interval(self, s):
+        # read as RadiusParam reads a radius exponent, refused with GradedError
+        with pytest.raises(GradedError, match="radius exponent s"):
+            GradedAmbient(P, 2, [1, 1], s)
+
+    @pytest.mark.parametrize("s", [1, Fraction(1, 2), 0.25, "3/4"])
+    def test_s_read_as_a_fraction(self, s):
+        assert GradedAmbient(P, 2, [1, 1], s).s == Fraction(s)
 
     def test_negative_d_refused(self):
         # with d = -1, (1,) * d is (), so the empty weights passed; its zero
