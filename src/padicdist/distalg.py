@@ -4,10 +4,9 @@ A distribution is held as a finite coefficient table over the monomials
 b^alpha = (h_1-1)^a1 ... (h_d-1)^ad up to a total-degree cutoff T,
 together with one ``Enclosure`` of everything it does not hold exactly: an
 error bound on each stored entry beyond its window, and lines (C, t), each
-asserting |d_alpha| <= C * p^(t * tau(alpha)), that hold at every unstored
-alpha or at every alpha.  ``norm`` reads the unstored lines only at
-weight_above(T), past the head, while ``mahler.pair`` reads them at every
-unstored degree (ROADMAP item 4(a)).
+asserting |d_alpha| <= C * p^(t * tau(alpha)), that hold at every alpha of
+degree above T or at every alpha.  The head is complete to T: every reader
+reads an unstored index of degree <= T as zero, to within the stored error.
 
 Every head entry (``coeffs``) and every coefficient of the Dirac witness
 (``dirac_terms``) is stored as a triple of ints (residue, prec, shift), the
@@ -114,14 +113,16 @@ class Enclosure(namedtuple("Enclosure", ("stored", "unstored", "cap"))):
     """What a distribution knows of the entries it does not hold exactly.
 
     Each line (C, t) is a bound on its own, |d_alpha| <= C p^(t tau(alpha)),
-    so a set of lines bounds by its least line at each alpha.  ``stored``
-    bounds each stored entry's error beyond its window; the ``unstored``
-    lines hold at every unstored alpha, and the ``cap`` lines at every
-    alpha, so every reader of the unstored entries reads them too.
-    ``EXACT`` (stored 0, the one unstored line (0, 0)) says the stored
-    entries are the distribution; the default, stored 0 and no line, bounds
-    nothing unstored.  A bound that is not a NormValue, or a growth that is
-    not an int or a Fraction, is refused with DistError.
+    so a set of lines bounds by its least line at each alpha.  The head is
+    complete to its T: ``stored`` bounds the error of each stored entry
+    beyond its window and of each unstored index of degree <= T, a zero;
+    the ``unstored`` lines hold at every alpha of degree above T, the
+    ``cap`` lines at every alpha.  ``EXACT`` (stored 0, the one unstored
+    line (0, 0)) says the stored entries are the distribution; the default
+    bounds nothing past T.  An unknown d_alpha of degree <= T is stored as
+    an uncertain entry, such as (0, 1, 1): |d| <= 1.  A bound that is not a
+    NormValue, or a growth that is not an int or a Fraction, is refused
+    with DistError.
     """
 
     __slots__ = ()
@@ -138,8 +139,8 @@ class Enclosure(namedtuple("Enclosure", ("stored", "unstored", "cap"))):
         return super().__new__(cls, stored, unstored, cap)
 
     def bound(self, tau=0, t=inf) -> NormValue | None:
-        """The least C p^(g tau) over the lines of growth g <= t that hold at
-        every unstored alpha; None for none."""
+        """The least C p^(g tau) over the lines of growth g <= t, which hold
+        at every unstored alpha of degree above T; None for none."""
         return min((C * NormValue(-g * tau) for C, g in self.unstored + self.cap if g <= t),
                    default=None)
 
@@ -210,12 +211,12 @@ class Distribution:
     ``scale`` also take ints, Fractions, PadicScalars and unreduced triples
     (``as_triple``).  An exact table keeps no ``known_zero`` entry.
 
-    ``enclosure`` bounds what the table does not hold exactly; the default
-    bounds nothing unstored.  ``exact`` says that it is ``Enclosure.EXACT``.
-    What the Dirac decomposition of an inexact head leaves out (its tail
-    and the errors of its entries) has coefficients bounded by the
-    enclosure's ``gap``; ``mul``, ``conjugate``, ``change_basis`` and ``+``
-    all take that bound from there.
+    ``enclosure`` bounds what the table does not hold exactly, the head
+    being complete to T; ``exact`` says that it is ``Enclosure.EXACT``.
+    What the Dirac decomposition of an inexact head leaves out (its tail,
+    its unstored zeros and the errors of its entries) has coefficients
+    bounded by the enclosure's ``gap``; ``mul``, ``conjugate`` and
+    ``change_basis`` take that bound from there.
     """
 
     __slots__ = ("model", "coeffs", "T", "enclosure", "dirac_terms", "_profile")
@@ -280,8 +281,7 @@ class Distribution:
     def dirac_combination(cls, model, terms, T=None) -> "Distribution":
         """sum a_j delta_{g_j}; the term list is retained as an exact witness."""
         T = model.max_weight if T is None else truncation(T)
-        for _, g in terms:
-            model._require_same(g.model)
+        model._require_elements(*(g for _, g in terms))
         merged = _merge_terms(model, [(as_triple(model, a), g.coords, g.exact) for a, g in terms])
         coeffs = _expand_terms(model, merged, T)
         if out := _exact_result(model, merged, coeffs, T, merged):
@@ -312,8 +312,8 @@ class Distribution:
         """Certified upper bound on sup_alpha |d_alpha| (head and tail).
 
         The growth-0 bound of the enclosure, or an entry's magnitude bound
-        where larger (as in ``norm``: the stored error where that is
-        larger); None without a growth-0 line.  Read off the r-norm
+        or the stored error (which bounds the unstored indices up to T)
+        where larger; None without a growth-0 line.  Read off the r-norm
         profile."""
         return self._rnorm_profile().sup
 
@@ -354,12 +354,14 @@ class Distribution:
     def __add__(self, other: "Distribution") -> "Distribution":
         """The sum.  Two exact operands vanish past their heads, so their sum
         keeps both heads, at the larger T.  Any other sum is cut at the
-        smaller T.  At each growth t of either operand's lines, the sum's
-        line is the larger of the operands' least lines at t, and its
-        unstored line also covers the entries cut off at T; an exact
-        operand's cap is its stored sup.  (The union of the operands' lines
-        would not do: each line bounds on its own, so the union would
-        certify the tighter operand's bound for the sum.)"""
+        smaller T, with the larger stored error.  At each growth t of either
+        operand's lines, the sum's line is the larger of the operands' least
+        lines at t, and its unstored line also covers the indices cut off
+        at T; an exact operand's cap is its stored sup.  (The union of the
+        operands' lines would not do: each line bounds on its own, so the
+        union would certify the tighter operand's bound for the sum.)  An
+        inexact sum keeps the operands' Dirac witnesses, an exact one's
+        derived; an exact sum derives its own on demand."""
         self.model._require_same(other.model)
         exact = self.exact and other.exact
         T = max(self.T, other.T) if exact else min(self.T, other.T)
@@ -373,13 +375,6 @@ class Distribution:
             coeffs[a] = r % ppow(p, prec), prec, shift
         e1, e2 = self.enclosure, other.enclosure
         herr = max(e1.stored, e2.stored)
-        # an entry of the sum that an inexact operand does not store carries
-        # that operand's head gap; an index past T is no entry of the sum,
-        # and the lines below cover it
-        for left, right in ((self, other), (other, self)):
-            if not right.exact and any(a not in right.coeffs for a in left.coeffs
-                                       if tau(a) <= T):
-                herr = max(herr, right.enclosure.gap)
         if exact:
             enclosure = Enclosure.EXACT
         else:
@@ -389,10 +384,13 @@ class Distribution:
                                          for a, c in x.coeffs.items()], t)
                 return min((C for C, g in x.enclosure.cap if g <= t), default=None)
 
-            # the stored entries past T, each bounded by its magnitude bound
-            # or its operand's stored error, whichever is larger
-            cut = [(tau(a), max(triple_bound(p, c), x.enclosure.stored))
+            # the indices past T up to an operand's own T: a stored entry by
+            # its magnitude bound, and any by the stored error, whose least
+            # cover over those degrees is set at their two ends
+            cut = [(tau(a), triple_bound(p, c))
                    for x in (self, other) for a, c in x.coeffs.items() if tau(a) > T]
+            cut += [(k, x.enclosure.stored) for x in (self, other) if x.T > T
+                    for k in (T + 1, x.T)]
             unstored, cap = [], []
             for t in sorted({g for e in (e1, e2) for _, g in e.unstored + e.cap}):
                 a = e1.bound(0, t)
@@ -406,8 +404,8 @@ class Distribution:
                 unstored.append((max(a, b, _least_cover(cut, t)), t))
             enclosure = Enclosure(herr, unstored, cap)
         terms = None
-        if self.dirac_terms is not None and other.dirac_terms is not None:
-            terms = _merge_terms(self.model, self.dirac_terms + other.dirac_terms)
+        if all(x.dirac_terms is not None or x.exact and not exact for x in (self, other)):
+            terms = _merge_terms(self.model, self._exact_terms() + other._exact_terms())
         return Distribution._clean(self.model, coeffs, T, enclosure, terms)
 
     def __sub__(self, other: "Distribution") -> "Distribution":
@@ -473,9 +471,9 @@ class Distribution:
         ends.  Any other entry contributes only to the upper end: its
         magnitude bound (its valuation, else its window; the stored error
         if that is larger) times r^tau, capped by the cap lines at tau.
-        The unstored and cap lines bound the unstored part, read at
-        weight_above(T) only: an unstored index of degree <= T reads as
-        zero (ROADMAP item 4(a)).
+        An unstored index of degree <= T contributes the stored error,
+        capped likewise, to the upper end; the unstored and cap lines bound
+        the indices past T, read at weight_above(T).
 
         Written as exponents, each end is a least value of lines in s, read
         off the r-norm profile (``_RNormProfile``) built once per
@@ -576,7 +574,7 @@ class Distribution:
                 raise ModelError("sigma conjugation is defined only on the semidirect model")
             act = lambda coords, exact: (law.pow(p, coords, -1), exact)
         elif isinstance(g, GroupElement):
-            model._require_same(g.model)
+            model._require_elements(g)
             x, x_inv = g.coords, law.pow(p, g.coords, -1)
             act = lambda coords, exact: (
                 law.mul(p, law.mul(p, x, coords), x_inv), exact and g.exact)
@@ -791,7 +789,9 @@ class _RNormProfile:
     - ``upper``: the certain levels and the uncertain ones, whose exponent is
       the least of the entries' magnitude bounds (the stored error where
       that is larger), raised to the cap lines C + (s - t) tau;
-      ``unbounded`` when one of these is -inf.
+      ``unbounded`` when one of these is -inf.  A nonzero stored error is an
+      uncertain level at every degree 0..T, for the unstored indices; where
+      every index is stored, the entries' own bound is never below it.
     - ``tails``: the unstored and cap lines (C, t) give C + (s - t) tplus at
       s >= t, tplus = weight_above(T); the pairs (t D0, G), ascending, where
       G is the largest C D0 - t D0 tplus over the lines of growth at most t
@@ -852,9 +852,9 @@ class _RNormProfile:
                 level[3] = prec - shift
 
         caps = [(scaled(C), scaled(t)) for C, t in caps]
-        lower, uncertain, floors, levels, valued = [], [], [], [], []
-        unbounded = False
-        head = inf  # the least exponent of an entry's bound, for coeff_sup
+        lower, floors, levels, valued = [], [], [], []
+        bases = {}  # per degree, the least exponent of an uncertain bound
+        head = herr  # the least exponent of a bound up to degree T, for coeff_sup
         for tau, (vc, alphas, vu, w) in sorted(by_tau.items()):
             if vc is not None:
                 lower.append((tau, vc * D0))
@@ -867,10 +867,14 @@ class _RNormProfile:
                 valued.append((tau, vc))
             if w is not None:
                 floors.append((tau, w * D0))
+                head = min(head, w)
             elif vu is None:
                 continue
-            head = min(head, herr) if w is None else min(head, w, herr)
-            e = H if w is None or H < w * D0 else w * D0
+            bases[tau] = H if w is None or H < w * D0 else w * D0
+        if H != inf:
+            bases = {**dict.fromkeys(range(lam.T + 1), H), **bases}
+        uncertain, unbounded = [], False
+        for tau, e in bases.items():
             for C, t in caps:
                 if C - t * tau > e:
                     e = C - t * tau

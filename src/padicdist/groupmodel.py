@@ -161,6 +161,15 @@ class GroupModel:
         if not self.same_as(other):
             raise ModelMismatch(f"model mismatch: {self.id} vs {other.id}")
 
+    def _require_elements(self, *gs: "GroupElement") -> None:
+        """Refuse an element of another model, and an inexact one known to
+        fewer digits than elem_prec here, to be read past its window."""
+        for g in gs:
+            self._require_same(g.model)
+            if not g.exact and g.model.elem_prec < self.elem_prec:
+                raise ModelMismatch(f"element known mod p^{g.model.elem_prec}, below "
+                                    f"this model's p^{self.elem_prec}")
+
     # -- elements ----------------------------------------------------------
 
     def element(self, coords) -> "GroupElement":
@@ -184,18 +193,17 @@ class GroupModel:
     # -- group law ---------------------------------------------------------
 
     def gmul(self, g: "GroupElement", h: "GroupElement") -> "GroupElement":
-        self._require_same(g.model)
-        self._require_same(h.model)
+        self._require_elements(g, h)
         return self._law_result(self.law.mul(self.p, g.coords, h.coords),
                                 g.exact and h.exact)
 
     def ginv(self, g: "GroupElement") -> "GroupElement":
-        self._require_same(g.model)
+        self._require_elements(g)
         return self._law_result(self.law.pow(self.p, g.coords, -1), g.exact)
 
     def gpow(self, g: "GroupElement", t: int) -> "GroupElement":
         """g**t for an integer t (closed form on chart coordinates)."""
-        self._require_same(g.model)
+        self._require_elements(g)
         t = as_int(t, ModelError, "group power exponent")
         return self._law_result(self.law.pow(self.p, g.coords, t), g.exact)
 
@@ -269,7 +277,7 @@ def validate_basis(model: GroupModel, basis):
     if len(basis) != model.d:
         raise ModelError(f"expected {model.d} basis elements, got {len(basis)}")
     for i, b in enumerate(basis):
-        model._require_same(b.model)
+        model._require_elements(b)
         val, exact = model.omega(b)
         if not exact or val != 1:
             raise ModelError(

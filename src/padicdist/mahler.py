@@ -149,7 +149,8 @@ class FunctionSpec:
 
 
 class MahlerTable:
-    """Finite differences c_alpha of a builtin function, |alpha| <= cap."""
+    """Finite differences c_alpha of a builtin function: every nonzero c_alpha
+    with |alpha| <= cap is stored, so an unstored one there is zero."""
 
     __slots__ = ("d", "p", "prec", "cap", "coeffs", "decay", "complete")
 
@@ -208,10 +209,10 @@ class MahlerTable:
         return best
 
     def missing_bound(self, alpha) -> NormValue:
-        """Bound on |c_alpha| for an unstored index."""
-        if self.complete:
-            return NormValue.zero()
+        """Bound on |c_alpha| for an unstored index: zero at |alpha| <= cap."""
         k = sum(alpha)
+        if self.complete or k <= self.cap:
+            return NormValue.zero()
         if self.decay is not None:
             C, t = self.decay
             return C * NormValue(t * k)
@@ -307,11 +308,11 @@ def pair(lam: Distribution, table: MahlerTable):
     if not enc.stored.is_zero:
         errors.append(enc.stored * table.sup_bound())
     if not lam.exact:
-        # table entries reachable only through the distribution's unstored
-        # entries, beyond T as well as unstored in the head
+        # table entries past the head, where the lines bound d_alpha; an
+        # unstored d_alpha of degree <= T is within the stored error above
         unbounded = NormValue.unbounded()
         for alpha, c in table.coeffs.items():
-            if alpha not in lam.coeffs:
+            if sum(alpha) > lam.T:
                 bound = enc.bound(sum(alpha))
                 errors.append(unbounded if bound is None else bound * triple_bound(p, c))
         if not table.complete:

@@ -2,9 +2,10 @@
 and Mahler-table files with one term per line.
 
 A scalar reads back with its value and window.  A distribution file keeps
-the head and two numbers of its enclosure, the growth-0 bound on the
-unstored entries and the stored error; it drops the cap lines, the lines of
-growth > 0 and the Dirac witness.
+the head and two numbers of its enclosure: the stored error (``err=``),
+within which a missing term line of degree <= T is zero, and the growth-0
+bound on the degrees above T (``tail=``); it drops the cap lines, the lines
+of growth > 0 and the Dirac witness.
 
 A file is checked in one pass: ``_parse_terms`` refuses a term line whose
 multi-index is malformed, repeated or of degree above the header's T, or

@@ -2,8 +2,9 @@
 error that it replaced, for the reference computations of the tests.
 
 The enclosure holds a stored error and lines (C, t), each saying |d_alpha| <=
-C p^(t tau(alpha)): ``unstored`` lines hold at every unstored alpha and
-``cap`` lines at every alpha.  Here each line is a certificate (bound,
+C p^(t tau(alpha)): ``unstored`` lines hold at every alpha of degree above
+T and ``cap`` lines at every alpha; an unstored index of degree <= T is
+zero to within the stored error.  Here each line is a certificate (bound,
 growth, all_alpha), all_alpha set for a cap line, and an exact distribution
 has none, as before: the references treat exactness on their own.  The
 readers below derive their bounds from these certificates, not from the

@@ -12,6 +12,13 @@ with a PadicScalar per entry and per step, as the module once did:
   ``math.comb``, as (prec, residue) and as a PadicScalar, the reference for
   the cached rows of ``padic.binom``.
 
+The pairing reads each unstored index one way.  A distribution's head is
+complete to its T: an unstored d_alpha of degree <= T is zero to within the
+stored error, and the tail certificates bound only the degrees above T.  A
+table stores every nonzero c_alpha with |alpha| <= its cap: an unstored
+c_alpha there is zero, and past the cap the decay certificate (or 1)
+bounds it, unless the table is complete.
+
 The tests require identical (p, prec, residue, shift) for every value and
 coefficient, and the same error bound.
 """
@@ -90,6 +97,17 @@ def _tail_bound_at(lam, k):
     return NormValue.unbounded() if best is None else best
 
 
+def _missing_c_bound(table, alpha) -> NormValue:
+    """|c_alpha| at an index the table does not store."""
+    k = sum(alpha)
+    if table.complete or k <= table.cap:
+        return NormValue.zero()
+    if table.decay is None:
+        return NormValue.one()
+    C, t = table.decay
+    return C * NormValue(t * k)
+
+
 def pair_scalars(lam, table):
     model = lam.model
     if model.d != table.d or model.p != table.p:
@@ -106,12 +124,18 @@ def pair_scalars(lam, table):
         if c is not None:
             total = total + dcoef * c
         else:
-            errors.append(dcoef.abs_val() * table.missing_bound(alpha))
+            errors.append(dcoef.abs_val() * _missing_c_bound(table, alpha))
     if not head_error(lam).is_zero:
         errors.append(head_error(lam) * sup_bound_scalars(table))
     if not lam.exact:
         for alpha, c in entries.items():
-            if alpha not in lam.coeffs:
+            if alpha in lam.coeffs:
+                continue
+            # an unstored d_alpha: within the stored error up to T, past T
+            # within the certificates
+            if sum(alpha) <= lam.T:
+                errors.append(head_error(lam) * c.abs_val())
+            else:
                 errors.append(_tail_bound_at(lam, sum(alpha)) * c.abs_val())
         if not table.complete:
             C_t, t_t = table.decay

@@ -7,13 +7,20 @@ of (tau, v, e) levels, the interval ends over a common denominator that
 takes in s, the tail term in Fractions, and the symbol's head minimum and
 floors from a walk over every stored entry.
 
+A head is complete to its T: an index of degree <= T that it does not store
+is zero to within the stored error, and the unstored lines bound only the
+degrees above T.  So the upper end here takes the stored error, capped by
+the all-alpha certificates, at each degree <= T where some index is
+unstored, found by counting the stored indices of that degree against all
+C(tau + d - 1, tau) of them.
+
 The tests require the same interval ends, the same symbol or refusal and
 the same threshold.
 """
 
 from fractions import Fraction
 from itertools import chain
-from math import inf, lcm
+from math import comb, inf, lcm
 
 from padicdist.distalg import DistError, NormInterval, RadiusParam
 from padicdist.padic import NormValue, ppow, triple_bound, triple_valuation
@@ -41,6 +48,20 @@ def valuation_profile(lam):
     return tuple((tau, *level) for tau, level in sorted(levels.items()))
 
 
+def unstored_degrees(lam):
+    """The degrees tau <= T at which lam stores fewer than all the indices;
+    none when its stored error is zero, as there every such index is 0."""
+    if head_error(lam).is_zero:
+        return ()
+    d = lam.model.d
+    stored = {}
+    for alpha in lam.coeffs:
+        tau = lam.model.tau(alpha)
+        stored[tau] = stored.get(tau, 0) + 1
+    return tuple(tau for tau in range(lam.T + 1)
+                 if stored.get(tau, 0) < (comb(tau + d - 1, tau) if d else int(tau == 0)))
+
+
 def tail_norm_bound(lam, s: Fraction):
     """The tightest tail term C p^-((s - t) tplus) over the certificates of
     growth t <= s; zero when exact, None when no certificate applies."""
@@ -65,9 +86,10 @@ def norm(lam, r: RadiusParam) -> NormInterval:
     s = r.s
     profile = valuation_profile(lam)
     certs = [c for c in tail_certs(lam) if c.all_alpha]
+    herr = head_error(lam).exponent
     D = lcm(s.denominator, *(getattr(x, "denominator", 1) for x in chain(
         (c.growth for c in certs), (c.bound.exponent for c in certs),
-        (e for _, _, e in profile))))
+        (e for _, _, e in profile), (herr,))))
 
     def scaled(x):
         return x if isinstance(x, float) else int(x * D)
@@ -78,7 +100,9 @@ def norm(lam, r: RadiusParam) -> NormInterval:
     S = scaled(s)
     caps = [(scaled(c.bound.exponent), scaled(s - c.growth)) for c in certs]
     lower = upper = inf
-    for tau, v, e in profile:
+    # (tau, v, e) per stored level, then (tau, None, stored error) per degree
+    # with an unstored index
+    for tau, v, e in chain(profile, ((tau, None, herr) for tau in unstored_degrees(lam))):
         st = S * tau
         if v is not None and v * D + st < lower:
             lower = v * D + st
@@ -102,6 +126,8 @@ def coeff_sup(lam):
     if tail is None:
         return None
     best = tail.exponent
+    if unstored_degrees(lam):
+        best = min(best, head_error(lam).exponent)
     for _, v, e in valuation_profile(lam):
         for x in (v, e):
             if x is not None and x < best:

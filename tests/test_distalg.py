@@ -472,11 +472,14 @@ def cert_bound_at(lam, tau, s):
 
 def coeff_sup_by_entries(lam):
     """Reference for Distribution.coeff_sup: one bound per stored coefficient,
-    the larger of its magnitude and head_error, from the growth-0 tail up."""
+    the larger of its magnitude and head_error, and head_error where an
+    index of degree <= T is unstored, from the growth-0 tail up."""
     tail = tail_bound_at_growth(lam, 0)
     if tail is None:
         return None
     best = tail
+    if norm_reference.unstored_degrees(lam):
+        best = max(best, head_error(lam))
     for alpha in lam.coeffs:
         c = lam.coeff(alpha)
         v = c.valuation
@@ -486,7 +489,9 @@ def coeff_sup_by_entries(lam):
 
 
 def norm_by_entries(lam, r):
-    """Reference for Distribution.norm: one bound per stored coefficient."""
+    """Reference for Distribution.norm: one bound per stored coefficient, and
+    one per degree <= T with an unstored index, which is zero to within
+    head_error."""
     s = r.s
     model = lam.model
     lower = NormValue.zero()
@@ -505,6 +510,10 @@ def norm_by_entries(lam, r):
         if cb is not None and cb < up:
             up = cb
         uppers.append(up)
+    for tau in norm_reference.unstored_degrees(lam):
+        up = head_error(lam) * NormValue(s * tau)
+        cb = cert_bound_at(lam, tau, s)
+        uppers.append(up if cb is None or up < cb else cb)
     tail = tail_by_certs(lam, s)
     uppers.append(NormValue.unbounded() if tail is None else tail)
     return NormInterval(lower, max([lower, *uppers]))
@@ -512,8 +521,8 @@ def norm_by_entries(lam, r):
 
 def tail_by_certs(lam, s):
     """The tail term from the certificates alone: (C, t) with t <= s bounds
-    |d_alpha| r^tau by C p^-((s - t) tau) at every unstored alpha, so by
-    C p^-((s - t) tplus) past the head, tplus = weight_above(T).  The least
+    |d_alpha| r^tau by C p^-((s - t) tau) at every alpha past the head, so
+    by C p^-((s - t) tplus) there, tplus = weight_above(T).  The least
     of these; zero when exact, None when no certificate applies."""
     if lam.exact:
         return NormValue.zero()
@@ -609,7 +618,9 @@ def _tie_case(entries, enclosure):
 class TestNormProfile:
     @pytest.mark.parametrize("lam", [
         # an entry of known valuation exactly at an all-alpha cap
-        # p^-(2 + s tau), after an entry the cap holds down to it
+        # p^-(2 + s tau), after an entry the cap holds down to it; the
+        # unstored index (0, 0), zero to within the head error p^-2, reads
+        # p^-2 at degree 0 and sets the upper end above their tie
         _tie_case([((0, 1), 0, 1), ((1, 0), P ** 2, 5)],
                   Enclosure(NormValue(2), cap=[(NormValue(2), Fraction(0))])),
         # a window bound at degree 2 and a valuation at degree 0, both p^-4
@@ -628,10 +639,13 @@ class TestNormProfile:
         # is the bound, whichever comes first
         ({(0, 1): (4, 0), (1, 0): (2, 0)}, NormValue.zero(), Fraction(5, 2)),
         ({(0, 1): (2, 0), (1, 0): (4, 0)}, NormValue.zero(), Fraction(5, 2)),
-        # valuation 3 under head error p^-2: the head error is the bound
-        ({(1, 0): (6, P ** 3)}, NormValue(2), Fraction(5, 2)),
-        # valuation 3 at head error p^-3: the entry's own valuation
-        ({(1, 0): (6, P ** 3)}, NormValue(3), Fraction(7, 2)),
+        # valuation 3 under head error p^-2: the entry reads p^-5/2 at
+        # degree 1, and the unstored index (0, 0), zero to within the head
+        # error, reads p^-2 at degree 0 and sets the upper end
+        ({(1, 0): (6, P ** 3)}, NormValue(2), Fraction(2)),
+        # valuation 3 at head error p^-3: the entry's own valuation gives
+        # p^-7/2 at degree 1, and the unstored (0, 0) p^-3 at degree 0
+        ({(1, 0): (6, P ** 3)}, NormValue(3), Fraction(3)),
     ])
     def test_entry_bounds(self, coeffs, herr, upper):
         model = GroupModel.abelian(2, P, prec=6, max_weight=6)

@@ -5,6 +5,7 @@ matrix I + p*x*E12 + p*y*E23 + (p*z + p^2*x*y)*E13, whose multiplication
 gives the closed-form law used by the chart."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from padicdist.groupmodel import (
     GroupModel,
     Law,
     ModelError,
+    ModelMismatch,
     basis_chart,
     simplex,
     validate_basis,
@@ -159,6 +161,54 @@ class TestCoordinates:
             model.element([Fraction(1, 2), 0, 0])
         with pytest.raises(ModelError):
             model.element([1, 0])
+
+
+class TestElementWindows:
+    """An inexact element is known mod p^elem_prec of its own model; a model
+    of wider elem_prec refuses it at every entry point, which would read
+    its residues past that window.  Exact elements, and distributions built
+    on models of either precision, still mix."""
+
+    @staticmethod
+    def narrow_and_wide():
+        narrow = GroupModel.abelian(1, P, prec=2)
+        wide = GroupModel.abelian(1, P, prec=12)
+        # coordinates (2201,), known mod 5^6 only
+        return narrow, wide, narrow.random_element(random.Random(1))
+
+    def test_entry_points_refuse_a_narrow_inexact_element(self):
+        from padicdist.distalg import Distribution
+
+        narrow, wide, g = self.narrow_and_wide()
+        assert g.coords == (2201,) and narrow.elem_prec == 6 < wide.elem_prec
+        one = Distribution.one(wide, 4)
+        for call in (lambda: Distribution.dirac_combination(wide, [(1, g)]),
+                     lambda: Distribution.dirac_combination(wide, [(1, wide.identity()), (1, g)]),
+                     lambda: one.conjugate(g),
+                     lambda: validate_basis(wide, [g]),
+                     lambda: one.change_basis([g]),
+                     lambda: wide.gmul(wide.identity(), g),
+                     lambda: wide.gmul(g, wide.identity()),
+                     lambda: wide.ginv(g),
+                     lambda: wide.gpow(g, 2)):
+            with pytest.raises(ModelMismatch, match="known mod p\\^6"):
+                call()
+
+    def test_exact_and_wider_elements_mix(self):
+        from padicdist.distalg import Distribution
+
+        narrow, wide, g = self.narrow_and_wide()
+        # the narrow model reads its own element, and a wider one is read on
+        # the narrow model's shorter window
+        assert Distribution.dirac(g, 4).coeffs[(1,)] == (2201, 6, 0)
+        h = wide.random_element(random.Random(2))
+        assert narrow.gmul(h, g) == narrow.gmul(g, h)
+        e = narrow.element([3])
+        assert wide.gmul(e, wide.element([4])).coords == (7,)
+        assert Distribution.dirac_combination(wide, [(1, e)], 4).coeffs == \
+            Distribution.dirac(wide.element([3]), 4).coeffs
+        total = Distribution.dirac(g, 4) + Distribution.dirac(wide.element([3]), 4)
+        assert not total.exact
 
 
 class TestOmega:

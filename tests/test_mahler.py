@@ -293,13 +293,20 @@ class TestPairingInexactHeads:
         self.check(lam, (30, 4, 0), 3)
 
     def test_table_entries_beyond_the_head(self):
-        # the head to degree 2 under a tail bound p^-1: c_1 = 1 pairs with
-        # the unstored degree-1 entry, which only the tail bounds
+        # the head to degree 2 under a tail bound p^-1: the head is complete
+        # to T, so c_1 = 1 pairs with the unstored degree-1 entry, an exact
+        # zero, and the complete table has no entry past T: no error
         src = self.source()
         lam = Distribution.from_coeffs(
             src.model, {a: src.coeff(a) for a in src.coeffs if sum(a) <= 2}, 2,
             Enclosure(unstored=[(NormValue(1), Fraction(0))]))
-        self.check(lam, (30, 4, 0), 1)
+        self.check(lam, (30, 4, 0), math.inf)
+        # the head to degree 1: c_2 = 2 pairs with the degree-2 entry past
+        # T, which only the tail bounds
+        lam = Distribution.from_coeffs(
+            src.model, {a: src.coeff(a) for a in src.coeffs if sum(a) <= 1}, 1,
+            Enclosure(unstored=[(NormValue(1), Fraction(0))]))
+        self.check(lam, (0, 4, 0), 1)
 
 
 class TestProjection:

@@ -119,14 +119,26 @@ class TestWindowedZeroKnownAnswers:
             (0,): (0, 1, 0), (1,): (25, 14, 0)}
 
     def test_head_with_an_unstored_line(self):
-        # ROADMAP 4(a)'s repro: b^1 may be 1, which gives p^-1/8 at s = 1/8;
-        # the images must allow it (the head's own norm is 4(a)'s fault)
+        # ROADMAP 4(a)'s repro.  The head is complete to T = 22, so it says
+        # that b^1 ... b^22 are zero and its own norm 0 .. p^-2 is true; mul
+        # and conjugate decompose it into Diracs, whose remainder only the
+        # tail line p^0 bounds, so their images allow p^-1/8 at s = 1/8
         model = GroupModel.abelian(1, 5, max_weight=22)
         lam = Distribution(model, {(0,): (0, 2, 0)}, 22,
                            Enclosure(unstored=[(NormValue(0), 0)]))
         r = RadiusParam(Fraction(1, 8))
         for out in (lam.mul(Distribution.one(model, 22)), lam.conjugate(model.identity())):
             assert out.norm(r).upper >= NormValue(Fraction(1, 8))
+
+    def test_head_with_an_unknown_entry(self):
+        # to say that b^1 is unknown, store it as the uncertain entry
+        # (0, 1, 1), |d| <= 1: the norm at s = 1/8 then allows p^-1/8
+        model = GroupModel.abelian(1, 5, max_weight=22)
+        unstored = Enclosure(unstored=[(NormValue(0), 0)])
+        r = RadiusParam(Fraction(1, 8))
+        assert str(Distribution(model, {(0,): (0, 2, 0)}, 22, unstored).norm(r)) == "0 .. p^-2"
+        lam = Distribution(model, {(0,): (0, 2, 0), (1,): (0, 1, 1)}, 22, unstored)
+        assert str(lam.norm(r)) == "0 .. p^-1/8"
 
 
 class TestThreshold:
