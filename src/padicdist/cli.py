@@ -134,7 +134,7 @@ def _emit(args, text: str) -> None:
 
 def _parse_coords(text: str, d: int):
     try:
-        coords = [int(x) for x in text.split(",")]
+        coords = [int(x) for x in text.split(",")] if text else []
     except ValueError:
         raise UsageError(f"coordinates must be integers: {text!r}") from None
     if len(coords) != d:

@@ -427,10 +427,7 @@ class Distribution:
         exact_path = t1 is not None and t2 is not None
         t1 = _head_to_dirac(model, self.coeffs) if t1 is None else t1
         t2 = _head_to_dirac(model, other.coeffs) if t2 is None else t2
-        law, p = model.law.mul, model.p
-        merged = _merge_terms(model, (
-            ((ra * rb, pa if pa < pb else pb, sa + sb), law(p, g, h), ge and he)
-            for (ra, pa, sa), g, ge in t1 for (rb, pb, sb), h, he in t2))
+        merged = _merge_terms(model, _products(model, t1, t2))
         coeffs = _expand_terms(model, merged, T)
         if exact_path and (out := _exact_result(model, merged, coeffs, T, merged)):
             return out
@@ -700,11 +697,10 @@ def _commutation_core(model: GroupModel, a: int, g: int, T: int) -> tuple:
     key = (a, g, T)
     core = model.commutation_cores.get(key)
     if core is None:
-        p, W, law = model.p, model.elem_prec, model.law.mul
-        terms = _merge_terms(model, [
-            (((-1) ** (a - i + g - j) * comb(a, i) * comb(g, j), W, 0),
-             law(p, (0, i, 0), (j, 0, 0)), True)
-            for i in range(a + 1) for j in range(g + 1)])
+        p, W = model.p, model.elem_prec
+        terms = _merge_terms(model, _products(
+            model, [(((-1) ** (a - i) * comb(a, i), W, 0), (0, i, 0), True) for i in range(a + 1)],
+            [(((-1) ** (g - j) * comb(g, j), W, 0), (j, 0, 0), True) for j in range(g + 1)]))
         head = _expand_terms(model, terms, T)
         if out := _exact_result(model, terms, head, T, terms):
             head = out.coeffs
@@ -976,15 +972,15 @@ def _exact_result(model, terms, coeffs, T, witness):
         return Distribution._clean(model, coeffs, T, Enclosure.EXACT, witness)
 
 
-def _merge_terms(model, terms):
+def _merge_terms(model, terms, modulus=None):
     """The Dirac witness of terms (triple, coords, exact): terms whose points
-    share their key, the coordinates mod p^W, combined in first-reach order,
-    residues reduced, without the ``known_zero`` coefficients.  The merged
-    point is the exact one when exact points reach the key and all have the
-    same coordinates; it is the inexact residue point (the key) when only
-    inexact points do, or when two exact points differ (mod p^W only)."""
+    share their key, the coordinates mod ``modulus`` (p^W, or p^n for cosets),
+    combined in first-reach order, residues reduced, without the ``known_zero``
+    coefficients.  The merged point is the exact one when exact points reach
+    the key and all have the same coordinates; else it is the key, an inexact
+    residue point (only inexact points reach it, or two exact ones differ)."""
     p = model.p
-    reduce_mod = ppow(p, model.elem_prec).__rmod__
+    reduce_mod = (ppow(p, model.elem_prec) if modulus is None else modulus).__rmod__
     acc = {}
     exact_at = {}
     for a, coords, exact in terms:
@@ -999,6 +995,13 @@ def _merge_terms(model, terms):
             coords = exact_at.get(k)
             out.append((c, k if coords is None else coords, coords is not None))
     return tuple(out)
+
+
+def _products(model, t1, t2):
+    """The terms of t1 x t2 pair by pair: least prec, shifts added, law on points."""
+    law, p = model.law.mul, model.p
+    return (((ra * rb, pa if pa < pb else pb, sa + sb), law(p, g, h), ge and he)
+            for (ra, pa, sa), g, ge in t1 for (rb, pb, sb), h, he in t2)
 
 
 def _head_to_dirac(model, coeffs):

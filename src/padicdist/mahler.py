@@ -22,7 +22,7 @@ from .padic import (NormValue, PadicError, PadicScalar, _check_prime, add_triple
                     binomial_transform, int_binom, int_tuple, ppow, require_triple,
                     triple_bound)
 from .groupmodel import GroupModel, simplex
-from .distalg import Distribution, as_triple, known_zero
+from .distalg import Distribution, _merge_terms, _products, as_triple
 
 
 class MahlerError(PadicError):
@@ -150,28 +150,33 @@ class FunctionSpec:
 
 class MahlerTable:
     """Finite differences c_alpha of a builtin function: every nonzero c_alpha
-    with |alpha| <= cap is stored, so an unstored one there is zero."""
+    with |alpha| <= cap is stored, so an unstored one there is zero.  Past the
+    cap only ``decay`` speaks: |c_alpha| <= C p^(-t |alpha|) for a line (C, t),
+    0 for the zero line (NormValue.zero(), 0) (``complete``), 1 for None."""
 
-    __slots__ = ("d", "p", "prec", "cap", "coeffs", "decay", "complete")
+    __slots__ = ("d", "p", "prec", "cap", "coeffs", "decay")
 
-    def __init__(self, d, p, prec, cap, coeffs, decay=None, complete=False):
+    def __init__(self, d, p, prec, cap, coeffs, decay=None):
         self.d, self.p, self.prec, self.cap = self.check_header(d, p, prec, cap)
         self.coeffs = {int_tuple(a, self.d, MahlerError, "multi-index", nonnegative=True): c
                        for a, c in dict(coeffs).items()}
         for alpha, c in self.coeffs.items():
             require_triple(p, alpha, c)
         self.decay = decay
-        self.complete = bool(complete)
 
     @classmethod
-    def _clean(cls, header, coeffs, decay, complete) -> "MahlerTable":
+    def _clean(cls, header, coeffs, decay) -> "MahlerTable":
         """Wrap parts already checked, with no checks: the (d, p, N, A) that
         ``check_header`` returns and a dict of stored triples at d
         nonnegative indices, as ``serialize`` checks the term lines."""
         out = object.__new__(cls)
         out.d, out.p, out.prec, out.cap = header
-        out.coeffs, out.decay, out.complete = coeffs, decay, complete
+        out.coeffs, out.decay = coeffs, decay
         return out
+
+    @property
+    def complete(self) -> bool:
+        return self.decay is not None and self.decay[0].is_zero
 
     @staticmethod
     def check_header(d, p, prec, cap) -> tuple:
@@ -197,26 +202,21 @@ class MahlerTable:
 
     def sup_bound(self) -> NormValue:
         """Certified bound on sup |c_alpha| over ALL alpha."""
-        best = NormValue.zero()
+        # builtin functions are Z_p-valued, so |c_alpha| <= 1 without decay
+        best = NormValue.one() if self.decay is None else self.decay[0]
         for c in self.coeffs.values():
             best = max(best, triple_bound(self.p, c))
-        if not self.complete:
-            if self.decay is not None:
-                best = max(best, self.decay[0])
-            else:
-                # builtin functions are Z_p-valued, so |c_alpha| <= 1
-                best = max(best, NormValue.one())
         return best
 
     def missing_bound(self, alpha) -> NormValue:
         """Bound on |c_alpha| for an unstored index: zero at |alpha| <= cap."""
         k = sum(alpha)
-        if self.complete or k <= self.cap:
+        if k <= self.cap:
             return NormValue.zero()
-        if self.decay is not None:
-            C, t = self.decay
-            return C * NormValue(t * k)
-        return NormValue.one()
+        if self.decay is None:
+            return NormValue.one()
+        C, t = self.decay
+        return C * NormValue(t * k)
 
     def evaluate(self, point) -> PadicScalar:
         """sum c_alpha C(point, alpha) over the stored head, mod p^prec.  A
@@ -242,24 +242,20 @@ def mahler_coeffs(f: FunctionSpec, A: int, prec: int = 12) -> MahlerTable:
     function is integer-valued; O(d A^(d+1)) integer subtractions.  For a
     polynomial f of degree D every c_alpha with |alpha| > D is 0, and c_alpha
     reads f only at beta <= alpha, so the simplex stops at min(A, D)."""
-    A, prec = as_int(A, MahlerError, "cap A"), as_int(prec, MahlerError, "precision N")
-    if A < 0:
-        raise MahlerError("cap must be >= 0")
-    if prec < 1:
-        raise MahlerError(f"precision N must be >= 1, got {prec}")
+    header = d, p, prec, A = MahlerTable.check_header(f.d, f.p, prec, A)
     deg = f.poly_degree()
     vals = {}
-    for beta in simplex(f.d, A if deg is None else min(A, deg)):
+    for beta in simplex(d, A if deg is None else min(A, deg)):
         v = f.evaluate(beta)
         if v.denominator != 1:
             raise MahlerError(f"f({beta}) = {v} is not an integer")
         vals[beta] = v.numerator
     binomial_transform(vals)
-    m = ppow(f.p, prec)
+    m = ppow(p, prec)
     coeffs = {alpha: (v % m, prec, 0) for alpha, v in vals.items() if v}
     complete = deg is not None and A >= deg
-    return MahlerTable(f.d, f.p, prec, A, coeffs, decay=f.decay_certificate(),
-                       complete=complete)
+    return MahlerTable._clean(header, coeffs,
+                              (NormValue.zero(), 0) if complete else f.decay_certificate())
 
 
 def amice_report(table: MahlerTable, rho_exponents):
@@ -292,7 +288,7 @@ def pair(lam: Distribution, table: MahlerTable):
     model = lam.model
     if model.d != table.d or model.p != table.p:
         raise MahlerError("dimension/prime mismatch between distribution and table")
-    if not lam.exact and table.decay is None and not table.complete:
+    if not lam.exact and table.decay is None:
         raise MahlerError("unbounded tail: no decay certificate and the "
                         "distribution is inexact")
     p = model.p
@@ -315,44 +311,49 @@ def pair(lam: Distribution, table: MahlerTable):
             if sum(alpha) > lam.T:
                 bound = enc.bound(sum(alpha))
                 errors.append(unbounded if bound is None else bound * triple_bound(p, c))
-        if not table.complete:
-            # the lines of growth t <= t_t, times the decay C_t p^(-t_t k),
-            # at the least degree k0 past both the head and the table
-            C_t, t_t = table.decay
-            k0 = max(model.weight_above(lam.T), table.cap + 1)
-            best = enc.bound(k0, t_t)
-            errors.append(unbounded if best is None else best * NormValue(t_t * k0) * C_t)
+        # the lines of growth t <= t_t, times the decay C_t p^(-t_t k), at the
+        # least degree k0 past head and table: 0 for the zero line, unbounded too
+        C_t, t_t = table.decay
+        k0 = max(model.weight_above(lam.T), table.cap + 1)
+        best = enc.bound(k0, t_t)
+        errors.append(C_t * (unbounded if best is None else best * NormValue(t_t * k0)))
     r, prec, shift = total
     return PadicScalar(p, prec, r, shift), max(errors)
 
 
 class GroupAlgebraElement:
     """Element of K[G/G_n]: ``coeffs`` maps coordinate residues mod p^n to
-    coefficient triples, residues reduced, without the ``known_zero``
-    entries (0 on a window of at least N + 2).  The constructor takes
-    triples of ints, read as ``as_triple`` reads them (residue reduced,
-    prec >= 1 and shift >= 0, else refused), and sums keys that agree mod
-    p^n."""
+    coefficient triples, folded by ``distalg._merge_terms`` at the modulus
+    p^n: keys that agree mod p^n summed, residues reduced, without the
+    ``known_zero`` entries (0 on a window of at least N + 2).  The
+    constructor takes triples of ints, read as ``as_triple`` reads them
+    (residue reduced, prec >= 1 and shift >= 0, else refused)."""
 
     __slots__ = ("model", "n", "coeffs")
 
     def __init__(self, model: GroupModel, n: int, coeffs):
-        n = as_int(n, MahlerError, "level")
-        if n < 1:
-            raise MahlerError("level must be >= 1")
-        self.model = model
-        self.n = n
-        p = model.p
-        m = ppow(p, n)
-        clean = {}
+        terms = []
         for key, c in coeffs.items():
             if not isinstance(c, tuple):
                 raise TypeError(f"coefficient at {key} is not a (residue, prec, shift) triple: {c!r}")
             c = as_triple(model, c)
-            key = tuple(x % m for x in int_tuple(key, model.d, MahlerError, "coset key"))
-            clean[key] = add_triples(p, clean[key], c) if key in clean else c
-        reduced = ((k, (r % ppow(p, prec), prec, shift)) for k, (r, prec, shift) in clean.items())
-        self.coeffs = {k: c for k, c in reduced if not known_zero(model, c)}
+            terms.append((c, int_tuple(key, model.d, MahlerError, "coset key"), False))
+        self._set(model, n, terms)
+
+    @classmethod
+    def _clean(cls, model, n, terms) -> "GroupAlgebraElement":
+        """The element of terms (triple, coords, exact) the library built."""
+        out = object.__new__(cls)
+        out._set(model, n, terms)
+        return out
+
+    def _set(self, model, n, terms):
+        """Fill the slots of either constructor; both check the level here."""
+        n = as_int(n, MahlerError, "level")
+        if n < 1:
+            raise MahlerError("level must be >= 1")
+        self.model, self.n = model, n
+        self.coeffs = {k: c for c, k, _ in _merge_terms(model, terms, ppow(model.p, n))}
 
     def coeff(self, key) -> PadicScalar:
         """The coefficient of the coset of key as a PadicScalar; zero at the
@@ -369,15 +370,8 @@ class GroupAlgebraElement:
 
     def __mul__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
         self._check(other)
-        model = self.model
-        law, p = model.law.mul, model.p
-        out = {}
-        for k1, (r1, prec1, s1) in self.coeffs.items():
-            for k2, (r2, prec2, s2) in other.coeffs.items():
-                k = law(p, k1, k2)
-                c = (r1 * r2, min(prec1, prec2), s1 + s2)
-                out[k] = add_triples(p, out[k], c) if k in out else c
-        return GroupAlgebraElement(model, self.n, out)
+        t1, t2 = ([(c, k, False) for k, c in x.coeffs.items()] for x in (self, other))
+        return self._clean(self.model, self.n, _products(self.model, t1, t2))
 
     def _check(self, other):
         self.model._require_same(other.model)
@@ -398,12 +392,13 @@ class GroupAlgebraElement:
 
 
 def finite_level_project(lam: Distribution, n: int) -> GroupAlgebraElement:
-    """sum a_j [g_j mod G_n] from the Dirac witness of lam, whose points
-    are distinct; the constructor folds them into cosets."""
+    """sum a_j [g_j mod G_n] from the Dirac witness of lam, folded into the
+    cosets of G_n by ``_merge_terms``; a level below 1 or not an integer
+    is refused with MahlerError."""
     terms = lam._exact_terms()
     if terms is None:
         raise MahlerError("finite-level projection needs an exact Dirac witness")
-    return GroupAlgebraElement(lam.model, n, {coords: a for a, coords, _ in terms})
+    return GroupAlgebraElement._clean(lam.model, n, ((a, g, False) for a, g, _ in terms))
 
 
 def pair_with_indicator_crosscheck(lam: Distribution, a, n: int):

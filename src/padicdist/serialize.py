@@ -158,8 +158,10 @@ def _parse_terms(lines, p: int, d: int, T=None) -> dict:
         try:
             alpha = tuple(map(int, left.split(",")))
         except ValueError:
-            raise ParseError(f"bad multi-index {left.strip()!r}", ln_no) from None
-        if len(alpha) != d or min(alpha) < 0:
+            if left.strip():
+                raise ParseError(f"bad multi-index {left.strip()!r}", ln_no) from None
+            alpha = ()  # a blank index field, the one index when d = 0
+        if len(alpha) != d or d and min(alpha) < 0:
             raise ParseError(f"multi-index {alpha} invalid for d={d}", ln_no)
         if T is not None and sum(alpha) > T:
             raise ParseError(f"stored index {alpha} exceeds truncation weight {T}", ln_no)
@@ -207,7 +209,7 @@ def parse_distribution(text: str) -> Distribution:
 
 
 def serialize_mahler(t: MahlerTable) -> str:
-    if t.decay is None:
+    if t.decay is None or t.complete:
         decay = "none"
     else:
         C, g = t.decay
@@ -234,8 +236,10 @@ def parse_mahler(text: str) -> MahlerTable:
         complete = {"0": False, "1": True}[h["complete"]]
     except (ValueError, KeyError):
         raise ParseError("malformed Mahler header", 1) from None
-    decay = None
+    decay = (NormValue.zero(), 0) if complete else None
     if h.get("decay", "none") != "none":
+        if complete:
+            raise ParseError("a complete Mahler table carries no decay line", 1)
         c_text, _, g_text = h["decay"].partition("@")
         try:
             growth = Fraction(g_text)
@@ -248,4 +252,4 @@ def parse_mahler(text: str) -> MahlerTable:
     except MahlerError as exc:
         raise ParseError(str(exc), 1) from None
     # every part is checked: the terms by _parse_terms, the rest above
-    return MahlerTable._clean(header, _parse_terms(lines[1:], p, d), decay, complete)
+    return MahlerTable._clean(header, _parse_terms(lines[1:], p, d), decay)

@@ -68,6 +68,17 @@ class TestExpand:
         code, _, _ = run_cli(["expand", "--group", "frobnitz:5", "--elem", "1"])
         assert code == 2
 
+    @pytest.mark.parametrize("group, how, value, message", [
+        ("heisenberg:5", "--elem", "1,x", "coordinates must be integers: '1,x'"),
+        ("heisenberg:5", "--elem", "1,2", "expected 3 coordinates, got 2"),
+        ("abelian:2:5", "--elem", "", "expected 2 coordinates, got 0"),
+        ("abelian:2:5", "--monomial", "", "expected 2 coordinates, got 0"),
+        ("abelian:2:5", "--monomial", "0,-1", "monomial exponents must be non-negative"),
+    ])
+    def test_bad_coordinates_are_a_usage_error(self, group, how, value, message):
+        code, out, err = run_cli(["expand", "--group", group, how, value])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_rational_T_is_floored(self):
         args = ["expand", "--group", "heisenberg:5", "--elem", "1,1,0", "-T"]
         code_a, out_a, _ = run_cli(args + ["13/2"])
@@ -184,6 +195,15 @@ class TestMulSymbolThreshold:
         assert code == 0
         assert out.splitlines() == ["1*X1", "degree = 1/2"]
 
+    def test_product_without_a_certified_digit(self, tmp_path):
+        # b^1 = 5^5 known mod 5^-4 squares to b^2 at prec 6 and shift 10
+        path = tmp_path / "w.dist"
+        path.write_text("group=abelian:1:5 p=5 N=12 T=2/1 tail=0 exact=1\n"
+                        "0 : 0:1:12\n1 : -5:1:1\n")
+        code, out, err = run_cli(["mul", str(path), str(path)])
+        assert (code, out) == (4, "")
+        assert err == "precision exhausted: no certified digit to write (window -4)\n"
+
     def test_rthresh(self, b1_file):
         code, out, _ = run_cli(["rthresh", "--in", b1_file])
         assert code == 0 and "s = 1" in out
@@ -272,6 +292,31 @@ class TestProject:
         code, out, err = run_cli(["project", "--in", str(path), "--level", "1"])
         assert code == 2 and out == ""
         assert "finite-level projection needs an exact Dirac witness" in err
+
+    def test_level_below_one_is_a_usage_error(self, tmp_path):
+        code, out, _ = run_cli(["expand", "--group", "heisenberg:5", "--elem", "3,3,0"])
+        assert code == 0
+        path = tmp_path / "g.dist"
+        path.write_text(out)
+        code, out, err = run_cli(["project", "--in", str(path), "--level", "0"])
+        assert (code, out, err) == (2, "", "error: projection level must be >= 1\n")
+
+
+class TestDimensionZero:
+    # on abelian:0:5 a coordinate list and a multi-index are empty: `expand`
+    # reads '' as no coordinates and the file's index field is blank
+    @pytest.mark.parametrize("how", ["--elem", "--monomial"])
+    def test_files_round_trip(self, tmp_path, how):
+        code, out, err = run_cli(["expand", "--group", "abelian:0:5", how, "", "-T", "3"])
+        assert (code, err) == (0, "")
+        assert out == "group=abelian:0:5 p=5 N=12 T=3/1 tail=0 exact=1\n : 0:1:14\n"
+        path = tmp_path / "z.dist"
+        path.write_text(out)
+        z = str(path)
+        assert run_cli(["norm", "--in", z, "--r", "1/2"]) == (0, "p^0 .. p^0\n", "")
+        assert run_cli(["mul", z, z]) == (0, out, "")
+        assert run_cli(["project", "--in", z, "--level", "1"]) == (0, " : 0:1:14\n", "")
+        assert run_cli(["symbol", "--in", z, "--r", "1/2"]) == (0, "1\ndegree = 0\n", "")
 
 
 def expanded(tmp_path, name, group, *how):

@@ -1219,7 +1219,7 @@ class IntegerEntry(NamedTuple):
 
 
 def _table():
-    return MahlerTable(2, P, 6, 4, {(1, 2): (1, 6, 0), (0, 1): (3, 6, 0)}, complete=True)
+    return MahlerTable(2, P, 6, 4, {(1, 2): (1, 6, 0), (0, 1): (3, 6, 0)}, decay=(NormValue.zero(), 0))
 
 
 def _projection():
@@ -1244,7 +1244,7 @@ INTEGER_ENTRY_POINTS = {
     "structure_constants": IntegerEntry(lambda a: list(
         structure_constants(heis(), a, (2, 0, 0), 6)[0].items()), (0, 2, 0), DistError, True),
     "MahlerTable": IntegerEntry(lambda a: serialize_mahler(
-        MahlerTable(2, P, 6, 4, {a: (1, 6, 0)}, complete=True)), (1, 2), MahlerError, True, True),
+        MahlerTable(2, P, 6, 4, {a: (1, 6, 0)}, decay=(NormValue.zero(), 0))), (1, 2), MahlerError, True, True),
     "MahlerTable.coeff": IntegerEntry(lambda a: _table().coeff(a).triple, (1, 2), MahlerError,
                                       True),
     "MahlerTable.evaluate": IntegerEntry(lambda x: _table().evaluate(x).triple, (3, -4),
@@ -1341,7 +1341,7 @@ INTEGER_DEFECTS = {
                      DistError),
     "short-key": (lambda: Distribution(heis(), {(1, 2): (1, 12, 0)}, 4, Enclosure.EXACT),
                   DistError),
-    "mahler-negative-key": (lambda: MahlerTable(1, 5, 12, 4, {(-1,): (1, 12, 0)}, complete=True),
+    "mahler-negative-key": (lambda: MahlerTable(1, 5, 12, 4, {(-1,): (1, 12, 0)}, decay=(NormValue.zero(), 0)),
                             MahlerError),
     "project-level": (lambda: finite_level_project(Distribution.dirac(ab(2).element([1, 2])), 1.5),
                       MahlerError),

@@ -342,6 +342,13 @@ class TestProjection:
         with pytest.raises(MahlerError):
             finite_level_project(lam, 1)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_refuses_a_level_below_one(self, n):
+        # the projection skips the constructor's checks of its terms, not
+        # the level's
+        with pytest.raises(MahlerError, match="level must be >= 1"):
+            finite_level_project(Distribution.dirac(ab(2).element([3, 7])), n)
+
 
 class TestCrosscheck:
     def test_dirac_in_coset(self):

@@ -190,6 +190,15 @@ class TestDistributionFiles:
             parse_distribution(f"group={group} p={p} N=12 T=4/1 tail=0 exact=1\n")
         assert "prime" in str(exc.value) and exc.value.line == 1
 
+    def test_dimension_zero_round_trip(self):
+        # d = 0: the one multi-index is (), written as a blank index field
+        model = GroupModel.from_string("abelian:0:5")
+        for lam in (Distribution.one(model, 3), Distribution.from_coeffs(model, {(): 7}, 3)):
+            text = serialize_distribution(lam)
+            assert text.splitlines()[1].startswith(" : ")
+            back = parse_distribution(text)
+            assert back.coeffs == lam.coeffs and serialize_distribution(back) == text
+
     def test_parse_error_carries_line(self):
         model = GroupModel.heisenberg(P, prec=12, max_weight=Fraction(12))
         text = serialize_distribution(Distribution.one(model)) + "oops\n"
@@ -270,6 +279,8 @@ class TestOneCheckedPass:
         ("group=abelian:1:5 p=5 N=12 T=4/1 tail=0 exact=1\n1 : 0:1:12\n1 : 0:2:12\n", 3),
         ("group=abelian:1:5 p=5 N=12 T=4/1 tail=0 exact=1\n1 : 0:5:12\n", 2),
         ("group=abelian:1:5 p=5 N=12 T=4/1 tail=0 exact=1\n1 : 0:1:0\n", 2),
+        # a blank index is () and names a term only when d = 0
+        ("group=abelian:2:5 p=5 N=12 T=4/1 tail=0 exact=1\n : 0:1:12\n", 2),
     ])
     def test_every_refusal_keeps_its_line(self, text, line):
         with pytest.raises(ParseError) as exc:
@@ -282,6 +293,7 @@ class TestOneCheckedPass:
         # an exact file drops its known zeros, and keeps a zero on a narrow window
         "group=abelian:1:5 p=5 N=12 T=4/1 tail=0 exact=1\n0 : 1:0:1\n1 : 14:0:14\n",
         "group=abelian:1:5 p=5 N=12 T=9/2 tail=unbounded exact=0 err=p^-1\n1 : -1:2:3\n",
+        "group=abelian:0:5 p=5 N=12 T=3/1 tail=0 exact=1\n : 0:1:16\n",
     ])
     def test_parsed_equals_checked(self, text):
         parsed, checked = parse_distribution(text), _checked(text)
@@ -308,7 +320,7 @@ class TestMahlerFiles:
                 assert (back.cap, back.decay, back.complete) == (t.cap, t.decay, t.complete)
                 # parse_mahler wraps its checked parts unchecked; they must
                 # make the table the checked constructor makes of them
-                checked = MahlerTable(d, p, 12, cap, back.coeffs, back.decay, back.complete)
+                checked = MahlerTable(d, p, 12, cap, back.coeffs, back.decay)
                 assert all(getattr(back, k) == getattr(checked, k) for k in MahlerTable.__slots__)
 
     @pytest.mark.parametrize("growth", ["1/0", "x"])
@@ -355,6 +367,16 @@ class TestMahlerFiles:
         with pytest.raises(ParseError) as exc:
             parse_mahler("mahler p=5 d=1 N=12 A=4 decay=none complete=0\n" + terms)
         assert exc.value.line == line
+
+    def test_complete_table_carries_no_decay_line(self):
+        # the zero decay line alone says that every c_alpha past the cap is 0
+        text = "mahler p=5 d=1 N=12 A=4 decay={} complete=1\n0 : 0:1:12\n"
+        t = parse_mahler(text.format("none"))
+        assert t.complete and t.decay == (NormValue.zero(), 0)
+        assert serialize_mahler(t) == text.format("none")
+        with pytest.raises(ParseError, match="no decay line") as exc:
+            parse_mahler(text.format("p^0@1"))
+        assert exc.value.line == 1
 
     def test_rejects_wrong_magic(self):
         with pytest.raises(ParseError):
