@@ -312,7 +312,7 @@ def pair(lam: Distribution, table: MahlerTable):
                 bound = enc.bound(sum(alpha))
                 errors.append(unbounded if bound is None else bound * triple_bound(p, c))
         # the lines of growth t <= t_t, times the decay C_t p^(-t_t k), at the
-        # least degree k0 past head and table: 0 for the zero line, unbounded too
+        # least degree k0 past head and table; 0 for the zero line, lines or not
         C_t, t_t = table.decay
         k0 = max(model.weight_above(lam.T), table.cap + 1)
         best = enc.bound(k0, t_t)
