@@ -209,8 +209,6 @@ def cmd_project(args) -> int:
     from .mahler import finite_level_project
 
     dist = _load_distribution(args.infile)
-    if args.level < 1:
-        raise UsageError("projection level must be >= 1")
     elem = finite_level_project(dist, args.level)
     lines = [
         ",".join(str(x) for x in key) + " : " + format_scalar(elem.coeff(key))

@@ -60,6 +60,7 @@ from .padic import (
     int_tuple,
     is_int_triple,
     ppow,
+    radius_exponent,
     require_triple,
     triple_bound,
     triple_valuation,
@@ -81,10 +82,7 @@ class RadiusParam:
     __slots__ = ("s",)
 
     def __init__(self, s):
-        s = Fraction(s)
-        if not (0 < s <= 1):
-            raise ValueError(f"radius exponent s must satisfy 0 < s <= 1, got {s}")
-        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "s", radius_exponent(s, ValueError))
 
     def __setattr__(self, *a):
         raise AttributeError("RadiusParam is immutable")
@@ -416,8 +414,8 @@ class Distribution:
     def mul(self, other: "Distribution", T=None, s_work=None) -> "Distribution":
         """Noncommutative convolution via Dirac decomposition of the heads.
 
-        ``s_work`` attaches an extra cap line at growth s_work from the
-        product of the factors' norm upper bounds at r = p^(-s_work).
+        ``s_work``, one s or a tuple or list of them, attaches a cap line at
+        growth s: the product of the factors' norm upper bounds at r = p^(-s).
         """
         self.model._require_same(other.model)
         model = self.model
@@ -438,14 +436,11 @@ class Distribution:
         if sup1 is not None and sup2 is not None:
             cap.append((sup1 * sup2, Fraction(0)))
         if s_work is not None:
-            works = [s_work] if isinstance(s_work, (int, Fraction)) else list(s_work)
-            for s in works:
-                s = Fraction(s)
-                r = RadiusParam(s)
+            for r in map(RadiusParam, s_work if isinstance(s_work, (tuple, list)) else [s_work]):
                 u1 = self.norm(r).upper
                 u2 = other.norm(r).upper
                 if not (u1.is_unbounded or u2.is_unbounded):
-                    cap.append((u1 * u2, s))
+                    cap.append((u1 * u2, r.s))
         if exact_path:
             herr = NormValue.zero()
         elif sup1 is None or sup2 is None:
@@ -757,8 +752,6 @@ def semidirect_mul(pair1, pair2, s_work=None):
     sigma conjugate and ds^2 = 1."""
     a, b = pair1
     c, e = pair2
-    if not a.model.law.sigma:
-        raise ModelMismatch("semidirect product requires the semidirect model")
     sc = c.conjugate("sigma")
     se = e.conjugate("sigma")
     first = a.mul(c, s_work=s_work) + b.mul(se, s_work=s_work)

@@ -21,14 +21,13 @@ read off J's own leads with e0 struck out (see ``grade_cyclic``).
 
 from __future__ import annotations
 
-from fractions import Fraction
 import functools
 import heapq
 from math import inf
 from operator import mul
 import re
 
-from .padic import PadicError, _check_prime, as_int, int_tuple
+from .padic import PadicError, _check_prime, as_int, int_tuple, radius_exponent
 
 
 class GradedError(PadicError):
@@ -42,9 +41,8 @@ class AmbientMismatch(GradedError):
 class GradedAmbient:
     """Parameters (p, d, s) shared by all polynomials of one ring, with
     omega = 1 on every generator.  The third argument is kept only for
-    callers that still pass the weights; it must be d ones.  s is read as a
-    radius exponent is (``distalg.RadiusParam``): an exact rational with
-    0 < s <= 1."""
+    callers that still pass the weights; it must be d ones.  s is read as
+    ``distalg.RadiusParam`` reads it (``padic.radius_exponent``)."""
 
     __slots__ = ("p", "d", "s")
 
@@ -54,13 +52,7 @@ class GradedAmbient:
             raise GradedError(f"dimension d must be >= 0, got {d}")
         if tuple(omegas) != (1,) * d:
             raise GradedError(f"every generator weight omega must be 1, got {tuple(omegas)}")
-        try:
-            s = Fraction(s)
-        except (TypeError, ValueError, OverflowError):
-            raise GradedError(f"radius exponent s {s!r} is not a rational number") from None
-        # a Fraction's denominator is positive
-        if not 0 < s.numerator <= s.denominator:
-            raise GradedError(f"radius exponent s must satisfy 0 < s <= 1, got {s}")
+        s = radius_exponent(s, GradedError)
         for name, value in (("p", p), ("d", d), ("s", s)):
             object.__setattr__(self, name, value)
 

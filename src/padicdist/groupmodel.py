@@ -20,7 +20,8 @@ from functools import partial, reduce
 from math import floor, inf
 from typing import Callable, NamedTuple
 
-from .padic import PadicError, _check_prime, as_int, int_tuple, ppow, vp_factorial, vp_int
+from .padic import (PadicError, _check_prime, as_int, as_rational, int_tuple, ppow, vp_factorial,
+                    vp_int)
 
 
 class ModelError(PadicError):
@@ -34,13 +35,9 @@ class ModelMismatch(ModelError):
 def truncation(T) -> int:
     """T as a degree cutoff: degrees are integers (every omega is 1), so a
     rational T >= 0 truncates like its floor, and anything else is refused."""
-    try:
-        cut = floor(T)
-    except (TypeError, ValueError, OverflowError):
-        raise ModelError(f"truncation weight T must be a finite rational, got {T!r}") from None
-    if T < 0:
+    if as_rational(T, ModelError, "truncation weight T") < 0:
         raise ModelError(f"truncation weight T must be >= 0, got {T}")
-    return cut
+    return floor(T)
 
 
 def simplex(d: int, T: int):

@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .padic import (NormValue, PadicError, PadicScalar, _check_prime, add_triples, as_int,
-                    binomial_transform, int_binom, int_tuple, ppow, require_triple,
+                    as_rational, binomial_transform, int_binom, int_tuple, ppow, require_triple,
                     triple_bound)
 from .groupmodel import GroupModel, simplex
 from .distalg import Distribution, _merge_terms, _products, as_triple
@@ -75,6 +75,7 @@ class FunctionSpec:
     @classmethod
     def parse(cls, d, p, text: str) -> "FunctionSpec":
         parts = text.split(":")
+        coords = lambda field: [int(x) for x in field.split(",")] if field else []
         if len(parts) not in {"constant": (1, 2), "indicator": (3,)}.get(parts[0], (2,)):
             raise MahlerError(f"bad function id {text!r}: wrong number of fields")
         try:
@@ -83,12 +84,11 @@ class FunctionSpec:
             if parts[0] == "coordinate":
                 return cls.coordinate(d, p, int(parts[1]))
             if parts[0] == "monomial":
-                return cls.monomial(d, p, [int(x) for x in parts[1].split(",")])
+                return cls.monomial(d, p, coords(parts[1]))
             if parts[0] == "power1p":
                 return cls.power_series_1p(d, p, int(parts[1]))
             if parts[0] == "indicator":
-                return cls.indicator(d, p, [int(x) for x in parts[1].split(",")],
-                                     int(parts[2]))
+                return cls.indicator(d, p, coords(parts[1]), int(parts[2]))
         except ValueError as exc:
             raise MahlerError(f"bad function id {text!r}: {exc}") from exc
         raise MahlerError(f"bad function id {text!r}")
@@ -181,10 +181,10 @@ class MahlerTable:
     @staticmethod
     def check_header(d, p, prec, cap) -> tuple:
         """(d, p, N, A) as ints; refuses any that is not an integer, a p that
-        is not an odd prime, d < 1, N < 1 or A < 0."""
+        is not an odd prime, d < 0, N < 1 or A < 0."""
         p, d = _check_prime(p, MahlerError), as_int(d, MahlerError, "dimension d")
-        if d < 1:
-            raise MahlerError(f"dimension d must be >= 1, got {d}")
+        if d < 0:
+            raise MahlerError(f"dimension d must be >= 0, got {d}")
         prec, cap = as_int(prec, MahlerError, "precision N"), as_int(cap, MahlerError, "cap A")
         if prec < 1:
             raise MahlerError(f"precision N must be >= 1, got {prec}")
@@ -269,7 +269,7 @@ def amice_report(table: MahlerTable, rho_exponents):
             rows_v[k] = a
     out = []
     for u in rho_exponents:
-        u = Fraction(u)
+        u = as_rational(u, MahlerError, "Amice exponent u")
         if u <= 0:
             raise MahlerError("Amice radii must satisfy rho > 1 (u > 0)")
         rows = []
@@ -351,7 +351,7 @@ class GroupAlgebraElement:
         """Fill the slots of either constructor; both check the level here."""
         n = as_int(n, MahlerError, "level")
         if n < 1:
-            raise MahlerError("level must be >= 1")
+            raise MahlerError("projection level must be >= 1")
         self.model, self.n = model, n
         self.coeffs = {k: c for c, k, _ in _merge_terms(model, terms, ppow(model.p, n))}
 

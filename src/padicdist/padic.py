@@ -19,13 +19,14 @@ binomial coefficients C(x, 0..kmax) per coordinate.  ``binom`` builds such
 a row whole, by the exact recurrence in k, and caches it: one lookup per
 row, not per entry.
 
-Caller integers are read by one rule, ``as_int`` and ``int_tuple``: an
-integral value (an int, integral float or Fraction, or an iterable of them)
-is read as an int; anything else is refused with the caller's module error.
+Caller values are read by one rule each, and refused with the caller's module
+error where it fails: integers by ``as_int`` and ``int_tuple``, rationals (T,
+s, u) by ``as_rational``, and radius exponents s by ``radius_exponent``.
 """
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, inf
@@ -77,6 +78,28 @@ def as_int(x, error, what) -> int:
     except (TypeError, ValueError, OverflowError):
         pass
     raise error(f"{what} {x!r} is not an integer")
+
+
+def as_rational(x, error, what):
+    """x as an exact int or Fraction: an int or Fraction as it is, a float or
+    Decimal at its exact value; anything else (a string, None, NaN, an
+    infinity, a complex) is refused with ``error``."""
+    if type(x) is int or type(x) is Fraction:
+        return x
+    if isinstance(x, (int, Fraction, float, Decimal)):
+        try:
+            return Fraction(x)
+        except (ValueError, OverflowError):
+            pass
+    raise error(f"{what} must be a finite rational, got {x!r}")
+
+
+def radius_exponent(s, error) -> Fraction:
+    """s as a radius exponent (r = p^-s): a rational with 0 < s <= 1."""
+    s = Fraction(as_rational(s, error, "radius exponent s"))
+    if not 0 < s.numerator <= s.denominator:
+        raise error(f"radius exponent s must satisfy 0 < s <= 1, got {s}")
+    return s
 
 
 def int_tuple(x, d, error, what, nonnegative=False) -> tuple:

@@ -301,6 +301,17 @@ class TestProject:
         code, out, err = run_cli(["project", "--in", str(path), "--level", "0"])
         assert (code, out, err) == (2, "", "error: projection level must be >= 1\n")
 
+    def test_level_below_one_on_an_inexact_file_names_the_witness(self, tmp_path):
+        # the level is checked by the projection, after its witness
+        code, out, _ = run_cli(["expand", "--group", "heisenberg:5", "--elem", "1,2,7",
+                                "-T", "6"])
+        assert code == 0
+        path = tmp_path / "g.dist"
+        path.write_text(out)
+        code, out, err = run_cli(["project", "--in", str(path), "--level", "0"])
+        assert (code, out) == (2, "")
+        assert err == "error: finite-level projection needs an exact Dirac witness\n"
+
 
 class TestDimensionZero:
     # on abelian:0:5 a coordinate list and a multi-index are empty: `expand`
@@ -317,6 +328,21 @@ class TestDimensionZero:
         assert run_cli(["mul", z, z]) == (0, out, "")
         assert run_cli(["project", "--in", z, "--level", "1"]) == (0, " : 0:1:14\n", "")
         assert run_cli(["symbol", "--in", z, "--r", "1/2"]) == (0, "1\ndegree = 0\n", "")
+
+    @pytest.mark.parametrize("fn, entry", [("constant:2", "0:2:12"), ("monomial:", "0:1:12")])
+    def test_mahler_table(self, fn, entry):
+        # the table of f at d = 0 is its one entry c_() = f()
+        code, out, err = run_cli(["mahler", "--group", "abelian:0:5", "--fn", fn, "--cap", "2"])
+        assert (code, err) == (0, "")
+        assert out == f"mahler p=5 d=0 N=12 A=2 decay=none complete=1\n : {entry}\n"
+
+    def test_pair(self, tmp_path):
+        code, out, _ = run_cli(["expand", "--group", "abelian:0:5", "--elem", "", "-T", "3"])
+        assert code == 0
+        path = tmp_path / "z.dist"
+        path.write_text(out)
+        assert run_cli(["pair", "--in", str(path), "--fn", "constant:2"]) == (
+            0, "value = 0:2:12\nerror <= 0\n", "")
 
 
 def expanded(tmp_path, name, group, *how):

@@ -1,3 +1,4 @@
+from decimal import Decimal
 import math
 from fractions import Fraction
 from math import inf
@@ -22,7 +23,7 @@ from padicdist.distalg import (
 from padicdist.graded import GradedAmbient, GradedError, GradedPoly
 from padicdist.groupmodel import GroupModel, ModelError, ModelMismatch, simplex
 from padicdist.mahler import (FunctionSpec, GroupAlgebraElement, MahlerError, MahlerTable,
-                              finite_level_project, mahler_coeffs)
+                              amice_report, finite_level_project, mahler_coeffs)
 from padicdist.padic import NormValue, PadicScalar, PrecisionExhausted, triple_valuation, vp_int
 from padicdist.serialize import (ParseError, parse_distribution, serialize_distribution,
                                  serialize_mahler)
@@ -941,6 +942,11 @@ class TestSemidirect:
         assert not lam1.coeffs
         assert lam0.coeff((0,)).same_value(sc(model, 1))
 
+    def test_semidirect_product_needs_sigma(self):
+        one = Distribution.one(ab(1))
+        with pytest.raises(ModelError, match="sigma conjugation is defined only on the semidirect"):
+            semidirect_mul((one, one), (one, one))
+
 
 def inexact_head(src, K, growth=Fraction(0)):
     """The entries of src of degree <= K, with a growth-t tail certificate
@@ -1392,6 +1398,57 @@ class TestIntegerRule:
         else:
             with pytest.raises(want):
                 make()
+
+
+class RationalEntry(NamedTuple):
+    """A library entry point that reads a caller rational: ``f`` of the
+    value under test gives a comparable output, ``error`` is its module's
+    error and ``none_is_default`` marks a reader of None as its default."""
+
+    f: Callable
+    error: type
+    none_is_default: bool = False
+
+
+def _product(s_work):
+    return Distribution.dirac(heis().element([1, 2, 0])).mul(
+        Distribution.monomial(heis(), (1, 0, 0)), s_work=s_work).enclosure
+
+
+# every library entry point that reads a caller rational other than a
+# truncation weight T, as a function of it
+RATIONAL_ENTRY_POINTS = {
+    "RadiusParam": RationalEntry(RadiusParam, ValueError),
+    "GradedAmbient": RationalEntry(lambda s: GradedAmbient(P, 2, [1, 1], s), GradedError),
+    "mul": RationalEntry(_product, ValueError, True),
+    "mul-tuple": RationalEntry(lambda s: _product((Fraction(1, 4), s)), ValueError),
+    "amice_report": RationalEntry(lambda u: amice_report(_table(), [u]), MahlerError),
+}
+
+
+class TestRationalRule:
+    """One rule for caller rationals (``padic.as_rational``): an int or a
+    Fraction is read as it is and a float or Decimal at its exact value;
+    anything else is refused with the entry point's module error, never
+    TypeError, OverflowError or Fraction's own ValueError."""
+
+    @pytest.mark.parametrize("name, bad", [
+        (name, bad) for name, entry in RATIONAL_ENTRY_POINTS.items()
+        for bad in (inf, -inf, math.nan, None, "1/2", 1j)
+        if not (bad is None and entry.none_is_default)])
+    def test_no_finite_rational_is_refused(self, name, bad):
+        # inf, None and 1j escaped as OverflowError or TypeError, nan with
+        # Fraction's own ValueError, and "1/2" was read as a Fraction or, in
+        # s_work, character by character
+        entry = RATIONAL_ENTRY_POINTS[name]
+        with pytest.raises(entry.error, match=r"^\w[\w ]* must be a finite rational, got "):
+            entry.f(bad)
+
+    @pytest.mark.parametrize("name", sorted(RATIONAL_ENTRY_POINTS))
+    def test_exact_spellings_read_alike(self, name):
+        f = RATIONAL_ENTRY_POINTS[name].f
+        want = repr(f(Fraction(1, 2)))
+        assert repr(f(0.5)) == repr(f(Decimal("0.5"))) == want
 
 
 class TestCallerTriples:

@@ -1,4 +1,6 @@
+from decimal import Decimal
 import random
+import re
 from fractions import Fraction
 from itertools import product
 from math import prod
@@ -12,6 +14,7 @@ from padicdist.padic import (
     PadicError,
     PadicScalar,
     PrecisionExhausted,
+    as_rational,
     binom as binom_row,
     binomial_transform,
     int_binom,
@@ -139,6 +142,21 @@ def binom(x, k):
     """C(x, k) for an integral scalar x, entry k of its ``padic.binom`` row."""
     row = binom_row(x.p, x.prec, x.residue, k)
     return PadicScalar(x.p, x.prec - vp_factorial(k, x.p), row[k])
+
+
+class TestAsRational:
+    def test_exact_values_are_kept_and_others_read_exactly(self):
+        third = Fraction(1, 3)
+        assert as_rational(third, PadicError, "x") is third
+        assert type(as_rational(7, PadicError, "x")) is int
+        # a float is read at its binary value, a Decimal at its decimal one
+        assert as_rational(0.1, PadicError, "x") == Fraction(3602879701896397, 2 ** 55)
+        assert as_rational(Decimal("0.1"), PadicError, "x") == Fraction(1, 10)
+
+    @pytest.mark.parametrize("bad", ["1", None, float("nan"), Decimal("inf"), 1j])
+    def test_anything_else_is_refused_with_the_callers_error(self, bad):
+        with pytest.raises(PrecisionExhausted, match="^" + re.escape(f"x must be a finite rational, got {bad!r}") + "$"):
+            as_rational(bad, PrecisionExhausted, "x")
 
 
 class TestBinom:

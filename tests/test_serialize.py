@@ -382,15 +382,22 @@ class TestMahlerFiles:
         with pytest.raises(ParseError):
             parse_mahler("distribution p=5\n")
 
+    def test_dimension_zero_round_trips(self):
+        # at d = 0 the one multi-index is (), written as an empty field
+        text = "mahler p=5 d=0 N=12 A=2 decay=none complete=1\n : 0:2:12\n"
+        t = parse_mahler(text)
+        assert (t.d, t.coeff(())) == (0, PadicScalar(5, 12, 2))
+        assert serialize_mahler(t) == text
+
     @pytest.mark.parametrize("p,d,N,A,word", [
         (4, 1, 12, 4, "prime"),
         (5, 1, 0, 4, "precision"),
-        (5, 0, 12, 4, "dimension"),
+        (5, -1, 12, 4, "dimension"),
         (5, 1, 12, -2, "cap"),
         (0, 1, 3, 2, "prime"),
     ])
     def test_rejects_bad_header_numbers(self, p, d, N, A, word):
-        # p an odd prime, d >= 1, N >= 1 and A >= 0, as distribution files
+        # p an odd prime, d >= 0, N >= 1 and A >= 0, as distribution files
         # require of their models; the header is checked before the term
         # lines, which are read mod p
         header = f"mahler p={p} d={d} N={N} A={A} decay=none complete=0\n"
