@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification-check failure, 2 usage error,
-3 parse error in an input file, 4 precision exhausted.
+3 parse error in an input file, 4 precision exhausted.  A library refusal
+is a PadicError, mapped by class: ParseError 3, PrecisionExhausted 4, else 2.
 
 A plain call builds no parser: it is read against ``COMMANDS`` into the
 Namespace the full tree (``build_parser``) gives it.  It is a known
@@ -490,7 +491,7 @@ def main(argv=None) -> int:
     except PrecisionExhausted as exc:
         print(f"precision exhausted: {exc}", file=sys.stderr)
         return EXIT_PRECISION
-    except (PadicError, ValueError) as exc:
+    except PadicError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

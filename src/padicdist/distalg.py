@@ -14,10 +14,10 @@ value p^-shift * residue known mod p^(prec - shift), with the residue
 reduced mod p^prec as PadicScalar keeps it.  Sums, valuations and
 magnitude bounds follow the triple rules of ``padic``; a product takes the
 least prec and adds the shifts.  PadicScalars appear only at the edge:
-``as_triple`` reads the int, Fraction, PadicScalar or triple coefficients
-that the constructors take, and ``Distribution.coeff`` builds the
-PadicScalar of an entry; a caller's multi-index is read by
-``padic.int_tuple`` (d nonnegative integral entries, else DistError).
+``as_triple`` reads the rational, PadicScalar or triple coefficients that
+the constructors take, and ``Distribution.coeff`` builds the PadicScalar
+of an entry; a caller's multi-index is read by ``padic.int_tuple`` (d
+nonnegative integral entries, else DistError).
 Exact tables, Dirac witnesses and ``mahler``'s coset tables drop a zero only
 by ``known_zero`` (a window of at least N + 2, the narrowest of a binomial
 row); inexact tables keep their zeros.
@@ -54,11 +54,11 @@ from .padic import (
     PadicScalar,
     add_triples,
     as_int,
+    as_rational,
     binom,
     binomial_transform,
     fraction_triple,
     int_tuple,
-    is_int_triple,
     ppow,
     radius_exponent,
     require_triple,
@@ -82,7 +82,7 @@ class RadiusParam:
     __slots__ = ("s",)
 
     def __init__(self, s):
-        object.__setattr__(self, "s", radius_exponent(s, ValueError))
+        object.__setattr__(self, "s", radius_exponent(s, DistError))
 
     def __setattr__(self, *a):
         raise AttributeError("RadiusParam is immutable")
@@ -171,20 +171,22 @@ class NormInterval(NamedTuple):
         return f"{self.lower} .. {self.upper}"
 
 
-def as_triple(model: GroupModel, c):
-    """The stored form of a coefficient given as an int, a Fraction, a
-    PadicScalar or a triple of ints (residue, prec, shift), read as the
-    PadicScalar it names: ints and Fractions at the model's working
-    precision, a triple with its residue reduced, refused when its prec is
-    below 1 or its shift below 0."""
+def as_triple(model: GroupModel, c, error):
+    """The stored form of a caller's coefficient: a PadicScalar of the
+    model's prime, a rational (``as_rational``) at the model's working
+    precision, or a (residue, prec, shift) triple of integers (``int_tuple``)
+    read as the PadicScalar it names, a prec below 1 refused with
+    PrecisionExhausted; anything else, or a shift below 0, with ``error``."""
     if isinstance(c, PadicScalar):
+        if c.p != model.p:
+            raise error(f"coefficient {c!r} is not a scalar of p = {model.p}")
         return c.triple
     if isinstance(c, tuple):
-        if not is_int_triple(c):
-            raise TypeError(f"coefficient {c!r} is not a (residue, prec, shift) triple of ints")
-        r, prec, shift = c
+        r, prec, shift = int_tuple(c, 3, error, "(residue, prec, shift) triple of ints")
+        if shift < 0:
+            raise error(f"coefficient {c!r} has a shift below 0")
         return PadicScalar(model.p, prec, r, shift).triple
-    return fraction_triple(model.p, c, model.elem_prec)
+    return fraction_triple(model.p, as_rational(c, error, "coefficient"), model.elem_prec)
 
 
 def known_zero(model: GroupModel, c) -> bool:
@@ -206,8 +208,8 @@ class Distribution:
     ``coeff(alpha)`` returns d_alpha as a PadicScalar.  The constructor
     takes triples in the stored form (prec >= 1, shift >= 0, residue
     reduced mod p^prec); ``from_coeffs``, ``dirac_combination`` and
-    ``scale`` also take ints, Fractions, PadicScalars and unreduced triples
-    (``as_triple``).  An exact table keeps no ``known_zero`` entry.
+    ``scale`` also take what ``as_triple`` reads.  An exact table keeps no
+    ``known_zero`` entry.
 
     ``enclosure`` bounds what the table does not hold exactly, the head
     being complete to T; ``exact`` says that it is ``Enclosure.EXACT``.
@@ -225,7 +227,7 @@ class Distribution:
         for alpha, c in coeffs.items():
             if model.tau(alpha) > T:
                 raise DistError(f"stored index {alpha} exceeds truncation weight {T}")
-            require_triple(model.p, alpha, c)
+            require_triple(model.p, alpha, c, DistError)
         if not isinstance(enclosure, Enclosure):
             raise DistError(f"enclosure {enclosure!r} is not an Enclosure")
         self._set(model, coeffs, T, enclosure)
@@ -269,7 +271,8 @@ class Distribution:
     @classmethod
     def monomial(cls, model, alpha, T=None) -> "Distribution":
         T = model.max_weight if T is None else T
-        return cls(model, {_multi_index(model, alpha): as_triple(model, 1)}, T, Enclosure.EXACT)
+        return cls(model, {_multi_index(model, alpha): (1, model.elem_prec, 0)}, T,
+                   Enclosure.EXACT)
 
     @classmethod
     def dirac(cls, g: GroupElement, T=None) -> "Distribution":
@@ -280,7 +283,8 @@ class Distribution:
         """sum a_j delta_{g_j}; the term list is retained as an exact witness."""
         T = model.max_weight if T is None else truncation(T)
         model._require_elements(*(g for _, g in terms))
-        merged = _merge_terms(model, [(as_triple(model, a), g.coords, g.exact) for a, g in terms])
+        merged = _merge_terms(model, [(as_triple(model, a, DistError), g.coords, g.exact)
+                                      for a, g in terms])
         coeffs = _expand_terms(model, merged, T)
         if out := _exact_result(model, merged, coeffs, T, merged):
             return out
@@ -293,7 +297,8 @@ class Distribution:
         coefficients read by ``as_triple``.  The constructor drops the
         ``known_zero`` entries of an exact table; a zero known on a window
         narrower than N + 2 stays, as an uncertain entry."""
-        return cls(model, {a: as_triple(model, c) for a, c in table.items()}, T, enclosure)
+        return cls(model, {a: as_triple(model, c, DistError) for a, c in table.items()},
+                   T, enclosure)
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -329,7 +334,7 @@ class Distribution:
 
     def scale(self, c) -> "Distribution":
         p = self.model.p
-        c = as_triple(self.model, c)
+        c = as_triple(self.model, c, DistError)
         cup = triple_bound(p, c)
         cr, cprec, cshift = c
 
@@ -503,7 +508,7 @@ class Distribution:
 
         s = r.s
         if s >= 1:
-            raise ValueError("principal symbols require 1/p < r < 1 (s < 1)")
+            raise DistError("principal symbols require 1/p < r < 1 (s < 1)")
         prof = self._rnorm_profile()
         if not prof.valued:
             raise DistError("zero (or valuation-indeterminate) distribution has no symbol")
@@ -661,7 +666,7 @@ def structure_constants(model: GroupModel, beta, gamma, T):
         alpha = tuple(b + g for b, g in zip(beta, gamma))
         if model.tau(alpha) > T:
             return {}, {}
-        return {alpha: as_triple(model, 1)}, {alpha: True}
+        return {alpha: (1, model.elem_prec, 0)}, {alpha: True}
     core = _commutation_core(model, beta[1], gamma[0], T)
     x, y, z = beta[0], gamma[1], beta[2] + gamma[2]
     room = T - x - y - z
@@ -721,7 +726,7 @@ def lie_generator(model: GroupModel, i: int, T=None) -> Distribution:
     p = model.p
     for k in range(1, K + 1):
         alpha = tuple(k if j == i else 0 for j in range(model.d))
-        coeffs[alpha] = as_triple(model, Fraction((-1) ** (k + 1), k))
+        coeffs[alpha] = fraction_triple(p, Fraction((-1) ** (k + 1), k), model.elem_prec)
     # |1/k| = p^(v_p(k)) <= p^(t * k) for all k > K: a k > K with
     # v_p(k) = m is at least k_m, the least multiple of p^m above K, so
     # t = max_m m / k_m.  Once p^m > K, k_m = p^m and m / p^m only falls.

@@ -161,7 +161,7 @@ class MahlerTable:
         self.coeffs = {int_tuple(a, self.d, MahlerError, "multi-index", nonnegative=True): c
                        for a, c in dict(coeffs).items()}
         for alpha, c in self.coeffs.items():
-            require_triple(p, alpha, c)
+            require_triple(self.p, alpha, c, MahlerError)
         self.decay = decay
 
     @classmethod
@@ -326,17 +326,15 @@ class GroupAlgebraElement:
     coefficient triples, folded by ``distalg._merge_terms`` at the modulus
     p^n: keys that agree mod p^n summed, residues reduced, without the
     ``known_zero`` entries (0 on a window of at least N + 2).  The
-    constructor takes triples of ints, read as ``as_triple`` reads them
-    (residue reduced, prec >= 1 and shift >= 0, else refused)."""
+    constructor reads each coefficient by ``as_triple``, as ``from_coeffs``
+    does, and refuses what it does not take with MahlerError."""
 
     __slots__ = ("model", "n", "coeffs")
 
     def __init__(self, model: GroupModel, n: int, coeffs):
         terms = []
         for key, c in coeffs.items():
-            if not isinstance(c, tuple):
-                raise TypeError(f"coefficient at {key} is not a (residue, prec, shift) triple: {c!r}")
-            c = as_triple(model, c)
+            c = as_triple(model, c, MahlerError)
             terms.append((c, int_tuple(key, model.d, MahlerError, "coset key"), False))
         self._set(model, n, terms)
 

@@ -20,8 +20,9 @@ a row whole, by the exact recurrence in k, and caches it: one lookup per
 row, not per entry.
 
 Caller values are read by one rule each, and refused with the caller's module
-error where it fails: integers by ``as_int`` and ``int_tuple``, rationals (T,
-s, u) by ``as_rational``, and radius exponents s by ``radius_exponent``.
+error where it fails: integers (and each PadicScalar or triple field) by
+``as_int`` and ``int_tuple``, rationals (T, s, u, coefficients and NormValue
+exponents) by ``as_rational``, and radius exponents s by ``radius_exponent``.
 """
 
 from __future__ import annotations
@@ -146,7 +147,7 @@ class NormValue:
         # a Fraction is kept as it is: comparing it with the infinities costs
         # more than the rest of the construction
         if type(exponent) is not Fraction and exponent not in (inf, -inf):
-            exponent = Fraction(exponent)
+            exponent = Fraction(as_rational(exponent, PadicError, "norm exponent"))
         object.__setattr__(self, "exponent", exponent)
 
     def __setattr__(self, *a):
@@ -224,22 +225,17 @@ def add_triples(p: int, x, y):
     return r1 * ppow(p, shift - s1) + r2 * ppow(p, shift - s2), prec, shift
 
 
-def is_int_triple(c) -> bool:
-    """Whether c is a tuple of three ints, a (residue, prec, shift) triple."""
-    return type(c) is tuple and len(c) == 3 and type(c[0]) is type(c[1]) is type(c[2]) is int
-
-
-def require_triple(p: int, where, c) -> None:
-    """Refuse a stored coefficient that is not a (residue, prec, shift)
-    triple of ints, with TypeError, or not in the form PadicScalar stores,
-    prec >= 1, shift >= 0 and 0 <= residue < p**prec, with ValueError."""
-    if not is_int_triple(c):
-        raise TypeError(f"coefficient at {where} is not a (residue, prec, shift) "
-                        f"triple of ints: {c!r}")
+def require_triple(p: int, where, c, error) -> None:
+    """Refuse with ``error`` a stored coefficient that is not a (residue,
+    prec, shift) triple of ints in the form PadicScalar stores: prec >= 1,
+    shift >= 0 and 0 <= residue < p**prec."""
+    if not (type(c) is tuple and len(c) == 3 and type(c[0]) is type(c[1]) is type(c[2]) is int):
+        raise error(f"coefficient at {where} is not a (residue, prec, shift) "
+                    f"triple of ints: {c!r}")
     r, prec, shift = c
     if prec < 1 or shift < 0 or not 0 <= r < ppow(p, prec):
-        raise ValueError(f"coefficient at {where} is not a stored triple (prec >= 1, "
-                         f"shift >= 0, 0 <= residue < p^prec): {c!r}")
+        raise error(f"coefficient at {where} is not a stored triple (prec >= 1, "
+                    f"shift >= 0, 0 <= residue < p^prec): {c!r}")
 
 
 def triple_valuation(p: int, x):
@@ -269,13 +265,14 @@ class PadicScalar:
     __slots__ = ("p", "prec", "residue", "shift")
 
     def __init__(self, p: int, prec: int, residue: int, shift: int = 0):
-        if type(p) is not int:
-            # a float p would key ppow's cache like the int, and poison it
-            p = as_int(p, PadicError, "prime p")
+        if not type(p) is type(prec) is type(residue) is type(shift) is int:
+            # a float p or prec would key ppow's cache like the int, and poison it
+            p, prec, residue, shift = (as_int(x, PadicError, what) for x, what in (
+                (p, "prime p"), (prec, "prec"), (residue, "residue"), (shift, "shift")))
         if prec < 1:
             raise PrecisionExhausted(f"precision window exhausted (prec={prec})")
         if shift < 0:
-            raise ValueError("denominator exponent must be >= 0")
+            raise PadicError(f"shift must be >= 0, got {shift}")
         self.p = p
         self.prec = prec
         self.residue = residue % ppow(p, prec)
@@ -289,8 +286,9 @@ class PadicScalar:
 
     @classmethod
     def from_fraction(cls, p: int, x, prec: int) -> "PadicScalar":
-        res, prec, shift = fraction_triple(p, x, prec)
-        return cls(p, prec, res, shift)
+        zero = cls(p, prec, 0)  # p and prec read before they reach ppow
+        res, prec, shift = fraction_triple(zero.p, as_rational(x, PadicError, "value"), zero.prec)
+        return cls(zero.p, prec, res, shift)
 
     @classmethod
     def zero(cls, p: int, prec: int) -> "PadicScalar":

@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .padic import NormValue, PadicError, PadicScalar, PrecisionExhausted, ppow, vp_int
+from .padic import NormValue, PadicError, PadicScalar, PrecisionExhausted, as_int, ppow, vp_int
 from .groupmodel import GroupModel, ModelError, truncation
 from .distalg import Distribution, Enclosure
 
@@ -59,6 +59,7 @@ def _format_triple(p: int, x) -> str:
 
 
 def parse_scalar(p: int, text: str, line=None) -> PadicScalar:
+    p = as_int(p, ParseError, "prime p")
     r, prec, shift = _parse_triple(p, text, line)
     return PadicScalar(p, prec, r, shift)
 

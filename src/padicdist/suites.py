@@ -11,7 +11,7 @@ from itertools import combinations
 from math import inf
 from typing import Callable
 
-from .padic import NormValue, PadicScalar, ppow
+from .padic import NormValue, PadicScalar, as_int, ppow
 from .groupmodel import GroupModel, ModelError, simplex, truncation
 from .distalg import (
     DistError,
@@ -37,8 +37,10 @@ class SuiteParams:
 
     def __post_init__(self):
         object.__setattr__(self, "T", truncation(self.T))
-        if self.samples is not None and self.samples < 1:
-            raise ValueError(f"samples must be >= 1, got {self.samples}")
+        if self.samples is not None:
+            object.__setattr__(self, "samples", as_int(self.samples, ModelError, "samples"))
+            if self.samples < 1:
+                raise ModelError(f"samples must be >= 1, got {self.samples}")
 
 
 @dataclass(frozen=True)

@@ -140,7 +140,7 @@ def principal_symbol(lam, r: RadiusParam):
 
     s = r.s
     if s >= 1:
-        raise ValueError("principal symbols require 1/p < r < 1 (s < 1)")
+        raise DistError("principal symbols require 1/p < r < 1 (s < 1)")
     model = lam.model
     p = model.p
     best = None

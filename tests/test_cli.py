@@ -755,3 +755,8 @@ class TestModuleEntryPoint:
     def test_usage_error(self):
         res = self.run_module("frobnicate")
         assert res.returncode == 2
+
+    def test_help(self):
+        res = self.run_module("--help")
+        assert res.returncode == 0
+        assert res.stdout.startswith("usage: padicdist")

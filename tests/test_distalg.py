@@ -24,9 +24,10 @@ from padicdist.graded import GradedAmbient, GradedError, GradedPoly
 from padicdist.groupmodel import GroupModel, ModelError, ModelMismatch, simplex
 from padicdist.mahler import (FunctionSpec, GroupAlgebraElement, MahlerError, MahlerTable,
                               amice_report, finite_level_project, mahler_coeffs)
-from padicdist.padic import NormValue, PadicScalar, PrecisionExhausted, triple_valuation, vp_int
-from padicdist.serialize import (ParseError, parse_distribution, serialize_distribution,
-                                 serialize_mahler)
+from padicdist.padic import (NormValue, PadicError, PadicScalar, PrecisionExhausted,
+                             triple_valuation, vp_int)
+from padicdist.serialize import (ParseError, parse_distribution, parse_scalar,
+                                 serialize_distribution, serialize_mahler)
 from padicdist.suites import SuiteParams, _second_basis
 
 import norm_reference
@@ -172,7 +173,7 @@ class TestConstructors:
         assert Distribution(model, {(1, 0): good}, 6).coeffs == {(1, 0): good}
         for bad in (sc(model, 25), list(good), good[:2], (25, 6, 0, 0), (25, 6.0, 0),
                     (True, 6, 0), 25):
-            with pytest.raises(TypeError, match=r"coefficient at \(1, 0\)"):
+            with pytest.raises(DistError, match=r"coefficient at \(1, 0\)"):
                 Distribution(model, {(0, 0): good, (1, 0): bad}, 6)
 
 
@@ -766,6 +767,10 @@ class TestLieGenerator:
             )
             assert lg.coeff((k, 0, 0)).same_value(want)
 
+    def test_truncation_below_the_generator_is_refused(self):
+        with pytest.raises(DistError, match="below the generator's weight"):
+            lie_generator(ab(1), 0, T=0)
+
     def test_symbol_high_radius(self):
         from padicdist.graded import GradedAmbient, GradedPoly
 
@@ -820,7 +825,7 @@ class TestSymbolGuards:
 
     def test_s_must_be_below_one(self):
         model = heis()
-        with pytest.raises(ValueError):
+        with pytest.raises(DistError):
             Distribution.one(model).principal_symbol(RadiusParam(1))
 
     def test_homomorphism_on_monomials(self):
@@ -858,6 +863,10 @@ class TestConjugationAndBasis:
         lam = Distribution.monomial(heis(), (1, 0, 0))
         with pytest.raises(ModelError, match="sigma conjugation is defined only"):
             lam.conjugate("sigma")
+
+    def test_action_that_is_no_element_is_refused(self):
+        with pytest.raises(DistError, match="undefined conjugation action 42"):
+            Distribution.monomial(heis(), (1, 0, 0)).conjugate(42)
 
     def test_change_basis_b1_example(self):
         model = ab(2)
@@ -917,6 +926,12 @@ class TestRadiusThreshold:
         with pytest.raises(DistError):
             d.r_threshold()
 
+    def test_requires_integral(self):
+        a = Distribution.from_coeffs(ab(1), {(0,): Fraction(1, P)}, T)
+        assert a.exact
+        with pytest.raises(DistError, match="requires an integral distribution"):
+            a.r_threshold()
+
     def test_stored_zero_of_an_exact_head(self):
         # an exact file may store a zero (`12:0:12`); it is the value 0 and
         # bounds nothing, so the threshold is that of b1 alone
@@ -946,6 +961,11 @@ class TestSemidirect:
         one = Distribution.one(ab(1))
         with pytest.raises(ModelError, match="sigma conjugation is defined only on the semidirect"):
             semidirect_mul((one, one), (one, one))
+
+    def test_qnorm_needs_the_semidirect_model(self):
+        one = Distribution.one(GroupModel.from_string("abelian:1:5"))
+        with pytest.raises(ModelMismatch, match="q-norm is defined on the semidirect model"):
+            q_norm((one, one), R12)
 
 
 def inexact_head(src, K, growth=Fraction(0)):
@@ -1418,10 +1438,10 @@ def _product(s_work):
 # every library entry point that reads a caller rational other than a
 # truncation weight T, as a function of it
 RATIONAL_ENTRY_POINTS = {
-    "RadiusParam": RationalEntry(RadiusParam, ValueError),
+    "RadiusParam": RationalEntry(RadiusParam, DistError),
     "GradedAmbient": RationalEntry(lambda s: GradedAmbient(P, 2, [1, 1], s), GradedError),
-    "mul": RationalEntry(_product, ValueError, True),
-    "mul-tuple": RationalEntry(lambda s: _product((Fraction(1, 4), s)), ValueError),
+    "mul": RationalEntry(_product, DistError, True),
+    "mul-tuple": RationalEntry(lambda s: _product((Fraction(1, 4), s)), DistError),
     "amice_report": RationalEntry(lambda u: amice_report(_table(), [u]), MahlerError),
 }
 
@@ -1451,6 +1471,114 @@ class TestRationalRule:
         assert repr(f(0.5)) == repr(f(Decimal("0.5"))) == want
 
 
+class ScalarEntry(NamedTuple):
+    """A library entry point that reads a caller scalar: ``f`` of the value
+    under test gives a comparable output and ``error`` is its module's
+    error.  ``kind`` says what it takes: "stored" triples only, any
+    "coefficient" (a rational, a PadicScalar of its prime or a triple), a
+    "rational", a norm "exponent" (a rational or an infinity) or an
+    "integer", of which ``good`` is one."""
+
+    f: Callable
+    error: type
+    kind: str
+    good: int | None = None
+
+
+def _fields(c):
+    return c.p, c.prec, c.residue, c.shift
+
+
+# every library entry point that reads a caller scalar (a distribution or
+# Mahler coefficient, a PadicScalar field or a NormValue exponent), as a
+# function of it
+SCALAR_ENTRY_POINTS = {
+    "Distribution": ScalarEntry(lambda c: serialize_distribution(
+        Distribution(ab(1), {(1,): c}, 4, Enclosure.EXACT)), DistError, "stored"),
+    "from_coeffs": ScalarEntry(lambda c: serialize_distribution(
+        Distribution.from_coeffs(ab(1), {(1,): c}, 4)), DistError, "coefficient"),
+    "scale": ScalarEntry(lambda c: serialize_distribution(
+        Distribution.monomial(ab(1), (1,), 4).scale(c)), DistError, "coefficient"),
+    "dirac_combination": ScalarEntry(lambda c: serialize_distribution(
+        Distribution.dirac_combination(ab(1), [(c, ab(1).element([2]))], 4)), DistError,
+        "coefficient"),
+    "MahlerTable": ScalarEntry(lambda c: serialize_mahler(
+        MahlerTable(1, P, 6, 4, {(1,): c}, decay=(NormValue.zero(), 0))), MahlerError, "stored"),
+    "GroupAlgebraElement": ScalarEntry(lambda c: repr(GroupAlgebraElement(
+        ab(1), 1, {(2,): c}).coeffs), MahlerError, "coefficient"),
+    "PadicScalar p": ScalarEntry(lambda p: _fields(PadicScalar(p, 6, 7)), PadicError,
+                                 "integer", P),
+    "PadicScalar prec": ScalarEntry(lambda n: _fields(PadicScalar(P, n, 7)), PadicError,
+                                    "integer", 6),
+    "PadicScalar residue": ScalarEntry(lambda r: _fields(PadicScalar(P, 6, r)), PadicError,
+                                       "integer", 7),
+    "PadicScalar shift": ScalarEntry(lambda k: _fields(PadicScalar(P, 6, 7, k)), PadicError,
+                                     "integer", 2),
+    "from_int": ScalarEntry(lambda n: _fields(PadicScalar.from_int(P, n, 6)), PadicError,
+                            "integer", 7),
+    "from_int prec": ScalarEntry(lambda n: _fields(PadicScalar.from_int(P, 7, n)), PadicError,
+                                 "integer", 6),
+    "from_fraction": ScalarEntry(lambda x: _fields(PadicScalar.from_fraction(P, x, 6)),
+                                 PadicError, "rational"),
+    "from_fraction prec": ScalarEntry(lambda n: _fields(PadicScalar.from_fraction(
+        P, Fraction(1, 3), n)), PadicError, "integer", 6),
+    "zero": ScalarEntry(lambda n: _fields(PadicScalar.zero(P, n)), PadicError, "integer", 6),
+    "one": ScalarEntry(lambda n: _fields(PadicScalar.one(P, n)), PadicError, "integer", 6),
+    "NormValue": ScalarEntry(lambda e: repr(NormValue(e)), PadicError, "exponent"),
+    "parse_scalar": ScalarEntry(lambda p: _fields(parse_scalar(p, "0:1:6")), ParseError,
+                                "integer", P),
+}
+
+# inputs that are no scalar of any kind, but for those that ``kind`` takes
+SCALAR_MALFORMED = {
+    "text": "1/2", "nan": math.nan, "inf": inf, "-inf": -inf, "None": None, "complex": 1j,
+    "float": 7.5, "float residue": (1.5, 6, 0), "pair": (1, 6),
+    "other prime": PadicScalar(7, 3, 6),
+}
+SCALAR_TAKES = {"coefficient": {"float"}, "rational": {"float"},
+                "exponent": {"float", "inf", "-inf"}}
+
+
+class TestScalarRule:
+    """One rule for caller scalars: a coefficient or a norm exponent is read
+    by ``padic.as_rational``, a triple or PadicScalar field by ``as_int``, a
+    PadicScalar of another prime is refused, and every refusal is the entry
+    point's module error, never TypeError, ValueError or OverflowError."""
+
+    @pytest.mark.parametrize("name, bad", [
+        (name, bad) for name, entry in SCALAR_ENTRY_POINTS.items() for bad in SCALAR_MALFORMED
+        if bad not in SCALAR_TAKES.get(entry.kind, ())])
+    def test_malformed_is_refused(self, name, bad):
+        # "1/2" and "3" were read as Fractions, a PadicScalar of p = 7 was
+        # stored by its residue, a float residue was stored as a float, and
+        # the rest escaped as TypeError, ValueError or OverflowError
+        entry = SCALAR_ENTRY_POINTS[name]
+        with pytest.raises(PadicError) as info:
+            entry.f(SCALAR_MALFORMED[bad])
+        assert info.type is entry.error, info.value
+
+    @pytest.mark.parametrize("name", sorted(
+        name for name, entry in SCALAR_ENTRY_POINTS.items() if entry.kind in SCALAR_TAKES))
+    def test_exact_spellings_read_alike(self, name):
+        f = SCALAR_ENTRY_POINTS[name].f
+        want = repr(f(Fraction(1, 2)))
+        assert repr(f(0.5)) == repr(f(Decimal("0.5"))) == want
+
+    @pytest.mark.parametrize("name", sorted(
+        name for name, entry in SCALAR_ENTRY_POINTS.items() if entry.kind == "integer"))
+    def test_integral_spellings_read_as_ints(self, name):
+        entry = SCALAR_ENTRY_POINTS[name]
+        want = repr(entry.f(entry.good))
+        for spelling in (float(entry.good), Fraction(entry.good), Decimal(entry.good)):
+            assert repr(entry.f(spelling)) == want
+
+    def test_a_scalar_of_another_prime_was_read_by_its_residue(self):
+        # 6 mod 7^3 was stored as (6, 3, 0), 6 mod 5^3
+        model = GroupModel.from_string("abelian:1:5")
+        with pytest.raises(DistError, match="not a scalar of p = 5"):
+            Distribution.from_coeffs(model, {(0,): PadicScalar(7, 3, 6)}, 3)
+
+
 class TestCallerTriples:
     """A triple given by a caller is read as the PadicScalar it names, and a
     constructor takes only triples in the stored form."""
@@ -1463,7 +1591,7 @@ class TestCallerTriples:
 
     def test_constructor_refuses_an_unreduced_residue(self):
         # 5^14 mod 5^14 is 0, so a norm p^-14 .. p^-14 would be false
-        with pytest.raises(ValueError, match=r"coefficient at \(0,\) is not a stored triple"):
+        with pytest.raises(DistError, match=r"coefficient at \(0,\) is not a stored triple"):
             Distribution(self.model(), {(0,): (5 ** 14, 14, 0)}, 4, Enclosure.EXACT)
 
     def test_from_coeffs_refuses_an_empty_window(self):
@@ -1482,7 +1610,7 @@ class TestCallerTriples:
             Distribution.one(self.model()).scale((1, 0, 0))
 
     def test_scale_refuses_a_float_residue(self):
-        with pytest.raises(TypeError, match="triple of ints"):
+        with pytest.raises(DistError, match="triple of ints"):
             Distribution.one(self.model()).scale((1.5, 14, 0))
 
     def test_scale_keeps_the_witness_zero_rule(self):
@@ -1496,13 +1624,13 @@ class TestCallerTriples:
         lam = Distribution.from_coeffs(model, {(0,): (5 ** 14 + 3, 14, 0), (1,): (-1, 14, 1)}, 4)
         assert lam.coeffs == {(0,): (3, 14, 0), (1,): (5 ** 14 - 1, 14, 1)}
         assert Distribution.from_coeffs(model, {(0,): (5 ** 14, 14, 0)}, 4).coeffs == {}
-        with pytest.raises(ValueError):
+        with pytest.raises(DistError):
             Distribution.from_coeffs(model, {(0,): (1, 14, -1)}, 4)
 
     def test_mahler_table_refuses_an_unreduced_residue(self):
-        with pytest.raises(ValueError, match=r"coefficient at \(1,\) is not a stored triple"):
+        with pytest.raises(MahlerError, match=r"coefficient at \(1,\) is not a stored triple"):
             MahlerTable(1, P, 4, 3, {(1,): (5 ** 4, 4, 0)})
-        with pytest.raises(ValueError):
+        with pytest.raises(MahlerError):
             MahlerTable(1, P, 4, 3, {(1,): (1, 0, 0)})
 
 

@@ -224,6 +224,12 @@ class TestOmega:
             v, exact = model.omega(g)
             assert exact and v == 1
 
+    def test_inexact_element_that_vanishes_mod_p_w(self):
+        # every coordinate is 0 mod p^W: omega is only bounded below by 1 + W
+        model = heis()
+        W = model.elem_prec
+        assert model.omega(GroupElement(model, (0, P ** W, 0), False)) == (1 + W, False)
+
     @given(coords_st)
     @settings(max_examples=40, deadline=None)
     def test_p_power_raises_omega_by_one(self, a):
@@ -339,6 +345,12 @@ class TestBasisChange:
         model = heis()
         std = [model.element([1 if j == i else 0 for j in range(3)]) for i in range(3)]
         validate_basis(model, std)
+
+    def test_validate_rejects_omega_two(self):
+        model = heis()
+        h2, h3 = model.element([0, 1, 0]), model.element([0, 0, 1])
+        with pytest.raises(ModelError, match=r"basis element 0 has omega 2 \(exact=True\)"):
+            validate_basis(model, [model.element([P, 0, 0]), h2, h3])
 
     def test_validate_rejects_degenerate(self):
         model = heis()

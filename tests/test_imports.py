@@ -43,16 +43,21 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def loaded_after(code):
-    """padicdist modules in sys.modules after running ``code`` in a fresh process."""
+def run_fresh(code) -> str:
+    """The stdout of ``code`` run in a fresh process that imports this padicdist."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC.parent)] + [x for x in [env.get("PYTHONPATH")] if x])
-    probe = code + ("\nimport sys\n"
-                    "print(*(m for m in sys.modules if m.startswith('padicdist')))")
-    res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                         env=env, timeout=60, check=True)
-    return set(res.stdout.split())
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=60)
+    assert res.returncode == 0, res.stderr
+    return res.stdout
+
+
+def loaded_after(code):
+    """padicdist modules in sys.modules after running ``code`` in a fresh process."""
+    return set(run_fresh(code + "\nimport sys\n"
+                         "print(*(m for m in sys.modules if m.startswith('padicdist')))").split())
 
 
 def test_cli_import_leaves_suites_and_graded_out():

@@ -371,6 +371,12 @@ class TestCrosscheck:
         assert v in ("true", "inconclusive")
         assert v != "false"
 
+    def test_head_past_the_cap_is_inconclusive(self):
+        # delta_10 has the unit entry C(10, 10) = 1 past the table's cap
+        # 3p = 9, where an indicator has no decay line: the error is p^0
+        g = GroupModel.from_string("abelian:1:3").element([10])
+        assert pair_with_indicator_crosscheck(Distribution.dirac(g), [10], 1) == "inconclusive"
+
 
 class TestIndexValidation:
     """Indices and points are refused unless they are d integers (and, for a
@@ -442,7 +448,7 @@ class TestIndexValidation:
 
     @pytest.mark.parametrize("c", [sc(3), (3, N), (3.0, N, 0), [3, N, 0], (3, N, 0, 0)])
     def test_table_refuses_non_triples(self, c):
-        with pytest.raises(TypeError, match=r"coefficient at \(1,\) is not a \(residue"):
+        with pytest.raises(MahlerError, match=r"coefficient at \(1,\) is not a \(residue"):
             MahlerTable(1, P, N, 4, {(1,): c})
 
 
@@ -474,7 +480,7 @@ class TestStoredForm:
 
     def test_constructor_refuses_a_float_residue(self):
         model = GroupModel.abelian(2, P, prec=4)
-        with pytest.raises(TypeError, match="triple of ints"):
+        with pytest.raises(MahlerError, match="triple of ints"):
             GroupAlgebraElement(model, 1, {(0, 0): (1.5, 3, 0)})
 
     def test_constructor_refuses_a_key_that_is_no_coset(self):

@@ -24,6 +24,7 @@ from padicdist.padic import (
 )
 
 from mahler_reference import binom_residue
+from test_imports import run_fresh
 
 P = 5
 N = 12
@@ -67,6 +68,55 @@ class TestScalarPrime:
         with pytest.raises(PadicError, match="prime p"):
             PadicScalar(p, N, 1)
 
+    # prec, residue and shift are read as p is (``as_int``)
+    FIELDS = {"prec": N, "residue": 7, "shift": 1}
+
+    @pytest.mark.parametrize("field", sorted(FIELDS))
+    def test_float_field_reads_as_the_int(self, field):
+        # a float prec keyed ppow's cache like the int, and poisoned it
+        ppow.cache_clear()
+        c = PadicScalar(P, **{**self.FIELDS, field: float(self.FIELDS[field])})
+        assert {type(x) for x in (c.p, c.prec, c.residue, c.shift, ppow(P, N))} == {int}
+        assert c.same_value(PadicScalar(P, **self.FIELDS))
+
+    @pytest.mark.parametrize("field", sorted(FIELDS))
+    @pytest.mark.parametrize("bad", [7.5, "7", None, (7,), PadicScalar(7, 3, 6)])
+    def test_non_integral_field_refused(self, field, bad):
+        # a float residue was stored as a float, the others escaped as TypeError
+        with pytest.raises(PadicError, match=f"^{field} .* is not an integer"):
+            PadicScalar(P, **{**self.FIELDS, field: bad})
+
+    def test_negative_shift_refused(self):
+        with pytest.raises(PadicError, match="shift must be >= 0, got -1"):
+            PadicScalar(P, N, 7, -1)
+
+
+# each constructor given a float p or prec, in a fresh process: ppow's cache
+# keys 16.0 like 16, so one float prec stored a float power, and every later
+# Dirac expansion at the default elem_prec 16 failed in pow(); a MahlerTable
+# checked its entries at the caller's p
+FLOAT_FIELD_CALLS = [
+    "PadicScalar(5, 16.0, 1)", "PadicScalar(5.0, 16, 1)", "PadicScalar.from_int(5, 7, 16.0)",
+    "PadicScalar.from_fraction(5, Fraction(1, 3), 16.0)", "PadicScalar.zero(5, 16.0)",
+    "PadicScalar.one(5.0, 16)", "parse_scalar(5.0, '0:1:16')",
+    "MahlerTable(2, 5.0, 16, 4, {(1, 2): (1, 16, 0)})",
+]
+
+
+@pytest.mark.parametrize("call", FLOAT_FIELD_CALLS)
+def test_float_fields_leave_ppow_ints(call):
+    assert run_fresh(
+        "from fractions import Fraction\n"
+        "from padicdist.distalg import Distribution, RadiusParam\n"
+        "from padicdist.groupmodel import GroupModel\n"
+        "from padicdist.mahler import MahlerTable\n"
+        "from padicdist.padic import PadicScalar, ppow\n"
+        "from padicdist.serialize import parse_scalar\n"
+        f"{call}\n"
+        "assert type(ppow(5, 16)) is int\n"
+        "g = GroupModel.from_string('abelian:1:5').element((123456789,))\n"
+        "print(Distribution.dirac(g).norm(RadiusParam(1)))\n") == "p^0 .. p^0\n"
+
 
 class TestScalarArithmetic:
     def test_exact_valuation(self):
@@ -102,6 +152,10 @@ class TestScalarArithmetic:
     def test_canonical_folds_p_powers(self):
         c = PadicScalar.from_fraction(P, Fraction(50, P), N)
         assert c.canonical().shift == 0
+
+    def test_repr_folds_p_powers(self):
+        # 25 / p^3 = p^-1 * 1, known mod p^3
+        assert repr(PadicScalar(P, 6, 25, 3)) == "PadicScalar(p=5, p^-1*1 mod p^3)"
 
     def test_mul_precision_min(self):
         a = PadicScalar.from_int(P, 3, 10)
