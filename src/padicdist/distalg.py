@@ -54,6 +54,8 @@ from .padic import (
     PadicScalar,
     add_triples,
     as_int,
+    as_items,
+    as_pairs,
     as_rational,
     binom,
     binomial_transform,
@@ -223,7 +225,8 @@ class Distribution:
 
     def __init__(self, model, coeffs, T, enclosure=Enclosure()):
         T = truncation(T)
-        coeffs = {_multi_index(model, a): c for a, c in dict(coeffs).items()}
+        coeffs = {_multi_index(model, a): c
+                  for a, c in as_items(coeffs, DistError, "coefficient table")}
         for alpha, c in coeffs.items():
             if model.tau(alpha) > T:
                 raise DistError(f"stored index {alpha} exceeds truncation weight {T}")
@@ -282,6 +285,10 @@ class Distribution:
     def dirac_combination(cls, model, terms, T=None) -> "Distribution":
         """sum a_j delta_{g_j}; the term list is retained as an exact witness."""
         T = model.max_weight if T is None else truncation(T)
+        terms = as_pairs(terms, DistError, "terms")
+        for _, g in terms:
+            if not isinstance(g, GroupElement):
+                raise DistError(f"term point {g!r} is not a GroupElement")
         model._require_elements(*(g for _, g in terms))
         merged = _merge_terms(model, [(as_triple(model, a, DistError), g.coords, g.exact)
                                       for a, g in terms])
@@ -297,7 +304,8 @@ class Distribution:
         coefficients read by ``as_triple``.  The constructor drops the
         ``known_zero`` entries of an exact table; a zero known on a window
         narrower than N + 2 stays, as an uncertain entry."""
-        return cls(model, {a: as_triple(model, c, DistError) for a, c in table.items()},
+        return cls(model, {a: as_triple(model, c, DistError)
+                           for a, c in as_items(table, DistError, "coefficient table")},
                    T, enclosure)
 
     # -- bookkeeping -------------------------------------------------------

@@ -19,8 +19,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .padic import (NormValue, PadicError, PadicScalar, _check_prime, add_triples, as_int,
-                    as_rational, binomial_transform, int_binom, int_tuple, ppow, require_triple,
-                    triple_bound)
+                    as_items, as_rational, binomial_transform, int_binom, int_tuple, ppow,
+                    require_triple, triple_bound)
 from .groupmodel import GroupModel, simplex
 from .distalg import Distribution, _merge_terms, _products, as_triple
 
@@ -159,7 +159,7 @@ class MahlerTable:
     def __init__(self, d, p, prec, cap, coeffs, decay=None):
         self.d, self.p, self.prec, self.cap = self.check_header(d, p, prec, cap)
         self.coeffs = {int_tuple(a, self.d, MahlerError, "multi-index", nonnegative=True): c
-                       for a, c in dict(coeffs).items()}
+                       for a, c in as_items(coeffs, MahlerError, "coefficient table")}
         for alpha, c in self.coeffs.items():
             require_triple(self.p, alpha, c, MahlerError)
         self.decay = decay
@@ -333,7 +333,7 @@ class GroupAlgebraElement:
 
     def __init__(self, model: GroupModel, n: int, coeffs):
         terms = []
-        for key, c in coeffs.items():
+        for key, c in as_items(coeffs, MahlerError, "coefficient table"):
             c = as_triple(model, c, MahlerError)
             terms.append((c, int_tuple(key, model.d, MahlerError, "coset key"), False))
         self._set(model, n, terms)

@@ -22,15 +22,18 @@ row, not per entry.
 Caller values are read by one rule each, and refused with the caller's module
 error where it fails: integers (and each PadicScalar or triple field) by
 ``as_int`` and ``int_tuple``, rationals (T, s, u, coefficients and NormValue
-exponents) by ``as_rational``, and radius exponents s by ``radius_exponent``.
+exponents) by ``as_rational``, radius exponents s by ``radius_exponent``, and
+containers of scalars by ``as_items`` (a table: a mapping) and ``as_pairs``
+(a term list: an iterable of pairs).
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, inf
+from math import comb, inf, isinf
 
 
 class PadicError(Exception):
@@ -120,6 +123,23 @@ def int_tuple(x, d, error, what, nonnegative=False) -> tuple:
     raise error(f"{what} {x!r} is not {d} {'nonnegative ' * nonnegative}integers")
 
 
+def as_items(x, error, what):
+    """The (key, value) items of a caller's table, a mapping; anything else is
+    refused with ``error``."""
+    if type(x) is dict or isinstance(x, Mapping):
+        return x.items()
+    raise error(f"{what} {x!r} is not a mapping")
+
+
+def as_pairs(x, error, what) -> list:
+    """A caller's term list as a list of (a, b) pairs, when it is an iterable
+    of two-item entries; anything else is refused with ``error``."""
+    try:
+        return [(a, b) for a, b in x]
+    except (TypeError, ValueError):
+        raise error(f"{what} {x!r} is not a list of pairs") from None
+
+
 def _check_prime(p, error) -> int:
     """p as an int (``as_int``), refused with ``error`` unless an odd prime."""
     p = as_int(p, error, "prime p")
@@ -144,10 +164,16 @@ class NormValue:
     __slots__ = ("exponent",)
 
     def __init__(self, exponent):
-        # a Fraction is kept as it is: comparing it with the infinities costs
-        # more than the rest of the construction
-        if type(exponent) is not Fraction and exponent not in (inf, -inf):
-            exponent = Fraction(as_rational(exponent, PadicError, "norm exponent"))
+        # a Fraction and a float infinity are kept as they are: comparing a
+        # Fraction with the infinities costs more than the rest of the
+        # construction
+        if type(exponent) is not Fraction and not (type(exponent) is float
+                                                   and exponent in (inf, -inf)):
+            if (isinstance(exponent, Decimal) and exponent.is_infinite()
+                    or isinstance(exponent, float) and isinf(exponent)):
+                exponent = float(exponent)  # the float infinity of that sign
+            else:
+                exponent = Fraction(as_rational(exponent, PadicError, "norm exponent"))
         object.__setattr__(self, "exponent", exponent)
 
     def __setattr__(self, *a):

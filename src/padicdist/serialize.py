@@ -7,15 +7,26 @@ within which a missing term line of degree <= T is zero, and the growth-0
 bound on the degrees above T (``tail=``); it drops the cap lines, the lines
 of growth > 0 and the Dirac witness.
 
-A file is checked in one pass: ``_parse_terms`` refuses a term line whose
-multi-index is malformed, repeated or of degree above the header's T, or
-whose scalar is, with that line's number.  ``parse_distribution`` and
+The writer puts the header on line 1, then one ``a1,...,ad : v:m:N`` line
+per stored triple, in index order, in ASCII digits, each line ending in \n
+(d = 0 writes a blank index field).  A body in exactly that form is read in
+bulk (``_bulk_terms``): one pattern checks every line, the indices become
+ints in one pass, the degree and duplicate checks are made over the whole
+table, and each distinct literal is read once, by the scalar rule
+``_triple`` that both readers share.  Any other spelling (blank lines, CRLF
+or another line break, extra spaces, ``+1``, non-ASCII digits, no final
+newline), and any body the bulk reader would refuse, is read line by line
+(``_parse_terms``) to the same table: a term line whose multi-index is
+malformed, repeated or of degree above the header's T, or whose scalar is,
+is refused with that line's number.  ``parse_distribution`` and
 ``parse_mahler`` wrap the checked parts without the checks of the
 ``Distribution`` and ``MahlerTable`` constructors."""
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+from itertools import islice, repeat
 from typing import TYPE_CHECKING
 
 from .padic import NormValue, PadicError, PadicScalar, PrecisionExhausted, as_int, ppow, vp_int
@@ -60,8 +71,15 @@ def _format_triple(p: int, x) -> str:
 
 def parse_scalar(p: int, text: str, line=None) -> PadicScalar:
     p = as_int(p, ParseError, "prime p")
-    r, prec, shift = _parse_triple(p, text, line)
+    r, prec, shift = _parse_triple(p, _as_text(text, "scalar literal"), line)
     return PadicScalar(p, prec, r, shift)
+
+
+def _as_text(x, what) -> str:
+    """A caller's text, refused with ParseError unless it is a str."""
+    if not isinstance(x, str):
+        raise ParseError(f"{what} {x!r} is not text")
+    return x
 
 
 def _parse_triple(p: int, text: str, line=None):
@@ -74,6 +92,12 @@ def _parse_triple(p: int, text: str, line=None):
         v, m, n = map(int, parts)
     except ValueError:
         raise ParseError(f"non-integer field in scalar literal {text!r}", line) from None
+    return _triple(p, v, m, n, text, line)
+
+
+def _triple(p: int, v: int, m: int, n: int, text: str, line=None):
+    """The stored triple of the literal `v:m:N` that ``text`` spells, from its
+    three ints: the one scalar rule of both term readers."""
     if n < 1:
         raise ParseError(f"scalar window must be >= 1 in {text!r}", line)
     if m == 0:
@@ -93,7 +117,7 @@ def _parse_triple(p: int, text: str, line=None):
 
 
 def parse_normvalue(text: str, line=None) -> NormValue:
-    text = text.strip()
+    text = _as_text(text, "norm value").strip()
     if text == "0":
         return NormValue.zero()
     if text == "unbounded":
@@ -132,6 +156,16 @@ def _format_terms(head: str, p: int, coeffs) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _split_header(text: str):
+    """The header line and the text after it, as ``str.splitlines`` cuts the
+    first line: at the first \n, unless another line break comes first."""
+    head, _, body = text.partition("\n")
+    if len((head + "\n").splitlines()) > 1:
+        lines = text.splitlines()
+        return (lines[0] if lines else ""), "\n".join(lines[1:])
+    return head, body
+
+
 def _parse_header(line):
     fields = {}
     for i, tok in enumerate(line.split()):
@@ -142,6 +176,51 @@ def _parse_header(line):
             raise ParseError(f"repeated header field {k!r}", 1, i)
         fields[k] = v
     return fields
+
+
+# a term line as the writer spells it: d ASCII indices, ` : `, a `v:m:N`
+# literal and \n (d = 0 writes a blank index field)
+_WRITTEN_LINE = "{} : -?[0-9]+:[0-9]+:[0-9]+\n"
+
+
+def _read_terms(body: str, p: int, d: int, T=None) -> dict:
+    """{alpha: triple} of the term lines in ``body`` (line 2 on): in bulk for
+    a body in the writer's form (``_bulk_terms``), else line by line
+    (``_parse_terms``), which also locates every refusal."""
+    coeffs = _bulk_terms(body, p, d, T)
+    return _parse_terms(body.splitlines(), p, d, T) if coeffs is None else coeffs
+
+
+def _bulk_terms(body: str, p: int, d: int, T=None):
+    """What ``_parse_terms`` reads from a body in the writer's form, with the
+    same checks made over the whole body at once; None for any other body
+    and for any body that ``_parse_terms`` refuses.  Each distinct scalar
+    literal is read once."""
+    if not body:
+        return {}
+    if d > len(body):  # not one line of d indices fits
+        return None
+    index = "[0-9]+" + ",[0-9]+" * (d - 1) if d else ""
+    if re.fullmatch(f"(?:{_WRITTEN_LINE.format(index)})*", body) is None:
+        return None
+    # index field, literal, index field, literal, ..., ""
+    fields = body.replace("\n", " : ").split(" : ")
+    literals = fields[1::2]
+    n, distinct = len(literals), [*{*literals}]
+    # the int words: d per index field, then v, m, N of each distinct literal
+    words = ",".join([*fields[0:-1:2], *distinct] if d else distinct).replace(":", ",")
+    words = words.split(",")
+    try:
+        value = {w: int(w) for w in {*words}}  # each distinct spelling once
+        ints = map(value.__getitem__, words)
+        alphas = list(zip(*[islice(ints, n * d)] * d)) if d else [()] * n
+        if d and T is not None and max(map(sum, alphas)) > T:
+            return None
+        triples = dict(zip(distinct, map(_triple, repeat(p), ints, ints, ints, distinct)))
+    except (ValueError, ParseError):  # an int past the digit limit, a bad scalar
+        return None
+    coeffs = dict(zip(alphas, map(triples.__getitem__, literals)))
+    return coeffs if len(coeffs) == n else None
 
 
 def _parse_terms(lines, p: int, d: int, T=None) -> dict:
@@ -173,37 +252,41 @@ def _parse_terms(lines, p: int, d: int, T=None) -> dict:
 
 
 def parse_distribution(text: str) -> Distribution:
-    lines = text.splitlines()
-    if not lines or not lines[0].strip():
+    head, body = _split_header(_as_text(text, "distribution file"))
+    if not head.strip():
         raise ParseError("empty distribution file", 1)
-    h = _parse_header(lines[0])
+    h = _parse_header(head)
     for need in ("group", "p", "N", "T", "tail", "exact"):
         if need not in h:
             raise ParseError(f"missing header field {need!r}", 1)
     try:
         p = int(h["p"])
         prec = int(h["N"])
-        num, den = h["T"].split("/")
-        T = Fraction(int(num), int(den))
+        num, den = map(int, h["T"].split("/"))
+        T = num // den  # the floor of num/den, which truncation takes
         exact = {"0": False, "1": True}[h["exact"]]
     except (ValueError, ZeroDivisionError, KeyError):
         raise ParseError("malformed header numbers", 1) from None
     try:
         model = GroupModel.from_string(h["group"], prec=prec, max_weight=max(T, 12))
-        T = truncation(T)
+        if T < 0:
+            truncation(Fraction(num, den))  # refuses it, in its own words
     except ModelError as exc:
         raise ParseError(str(exc), 1) from None
     if model.p != p:
         raise ParseError(f"header p={p} contradicts group id {h['group']}", 1)
-    coeffs = _parse_terms(lines[1:], p, model.d, T)
-    # an exact file's tail is 0, whatever its header says
-    tail = NormValue.zero() if exact else parse_normvalue(h["tail"], 1)
-    herr = parse_normvalue(h["err"], 1) if "err" in h else NormValue.zero()
-    if exact and not herr.is_zero:
-        raise ParseError("exact distributions carry no head error", 1)
-    unstored = () if tail.is_unbounded else ((tail, Fraction(0)),)
-    # every part is checked: the terms by _parse_terms, the rest above
-    return Distribution._clean(model, coeffs, T, Enclosure(herr, unstored))
+    coeffs = _read_terms(body, p, model.d, T)
+    if exact:
+        # an exact file's tail is 0, whatever its header says
+        if "err" in h and not parse_normvalue(h["err"], 1).is_zero:
+            raise ParseError("exact distributions carry no head error", 1)
+        enclosure = Enclosure.EXACT
+    else:
+        tail = parse_normvalue(h["tail"], 1)
+        herr = parse_normvalue(h["err"], 1) if "err" in h else NormValue.zero()
+        enclosure = Enclosure(herr, () if tail.is_unbounded else ((tail, Fraction(0)),))
+    # every part is checked: the terms by _read_terms, the rest above
+    return Distribution._clean(model, coeffs, T, enclosure)
 
 
 # -- Mahler tables ----------------------------------------------------------
@@ -225,10 +308,10 @@ def serialize_mahler(t: MahlerTable) -> str:
 def parse_mahler(text: str) -> MahlerTable:
     from .mahler import MahlerError, MahlerTable
 
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith("mahler "):
+    head, body = _split_header(_as_text(text, "Mahler table file"))
+    if not head.startswith("mahler "):
         raise ParseError("not a Mahler table file", 1)
-    h = _parse_header(lines[0][len("mahler "):])
+    h = _parse_header(head[len("mahler "):])
     try:
         p = int(h["p"])
         d = int(h["d"])
@@ -252,5 +335,5 @@ def parse_mahler(text: str) -> MahlerTable:
         header = MahlerTable.check_header(d, p, prec, cap)
     except MahlerError as exc:
         raise ParseError(str(exc), 1) from None
-    # every part is checked: the terms by _parse_terms, the rest above
-    return MahlerTable._clean(header, _parse_terms(lines[1:], p, d), decay)
+    # every part is checked: the terms by _read_terms, the rest above
+    return MahlerTable._clean(header, _read_terms(body, p, d), decay)

@@ -1420,6 +1420,59 @@ class TestIntegerRule:
                 make()
 
 
+class ContainerEntry(NamedTuple):
+    """A library entry point that reads a caller's container of scalars:
+    ``f`` of the container, ``error`` its module's error and ``good`` a
+    container it takes."""
+
+    f: Callable
+    error: type
+    good: object
+
+
+# every library entry point that reads a caller's container of scalars, as a
+# function of it: a table is a mapping, dirac_combination's terms are
+# (coefficient, element) pairs and parse_scalar's literal is text
+CONTAINER_ENTRY_POINTS = {
+    "Distribution": ContainerEntry(lambda x: Distribution(ab(1), x, 4), DistError,
+                                   {(1,): (2, 6, 0)}),
+    "from_coeffs": ContainerEntry(lambda x: Distribution.from_coeffs(ab(1), x, 4), DistError,
+                                  {(1,): 2}),
+    "dirac_combination": ContainerEntry(lambda x: Distribution.dirac_combination(ab(1), x, 4),
+                                        DistError, [(2, ab(1).element([3]))]),
+    "MahlerTable": ContainerEntry(lambda x: MahlerTable(1, 5, 6, 4, x), MahlerError,
+                                  {(1,): (2, 6, 0)}),
+    "GroupAlgebraElement": ContainerEntry(lambda x: GroupAlgebraElement(ab(1), 1, x),
+                                          MahlerError, {(2,): 3}),
+    "parse_scalar": ContainerEntry(lambda x: parse_scalar(5, x), ParseError, "0:2:6"),
+}
+
+# containers that no entry point takes: each raised TypeError or
+# AttributeError (and a list of pairs was read as a table by the
+# constructors) before the rule
+CONTAINER_MALFORMED = {"int": 5, "None": None, "list of ints": [1], "pairs": [((1,), 2)],
+                       "point not an element": [(2, 3)]}
+
+
+class TestContainerRule:
+    """One rule for a caller's container of scalars (``padic.as_items`` and
+    ``as_pairs``): what is not the container an entry point reads is refused
+    with its module's error."""
+
+    @pytest.mark.parametrize("name, bad", [
+        (name, bad) for name in CONTAINER_ENTRY_POINTS for bad in CONTAINER_MALFORMED])
+    def test_malformed_is_refused(self, name, bad):
+        entry = CONTAINER_ENTRY_POINTS[name]
+        with pytest.raises(PadicError) as info:
+            entry.f(CONTAINER_MALFORMED[bad])
+        assert info.type is entry.error, info.value
+
+    @pytest.mark.parametrize("name", sorted(CONTAINER_ENTRY_POINTS))
+    def test_good_is_taken(self, name):
+        entry = CONTAINER_ENTRY_POINTS[name]
+        entry.f(entry.good)
+
+
 class RationalEntry(NamedTuple):
     """A library entry point that reads a caller rational: ``f`` of the
     value under test gives a comparable output, ``error`` is its module's

@@ -191,6 +191,20 @@ class TestNormValue:
             got = a * b
             assert got == want and got.exponent == want.exponent, (a, b)
 
+    @pytest.mark.parametrize("infinity, want", [
+        (Decimal("Infinity"), NormValue.zero()), (Decimal("-Infinity"), NormValue.unbounded())])
+    def test_an_infinity_of_another_type_is_the_float_one(self, infinity, want):
+        # a Decimal infinity was stored as it is, and its product with
+        # unbounded raised TypeError where zero * unbounded reads 0
+        got = NormValue(infinity)
+        assert type(got.exponent) is float and got == want
+        assert repr(got * NormValue.unbounded()) == repr(want * NormValue.unbounded())
+
+    def test_a_signalling_nan_is_refused_as_no_rational(self):
+        # it raised decimal.InvalidOperation, from the comparison with inf
+        with pytest.raises(PadicError, match="norm exponent must be a finite rational"):
+            NormValue(Decimal("sNaN"))
+
 
 def binom(x, k):
     """C(x, k) for an integral scalar x, entry k of its ``padic.binom`` row."""

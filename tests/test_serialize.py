@@ -11,6 +11,7 @@ from padicdist.distalg import Distribution, Enclosure, RadiusParam, lie_generato
 from padicdist.groupmodel import GroupModel, simplex
 from padicdist.mahler import FunctionSpec, MahlerError, MahlerTable, mahler_coeffs
 from padicdist.padic import NormValue, PadicScalar, PrecisionExhausted
+from padicdist import serialize
 from padicdist.serialize import (
     ParseError,
     format_scalar,
@@ -281,6 +282,11 @@ class TestOneCheckedPass:
         ("group=abelian:1:5 p=5 N=12 T=4/1 tail=0 exact=1\n1 : 0:1:0\n", 2),
         # a blank index is () and names a term only when d = 0
         ("group=abelian:2:5 p=5 N=12 T=4/1 tail=0 exact=1\n : 0:1:12\n", 2),
+        # lines as str.splitlines counts them: a header ended by \x85 before
+        # its \n has a blank line 2, CRLF is one break
+        ("group=abelian:1:5 p=5 N=12 T=4/1 tail=0 exact=1\x85\nx\n", 3),
+        ("group=abelian:1:5 p=5 N=12 T=4/1 tail=0 exact=1\r\n0 : 0:1:12\r\nx\r\n", 3),
+        ("group=abelian:1:5 p=5 N=12 T=4/1 tail=0 exact=1\u20280 : 0:1:12\n-1 : 0:1:12", 3),
     ])
     def test_every_refusal_keeps_its_line(self, text, line):
         with pytest.raises(ParseError) as exc:
@@ -300,6 +306,141 @@ class TestOneCheckedPass:
         assert (parsed.coeffs, parsed.T, parsed.enclosure, parsed.exact) == \
             (checked.coeffs, checked.T, checked.enclosure, checked.exact)
         assert type(parsed.T) is int and parsed.model.id == checked.model.id
+
+
+def _writer_files():
+    """Files as the writer emits them: the golden product, ``_constructed()``,
+    ``expand`` outputs for d = 0..3 at T in {0, 1, 20}, and Mahler tables."""
+    texts = [path.read_text() for path in sorted((Path(__file__).parent / "golden").glob("*.dist"))]
+    texts += [serialize_distribution(lam) for lam in _constructed()]
+    for gid, coords in (("abelian:0:5", ()), ("abelian:1:5", (7,)), ("abelian:2:5", (7, -3)),
+                        ("heisenberg:5", (7, -3, 2))):
+        for T in (0, 1, 20):
+            m = GroupModel.from_string(gid, prec=12, max_weight=T)
+            texts.append(serialize_distribution(Distribution.dirac(m.element(coords))))
+    for d, fid, cap in ((1, "power1p:0", 6), (2, "indicator:1,2:1", 4), (0, "constant:2", 2)):
+        texts.append(serialize_mahler(mahler_coeffs(FunctionSpec.parse(d, P, fid), cap, prec=12)))
+    return texts
+
+
+WRITER_FILES = _writer_files()
+
+
+def _spelled(text, where, f):
+    """text with its first or last term line replaced by f(index, literal),
+    or None when the file has no term line."""
+    lines = text.split("\n")
+    terms = [i for i, ln in enumerate(lines[1:], start=1) if ln]
+    if not terms:
+        return None
+    i = terms[0 if where == "first" else -1]
+    index, _, literal = lines[i].partition(" : ")
+    lines[i] = f(index, literal)
+    return None if lines[i] is None else "\n".join(lines)
+
+
+def _head(text):
+    """(p, T) of a file's header; T is None for a Mahler table."""
+    head = text.split("\n", 1)[0].removeprefix("mahler ")
+    h = dict(tok.split("=", 1) for tok in head.split())
+    return int(h["p"]), (int(h["T"].split("/")[0]) if "T" in h else None)
+
+
+def _swapped(text, where):
+    """text with its first two or last two term lines swapped, or None."""
+    lines = text.split("\n")
+    if len(lines) < 4:
+        return None
+    i = 1 if where == "first" else len(lines) - 3
+    lines[i], lines[i + 1] = lines[i + 1], lines[i]
+    return "\n".join(lines)
+
+
+def _first(index, f):
+    """index with f applied to its first entry (a blank index stays blank)."""
+    entries = index.split(",")
+    return ",".join([f(entries[0]), *entries[1:]]) if index else index
+
+
+# each mutation: (text, where, p, T) -> the mutated text, or None where it does not apply
+MUTATIONS = {
+    # line order and line breaks
+    "swapped lines": lambda t, w, p, T: _swapped(t, w),
+    "duplicated line": lambda t, w, p, T: _spelled(t, w, lambda i, v: f"{i} : {v}\n{i} : {v}"),
+    "blank line": lambda t, w, p, T: _spelled(t, w, lambda i, v: f"\n{i} : {v}\n"),
+    "crlf": lambda t, w, p, T: t.replace("\n", "\r\n"),
+    "\\x1c": lambda t, w, p, T: _spelled(t, w, lambda i, v: f"{i} : {v}\x1c"),
+    "\\x85": lambda t, w, p, T: _spelled(t, w, lambda i, v: f"{i} : {v}\x85"),
+    "\\u2028": lambda t, w, p, T: _spelled(t, w, lambda i, v: f"{i} : {v}\u2028"),
+    "no final newline": lambda t, w, p, T: t[:-1],
+    # number spellings
+    "degree T + 1": lambda t, w, p, T: None if T is None else _spelled(
+        t, w, lambda i, v: ",".join([str(T + 1)] + ["0"] * i.count(",")) + f" : {v}"
+        if i else None),
+    "-1": lambda t, w, p, T: _spelled(t, w, lambda i, v: _first(i, lambda a: "-1") + f" : {v}"),
+    "+1": lambda t, w, p, T: _spelled(t, w, lambda i, v: _first(i, lambda a: "+" + a) + f" : {v}"),
+    "01": lambda t, w, p, T: _spelled(t, w, lambda i, v: _first(i, lambda a: "0" + a) + f" : {v}"),
+    "arabic-indic 3": lambda t, w, p, T: _spelled(
+        t, w, lambda i, v: _first(i, lambda a: "\u0663") + f" : {v}"),
+    "extra spaces": lambda t, w, p, T: _spelled(
+        t, w, lambda i, v: " " + i.replace(",", " , ") + "  :  " + v + " "),
+    "minus in a literal": lambda t, w, p, T: _spelled(t, w, lambda i, v: f"{i} : -{v}"),
+    # scalars
+    "m = 0 mod p": lambda t, w, p, T: _spelled(t, w, lambda i, v: f"{i} : 0:{p}:12"),
+    "3:0:5": lambda t, w, p, T: _spelled(t, w, lambda i, v: f"{i} : 3:0:5"),
+    "window 0": lambda t, w, p, T: _spelled(t, w, lambda i, v: f"{i} : 0:1:0"),
+    "v >= N": lambda t, w, p, T: _spelled(t, w, lambda i, v: f"{i} : 12:1:12"),
+}
+
+
+def _outcome(text):
+    """What a file reads as: its parts, term order included, or the
+    refusal's text and line."""
+    try:
+        if text.startswith("mahler "):
+            t = parse_mahler(text)
+            return list(t.coeffs.items()), (t.d, t.p, t.prec, t.cap, t.decay)
+        lam = parse_distribution(text)
+        return list(lam.coeffs.items()), (lam.model.id, lam.T, lam.enclosure, lam.exact)
+    except ParseError as exc:
+        return str(exc), exc.line
+
+
+class TestBulkTerms:
+    """``_bulk_terms`` reads a body in the writer's form at once and hands
+    every other body to the line loop ``_parse_terms``: both must read every
+    file alike, to the same table or the same refusal on the same line."""
+
+    def test_every_writer_file_is_read_in_bulk(self, monkeypatch):
+        # the loop is never reached, so the bulk reader is what reads them
+        def loop(*args):
+            raise AssertionError("read line by line")
+
+        monkeypatch.setattr(serialize, "_parse_terms", loop)
+        for text in WRITER_FILES:
+            assert isinstance(_outcome(text)[0], list), text
+
+    @pytest.mark.parametrize("where", ["first", "last"])
+    @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+    def test_bulk_reads_as_the_loop(self, monkeypatch, mutation, where):
+        mutate = MUTATIONS[mutation]
+        cases = [bad for bad in (mutate(text, where, *_head(text)) for text in WRITER_FILES)
+                 if bad is not None]
+        assert cases
+        got = [_outcome(bad) for bad in cases]
+        monkeypatch.setattr(serialize, "_bulk_terms", lambda *args: None)
+        assert got == [_outcome(bad) for bad in cases]
+
+    def test_loop_reads_writer_files_as_the_bulk_reader(self, monkeypatch):
+        got = [_outcome(text) for text in WRITER_FILES]
+        monkeypatch.setattr(serialize, "_bulk_terms", lambda *args: None)
+        assert got == [_outcome(text) for text in WRITER_FILES]
+
+    def test_a_dimension_past_the_body_is_read_line_by_line(self):
+        # no line of d indices fits, so no pattern of d indices is built
+        with pytest.raises(ParseError, match="invalid for d=") as exc:
+            parse_mahler(f"mahler p=5 d={10 ** 12} N=12 A=4 decay=none complete=0\n0 : 0:1:12\n")
+        assert exc.value.line == 2
 
 
 class TestMahlerFiles:
