@@ -24,7 +24,9 @@ row); inexact tables keep their zeros.
 
 A witness term is (triple, coords, exact): the point is its int chart
 coordinates, exact or residues mod p^W, on which ``model.law`` acts, from
-``_merge_terms`` to ``mahler.finite_level_project``.
+``_merge_terms`` to ``mahler.finite_level_project``.  Every result with a
+witness is built by one rule (``_from_witness``): exact when each point is
+exact in N^d with degree <= T, else capped at growth 0 by max_j |a_j|.
 
 Multiplication decomposes heads into finite Dirac combinations by the
 transpose of ``padic.binomial_transform`` (``_head_to_dirac``; its forward
@@ -65,6 +67,7 @@ from .padic import (
     radius_exponent,
     require_triple,
     triple_bound,
+    triple_exponent,
     triple_valuation,
     vp_int,
 )
@@ -215,10 +218,11 @@ class Distribution:
 
     ``enclosure`` bounds what the table does not hold exactly, the head
     being complete to T; ``exact`` says that it is ``Enclosure.EXACT``.
-    What the Dirac decomposition of an inexact head leaves out (its tail,
-    its unstored zeros and the errors of its entries) has coefficients
-    bounded by the enclosure's ``gap``; ``mul``, ``conjugate`` and
-    ``change_basis`` take that bound from there.
+    A result with a witness takes its enclosure from the witness rule
+    (``_from_witness``).  What the Dirac decomposition of a head without one
+    leaves out (its tail, its unstored zeros and the errors of its entries)
+    has coefficients bounded by the enclosure's ``gap``; ``mul``,
+    ``conjugate`` and ``change_basis`` take that bound from there.
     """
 
     __slots__ = ("model", "coeffs", "T", "enclosure", "dirac_terms", "_profile")
@@ -290,13 +294,8 @@ class Distribution:
             if not isinstance(g, GroupElement):
                 raise DistError(f"term point {g!r} is not a GroupElement")
         model._require_elements(*(g for _, g in terms))
-        merged = _merge_terms(model, [(as_triple(model, a, DistError), g.coords, g.exact)
-                                      for a, g in terms])
-        coeffs = _expand_terms(model, merged, T)
-        if out := _exact_result(model, merged, coeffs, T, merged):
-            return out
-        cap = ((_terms_coeff_bound(model, merged), Fraction(0)),)
-        return cls._clean(model, coeffs, T, Enclosure(cap=cap), merged)
+        return _from_witness(model, _merge_terms(
+            model, [(as_triple(model, a, DistError), g.coords, g.exact) for a, g in terms]), T)
 
     @classmethod
     def from_coeffs(cls, model, table, T, enclosure=Enclosure.EXACT) -> "Distribution":
@@ -427,41 +426,37 @@ class Distribution:
     def mul(self, other: "Distribution", T=None, s_work=None) -> "Distribution":
         """Noncommutative convolution via Dirac decomposition of the heads.
 
-        ``s_work``, one s or a tuple or list of them, attaches a cap line at
-        growth s: the product of the factors' norm upper bounds at r = p^(-s).
-        """
+        The product of two witnesses is a witness result (``_from_witness``),
+        any other has the stored error max(gap1 sup2, gap2 sup1) and the cap
+        line sup1 sup2.  ``s_work``, one s or a tuple or list of them, attaches
+        to an inexact product a cap line at growth s: the product of the
+        factors' norm upper bounds at r = p^(-s)."""
         self.model._require_same(other.model)
         model = self.model
         T = min(self.T, other.T) if T is None else truncation(T)
         t1 = self._exact_terms()
         t2 = other._exact_terms()
-        exact_path = t1 is not None and t2 is not None
-        t1 = _head_to_dirac(model, self.coeffs) if t1 is None else t1
-        t2 = _head_to_dirac(model, other.coeffs) if t2 is None else t2
-        merged = _merge_terms(model, _products(model, t1, t2))
-        coeffs = _expand_terms(model, merged, T)
-        if exact_path and (out := _exact_result(model, merged, coeffs, T, merged)):
-            return out
-
-        sup1 = self.coeff_sup()
-        sup2 = other.coeff_sup()
-        cap = []
-        if sup1 is not None and sup2 is not None:
-            cap.append((sup1 * sup2, Fraction(0)))
+        if t1 is not None and t2 is not None:
+            out = _from_witness(model, _merge_terms(model, _products(model, t1, t2)), T)
+            if out.exact:
+                return out
+            coeffs, herr, cap, terms = out.coeffs, _ZERO, list(out.enclosure.cap), out.dirac_terms
+        else:
+            t1 = _head_to_dirac(model, self.coeffs) if t1 is None else t1
+            t2 = _head_to_dirac(model, other.coeffs) if t2 is None else t2
+            coeffs = _expand_terms(model, _merge_terms(model, _products(model, t1, t2)), T)
+            sup1, sup2 = self.coeff_sup(), other.coeff_sup()
+            herr, cap, terms = NormValue.unbounded(), [], None
+            if sup1 is not None and sup2 is not None:
+                herr = max(self.enclosure.gap * sup2, other.enclosure.gap * sup1)
+                cap.append((sup1 * sup2, Fraction(0)))
         if s_work is not None:
             for r in map(RadiusParam, s_work if isinstance(s_work, (tuple, list)) else [s_work]):
                 u1 = self.norm(r).upper
                 u2 = other.norm(r).upper
                 if not (u1.is_unbounded or u2.is_unbounded):
                     cap.append((u1 * u2, r.s))
-        if exact_path:
-            herr = NormValue.zero()
-        elif sup1 is None or sup2 is None:
-            herr = NormValue.unbounded()
-        else:
-            herr = max(self.enclosure.gap * sup2, other.enclosure.gap * sup1)
-        return Distribution._clean(model, coeffs, T, Enclosure(herr, (), cap),
-                                   merged if exact_path else None)
+        return Distribution._clean(model, coeffs, T, Enclosure(herr, (), cap), terms)
 
     def __mul__(self, other: "Distribution") -> "Distribution":
         return self.mul(other)
@@ -588,28 +583,26 @@ class Distribution:
         return self._map_support(act)
 
     def _map_support(self, act, same_chart=True) -> "Distribution":
-        """sum a_j delta_{act(g_j)} up to degree self.T, over the
-        exact witness, else over the Dirac decomposition of the head with the
-        enclosure's ``gap`` as the stored error; ``act`` maps a point's
-        (coords, exact) to its image's.  With ``same_chart`` unset, ``act``
-        gives coordinates in another chart, on which ``model.law`` does not
-        act, so the result keeps no witness."""
+        """sum a_j delta_{act(g_j)} up to degree self.T; ``act`` maps a
+        point's (coords, exact) to its image's.  Over the exact witness the
+        image is the witness result (``_from_witness``); with ``same_chart``
+        unset, ``act`` gives coordinates in another chart, on which
+        ``model.law`` does not act, so the image keeps no witness.  Else over
+        the Dirac decomposition of the head, with ``gap`` as the stored error
+        and, where that is bounded, the cap line ``coeff_sup``, which bounds
+        the decomposition's coefficients, integer combinations of entries."""
         model, T = self.model, self.T
         terms = self._exact_terms()
         witness = terms is not None
         if not witness:
             terms = _head_to_dirac(model, self.coeffs)
         merged = _merge_terms(model, ((a, *act(coords, exact)) for a, coords, exact in terms))
-        coeffs = _expand_terms(model, merged, T)
-        kept = merged if same_chart else None
-        if witness and (out := _exact_result(model, merged, coeffs, T, kept)):
-            return out
-        herr = NormValue.zero() if witness else self.enclosure.gap
-        cap = ()
-        if not herr.is_unbounded:
-            cap = ((max(_terms_coeff_bound(model, merged), self.coeff_sup()), Fraction(0)),)
-        return Distribution._clean(model, coeffs, T, Enclosure(herr, (), cap),
-                                   kept if witness else None)
+        if witness:
+            return _from_witness(model, merged, T, same_chart)
+        herr = self.enclosure.gap
+        cap = () if herr.is_unbounded else ((self.coeff_sup(), Fraction(0)),)
+        return Distribution._clean(model, _expand_terms(model, merged, T), T,
+                                   Enclosure(herr, (), cap))
 
     # -- radius threshold --------------------------------------------------
 
@@ -655,9 +648,10 @@ def structure_constants(model: GroupModel, beta, gamma, T):
     abelian and semidirect models) the core is 1, so the table is
     b^(beta+gamma); Heisenberg's is the one law that is not commutative.
 
-    Each Heisenberg core is expanded from its Dirac grid at T
-    (``_commutation_core``), once per (a, g, T), and kept on the model for
-    as long as the model lives, with each entry's degree and verdict.
+    Each Heisenberg core is the head of its Dirac grid's witness result at
+    T (``_commutation_core``, ``_from_witness``), built once per (a, g, T)
+    and kept on the model for as long as it lives, with each entry's degree
+    and verdict.
     Since every omega is 1, tau(alpha + offset) = tau(alpha) +
     tau(offset): an entry is kept when its core degree is at most
     T - tau(offset), and its verdict bound tau(beta) + tau(gamma) -
@@ -696,10 +690,10 @@ def _commutation_core(model: GroupModel, a: int, g: int, T: int) -> tuple:
         b2^a b1^g = sum_{i <= a, j <= g} (-1)^(a-i+g-j) C(a, i) C(g, j) delta_(e2^i e1^j),
 
     each point e2^i e1^j = (j, i, -p i j) from the model's law and each
-    coefficient at the working precision, by one ``_expand_terms`` at T:
-    the entries of the Dirac product of the two monomials.  When a = 0 or
-    g = 0 every point is exact in N^d, and the core, like ``mul``'s exact
-    path, drops its ``known_zero`` entries (``_exact_result``).  The verdict
+    coefficient at the working precision, the head at T of their witness
+    result (``_from_witness``): the entries of the Dirac product of the two
+    monomials.  When a = 0 or g = 0 every point is exact in N^d, so that
+    result is exact and keeps no ``known_zero`` entry.  The verdict
     is that of v_p(c) >= max(0, a + g - tau(alpha)), None when the
     valuation of c is not known.  Computed once per model and (a, g, T)."""
     key = (a, g, T)
@@ -709,9 +703,7 @@ def _commutation_core(model: GroupModel, a: int, g: int, T: int) -> tuple:
         terms = _merge_terms(model, _products(
             model, [(((-1) ** (a - i) * comb(a, i), W, 0), (0, i, 0), True) for i in range(a + 1)],
             [(((-1) ** (g - j) * comb(g, j), W, 0), (j, 0, 0), True) for j in range(g + 1)]))
-        head = _expand_terms(model, terms, T)
-        if out := _exact_result(model, terms, head, T, terms):
-            head = out.coeffs
+        head = _from_witness(model, terms, T).coeffs
         entries = []
         for alpha, c in head.items():
             tau = model.tau(alpha)
@@ -968,14 +960,20 @@ def _multi_index(model, alpha) -> tuple:
     return int_tuple(alpha, model.d, DistError, "multi-index", nonnegative=True)
 
 
-def _exact_result(model, terms, coeffs, T, witness):
-    """The exact distribution with the expansion ``coeffs`` of ``terms`` up
-    to degree T, and the Dirac witness ``witness``, when every support point
-    is exact in N^d with degree <= T, so that the expansion ends inside the
-    head; else None."""
+def _from_witness(model, terms, T, keep=True) -> Distribution:
+    """sum a_j delta_{g_j} up to degree T from its merged Dirac terms, the one
+    constructor of a result with a witness.  It is exact when every point is
+    exact in N^d with degree <= T, so that the expansion ends inside the
+    head; else |C(x, k)| <= 1 on Z_p bounds each sum_j a_j C(g_j, alpha) by
+    max_j |a_j|, its one growth-0 cap line.  ``keep`` unset drops the
+    witness, for points in another chart, on which ``model.law`` does not act."""
+    coeffs = _expand_terms(model, terms, T)
+    witness = terms if keep else None
     if all(exact and all(x >= 0 for x in coords) and model.tau(coords) <= T
            for _, coords, exact in terms):
         return Distribution._clean(model, coeffs, T, Enclosure.EXACT, witness)
+    cap = NormValue(min(triple_exponent(model.p, a) for a, _, _ in terms))
+    return Distribution._clean(model, coeffs, T, Enclosure(cap=((cap, Fraction(0)),)), witness)
 
 
 def _merge_terms(model, terms, modulus=None):
@@ -1146,9 +1144,3 @@ def _expand_terms(model, terms, T):
                     out[alpha] = (r % ppow(p, prec), prec, s)
                 v >>= B
     return out
-
-
-def _terms_coeff_bound(model, terms) -> NormValue:
-    """Uniform bound on expansion coefficients of a Dirac combination: the
-    largest magnitude bound of an a_j."""
-    return max((triple_bound(model.p, a) for a, _, _ in terms), default=_ZERO)

@@ -271,10 +271,15 @@ def triple_valuation(p: int, x):
     return vp_int(r, p) - shift if r else None
 
 
+def triple_exponent(p: int, x) -> int:
+    """The int e of ``triple_bound`` p**-e: the valuation, else the window."""
+    v = triple_valuation(p, x)
+    return x[1] - x[2] if v is None else v
+
+
 def triple_bound(p: int, x) -> NormValue:
     """Upper bound on |x|: p**-v from the valuation, else only p**-window."""
-    v = triple_valuation(p, x)
-    return NormValue(x[1] - x[2] if v is None else v)
+    return NormValue(triple_exponent(p, x))
 
 
 def fraction_triple(p: int, x, prec: int):

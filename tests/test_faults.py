@@ -1,0 +1,79 @@
+"""Planted faults that the truth-based checks must catch.
+
+Each row of ``FAULTS`` plants one fault by monkeypatching one library
+function (no source edit, no subprocess) and names the checks that must
+fail under it.  A check here is truth-based: it holds results to an
+independent recomputation, never to a second statement of the same rule,
+so a fault that passes every check it names is a certificate those checks
+cannot see, and its row fails.  A new certificate path adds its fault here.
+
+``complete heads: witness producers`` is the recomputation of
+``test_complete_heads.py`` (exact Fractions from ``math.comb`` up to degree
+T + 4, with each result's ``parse . serialize``) over the producers whose
+results are built from a Dirac witness; that module runs it unfaulted.
+"""
+
+from typing import Callable, NamedTuple
+
+import pytest
+
+from padicdist import distalg
+from padicdist.distalg import Distribution, Enclosure
+from padicdist.padic import NormValue
+from padicdist.serialize import parse_distribution, serialize_distribution
+
+from test_complete_heads import KINDS, cases, violations
+
+WITNESS_PRODUCERS = ("dirac", "dirac inexact", "dirac_combination", "mul witness",
+                     "conjugate", "conjugate sigma", "change_basis")
+
+
+def complete_heads_over_witness_producers():
+    """The first (kind, p, producer) whose result, or its file, says
+    something false of the recomputed truth; None for none."""
+    for p in (3, 5, 7):
+        for kind in KINDS:
+            for name, lam, truth in cases(kind, p):
+                if name not in WITNESS_PRODUCERS:
+                    continue
+                back = parse_distribution(serialize_distribution(lam))
+                if violations(lam, truth) or violations(back, truth):
+                    return kind, p, name
+    return None
+
+
+CHECKS = {"complete heads: witness producers": complete_heads_over_witness_producers}
+
+
+class Fault(NamedTuple):
+    name: str
+    module: object
+    attr: str
+    plant: Callable  # the original function -> the faulty one
+    checks: tuple  # names in CHECKS, each of which must fail under the fault
+
+
+def witness_line_over_p(original):
+    """``_from_witness`` with its growth-0 cap line divided by p."""
+    def faulty(model, terms, T, keep=True):
+        out = original(model, terms, T, keep)
+        if out.exact:
+            return out
+        enc = out.enclosure
+        cap = [(C * NormValue(1) if t == 0 else C, t) for C, t in enc.cap]
+        return Distribution._clean(model, out.coeffs, T,
+                                   Enclosure(enc.stored, enc.unstored, cap), out.dirac_terms)
+    return faulty
+
+
+FAULTS = (
+    Fault("witness growth-0 line divided by p", distalg, "_from_witness",
+          witness_line_over_p, ("complete heads: witness producers",)),
+)
+
+
+@pytest.mark.parametrize("fault", FAULTS, ids=lambda f: f.name)
+def test_every_planted_fault_is_caught(fault, monkeypatch):
+    monkeypatch.setattr(fault.module, fault.attr, fault.plant(getattr(fault.module, fault.attr)))
+    for check in fault.checks:
+        assert CHECKS[check]() is not None, f"{fault.name!r} survives {check!r}"
