@@ -66,7 +66,6 @@ from .padic import (
     ppow,
     radius_exponent,
     require_triple,
-    triple_bound,
     triple_exponent,
     triple_valuation,
     vp_int,
@@ -144,6 +143,8 @@ class Enclosure(namedtuple("Enclosure", ("stored", "unstored", "cap"))):
     def bound(self, tau=0, t=inf) -> NormValue | None:
         """The least C p^(g tau) over the lines of growth g <= t, which hold
         at every unstored alpha of degree above T; None for none."""
+        if not tau:
+            return min((C for C, g in self.unstored + self.cap if g <= t), default=None)
         return min((C * NormValue(-g * tau) for C, g in self.unstored + self.cap if g <= t),
                    default=None)
 
@@ -342,7 +343,7 @@ class Distribution:
     def scale(self, c) -> "Distribution":
         p = self.model.p
         c = as_triple(self.model, c, DistError)
-        cup = triple_bound(p, c)
+        cup = NormValue(triple_exponent(p, c))
         cr, cprec, cshift = c
 
         def times(x):
@@ -371,7 +372,13 @@ class Distribution:
         operands' lines would not do: each line bounds on its own, so the
         union would certify the tighter operand's bound for the sum.)  An
         inexact sum keeps the operands' Dirac witnesses, an exact one's
-        derived; an exact sum derives its own on demand."""
+        derived; an exact sum derives its own on demand.
+
+        Each operand is read once: its head as the least ``triple_exponent``
+        per degree (``_least_exponents``), for an exact operand's cap and
+        the cut indices, and its lines by one sweep over the ascending
+        growths (``_least_lines``); ``_least_cover`` reads the head's
+        exponents in ints."""
         self.model._require_same(other.model)
         exact = self.exact and other.exact
         T = max(self.T, other.T) if exact else min(self.T, other.T)
@@ -388,27 +395,25 @@ class Distribution:
         if exact:
             enclosure = Enclosure.EXACT
         else:
-            def cap_at(x, t):
-                if x.exact:
-                    return _least_cover([(tau(a), triple_bound(p, c))
-                                         for a, c in x.coeffs.items()], t)
-                return min((C for C, g in x.enclosure.cap if g <= t), default=None)
-
+            growths = sorted({g for e in (e1, e2) for _, g in e.unstored + e.cap})
             # the indices past T up to an operand's own T: a stored entry by
             # its magnitude bound, and any by the stored error, whose least
             # cover over those degrees is set at their two ends
-            cut = [(tau(a), triple_bound(p, c))
-                   for x in (self, other) for a, c in x.coeffs.items() if tau(a) > T]
-            cut += [(k, x.enclosure.stored) for x in (self, other) if x.T > T
-                    for k in (T + 1, x.T)]
+            cut, reads = [], []
+            for x in (self, other):
+                enc = x.enclosure
+                least = _least_exponents(p, x.coeffs) if x.exact or x.T > T else {}
+                if x.T > T:
+                    cut += [(k, e) for k, e in least.items() if k > T]
+                    cut += [(k, enc.stored.exponent) for k in (T + 1, x.T)]
+                caps = ([_least_cover(least.items(), t) for t in growths] if x.exact
+                        else _least_lines(enc.cap, growths))
+                reads.append((_least_lines(enc.unstored + enc.cap, growths), caps))
+            (bounds1, caps1), (bounds2, caps2) = reads
             unstored, cap = [], []
-            for t in sorted({g for e in (e1, e2) for _, g in e.unstored + e.cap}):
-                a = e1.bound(0, t)
-                b = e2.bound(0, t)
+            for t, a, b, aa, bb in zip(growths, bounds1, bounds2, caps1, caps2):
                 if a is None or b is None:
                     continue
-                aa = cap_at(self, t)
-                bb = cap_at(other, t)
                 if aa is not None and bb is not None:
                     cap.append((max(aa, bb), t))
                 unstored.append((max(a, b, _least_cover(cut, t)), t))
@@ -946,13 +951,48 @@ def _least_line(points, k: int, S: int):
 
 
 def _least_cover(bounds, t) -> NormValue:
-    """The least C with b <= C p^(t tau) for every (tau, b) in bounds: the
-    largest b p^(-t tau); zero for none."""
-    return max((b * NormValue(t * tau) for tau, b in bounds), default=NormValue.zero())
+    """The least C with p^-e <= C p^(t tau) for every (tau, e) in bounds, a
+    bound given by its exponent e: p^-(min e + t tau); zero for none.  At
+    t = a/b the exponents are compared scaled by b, as the ints b e + a tau
+    when every e is an int; a Fraction e (a stored error) makes its sum a
+    Fraction, and an infinite one a float."""
+    a, b = t.numerator, t.denominator
+    return _norm_value(min((b * e + a * tau for tau, e in bounds), default=inf), b)
+
+
+def _least_exponents(p, coeffs) -> dict:
+    """{degree: the least ``triple_exponent`` of an entry of that degree}."""
+    least = {}
+    for alpha, c in coeffs.items():
+        k = sum(alpha)
+        e = triple_exponent(p, c)
+        if least.get(k, inf) > e:
+            least[k] = e
+    return least
+
+
+def _least_lines(lines, growths) -> list:
+    """The least bound of the lines of growth at most t, for each t of the
+    ascending growths (None before the first line): one sweep in growth
+    order with a running minimum."""
+    out, best, i = [], None, 0
+    lines = sorted(lines, key=lambda line: line.growth)
+    for t in growths:
+        while i < len(lines) and lines[i].growth <= t:
+            if best is None or lines[i].bound < best:
+                best = lines[i].bound
+            i += 1
+        out.append(best)
+    return out
 
 
 def _norm_value(x, D: int) -> NormValue:
-    return NormValue(x if isinstance(x, float) else Fraction(x, D))
+    """p^-(x / D) for a rational x, the int quotient when D divides x; an
+    infinite x as it is."""
+    if isinstance(x, float):
+        return NormValue(x)
+    q, r = divmod(x, D)
+    return NormValue(Fraction(x, D) if r else q)
 
 
 def _multi_index(model, alpha) -> tuple:

@@ -17,12 +17,13 @@ keys, caps, precisions, levels) are read by ``padic.as_int`` and
 from __future__ import annotations
 
 from fractions import Fraction
+from math import inf
 
 from .padic import (NormValue, PadicError, PadicScalar, _check_prime, add_triples, as_int,
                     as_items, as_rational, binomial_transform, int_binom, int_tuple, ppow,
-                    require_triple, triple_bound)
+                    require_triple, triple_exponent)
 from .groupmodel import GroupModel, simplex
-from .distalg import Distribution, _merge_terms, _products, as_triple
+from .distalg import Distribution, _least_exponents, _merge_terms, _products, as_triple
 
 
 class MahlerError(PadicError):
@@ -204,13 +205,13 @@ class MahlerTable:
         """Certified bound on sup |c_alpha| over ALL alpha."""
         # builtin functions are Z_p-valued, so |c_alpha| <= 1 without decay
         best = NormValue.one() if self.decay is None else self.decay[0]
-        for c in self.coeffs.values():
-            best = max(best, triple_bound(self.p, c))
-        return best
+        p = self.p
+        return max(best, NormValue(min((triple_exponent(p, c) for c in self.coeffs.values()),
+                                       default=inf)))
 
-    def missing_bound(self, alpha) -> NormValue:
-        """Bound on |c_alpha| for an unstored index: zero at |alpha| <= cap."""
-        k = sum(alpha)
+    def missing_bound(self, k: int) -> NormValue:
+        """Bound on |c_alpha| for an unstored index of degree k: zero at
+        k <= cap."""
         if k <= self.cap:
             return NormValue.zero()
         if self.decay is None:
@@ -261,21 +262,14 @@ def mahler_coeffs(f: FunctionSpec, A: int, prec: int = 12) -> MahlerTable:
 def amice_report(table: MahlerTable, rho_exponents):
     """For each u (rho = p^u), the row max_{|alpha|=k} |c_alpha| rho^k and a
     non-increasing verdict on the tail half of the rows."""
-    rows_v = {}
-    for alpha, c in table.coeffs.items():
-        k = sum(alpha)
-        a = triple_bound(table.p, c)
-        if k not in rows_v or a > rows_v[k]:
-            rows_v[k] = a
+    least = _least_exponents(table.p, table.coeffs)
     out = []
     for u in rho_exponents:
         u = as_rational(u, MahlerError, "Amice exponent u")
         if u <= 0:
             raise MahlerError("Amice radii must satisfy rho > 1 (u > 0)")
-        rows = []
-        for k in range(table.cap + 1):
-            base = rows_v.get(k, NormValue.zero())
-            rows.append(base * NormValue(-u * k))
+        # p^-e rho^k = p^-(e - u k), zero (e = +inf) for an empty row
+        rows = [NormValue(least.get(k, inf) - u * k) for k in range(table.cap + 1)]
         half = rows[table.cap // 2:]
         verdict = all(half[i + 1] <= half[i] for i in range(len(half) - 1))
         out.append({"u": u, "rows": rows, "tail_nonincreasing": verdict})
@@ -294,12 +288,17 @@ def pair(lam: Distribution, table: MahlerTable):
     p = model.p
     total = (0, min(model.elem_prec, table.prec), 0)
     errors = [NormValue.zero()]
-    for alpha, (r, prec, shift) in lam.coeffs.items():
+    missing = {}  # head entries the table does not store
+    for alpha, x in lam.coeffs.items():
         c = table.coeffs.get(alpha)
-        if c is not None:
-            total = add_triples(p, total, (r * c[0], min(prec, c[1]), shift + c[2]))
+        if c is None:
+            missing[alpha] = x
         else:
-            errors.append(triple_bound(p, (r, prec, shift)) * table.missing_bound(alpha))
+            r, prec, shift = x
+            total = add_triples(p, total, (r * c[0], min(prec, c[1]), shift + c[2]))
+    # per degree k, the largest |d_alpha| times the bound on c_alpha there
+    errors += [NormValue(e) * table.missing_bound(k)
+               for k, e in _least_exponents(p, missing).items()]
     enc = lam.enclosure
     if not enc.stored.is_zero:
         errors.append(enc.stored * table.sup_bound())
@@ -307,10 +306,10 @@ def pair(lam: Distribution, table: MahlerTable):
         # table entries past the head, where the lines bound d_alpha; an
         # unstored d_alpha of degree <= T is within the stored error above
         unbounded = NormValue.unbounded()
-        for alpha, c in table.coeffs.items():
-            if sum(alpha) > lam.T:
-                bound = enc.bound(sum(alpha))
-                errors.append(unbounded if bound is None else bound * triple_bound(p, c))
+        for k, e in _least_exponents(p, table.coeffs).items():
+            if k > lam.T:
+                bound = enc.bound(k)
+                errors.append(unbounded if bound is None else bound * NormValue(e))
         # the lines of growth t <= t_t, times the decay C_t p^(-t_t k), at the
         # least degree k0 past head and table; 0 for the zero line, lines or not
         C_t, t_t = table.decay

@@ -5,7 +5,8 @@ exponent ``shift`` (value = p**-shift * residue).  The absolute precision
 window is p**(prec - shift): two scalars with the same value agree on the
 overlap of their windows, and arithmetic never claims more digits than the
 inputs justify.  A norm value in p**Q is its rational exponent and nothing
-else (+inf for zero, -inf for an unbounded estimate).
+else: an int when integral, else a Fraction (+inf for zero, -inf for an
+unbounded estimate).
 
 The rules for a sum, a valuation and a magnitude bound are written once, as
 functions on the triple (residue, prec, shift) of ints: the form in which
@@ -156,24 +157,31 @@ def _check_prime(p, error) -> int:
 class NormValue:
     """The value p**(-exponent), totally ordered, with product = exponent sum.
 
-    ``exponent`` is a Fraction, +inf (the value zero) or -inf (an unbounded
-    upper estimate).  The exponent is all a NormValue holds: whether a norm
-    is known exactly is a property of its ``NormInterval`` (``collapsed``).
+    ``exponent`` is an int when it is integral, else a Fraction, else +inf
+    (the value zero) or -inf (an unbounded upper estimate): an integral
+    Fraction is kept as its int, so equal values hold equal exponents.  The
+    exponent is all a NormValue holds: whether a norm is known exactly is a
+    property of its ``NormInterval`` (``collapsed``).
     """
 
     __slots__ = ("exponent",)
 
     def __init__(self, exponent):
-        # a Fraction and a float infinity are kept as they are: comparing a
-        # Fraction with the infinities costs more than the rest of the
-        # construction
-        if type(exponent) is not Fraction and not (type(exponent) is float
-                                                   and exponent in (inf, -inf)):
+        # an int and a float infinity are kept as they are, and a Fraction
+        # is tested first: comparing a Fraction with the infinities costs
+        # more than the rest of the construction
+        t = type(exponent)
+        if t is Fraction:
+            if exponent.denominator == 1:
+                exponent = exponent.numerator
+        elif t is not int and not (t is float and exponent in (inf, -inf)):
             if (isinstance(exponent, Decimal) and exponent.is_infinite()
                     or isinstance(exponent, float) and isinf(exponent)):
                 exponent = float(exponent)  # the float infinity of that sign
             else:
-                exponent = Fraction(as_rational(exponent, PadicError, "norm exponent"))
+                exponent = as_rational(exponent, PadicError, "norm exponent")
+                if exponent.denominator == 1:
+                    exponent = exponent.numerator
         object.__setattr__(self, "exponent", exponent)
 
     def __setattr__(self, *a):
@@ -272,14 +280,10 @@ def triple_valuation(p: int, x):
 
 
 def triple_exponent(p: int, x) -> int:
-    """The int e of ``triple_bound`` p**-e: the valuation, else the window."""
+    """The int e of the upper bound p**-e on |x|: the valuation v, else
+    only the window."""
     v = triple_valuation(p, x)
     return x[1] - x[2] if v is None else v
-
-
-def triple_bound(p: int, x) -> NormValue:
-    """Upper bound on |x|: p**-v from the valuation, else only p**-window."""
-    return NormValue(triple_exponent(p, x))
 
 
 def fraction_triple(p: int, x, prec: int):
@@ -386,7 +390,7 @@ class PadicScalar:
         return PadicScalar(self.p, prec, self.residue * other.residue, self.shift + other.shift)
 
     def abs_val(self) -> NormValue:
-        return triple_bound(self.p, self.triple)
+        return NormValue(triple_exponent(self.p, self.triple))
 
     # -- comparison --------------------------------------------------------
 

@@ -23,7 +23,7 @@ from itertools import chain
 from math import comb, inf, lcm
 
 from padicdist.distalg import DistError, NormInterval, RadiusParam
-from padicdist.padic import NormValue, ppow, triple_bound, triple_valuation
+from padicdist.padic import NormValue, ppow, triple_exponent, triple_valuation
 
 from enclosure_view import head_error, tail_bound_at_growth, tail_certs
 
@@ -42,7 +42,7 @@ def valuation_profile(lam):
             if level[0] is None or v < level[0]:
                 level[0] = v
             continue
-        e = min(triple_bound(p, c).exponent, herr.exponent)
+        e = min(triple_exponent(p, c), herr.exponent)
         if level[1] is None or e < level[1]:
             level[1] = e
     return tuple((tau, *level) for tau, level in sorted(levels.items()))
@@ -185,7 +185,7 @@ def is_integral(lam) -> bool:
     if tail is None or tail.exponent < 0:
         return False
     p = lam.model.p
-    return all(triple_bound(p, c).exponent >= 0 for c in lam.coeffs.values()) and \
+    return all(triple_exponent(p, c) >= 0 for c in lam.coeffs.values()) and \
         head_error(lam).exponent >= 0
 
 

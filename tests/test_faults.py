@@ -11,6 +11,11 @@ cannot see, and its row fails.  A new certificate path adds its fault here.
 ``test_complete_heads.py`` (exact Fractions from ``math.comb`` up to degree
 T + 4, with each result's ``parse . serialize``) over the producers whose
 results are built from a Dirac witness; that module runs it unfaulted.
+``sums: true coefficients`` is the check of sums of finite tables in
+``test_witness_rule.py``.  A line of growth t >= 0 whose least cover drops
+its t tau term is only looser, which no check of truth can see (the
+ultrametric checks there do not); this check kills that fault through the
+lines that decay (growth below 0) that its operands carry.
 """
 
 from typing import Callable, NamedTuple
@@ -23,6 +28,7 @@ from padicdist.padic import NormValue
 from padicdist.serialize import parse_distribution, serialize_distribution
 
 from test_complete_heads import KINDS, cases, violations
+import test_witness_rule
 
 WITNESS_PRODUCERS = ("dirac", "dirac inexact", "dirac_combination", "mul witness",
                      "conjugate", "conjugate sigma", "change_basis")
@@ -42,7 +48,19 @@ def complete_heads_over_witness_producers():
     return None
 
 
-CHECKS = {"complete heads: witness producers": complete_heads_over_witness_producers}
+def sums_over_tables():
+    """The first (p, violation) of a sum of finite tables; None for none."""
+    for p in (3, 5, 7):
+        found = test_witness_rule.true_sum_violation(p)
+        if found is not None:
+            return p, found
+    return None
+
+
+CHECKS = {
+    "complete heads: witness producers": complete_heads_over_witness_producers,
+    "sums: true coefficients": sums_over_tables,
+}
 
 
 class Fault(NamedTuple):
@@ -66,9 +84,16 @@ def witness_line_over_p(original):
     return faulty
 
 
+def cover_without_growth(original):
+    """``_least_cover`` with its t tau term dropped: p^-(min e) at every t."""
+    return lambda bounds, t: original(bounds, 0)
+
+
 FAULTS = (
     Fault("witness growth-0 line divided by p", distalg, "_from_witness",
           witness_line_over_p, ("complete heads: witness producers",)),
+    Fault("least cover without its t tau term", distalg, "_least_cover",
+          cover_without_growth, ("sums: true coefficients",)),
 )
 
 

@@ -22,6 +22,7 @@ from padicdist.padic import (
     vp_factorial,
     vp_int,
 )
+from padicdist.serialize import parse_normvalue
 
 from mahler_reference import binom_residue
 from test_imports import run_fresh
@@ -204,6 +205,45 @@ class TestNormValue:
         # it raised decimal.InvalidOperation, from the comparison with inf
         with pytest.raises(PadicError, match="norm exponent must be a finite rational"):
             NormValue(Decimal("sNaN"))
+
+    def test_an_integral_exponent_is_held_as_an_int(self):
+        values = [NormValue(3), NormValue(Fraction(3)), NormValue(Fraction(6, 2)),
+                  NormValue(3.0), NormValue(Decimal(3)),
+                  NormValue(Fraction(7, 2)) * NormValue(Fraction(-1, 2))]
+        for x in values:
+            assert x == values[0] and hash(x) == hash(values[0]), x
+            assert str(x) == "p^-3" and repr(x) == "NormValue(p^-3)"
+            assert type(x.exponent) is int and x.exponent == 3, x
+        assert type(NormValue(Fraction(1, 2)).exponent) is Fraction
+        assert {NormValue(3), NormValue(Fraction(3))} == {NormValue(3)}
+
+    def test_order_across_ints_fractions_and_infinities(self):
+        chain = [NormValue.unbounded(), NormValue(-2), NormValue(Fraction(-3, 2)), NormValue(0),
+                 NormValue(Fraction(1, 3)), NormValue(1), NormValue(Fraction(5, 4)),
+                 NormValue(Fraction(4, 2)), NormValue(7), NormValue.zero()]
+        for i, a in enumerate(chain):
+            for j, b in enumerate(chain):
+                assert (a > b) == (i < j) and (a >= b) == (i <= j)
+                assert (a < b) == (i > j) and (a <= b) == (i >= j)
+                assert (a == b) == (i == j)
+        assert max(chain) is chain[0] and min(chain) is chain[-1]
+
+    @pytest.mark.parametrize("a, b, want", [
+        (3, Fraction(1, 2), Fraction(7, 2)), (Fraction(1, 2), 3, Fraction(7, 2)),
+        (Fraction(1, 3), Fraction(2, 3), 1), (-4, Fraction(1, 4), Fraction(-15, 4)),
+        (2, -2, 0), (Fraction(5, 2), Fraction(-1, 2), 2)])
+    def test_products_of_ints_and_fractions(self, a, b, want):
+        got = NormValue(a) * NormValue(b)
+        assert got.exponent == want and type(got.exponent) is type(want)
+        for x in (NormValue.zero(), NormValue.unbounded()):
+            assert NormValue(a) * x == x == x * NormValue(b)
+
+    @pytest.mark.parametrize("text", ["p^-3", "p^0", "p^2", "p^-1/2", "p^3/4", "0", "unbounded"])
+    def test_parse_round_trips(self, text):
+        x = parse_normvalue(text)
+        assert str(x) == text and parse_normvalue(str(x)) == x
+        if text in ("p^-3", "p^0", "p^2"):
+            assert type(x.exponent) is int and x == NormValue(-int(text[2:]))
 
 
 def binom(x, k):
