@@ -233,7 +233,7 @@ class Distribution:
         coeffs = {_multi_index(model, a): c
                   for a, c in as_items(coeffs, DistError, "coefficient table")}
         for alpha, c in coeffs.items():
-            if model.tau(alpha) > T:
+            if sum(alpha) > T:
                 raise DistError(f"stored index {alpha} exceeds truncation weight {T}")
             require_triple(model.p, alpha, c, DistError)
         if not isinstance(enclosure, Enclosure):
@@ -382,8 +382,7 @@ class Distribution:
         self.model._require_same(other.model)
         exact = self.exact and other.exact
         T = max(self.T, other.T) if exact else min(self.T, other.T)
-        tau = self.model.tau
-        keys = {a for a in chain(self.coeffs, other.coeffs) if tau(a) <= T}
+        keys = {a for a in chain(self.coeffs, other.coeffs) if sum(a) <= T}
         p = self.model.p
         zero = (0, self.model.elem_prec, 0)
         coeffs = {}
@@ -478,7 +477,7 @@ class Distribution:
         if that is larger) times r^tau, capped by the cap lines at tau.
         An unstored index of degree <= T contributes the stored error,
         capped likewise, to the upper end; the unstored and cap lines bound
-        the indices past T, read at weight_above(T).
+        the indices past T, read at degree T + 1.
 
         Written as exponents, each end is a least value of lines in s, read
         off the r-norm profile (``_RNormProfile``) built once per
@@ -508,7 +507,7 @@ class Distribution:
 
         Requires 1/p < r < 1, i.e. s < 1, and enough stored precision that
         the head minimum beats every uncertainty floor: the entries of
-        unknown valuation, the tail at weight_above(T) and the stored
+        unknown valuation, the tail at degree T + 1 and the stored
         error.  The test reads the r-norm profile; only the leading entries
         are read from ``coeffs``.
         """
@@ -567,7 +566,10 @@ class Distribution:
                     return lift, True
             return y, False
 
-        return self._map_support(act, same_chart=False)
+        # the image's points are in the new chart, on which model.law does
+        # not act, so it keeps no witness
+        image = self._map_support(act)
+        return Distribution._clean(image.model, image.coeffs, image.T, image.enclosure)
 
     def conjugate(self, g) -> "Distribution":
         """Image under delta_h -> delta_{g h g^-1} (g a GroupElement or "sigma",
@@ -587,15 +589,13 @@ class Distribution:
             raise DistError(f"undefined conjugation action {g!r}")
         return self._map_support(act)
 
-    def _map_support(self, act, same_chart=True) -> "Distribution":
+    def _map_support(self, act) -> "Distribution":
         """sum a_j delta_{act(g_j)} up to degree self.T; ``act`` maps a
         point's (coords, exact) to its image's.  Over the exact witness the
-        image is the witness result (``_from_witness``); with ``same_chart``
-        unset, ``act`` gives coordinates in another chart, on which
-        ``model.law`` does not act, so the image keeps no witness.  Else over
-        the Dirac decomposition of the head, with ``gap`` as the stored error
-        and, where that is bounded, the cap line ``coeff_sup``, which bounds
-        the decomposition's coefficients, integer combinations of entries."""
+        image is the witness result (``_from_witness``); else over the Dirac
+        decomposition of the head, with ``gap`` as the stored error and,
+        where that is bounded, the cap line ``coeff_sup``, which bounds the
+        decomposition's coefficients, integer combinations of entries."""
         model, T = self.model, self.T
         terms = self._exact_terms()
         witness = terms is not None
@@ -603,7 +603,7 @@ class Distribution:
             terms = _head_to_dirac(model, self.coeffs)
         merged = _merge_terms(model, ((a, *act(coords, exact)) for a, coords, exact in terms))
         if witness:
-            return _from_witness(model, merged, T, same_chart)
+            return _from_witness(model, merged, T)
         herr = self.enclosure.gap
         cap = () if herr.is_unbounded else ((self.coeff_sup(), Fraction(0)),)
         return Distribution._clean(model, _expand_terms(model, merged, T), T,
@@ -657,10 +657,10 @@ def structure_constants(model: GroupModel, beta, gamma, T):
     T (``_commutation_core``, ``_from_witness``), built once per (a, g, T)
     and kept on the model for as long as it lives, with each entry's degree
     and verdict.
-    Since every omega is 1, tau(alpha + offset) = tau(alpha) +
-    tau(offset): an entry is kept when its core degree is at most
-    T - tau(offset), and its verdict bound tau(beta) + tau(gamma) -
-    tau(alpha + offset) = a + g - tau(alpha) does not depend on the offset.
+    Degrees add, tau(alpha + offset) = tau(alpha) + tau(offset): an entry
+    is kept when its core degree is at most T - tau(offset), and its
+    verdict bound tau(beta) + tau(gamma) - tau(alpha + offset) = a + g -
+    tau(alpha) does not depend on the offset.
     An entry has the value the Dirac product of b^beta and b^gamma gives
     it, and a window never narrower, since shifting adds no binomial rows.
     Zeros that product stores where no shifted index lands (alpha1 <
@@ -671,7 +671,7 @@ def structure_constants(model: GroupModel, beta, gamma, T):
     gamma = _multi_index(model, gamma)
     if model.law.commutative:
         alpha = tuple(b + g for b, g in zip(beta, gamma))
-        if model.tau(alpha) > T:
+        if sum(alpha) > T:
             return {}, {}
         return {alpha: (1, model.elem_prec, 0)}, {alpha: True}
     core = _commutation_core(model, beta[1], gamma[0], T)
@@ -711,7 +711,7 @@ def _commutation_core(model: GroupModel, a: int, g: int, T: int) -> tuple:
         head = _from_witness(model, terms, T).coeffs
         entries = []
         for alpha, c in head.items():
-            tau = model.tau(alpha)
+            tau = sum(alpha)
             v = triple_valuation(p, c)
             entries.append((tau, (alpha, c, None if v is None else v >= max(0, a + g - tau))))
         core = model.commutation_cores[key] = tuple(
@@ -792,7 +792,7 @@ class _RNormProfile:
       uncertain level at every degree 0..T, for the unstored indices; where
       every index is stored, the entries' own bound is never below it.
     - ``tails``: the unstored and cap lines (C, t) give C + (s - t) tplus at
-      s >= t, tplus = weight_above(T); the pairs (t D0, G), ascending, where
+      s >= t, tplus = T + 1; the pairs (t D0, G), ascending, where
       G is the largest C D0 - t D0 tplus over the lines of growth at most t
       (EXACT's zero line gives the one pair (0, +inf)).
     - ``floors`` and ``herr``: the levels of entries of unknown valuation,
@@ -829,8 +829,8 @@ class _RNormProfile:
         H = scaled(herr)
         # an int valuation v beats the stored error when v < ceil(its exponent)
         beats = herr if type(herr) is float else -(-herr.numerator // herr.denominator)
-        # per degree (|alpha|, every omega is 1): [least certain v, its
-        # indices, least uncertain v, least window]
+        # per degree |alpha|: [least certain v, its indices, least
+        # uncertain v, least window]
         by_tau = {}
         for alpha, (r, prec, shift) in lam.coeffs.items():
             tau = sum(alpha)
@@ -882,13 +882,11 @@ class _RNormProfile:
             elif e != inf:
                 uncertain.append((tau, e))
 
-        tplus = lam.model.weight_above(lam.T)
+        tplus = lam.T + 1
         tails = []
         for t, G in sorted((scaled(t), scaled(C) - scaled(t) * tplus) for C, t in lines):
             if not tails or G > tails[-1][1]:
                 tails.append((t, G))
-        # the enclosure's bound(0, 0), as an exponent
-        tail0 = max((C for C, t in lines if t.numerator <= 0), default=None)
 
         self.D0 = D0
         self.lower = _lower_hull(lower)
@@ -900,7 +898,8 @@ class _RNormProfile:
         self.herr = H
         self.levels = tuple(levels)
         self.valued = tuple(valued)
-        self.sup = None if tail0 is None else NormValue(min(tail0, head))
+        tail0 = enc.bound(0, 0)
+        self.sup = None if tail0 is None else NormValue(min(tail0.exponent, head))
 
     def scale(self, s: Fraction):
         """(k, S, D) at s: the common denominator D = lcm(D0, s's), k = D / D0
@@ -910,7 +909,7 @@ class _RNormProfile:
         return D // self.D0, s.numerator * (D // b), D
 
     def tail(self, k: int, S: int):
-        """The tightest tail term at weight_above(T), scaled by D: +inf when
+        """The tightest tail term at degree T + 1, scaled by D: +inf when
         exact, -inf when no line has growth at most s."""
         G = -inf
         for t, best in self.tails:
@@ -1000,20 +999,17 @@ def _multi_index(model, alpha) -> tuple:
     return int_tuple(alpha, model.d, DistError, "multi-index", nonnegative=True)
 
 
-def _from_witness(model, terms, T, keep=True) -> Distribution:
+def _from_witness(model, terms, T) -> Distribution:
     """sum a_j delta_{g_j} up to degree T from its merged Dirac terms, the one
-    constructor of a result with a witness.  It is exact when every point is
-    exact in N^d with degree <= T, so that the expansion ends inside the
-    head; else |C(x, k)| <= 1 on Z_p bounds each sum_j a_j C(g_j, alpha) by
-    max_j |a_j|, its one growth-0 cap line.  ``keep`` unset drops the
-    witness, for points in another chart, on which ``model.law`` does not act."""
+    constructor of a result with a witness: exact when every point is exact
+    in N^d with degree <= T, else capped at growth 0 by max_j |a_j|, since
+    |C(x, k)| <= 1 on Z_p."""
     coeffs = _expand_terms(model, terms, T)
-    witness = terms if keep else None
-    if all(exact and all(x >= 0 for x in coords) and model.tau(coords) <= T
+    if all(exact and all(x >= 0 for x in coords) and sum(coords) <= T
            for _, coords, exact in terms):
-        return Distribution._clean(model, coeffs, T, Enclosure.EXACT, witness)
+        return Distribution._clean(model, coeffs, T, Enclosure.EXACT, terms)
     cap = NormValue(min(triple_exponent(model.p, a) for a, _, _ in terms))
-    return Distribution._clean(model, coeffs, T, Enclosure(cap=((cap, Fraction(0)),)), witness)
+    return Distribution._clean(model, coeffs, T, Enclosure(cap=((cap, Fraction(0)),)), terms)
 
 
 def _merge_terms(model, terms, modulus=None):

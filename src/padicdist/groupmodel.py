@@ -88,8 +88,9 @@ class GroupModel:
     """A concrete group with ordered basis, chart and p-valuation data."""
 
     def __init__(self, kind: str, p: int, d: int, prec: int = 12, max_weight=12):
-        # Every generator has omega = 1, so omega > 1/(p-1) and (HYP)
-        # omega_i + omega_j > p/(p-1) both reduce to p > 2.
+        # Every generator has omega = 1, so the degree tau(alpha) of b^alpha
+        # is |alpha|, and omega > 1/(p-1) and (HYP) omega_i + omega_j >
+        # p/(p-1) both reduce to p > 2.
         p = _check_prime(p, ModelError)
         prec = as_int(prec, ModelError, "precision N")
         if prec < 1:
@@ -216,16 +217,6 @@ class GroupModel:
             # every coordinate vanishes mod p^elem_prec: only a lower bound
             return 1 + g.model.elem_prec, False
         return 1 + min(vals), True
-
-    # -- degrees -----------------------------------------------------------
-
-    def tau(self, alpha) -> int:
-        """Degree of b^alpha: |alpha|, since every generator has omega = 1."""
-        return sum(alpha)
-
-    def weight_above(self, T) -> int:
-        """Smallest degree strictly above T."""
-        return truncation(T) + 1
 
 
 class GroupElement:

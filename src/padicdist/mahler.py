@@ -313,7 +313,7 @@ def pair(lam: Distribution, table: MahlerTable):
         # the lines of growth t <= t_t, times the decay C_t p^(-t_t k), at the
         # least degree k0 past head and table; 0 for the zero line, lines or not
         C_t, t_t = table.decay
-        k0 = max(model.weight_above(lam.T), table.cap + 1)
+        k0 = max(lam.T + 1, table.cap + 1)
         best = enc.bound(k0, t_t)
         errors.append(C_t * (unbounded if best is None else best * NormValue(t_t * k0)))
     r, prec, shift = total

@@ -303,7 +303,7 @@ def suite_thm45_mult(rep, params, rng):
         mu = random_exact(model, rng)
         nl, nm = lam.norm(r), mu.norm(r)
         target = nl.lower * nm.lower
-        if NormValue(s * model.weight_above(params.T)) >= target:
+        if NormValue(s * (params.T + 1)) >= target:
             skipped += 1
             continue
         prod = lam.mul(mu, s_work=s)
@@ -524,7 +524,7 @@ def suite_lemma412(rep, params, rng):
         model = models[k % len(models)]
         a = random_exact(model, rng, max_tau=4, valmax=3)
         s_star = a.r_threshold().s
-        tau_beta = min(model.tau(al) for al in a.coeffs
+        tau_beta = min(sum(al) for al in a.coeffs
                        if a.coeff(al).valuation == 0)
         for i in range(1, 6):
             s_r = s_star * Fraction(i, 5)
@@ -618,7 +618,7 @@ def suite_mahler_dirac(rep, params, rng):
                 failures += 1
         ok_mono = True
         for alpha in list(t.coeffs)[:10]:
-            if model2.tau(alpha) > params.T:
+            if sum(alpha) > params.T:
                 continue
             v, e = mh.pair(Distribution.monomial(model2, alpha), t)
             ok_mono = ok_mono and e.is_zero and v.same_value(t.coeff(alpha))

@@ -35,7 +35,7 @@ def sum_enclosure(lam, mu) -> Enclosure:
         return Enclosure.EXACT
     T = min(lam.T, mu.T)
     p = lam.model.p
-    tau = lam.model.tau
+    tau = sum
     e1, e2 = lam.enclosure, mu.enclosure
 
     def cap_at(x, t):

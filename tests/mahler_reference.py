@@ -139,7 +139,7 @@ def pair_scalars(lam, table):
                 errors.append(_tail_bound_at(lam, sum(alpha)) * c.abs_val())
         if not table.complete:
             C_t, t_t = table.decay
-            k0 = max(model.weight_above(lam.T), table.cap + 1)
+            k0 = max(lam.T + 1, table.cap + 1)
             best = None
             for cert in tail_certs(lam):
                 if t_t >= cert.growth:

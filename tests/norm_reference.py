@@ -36,7 +36,7 @@ def valuation_profile(lam):
     herr = head_error(lam)
     levels = {}
     for alpha, c in lam.coeffs.items():
-        level = levels.setdefault(lam.model.tau(alpha), [None, None])
+        level = levels.setdefault(sum(alpha), [None, None])
         v = triple_valuation(p, c)
         if v is not None and herr.exponent > v:
             if level[0] is None or v < level[0]:
@@ -56,7 +56,7 @@ def unstored_degrees(lam):
     d = lam.model.d
     stored = {}
     for alpha in lam.coeffs:
-        tau = lam.model.tau(alpha)
+        tau = sum(alpha)
         stored[tau] = stored.get(tau, 0) + 1
     return tuple(tau for tau in range(lam.T + 1)
                  if stored.get(tau, 0) < (comb(tau + d - 1, tau) if d else int(tau == 0)))
@@ -67,7 +67,7 @@ def tail_norm_bound(lam, s: Fraction):
     growth t <= s; zero when exact, None when no certificate applies."""
     if lam.exact:
         return NormValue.zero()
-    tplus = lam.model.weight_above(lam.T)
+    tplus = lam.T + 1
     best = None
     for cert in tail_certs(lam):
         C, t = cert.bound, cert.growth
@@ -149,7 +149,7 @@ def principal_symbol(lam, r: RadiusParam):
         v = triple_valuation(p, c)
         if v is None:
             continue
-        deg = v + s * model.tau(alpha)
+        deg = v + s * sum(alpha)
         if best is None or deg < best:
             best = deg
             arg = [(alpha, c, v)]
@@ -160,7 +160,7 @@ def principal_symbol(lam, r: RadiusParam):
     floors = []
     for alpha, (res, prec, shift) in lam.coeffs.items():
         if res == 0:
-            floors.append(prec - shift + s * model.tau(alpha))
+            floors.append(prec - shift + s * sum(alpha))
     tail = tail_norm_bound(lam, s)
     if tail is None:
         floors.append(-inf)
@@ -196,14 +196,14 @@ def r_threshold(lam) -> RadiusParam:
         raise DistError("radius threshold requires an integral distribution")
     model = lam.model
     p = model.p
-    unit_taus = [model.tau(a) for a, c in lam.coeffs.items()
+    unit_taus = [sum(a) for a, c in lam.coeffs.items()
                  if triple_valuation(p, c) == 0]
     if not unit_taus:
         raise DistError("no unit coefficient: the reduction mod p vanishes")
     tau_beta = min(unit_taus)
     s = Fraction(1)
     for alpha, c in lam.coeffs.items():
-        tau = model.tau(alpha)
+        tau = sum(alpha)
         if tau < tau_beta:
             v = triple_valuation(p, c)
             s = min(s, Fraction(v) / (tau_beta - tau))

@@ -248,12 +248,12 @@ class TestStructureConstants:
         model = GroupModel.heisenberg(P, prec=12, max_weight=Fraction(6))
         beta, gamma = (2, 1, 0), (0, 1, 1)
         table, verdicts = structure_constants(model, beta, gamma, Fraction(6))
-        tb = model.tau(beta) + model.tau(gamma)
+        tb = sum(beta) + sum(gamma)
         for alpha, c in table.items():
             c = scalar(model, c)
             if c.valuation is None:
                 continue
-            want = c.valuation >= max(0, tb - model.tau(alpha))
+            want = c.valuation >= max(0, tb - sum(alpha))
             assert verdicts[alpha] == want
 
     @staticmethod
@@ -262,8 +262,8 @@ class TestStructureConstants:
         values on common entries, windows never narrower, zeros wherever
         only one side stores an entry, and identical verdicts."""
         table, verdicts = structure_constants(model, beta, gamma, T)
-        tb = model.tau(beta) + model.tau(gamma)
-        big = max(T, model.tau(beta), model.tau(gamma))
+        tb = sum(beta) + sum(gamma)
+        big = max(T, sum(beta), sum(gamma))
         prod = Distribution.monomial(model, beta, big).mul(
             Distribution.monomial(model, gamma, big), T=T)
         want = {}
@@ -276,7 +276,7 @@ class TestStructureConstants:
             else:
                 assert c.residue == 0, (beta, gamma, alpha)
             if c.valuation is not None:
-                want[alpha] = c.valuation >= max(0, tb - model.tau(alpha))
+                want[alpha] = c.valuation >= max(0, tb - sum(alpha))
         for alpha, c in table.items():
             assert alpha in prod.coeffs or scalar(model, c).residue == 0, (beta, gamma, alpha)
         assert verdicts == want, (beta, gamma)
@@ -374,9 +374,9 @@ class TestStructureConstants:
                     for alpha, c in head.items():
                         v = triple_valuation(p, c)
                         want.append((alpha, c, None if v is None
-                                     else v >= max(0, a + g - model.tau(alpha))))
+                                     else v >= max(0, a + g - sum(alpha))))
                     for room, entries in enumerate(core):
-                        assert set(entries) == {e for e in want if model.tau(e[0]) <= room}, \
+                        assert set(entries) == {e for e in want if sum(e[0]) <= room}, \
                             (a, g, T, room)
 
 
@@ -495,12 +495,11 @@ def norm_by_entries(lam, r):
     one per degree <= T with an unstored index, which is zero to within
     head_error."""
     s = r.s
-    model = lam.model
     lower = NormValue.zero()
     uppers = []
     for alpha in lam.coeffs:
         c = lam.coeff(alpha)
-        tau = model.tau(alpha)
+        tau = sum(alpha)
         v = c.valuation
         if v is not None and head_error(lam) < NormValue(v):
             lower = max(lower, NormValue(v + s * tau))
@@ -524,11 +523,11 @@ def norm_by_entries(lam, r):
 def tail_by_certs(lam, s):
     """The tail term from the certificates alone: (C, t) with t <= s bounds
     |d_alpha| r^tau by C p^-((s - t) tau) at every alpha past the head, so
-    by C p^-((s - t) tplus) there, tplus = weight_above(T).  The least
+    by C p^-((s - t) tplus) there, tplus = T + 1.  The least
     of these; zero when exact, None when no certificate applies."""
     if lam.exact:
         return NormValue.zero()
-    tplus = lam.model.weight_above(lam.T)
+    tplus = lam.T + 1
     return min((c.bound * NormValue((s - c.growth) * tplus)
                 for c in tail_certs(lam) if c.growth <= s), default=None)
 
@@ -977,10 +976,10 @@ def inexact_head(src, K, growth=Fraction(0)):
     head = {}
     for alpha in src.coeffs:
         c = src.coeff(alpha)
-        if model.tau(alpha) <= K:
+        if sum(alpha) <= K:
             head[alpha] = c
         else:
-            bound = max(bound, c.abs_val() * NormValue(growth * model.tau(alpha)))
+            bound = max(bound, c.abs_val() * NormValue(growth * sum(alpha)))
     return Distribution.from_coeffs(model, head, K, Enclosure(unstored=[(bound, growth)]))
 
 
@@ -1732,21 +1731,21 @@ def sum_operand(draw, model, table):
     head_error."""
     T = draw(st.integers(0, model.max_weight))
     if draw(st.booleans()):
-        table = {a: c for a, c in table.items() if model.tau(a) <= T}
+        table = {a: c for a, c in table.items() if sum(a) <= T}
         return Distribution.from_coeffs(model, table, T), table
     head = {a: table.get(a, 0) for a in simplex(model.d, T)}
     unstored, caps = [], []
     for t in draw(st.lists(st.sampled_from([Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1)]),
                            min_size=1, max_size=2, unique=True)):
-        above = [(a, c) for a, c in table.items() if model.tau(a) > T]
+        above = [(a, c) for a, c in table.items() if sum(a) > T]
         # the least valid bound, or a looser one
-        C = max((NormValue(vp_int(c, P) + t * model.tau(a)) for a, c in above if c),
+        C = max((NormValue(vp_int(c, P) + t * sum(a)) for a, c in above if c),
                 default=NormValue.zero())
         if C.is_zero or draw(st.booleans()):
             C = max(C, NormValue(draw(st.integers(-1, 3))))
         unstored.append((C, t))
         if draw(st.booleans()):
-            cap = max((NormValue(vp_int(c, P) + t * model.tau(a)) for a, c in table.items() if c),
+            cap = max((NormValue(vp_int(c, P) + t * sum(a)) for a, c in table.items() if c),
                       default=NormValue(2))
             caps.append((cap, t))
     herr = draw(st.sampled_from([NormValue.zero(), NormValue(3), NormValue(1)]))
@@ -1838,10 +1837,10 @@ class TestSumCertificates:
             assert off <= max(NormValue(got.window), head_error(out)), a
         for c in tail_certs(out):
             for a, x in true.items():
-                if c.all_alpha or model.tau(a) > out.T:
-                    assert size(x) <= c.bound * NormValue(-c.growth * model.tau(a)), (c, a)
+                if c.all_alpha or sum(a) > out.T:
+                    assert size(x) <= c.bound * NormValue(-c.growth * sum(a)), (c, a)
         for s in NORM_RADII:
-            want = max((size(x) * NormValue(s * model.tau(a)) for a, x in true.items()),
+            want = max((size(x) * NormValue(s * sum(a)) for a, x in true.items()),
                        default=NormValue.zero())
             got = out.norm(RadiusParam(s))
             assert got.lower <= want <= got.upper, s

@@ -1,16 +1,17 @@
 """Planted faults that the truth-based checks must catch.
 
 Each row of ``FAULTS`` plants one fault by monkeypatching one library
-function (no source edit, no subprocess) and names the checks that must
-fail under it.  A check here is truth-based: it holds results to an
-independent recomputation, never to a second statement of the same rule,
+function or property (no source edit, no subprocess) and names the checks
+that must fail under it.  A check here is truth-based: it holds results to
+an independent recomputation, never to a second statement of the same rule,
 so a fault that passes every check it names is a certificate those checks
 cannot see, and its row fails.  A new certificate path adds its fault here.
 
-``complete heads: witness producers`` is the recomputation of
+``complete heads: every producer`` is the recomputation of
 ``test_complete_heads.py`` (exact Fractions from ``math.comb`` up to degree
-T + 4, with each result's ``parse . serialize``) over the producers whose
-results are built from a Dirac witness; that module runs it unfaulted.
+T + 4, with each result's ``parse . serialize``) over every producer there;
+that module runs it unfaulted.  ``complete heads: witness producers`` runs
+it over the producers whose results are built from a Dirac witness.
 ``sums: true coefficients`` is the check of sums of finite tables in
 ``test_witness_rule.py``.  A line of growth t >= 0 whose least cover drops
 its t tau term is only looser, which no check of truth can see (the
@@ -18,6 +19,8 @@ ultrametric checks there do not); this check kills that fault through the
 lines that decay (growth below 0) that its operands carry.
 """
 
+from functools import partial
+from math import inf
 from typing import Callable, NamedTuple
 
 import pytest
@@ -34,13 +37,14 @@ WITNESS_PRODUCERS = ("dirac", "dirac inexact", "dirac_combination", "mul witness
                      "conjugate", "conjugate sigma", "change_basis")
 
 
-def complete_heads_over_witness_producers():
-    """The first (kind, p, producer) whose result, or its file, says
-    something false of the recomputed truth; None for none."""
+def complete_heads(producers=None):
+    """The first (kind, p, producer), of the named producers or of every
+    one, whose result, or its file, says something false of the recomputed
+    truth; None for none."""
     for p in (3, 5, 7):
         for kind in KINDS:
             for name, lam, truth in cases(kind, p):
-                if name not in WITNESS_PRODUCERS:
+                if producers is not None and name not in producers:
                     continue
                 back = parse_distribution(serialize_distribution(lam))
                 if violations(lam, truth) or violations(back, truth):
@@ -58,23 +62,24 @@ def sums_over_tables():
 
 
 CHECKS = {
-    "complete heads: witness producers": complete_heads_over_witness_producers,
+    "complete heads: witness producers": partial(complete_heads, WITNESS_PRODUCERS),
+    "complete heads: every producer": complete_heads,
     "sums: true coefficients": sums_over_tables,
 }
 
 
 class Fault(NamedTuple):
     name: str
-    module: object
+    module: object  # the module, or the class, that holds attr
     attr: str
-    plant: Callable  # the original function -> the faulty one
+    plant: Callable  # the original function or property -> the faulty one
     checks: tuple  # names in CHECKS, each of which must fail under the fault
 
 
 def witness_line_over_p(original):
     """``_from_witness`` with its growth-0 cap line divided by p."""
-    def faulty(model, terms, T, keep=True):
-        out = original(model, terms, T, keep)
+    def faulty(model, terms, T):
+        out = original(model, terms, T)
         if out.exact:
             return out
         enc = out.enclosure
@@ -89,11 +94,27 @@ def cover_without_growth(original):
     return lambda bounds, t: original(bounds, 0)
 
 
+def bound_without_growth(original):
+    """``Enclosure.bound`` reading every t as +inf: the lines of every
+    growth bound at each degree."""
+    return lambda self, tau=0, t=inf: original(self, tau)
+
+
+def gap_zero(original):
+    """``Enclosure.gap`` zero: a head's Dirac decomposition leaves nothing
+    out, so ``mul``'s and ``conjugate``'s head paths store no error."""
+    return property(lambda self: NormValue.zero())
+
+
 FAULTS = (
     Fault("witness growth-0 line divided by p", distalg, "_from_witness",
           witness_line_over_p, ("complete heads: witness producers",)),
     Fault("least cover without its t tau term", distalg, "_least_cover",
           cover_without_growth, ("sums: true coefficients",)),
+    Fault("bound ignores its growth", Enclosure, "bound",
+          bound_without_growth, ("complete heads: every producer",)),
+    Fault("head-path stored error zero", Enclosure, "gap",
+          gap_zero, ("complete heads: every producer",)),
 )
 
 

@@ -281,7 +281,7 @@ def table_operand(rng, model, table, T):
     the whole table as its head to T with lines, each the least that holds
     past T (or a looser one) at a growth that may be below 0, and maybe a
     cap line and a stored error."""
-    tau = model.tau
+    tau = sum
     p = model.p
 
     def cover(items, t):
@@ -311,7 +311,7 @@ def true_sum_violation(p, draws=120):
     false of the true sum; None for none."""
     rng = random.Random(f"true-sum-{p}")
     model = GroupModel.from_string(f"abelian:2:{p}", prec=6, max_weight=6)
-    tau = model.tau
+    tau = sum
     values = [1, 2, -3, p, 2 * p, p ** 2, 3 * p ** 3]
     for _ in range(draws):
         (lam, src1), (mu, src2) = (
